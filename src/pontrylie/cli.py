@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     RegularityError,
 )
 from .lie import algebra_from_dict
-from .ocp import ControlProblem, SymmetryHandle
+from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle
 from .pmp import PmpSolverConfig, Trajectory
 
 EXIT_OK = 0
@@ -43,14 +43,6 @@ class LoadedProblem:
     name: str
     problem: ControlProblem
     reduced: Optional[reduction.ReducedProblem]
-    finite_difference: bool = False
-
-    def config(self, step: float) -> PmpSolverConfig:
-        # expression-backed problems differentiate by central differences,
-        # whose noise floor (~1e-10) makes the default 1e-12 stationarity
-        # tolerance unreachable
-        newton_tol = 1e-9 if self.finite_difference else 1e-12
-        return PmpSolverConfig(rk_step=step, newton_tol=newton_tol)
 
 
 def _builtin(name: str) -> LoadedProblem:
@@ -63,24 +55,32 @@ def _builtin(name: str) -> LoadedProblem:
     )
 
 
-def _vector_fn(sources: List[str], variables: List[str], splits: List[int]) -> Callable:
-    """Compile expression strings into a function of consecutive vector arguments."""
-    compiled = [expr.parse(src, variables) for src in sources]
+def _table(sources, variables: List[str]) -> np.ndarray:
+    """Parse an expression string, or a (nested) list of them, into an object array of trees."""
+    table = np.array(sources, dtype=object)
+    for index, src in np.ndenumerate(table):
+        table[index] = expr.parse(str(src), variables).ast
+    return table
 
-    def fn(*args):
-        bindings = {}
-        k = 0
-        for arg, count in zip(args, splits):
-            for i in range(count):
-                bindings[variables[k + i]] = float(arg[i])
-            k += count
-        return np.array([expr.evaluate(e, bindings) for e in compiled])
 
-    return fn
+def _with_derivatives(table: np.ndarray, state: List[str], control: List[str]) -> List[np.ndarray]:
+    """[g, dg/dstate, dg/dcontrol, d2g/dcontrol2] for a table of trees g."""
+    g_control = expr.derivative_table(table, control)
+    return [
+        table,
+        expr.derivative_table(table, state),
+        g_control,
+        expr.derivative_table(g_control, control),
+    ]
 
 
 def load_problem_file(path) -> LoadedProblem:
-    """Build a problem from the JSON schema (see README for the field list)."""
+    """Build a problem from the JSON schema (see README for the field list).
+
+    Every expression is parsed, differentiated symbolically (first
+    derivatives in states and controls, second derivatives in controls) and
+    compiled once here, so the solvers take their analytic-derivative paths.
+    """
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -91,68 +91,79 @@ def load_problem_file(path) -> LoadedProblem:
         raise PontrylieError(f"problem file {path} is missing required field: {exc}") from exc
     if len(dyn_src) != n:
         raise PontrylieError(f"expected {n} dynamics expressions, got {len(dyn_src)}")
-    xu_vars = [f"x{i+1}" for i in range(n)] + [f"u{a+1}" for a in range(r)]
-    dynamics = _vector_fn(dyn_src, xu_vars, [n, r])
-    lagrangian_vec = _vector_fn([lag_src], xu_vars, [n, r])
+    algebra = algebra_from_dict(data["algebra"]) if "algebra" in data else None
+    x_vars = [f"x{i+1}" for i in range(n)]
+    u_vars = [f"u{a+1}" for a in range(r)]
+    dynamics, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2 = expr.compile_tables(
+        _with_derivatives(_table(dyn_src, x_vars + u_vars), x_vars, u_vars)
+        + _with_derivatives(_table(lag_src, x_vars + u_vars), x_vars, u_vars),
+        [x_vars, u_vars],
+    )
 
     symmetry = None
-    if "algebra" in data:
-        algebra = algebra_from_dict(data["algebra"])
-        action = None
-        if "action" in data:
-            x_vars = [f"x{i+1}" for i in range(n)]
-            rows = data["action"]
-            if len(rows) != algebra.dim or any(len(row) != n for row in rows):
-                raise PontrylieError("action must be a dim x n table of expressions")
-            generators = [_vector_fn(list(row), x_vars, [n]) for row in rows]
+    if "action" in data:
+        if algebra is None:
+            raise PontrylieError("an action table requires an algebra block")
+        rows = data["action"]
+        if len(rows) != algebra.dim or any(len(row) != n for row in rows):
+            raise PontrylieError("action must be a dim x n table of expressions")
+        (generators,) = expr.compile_tables([_table(rows, x_vars)], [x_vars])
 
-            def action(xi, x, _gens=generators):
-                xi = np.asarray(xi, dtype=float)
-                return sum(float(c) * g(x) for c, g in zip(xi, _gens))
+        def action(xi, x):
+            return np.asarray(xi, dtype=float) @ generators(x)
 
-        if action is not None:
-            symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
+        symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
 
     problem = ControlProblem(
         n=n,
         r=r,
         dynamics=dynamics,
-        lagrangian=lambda x, u: float(lagrangian_vec(x, u)[0]),
+        lagrangian=lagrangian,
+        jacobians=ProblemJacobians(
+            df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2
+        ),
         symmetry=symmetry,
         name=Path(path).stem,
     )
 
     reduced = None
     if "reduced" in data:
-        if "algebra" not in data:
+        if algebra is None:
             raise PontrylieError("a reduced block requires an algebra block")
-        algebra = algebra_from_dict(data["algebra"])
         block = data["reduced"]
         s = int(block.get("s", 0))
-        zu_vars = [f"z{i+1}" for i in range(s)] + [f"u{a+1}" for a in range(r)]
+        z_vars = [f"z{i+1}" for i in range(s)]
         base_src = list(block.get("base_dynamics", []))
         fiber_src = list(block["fiber_dynamics"])
         if len(base_src) != s or len(fiber_src) != algebra.dim:
             raise PontrylieError("reduced dynamics expression counts do not match s/dim")
-        base = (
-            _vector_fn(base_src, zu_vars, [s, r])
-            if s
-            else (lambda z, u: np.zeros(0))
+        zu_vars = z_vars + u_vars
+        (
+            base, dbase_dz, dbase_du, d2base_du2,
+            fiber, dfiber_dz, dfiber_du, d2fiber_du2,
+            lagrangian_z, dl_dz, dl_du, d2l_du2,
+        ) = expr.compile_tables(
+            _with_derivatives(_table(base_src, zu_vars), z_vars, u_vars)
+            + _with_derivatives(_table(fiber_src, zu_vars), z_vars, u_vars)
+            + _with_derivatives(_table(str(block["lagrangian"]), zu_vars), z_vars, u_vars),
+            [z_vars, u_vars],
         )
-        fiber = _vector_fn(fiber_src, zu_vars, [s, r])
-        lag_vec = _vector_fn([str(block["lagrangian"])], zu_vars, [s, r])
         reduced = reduction.ReducedProblem(
             base_dim=s,
             algebra=algebra,
             control_dim=r,
-            lagrangian=lambda z, u: float(lag_vec(z, u)[0]),
+            lagrangian=lagrangian_z,
             base_dynamics=base,
             fiber_dynamics=fiber,
+            jacobians=reduction.ReducedJacobians(
+                dl_dz=dl_dz, dl_du=dl_du,
+                dbase_dz=dbase_dz, dbase_du=dbase_du,
+                dfiber_dz=dfiber_dz, dfiber_du=dfiber_du,
+                d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2,
+            ),
             name=Path(path).stem,
         )
-    return LoadedProblem(
-        name=Path(path).stem, problem=problem, reduced=reduced, finite_difference=True
-    )
+    return LoadedProblem(name=Path(path).stem, problem=problem, reduced=reduced)
 
 
 def _load(args) -> LoadedProblem:
@@ -189,8 +200,7 @@ def cmd_solve_pmp(args) -> Tuple[int, dict]:
     if args.p0 is None:
         raise PontrylieError("--p0 is required")
     p0 = _parse_vector(args.p0)
-    config = loaded.config(args.step)
-    trajectory = pmp.integrate_pmp(problem, x0, p0, args.T, config)
+    trajectory = pmp.integrate_pmp(problem, x0, p0, args.T, PmpSolverConfig(rk_step=args.step))
     out = args.out or f"pmp_{loaded.name}.{args.format}"
     _write(trajectory, out, args.format)
     summary = {
@@ -217,8 +227,7 @@ def _solve_reduced_single(loaded: LoadedProblem, mu0, args, suffix=""):
     z0 = _parse_vector(args.z0) if args.z0 else np.zeros(s)
     pz0 = _parse_vector(args.pz0) if args.pz0 else np.zeros(s)
     state0 = reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim))
-    config = loaded.config(args.step)
-    trajectory = reduction.integrate_reduced(problem, state0, args.T, config)
+    trajectory = reduction.integrate_reduced(problem, state0, args.T, PmpSolverConfig(rk_step=args.step))
     stem = args.out or f"reduced_{loaded_name}.{args.format}"
     if suffix:
         p = Path(stem)

@@ -11,6 +11,11 @@ Grammar (recursive descent, ~10 productions):
 Precedence: ^  >  unary -  >  * /  >  + -.  The exponent of ^ must fold to a
 constant (it is constant-folded at parse time; a non-constant exponent is a
 syntax error).  Identifiers must come from the declared variable set.
+
+Trees are differentiated symbolically (``differentiate``) and compiled once
+into Python functions of vector arguments (``compile_tables``) that repeat the
+tree walker's float operations in the same order; ``evaluate`` remains the
+reference semantics and produces the error messages.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import FrozenSet, Mapping, Optional, Union
+from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import PontrylieError
 
@@ -230,10 +237,26 @@ def _apply_binary(op: str, a: float, b: float, pos: int) -> float:
         return a / b
     if op == "^":
         try:
-            return float(a**b)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            value = a**b
+        except (OverflowError, ZeroDivisionError) as exc:
             raise ExprEvaluationError(f"power failed: {exc}", pos) from None
+        if isinstance(value, complex):
+            raise ExprEvaluationError(f"power failed: negative base {a!r} to the fractional power {b!r}", pos)
+        return value
     raise ExprSyntaxError(f"unknown operator {op!r}", pos)
+
+
+def _apply_unary(op: str, v: float, pos: int) -> float:
+    if op == "neg":
+        return -v
+    if op == "sqrt" and v < 0.0:
+        raise ExprEvaluationError(f"sqrt of negative value {v!r}", pos)
+    if op not in FUNCTIONS:
+        raise ExprSyntaxError(f"unknown function {op!r}", pos)
+    try:
+        return getattr(math, op)(v)
+    except (OverflowError, ValueError) as exc:
+        raise ExprEvaluationError(f"{op} failed: {exc}", pos) from None
 
 
 @dataclass(frozen=True)
@@ -274,23 +297,7 @@ def _eval_node(node: Node, bindings: Mapping[str, float]) -> float:
         except KeyError:
             raise ExprEvaluationError(f"unbound variable '{node.name}'", node.pos) from None
     if isinstance(node, Unary):
-        v = _eval_node(node.operand, bindings)
-        if node.op == "neg":
-            return -v
-        if node.op == "sin":
-            return math.sin(v)
-        if node.op == "cos":
-            return math.cos(v)
-        if node.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise ExprEvaluationError("exp overflow", node.pos) from None
-        if node.op == "sqrt":
-            if v < 0.0:
-                raise ExprEvaluationError(f"sqrt of negative value {v!r}", node.pos)
-            return math.sqrt(v)
-        raise ExprSyntaxError(f"unknown function {node.op!r}", node.pos)
+        return _apply_unary(node.op, _eval_node(node.operand, bindings), node.pos)
     return _apply_binary(node.op, _eval_node(node.left, bindings), _eval_node(node.right, bindings), node.pos)
 
 
@@ -320,3 +327,218 @@ def _print_node(node: Node, parent_prec: int = 0) -> str:
         right = _print_node(node.right, prec + 1)
         text = f"{left} {node.op} {right}"
     return f"({text})" if prec < parent_prec else text
+
+
+# ---------------------------------------------------------------- differentiation
+
+
+def _is_constant(node: Node, value: float) -> bool:
+    return isinstance(node, Constant) and node.value == value
+
+
+def _unary(op: str, operand: Node, pos: int) -> Node:
+    """``op(operand)``, folded when the operand is a constant."""
+    if isinstance(operand, Constant):
+        try:
+            return Constant(_apply_unary(op, operand.value, pos), pos)
+        except ExprEvaluationError:
+            pass  # leave the failure to evaluation time
+    if op == "neg" and isinstance(operand, Unary) and operand.op == "neg":
+        return operand.operand
+    return Unary(op, operand, pos)
+
+
+def _binary(op: str, left: Node, right: Node, pos: int) -> Node:
+    """``left op right``, folding constants and the identities of 0 and 1."""
+    if isinstance(left, Constant) and isinstance(right, Constant):
+        try:
+            return Constant(_apply_binary(op, left.value, right.value, pos), pos)
+        except ExprEvaluationError:
+            pass  # leave the failure to evaluation time
+    if op == "+":
+        if _is_constant(left, 0.0):
+            return right
+        if _is_constant(right, 0.0):
+            return left
+    elif op == "-":
+        if _is_constant(right, 0.0):
+            return left
+        if _is_constant(left, 0.0):
+            return _unary("neg", right, pos)
+    elif op == "*":
+        if _is_constant(left, 0.0) or _is_constant(right, 0.0):
+            return Constant(0.0, pos)
+        if _is_constant(left, 1.0):
+            return right
+        if _is_constant(right, 1.0):
+            return left
+    elif op == "/":
+        if _is_constant(left, 0.0) and not _is_constant(right, 0.0):
+            return Constant(0.0, pos)
+        if _is_constant(right, 1.0):
+            return left
+    elif op == "^":
+        if _is_constant(right, 0.0):
+            return Constant(1.0, pos)
+        if _is_constant(right, 1.0):
+            return left
+    return Binary(op, left, right, pos)
+
+
+def differentiate(node: Node, var: str) -> Node:
+    """The derivative d(node)/d(var) as a constant-folded tree.
+
+    Every node of the result carries the ``pos`` of the source node whose
+    rule produced it, so a derivative that is undefined at a point (``sqrt``
+    at 0, a negative power of 0) fails at evaluation with that offset.
+    """
+    pos = node.pos
+    if isinstance(node, Constant):
+        return Constant(0.0, pos)
+    if isinstance(node, Variable):
+        return Constant(1.0 if node.name == var else 0.0, pos)
+    if isinstance(node, Unary):
+        a = node.operand
+        da = differentiate(a, var)
+        if node.op == "neg":
+            return _unary("neg", da, pos)
+        if node.op == "sin":
+            outer = _unary("cos", a, pos)
+        elif node.op == "cos":
+            outer = _unary("neg", _unary("sin", a, pos), pos)
+        elif node.op == "exp":
+            outer = node
+        elif node.op == "sqrt":
+            return _binary("/", da, _binary("*", Constant(2.0, pos), node, pos), pos)
+        else:
+            raise ExprSyntaxError(f"unknown function {node.op!r}", pos)
+        return _binary("*", outer, da, pos)
+    a, b = node.left, node.right
+    da, db = differentiate(a, var), differentiate(b, var)
+    if node.op in "+-":
+        return _binary(node.op, da, db, pos)
+    if node.op == "*":
+        return _binary("+", _binary("*", da, b, pos), _binary("*", a, db, pos), pos)
+    if node.op == "/":
+        if _is_constant(db, 0.0):
+            return _binary("/", da, b, pos)
+        numerator = _binary("-", _binary("*", da, b, pos), _binary("*", a, db, pos), pos)
+        return _binary("/", numerator, _binary("*", b, b, pos), pos)
+    if node.op == "^":
+        if not isinstance(b, Constant):
+            raise ExprSyntaxError("exponent must be a constant", b.pos)
+        c = b.value
+        outer = _binary("*", Constant(c, pos), _binary("^", a, Constant(c - 1.0, pos), pos), pos)
+        return _binary("*", outer, da, pos)
+    raise ExprSyntaxError(f"unknown operator {node.op!r}", pos)
+
+
+def derivative_table(table: np.ndarray, variables: Sequence[str]) -> np.ndarray:
+    """Differentiate an object array of trees; the variables index a new last axis."""
+    out = np.empty(table.shape + (len(variables),), dtype=object)
+    for index, node in np.ndenumerate(table):
+        for k, var in enumerate(variables):
+            out[index + (k,)] = differentiate(node, var)
+    return out
+
+
+# ---------------------------------------------------------------- compilation
+
+class _Emitter:
+    """Straight-line Python for a set of trees: one temporary per distinct operation."""
+
+    def __init__(self, names: Mapping[str, str]):
+        self.names = names
+        self.used = set()
+        self.lines: List[str] = []
+        self.temps = {}
+
+    def emit(self, node: Node) -> str:
+        if isinstance(node, Constant):
+            value = float(node.value)
+            return f"({value!r})" if math.isfinite(value) else f"_float({str(value)!r})"
+        if isinstance(node, Variable):
+            self.used.add(node.name)
+            return self.names[node.name]
+        if isinstance(node, Unary):
+            operand = self.emit(node.operand)
+            code = f"-{operand}" if node.op == "neg" else f"_{node.op}({operand})"
+        else:
+            left, right = self.emit(node.left), self.emit(node.right)
+            if node.op != "^":
+                code = f"{left} {node.op} {right}"
+            elif isinstance(node.right, Constant) and float(node.right.value).is_integer():
+                code = f"{left} ** {right}"
+            else:
+                # math.pow computes what float ** does, but raises ValueError
+                # where ** would return a complex number
+                code = f"_pow({left}, {right})"
+        name = self.temps.get(code)
+        if name is None:
+            name = self.temps[code] = f"_t{len(self.temps)}"
+            self.lines.append(f"{name} = {code}")
+        return name
+
+
+def _nested(atoms: np.ndarray) -> str:
+    """A nested list display of an object array of atoms."""
+    if atoms.ndim == 1:
+        return "[" + ", ".join(atoms) + "]"
+    return "[" + ", ".join(_nested(row) for row in atoms) + "]"
+
+
+def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[str]]) -> List[Callable]:
+    """Compile object arrays of trees into functions of vector arguments, in one pass.
+
+    ``arguments`` names the variables bound to the entries of each positional
+    vector argument; it must cover every variable of the trees.  The function for a 0-d table returns a float, any other
+    an ndarray of the table's shape.  Each entry is computed with the float
+    operations of ``evaluate`` in the same order (``math`` functions on Python
+    floats), so results agree bit for bit; on an arithmetic failure the tree
+    walker re-runs on the same bindings and raises ``ExprEvaluationError``
+    with the source offset.
+    """
+    names, loads = {}, {}
+    for k, group in enumerate(arguments):
+        for i, var in enumerate(group):
+            names[var] = f"_v{len(names)}"
+            loads[var] = f"{names[var]} = float(a{k}[{i}])"
+    params = ", ".join(f"a{k}" for k in range(len(arguments)))
+    namespace = {}
+    source = []
+    for index, table in enumerate(tables):
+        emitter = _Emitter(names)
+        atoms = np.empty(table.shape, dtype=object)
+        for position, node in np.ndenumerate(table):
+            atoms[position] = emitter.emit(node)
+        if table.ndim == 0:
+            result = atoms[()]
+        elif all(isinstance(node, Constant) for node in table.flat):
+            # built once; each call returns a copy (zero Jacobian blocks, empty tables)
+            namespace[f"_c{index}"] = np.array([node.value for node in table.flat], dtype=float).reshape(table.shape)
+            result = f"_c{index}.copy()"
+        else:
+            result = f"_array({_nested(atoms)})"
+        source.append(f"def _f{index}({params}):")
+        source += [f"    {loads[var]}" for var in loads if var in emitter.used]
+        if emitter.lines:
+            source += ["    try:"] + [f"        {line}" for line in emitter.lines]
+            source += [f"        return {result}", "    except _ARITHMETIC_FAILURES as exc:",
+                       f"        _walk({index}, [{params}], exc)"]
+        else:  # no arithmetic, nothing can fail
+            source.append(f"    return {result}")
+
+    def walk(index, args, exc):
+        bindings = {var: float(value) for group, arg in zip(arguments, args) for var, value in zip(group, arg)}
+        for node in np.ravel(tables[index]):
+            _eval_node(node, bindings)
+        raise exc
+
+    namespace.update(
+        _array=np.array, _float=float, _pow=math.pow, _sin=math.sin, _cos=math.cos, _exp=math.exp,
+        _sqrt=math.sqrt, _walk=walk,
+        # what the float operations and math functions raise on failure
+        _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
+    )
+    exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
+    return [namespace[f"_f{index}"] for index in range(len(tables))]

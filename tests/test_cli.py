@@ -1,13 +1,16 @@
 """Command-line front end: exit codes, RESULT lines, file round trips."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pontrylie.cli import main
+from pontrylie import ocp, reduction
+from pontrylie.cli import load_problem_file, main
 from pontrylie.pmp import Trajectory
 
 HEISENBERG_JSON = {
@@ -319,6 +322,83 @@ def test_file_problem_solve_reduced(tmp_path, capsys):
     )
     assert code == 0
     assert result["runs"][0]["h_drift"] <= 1e-6
+
+
+def _readme_problem() -> dict:
+    """The JSON example of the README's "Problem files" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Problem files"):]
+    block = section[section.index("```json") + len("```json"):]
+    return json.loads(block[: block.index("```")])
+
+
+def _strict_result(out: str) -> dict:
+    line = [line for line in out.splitlines() if line][-1]
+    assert line.startswith("RESULT ")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(line[len("RESULT "):], parse_constant=reject)
+
+
+def test_problem_file_has_exact_derivatives(tmp_path):
+    problem_file = tmp_path / "heis.json"
+    problem_file.write_text(json.dumps(_readme_problem()))
+    loaded = load_problem_file(problem_file)
+    for jac in (loaded.problem.jacobians, loaded.reduced.jacobians):
+        assert all(getattr(jac, f.name) is not None for f in dataclasses.fields(jac))
+
+
+@pytest.mark.parametrize(
+    ("command", "start", "channel"),
+    [("solve-pmp", ["--p0", "0.6,-0.8,1"], "H"), ("solve-reduced", ["--lambda0", "0.6,-0.8,1"], "h")],
+)
+def test_readme_problem_file_reproduces_builtin(tmp_path, capsys, monkeypatch, command, start, channel):
+    problem_file = tmp_path / "heis.json"
+    problem_file.write_text(json.dumps(_readme_problem()))
+
+    def no_finite_differences(*args, **kwargs):
+        raise AssertionError("finite-difference fallback used")
+
+    for module in (ocp, reduction):
+        for name in ("fd_gradient", "fd_hessian_direct", "fd_hessian_from_gradient"):
+            monkeypatch.setattr(module, name, no_finite_differences)
+    runs = []
+    for source in (["--builtin", "heisenberg"], ["--problem", str(problem_file)]):
+        out = tmp_path / f"{source[0][2:]}.csv"
+        code, _, _ = run_cli(capsys, command, *source, *start, "--T", "1", "--step", "1e-2", "--out", str(out))
+        assert code == 0
+        runs.append(Trajectory.from_csv(out))
+    builtin, from_file = runs
+    assert np.max(np.abs(builtin.states - from_file.states)) <= 1e-13
+    assert np.max(np.abs(builtin.channel(channel) - from_file.channel(channel))) <= 1e-13
+
+
+def test_fractional_power_of_negative_value_is_a_solver_failure(tmp_path, capsys):
+    problem_file = tmp_path / "root.json"
+    problem_file.write_text(json.dumps(
+        {"n": 1, "r": 1, "dynamics": ["(u1-1)^0.5"], "lagrangian": "0.5*u1^2"}
+    ))
+    code = main(["solve-pmp", "--problem", str(problem_file), "--p0", "1", "--T", "0.1",
+                 "--out", str(tmp_path / "root.csv")])
+    result = _strict_result(capsys.readouterr().out)
+    assert code == 2
+    assert result["exit_code"] == 2 and result["status"] == "error"
+    assert "fractional power" in result["error"]
+    assert "(at offset 6)" in result["error"]  # the '^' of (u1-1)^0.5
+
+
+def test_action_without_algebra_is_rejected(tmp_path, capsys):
+    problem_file = tmp_path / "heis.json"
+    data = {k: v for k, v in HEISENBERG_JSON.items() if k not in ("algebra", "reduced")}
+    problem_file.write_text(json.dumps(data))
+    code, result, _ = run_cli(
+        capsys, "solve-pmp", "--problem", str(problem_file), "--p0", "1,0,1",
+        "--T", "0.1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert "action table requires an algebra block" in result["error"]
 
 
 def test_json_output_format(tmp_path, capsys):

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pontrylie.expr import (
+    Binary,
     Constant,
+    Expression,
     ExprEvaluationError,
     ExprSyntaxError,
     UndeclaredVariableError,
+    Unary,
+    Variable,
+    compile_tables,
+    derivative_table,
+    differentiate,
     evaluate,
     parse,
 )
@@ -150,3 +159,186 @@ def test_referential_transparency():
     bindings = {"x1": 0.311, "x2": -2.0, "u1": 1.25}
     values = {evaluate(e, dict(bindings)) for _ in range(5)}
     assert len(values) == 1
+
+
+# ---------------------------------------------------------------- derivatives and compilation
+
+VARS = ["x1", "x2", "u1"]
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _grammar(safe: bool):
+    """Source strings over x1, x2, u1.  ``safe`` keeps every operation smooth near the sample box."""
+    leaves = st.sampled_from(VARS) | st.sampled_from(["0.5", "1.25", "2", "3.0"])
+
+    def extend(inner):
+        binary = st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+        power = st.tuples(inner, st.sampled_from(["2", "3", "-1"])).map(lambda t: f"(1.5 + ({t[0]})^2)^{t[1]}")
+        trig = st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda t: f"{t[0]}({t[1]})")
+        parts = [binary, power, trig, inner.map(lambda a: f"-{a}"),
+                 inner.map(lambda a: f"exp(sin({a}))"),
+                 inner.map(lambda a: f"sqrt(2 + cos({a}))"),
+                 st.tuples(inner, inner).map(lambda t: f"{t[0]} / (1 + ({t[1]})^2)"),
+                 inner.map(lambda a: f"(1 + ({a})^2)^0.5")]
+        if not safe:
+            parts += [st.tuples(inner, inner).map(lambda t: f"({t[0]} / {t[1]})"),
+                      inner.map(lambda a: f"sqrt({a})"), inner.map(lambda a: f"exp({a})"),
+                      st.tuples(inner, st.sampled_from(["0.5", "-2", "1.5"])).map(lambda t: f"({t[0]})^{t[1]}")]
+        return st.one_of(parts)
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+POINTS = st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=3, max_size=3)
+
+
+def _compiled(node):
+    (fn,) = compile_tables([np.array(node, dtype=object)], [VARS])
+    return lambda v: fn(np.asarray(v, dtype=float))
+
+
+def _central(fn, v, k, h=1e-4):
+    """Fourth-order central difference of fn along coordinate k."""
+    def at(s):
+        w = np.array(v, dtype=float)
+        w[k] += s * h
+        return fn(w)
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+
+
+def _close(a, b, scale):
+    assert abs(a - b) <= 1e-6 * (1.0 + scale), (a, b)
+
+
+@PROPERTY
+@given(_grammar(safe=True), POINTS)
+def test_derivatives_match_central_differences(src, point):
+    tree = parse(src, VARS).ast
+    f = _compiled(tree)
+    scale = max(abs(f(np.array(point) + d)) for d in np.linspace(-0.01, 0.01, 5))
+    for k, var in enumerate(VARS):
+        first = differentiate(tree, var)
+        df = _compiled(first)
+        _close(df(point), _central(f, point, k), scale + abs(df(point)))
+        for j, var2 in enumerate(VARS):
+            d2f = _compiled(differentiate(first, var2))(point)
+            _close(d2f, _central(df, point, j), scale + abs(df(point)) + abs(d2f))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_grammar(safe=True), POINTS)
+def test_derivatives_match_sympy(src, point):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(VARS)
+    reference = sympy.sympify(src.replace("^", "**"), locals=dict(zip(VARS, symbols)))
+    tree = parse(src, VARS).ast
+    bindings = dict(zip(VARS, point))
+    subs = dict(zip(symbols, point))
+    for var, sym in zip(VARS, symbols):
+        exact = float(sympy.diff(reference, sym).evalf(subs=subs))
+        ours = evaluate_tree(differentiate(tree, var), bindings)
+        assert abs(ours - exact) <= 1e-10 * (1.0 + abs(exact)), (src, var)
+        for var2, sym2 in zip(VARS, symbols):
+            exact2 = float(sympy.diff(reference, sym, sym2).evalf(subs=subs))
+            ours2 = evaluate_tree(differentiate(differentiate(tree, var), var2), bindings)
+            assert abs(ours2 - exact2) <= 1e-9 * (1.0 + abs(exact2)), (src, var, var2)
+
+
+def evaluate_tree(node, bindings):
+    return evaluate(Expression(node, frozenset(VARS)), bindings)
+
+
+def _outcome(fn):
+    try:
+        return float.hex(float(fn()))
+    except ExprEvaluationError as exc:
+        return f"error: {exc}"
+
+
+@PROPERTY
+@given(_grammar(safe=False), st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                      min_size=3, max_size=3))
+def test_compiled_matches_tree_walker_bit_for_bit(src, point):
+    tree = parse(src, VARS).ast
+    trees = [tree] + [differentiate(tree, var) for var in VARS]
+    fns = compile_tables([np.array(t, dtype=object) for t in trees], [VARS])
+    bindings = dict(zip(VARS, point))
+    for t, fn in zip(trees, fns):
+        expected = _outcome(lambda: evaluate_tree(t, bindings))
+        assert _outcome(lambda: fn(np.array(point))) == expected, src
+    # a vector table computes each entry exactly as the scalar one does
+    (vector,) = compile_tables([np.array(trees, dtype=object)], [VARS])
+    try:
+        values = vector(np.array(point))
+    except ExprEvaluationError:
+        return
+    assert [float.hex(float(v)) for v in values] == [_outcome(lambda: fn(np.array(point))) for fn in fns]
+
+
+def _positions(node):
+    out = {node.pos}
+    if isinstance(node, Unary):
+        out |= _positions(node.operand)
+    if isinstance(node, Binary):
+        out |= _positions(node.left) | _positions(node.right)
+    return out
+
+
+@PROPERTY
+@given(_grammar(safe=False))
+def test_derivative_nodes_keep_source_offsets(src):
+    tree = parse(src, VARS).ast
+    for var in VARS:
+        assert _positions(differentiate(tree, var)) <= _positions(tree)
+
+
+def test_derivative_folds_constants():
+    tree = parse("0.5*(u1^2 + x2^2)", VARS).ast
+    assert differentiate(tree, "x1") == Constant(0.0)
+    assert differentiate(differentiate(tree, "u1"), "u1") == Constant(1.0)
+    assert differentiate(parse("x1*u1", VARS).ast, "u1") == Variable("x1")
+    assert differentiate(parse("(x1*u1 - x2)/2", VARS).ast, "u1") == Binary("/", Variable("x1"), Constant(2.0))
+
+
+def test_derivative_table_shapes():
+    table = np.array([parse(s, VARS).ast for s in ("x1*u1", "u1^2")], dtype=object)
+    d2 = derivative_table(derivative_table(table, ["u1"]), ["u1"])
+    assert d2.shape == (2, 1, 1)
+    assert derivative_table(table, []).shape == (2, 0)
+    fn, empty = compile_tables([d2, derivative_table(table, [])], [VARS])
+    assert fn(np.zeros(3)).tolist() == [[[0.0]], [[2.0]]]
+    assert empty(np.zeros(3)).shape == (2, 0)
+
+
+def test_undefined_derivative_raises_with_offset():
+    src = "x2 + sqrt(x1)"
+    tree = parse(src, VARS).ast
+    d = differentiate(tree, "x1")
+    with pytest.raises(ExprEvaluationError) as err:
+        evaluate_tree(d, {"x1": 0.0, "x2": 1.0, "u1": 0.0})
+    assert err.value.pos == src.index("sqrt")
+    (fn,) = compile_tables([np.array(d, dtype=object)], [VARS])
+    with pytest.raises(ExprEvaluationError) as err:
+        fn(np.array([0.0, 1.0, 0.0]))
+    assert err.value.pos == src.index("sqrt")
+    # a negative power of zero in the derivative of a fractional power
+    src = "x1^0.5"
+    (fn,) = compile_tables([np.array(differentiate(parse(src, VARS).ast, "x1"), dtype=object)], [VARS])
+    with pytest.raises(ExprEvaluationError) as err:
+        fn(np.zeros(3))
+    assert err.value.pos == src.index("^")
+
+
+def test_fractional_power_of_negative_value():
+    src = "(u1 - 1)^0.5"
+    e = parse(src, VARS)
+    with pytest.raises(ExprEvaluationError) as err:
+        evaluate(e, {"u1": 0.0})
+    assert err.value.pos == src.index("^")
+    assert "fractional power" in str(err.value)
+    (fn,) = compile_tables([np.array(e.ast, dtype=object)], [VARS])
+    with pytest.raises(ExprEvaluationError) as err:
+        fn(np.zeros(3))
+    assert err.value.pos == src.index("^")
+    assert fn(np.array([0.0, 0.0, 5.0])) == 2.0

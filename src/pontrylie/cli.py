@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -19,13 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import dirac, expr, heisenberg, pmp, reconstruct, reduction
-from .errors import (
-    ConvergenceError,
-    EvaluationError,
-    NonNilpotentError,
-    PontrylieError,
-    RegularityError,
-)
+from .errors import EvaluationError, NonNilpotentError, PontrylieError, SolverError
 from .lie import algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle
 from .pmp import PmpSolverConfig, Trajectory
@@ -34,8 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 
-_SOLVER_ERRORS = (ConvergenceError, RegularityError, EvaluationError, NonNilpotentError,
-                  expr.ExprEvaluationError)
+_SOLVER_ERRORS = (SolverError, EvaluationError, NonNilpotentError, expr.ExprEvaluationError)
 
 
 @dataclass(frozen=True)
@@ -270,16 +263,7 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
         if mu0.shape != (problem.algebra.dim,):
             raise PontrylieError(f"lambda0 must have length {problem.algebra.dim}")
 
-    def run(item):
-        mu0, suffix = item
-        return _solve_reduced_single(loaded, mu0, args, suffix)[1]
-
-    if args.jobs > 1 and len(mu0_list) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(run, mu0_list))
-    else:
-        runs = [run(item) for item in mu0_list]
-
+    runs = [_solve_reduced_single(loaded, mu0, args, suffix)[1] for mu0, suffix in mu0_list]
     for summary in runs:
         line = f"mu0={summary['mu0']} rows={summary['rows']} h_drift={summary['h_drift']:.3e}"
         if "closed_form_max_dev" in summary:
@@ -447,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pz0", help="initial base costate")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for parameter grids")
     add_io_args(p)
     p.set_defaults(fn=cmd_solve_reduced)
 
@@ -492,10 +475,22 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code, result = EXIT_SOLVER, {"status": "error", "error": str(exc), "exit_code": EXIT_SOLVER}
+        if isinstance(exc, SolverError):
+            located = {"residual": exc.residual, "t": exc.t}
+            result.update({key: value for key, value in located.items() if np.isfinite(value)})
     except (PontrylieError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code, result = EXIT_INPUT, {"status": "error", "error": str(exc), "exit_code": EXIT_INPUT}
-    print("RESULT " + json.dumps(result, sort_keys=True))
+    try:
+        line = json.dumps(result, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # the lenient dump spells the value NaN or Infinity right after its key
+        key = re.search(r'"([^"]+)": [^"]*?(NaN|Infinity)', json.dumps(result, sort_keys=True)).group(1)
+        message = f"RESULT field '{key}' is not finite"
+        print(f"solver failure: {message}", file=sys.stderr)
+        code = EXIT_SOLVER
+        line = json.dumps({"status": "error", "error": message, "exit_code": code}, sort_keys=True)
+    print("RESULT " + line)
     return code
 
 

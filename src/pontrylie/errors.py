@@ -30,15 +30,20 @@ class EvaluationError(PontrylieError):
         self.point = point
 
 
-class ConvergenceError(PontrylieError):
-    """Newton iteration exhausted its budget; carries the last residual norm."""
+class SolverError(PontrylieError):
+    """A control solve failed; carries the last residual norm and the time (nan when unknown)."""
 
-    def __init__(self, message: str, residual: float = float("nan")):
+    def __init__(self, message: str, residual: float = float("nan"), t: float = float("nan")):
         super().__init__(message)
         self.residual = residual
+        self.t = t
 
 
-class RegularityError(PontrylieError):
+class ConvergenceError(SolverError):
+    """Newton iteration exhausted its budget."""
+
+
+class RegularityError(SolverError):
     """The control Hessian is (numerically) singular where it must be invertible."""
 
 

@@ -9,10 +9,12 @@ The central object is the Pontryagin Hamiltonian
 
     H(x, p, u) = <p, f(x, u)> - L(x, u)
 
-whose first and second partials drive the maximum-principle solver.  Partials
-fall back to central finite differences (step scaled by 1 + |coordinate|)
-wherever analytic derivatives are not supplied; dH/dp = f(x, u) is always
-exact.
+whose first and second partials drive the maximum-principle solver.  One
+kernel computes them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
+any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
+it, and one Newton loop eliminates the controls of both.  Partials fall back
+to central finite differences (step scaled by 1 + |coordinate|) wherever
+analytic derivatives are not supplied; dH/dlam = F(q, u) is always exact.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._fd import fd_gradient, fd_hessian_direct, fd_hessian_from_gradient, fd_jacobian
-from .errors import DimensionMismatchError, EvaluationError, PontrylieError
+from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
 from .lie import GroupElement, LieAlgebraSpec, exp_nilpotent
 
 
@@ -126,11 +128,10 @@ def _eval_lagrangian(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> f
     return val
 
 
-def pontryagin_hamiltonian(problem: ControlProblem, point: PontryaginPoint) -> float:
-    """H(x, p, u) = <p, f(x, u)> - L(x, u)."""
-    point.conform(problem)
-    f = _eval_dynamics(problem, point.x, point.u)
-    return float(point.p @ f) - _eval_lagrangian(problem, point.x, point.u)
+# Central-difference step of every derivative fallback, scaled by 1 + |coordinate|.
+FD_STEP = 1e-6
+# A control Hessian whose smallest singular value is at or below this is singular.
+RANK_TOL = 1e-9
 
 
 class HamiltonianPartials(NamedTuple):
@@ -140,56 +141,113 @@ class HamiltonianPartials(NamedTuple):
     d2H_du2: np.ndarray
 
 
-def hamiltonian_partials(
-    problem: ControlProblem, point: PontryaginPoint, fd_step: float = 1e-6
-) -> HamiltonianPartials:
-    """First partials of H plus the control Hessian W = d2H/du2.
+class ControlledHamiltonian(NamedTuple):
+    """H(q, lam, u) = <lam, F(q, u)> - L(q, u); ``jac`` holds dF/dq as df_dx, and so on."""
 
-    Derivative sources, in order of preference: analytic fields, central
-    differences of an analytic first derivative, plain second differences of
-    H (with step sqrt(fd_step) to keep roundoff noise down).
-    """
-    point.conform(problem)
-    x, p, u = point.x, point.p, point.u
-    jac = problem.jacobians
+    F: Callable
+    L: Callable
+    jac: ProblemJacobians
 
-    dH_dp = _eval_dynamics(problem, x, u)
 
-    def h_at(x_, u_):
-        return float(p @ _eval_dynamics(problem, x_, u_)) - _eval_lagrangian(problem, x_, u_)
-
-    if jac is not None and jac.df_dx is not None and jac.dL_dx is not None:
-        dH_dx = np.asarray(jac.df_dx(x, u), dtype=float).T @ p - np.asarray(jac.dL_dx(x, u), dtype=float)
-    else:
-        dH_dx = fd_gradient(lambda x_: h_at(x_, u), x, fd_step)
-
-    have_first_du = jac is not None and jac.df_du is not None and jac.dL_du is not None
-
-    def dh_du_at(u_):
-        if have_first_du:
-            return np.asarray(jac.df_du(x, u_), dtype=float).T @ p - np.asarray(jac.dL_du(x, u_), dtype=float)
-        return fd_gradient(lambda v: h_at(x, v), u_, fd_step)
-
-    dH_du = dh_du_at(u)
-
-    if jac is not None and jac.d2f_du2 is not None and jac.d2L_du2 is not None:
-        d2f = np.asarray(jac.d2f_du2(x, u), dtype=float)
-        w = np.tensordot(p, d2f, axes=1) - np.asarray(jac.d2L_du2(x, u), dtype=float)
-    elif have_first_du:
-        w = fd_hessian_from_gradient(dh_du_at, u, fd_step)
-    else:
-        w = fd_hessian_direct(lambda v: h_at(x, v), u, fd_step)
-
-    parts = HamiltonianPartials(
-        dH_dx=np.asarray(dH_dx, dtype=float),
-        dH_dp=dH_dp,
-        dH_du=np.asarray(dH_du, dtype=float),
-        d2H_du2=0.5 * (w + w.T) if problem.r else np.zeros((0, 0)),
+def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
+    return ControlledHamiltonian(
+        F=lambda x, u: _eval_dynamics(problem, x, u),
+        L=lambda x, u: _eval_lagrangian(problem, x, u),
+        jac=problem.jacobians or ProblemJacobians(),
     )
+
+
+def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u) -> float:
+    value = float(lam @ ham.F(q, u)) - ham.L(q, u)
+    if not np.isfinite(value):
+        raise EvaluationError("non-finite Hamiltonian", point=(q, lam, u))
+    return value
+
+
+def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
+    """(dH/dq, dH/dlam = F, dH/du, W = d2H/du2) at (q, lam, u).
+
+    The one place that picks a derivative source, in order of preference:
+    analytic blocks, central differences of an analytic dH/du, plain second
+    differences of H (step sqrt(FD_STEP) to keep roundoff noise down).  A
+    block is analytic only when both its F and its L field are given; a
+    zero-length block is never evaluated.
+    """
+    F, L, jac = ham
+    dH_dlam = F(q, u)
+
+    def h_at(q_, u_):
+        return float(lam @ F(q_, u_)) - L(q_, u_)
+
+    if not q.size:
+        dH_dq = np.zeros(0)
+    elif jac.df_dx is not None and jac.dL_dx is not None:
+        dH_dq = np.asarray(jac.df_dx(q, u), dtype=float).T @ lam - np.asarray(jac.dL_dx(q, u), dtype=float)
+    else:
+        dH_dq = fd_gradient(lambda q_: h_at(q_, u), q, FD_STEP)
+
+    have_first_du = jac.df_du is not None and jac.dL_du is not None
+
+    def dH_du_at(u_):
+        if have_first_du:
+            return np.asarray(jac.df_du(q, u_), dtype=float).T @ lam - np.asarray(jac.dL_du(q, u_), dtype=float)
+        return fd_gradient(lambda v: h_at(q, v), u_, FD_STEP)
+
+    if not u.size:
+        dH_du, w = np.zeros(0), np.zeros((0, 0))
+    else:
+        dH_du = dH_du_at(u)
+        if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
+            d2F = np.asarray(jac.d2f_du2(q, u), dtype=float)
+            w = np.tensordot(lam, d2F, axes=1) - np.asarray(jac.d2L_du2(q, u), dtype=float)
+        elif have_first_du:
+            w = fd_hessian_from_gradient(dH_du_at, u, FD_STEP)
+        else:
+            w = fd_hessian_direct(lambda v: h_at(q, v), u, FD_STEP)
+        w = 0.5 * (w + w.T)
+
+    parts = HamiltonianPartials(np.asarray(dH_dq, dtype=float), dH_dlam, np.asarray(dH_du, dtype=float), w)
     for arr in parts:
         if not np.all(np.isfinite(arr)):
-            raise EvaluationError("non-finite Hamiltonian partial", point=point)
+            raise EvaluationError("non-finite Hamiltonian partial", point=(q, lam, u))
     return parts
+
+
+def _is_regular(w: np.ndarray) -> bool:
+    return float(np.linalg.svd(w, compute_uv=False)[-1]) > RANK_TOL
+
+
+def _newton(partials_at: Callable, u_guess, config):
+    """Newton solve of dH/du = 0 from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
+
+    Returns (u*, iterations, residual, ``partials_at(u*)``); callers reuse
+    the partials, so each RK stage evaluates them once per iteration.
+    """
+    u = np.atleast_1d(np.asarray(u_guess, dtype=float)).copy()
+    for iteration in range(config.newton_max_iter + 1):
+        parts = partials_at(u)
+        if not u.size:
+            return u, 0, 0.0, parts
+        residual = float(np.max(np.abs(parts.dH_du)))
+        if residual <= config.newton_tol:
+            return u, iteration, residual, parts
+        if iteration == config.newton_max_iter:
+            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations", residual=residual)
+        if not _is_regular(parts.d2H_du2):
+            raise RegularityError("control Hessian is singular along the Newton iteration", residual=residual)
+        u = u - np.linalg.solve(parts.d2H_du2, parts.dH_du)
+
+
+def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> HamiltonianPartials:
+    """First partials of H plus the control Hessian W = d2H/du2 (see ``_partials``)."""
+    point.conform(problem)
+    return _partials(_full_view(problem), point.x, point.p, point.u)
+
+
+def pontryagin_hamiltonian(problem: ControlProblem, point: PontryaginPoint) -> float:
+    """H(x, p, u) = <p, f(x, u)> - L(x, u)."""
+    point.conform(problem)
+    return _hamiltonian_value(_full_view(problem), point.x, point.p, point.u)
 
 
 def _fd_pushforward(action: Callable, g: GroupElement, x: np.ndarray, v: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -257,7 +315,7 @@ def validate_jacobians(
     problem: ControlProblem,
     probes: int = 20,
     seed: int = 0,
-    fd_step: float = 1e-6,
+    fd_step: float = FD_STEP,
     rtol: float = 1e-5,
 ) -> float:
     """Cross-check analytic first derivatives against central differences.

@@ -16,20 +16,15 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import dirac
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    PontrylieError,
-    RegularityError,
-    TrajectoryFormatError,
-)
+from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
-from .ocp import ControlProblem, PontryaginPoint, hamiltonian_partials, pontryagin_hamiltonian
+from .ocp import ControlProblem, PontryaginPoint, hamiltonian_partials
+from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials
 
 
 @dataclass(frozen=True)
@@ -45,12 +40,10 @@ class PmpSolverConfig:
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
     rk_step: float = 1e-3
-    fd_step: float = 1e-6
-    regularity_rank_tol: float = 1e-9
     coadjoint_sign: float = 1.0
 
     def __post_init__(self):
-        if min(self.newton_tol, self.rk_step, self.fd_step, self.regularity_rank_tol) <= 0:
+        if min(self.newton_tol, self.rk_step) <= 0:
             raise DimensionMismatchError("all solver tolerances and steps must be positive")
         if self.newton_max_iter < 1:
             raise DimensionMismatchError("newton_max_iter must be at least 1")
@@ -141,7 +134,7 @@ class Trajectory:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-            return Trajectory(
+            trajectory = Trajectory(
                 times=np.asarray(payload["times"], dtype=float),
                 columns=tuple(payload["columns"]),
                 states=np.asarray(payload["states"], dtype=float),
@@ -149,6 +142,7 @@ class Trajectory:
             )
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise TrajectoryFormatError(f"malformed trajectory JSON {path}: {exc}") from exc
+        return _require_finite(trajectory, path)
 
     @staticmethod
     def from_csv(path) -> "Trajectory":
@@ -168,59 +162,35 @@ class Trajectory:
             raise TrajectoryFormatError(f"malformed trajectory CSV {path}: ragged rows")
         state_idx = [i for i, c in enumerate(header[1:], start=1) if _STATE_COLUMN_RE.match(c)]
         chan_idx = [i for i in range(1, len(header)) if i not in state_idx]
-        return Trajectory(
+        trajectory = Trajectory(
             times=data[:, 0],
             columns=tuple(header[i] for i in state_idx),
             states=data[:, state_idx] if state_idx else np.zeros((data.shape[0], 0)),
             channels={header[i]: data[:, i] for i in chan_idx},
         )
+        return _require_finite(trajectory, path)
 
 
-def consistency_residual(problem: ControlProblem, point: PontryaginPoint, fd_step: float = 1e-6) -> np.ndarray:
+def _require_finite(trajectory: Trajectory, path) -> Trajectory:
+    """Reject a loaded trajectory holding NaN or Inf, naming the first such column."""
+    named = {"t": trajectory.times, **dict(zip(trajectory.columns, trajectory.states.T)), **trajectory.channels}
+    bad = [name for name, values in named.items() if not np.all(np.isfinite(values))]
+    if bad:
+        raise TrajectoryFormatError(f"trajectory file {path} has a non-finite value in column '{bad[0]}'")
+    return trajectory
+
+
+def consistency_residual(problem: ControlProblem, point: PontryaginPoint) -> np.ndarray:
     """The stationarity residual phi_a = dH/du_a at a bundle point."""
-    return hamiltonian_partials(problem, point, fd_step=fd_step).dH_du
+    return hamiltonian_partials(problem, point).dH_du
 
 
 def regularity_check(problem: ControlProblem, point: PontryaginPoint, config: PmpSolverConfig) -> bool:
-    """True iff the control Hessian W has smallest singular value above the rank tolerance.
+    """True iff the control Hessian W has smallest singular value above ``ocp.RANK_TOL``.
 
     Problems without controls are vacuously regular.
     """
-    if problem.r == 0:
-        return True
-    w = hamiltonian_partials(problem, point, fd_step=config.fd_step).d2H_du2
-    return float(np.linalg.svd(w, compute_uv=False)[-1]) > config.regularity_rank_tol
-
-
-def _newton_feedback(
-    problem: ControlProblem,
-    x: np.ndarray,
-    p: np.ndarray,
-    u_guess: np.ndarray,
-    config: PmpSolverConfig,
-):
-    """Newton solve of dH/du = 0 from u_guess.
-
-    Returns (u*, iterations, residual, partials-at-u*); callers reuse the
-    partials so each RK stage evaluates them exactly once.
-    """
-    u = np.atleast_1d(np.asarray(u_guess, dtype=float)).copy()
-    for iteration in range(config.newton_max_iter + 1):
-        parts = hamiltonian_partials(problem, PontryaginPoint(x, p, u), fd_step=config.fd_step)
-        if problem.r == 0:
-            return u, 0, 0.0, parts
-        residual = float(np.max(np.abs(parts.dH_du)))
-        if residual <= config.newton_tol:
-            return u, iteration, residual, parts
-        if iteration == config.newton_max_iter:
-            raise ConvergenceError(
-                f"feedback Newton exhausted {config.newton_max_iter} iterations", residual=residual
-            )
-        w = parts.d2H_du2
-        if float(np.linalg.svd(w, compute_uv=False)[-1]) <= config.regularity_rank_tol:
-            raise RegularityError("control Hessian is singular along the Newton iteration")
-        u = u - np.linalg.solve(w, parts.dH_du)
-    raise ConvergenceError("unreachable", residual=float("nan"))  # pragma: no cover
+    return problem.r == 0 or _is_regular(hamiltonian_partials(problem, point).d2H_du2)
 
 
 def optimal_feedback(
@@ -231,10 +201,7 @@ def optimal_feedback(
     config: PmpSolverConfig = PmpSolverConfig(),
 ) -> np.ndarray:
     """The control solving dH/du = 0, tracked by Newton from ``u_guess``."""
-    u, _, _, _ = _newton_feedback(
-        problem, np.asarray(x, dtype=float), np.asarray(p, dtype=float), u_guess, config
-    )
-    return u
+    return _newton(lambda u: hamiltonian_partials(problem, PontryaginPoint(x, p, u)), u_guess, config)[0]
 
 
 def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
@@ -265,37 +232,60 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-def _rk4_dae(
-    y0: np.ndarray,
-    times: np.ndarray,
-    rhs: Callable,
-    u0: np.ndarray,
-    on_node: Callable,
-) -> None:
-    """Fixed-step RK4 with a control re-solved (warm started) at every stage.
+def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_channel, channels) -> Trajectory:
+    """Fixed-step RK4 on y = (q, lam) with the control eliminated at every stage.
 
-    ``rhs(y, u_warm) -> (ydot, u_star)``; ``on_node(t, y, u_warm)`` is called
-    at every grid node and must return the control to warm start from next.
+    At every stage Newton solves dH/du = 0 warm started from the previous
+    stage's control, and ``vector_field(y, partials)`` gives y_dot.  Every
+    grid node records the row (y, u*) with columns <prefix>1.. for each
+    (prefix, size) of ``blocks`` (q first), then u1..; H under
+    ``hamiltonian_channel``; and the dict ``channels(y)``.  Solver errors are
+    re-raised with the time where they happened.
     """
-    def node(t, y, u):
+    nq = blocks[0][1]
+    times = time_grid(duration, config.rk_step)
+
+    def solve(y, u_warm):
+        q, lam = y[:nq], y[nq:]
+        return _newton(lambda u: _partials(ham, q, lam, u), u_warm, config)
+
+    def stage(y, u_warm):
+        u_star, _, _, parts = solve(y, u_warm)
+        return vector_field(y, parts), u_star
+
+    def located(exc, where, t):
+        return type(exc)(f"{exc} ({where} t={t:.6g})", residual=exc.residual, t=t)
+
+    rows, hams, extras = [], [], []
+
+    def node(t, y, u_warm):
         try:
-            return on_node(t, y, u)
-        except (ConvergenceError, RegularityError) as exc:
-            raise type(exc)(f"{exc} (at t={t:.6g})") from exc
+            u_star = solve(y, u_warm)[0]
+        except SolverError as exc:
+            raise located(exc, "at", t) from exc
+        rows.append(np.concatenate([y, u_star]))
+        hams.append(_hamiltonian_value(ham, y[:nq], y[nq:], u_star))
+        extras.append(channels(y))
+        return u_star
 
     y = y0.copy()
     u_warm = node(times[0], y, u0)
     for k in range(len(times) - 1):
         t, h = times[k], times[k + 1] - times[k]
         try:
-            k1, u1 = rhs(y, u_warm)
-            k2, u2 = rhs(y + 0.5 * h * k1, u1)
-            k3, u3 = rhs(y + 0.5 * h * k2, u2)
-            k4, u4 = rhs(y + h * k3, u3)
-        except (ConvergenceError, RegularityError) as exc:
-            raise type(exc)(f"{exc} (while stepping from t={t:.6g})") from exc
+            k1, u1 = stage(y, u_warm)
+            k2, u2 = stage(y + 0.5 * h * k1, u1)
+            k3, u3 = stage(y + 0.5 * h * k2, u2)
+            k4, u4 = stage(y + h * k3, u3)
+        except SolverError as exc:
+            raise located(exc, "while stepping from", t) from exc
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u_warm = node(times[k + 1], y, u4)
+
+    columns = [f"{prefix}{i+1}" for prefix, size in (*blocks, ("u", len(u0))) for i in range(size)]
+    out = {hamiltonian_channel: np.asarray(hams)}
+    out.update({name: np.asarray([extra[name] for extra in extras]) for name in extras[0]})
+    return Trajectory(times=times, columns=columns, states=np.asarray(rows), channels=out)
 
 
 def integrate_pmp(
@@ -322,37 +312,16 @@ def integrate_pmp(
     u_start = np.zeros(r) if u_guess is None else np.atleast_1d(np.asarray(u_guess, dtype=float))
     if u_start.shape != (r,):
         raise DimensionMismatchError(f"u_guess shape {u_start.shape} does not match r={r}")
-    times = time_grid(duration, config.rk_step)
 
-    def rhs(y, u_warm):
-        x, p = y[:n], y[n:]
-        u_star, _, _, parts = _newton_feedback(problem, x, p, u_warm, config)
-        return np.concatenate([parts.dH_dp, -parts.dH_dx]), u_star
+    def momenta(y):
+        if problem.symmetry is None:
+            return {}
+        return {f"J{i+1}": c for i, c in enumerate(momentum_map(problem, y[:n], y[n:]).coeffs)}
 
-    rows = []
-    hams = []
-    momenta = [] if problem.symmetry is not None else None
-
-    def on_node(t, y, u_warm):
-        x, p = y[:n], y[n:]
-        u_star, _, _, _ = _newton_feedback(problem, x, p, u_warm, config)
-        rows.append(np.concatenate([x, p, u_star]))
-        hams.append(pontryagin_hamiltonian(problem, PontryaginPoint(x, p, u_star)))
-        if momenta is not None:
-            momenta.append(momentum_map(problem, x, p).coeffs)
-        return u_star
-
-    _rk4_dae(np.concatenate([x0, p0]), times, rhs, u_start, on_node)
-
-    columns = tuple(
-        [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)] + [f"u{a+1}" for a in range(r)]
+    return _rk4_dae(
+        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0]), u_start, duration, config,
+        lambda y, parts: np.concatenate([parts.dH_dp, -parts.dH_dx]), "H", momenta,
     )
-    channels = {"H": np.asarray(hams)}
-    if momenta is not None:
-        jm = np.asarray(momenta)
-        for i in range(jm.shape[1]):
-            channels[f"J{i+1}"] = jm[:, i]
-    return Trajectory(times=times, columns=columns, states=np.asarray(rows), channels=channels)
 
 
 def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) -> float:
@@ -395,9 +364,10 @@ def dirac_membership_residuals(
     u = trajectory.block("u")
     if x.shape[1] != n or p.shape[1] != n or u.shape[1] != r:
         raise TrajectoryFormatError("trajectory does not carry (x, p, u) blocks of the problem's shape")
+    ham = _full_view(problem)
     residuals = np.empty(len(trajectory))
     for k in range(len(trajectory)):
-        parts = hamiltonian_partials(problem, PontryaginPoint(x[k], p[k], u[k]), fd_step=config.fd_step)
+        parts = _partials(ham, x[k], p[k], u[k])
         velocity = np.concatenate([parts.dH_dp, -parts.dH_dx, np.zeros(r)])
         covector = np.concatenate([parts.dH_dx, parts.dH_dp, parts.dH_du])
         residuals[k] = dirac.membership_residual(fiber, velocity, covector)

@@ -28,18 +28,11 @@ from typing import Callable, Dict, NamedTuple, Optional
 import numpy as np
 
 from . import dirac
-from ._fd import fd_gradient, fd_hessian_direct, fd_hessian_from_gradient
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    EvaluationError,
-    RegularityError,
-    ReductionUnsupportedError,
-    TrajectoryFormatError,
-)
+from .errors import DimensionMismatchError, ReductionUnsupportedError, TrajectoryFormatError
 from .lie import LieAlgebraSpec, coadjoint
-from .ocp import ControlProblem, PontryaginPoint
-from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, time_grid
+from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
+from .ocp import _hamiltonian_value, _newton, _partials
+from .pmp import PmpSolverConfig, Trajectory, _rk4_dae
 
 
 @dataclass(frozen=True)
@@ -114,31 +107,53 @@ class ReducedState:
         return self
 
 
-def _base(problem: ReducedProblem, z, u) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(problem.base_dynamics(z, u), dtype=float))
-    if v.shape != (problem.base_dim,):
-        raise DimensionMismatchError(f"base dynamics returned shape {v.shape}")
-    return v
+def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
+    """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber).
+
+    Built once per solve.  A derivative block is analytic only when both its
+    base and its fiber half are given; a zero-dimensional base contributes
+    no half at all.
+    """
+    s, jac = problem.base_dim, problem.jacobians or ReducedJacobians()
+
+    def velocity(z, u):
+        base = np.atleast_1d(np.asarray(problem.base_dynamics(z, u), dtype=float))
+        fiber = np.atleast_1d(np.asarray(problem.fiber_dynamics(z, u), dtype=float))
+        if base.shape != (s,) or fiber.shape != (problem.algebra.dim,):
+            raise DimensionMismatchError(f"base/fiber dynamics returned shapes {base.shape}/{fiber.shape}")
+        return np.concatenate([base, fiber])
+
+    def stacked(base, fiber):
+        if not s:
+            return fiber
+        if base is None or fiber is None:
+            return None
+        return lambda z, u: np.concatenate([np.asarray(f(z, u), dtype=float) for f in (base, fiber)])
+
+    return ControlledHamiltonian(
+        F=velocity,
+        L=lambda z, u: float(problem.lagrangian(z, u)),
+        jac=ProblemJacobians(
+            df_dx=stacked(jac.dbase_dz, jac.dfiber_dz),
+            df_du=stacked(jac.dbase_du, jac.dfiber_du),
+            dL_dx=jac.dl_dz,
+            dL_du=jac.dl_du,
+            d2f_du2=stacked(jac.d2base_du2, jac.d2fiber_du2),
+            d2L_du2=jac.d2l_du2,
+        ),
+    )
 
 
-def _fiber(problem: ReducedProblem, z, u) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(problem.fiber_dynamics(z, u), dtype=float))
-    if v.shape != (problem.algebra.dim,):
-        raise DimensionMismatchError(f"fiber dynamics returned shape {v.shape}")
-    return v
+def _point(z, p_z, mu):
+    """(q, lam) = (z, (p_z, mu)) as float arrays."""
+    z, p_z, mu = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (z, p_z, mu))
+    return z, np.concatenate([p_z, mu])
 
 
 def reduced_hamiltonian(problem: ReducedProblem, state: ReducedState) -> float:
-    """h = <p_z, base> + <mu, fiber> - l, evaluated literally."""
+    """h = <p_z, base> + <mu, fiber> - l."""
     state.conform(problem)
-    value = (
-        float(state.p_z @ _base(problem, state.z, state.u))
-        + float(state.mu @ _fiber(problem, state.z, state.u))
-        - float(problem.lagrangian(state.z, state.u))
-    )
-    if not np.isfinite(value):
-        raise EvaluationError("reduced Hamiltonian is non-finite", point=state)
-    return value
+    return _hamiltonian_value(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u)
 
 
 class ReducedPartials(NamedTuple):
@@ -149,101 +164,21 @@ class ReducedPartials(NamedTuple):
     d2h_du2: np.ndarray
 
 
-def reduced_partials(
-    problem: ReducedProblem, z, p_z, mu, u, fd_step: float = 1e-6
-) -> ReducedPartials:
+def reduced_partials(problem: ReducedProblem, z, p_z, mu, u) -> ReducedPartials:
     """Partials of the reduced Hamiltonian; dh/dp_z and dh/dmu are always exact."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    p_z = np.atleast_1d(np.asarray(p_z, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    jac = problem.jacobians
-
-    def h_at(z_, u_):
-        return (
-            float(p_z @ _base(problem, z_, u_))
-            + float(mu @ _fiber(problem, z_, u_))
-            - float(problem.lagrangian(z_, u_))
-        )
-
-    dh_dpz = _base(problem, z, u)
-    dh_dmu = _fiber(problem, z, u)
-
-    have_first_dz = jac is not None and (
-        problem.base_dim == 0
-        or (jac.dbase_dz is not None and jac.dfiber_dz is not None and jac.dl_dz is not None)
-    )
-    if problem.base_dim == 0:
-        dh_dz = np.zeros(0)
-    elif have_first_dz:
-        dh_dz = (
-            np.asarray(jac.dbase_dz(z, u), dtype=float).T @ p_z
-            + np.asarray(jac.dfiber_dz(z, u), dtype=float).T @ mu
-            - np.asarray(jac.dl_dz(z, u), dtype=float)
-        )
-    else:
-        dh_dz = fd_gradient(lambda z_: h_at(z_, u), z, fd_step)
-
-    have_first_du = jac is not None and jac.dfiber_du is not None and jac.dl_du is not None
-
-    def dh_du_at(u_):
-        if have_first_du:
-            out = np.asarray(jac.dfiber_du(z, u_), dtype=float).T @ mu - np.asarray(
-                jac.dl_du(z, u_), dtype=float
-            )
-            if problem.base_dim and jac.dbase_du is not None:
-                out = out + np.asarray(jac.dbase_du(z, u_), dtype=float).T @ p_z
-            return out
-        return fd_gradient(lambda v: h_at(z, v), u_, fd_step)
-
-    dh_du = dh_du_at(u)
-
-    if jac is not None and jac.d2l_du2 is not None and jac.d2fiber_du2 is not None:
-        w = np.tensordot(mu, np.asarray(jac.d2fiber_du2(z, u), dtype=float), axes=1) - np.asarray(
-            jac.d2l_du2(z, u), dtype=float
-        )
-        if problem.base_dim and jac.d2base_du2 is not None:
-            w = w + np.tensordot(p_z, np.asarray(jac.d2base_du2(z, u), dtype=float), axes=1)
-    elif have_first_du:
-        w = fd_hessian_from_gradient(dh_du_at, u, fd_step)
-    else:
-        w = fd_hessian_direct(lambda v: h_at(z, v), u, fd_step)
-
-    parts = ReducedPartials(dh_dz, dh_dpz, dh_dmu, np.asarray(dh_du, dtype=float), 0.5 * (w + w.T))
-    for arr in parts:
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError("non-finite reduced Hamiltonian partial")
-    return parts
+    q, lam = _point(z, p_z, mu)
+    parts = _partials(_reduced_view(problem), q, lam, np.atleast_1d(np.asarray(u, dtype=float)))
+    s = problem.base_dim
+    return ReducedPartials(parts.dH_dx, parts.dH_dp[:s], parts.dH_dp[s:], parts.dH_du, parts.d2H_du2)
 
 
 def eliminate_controls_reduced(
     problem: ReducedProblem, z, p_z, mu, u_guess, config: PmpSolverConfig = PmpSolverConfig()
 ) -> np.ndarray:
     """Newton solve of dh/du = 0 from ``u_guess`` (reduced optimal feedback)."""
-    u, _, _, _ = _newton_eliminate(problem, z, p_z, mu, u_guess, config)
-    return u
-
-
-def _newton_eliminate(problem, z, p_z, mu, u_guess, config):
-    """Returns (u*, iterations, residual, partials-at-u*)."""
-    u = np.atleast_1d(np.asarray(u_guess, dtype=float)).copy()
-    for iteration in range(config.newton_max_iter + 1):
-        parts = reduced_partials(problem, z, p_z, mu, u, fd_step=config.fd_step)
-        if problem.control_dim == 0:
-            return u, 0, 0.0, parts
-        residual = float(np.max(np.abs(parts.dh_du)))
-        if residual <= config.newton_tol:
-            return u, iteration, residual, parts
-        if iteration == config.newton_max_iter:
-            raise ConvergenceError(
-                f"reduced control elimination exhausted {config.newton_max_iter} iterations",
-                residual=residual,
-            )
-        w = parts.d2h_du2
-        if float(np.linalg.svd(w, compute_uv=False)[-1]) <= config.regularity_rank_tol:
-            raise RegularityError("reduced control Hessian is singular")
-        u = u - np.linalg.solve(w, parts.dh_du)
-    raise ConvergenceError("unreachable", residual=float("nan"))  # pragma: no cover
+    ham = _reduced_view(problem)
+    q, lam = _point(z, p_z, mu)
+    return _newton(lambda u: _partials(ham, q, lam, u), u_guess, config)[0]
 
 
 class ReducedRhs(NamedTuple):
@@ -254,18 +189,14 @@ class ReducedRhs(NamedTuple):
 
 
 def _rhs_from_parts(
-    problem: ReducedProblem, state: ReducedState, parts: ReducedPartials, config: PmpSolverConfig
+    problem: ReducedProblem, z: np.ndarray, mu: np.ndarray, parts: HamiltonianPartials, config: PmpSolverConfig
 ) -> ReducedRhs:
-    z_dot = parts.dh_dpz
-    xi = parts.dh_dmu
-    pz_dot = -parts.dh_dz
-    if problem.curvature is not None and problem.base_dim:
-        basis = np.eye(problem.base_dim)
-        coupling = np.array(
-            [float(problem.curvature(state.z, state.mu, z_dot, e)) for e in basis]
-        )
+    s = problem.base_dim
+    z_dot, xi, pz_dot = parts.dH_dp[:s], parts.dH_dp[s:], -parts.dH_dx
+    if problem.curvature is not None and s:
+        coupling = np.array([float(problem.curvature(z, mu, z_dot, e)) for e in np.eye(s)])
         pz_dot = pz_dot - coupling
-    mu_dot = config.coadjoint_sign * coadjoint(problem.algebra, xi, state.mu).coeffs
+    mu_dot = config.coadjoint_sign * coadjoint(problem.algebra, xi, mu).coeffs
     return ReducedRhs(z_dot=z_dot, pz_dot=pz_dot, mu_dot=mu_dot, xi=xi)
 
 
@@ -279,8 +210,8 @@ def reduced_pmp_rhs(
     base this degenerates to the Lie-Poisson system mu_dot = sign * ad*_xi(mu).
     """
     state.conform(problem)
-    parts = reduced_partials(problem, state.z, state.p_z, state.mu, state.u, fd_step=config.fd_step)
-    return _rhs_from_parts(problem, state, parts, config)
+    parts = _partials(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u)
+    return _rhs_from_parts(problem, state.z, state.mu, parts, config)
 
 
 def integrate_reduced(
@@ -295,44 +226,18 @@ def integrate_reduced(
     Columns: z1.., pz1.., mu1.., u1.. .
     """
     state0.conform(problem)
-    s, d, r = problem.base_dim, problem.algebra.dim, problem.control_dim
-    times = time_grid(duration, config.rk_step)
+    s = problem.base_dim
 
-    def split(y):
-        return y[:s], y[s : 2 * s], y[2 * s :]
+    def vector_field(y, parts):
+        out = _rhs_from_parts(problem, y[:s], y[2 * s :], parts, config)
+        return np.concatenate([out.z_dot, out.pz_dot, out.mu_dot])
 
-    def rhs(y, u_warm):
-        z, p_z, mu = split(y)
-        u_star, _, _, parts = _newton_eliminate(problem, z, p_z, mu, u_warm, config)
-        out = _rhs_from_parts(problem, ReducedState(z, p_z, mu, u_star), parts, config)
-        return np.concatenate([out.z_dot, out.pz_dot, out.mu_dot]), u_star
+    def casimirs(y):
+        return {name: float(fun(y[2 * s :])) for name, fun in problem.casimirs.items()}
 
-    rows = []
-    hams = []
-    casimir_values = {name: [] for name in problem.casimirs}
-
-    def on_node(t, y, u_warm):
-        z, p_z, mu = split(y)
-        u_star, _, _, _ = _newton_eliminate(problem, z, p_z, mu, u_warm, config)
-        rows.append(np.concatenate([z, p_z, mu, u_star]))
-        hams.append(reduced_hamiltonian(problem, ReducedState(z, p_z, mu, u_star)))
-        for name, fun in problem.casimirs.items():
-            casimir_values[name].append(float(fun(mu)))
-        return u_star
-
+    blocks = (("z", s), ("pz", s), ("mu", problem.algebra.dim))
     y0 = np.concatenate([state0.z, state0.p_z, state0.mu])
-    _rk4_dae(y0, times, rhs, state0.u, on_node)
-
-    columns = tuple(
-        [f"z{i+1}" for i in range(s)]
-        + [f"pz{i+1}" for i in range(s)]
-        + [f"mu{i+1}" for i in range(d)]
-        + [f"u{a+1}" for a in range(r)]
-    )
-    channels = {"h": np.asarray(hams)}
-    for name, values in casimir_values.items():
-        channels[name] = np.asarray(values)
-    return Trajectory(times=times, columns=columns, states=np.asarray(rows), channels=channels)
+    return _rk4_dae(_reduced_view(problem), blocks, y0, state0.u, duration, config, vector_field, "h", casimirs)
 
 
 def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> ReducedState:
@@ -380,14 +285,13 @@ def reduced_dirac_residuals(
     u_rows = trajectory.block("u")
     if mu_rows.shape[1] != problem.algebra.dim or u_rows.shape[1] != problem.control_dim:
         raise TrajectoryFormatError("trajectory does not carry (mu, u) blocks of the problem's shape")
+    ham = _reduced_view(problem)
     residuals = np.empty(len(trajectory))
     empty = np.zeros(0)
     for k in range(len(trajectory)):
-        state = ReducedState(empty, empty, mu_rows[k], u_rows[k])
-        parts = reduced_partials(problem, state.z, state.p_z, state.mu, state.u, fd_step=config.fd_step)
-        out = _rhs_from_parts(problem, state, parts, config)
+        out = _rhs_from_parts(problem, empty, mu_rows[k], _partials(ham, empty, mu_rows[k], u_rows[k]), config)
         fiber = dirac.reduced_dirac_fiber(problem.algebra, mu_rows[k])
         velocity = np.concatenate([out.xi, out.mu_dot])
-        covector = np.concatenate([np.zeros(problem.algebra.dim), parts.dh_dmu])
+        covector = np.concatenate([np.zeros(problem.algebra.dim), out.xi])
         residuals[k] = dirac.membership_residual(fiber, velocity, covector)
     return residuals

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pontrylie import ocp, reduction
+from pontrylie import cli, ocp
 from pontrylie.cli import load_problem_file, main
 from pontrylie.pmp import Trajectory
 
@@ -29,13 +29,22 @@ HEISENBERG_JSON = {
 }
 
 
+def _strict_result(out: str) -> dict:
+    """The RESULT line parsed as strict JSON: NaN and Infinity are rejected."""
+    lines = [line for line in out.splitlines() if line]
+    assert lines, "no stdout"
+    assert lines[-1].startswith("RESULT "), f"last line is not a RESULT line: {lines[-1]!r}"
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(lines[-1][len("RESULT "):], parse_constant=reject)
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
-    lines = [line for line in captured.out.strip().splitlines() if line]
-    assert lines, f"no stdout from {args}"
-    assert lines[-1].startswith("RESULT "), f"last line is not a RESULT line: {lines[-1]!r}"
-    return code, json.loads(lines[-1][len("RESULT "):]), captured
+    return code, _strict_result(captured.out), captured
 
 
 def test_solve_pmp_builtin(tmp_path, capsys):
@@ -123,12 +132,12 @@ def test_solve_reduced_missing_initial_condition(tmp_path, capsys):
     assert code == 1
 
 
-def test_solve_reduced_grid_with_jobs(tmp_path, capsys):
+def test_solve_reduced_grid(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code, result, _ = run_cli(
         capsys,
         "solve-reduced", "--builtin", "heisenberg", "--theta", "0,0.785", "--k", "0.5,1",
-        "--T", "0.5", "--step", "1e-2", "--jobs", "2", "--out", str(out),
+        "--T", "0.5", "--step", "1e-2", "--out", str(out),
     )
     assert code == 0
     assert len(result["runs"]) == 4
@@ -296,6 +305,58 @@ def test_compare_disjoint_ranges(tmp_path, capsys):
     assert "disjoint" in result["error"]
 
 
+def _with_nan(source, target, column):
+    lines = source.read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    cells = lines[3].split(",")
+    cells[index] = "nan"
+    lines[3] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+def test_non_finite_trajectory_is_an_input_error(tmp_path, capsys):
+    full = tmp_path / "full.csv"
+    red = tmp_path / "red.csv"
+    run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1",
+            "--T", "0.1", "--step", "1e-2", "--out", str(full))
+    run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1",
+            "--T", "0.1", "--step", "1e-2", "--out", str(red))
+    bad_full = _with_nan(full, tmp_path / "bad_full.csv", "p2")
+    bad_red = _with_nan(red, tmp_path / "bad_red.csv", "mu1")
+    for args in (
+        ["check-dirac", "--builtin", "heisenberg", "--traj", str(bad_full)],
+        ["compare", "--builtin", "heisenberg", "--full", str(full), "--reduced", str(bad_red)],
+    ):
+        code, result, _ = run_cli(capsys, *args)
+        assert code == 1, args
+        assert result["status"] == "error"
+        assert "non-finite value in column" in result["error"]
+
+
+def test_non_finite_result_field_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    full = tmp_path / "full.csv"
+    run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1",
+            "--T", "0.1", "--step", "1e-2", "--out", str(full))
+    monkeypatch.setattr(cli.pmp, "dirac_membership_residuals", lambda problem, traj: np.array([np.nan]))
+    code, result, _ = run_cli(capsys, "check-dirac", "--builtin", "heisenberg", "--traj", str(full))
+    assert code == 2
+    assert result["exit_code"] == 2
+    assert "'max_residual'" in result["error"]
+
+
+def test_solver_failure_reports_residual_and_time(tmp_path, capsys):
+    problem_file = tmp_path / "linear.json"
+    # H = p u1 is linear in u: dH/du = 1 everywhere and the control Hessian vanishes
+    problem_file.write_text(json.dumps({"n": 1, "r": 1, "dynamics": ["u1"], "lagrangian": "0"}))
+    code, result, _ = run_cli(capsys, "solve-pmp", "--problem", str(problem_file), "--p0", "1",
+                              "--T", "0.5", "--step", "0.1", "--out", str(tmp_path / "linear.csv"))
+    assert code == 2
+    assert "singular" in result["error"]
+    assert result["t"] == 0.0
+    assert result["residual"] == 1.0
+
+
 def test_file_problem_solve_pmp(tmp_path, capsys):
     problem_file = tmp_path / "heis.json"
     problem_file.write_text(json.dumps(HEISENBERG_JSON))
@@ -332,16 +393,6 @@ def _readme_problem() -> dict:
     return json.loads(block[: block.index("```")])
 
 
-def _strict_result(out: str) -> dict:
-    line = [line for line in out.splitlines() if line][-1]
-    assert line.startswith("RESULT ")
-
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    return json.loads(line[len("RESULT "):], parse_constant=reject)
-
-
 def test_problem_file_has_exact_derivatives(tmp_path):
     problem_file = tmp_path / "heis.json"
     problem_file.write_text(json.dumps(_readme_problem()))
@@ -361,9 +412,8 @@ def test_readme_problem_file_reproduces_builtin(tmp_path, capsys, monkeypatch, c
     def no_finite_differences(*args, **kwargs):
         raise AssertionError("finite-difference fallback used")
 
-    for module in (ocp, reduction):
-        for name in ("fd_gradient", "fd_hessian_direct", "fd_hessian_from_gradient"):
-            monkeypatch.setattr(module, name, no_finite_differences)
+    for name in ("fd_gradient", "fd_hessian_direct", "fd_hessian_from_gradient"):
+        monkeypatch.setattr(ocp, name, no_finite_differences)
     runs = []
     for source in (["--builtin", "heisenberg"], ["--problem", str(problem_file)]):
         out = tmp_path / f"{source[0][2:]}.csv"

@@ -1,5 +1,7 @@
 """Reduced dynamics, control elimination, projection, and Dirac membership."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.lie import LieAlgebraSpec, coadjoint
-from pontrylie.ocp import PontryaginPoint
+from pontrylie.ocp import PontryaginPoint, _newton, _partials
 from pontrylie.pmp import PmpSolverConfig, integrate_pmp
 from pontrylie.reduction import (
     ReducedProblem,
     ReducedState,
-    _newton_eliminate,
+    _reduced_view,
     eliminate_controls_reduced,
     integrate_reduced,
     membership_check_reduced,
@@ -87,8 +89,27 @@ def test_eliminate_controls(heis_reduced, default_config):
         np.zeros(2),
     )
     # an already-optimal guess passes the residual check with zero updates
-    _, iterations, _, _ = _newton_eliminate(heis_reduced, EMPTY, EMPTY, mu, mu[:2], default_config)
+    ham = _reduced_view(heis_reduced)
+    _, iterations, _, _ = _newton(lambda u: _partials(ham, EMPTY, mu, u), mu[:2], default_config)
     assert iterations == 0
+
+
+@pytest.mark.parametrize("dbase_du", [None, lambda z, u: np.array([[z[0], 2.0 * u[1]]])])
+def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dbase_du):
+    # base = z u1 + u2^2 has no analytic control Hessian here (nor, in the first
+    # case, an analytic control gradient): its <p_z, .> terms must still count
+    problem = ReducedProblem(
+        base_dim=1,
+        algebra=heis_reduced.algebra,
+        control_dim=2,
+        lagrangian=heis_reduced.lagrangian,
+        base_dynamics=lambda z, u: np.array([z[0] * u[0] + u[1] ** 2]),
+        fiber_dynamics=heis_reduced.fiber_dynamics,
+        jacobians=dataclasses.replace(heis_reduced.jacobians, dbase_du=dbase_du),
+    )
+    parts = reduced_partials(problem, [0.7], [2.0], [0.3, -0.4, 1.0], [0.2, 0.5])
+    assert np.allclose(parts.dh_du, [1.5, 1.1], atol=1e-8)
+    assert np.allclose(parts.d2h_du2, [[-1.0, 0.0], [0.0, 3.0]], atol=1e-6)
 
 
 def test_rhs_rotation_block(heis_reduced, default_config):

@@ -11,6 +11,7 @@ subriemannian geodesic problem ships as the builtin worked example.
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
+    DiracPropertyError,
     EvaluationError,
     InvalidAlgebraError,
     NonNilpotentError,

@@ -38,6 +38,11 @@ class LoadedProblem:
     reduced: Optional[reduction.ReducedProblem]
 
 
+_FILE_KEYS = ("n", "r", "dynamics", "lagrangian", "algebra", "action", "reduced")
+_ALGEBRA_KEYS = ("dim", "structure", "matrix_basis", "labels")
+_REDUCED_KEYS = ("s", "lagrangian", "base_dynamics", "fiber_dynamics")
+
+
 def _builtin(name: str) -> LoadedProblem:
     if name != "heisenberg":
         raise PontrylieError(f"unknown builtin problem '{name}'")
@@ -46,6 +51,16 @@ def _builtin(name: str) -> LoadedProblem:
         problem=heisenberg.heisenberg_problem(),
         reduced=heisenberg.heisenberg_reduced_problem(),
     )
+
+
+def _known_keys(block, allowed: Tuple[str, ...], where: str) -> dict:
+    """``block`` itself, once it is checked to be an object with no key outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise PontrylieError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise PontrylieError(f"unknown key '{unknown[0]}' in {where}; allowed keys: {', '.join(allowed)}")
+    return block
 
 
 def _table(sources, variables: List[str]) -> np.ndarray:
@@ -75,7 +90,7 @@ def load_problem_file(path) -> LoadedProblem:
     compiled once here, so the solvers take their analytic-derivative paths.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        data = _known_keys(json.load(fh), _FILE_KEYS, f"problem file {path}")
     try:
         n, r = int(data["n"]), int(data["r"])
         dyn_src = list(data["dynamics"])
@@ -84,7 +99,9 @@ def load_problem_file(path) -> LoadedProblem:
         raise PontrylieError(f"problem file {path} is missing required field: {exc}") from exc
     if len(dyn_src) != n:
         raise PontrylieError(f"expected {n} dynamics expressions, got {len(dyn_src)}")
-    algebra = algebra_from_dict(data["algebra"]) if "algebra" in data else None
+    algebra = None
+    if "algebra" in data:
+        algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block"))
     x_vars = [f"x{i+1}" for i in range(n)]
     u_vars = [f"u{a+1}" for a in range(r)]
     dynamics, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2 = expr.compile_tables(
@@ -123,7 +140,7 @@ def load_problem_file(path) -> LoadedProblem:
     if "reduced" in data:
         if algebra is None:
             raise PontrylieError("a reduced block requires an algebra block")
-        block = data["reduced"]
+        block = _known_keys(data["reduced"], _REDUCED_KEYS, "the reduced block")
         s = int(block.get("s", 0))
         z_vars = [f"z{i+1}" for i in range(s)]
         base_src = list(block.get("base_dynamics", []))
@@ -215,13 +232,12 @@ def cmd_solve_pmp(args) -> Tuple[int, dict]:
 
 def _solve_reduced_single(loaded: LoadedProblem, mu0, args, suffix=""):
     problem = loaded.reduced
-    loaded_name = loaded.name
     s = problem.base_dim
     z0 = _parse_vector(args.z0) if args.z0 else np.zeros(s)
     pz0 = _parse_vector(args.pz0) if args.pz0 else np.zeros(s)
     state0 = reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim))
     trajectory = reduction.integrate_reduced(problem, state0, args.T, PmpSolverConfig(rk_step=args.step))
-    stem = args.out or f"reduced_{loaded_name}.{args.format}"
+    stem = args.out or f"reduced_{loaded.name}.{args.format}"
     if suffix:
         p = Path(stem)
         stem = str(p.with_name(p.stem + suffix + p.suffix))
@@ -234,7 +250,7 @@ def _solve_reduced_single(loaded: LoadedProblem, mu0, args, suffix=""):
     }
     for name in problem.casimirs:
         summary[f"{name}_drift"] = _drift(trajectory.channel(name))
-    if loaded_name == "heisenberg":
+    if args.builtin == "heisenberg":
         exact = heisenberg.lambda_rotation_closed_form(mu0, trajectory.times)
         summary["closed_form_max_dev"] = float(np.max(np.abs(trajectory.block("mu") - exact)))
     return trajectory, summary
@@ -277,6 +293,11 @@ def cmd_reconstruct(args) -> Tuple[int, dict]:
     loaded = _load(args)
     if loaded.reduced is None:
         raise PontrylieError(f"problem '{loaded.name}' declares no reduced form")
+    if not _is_heisenberg(loaded.reduced.algebra):
+        raise PontrylieError(
+            "reconstruct writes Heisenberg chart coordinates and needs the Heisenberg algebra: "
+            "structure [[0, 1, 2, 1.0]] with the matrix_basis e12, e23, e13"
+        )
     trajectory = _read_trajectory(args.traj)
     times, values = reconstruct.xi_curve_from_reduced(loaded.reduced, trajectory)
     duration = float(times[-1] - times[0])
@@ -312,6 +333,14 @@ def cmd_reconstruct(args) -> Tuple[int, dict]:
         else:
             print("k = 0: straight-line family")
     return EXIT_OK, summary
+
+
+def _is_heisenberg(alg) -> bool:
+    """Whether ``alg`` is ``heisenberg_algebra()`` in structure constants and matrix basis."""
+    ref = heisenberg.heisenberg_algebra()
+    return np.array_equal(alg.structure_constants, ref.structure_constants) and np.array_equal(
+        alg.matrix_basis, ref.matrix_basis
+    )
 
 
 def _read_trajectory(path: str) -> Trajectory:

@@ -6,23 +6,28 @@ part alpha.  D is Dirac when it is maximally isotropic for the symmetric
 pairing  <<(v, a), (w, b)>> = <b, v> + <a, w>,  i.e. isotropic with dim D = d.
 
 Everything here is fiberwise linear algebra; bundle-level objects are handled
-by mapping base points to fibers.  Subspace computations use SVD with a
-relative singular-value threshold.
+by mapping base points to fibers.  Subspace computations use SVD with one
+rank rule: singular values above _RANK_RTOL times the largest one count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DiracPropertyError
 from .lie import LieAlgebraSpec, _coeffs
 
 _RANK_RTOL = 1e-10
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
+
+
+def _rank(s: np.ndarray, rtol: float = _RANK_RTOL) -> int:
+    """Numerical rank from descending singular values: those above rtol * s[0] count."""
+    return int(np.sum(s > rtol * s[0])) if s.size else 0
 
 
 def _orthonormal_rows(rows: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
@@ -31,8 +36,7 @@ def _orthonormal_rows(rows: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
     if rows.shape[0] == 0 or not np.any(rows):
         return np.zeros((0, rows.shape[1]))
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    keep = s > rtol * s[0]
-    return vt[keep]
+    return vt[: _rank(s, rtol)]
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,16 @@ class LinearDiracStructure:
     """A subspace of V (+) V* over a d-dimensional V, stored as basis rows.
 
     Each basis row has length 2d: the first d entries are the vector part,
-    the last d the covector part.  The constructor only enforces shape and
-    linear independence; isotropy and maximality are checked by ``is_dirac``
-    (which must be able to return False on deliberately non-Dirac subspaces).
+    the last d the covector part.  The constructor enforces shape and linear
+    independence and orthonormalizes the rows once; every subspace
+    computation reads that read-only basis.  Isotropy and maximality are
+    checked by ``is_dirac`` (which must be able to return False on
+    deliberately non-Dirac subspaces).
     """
 
     base_dim: int
     basis: np.ndarray
+    _orthonormal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -76,11 +83,12 @@ class LinearDiracStructure:
             raise DimensionMismatchError(
                 f"basis rows must have length {2 * self.base_dim}, got {b.shape[1]}"
             )
-        if b.shape[0] > 0:
-            rank = np.linalg.matrix_rank(b, tol=_RANK_RTOL * max(1.0, np.linalg.norm(b, 2)))
-            if rank < b.shape[0]:
-                raise DimensionMismatchError("basis rows are linearly dependent")
+        q = _orthonormal_rows(b)
+        if q.shape[0] < b.shape[0]:
+            raise DimensionMismatchError("basis rows are linearly dependent")
+        q.flags.writeable = False
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "_orthonormal", q)
 
     @property
     def vector_part(self) -> np.ndarray:
@@ -91,7 +99,7 @@ class LinearDiracStructure:
         return self.basis[:, self.base_dim :]
 
     def orthonormal(self) -> np.ndarray:
-        return _orthonormal_rows(self.basis)
+        return self._orthonormal
 
 
 def graph_of_two_form(omega: TwoForm) -> LinearDiracStructure:
@@ -143,10 +151,7 @@ def _nullspace(m: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``m``."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0:
-        return np.eye(m.shape[1])
-    rank = int(np.sum(s > rtol * s[0]))
-    return vt[rank:].T
+    return vt[_rank(s, rtol) :].T
 
 
 def backward(psi: np.ndarray, target: LinearDiracStructure) -> LinearDiracStructure:
@@ -176,10 +181,9 @@ def backward(psi: np.ndarray, target: LinearDiracStructure) -> LinearDiracStruct
     vs = null[:m_in, :].T
     betas = null[m_in : m_in + m_out, :].T
     rows = np.hstack([vs, betas @ psi])
-    basis = _orthonormal_rows(rows)
-    result = LinearDiracStructure(base_dim=m_in, basis=basis)
+    result = LinearDiracStructure(base_dim=m_in, basis=_orthonormal_rows(rows))
     if is_dirac(target) and not is_dirac(result):
-        raise AssertionError("backward image of a Dirac structure failed the Dirac check")
+        raise DiracPropertyError("backward image of a Dirac structure failed the Dirac check")
     return result
 
 
@@ -206,31 +210,20 @@ def forward(psi: np.ndarray, source: LinearDiracStructure) -> LinearDiracStructu
     us = null[:m_in, :].T
     alphas = null[m_in : m_in + m_out, :].T
     rows = np.hstack([us @ psi.T, alphas])
-    basis = _orthonormal_rows(rows)
-    result = LinearDiracStructure(base_dim=m_out, basis=basis)
+    result = LinearDiracStructure(base_dim=m_out, basis=_orthonormal_rows(rows))
     if is_dirac(source) and not is_dirac(result):
-        raise AssertionError("forward image of a Dirac structure failed the Dirac check")
+        raise DiracPropertyError("forward image of a Dirac structure failed the Dirac check")
     return result
 
 
-def subspaces_equal(
-    a: LinearDiracStructure, b: LinearDiracStructure, rtol: float = _RANK_RTOL
-) -> bool:
-    """Mutual containment, via the rank of the concatenated bases.
-
-    Singular values below rtol * (largest singular value) are treated as zero.
-    """
+def subspaces_equal(a: LinearDiracStructure, b: LinearDiracStructure, rtol: float = _RANK_RTOL) -> bool:
+    """Mutual containment: the stacked orthonormal bases have the rank of either one."""
     if a.base_dim != b.base_dim:
         return False
     qa, qb = a.orthonormal(), b.orthonormal()
     if qa.shape[0] != qb.shape[0]:
         return False
-    if qa.shape[0] == 0:
-        return True
-    stacked = np.vstack([qa, qb])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0]))
-    return rank == qa.shape[0]
+    return _rank(np.linalg.svd(np.vstack([qa, qb]), compute_uv=False), rtol) == qa.shape[0]
 
 
 def canonical_two_form(n: int) -> TwoForm:

@@ -47,6 +47,10 @@ class RegularityError(SolverError):
     """The control Hessian is (numerically) singular where it must be invertible."""
 
 
+class DiracPropertyError(PontrylieError):
+    """An image of a Dirac structure along a linear map is not Dirac."""
+
+
 class ReductionUnsupportedError(PontrylieError):
     """The problem lacks the trivialization data needed to reduce it."""
 

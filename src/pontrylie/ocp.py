@@ -59,8 +59,9 @@ class SymmetryHandle:
 
     - ``act_on_state(g, x)``: the action of a GroupElement on a chart point.
     - ``act_on_control(g, x, u)``: fiber part of the action; identity if None.
-    - ``act_on_costate(g, x, p)``: cotangent-lifted action; finite-difference
-      Jacobian transpose-inverse if None.
+    - ``act_on_costate(g, x, p)``: cotangent-lifted action.  The library
+      never calls it and has no fallback for it; it is carried for callers
+      that transport costates themselves.
     - ``state_jacobian(g, x)``: Jacobian of act_on_state in x; finite
       differences if None.
     - ``body_frame(x)``: n-by-dim matrix whose columns are the left-invariant

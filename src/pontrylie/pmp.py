@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -110,14 +111,11 @@ class Trajectory:
         return self.channels[name]
 
     def to_csv(self, path) -> None:
-        names = list(self.columns) + sorted(self.channels)
+        names = sorted(self.channels)
+        table = np.column_stack([self.times, self.states, *(self.channels[k] for k in names)])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + names)
-            chans = [self.channels[k] for k in sorted(self.channels)]
-            for i in range(len(self)):
-                row = [self.times[i], *self.states[i], *(c[i] for c in chans)]
-                writer.writerow([f"{v:.17g}" for v in row])
+            csv.writer(fh).writerow(["t", *self.columns, *names])
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
 
     def to_json(self, path) -> None:
         payload = {
@@ -149,17 +147,23 @@ class Trajectory:
         """Read a trajectory CSV; columns matching the state-name pattern
         (x/p/u/z/pz/mu + index) are states, the rest are channels."""
         try:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                rows = [[float(v) for v in row] for row in reader if row]
-        except (OSError, ValueError, StopIteration) as exc:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except (OSError, ValueError) as exc:
             raise TrajectoryFormatError(f"malformed trajectory CSV {path}: {exc}") from exc
-        if not header or header[0] != "t" or not rows:
-            raise TrajectoryFormatError(f"malformed trajectory CSV {path}: missing 't' column or data")
-        data = np.asarray(rows, dtype=float)
+        header = next(csv.reader(lines[:1]), [])
+        if header[:1] != ["t"]:
+            raise TrajectoryFormatError(f"malformed trajectory CSV {path}: missing 't' column")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a blank body is reported below
+                data = np.loadtxt(lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _csv_body_error(path, lines, len(header), exc) from exc
+        if not len(data):
+            raise TrajectoryFormatError(f"malformed trajectory CSV {path}: no data rows")
         if data.shape[1] != len(header):
-            raise TrajectoryFormatError(f"malformed trajectory CSV {path}: ragged rows")
+            raise _csv_body_error(path, lines, len(header), None)
         state_idx = [i for i, c in enumerate(header[1:], start=1) if _STATE_COLUMN_RE.match(c)]
         chan_idx = [i for i in range(1, len(header)) if i not in state_idx]
         trajectory = Trajectory(
@@ -169,6 +173,16 @@ class Trajectory:
             channels={header[i]: data[:, i] for i in chan_idx},
         )
         return _require_finite(trajectory, path)
+
+
+def _csv_body_error(path, lines, width: int, exc) -> TrajectoryFormatError:
+    """Name the first line of a CSV body whose cell count differs from the header's ``width``."""
+    for number, row in enumerate(csv.reader(lines[1:]), start=2):
+        if row and len(row) != width:
+            return TrajectoryFormatError(
+                f"malformed trajectory CSV {path}: line {number} has {len(row)} cells, the header {width}"
+            )
+    return TrajectoryFormatError(f"malformed trajectory CSV {path}: {exc}")
 
 
 def _require_finite(trajectory: Trajectory, path) -> Trajectory:
@@ -185,7 +199,7 @@ def consistency_residual(problem: ControlProblem, point: PontryaginPoint) -> np.
     return hamiltonian_partials(problem, point).dH_du
 
 
-def regularity_check(problem: ControlProblem, point: PontryaginPoint, config: PmpSolverConfig) -> bool:
+def regularity_check(problem: ControlProblem, point: PontryaginPoint) -> bool:
     """True iff the control Hessian W has smallest singular value above ``ocp.RANK_TOL``.
 
     Problems without controls are vacuously regular.
@@ -347,9 +361,7 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
     return float(np.trapezoid(integrand, trajectory.times))
 
 
-def dirac_membership_residuals(
-    problem: ControlProblem, trajectory: Trajectory, config: PmpSolverConfig = PmpSolverConfig()
-) -> np.ndarray:
+def dirac_membership_residuals(problem: ControlProblem, trajectory: Trajectory) -> np.ndarray:
     """Per-row normalized residual of ((x_dot, p_dot, 0), dH) against the presymplectic Dirac fiber.
 
     The velocity is the DAE right-hand side evaluated at the stored point, so

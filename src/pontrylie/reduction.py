@@ -261,14 +261,16 @@ def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> 
     return ReducedState(z=np.zeros(0), p_z=np.zeros(0), mu=mu, u=point.u)
 
 
-def membership_check_reduced(
-    alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, tol: float = 1e-6
-) -> bool:
-    """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu."""
-    fiber = dirac.reduced_dirac_fiber(alg, mu)
+def _reduced_membership_residual(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu) -> float:
+    """Normalized residual of ((xi, mu_dot), (0, dh_dmu)) against the reduced Dirac fiber at mu."""
     velocity = np.concatenate([np.asarray(xi, dtype=float), np.asarray(mu_dot, dtype=float)])
     covector = np.concatenate([np.zeros(alg.dim), np.asarray(dh_dmu, dtype=float)])
-    return dirac.contains(fiber, velocity, covector, tol)
+    return dirac.membership_residual(dirac.reduced_dirac_fiber(alg, mu), velocity, covector)
+
+
+def membership_check_reduced(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, tol: float = 1e-6) -> bool:
+    """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu."""
+    return _reduced_membership_residual(alg, mu, mu_dot, xi, dh_dmu) <= tol
 
 
 def reduced_dirac_residuals(
@@ -290,8 +292,5 @@ def reduced_dirac_residuals(
     empty = np.zeros(0)
     for k in range(len(trajectory)):
         out = _rhs_from_parts(problem, empty, mu_rows[k], _partials(ham, empty, mu_rows[k], u_rows[k]), config)
-        fiber = dirac.reduced_dirac_fiber(problem.algebra, mu_rows[k])
-        velocity = np.concatenate([out.xi, out.mu_dot])
-        covector = np.concatenate([np.zeros(problem.algebra.dim), out.xi])
-        residuals[k] = dirac.membership_residual(fiber, velocity, covector)
+        residuals[k] = _reduced_membership_residual(problem.algebra, mu_rows[k], out.mu_dot, out.xi, out.xi)
     return residuals

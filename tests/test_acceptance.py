@@ -132,7 +132,7 @@ def test_criterion_3_reduction_commutes_with_dynamics(heis_problem, full_runs, r
 
 def test_criterion_4_dirac_membership(heis_problem, heis_reduced, full_runs, reduced_runs):
     worst_full = max(
-        float(np.max(dirac_membership_residuals(heis_problem, traj, CONFIG)))
+        float(np.max(dirac_membership_residuals(heis_problem, traj)))
         for traj in full_runs.values()
     )
     worst_reduced = max(

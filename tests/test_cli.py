@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +336,15 @@ def test_non_finite_trajectory_is_an_input_error(tmp_path, capsys):
         assert "non-finite value in column" in result["error"]
 
 
+def test_ragged_trajectory_csv_is_an_input_error(tmp_path, capsys):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,x1,p1\n0,1,2\n1,2\n")
+    code, result, _ = run_cli(capsys, "check-dirac", "--builtin", "heisenberg", "--traj", str(ragged))
+    assert code == 1
+    assert result["status"] == "error"
+    assert str(ragged) in result["error"] and "line 3 has 2 cells" in result["error"]
+
+
 def test_non_finite_result_field_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     full = tmp_path / "full.csv"
     run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1",
@@ -451,6 +462,68 @@ def test_action_without_algebra_is_rejected(tmp_path, capsys):
     assert "action table requires an algebra block" in result["error"]
 
 
+ABELIAN_PLANE_JSON = {
+    "n": 2,
+    "r": 2,
+    "dynamics": ["u1", "u2"],
+    "lagrangian": "0.5*(u1^2 + u2^2)",
+    "algebra": {"dim": 2, "structure": []},
+    "reduced": {"s": 0, "lagrangian": "0.5*(u1^2 + u2^2)", "base_dynamics": [], "fiber_dynamics": ["u1", "u2"]},
+}
+
+
+def test_problem_file_named_heisenberg_is_not_the_builtin(tmp_path, capsys):
+    """The Heisenberg closed form belongs to --builtin heisenberg, not to a file name."""
+    problem_file = tmp_path / "heisenberg.json"
+    problem_file.write_text(json.dumps(ABELIAN_PLANE_JSON))
+    code, result, _ = run_cli(
+        capsys, "solve-reduced", "--problem", str(problem_file), "--lambda0", "1,0.5",
+        "--T", "0.1", "--step", "1e-2", "--out", str(tmp_path / "plane.csv"),
+    )
+    assert code == 0
+    assert "closed_form_max_dev" not in result["runs"][0]
+
+
+@pytest.mark.parametrize(
+    ("block", "key"),
+    [(None, "reduce"), ("algebra", "label"), ("reduced", "curvature")],
+)
+def test_unknown_problem_file_keys_are_rejected(tmp_path, capsys, block, key):
+    data = json.loads(json.dumps(HEISENBERG_JSON))
+    (data if block is None else data[block])[key] = "0"
+    problem_file = tmp_path / "typo.json"
+    problem_file.write_text(json.dumps(data))
+    code, result, _ = run_cli(
+        capsys, "solve-pmp", "--problem", str(problem_file), "--p0", "1,0,1",
+        "--T", "0", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert f"unknown key '{key}'" in result["error"]
+
+
+def test_reconstruct_requires_the_heisenberg_algebra(tmp_path, capsys):
+    e12, e13, e23 = (np.zeros((3, 3)) for _ in range(3))
+    e12[0, 1], e13[0, 2], e23[1, 2] = 1.0, 1.0, 1.0
+    abelian = json.loads(json.dumps(ABELIAN_PLANE_JSON))
+    abelian["algebra"]["matrix_basis"] = [e12.tolist(), e13.tolist()]
+    heisenberg_file = json.loads(json.dumps(HEISENBERG_JSON))
+    heisenberg_file["algebra"]["matrix_basis"] = [e12.tolist(), e23.tolist(), e13.tolist()]
+    results = {}
+    for name, data, mu0 in (("abelian", abelian, "1,0.5"), ("heis", heisenberg_file, "1,0,1")):
+        problem_file = tmp_path / f"{name}.json"
+        problem_file.write_text(json.dumps(data))
+        red = tmp_path / f"{name}_red.csv"
+        code, _, _ = run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--lambda0", mu0,
+                             "--T", "0.1", "--step", "1e-2", "--out", str(red))
+        assert code == 0
+        results[name] = run_cli(capsys, "reconstruct", "--problem", str(problem_file), "--traj", str(red),
+                                "--out", str(tmp_path / f"{name}_chart.csv"))[:2]
+    assert results["heis"][0] == 0
+    code, result = results["abelian"]
+    assert code == 1
+    assert "needs the Heisenberg algebra" in result["error"]
+
+
 def test_json_output_format(tmp_path, capsys):
     out = tmp_path / "traj.json"
     code, _, _ = run_cli(
@@ -469,11 +542,15 @@ def test_bad_usage_maps_to_input_error(capsys):
 
 
 def test_console_entry_point():
+    """A real process: the installed script, or the module run on this checkout's sources."""
     exe = shutil.which("pontrylie")
+    env = dict(os.environ)
     if exe is None:
-        pytest.skip("console script not on PATH")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [exe] if exe else [sys.executable, "-m", "pontrylie.cli"]
     proc = subprocess.run(
-        [exe, "check-dirac", "--self-test", "--count", "5"], capture_output=True, text=True
+        [*command, "check-dirac", "--self-test", "--count", "5"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1].startswith("RESULT ")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pontrylie import dirac
 from pontrylie.dirac import (
     LinearDiracStructure,
     TwoForm,
@@ -18,7 +19,7 @@ from pontrylie.dirac import (
     reduced_dirac_fiber,
     subspaces_equal,
 )
-from pontrylie.errors import DimensionMismatchError
+from pontrylie.errors import DimensionMismatchError, DiracPropertyError, PontrylieError
 from pontrylie.lie import LieAlgebraSpec
 
 
@@ -157,6 +158,46 @@ def test_dimension_mismatch_raises():
 def test_constructor_rejects_dependent_basis():
     with pytest.raises(DimensionMismatchError):
         LinearDiracStructure(2, np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11])
+def test_scaled_graph_basis_is_accepted(scale):
+    """Rank is relative to the largest singular value, so scaling never makes rows dependent."""
+    graph = graph_of_two_form(random_two_form(np.random.default_rng(5), 3))
+    scaled = LinearDiracStructure(3, scale * graph.basis)
+    assert is_dirac(scaled)
+    assert subspaces_equal(scaled, graph)
+
+
+def test_orthonormal_basis_is_computed_once(monkeypatch):
+    calls = []
+    original = dirac._orthonormal_rows
+
+    def counted(rows, *args):
+        calls.append(rows)
+        return original(rows, *args)
+
+    monkeypatch.setattr(dirac, "_orthonormal_rows", counted)
+    structure = graph_of_two_form(canonical_two_form(2))
+    assert len(calls) == 1
+    same = LinearDiracStructure(4, structure.basis[::-1])
+    assert len(calls) == 2
+    structure.orthonormal()
+    assert is_dirac(structure)
+    membership_residual(structure, np.ones(4), np.zeros(4))
+    assert subspaces_equal(structure, same)
+    assert len(calls) == 2
+    assert not structure.orthonormal().flags.writeable
+
+
+@pytest.mark.parametrize("image", [backward, forward])
+def test_failed_image_check_is_a_package_error(monkeypatch, image):
+    structure = graph_of_two_form(random_two_form(np.random.default_rng(9), 3))
+    monkeypatch.setattr(dirac, "is_dirac", lambda s, tol=1e-10: s is structure)
+    with pytest.raises(DiracPropertyError) as err:
+        image(np.eye(3), structure)
+    assert isinstance(err.value, PontrylieError)
+    assert not isinstance(err.value, AssertionError)
 
 
 def test_random_graphs_are_dirac():

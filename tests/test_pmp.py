@@ -77,21 +77,21 @@ def test_consistency_residual_at_newton_point(heis_problem, default_config):
     assert np.max(np.abs(res)) <= default_config.newton_tol
 
 
-def test_regularity_heisenberg(heis_problem, default_config):
+def test_regularity_heisenberg(heis_problem):
     rng = np.random.default_rng(1)
     for _ in range(5):
         pt = PontryaginPoint(rng.normal(size=3), rng.normal(size=3), rng.normal(size=2))
-        assert regularity_check(heis_problem, pt, default_config)
+        assert regularity_check(heis_problem, pt)
 
 
-def test_regularity_degenerate_problem(default_config):
+def test_regularity_degenerate_problem():
     pt = PontryaginPoint([0.1, 0.2], [1.0, -1.0], [0.3, 0.4])
-    assert not regularity_check(degenerate_problem(), pt, default_config)
+    assert not regularity_check(degenerate_problem(), pt)
 
 
-def test_regularity_no_controls(default_config):
+def test_regularity_no_controls():
     problem = ControlProblem(n=1, r=0, dynamics=lambda x, u: -x, lagrangian=lambda x, u: 0.0)
-    assert regularity_check(problem, PontryaginPoint([1.0], [1.0], []), default_config)
+    assert regularity_check(problem, PontryaginPoint([1.0], [1.0], []))
 
 
 def test_feedback_single_newton_step(heis_problem, default_config):
@@ -265,7 +265,7 @@ def test_momentum_map_requires_symmetry():
 def test_dirac_membership_residuals_small(heis_problem):
     config = PmpSolverConfig(rk_step=5e-3)
     traj = integrate_pmp(heis_problem, np.zeros(3), [0.8, 0.6, -0.5], 2.0, config)
-    residuals = dirac_membership_residuals(heis_problem, traj, config)
+    residuals = dirac_membership_residuals(heis_problem, traj)
     assert residuals.shape == (len(traj),)
     assert np.max(residuals) <= 1e-10
 
@@ -325,3 +325,16 @@ def test_trajectory_block_orders_numerically():
     states = np.array([[2.0, 10.0, 1.0]])
     traj = Trajectory(times=[0.0], columns=columns, states=states)
     assert np.array_equal(traj.block("x")[0], [1.0, 2.0, 10.0])
+
+
+@pytest.mark.parametrize(
+    ("body", "line"),
+    [("0,1,2\r\n1,2\r\n", 3), ("0,1\r\n1,2\r\n", 2)],
+)
+def test_trajectory_csv_rows_must_match_the_header(tmp_path, body, line):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,x1,p1\r\n" + body, newline="")
+    with pytest.raises(TrajectoryFormatError) as err:
+        Trajectory.from_csv(path)
+    assert str(path) in str(err.value)
+    assert f"line {line} has 2 cells, the header 3" in str(err.value)

@@ -28,6 +28,7 @@ from .lie import (
     bracket,
     coadjoint,
     exp_nilpotent,
+    log_nilpotent,
     pairing,
 )
 from .dirac import (
@@ -82,7 +83,6 @@ from .reconstruct import (
     GeodesicFormAudit,
     audit_geodesic_forms,
     chart_trajectory,
-    heisenberg_chart,
     heisenberg_geodesic_oracle,
     reconstruct_group,
 )

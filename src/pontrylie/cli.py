@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dirac, expr, heisenberg, pmp, reconstruct, reduction
 from .errors import EvaluationError, NonNilpotentError, PontrylieError, SolverError
-from .lie import algebra_from_dict
+from .lie import algebra_from_dict, exp_nilpotent
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle
 from .pmp import PmpSolverConfig, Trajectory
 
@@ -293,28 +293,19 @@ def cmd_reconstruct(args) -> Tuple[int, dict]:
     loaded = _load(args)
     if loaded.reduced is None:
         raise PontrylieError(f"problem '{loaded.name}' declares no reduced form")
-    if not _is_heisenberg(loaded.reduced.algebra):
-        raise PontrylieError(
-            "reconstruct writes Heisenberg chart coordinates and needs the Heisenberg algebra: "
-            "structure [[0, 1, 2, 1.0]] with the matrix_basis e12, e23, e13"
-        )
+    algebra = loaded.reduced.algebra
+    g0 = exp_nilpotent(algebra, _parse_vector(args.g0) if args.g0 else np.zeros(algebra.dim))
     trajectory = _read_trajectory(args.traj)
     times, values = reconstruct.xi_curve_from_reduced(loaded.reduced, trajectory)
-    duration = float(times[-1] - times[0])
-    shifted = (times - times[0], values)
     step = args.step if args.step else float(np.median(np.diff(times))) if len(times) > 1 else 1.0
-    g0 = (
-        heisenberg.chart_to_group(_parse_vector(args.g0))
-        if args.g0
-        else heisenberg.chart_to_group(np.zeros(3))
-    )
-    path = reconstruct.reconstruct_group(loaded.reduced.algebra, g0, shifted, duration, step)
+    duration = float(times[-1] - times[0])
+    path = reconstruct.reconstruct_group(algebra, g0, (times - times[0], values), duration, step)
     chart = reconstruct.chart_trajectory(path)
     out = args.out or f"reconstructed_{loaded.name}.{args.format}"
     _write(chart, out, args.format)
     summary = {"command": "reconstruct", "rows": len(chart), "out": out}
     mu = trajectory.block("mu")
-    if mu.shape[1] >= 3:
+    if args.builtin == "heisenberg" and mu.shape[1] == 3:
         k = float(mu[0, 2])
         summary["k"] = k
         if abs(k) > 1e-12:
@@ -333,14 +324,6 @@ def cmd_reconstruct(args) -> Tuple[int, dict]:
         else:
             print("k = 0: straight-line family")
     return EXIT_OK, summary
-
-
-def _is_heisenberg(alg) -> bool:
-    """Whether ``alg`` is ``heisenberg_algebra()`` in structure constants and matrix basis."""
-    ref = heisenberg.heisenberg_algebra()
-    return np.array_equal(alg.structure_constants, ref.structure_constants) and np.array_equal(
-        alg.matrix_basis, ref.matrix_basis
-    )
 
 
 def _read_trajectory(path: str) -> Trajectory:
@@ -466,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild the group trajectory from a reduced one")
     add_problem_args(p)
     p.add_argument("--traj", required=True, help="reduced trajectory file")
-    p.add_argument("--g0", help="initial chart point (default origin)")
+    p.add_argument("--g0", help="initial group element in exponential coordinates, comma separated (default identity)")
     p.add_argument("--step", type=float, help="reconstruction step (default: trajectory step)")
     add_io_args(p)
     p.set_defaults(fn=cmd_reconstruct)
@@ -506,7 +489,9 @@ def main(argv=None) -> int:
         code, result = EXIT_SOLVER, {"status": "error", "error": str(exc), "exit_code": EXIT_SOLVER}
         if isinstance(exc, SolverError):
             located = {"residual": exc.residual, "t": exc.t}
-            result.update({key: value for key, value in located.items() if np.isfinite(value)})
+            if exc.state is not None:
+                located["state"] = [float(v) for v in exc.state]
+            result.update({key: value for key, value in located.items() if np.all(np.isfinite(value))})
     except (PontrylieError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code, result = EXIT_INPUT, {"status": "error", "error": str(exc), "exit_code": EXIT_INPUT}

@@ -251,24 +251,26 @@ def pontryagin_projection(n: int, r: int) -> np.ndarray:
     return np.hstack([np.eye(2 * n), np.zeros((2 * n, r))])
 
 
-def reduced_dirac_fiber(alg: LieAlgebraSpec, lam) -> LinearDiracStructure:
-    """The reduced Dirac fiber at a coalgebra point, on V = g (+) g*.
+def reduced_dirac_fiber(alg: LieAlgebraSpec, lam, r: int = 0) -> LinearDiracStructure:
+    """The reduced Dirac fiber at a coalgebra point, on V = g (+) g* (+) U with dim U = r.
 
-    It is the graph of the antisymmetric form
+    It is the graph of the presymplectic form
 
-        w_lam((xi, rho), (zeta, sigma))
+        w_lam((xi, rho, v), (zeta, sigma, w))
             = <sigma, xi> - <rho, zeta> + <lam, [xi, zeta]>,
 
-    whose matrix in (algebra, coalgebra) block coordinates is
-    [[B(lam), I], [-I, 0]] with B_ij = sum_k c[i][j][k] lam_k.  Membership of
-    ((xi, mu_dot), (0, dh_dmu)) is equivalent to the Lie-Poisson equations
-    xi = dh_dmu, mu_dot = ad*_xi(lam).
+    degenerate on the control directions U like ``pontryagin_two_form``.  Its
+    matrix in (algebra, coalgebra, control) block coordinates is
+    [[B(lam), I, 0], [-I, 0, 0], [0, 0, 0]] with B_ij = sum_k c[i][j][k] lam_k.
+    Membership of ((xi, mu_dot, 0), (0, dh_dmu, dh_du)) is equivalent to the
+    Lie-Poisson equations xi = dh_dmu, mu_dot = ad*_xi(lam), together with
+    the stationarity dh_du = 0.
     """
     lam = _coeffs(lam, alg.dim)
     d = alg.dim
     b = np.einsum("ijk,k->ij", alg.structure_constants, lam)
-    m = np.zeros((2 * d, 2 * d))
+    m = np.zeros((2 * d + r, 2 * d + r))
     m[:d, :d] = b
-    m[:d, d:] = np.eye(d)
-    m[d:, :d] = -np.eye(d)
+    m[:d, d : 2 * d] = np.eye(d)
+    m[d : 2 * d, :d] = -np.eye(d)
     return graph_of_two_form(TwoForm(m))

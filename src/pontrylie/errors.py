@@ -31,12 +31,17 @@ class EvaluationError(PontrylieError):
 
 
 class SolverError(PontrylieError):
-    """A control solve failed; carries the last residual norm and the time (nan when unknown)."""
+    """A control solve failed.
 
-    def __init__(self, message: str, residual: float = float("nan"), t: float = float("nan")):
+    Carries the last residual norm, the time (nan when unknown) and the
+    (q, lam) state row where Newton failed (None when unknown).
+    """
+
+    def __init__(self, message: str, residual: float = float("nan"), t: float = float("nan"), state=None):
         super().__init__(message)
         self.residual = residual
         self.t = t
+        self.state = state
 
 
 class ConvergenceError(SolverError):

@@ -3,7 +3,8 @@
 The group is realized as 3x3 upper unitriangular matrices; its algebra basis
 (gamma1, gamma2, gamma3) consists of the elementary matrices E12, E23, E13
 with the single nontrivial bracket [gamma1, gamma2] = gamma3.  Chart
-coordinates on the group are
+coordinates on the group are its exponential coordinates of the first kind
+(``lie.log_nilpotent``, inverse of ``lie.exp_nilpotent``):
 
     x = m[0,1],  y = m[1,2],  z = m[0,2] - x*y/2,
 
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .lie import GroupElement, LieAlgebraSpec
+from .lie import GroupElement, LieAlgebraSpec, log_nilpotent
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle
 from .reduction import ReducedJacobians, ReducedProblem
 
@@ -54,26 +54,6 @@ def heisenberg_algebra() -> LieAlgebraSpec:
         matrix_basis=(e12, e23, e13),
         labels=("gamma1", "gamma2", "gamma3"),
     )
-
-
-def group_to_chart(matrix: np.ndarray) -> np.ndarray:
-    """Chart coordinates (x, y, z) of a unitriangular matrix."""
-    m = np.asarray(matrix, dtype=float)
-    g = GroupElement(m)
-    if not g.is_unitriangular():
-        raise DimensionMismatchError("matrix is not upper unitriangular")
-    a, b, c = m[0, 1], m[1, 2], m[0, 2]
-    return np.array([a, b, c - 0.5 * a * b])
-
-
-def chart_to_group(q) -> GroupElement:
-    """Inverse of ``group_to_chart``."""
-    x, y, z = np.asarray(q, dtype=float)
-    m = np.eye(3)
-    m[0, 1] = x
-    m[1, 2] = y
-    m[0, 2] = z + 0.5 * x * y
-    return GroupElement(m)
 
 
 def chart_product(q1, q2) -> np.ndarray:
@@ -100,17 +80,17 @@ def _symmetry_handle() -> SymmetryHandle:
         return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
 
     def act_on_state(g: GroupElement, q):
-        return chart_product(group_to_chart(g.matrix), q)
+        return chart_product(log_nilpotent(algebra, g), q)
 
     def act_on_control(g: GroupElement, q, u):
         return np.asarray(u, dtype=float)
 
     def act_on_costate(g: GroupElement, q, p):
-        gx, gy, _ = group_to_chart(g.matrix)
+        gx, gy, _ = log_nilpotent(algebra, g)
         return np.array([p[0] + 0.5 * gy * p[2], p[1] - 0.5 * gx * p[2], p[2]])
 
     def state_jacobian(g: GroupElement, q):
-        gx, gy, _ = group_to_chart(g.matrix)
+        gx, gy, _ = log_nilpotent(algebra, g)
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5 * gy, 0.5 * gx, 1.0]])
 
     def body_frame(q):

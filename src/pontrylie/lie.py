@@ -35,8 +35,9 @@ class LieAlgebraSpec:
     """A Lie algebra given by structure constants and an optional matrix realization.
 
     Validated on construction: antisymmetry of c in its first two indices, the
-    Jacobi identity, and (if ``matrix_basis`` is present) that matrix
-    commutators reproduce the structure constants entrywise to 1e-12.
+    Jacobi identity, and (if ``matrix_basis`` is present) that the matrices
+    are linearly independent and their commutators reproduce the structure
+    constants entrywise to 1e-12.
     """
 
     dim: int
@@ -80,6 +81,8 @@ class LieAlgebraSpec:
                         raise InvalidAlgebraError(
                             f"matrix commutator [e_{i}, e_{j}] disagrees with structure constants"
                         )
+            if np.linalg.matrix_rank(np.stack(mats).reshape(self.dim, -1)) < self.dim:
+                raise InvalidAlgebraError("matrix_basis entries are linearly dependent")
             object.__setattr__(self, "matrix_basis", mats)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -213,6 +216,34 @@ def exp_nilpotent(alg: LieAlgebraSpec, xi: Coeffs) -> GroupElement:
             f"(next term has norm {np.linalg.norm(tail):.3e})"
         )
     return GroupElement(result)
+
+
+def log_nilpotent(alg: LieAlgebraSpec, g: Union[GroupElement, np.ndarray]) -> np.ndarray:
+    """Exponential coordinates of the first kind: the inverse of ``exp_nilpotent``.
+
+    ``g`` is a group element or a stack of matrices of shape (..., m, m); the
+    result has shape (..., dim).  With n = g - 1 the series
+    log(1 + n) = n - n^2/2 + n^3/3 - ... ends once n^m = 0, and the logarithm
+    is expanded in the matrix basis.  A matrix that is not unipotent, or
+    whose logarithm leaves the span of the basis, is rejected.
+    """
+    size = alg.matrix_size
+    m = np.asarray(g.matrix if isinstance(g, GroupElement) else g, dtype=float)
+    if m.ndim < 2 or m.shape[-2:] != (size, size):
+        raise DimensionMismatchError(f"expected {size}x{size} matrices, got shape {m.shape}")
+    n = m.reshape(-1, size, size) - np.eye(size)
+    log, power = n, n
+    for k in range(2, size + 1):
+        power = power @ n
+        log = log + ((-1) ** (k + 1) / k) * power
+    flat, b = log.reshape(-1, size * size), np.stack(alg.matrix_basis).reshape(alg.dim, -1)
+    coords = np.linalg.solve(b @ b.T, b @ flat.T).T
+    # roundoff in the powers of n grows like |n|^m
+    tol = _STRUCTURE_TOL * (1.0 + np.max(np.abs(flat), axis=1, initial=0.0)) ** size
+    off = np.max(np.abs(power.reshape(flat.shape)) + np.abs(coords @ b - flat), axis=1, initial=0.0)
+    if np.any(off > tol):
+        raise DimensionMismatchError("matrix is not unipotent or its logarithm is not in the span of the basis")
+    return coords.reshape(m.shape[:-2] + (alg.dim,))
 
 
 def algebra_from_dict(data: dict) -> LieAlgebraSpec:

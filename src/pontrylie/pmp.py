@@ -30,26 +30,17 @@ from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials
 
 @dataclass(frozen=True)
 class PmpSolverConfig:
-    """Numerical knobs for the feedback solver and integrators.
-
-    ``coadjoint_sign`` selects the sign of the coalgebra evolution in the
-    reduction module: +1.0 gives mu_dot = +ad*_xi(mu) (the convention paired
-    with this package's ad* definition, see ``lie``); -1.0 flips it for users
-    working with the opposite ad* convention.
-    """
+    """Numerical knobs for the feedback solver and integrators."""
 
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
     rk_step: float = 1e-3
-    coadjoint_sign: float = 1.0
 
     def __post_init__(self):
         if min(self.newton_tol, self.rk_step) <= 0:
             raise DimensionMismatchError("all solver tolerances and steps must be positive")
         if self.newton_max_iter < 1:
             raise DimensionMismatchError("newton_max_iter must be at least 1")
-        if self.coadjoint_sign not in (1.0, -1.0):
-            raise DimensionMismatchError("coadjoint_sign must be +1.0 or -1.0")
 
 
 _STATE_COLUMN_RE = re.compile(r"^(x|p|u|z|pz|mu)\d+$")
@@ -254,29 +245,27 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_ch
     grid node records the row (y, u*) with columns <prefix>1.. for each
     (prefix, size) of ``blocks`` (q first), then u1..; H under
     ``hamiltonian_channel``; and the dict ``channels(y)``.  Solver errors are
-    re-raised with the time where they happened.
+    re-raised with the grid time (of the node, or of the start of the step
+    whose stage failed) and the (q, lam) row Newton was solving at.
     """
     nq = blocks[0][1]
     times = time_grid(duration, config.rk_step)
 
-    def solve(y, u_warm):
+    def solve(y, u_warm, where, t):
         q, lam = y[:nq], y[nq:]
-        return _newton(lambda u: _partials(ham, q, lam, u), u_warm, config)
+        try:
+            return _newton(lambda u: _partials(ham, q, lam, u), u_warm, config)
+        except SolverError as exc:
+            raise type(exc)(f"{exc} ({where} t={t:.6g})", residual=exc.residual, t=t, state=y) from exc
 
-    def stage(y, u_warm):
-        u_star, _, _, parts = solve(y, u_warm)
+    def stage(y, u_warm, t):
+        u_star, _, _, parts = solve(y, u_warm, "while stepping from", t)
         return vector_field(y, parts), u_star
-
-    def located(exc, where, t):
-        return type(exc)(f"{exc} ({where} t={t:.6g})", residual=exc.residual, t=t)
 
     rows, hams, extras = [], [], []
 
     def node(t, y, u_warm):
-        try:
-            u_star = solve(y, u_warm)[0]
-        except SolverError as exc:
-            raise located(exc, "at", t) from exc
+        u_star = solve(y, u_warm, "at", t)[0]
         rows.append(np.concatenate([y, u_star]))
         hams.append(_hamiltonian_value(ham, y[:nq], y[nq:], u_star))
         extras.append(channels(y))
@@ -286,13 +275,10 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_ch
     u_warm = node(times[0], y, u0)
     for k in range(len(times) - 1):
         t, h = times[k], times[k + 1] - times[k]
-        try:
-            k1, u1 = stage(y, u_warm)
-            k2, u2 = stage(y + 0.5 * h * k1, u1)
-            k3, u3 = stage(y + 0.5 * h * k2, u2)
-            k4, u4 = stage(y + h * k3, u3)
-        except SolverError as exc:
-            raise located(exc, "while stepping from", t) from exc
+        k1, u1 = stage(y, u_warm, t)
+        k2, u2 = stage(y + 0.5 * h * k1, u1, t)
+        k3, u3 = stage(y + 0.5 * h * k2, u2, t)
+        k4, u4 = stage(y + h * k3, u3, t)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u_warm = node(times[k + 1], y, u4)
 

@@ -10,8 +10,9 @@ so every iterate stays exactly on the group (for unitriangular realizations
 the diagonal ones and subdiagonal zeros are preserved bit-for-bit).  The
 scheme is second order.
 
-Also here: the Heisenberg chart map, the numerical geodesic oracle (the
-ground truth used by the tests), and an audit comparing candidate closed-form
+Group paths are read out in exponential coordinates of the first kind
+(``lie.log_nilpotent``).  Also here: the numerical Heisenberg geodesic
+oracle (the ground truth used by the tests), and an audit comparing candidate closed-form
 geodesic expressions against that oracle.  The candidate y and z formulas are
 suspected misprints; the audit reports which components agree instead of
 assuming any of them do.
@@ -25,8 +26,8 @@ from typing import Callable, Dict, NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .heisenberg import group_to_chart, lambda_closed_form
-from .lie import GroupElement, LieAlgebraSpec, exp_nilpotent
+from .heisenberg import lambda_closed_form
+from .lie import GroupElement, LieAlgebraSpec, exp_nilpotent, log_nilpotent
 from .pmp import Trajectory, time_grid
 from .reduction import ReducedProblem
 
@@ -36,6 +37,7 @@ XiCurve = Union[Callable, Tuple[np.ndarray, np.ndarray]]
 class GroupPath(NamedTuple):
     times: np.ndarray
     matrices: np.ndarray  # shape (len(times), m, m)
+    algebra: LieAlgebraSpec
 
 
 def _as_xi_function(xi: XiCurve, dim: int) -> Callable:
@@ -76,20 +78,13 @@ def reconstruct_group(
         h = times[k + 1] - times[k]
         mid = xi_fn(times[k] + 0.5 * h)
         mats[k + 1] = mats[k] @ exp_nilpotent(alg, h * mid).matrix
-    return GroupPath(times=times, matrices=mats)
-
-
-def heisenberg_chart(g: Union[GroupElement, np.ndarray]) -> Tuple[float, float, float]:
-    """Chart coordinates (x, y, z) = (a, b, c - a*b/2) of a unitriangular matrix."""
-    matrix = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
-    q = group_to_chart(matrix)
-    return float(q[0]), float(q[1]), float(q[2])
+    return GroupPath(times=times, matrices=mats, algebra=alg)
 
 
 def chart_trajectory(path: GroupPath) -> Trajectory:
-    """Project a Heisenberg group path to chart coordinates as a trajectory."""
-    rows = np.array([group_to_chart(m) for m in path.matrices])
-    return Trajectory(times=path.times, columns=("x1", "x2", "x3"), states=rows)
+    """The path in exponential coordinates, as a trajectory with columns x1..x_dim."""
+    columns = tuple(f"x{i + 1}" for i in range(path.algebra.dim))
+    return Trajectory(times=path.times, columns=columns, states=log_nilpotent(path.algebra, path.matrices))
 
 
 def _rk4(times: np.ndarray, y0: np.ndarray, rhs: Callable) -> np.ndarray:

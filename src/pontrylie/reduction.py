@@ -9,14 +9,14 @@ and evolves by
 
     z_dot   = dh/dp_z
     pz_dot  = -dh/dz - curvature coupling (coordinate form, zero by default)
-    mu_dot  = sign * ad*_xi(mu),   xi = dh/dmu
-    dh/du   = 0                     (controls eliminated by Newton)
+    mu_dot  = ad*_xi(mu),   xi = dh/dmu
+    dh/du   = 0              (controls eliminated by Newton)
 
-The default sign is +1, which together with the package's ad* convention
-reproduces the closed-form Heisenberg flow; ``PmpSolverConfig.coadjoint_sign``
-flips it for the opposite convention.  When the base is zero-dimensional
-(state space = symmetry group) this is the pure Lie-Poisson system on the
-coalgebra.  Covariant derivatives are represented as plain coordinate
+With the package's ad* convention this reproduces the closed-form Heisenberg
+flow; data written for the opposite convention is the same flow on the
+opposite algebra (negated structure constants).  When the base is
+zero-dimensional (state space = symmetry group) this is the pure Lie-Poisson
+system on the coalgebra.  Covariant derivatives are represented as plain coordinate
 derivatives in the caller's trivialization.
 """
 
@@ -188,15 +188,13 @@ class ReducedRhs(NamedTuple):
     xi: np.ndarray
 
 
-def _rhs_from_parts(
-    problem: ReducedProblem, z: np.ndarray, mu: np.ndarray, parts: HamiltonianPartials, config: PmpSolverConfig
-) -> ReducedRhs:
+def _rhs_from_parts(problem: ReducedProblem, z: np.ndarray, mu: np.ndarray, parts: HamiltonianPartials) -> ReducedRhs:
     s = problem.base_dim
     z_dot, xi, pz_dot = parts.dH_dp[:s], parts.dH_dp[s:], -parts.dH_dx
     if problem.curvature is not None and s:
         coupling = np.array([float(problem.curvature(z, mu, z_dot, e)) for e in np.eye(s)])
         pz_dot = pz_dot - coupling
-    mu_dot = config.coadjoint_sign * coadjoint(problem.algebra, xi, mu).coeffs
+    mu_dot = coadjoint(problem.algebra, xi, mu).coeffs
     return ReducedRhs(z_dot=z_dot, pz_dot=pz_dot, mu_dot=mu_dot, xi=xi)
 
 
@@ -207,11 +205,12 @@ def reduced_pmp_rhs(
 
     Covariant derivatives are returned as coordinate derivatives in the
     trivialization the problem data is expressed in.  With a zero-dimensional
-    base this degenerates to the Lie-Poisson system mu_dot = sign * ad*_xi(mu).
+    base this degenerates to the Lie-Poisson system mu_dot = ad*_xi(mu).
+    ``config`` is accepted for call compatibility and not read.
     """
     state.conform(problem)
     parts = _partials(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u)
-    return _rhs_from_parts(problem, state.z, state.mu, parts, config)
+    return _rhs_from_parts(problem, state.z, state.mu, parts)
 
 
 def integrate_reduced(
@@ -229,7 +228,7 @@ def integrate_reduced(
     s = problem.base_dim
 
     def vector_field(y, parts):
-        out = _rhs_from_parts(problem, y[:s], y[2 * s :], parts, config)
+        out = _rhs_from_parts(problem, y[:s], y[2 * s :], parts)
         return np.concatenate([out.z_dot, out.pz_dot, out.mu_dot])
 
     def casimirs(y):
@@ -261,25 +260,25 @@ def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> 
     return ReducedState(z=np.zeros(0), p_z=np.zeros(0), mu=mu, u=point.u)
 
 
-def _reduced_membership_residual(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu) -> float:
-    """Normalized residual of ((xi, mu_dot), (0, dh_dmu)) against the reduced Dirac fiber at mu."""
-    velocity = np.concatenate([np.asarray(xi, dtype=float), np.asarray(mu_dot, dtype=float)])
-    covector = np.concatenate([np.zeros(alg.dim), np.asarray(dh_dmu, dtype=float)])
-    return dirac.membership_residual(dirac.reduced_dirac_fiber(alg, mu), velocity, covector)
+def _reduced_membership_residual(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, dh_du) -> float:
+    """Normalized residual of ((xi, mu_dot, 0), (0, dh_dmu, dh_du)) against the reduced Dirac fiber at mu."""
+    dh_du = np.asarray(dh_du, dtype=float)
+    velocity = np.concatenate([np.asarray(xi, dtype=float), np.asarray(mu_dot, dtype=float), np.zeros(dh_du.size)])
+    covector = np.concatenate([np.zeros(alg.dim), np.asarray(dh_dmu, dtype=float), dh_du])
+    return dirac.membership_residual(dirac.reduced_dirac_fiber(alg, mu, dh_du.size), velocity, covector)
 
 
 def membership_check_reduced(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, tol: float = 1e-6) -> bool:
-    """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu."""
-    return _reduced_membership_residual(alg, mu, mu_dot, xi, dh_dmu) <= tol
+    """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu (no control block)."""
+    return _reduced_membership_residual(alg, mu, mu_dot, xi, dh_dmu, ()) <= tol
 
 
-def reduced_dirac_residuals(
-    problem: ReducedProblem, trajectory: Trajectory, config: PmpSolverConfig = PmpSolverConfig()
-) -> np.ndarray:
-    """Per-row normalized membership residual against the reduced Dirac fiber.
+def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> np.ndarray:
+    """Per-row normalized membership residual against the reduced Dirac fiber on g (+) g* (+) U.
 
     Only the zero-dimensional-base (pure Lie-Poisson) case carries the fiber
-    structure; the velocity is the reduced right-hand side at the stored row.
+    structure; the velocity is the reduced right-hand side at the stored row,
+    and the control block tests dh/du = 0 there.
     """
     if problem.base_dim != 0:
         raise ReductionUnsupportedError("reduced Dirac fibers are defined for a zero-dimensional base")
@@ -291,6 +290,7 @@ def reduced_dirac_residuals(
     residuals = np.empty(len(trajectory))
     empty = np.zeros(0)
     for k in range(len(trajectory)):
-        out = _rhs_from_parts(problem, empty, mu_rows[k], _partials(ham, empty, mu_rows[k], u_rows[k]), config)
-        residuals[k] = _reduced_membership_residual(problem.algebra, mu_rows[k], out.mu_dot, out.xi, out.xi)
+        parts = _partials(ham, empty, mu_rows[k], u_rows[k])
+        out = _rhs_from_parts(problem, empty, mu_rows[k], parts)
+        residuals[k] = _reduced_membership_residual(problem.algebra, mu_rows[k], out.mu_dot, out.xi, out.xi, parts.dH_du)
     return residuals

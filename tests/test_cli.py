@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import so3_algebra
 from pontrylie import cli, ocp
 from pontrylie.cli import load_problem_file, main
 from pontrylie.pmp import Trajectory
@@ -166,6 +167,19 @@ def test_reconstruct_circle_report(tmp_path, capsys):
     assert out.exists()
 
 
+def test_reconstruct_from_a_full_trajectory(tmp_path, capsys):
+    """A full run carries the same optimal controls, so it reconstructs too; it has no mu for the circle summary."""
+    full = tmp_path / "full.csv"
+    run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.5", "--step", "1e-2",
+            "--out", str(full))
+    out = tmp_path / "chart.csv"
+    code, result, _ = run_cli(capsys, "reconstruct", "--builtin", "heisenberg", "--traj", str(full), "--out", str(out))
+    assert code == 0
+    assert "k" not in result
+    chart, states = Trajectory.from_csv(out).states, Trajectory.from_csv(full).block("x")
+    assert np.max(np.abs(chart - states)) <= 1e-4  # the second-order midpoint scheme at step 1e-2
+
+
 def test_reconstruct_equilibrium_is_constant(tmp_path, capsys):
     red = tmp_path / "eq.csv"
     run_cli(
@@ -233,6 +247,29 @@ def test_check_dirac_reduced_trajectory(tmp_path, capsys):
     )
     assert code == 0
     assert result["mode"] == "reduced"
+
+
+def test_check_dirac_reduced_corruption(tmp_path, capsys):
+    """The reduced scan tests dh/du = 0 too, so a row whose mu disagrees with its u fails."""
+    red = tmp_path / "red.csv"
+    run_cli(
+        capsys,
+        "solve-reduced", "--builtin", "heisenberg", "--theta", "0.5", "--k", "0.7",
+        "--T", "1", "--step", "5e-3", "--out", str(red),
+    )
+    lines = red.read_text().splitlines()
+    mu1 = lines[0].split(",").index("mu1")
+    cells = lines[40].split(",")
+    cells[mu1] = str(float(cells[mu1]) + 0.5)
+    lines[40] = ",".join(cells)
+    corrupted = tmp_path / "corrupt.csv"
+    corrupted.write_text("\n".join(lines) + "\n")
+    code, result, _ = run_cli(
+        capsys, "check-dirac", "--builtin", "heisenberg", "--traj", str(corrupted), "--tol", "1e-6"
+    )
+    assert code == 2
+    assert result["mode"] == "reduced"
+    assert result["max_residual"] > 1e-6
 
 
 def test_check_dirac_self_test(capsys):
@@ -366,6 +403,7 @@ def test_solver_failure_reports_residual_and_time(tmp_path, capsys):
     assert "singular" in result["error"]
     assert result["t"] == 0.0
     assert result["residual"] == 1.0
+    assert result["state"] == [0.0, 1.0]  # (x, p) at the failing node
 
 
 def test_file_problem_solve_pmp(tmp_path, capsys):
@@ -501,27 +539,47 @@ def test_unknown_problem_file_keys_are_rejected(tmp_path, capsys, block, key):
     assert f"unknown key '{key}'" in result["error"]
 
 
-def test_reconstruct_requires_the_heisenberg_algebra(tmp_path, capsys):
-    e12, e13, e23 = (np.zeros((3, 3)) for _ in range(3))
-    e12[0, 1], e13[0, 2], e23[1, 2] = 1.0, 1.0, 1.0
+def test_reconstruct_needs_a_nilpotent_matrix_realization(tmp_path, capsys):
+    """Exponential coordinates for any nilpotent matrix algebra; no basis, or a non-nilpotent one, fails."""
+    e12, e13 = np.zeros((3, 3)), np.zeros((3, 3))
+    e12[0, 1], e13[0, 2] = 1.0, 1.0
     abelian = json.loads(json.dumps(ABELIAN_PLANE_JSON))
     abelian["algebra"]["matrix_basis"] = [e12.tolist(), e13.tolist()]
-    heisenberg_file = json.loads(json.dumps(HEISENBERG_JSON))
-    heisenberg_file["algebra"]["matrix_basis"] = [e12.tolist(), e23.tolist(), e13.tolist()]
+    so3 = so3_algebra()
+    rotations = {
+        "n": 3, "r": 3, "dynamics": ["u1", "u2", "u3"], "lagrangian": "0.5*(u1^2 + u2^2 + u3^2)",
+        "algebra": {
+            "dim": 3,
+            "structure": [[i, j, k, so3.structure_constants[i, j, k]] for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))],
+            "matrix_basis": [m.tolist() for m in so3.matrix_basis],
+        },
+        "reduced": {"s": 0, "lagrangian": "0.5*(u1^2 + u2^2 + u3^2)", "fiber_dynamics": ["u1", "u2", "u3"]},
+    }
     results = {}
-    for name, data, mu0 in (("abelian", abelian, "1,0.5"), ("heis", heisenberg_file, "1,0,1")):
+    for name, data, mu0 in (("abelian", abelian, "1,0.5"), ("readme", HEISENBERG_JSON, "1,0,1"),
+                            ("so3", rotations, "1,0.5,0.2")):
         problem_file = tmp_path / f"{name}.json"
         problem_file.write_text(json.dumps(data))
         red = tmp_path / f"{name}_red.csv"
         code, _, _ = run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--lambda0", mu0,
                              "--T", "0.1", "--step", "1e-2", "--out", str(red))
         assert code == 0
+        chart = tmp_path / f"{name}_chart.csv"
         results[name] = run_cli(capsys, "reconstruct", "--problem", str(problem_file), "--traj", str(red),
-                                "--out", str(tmp_path / f"{name}_chart.csv"))[:2]
-    assert results["heis"][0] == 0
-    code, result = results["abelian"]
+                                "--out", str(chart))[:2] + (Trajectory.from_csv(red), chart)
+    code, result, red, chart = results["abelian"]
+    assert code == 0
+    xi = red.block("u")  # the fiber dynamics is (u1, u2)
+    integral = np.vstack([np.zeros(2), np.cumsum(0.5 * (xi[1:] + xi[:-1]) * np.diff(red.times)[:, None], axis=0)])
+    assert np.max(np.abs(Trajectory.from_csv(chart).block("x") - integral)) <= 1e-12
+    assert "circle_radius" not in result
+    code, result, _, _ = results["readme"]
     assert code == 1
-    assert "needs the Heisenberg algebra" in result["error"]
+    assert "no matrix realization" in result["error"]
+    code, result, _, chart = results["so3"]
+    assert code == 2
+    assert result["status"] == "error"
+    assert not chart.exists()
 
 
 def test_json_output_format(tmp_path, capsys):

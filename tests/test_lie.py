@@ -1,7 +1,9 @@
-"""Bracket, pairing, coadjoint action, and nilpotent exponential."""
+"""Bracket, pairing, coadjoint action, nilpotent exponential and logarithm."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import so3_algebra
 from pontrylie.errors import DimensionMismatchError, InvalidAlgebraError, NonNilpotentError
@@ -12,6 +14,7 @@ from pontrylie.lie import (
     bracket,
     coadjoint,
     exp_nilpotent,
+    log_nilpotent,
     pairing,
 )
 
@@ -169,3 +172,54 @@ def test_algebra_from_dict_roundtrip(heis_algebra):
     assert np.array_equal(alg.structure_constants, heis_algebra.structure_constants)
     g = exp_nilpotent(alg, np.array([1.0, 2.0, 0.0]))
     assert abs(g.matrix[0, 2] - 1.0) <= 1e-15  # c + ab/2 with c=0, a=1, b=2
+
+
+def test_matrix_basis_must_be_independent(heis_algebra):
+    mats = list(heis_algebra.matrix_basis)
+    with pytest.raises(InvalidAlgebraError, match="linearly dependent"):
+        LieAlgebraSpec(dim=2, structure_constants=np.zeros((2, 2, 2)), matrix_basis=(mats[2], 2.0 * mats[2]))
+
+
+def test_log_equals_the_heisenberg_chart_formula_bit_for_bit(heis_algebra):
+    rng = np.random.default_rng(17)
+    a, b, c = rng.normal(size=(3, 10_000)) * 10.0 ** rng.integers(-8, 6, size=(3, 10_000))
+    stack = np.tile(np.eye(3), (10_000, 1, 1))
+    stack[:, 0, 1], stack[:, 1, 2], stack[:, 0, 2] = a, b, c
+    assert np.array_equal(log_nilpotent(heis_algebra, stack), np.stack([a, b, c - 0.5 * a * b], axis=-1))
+
+
+def upper_triangular_4x4():
+    """The 6-dim algebra of strictly upper-triangular 4x4 matrices, basis E_ij for i < j."""
+    mats = []
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        m = np.zeros((4, 4))
+        m[i, j] = 1.0
+        mats.append(m)
+    flat = np.stack(mats).reshape(6, -1)
+    c = np.array([[flat @ (x @ y - y @ x).ravel() for y in mats] for x in mats])
+    return LieAlgebraSpec(dim=6, structure_constants=c, matrix_basis=tuple(mats))
+
+
+UT4 = upper_triangular_4x4()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+def test_exp_log_round_trip_on_upper_triangular_4x4(entries):
+    g = np.eye(4)
+    g[np.triu_indices(4, k=1)] = entries
+    xi = log_nilpotent(UT4, GroupElement(g))
+    assert np.max(np.abs(exp_nilpotent(UT4, xi).matrix - g)) <= 1e-12
+    assert np.max(np.abs(log_nilpotent(UT4, exp_nilpotent(UT4, xi)) - xi)) <= 1e-12
+
+
+def test_log_accepts_stacks_and_rejects_non_unipotent(heis_algebra):
+    xi = np.arange(24, dtype=float).reshape(2, 4, 3) / 7.0
+    stack = np.array([[exp_nilpotent(heis_algebra, row).matrix for row in block] for block in xi])
+    assert np.allclose(log_nilpotent(heis_algebra, stack), xi, atol=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        log_nilpotent(heis_algebra, np.diag([2.0, 1.0, 1.0]))
+    with pytest.raises(DimensionMismatchError):
+        log_nilpotent(heis_algebra, np.eye(4))
+    with pytest.raises(InvalidAlgebraError):
+        log_nilpotent(LieAlgebraSpec(dim=1, structure_constants=np.zeros((1, 1, 1))), np.eye(1))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError
-from pontrylie.heisenberg import chart_to_group
-from pontrylie.lie import GroupElement
+from pontrylie.heisenberg import heisenberg_algebra
+from pontrylie.lie import GroupElement, exp_nilpotent
 from pontrylie.ocp import (
     ControlProblem,
     PontryaginPoint,
@@ -149,7 +149,7 @@ def test_broken_symmetry_detected(heis_problem):
         lagrangian=lambda x, u: x[0],  # translation in x1 shifts the cost
         symmetry=heis_problem.symmetry,
     )
-    g = chart_to_group([0.5, 0.0, 0.0])
+    g = exp_nilpotent(heisenberg_algebra(), [0.5, 0.0, 0.0])
     l_dev, _ = invariance_deviation(broken, g, np.zeros(3), np.zeros(2))
     assert abs(l_dev - 0.5) <= 1e-12  # deviation equals the group displacement
     report = check_invariance(broken, samples=10, seed=3)

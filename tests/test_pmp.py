@@ -214,6 +214,25 @@ def test_feedback_failure_reports_time(heis_problem):
     assert np.isfinite(err.value.residual)
 
 
+def test_stage_failure_reports_the_stage_state():
+    # H = p u - exp(u) - x: the root u* = log(p) moves with p_dot = 1, and one
+    # Newton step from the node's control cannot follow it to the second stage
+    problem = ControlProblem(
+        n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: float(np.exp(u[0]) + x[0]),
+        jacobians=ProblemJacobians(
+            df_dx=lambda x, u: np.zeros((1, 1)), df_du=lambda x, u: np.ones((1, 1)),
+            dL_dx=lambda x, u: np.ones(1), dL_du=lambda x, u: np.exp(u),
+            d2f_du2=lambda x, u: np.zeros((1, 1, 1)), d2L_du2=lambda x, u: np.exp(u)[None],
+        ),
+    )
+    u0 = np.log(2.0)
+    with pytest.raises(ConvergenceError) as err:
+        integrate_pmp(problem, [0.0], [2.0], 0.5, PmpSolverConfig(newton_max_iter=1, rk_step=0.1), u_guess=[u0])
+    assert "while stepping from t=0" in str(err.value)
+    assert err.value.t == 0.0
+    assert np.allclose(err.value.state, [0.05 * u0, 2.05], atol=1e-15)
+
+
 def test_action_along_geodesic(heis_problem):
     config = PmpSolverConfig(rk_step=1e-3)
     traj = integrate_pmp(heis_problem, np.zeros(3), unit_cylinder_costate(0.3, 1.0), 1.0, config)

@@ -5,18 +5,16 @@ import pytest
 
 from pontrylie.errors import DimensionMismatchError
 from pontrylie.heisenberg import (
-    chart_to_group,
     geodesic_chart_closed_form,
     heisenberg_algebra,
     unit_cylinder_costate,
 )
-from pontrylie.lie import GroupElement, exp_nilpotent
+from pontrylie.lie import GroupElement, exp_nilpotent, log_nilpotent
 from pontrylie.pmp import PmpSolverConfig
 from pontrylie.reconstruct import (
     audit_geodesic_forms,
     chart_trajectory,
     claimed_geodesic_forms,
-    heisenberg_chart,
     heisenberg_geodesic_oracle,
     reconstruct_group,
     xi_curve_from_reduced,
@@ -32,7 +30,7 @@ def geodesic_xi(theta, k):
 
 
 def test_zero_velocity_freezes_group(heis_algebra):
-    g0 = chart_to_group([0.4, -0.2, 1.0])
+    g0 = exp_nilpotent(heis_algebra, [0.4, -0.2, 1.0])
     path = reconstruct_group(heis_algebra, g0, lambda t: np.zeros(3), 1.0, 0.05)
     for m in path.matrices:
         assert np.array_equal(m, g0.matrix)
@@ -81,7 +79,7 @@ def test_reconstruction_from_sampled_reduced_trajectory(heis_reduced, heis_algeb
 
 def test_reconstruction_second_order(heis_algebra):
     theta, k = 0.0, 1.0
-    exact = chart_to_group(geodesic_chart_closed_form(theta, k, TWO_PI)).matrix
+    exact = exp_nilpotent(heis_algebra, geodesic_chart_closed_form(theta, k, TWO_PI)).matrix
 
     def endpoint_error(step):
         path = reconstruct_group(
@@ -105,18 +103,18 @@ def test_sampled_curve_shape_validated(heis_algebra):
 
 
 def test_chart_values():
-    assert heisenberg_chart(GroupElement(np.eye(3))) == (0.0, 0.0, 0.0)
     alg = heisenberg_algebra()
+    assert tuple(log_nilpotent(alg, GroupElement(np.eye(3)))) == (0.0, 0.0, 0.0)
     a, b, c = 1.7, -0.4, 0.9
     g = exp_nilpotent(alg, np.array([a, b, c]))
-    # the (0,2) entry is c + ab/2 and the chart subtracts ab/2 again
-    assert np.allclose(heisenberg_chart(g), (a, b, c), atol=1e-15)
-    assert heisenberg_chart(exp_nilpotent(alg, np.array([0.0, 0.0, 1.0]))) == (0.0, 0.0, 1.0)
+    # the (0,2) entry is c + ab/2 and the logarithm subtracts ab/2 again
+    assert np.allclose(log_nilpotent(alg, g), (a, b, c), atol=1e-15)
+    assert tuple(log_nilpotent(alg, exp_nilpotent(alg, np.array([0.0, 0.0, 1.0])))) == (0.0, 0.0, 1.0)
 
 
 def test_chart_rejects_non_unitriangular():
     with pytest.raises(DimensionMismatchError):
-        heisenberg_chart(np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        log_nilpotent(heisenberg_algebra(), np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_oracle_straight_line_family():

@@ -7,11 +7,11 @@ import pytest
 
 from pontrylie.errors import DimensionMismatchError, ReductionUnsupportedError
 from pontrylie.heisenberg import (
-    chart_to_group,
+    heisenberg_algebra,
     lambda_closed_form,
     unit_cylinder_costate,
 )
-from pontrylie.lie import LieAlgebraSpec, coadjoint
+from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent
 from pontrylie.ocp import PontryaginPoint, _newton, _partials
 from pontrylie.pmp import PmpSolverConfig, integrate_pmp
 from pontrylie.reduction import (
@@ -140,9 +140,13 @@ def test_rhs_abelian_is_canonical_hamilton():
 
 
 def test_rhs_coadjoint_sign_switch(heis_reduced):
+    """The opposite ad* convention is the opposite algebra: negated structure constants."""
+    opposite = dataclasses.replace(
+        heis_reduced, algebra=LieAlgebraSpec(3, -heis_reduced.algebra.structure_constants)
+    )
     st = ReducedState(EMPTY, EMPTY, [1.0, 0.0, 2.0], [1.0, 0.0])
-    plus = reduced_pmp_rhs(heis_reduced, st, PmpSolverConfig(coadjoint_sign=1.0))
-    minus = reduced_pmp_rhs(heis_reduced, st, PmpSolverConfig(coadjoint_sign=-1.0))
+    plus = reduced_pmp_rhs(heis_reduced, st)
+    minus = reduced_pmp_rhs(opposite, st)
     assert np.allclose(plus.mu_dot, -minus.mu_dot)
     assert np.allclose(plus.mu_dot, coadjoint(heis_reduced.algebra, plus.xi, st.mu).coeffs)
 
@@ -233,7 +237,7 @@ def test_projection_invariant_under_group_translation(heis_problem):
         x0 = rng.normal(size=3)
         p0 = rng.normal(size=3)
         u0 = rng.normal(size=2)
-        g = chart_to_group(rng.normal(size=3))
+        g = exp_nilpotent(heisenberg_algebra(), rng.normal(size=3))
         x1 = sym.act_on_state(g, x0)
         p1 = sym.act_on_costate(g, x0, p0)
         mu0 = project_full_to_reduced(heis_problem, PontryaginPoint(x0, p0, u0)).mu
@@ -255,7 +259,7 @@ def test_membership_along_reduced_trajectory(heis_reduced):
     config = PmpSolverConfig(rk_step=5e-3)
     st0 = ReducedState(EMPTY, EMPTY, unit_cylinder_costate(0.6, 0.8), np.zeros(2))
     traj = integrate_reduced(heis_reduced, st0, 2.0, config)
-    residuals = reduced_dirac_residuals(heis_reduced, traj, config)
+    residuals = reduced_dirac_residuals(heis_reduced, traj)
     assert np.max(residuals) <= 1e-6
     # and through the boolean interface at a single point
     mu = traj.block("mu")[10]
@@ -293,7 +297,6 @@ def test_reduced_dirac_residuals_requires_pointlike_base():
                 0.0,
                 FD_CONFIG,
             ),
-            FD_CONFIG,
         )
 
 

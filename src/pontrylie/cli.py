@@ -382,11 +382,8 @@ def cmd_compare(args) -> Tuple[int, dict]:
         raise PontrylieError("compare needs a problem with a body frame (builtin heisenberg)")
     full = _read_trajectory(args.full)
     red = _read_trajectory(args.reduced)
-    x = full.block("x")
-    p = full.block("p")
-    mu_red = red.block("mu")
-    if x.shape[1] != loaded.problem.n or mu_red.shape[1] != sym.algebra.dim:
-        raise PontrylieError("trajectories do not match the problem's shapes")
+    x, p = full.blocks(x=loaded.problem.n, p=loaded.problem.n)
+    (mu_red,) = red.blocks(mu=sym.algebra.dim)
     lo = max(full.times[0], red.times[0])
     hi = min(full.times[-1], red.times[-1])
     if lo > hi:
@@ -397,9 +394,7 @@ def cmd_compare(args) -> Tuple[int, dict]:
     if not same_grid:
         print("warning: time grids differ; resampling the reduced trajectory by linear interpolation",
               file=sys.stderr)
-    mu_interp = np.column_stack(
-        [np.interp(times, red.times, mu_red[:, i]) for i in range(mu_red.shape[1])]
-    )
+    mu_interp = np.column_stack([np.interp(times, red.times, column) for column in mu_red.T])
     frame_rows = np.array([np.asarray(sym.body_frame(xk), dtype=float).T @ pk for xk, pk in zip(x[mask], p[mask])])
     deviation = float(np.max(np.abs(frame_rows - mu_interp)))
     print(f"max |projected full - reduced| over {len(times)} rows: {deviation:.3e} (tol {args.tol:g})")

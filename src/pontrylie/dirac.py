@@ -8,6 +8,7 @@ pairing  <<(v, a), (w, b)>> = <b, v> + <a, w>,  i.e. isotropic with dim D = d.
 Everything here is fiberwise linear algebra; bundle-level objects are handled
 by mapping base points to fibers.  Subspace computations use SVD with one
 rank rule: singular values above _RANK_RTOL times the largest one count.
+Graphs of forms also have a closed-form distance, ``graph_residuals``.
 """
 
 from __future__ import annotations
@@ -142,6 +143,25 @@ def membership_residual(structure: LinearDiracStructure, v: ArrayLike, alpha: Ar
     return float(np.linalg.norm(resid) / (1.0 + np.linalg.norm(w)))
 
 
+def graph_residuals(m: np.ndarray, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``membership_residual`` of rows (v, alpha) of length k + r against the graphs of forms m.
+
+    ``m`` is a k-by-k antisymmetric matrix or a stack of them, extended by
+    zero on the last r coordinates.  The nearest graph point (c, M^T c) has
+    c = (I + M M^T)^-1 (v + M alpha) on the first k coordinates and c = v on
+    the last r, which so add just |alpha|: no SVD and no structure per row.
+    """
+    m, v, alpha = (np.asarray(a, dtype=float) for a in (m, v, alpha))
+    k = m.shape[-1]
+    if m.shape[-2] != k or v.shape[-1] != alpha.shape[-1] or v.shape[-1] < k:
+        raise DimensionMismatchError(f"forms {m.shape} do not fit rows {v.shape} and {alpha.shape}")
+    vk, ak = v[..., :k], alpha[..., :k]
+    a = np.eye(k) + m @ np.swapaxes(m, -1, -2)
+    c = np.linalg.solve(a, (vk + np.einsum("...ij,...j->...i", m, ak))[..., None])[..., 0]
+    gap = np.concatenate([vk - c, ak - np.einsum("...ji,...j->...i", m, c), alpha[..., k:]], axis=-1)
+    return np.linalg.norm(gap, axis=-1) / (1.0 + np.linalg.norm(np.concatenate([v, alpha], axis=-1), axis=-1))
+
+
 def contains(structure: LinearDiracStructure, v: ArrayLike, alpha: ArrayLike, tol: float = 1e-10) -> bool:
     """True iff (v, alpha) lies in the subspace up to the normalized tolerance."""
     return membership_residual(structure, v, alpha) <= tol
@@ -228,22 +248,31 @@ def subspaces_equal(a: LinearDiracStructure, b: LinearDiracStructure, rtol: floa
 
 def canonical_two_form(n: int) -> TwoForm:
     """The canonical symplectic form dx^i wedge dp_i on R^{2n} = (x, p)."""
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = np.eye(n)
-    m[n:, :n] = -np.eye(n)
-    return TwoForm(m)
+    return pontryagin_two_form(n, 0)
+
+
+def _pontryagin_matrix(b: np.ndarray, r: int = 0) -> np.ndarray:
+    """[[B, I, 0], [-I, 0, 0], [0, 0, 0]] for B of shape (..., d, d), with an r-dimensional last block."""
+    d = b.shape[-1]
+    m = np.zeros(b.shape[:-2] + (2 * d + r, 2 * d + r))
+    m[..., :d, :d] = b
+    m[..., :d, d : 2 * d] = np.eye(d)
+    m[..., d : 2 * d, :d] = -np.eye(d)
+    return m
+
+
+def _lie_poisson_matrix(alg: LieAlgebraSpec, mu: np.ndarray, r: int = 0) -> np.ndarray:
+    """The reduced fiber's form at mu, or at each row of a stack of mu: B(mu)_ij = sum_k c_ijk mu_k."""
+    return _pontryagin_matrix(np.einsum("ijk,...k->...ij", alg.structure_constants, mu), r)
 
 
 def pontryagin_two_form(n: int, r: int) -> TwoForm:
     """The presymplectic form on a (x, p, u) fiber: dx^i wedge dp_i, degenerate on u.
 
-    Its graph is the local Dirac structure with v_x = p_p, v_p = -p_x, p_u = 0.
+    Its graph is the local Dirac structure with v_x = p_p, v_p = -p_x, p_u = 0:
+    ``reduced_dirac_fiber``'s form for the abelian algebra R^n (B = 0).
     """
-    d = 2 * n + r
-    m = np.zeros((d, d))
-    m[:n, n : 2 * n] = np.eye(n)
-    m[n : 2 * n, :n] = -np.eye(n)
-    return TwoForm(m)
+    return TwoForm(_pontryagin_matrix(np.zeros((n, n)), r))
 
 
 def pontryagin_projection(n: int, r: int) -> np.ndarray:
@@ -266,11 +295,4 @@ def reduced_dirac_fiber(alg: LieAlgebraSpec, lam, r: int = 0) -> LinearDiracStru
     Lie-Poisson equations xi = dh_dmu, mu_dot = ad*_xi(lam), together with
     the stationarity dh_du = 0.
     """
-    lam = _coeffs(lam, alg.dim)
-    d = alg.dim
-    b = np.einsum("ijk,k->ij", alg.structure_constants, lam)
-    m = np.zeros((2 * d + r, 2 * d + r))
-    m[:d, :d] = b
-    m[:d, d : 2 * d] = np.eye(d)
-    m[d : 2 * d, :d] = -np.eye(d)
-    return graph_of_two_form(TwoForm(m))
+    return graph_of_two_form(TwoForm(_lie_poisson_matrix(alg, _coeffs(lam, alg.dim), r)))

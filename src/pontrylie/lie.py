@@ -96,13 +96,6 @@ class LieAlgebraSpec:
             raise InvalidAlgebraError("algebra has no matrix realization")
         return self.matrix_basis[0].shape[0]
 
-    def realize(self, coeffs: Coeffs) -> np.ndarray:
-        """Matrix realization sum_i coeffs_i * matrix_basis[i]."""
-        v = _coeffs(coeffs, self.dim)
-        if self.matrix_basis is None:
-            raise InvalidAlgebraError("algebra has no matrix realization")
-        return np.tensordot(v, np.stack(self.matrix_basis), axes=1)
-
 
 @dataclass(frozen=True)
 class AlgebraElement:
@@ -200,22 +193,26 @@ def exp_nilpotent(alg: LieAlgebraSpec, xi: Coeffs) -> GroupElement:
     vanish (Frobenius norm above 1e-12) the algebra element is rejected as
     non-nilpotent.  General matrix exponentials are out of scope.
     """
-    x = alg.realize(xi)
-    size = x.shape[0]
-    result = np.eye(size)
-    term = np.eye(size)
+    return GroupElement(_exp_series(alg, _coeffs(xi, alg.dim)))
+
+
+def _exp_series(alg: LieAlgebraSpec, xi: np.ndarray) -> np.ndarray:
+    """``exp_nilpotent`` of coefficient rows (..., dim) as matrices (..., m, m), each tail checked."""
+    size = alg.matrix_size
+    x = np.tensordot(xi, np.stack(alg.matrix_basis), axes=1)
+    term = result = np.broadcast_to(np.eye(size), x.shape)
     for k in range(1, alg.dim + 2):
         term = term @ x / k
         result = result + term
         if not np.any(term):
-            return GroupElement(result)
-    tail = term @ x / (alg.dim + 2)
-    if np.linalg.norm(tail) > 1e-12:
+            return result
+    tail = np.linalg.norm(term @ x / (alg.dim + 2), axis=(-2, -1))
+    if np.any(tail > 1e-12):
         raise NonNilpotentError(
             f"exponential series did not terminate after {alg.dim + 1} terms "
-            f"(next term has norm {np.linalg.norm(tail):.3e})"
+            f"(next term has norm {np.max(tail):.3e})"
         )
-    return GroupElement(result)
+    return result
 
 
 def log_nilpotent(alg: LieAlgebraSpec, g: Union[GroupElement, np.ndarray]) -> np.ndarray:

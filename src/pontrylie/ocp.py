@@ -214,6 +214,14 @@ def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
     return parts
 
 
+def _row_partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
+    """``_partials`` at every row of the stacked (q, lam, u), each field stacked row by row."""
+    rows = [_partials(ham, *row) for row in zip(q, lam, u)]
+    if not rows:  # no rows: empty blocks of the right widths
+        return HamiltonianPartials(q, lam, u, np.zeros((0, u.shape[1], u.shape[1])))
+    return HamiltonianPartials(*(np.array(field) for field in zip(*rows)))
+
+
 def _is_regular(w: np.ndarray) -> bool:
     return float(np.linalg.svd(w, compute_uv=False)[-1]) > RANK_TOL
 

@@ -25,7 +25,7 @@ from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, hamiltonian_partials
-from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials
+from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials, _row_partials
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,18 @@ class Trajectory:
     def block(self, prefix: str) -> np.ndarray:
         """State columns named '<prefix>1', '<prefix>2', ... in index order."""
         pattern = re.compile(rf"^{re.escape(prefix)}(\d+)$")
-        found = sorted(
-            ((int(m.group(1)), i) for i, c in enumerate(self.columns) if (m := pattern.match(c))),
-        )
-        if not found:
-            return np.zeros((len(self), 0))
+        found = sorted((int(m.group(1)), i) for i, c in enumerate(self.columns) if (m := pattern.match(c)))
         return self.states[:, [i for _, i in found]]
+
+    def blocks(self, **sizes: int) -> Tuple[np.ndarray, ...]:
+        """``block(prefix)`` for every ``prefix=width`` in order, each checked to be <prefix>1..<prefix><width>."""
+        found = tuple(self.block(prefix) for prefix in sizes)
+        for (prefix, width), block in zip(sizes.items(), found):
+            if block.shape[1] != width or any(f"{prefix}{i + 1}" not in self.columns for i in range(width)):
+                raise TrajectoryFormatError(
+                    f"trajectory has {block.shape[1]} '{prefix}' columns, the problem needs {width}, numbered from 1"
+                )
+        return found
 
     def channel(self, name: str) -> np.ndarray:
         if name not in self.channels:
@@ -334,11 +340,7 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
     """
     if len(trajectory) < 2:
         raise TrajectoryFormatError("action needs at least two samples")
-    x = trajectory.block("x")
-    p = trajectory.block("p")
-    u = trajectory.block("u")
-    if x.shape[1] != problem.n or p.shape[1] != problem.n or u.shape[1] != problem.r:
-        raise TrajectoryFormatError("trajectory does not carry (x, p, u) blocks of the problem's shape")
+    x, p, u = trajectory.blocks(x=problem.n, p=problem.n, u=problem.r)
     xdot = np.gradient(x, trajectory.times, axis=0, edge_order=2)
     integrand = np.empty(len(trajectory))
     for k in range(len(trajectory)):
@@ -350,23 +352,15 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
 def dirac_membership_residuals(problem: ControlProblem, trajectory: Trajectory) -> np.ndarray:
     """Per-row normalized residual of ((x_dot, p_dot, 0), dH) against the presymplectic Dirac fiber.
 
-    The velocity is the DAE right-hand side evaluated at the stored point, so
-    for trajectories produced by ``integrate_pmp`` the residual is bounded by
-    the feedback Newton tolerance; the test exercises the whole chain from
-    Hamiltonian partials through the fiber's subspace geometry.
+    The fiber is the graph of the reduced fiber's form [[B, I, 0], [-I, 0, 0],
+    [0, 0, 0]] with B = 0, all rows scored at once by ``dirac.graph_residuals``.
+    The velocity is the DAE right-hand side at the stored point, so for an
+    ``integrate_pmp`` trajectory the residual is bounded by the Newton
+    tolerance, and a corrupted row shows through dH/du.
     """
-    n, r = problem.n, problem.r
-    fiber = dirac.graph_of_two_form(dirac.pontryagin_two_form(n, r))
-    x = trajectory.block("x")
-    p = trajectory.block("p")
-    u = trajectory.block("u")
-    if x.shape[1] != n or p.shape[1] != n or u.shape[1] != r:
-        raise TrajectoryFormatError("trajectory does not carry (x, p, u) blocks of the problem's shape")
-    ham = _full_view(problem)
-    residuals = np.empty(len(trajectory))
-    for k in range(len(trajectory)):
-        parts = _partials(ham, x[k], p[k], u[k])
-        velocity = np.concatenate([parts.dH_dp, -parts.dH_dx, np.zeros(r)])
-        covector = np.concatenate([parts.dH_dx, parts.dH_dp, parts.dH_du])
-        residuals[k] = dirac.membership_residual(fiber, velocity, covector)
-    return residuals
+    n = problem.n
+    x, p, u = trajectory.blocks(x=n, p=n, u=problem.r)
+    parts = _row_partials(_full_view(problem), x, p, u)
+    velocity = np.hstack([parts.dH_dp, -parts.dH_dx, np.zeros_like(u)])
+    covector = np.hstack([parts.dH_dx, parts.dH_dp, parts.dH_du])
+    return dirac.graph_residuals(dirac._pontryagin_matrix(np.zeros((n, n))), velocity, covector)

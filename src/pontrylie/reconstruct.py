@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .heisenberg import lambda_closed_form
-from .lie import GroupElement, LieAlgebraSpec, exp_nilpotent, log_nilpotent
+from .lie import GroupElement, LieAlgebraSpec, _coeffs, _exp_series, log_nilpotent
 from .pmp import Trajectory, time_grid
 from .reduction import ReducedProblem
 
@@ -43,11 +43,12 @@ class GroupPath(NamedTuple):
 def _as_xi_function(xi: XiCurve, dim: int) -> Callable:
     """Accept either a callable t -> coefficients or a sampled (times, values) curve.
 
-    Sampled curves are interpolated linearly, which is consistent with the
+    The result maps an array of times to rows of coefficients.  Sampled
+    curves are interpolated linearly, which is consistent with the
     second-order integrator.
     """
     if callable(xi):
-        return lambda t: np.atleast_1d(np.asarray(xi(t), dtype=float))
+        return lambda times: np.array([_coeffs(xi(t), dim) for t in times]).reshape(len(times), dim)
     ts, values = xi
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -55,11 +56,7 @@ def _as_xi_function(xi: XiCurve, dim: int) -> Callable:
         raise DimensionMismatchError(
             f"sampled curve has shape {values.shape}, expected ({ts.shape[0]}, {dim})"
         )
-
-    def interpolated(t):
-        return np.array([np.interp(t, ts, values[:, i]) for i in range(dim)])
-
-    return interpolated
+    return lambda t: np.column_stack([np.interp(t, ts, values[:, i]) for i in range(dim)])
 
 
 def reconstruct_group(
@@ -69,15 +66,15 @@ def reconstruct_group(
     duration: float,
     step: float,
 ) -> GroupPath:
-    """Integrate g_dot = g * xi(t) from g0 by exponential midpoint updates."""
-    xi_fn = _as_xi_function(xi, alg.dim)
+    """Integrate g_dot = g * xi(t) from g0 by exponential midpoint updates (one stacked exponential)."""
     times = time_grid(duration, step)
+    h = np.diff(times)
+    mids = _as_xi_function(xi, alg.dim)(times[:-1] + 0.5 * h)
+    updates = _exp_series(alg, h[:, None] * mids)
     mats = np.empty((len(times),) + g0.matrix.shape)
     mats[0] = g0.matrix
     for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        mid = xi_fn(times[k] + 0.5 * h)
-        mats[k + 1] = mats[k] @ exp_nilpotent(alg, h * mid).matrix
+        mats[k + 1] = mats[k] @ updates[k]
     return GroupPath(times=times, matrices=mats, algebra=alg)
 
 
@@ -187,12 +184,6 @@ def audit_geodesic_forms(
 
 def xi_curve_from_reduced(problem: ReducedProblem, trajectory: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
     """Sampled algebra curve xi(t) = fiber_dynamics(z, u) along a reduced trajectory."""
-    z_rows = trajectory.block("z")
-    u_rows = trajectory.block("u")
-    values = np.array(
-        [
-            np.asarray(problem.fiber_dynamics(z_rows[i], u_rows[i]), dtype=float)
-            for i in range(len(trajectory))
-        ]
-    )
-    return trajectory.times, values
+    z_rows, u_rows = trajectory.blocks(z=problem.base_dim, u=problem.control_dim)
+    values = [np.asarray(problem.fiber_dynamics(z, u), dtype=float) for z, u in zip(z_rows, u_rows)]
+    return trajectory.times, np.array(values)

@@ -28,10 +28,10 @@ from typing import Callable, Dict, NamedTuple, Optional
 import numpy as np
 
 from . import dirac
-from .errors import DimensionMismatchError, ReductionUnsupportedError, TrajectoryFormatError
-from .lie import LieAlgebraSpec, coadjoint
+from .errors import DimensionMismatchError, ReductionUnsupportedError
+from .lie import LieAlgebraSpec, _coeffs, coadjoint
 from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
-from .ocp import _hamiltonian_value, _newton, _partials
+from .ocp import _hamiltonian_value, _newton, _partials, _row_partials
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae
 
 
@@ -260,37 +260,27 @@ def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> 
     return ReducedState(z=np.zeros(0), p_z=np.zeros(0), mu=mu, u=point.u)
 
 
-def _reduced_membership_residual(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, dh_du) -> float:
-    """Normalized residual of ((xi, mu_dot, 0), (0, dh_dmu, dh_du)) against the reduced Dirac fiber at mu."""
-    dh_du = np.asarray(dh_du, dtype=float)
-    velocity = np.concatenate([np.asarray(xi, dtype=float), np.asarray(mu_dot, dtype=float), np.zeros(dh_du.size)])
-    covector = np.concatenate([np.zeros(alg.dim), np.asarray(dh_dmu, dtype=float), dh_du])
-    return dirac.membership_residual(dirac.reduced_dirac_fiber(alg, mu, dh_du.size), velocity, covector)
-
-
 def membership_check_reduced(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, tol: float = 1e-6) -> bool:
     """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu (no control block)."""
-    return _reduced_membership_residual(alg, mu, mu_dot, xi, dh_dmu, ()) <= tol
+    mu, mu_dot, xi, dh_dmu = (_coeffs(v, alg.dim) for v in (mu, mu_dot, xi, dh_dmu))
+    velocity, covector = np.concatenate([xi, mu_dot]), np.concatenate([np.zeros(alg.dim), dh_dmu])
+    return float(dirac.graph_residuals(dirac._lie_poisson_matrix(alg, mu), velocity, covector)) <= tol
 
 
 def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> np.ndarray:
     """Per-row normalized membership residual against the reduced Dirac fiber on g (+) g* (+) U.
 
     Only the zero-dimensional-base (pure Lie-Poisson) case carries the fiber
-    structure; the velocity is the reduced right-hand side at the stored row,
-    and the control block tests dh/du = 0 there.
+    structure.  Each row tests ((xi, mu_dot, 0), (0, dh/dmu, dh/du)), with
+    xi = dh/dmu and mu_dot = ad*_xi(mu) at the stored (mu, u), against the
+    form with B(mu)_ij = sum_k c_ijk mu_k; ``dirac.graph_residuals`` scores all rows at once.
     """
     if problem.base_dim != 0:
         raise ReductionUnsupportedError("reduced Dirac fibers are defined for a zero-dimensional base")
-    mu_rows = trajectory.block("mu")
-    u_rows = trajectory.block("u")
-    if mu_rows.shape[1] != problem.algebra.dim or u_rows.shape[1] != problem.control_dim:
-        raise TrajectoryFormatError("trajectory does not carry (mu, u) blocks of the problem's shape")
-    ham = _reduced_view(problem)
-    residuals = np.empty(len(trajectory))
-    empty = np.zeros(0)
-    for k in range(len(trajectory)):
-        parts = _partials(ham, empty, mu_rows[k], u_rows[k])
-        out = _rhs_from_parts(problem, empty, mu_rows[k], parts)
-        residuals[k] = _reduced_membership_residual(problem.algebra, mu_rows[k], out.mu_dot, out.xi, out.xi, parts.dH_du)
-    return residuals
+    mu, u = trajectory.blocks(mu=problem.algebra.dim, u=problem.control_dim)
+    parts = _row_partials(_reduced_view(problem), np.zeros((len(mu), 0)), mu, u)
+    xi = parts.dH_dp
+    mu_dot = np.einsum("ni,ikj,nj->nk", xi, problem.algebra.structure_constants, mu)  # ad*_xi(mu) per row
+    velocity = np.hstack([xi, mu_dot, np.zeros_like(u)])
+    covector = np.hstack([np.zeros_like(xi), xi, parts.dH_du])
+    return dirac.graph_residuals(dirac._lie_poisson_matrix(problem.algebra, mu), velocity, covector)

@@ -180,6 +180,20 @@ def test_reconstruct_from_a_full_trajectory(tmp_path, capsys):
     assert np.max(np.abs(chart - states)) <= 1e-4  # the second-order midpoint scheme at step 1e-2
 
 
+def test_reconstruct_of_its_own_chart_output_names_the_missing_block(tmp_path, capsys):
+    """A chart CSV has x columns only: reconstruct must refuse it as input, not crash."""
+    red, chart = tmp_path / "red.csv", tmp_path / "chart.csv"
+    run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--theta", "0", "--k", "1", "--T", "0.5",
+            "--step", "1e-2", "--out", str(red))
+    run_cli(capsys, "reconstruct", "--builtin", "heisenberg", "--traj", str(red), "--out", str(chart))
+    code, result, _ = run_cli(capsys, "reconstruct", "--builtin", "heisenberg", "--traj", str(chart),
+                              "--out", str(tmp_path / "again.csv"))
+    assert code == 1
+    assert result["status"] == "error"
+    assert "'u' columns, the problem needs 2" in result["error"]
+    assert not (tmp_path / "again.csv").exists()
+
+
 def test_reconstruct_equilibrium_is_constant(tmp_path, capsys):
     red = tmp_path / "eq.csv"
     run_cli(
@@ -324,6 +338,15 @@ def test_compare_resamples_mismatched_grids(tmp_path, capsys):
     assert code == 0
     assert result["resampled"]
     assert "resampling" in captured.err
+
+
+def test_compare_names_the_missing_block(tmp_path, capsys):
+    red = tmp_path / "red.csv"
+    run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1", "--T", "0.2",
+            "--step", "1e-2", "--out", str(red))
+    code, result, _ = run_cli(capsys, "compare", "--builtin", "heisenberg", "--full", str(red), "--reduced", str(red))
+    assert code == 1
+    assert "0 'x' columns, the problem needs 3" in result["error"]
 
 
 def test_compare_disjoint_ranges(tmp_path, capsys):

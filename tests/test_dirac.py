@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pontrylie import dirac
 from pontrylie.dirac import (
@@ -261,3 +263,42 @@ def test_reduced_fiber_random_momenta_are_dirac(heis_algebra):
     rng = np.random.default_rng(37)
     for _ in range(100):
         assert is_dirac(reduced_dirac_fiber(heis_algebra, rng.normal(size=3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_closed_form_equals_the_svd_membership_residual(d, r, seed, inside):
+    """graph_residuals against the SVD path on the graph of the form extended by zero on r controls."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(scale=rng.uniform(0.1, 3.0), size=(d, d))
+    m = raw - raw.T
+    full = np.zeros((d + r, d + r))
+    full[:d, :d] = m
+    rows = rng.normal(size=(5, 2 * (d + r)))
+    if inside:  # rows (c, M^T c) of the graph, some with a control covector added
+        rows[:, d + r :] = rows[:, : d + r] @ full
+        rows[::2, 2 * d + r :] += rng.normal(size=(3, r))
+    v, alpha = rows[:, : d + r], rows[:, d + r :]
+    graph = graph_of_two_form(TwoForm(full))
+    expected = np.array([membership_residual(graph, a, b) for a, b in zip(v, alpha)])
+    assert np.max(np.abs(dirac.graph_residuals(m, v, alpha) - expected)) <= 1e-13
+    one = dirac.graph_residuals(m, v[0], alpha[0])
+    assert one.shape == () and abs(float(one) - expected[0]) <= 1e-13
+
+
+def test_graph_residuals_take_a_stack_of_forms():
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(4, 3, 3))
+    forms = raw - np.swapaxes(raw, 1, 2)
+    v, alpha = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    stacked = dirac.graph_residuals(forms, v, alpha)
+    one_by_one = [float(dirac.graph_residuals(m, a, b)) for m, a, b in zip(forms, v, alpha)]
+    assert np.max(np.abs(stacked - one_by_one)) <= 1e-15
+    with pytest.raises(DimensionMismatchError):
+        dirac.graph_residuals(forms, v[:, :2], alpha[:, :2])
+
+
+def test_pontryagin_form_is_the_reduced_fiber_of_the_abelian_algebra():
+    abelian = LieAlgebraSpec(3, np.zeros((3, 3, 3)))
+    fiber = reduced_dirac_fiber(abelian, np.array([0.3, -1.0, 2.0]), 2)
+    assert np.array_equal(fiber.basis, graph_of_two_form(pontryagin_two_form(3, 2)).basis)

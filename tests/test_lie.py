@@ -10,6 +10,7 @@ from pontrylie.errors import DimensionMismatchError, InvalidAlgebraError, NonNil
 from pontrylie.lie import (
     GroupElement,
     LieAlgebraSpec,
+    _exp_series,
     algebra_from_dict,
     bracket,
     coadjoint,
@@ -223,3 +224,13 @@ def test_log_accepts_stacks_and_rejects_non_unipotent(heis_algebra):
         log_nilpotent(heis_algebra, np.eye(4))
     with pytest.raises(InvalidAlgebraError):
         log_nilpotent(LieAlgebraSpec(dim=1, structure_constants=np.zeros((1, 1, 1))), np.eye(1))
+
+
+def test_stacked_exponential_equals_one_element_at_a_time():
+    rng = np.random.default_rng(17)
+    xi = rng.normal(scale=2.0, size=(4, 5, 6))
+    stacked = _exp_series(UT4, xi)
+    assert stacked.shape == (4, 5, 4, 4)
+    assert np.array_equal(stacked, [[exp_nilpotent(UT4, row).matrix for row in block] for block in xi])
+    with pytest.raises(NonNilpotentError):
+        _exp_series(so3_algebra(), np.vstack([np.zeros((3, 3)), [[0.0, 0.0, 1.0]]]))

@@ -357,3 +357,17 @@ def test_trajectory_csv_rows_must_match_the_header(tmp_path, body, line):
         Trajectory.from_csv(path)
     assert str(path) in str(err.value)
     assert f"line {line} has 2 cells, the header 3" in str(err.value)
+
+
+def test_trajectory_blocks_name_a_missing_or_mis_sized_block():
+    traj = Trajectory(times=[0.0, 1.0], columns=("x1", "x2", "u1"), states=np.arange(6.0).reshape(2, 3))
+    x, u, p = traj.blocks(x=2, u=1, p=0)
+    assert np.array_equal(x, traj.states[:, :2]) and np.array_equal(u, traj.states[:, 2:])
+    assert p.shape == (2, 0)
+    with pytest.raises(TrajectoryFormatError, match="'u' columns, the problem needs 2"):
+        traj.blocks(x=2, u=2)
+    with pytest.raises(TrajectoryFormatError, match="0 'mu' columns"):
+        traj.blocks(mu=3)
+    gap = Trajectory(times=[0.0], columns=("u1", "u3"), states=[[1.0, 2.0]])
+    with pytest.raises(TrajectoryFormatError, match="2 'u' columns, the problem needs 2, numbered from 1"):
+        gap.blocks(u=2)

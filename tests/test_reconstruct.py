@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pontrylie.errors import DimensionMismatchError
+from pontrylie.errors import DimensionMismatchError, NonNilpotentError
 from pontrylie.heisenberg import (
     geodesic_chart_closed_form,
     heisenberg_algebra,
@@ -170,3 +170,28 @@ def test_audit_rejects_k_zero():
         claimed_geodesic_forms(0.0, 0.0)
     with pytest.raises(DimensionMismatchError):
         audit_geodesic_forms(0.0, 0.0, 1.0, 0.01)
+
+
+def test_stacked_midpoint_exponentials_equal_the_step_by_step_product(heis_algebra):
+    """One stacked series for all midpoints gives the matrices of one exp_nilpotent per step, bit for bit."""
+    rng = np.random.default_rng(3)
+    times, values = np.linspace(0.0, 2.0, 81), rng.normal(size=(81, 3))
+    g0 = exp_nilpotent(heis_algebra, [0.4, -0.2, 1.0])
+    path = reconstruct_group(heis_algebra, g0, (times, values), 2.0, 7e-3)
+    expected = [g0.matrix]
+    for t, h in zip(path.times[:-1], np.diff(path.times)):
+        mid = np.array([np.interp(t + 0.5 * h, times, values[:, i]) for i in range(3)])
+        expected.append(expected[-1] @ exp_nilpotent(heis_algebra, h * mid).matrix)
+    assert np.array_equal(path.matrices, np.array(expected))
+
+
+def test_every_midpoint_exponential_is_checked_for_nilpotency():
+    from conftest import so3_algebra
+
+    times = np.linspace(0.0, 1.0, 11)
+    values = np.zeros((11, 3))
+    values[-1] = [0.4, 0.2, 1.0]  # only the last midpoint leaves the zero element
+    with pytest.raises(NonNilpotentError):
+        reconstruct_group(so3_algebra(), GroupElement(np.eye(3)), (times, values), 1.0, 0.1)
+    with pytest.raises(DimensionMismatchError):
+        reconstruct_group(heisenberg_algebra(), GroupElement(np.eye(3)), lambda t: [t, 0.0], 1.0, 0.1)

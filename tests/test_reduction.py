@@ -13,7 +13,7 @@ from pontrylie.heisenberg import (
 )
 from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent
 from pontrylie.ocp import PontryaginPoint, _newton, _partials
-from pontrylie.pmp import PmpSolverConfig, integrate_pmp
+from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp
 from pontrylie.reduction import (
     ReducedProblem,
     ReducedState,
@@ -303,3 +303,27 @@ def test_reduced_dirac_residuals_requires_pointlike_base():
 def test_reduced_state_validation(heis_reduced):
     with pytest.raises(DimensionMismatchError):
         ReducedState(EMPTY, EMPTY, [1.0, 0.0], [0.0, 0.0]).conform(heis_reduced)
+
+
+def test_dirac_scans_run_no_svd_per_row(heis_problem, heis_reduced, monkeypatch):
+    """Both scans score all rows in closed form: no structure, so no SVD, per row."""
+    config = PmpSolverConfig(rk_step=1e-2)
+    mu0 = unit_cylinder_costate(0.3, 1.0)
+    full = integrate_pmp(heis_problem, np.zeros(3), mu0, 0.5, config)
+    reduced = integrate_reduced(heis_reduced, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), 0.5, config)
+    assert len(full) == len(reduced) == 51
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    assert np.max(dirac_membership_residuals(heis_problem, full)) <= 1e-10
+    assert np.max(reduced_dirac_residuals(heis_reduced, reduced)) <= 1e-10
+    assert len(calls) == 0
+
+
+def test_dirac_scans_of_an_empty_trajectory_are_empty(heis_problem, heis_reduced):
+    for scan, problem, columns in (
+        (dirac_membership_residuals, heis_problem, ("x1", "x2", "x3", "p1", "p2", "p3", "u1", "u2")),
+        (reduced_dirac_residuals, heis_reduced, ("mu1", "mu2", "mu3", "u1", "u2")),
+    ):
+        empty = Trajectory(times=np.zeros(0), columns=columns, states=np.zeros((0, len(columns))))
+        assert scan(problem, empty).shape == (0,)

@@ -28,6 +28,7 @@ from .lie import (
     bracket,
     coadjoint,
     exp_nilpotent,
+    left_invariant_frame,
     log_nilpotent,
     pairing,
 )
@@ -53,6 +54,7 @@ from .ocp import (
     SymmetryHandle,
     check_invariance,
     hamiltonian_partials,
+    left_translations,
     pontryagin_hamiltonian,
     validate_jacobians,
 )

@@ -7,30 +7,20 @@ from typing import Callable
 import numpy as np
 
 
-def fd_gradient(fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of a scalar function, step scaled by 1 + |coordinate|."""
-    grad = np.empty(v.shape[0])
-    for i in range(v.shape[0]):
-        h = step * (1.0 + abs(v[i]))
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        grad[i] = (fun(vp) - fun(vm)) / (2.0 * h)
-    return grad
-
-
 def fd_jacobian(fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of a vector function; rows index outputs."""
-    cols = []
-    for i in range(v.shape[0]):
-        h = step * (1.0 + abs(v[i]))
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        cols.append((np.asarray(fun(vp), dtype=float) - np.asarray(fun(vm), dtype=float)) / (2.0 * h))
-    if not cols:
+    """Central differences of a vector function, step scaled by 1 + |coordinate|; rows index outputs."""
+    if not v.shape[0]:
         return np.zeros((np.asarray(fun(v)).shape[0], 0))
-    return np.column_stack(cols)
+    hs = step * (1.0 + np.abs(v))
+    return np.column_stack([
+        (np.asarray(fun(v + e), dtype=float) - np.asarray(fun(v - e), dtype=float)) / (2.0 * h)
+        for h, e in zip(hs, np.diag(hs))
+    ])
+
+
+def fd_gradient(fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of a scalar function (``fd_jacobian`` of its one output)."""
+    return fd_jacobian(lambda w: [fun(w)], v, step)[0]
 
 
 def fd_hessian_from_gradient(grad_fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
@@ -47,23 +37,12 @@ def fd_hessian_direct(fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
     """
     m = v.shape[0]
     w = np.empty((m, m))
-    step2 = np.sqrt(step)
-    hs = step2 * (1.0 + np.abs(v))
+    hs = np.sqrt(step) * (1.0 + np.abs(v))
+    e = np.diag(hs)  # e[a] shifts coordinate a by hs[a]
     f0 = fun(v)
     for a in range(m):
-        vp, vm = v.copy(), v.copy()
-        vp[a] += hs[a]
-        vm[a] -= hs[a]
-        w[a, a] = (fun(vp) - 2.0 * f0 + fun(vm)) / hs[a] ** 2
+        w[a, a] = (fun(v + e[a]) - 2.0 * f0 + fun(v - e[a])) / hs[a] ** 2
         for b in range(a + 1, m):
-            vpp, vpm, vmp, vmm = v.copy(), v.copy(), v.copy(), v.copy()
-            vpp[a] += hs[a]
-            vpp[b] += hs[b]
-            vpm[a] += hs[a]
-            vpm[b] -= hs[b]
-            vmp[a] -= hs[a]
-            vmp[b] += hs[b]
-            vmm[a] -= hs[a]
-            vmm[b] -= hs[b]
-            w[a, b] = w[b, a] = (fun(vpp) - fun(vpm) - fun(vmp) + fun(vmm)) / (4.0 * hs[a] * hs[b])
+            cross = fun(v + e[a] + e[b]) - fun(v + e[a] - e[b]) - fun(v - e[a] + e[b]) + fun(v - e[a] - e[b])
+            w[a, b] = w[b, a] = cross / (4.0 * hs[a] * hs[b])
     return w

@@ -186,9 +186,12 @@ def _load(args) -> LoadedProblem:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        values = np.array([float(v) for v in text.split(",") if v != ""])
     except ValueError as exc:
         raise PontrylieError(f"cannot parse vector '{text}': {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise PontrylieError(f"vector '{text}' has a non-finite entry")
+    return values
 
 
 def _write(trajectory: Trajectory, out: str, fmt: str) -> str:
@@ -395,7 +398,8 @@ def cmd_compare(args) -> Tuple[int, dict]:
         print("warning: time grids differ; resampling the reduced trajectory by linear interpolation",
               file=sys.stderr)
     mu_interp = np.column_stack([np.interp(times, red.times, column) for column in mu_red.T])
-    frame_rows = np.array([np.asarray(sym.body_frame(xk), dtype=float).T @ pk for xk, pk in zip(x[mask], p[mask])])
+    frames = np.asarray(sym.body_frame(x[mask]), dtype=float)
+    frame_rows = (np.swapaxes(frames, -1, -2) @ p[mask][..., None])[..., 0]
     deviation = float(np.max(np.abs(frame_rows - mu_interp)))
     print(f"max |projected full - reduced| over {len(times)} rows: {deviation:.3e} (tol {args.tol:g})")
     ok = deviation <= args.tol

@@ -18,6 +18,11 @@ gives the control system
     x_dot = u1,  y_dot = u2,  z_dot = (x*u2 - y*u1)/2,
 
 and the geodesic problem minimizes the energy integral of (u1^2 + u2^2)/2.
+The left-invariant frame has columns (1, 0, -y/2), (0, 1, x/2), (0, 0, 1);
+the right-invariant one, which generates left multiplication, flips the signs
+of -y/2 and x/2.  These formulas are documentation: ``ocp.left_translations``
+derives the problem's symmetry handle from the exponential map.
+
 Left multiplication is a symmetry; the body momentum (costate pulled back to
 the identity by left translation) obeys the closed-form flow
 
@@ -32,8 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie import GroupElement, LieAlgebraSpec, log_nilpotent
-from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle
+from .lie import LieAlgebraSpec
+from .ocp import ControlProblem, ProblemJacobians, left_translations
 from .reduction import ReducedJacobians, ReducedProblem
 
 
@@ -56,56 +61,12 @@ def heisenberg_algebra() -> LieAlgebraSpec:
     )
 
 
-def chart_product(q1, q2) -> np.ndarray:
-    """The group law expressed in chart coordinates."""
-    x1, y1, z1 = np.asarray(q1, dtype=float)
-    x2, y2, z2 = np.asarray(q2, dtype=float)
-    return np.array([x1 + x2, y1 + y2, z1 + z2 + 0.5 * (x1 * y2 - y1 * x2)])
-
-
 def _dynamics(x, u):
     return np.array([u[0], u[1], 0.5 * (x[0] * u[1] - x[1] * u[0])])
 
 
 def _lagrangian(x, u):
     return 0.5 * float(u[0] ** 2 + u[1] ** 2)
-
-
-def _symmetry_handle() -> SymmetryHandle:
-    algebra = heisenberg_algebra()
-
-    def infinitesimal_action(xi, q):
-        # generators of left multiplication (right-invariant frame in the chart)
-        xi = np.asarray(xi, dtype=float)
-        return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
-
-    def act_on_state(g: GroupElement, q):
-        return chart_product(log_nilpotent(algebra, g), q)
-
-    def act_on_control(g: GroupElement, q, u):
-        return np.asarray(u, dtype=float)
-
-    def act_on_costate(g: GroupElement, q, p):
-        gx, gy, _ = log_nilpotent(algebra, g)
-        return np.array([p[0] + 0.5 * gy * p[2], p[1] - 0.5 * gx * p[2], p[2]])
-
-    def state_jacobian(g: GroupElement, q):
-        gx, gy, _ = log_nilpotent(algebra, g)
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5 * gy, 0.5 * gx, 1.0]])
-
-    def body_frame(q):
-        # columns are the left-invariant basis fields at the chart point
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5 * q[1], 0.5 * q[0], 1.0]])
-
-    return SymmetryHandle(
-        algebra=algebra,
-        infinitesimal_action=infinitesimal_action,
-        act_on_state=act_on_state,
-        act_on_control=act_on_control,
-        act_on_costate=act_on_costate,
-        state_jacobian=state_jacobian,
-        body_frame=body_frame,
-    )
 
 
 def heisenberg_problem() -> ControlProblem:
@@ -126,7 +87,7 @@ def heisenberg_problem() -> ControlProblem:
         dynamics=_dynamics,
         lagrangian=_lagrangian,
         jacobians=jac,
-        symmetry=_symmetry_handle(),
+        symmetry=left_translations(heisenberg_algebra()),
         name="heisenberg",
     )
 

@@ -19,6 +19,8 @@ With this choice the Lie-Poisson evolution used by the reduction module is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -207,7 +209,7 @@ def _exp_series(alg: LieAlgebraSpec, xi: np.ndarray) -> np.ndarray:
         if not np.any(term):
             return result
     tail = np.linalg.norm(term @ x / (alg.dim + 2), axis=(-2, -1))
-    if np.any(tail > 1e-12):
+    if not np.all(tail <= 1e-12):  # also rejects a non-finite element
         raise NonNilpotentError(
             f"exponential series did not terminate after {alg.dim + 1} terms "
             f"(next term has norm {np.max(tail):.3e})"
@@ -238,9 +240,47 @@ def log_nilpotent(alg: LieAlgebraSpec, g: Union[GroupElement, np.ndarray]) -> np
     # roundoff in the powers of n grows like |n|^m
     tol = _STRUCTURE_TOL * (1.0 + np.max(np.abs(flat), axis=1, initial=0.0)) ** size
     off = np.max(np.abs(power.reshape(flat.shape)) + np.abs(coords @ b - flat), axis=1, initial=0.0)
-    if np.any(off > tol):
+    if not np.all(np.isfinite(tol) & (off <= tol)):
         raise DimensionMismatchError("matrix is not unipotent or its logarithm is not in the span of the basis")
     return coords.reshape(m.shape[:-2] + (alg.dim,))
+
+
+@lru_cache(maxsize=None)
+def _psi_coefficients(count: int) -> tuple:
+    """Taylor coefficients of psi(z) = z / (1 - e^-z) through z^(count - 1), from (1 - e^-z)/z * psi = 1."""
+    a = [1.0]
+    for k in range(1, count):
+        a.append(-sum(a[j] * (-1) ** (k - j) / factorial(k + 1 - j) for j in range(k)))
+    return tuple(a)
+
+
+def left_invariant_frame(alg: LieAlgebraSpec, x) -> np.ndarray:
+    """Left-invariant basis fields at exponential coordinates x of shape (..., dim).
+
+    Column j of the (..., dim, dim) result is the field of e_j at exp(x), psi(ad_x) e_j with
+    psi(z) = z / (1 - e^-z) = 1 + z/2 + z^2/12 - ...  In a nilpotent algebra ad_x^dim = 0, so the
+    dim terms summed here are the whole series.  Inversion is x -> -x, so the right-invariant
+    fields at x are the left-invariant ones at -x.
+    """
+    dim, x = alg.dim, np.asarray(x, dtype=float)
+    # ad_t[..., j, k] = [x, e_j]_k, the transpose of ad_x, from one matmul
+    ad_t = (x @ alg.structure_constants.reshape(dim, -1)).reshape(x.shape[:-1] + (dim, dim))
+    c = _psi_coefficients(dim + 1)
+    term, frame = ad_t, np.eye(dim) + c[1] * ad_t
+    for k in range(2, dim):
+        term = term @ ad_t
+        frame = frame + c[k] * term
+    return np.swapaxes(frame, -1, -2)
+
+
+def _is_nilpotent(alg: LieAlgebraSpec) -> bool:
+    """True iff the lower central series g, [g, g], [g, [g, g]], ... reaches 0."""
+    span = np.eye(alg.dim)  # orthonormal rows spanning the current term
+    for _ in range(alg.dim):
+        brackets = np.einsum("ijk,mj->imk", alg.structure_constants, span).reshape(-1, alg.dim)
+        _, s, vt = np.linalg.svd(brackets, full_matrices=False)
+        span = vt[: int(np.sum(s > _STRUCTURE_TOL * np.max(s, initial=1.0)))]
+    return not span.size
 
 
 def algebra_from_dict(data: dict) -> LieAlgebraSpec:

@@ -25,8 +25,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._fd import fd_gradient, fd_hessian_direct, fd_hessian_from_gradient, fd_jacobian
-from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
-from .lie import GroupElement, LieAlgebraSpec, exp_nilpotent
+from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, NonNilpotentError, PontrylieError
+from .errors import RegularityError
+from .lie import GroupElement, LieAlgebraSpec, _exp_series, _is_nilpotent, exp_nilpotent, left_invariant_frame
+from .lie import log_nilpotent
 
 
 @dataclass(frozen=True)
@@ -53,28 +55,55 @@ class SymmetryHandle:
     """Group-action data attached to a problem.
 
     ``infinitesimal_action(xi, x)`` returns the generator vector field
-    xi_P(x) and is the only mandatory field (it feeds the momentum map).
-    The remaining callables enable invariance checking and, for problems
-    whose state space is the group itself, reduction:
+    xi_P(x) and is the only mandatory field (it feeds the momentum map).  It
+    is linear in xi and takes a stack of algebra elements: xi of shape
+    (..., dim) gives (..., n), so the identity matrix gives all generators
+    at once.  The remaining callables enable invariance checking and, for
+    problems whose state space is the group itself, reduction:
 
     - ``act_on_state(g, x)``: the action of a GroupElement on a chart point.
     - ``act_on_control(g, x, u)``: fiber part of the action; identity if None.
-    - ``act_on_costate(g, x, p)``: cotangent-lifted action.  The library
-      never calls it and has no fallback for it; it is carried for callers
-      that transport costates themselves.
     - ``state_jacobian(g, x)``: Jacobian of act_on_state in x; finite
       differences if None.
-    - ``body_frame(x)``: n-by-dim matrix whose columns are the left-invariant
-      basis vector fields at x; required by reduction (state space = group).
+    - ``body_frame(x)``: for x of shape (..., n), the (..., n, dim) matrices
+      whose columns are the left-invariant basis vector fields at x;
+      required by reduction (state space = group).
+
+    ``left_translations`` derives all of them for a nilpotent matrix algebra.
     """
 
     algebra: LieAlgebraSpec
     infinitesimal_action: Callable
     act_on_state: Optional[Callable] = None
     act_on_control: Optional[Callable] = None
-    act_on_costate: Optional[Callable] = None
     state_jacobian: Optional[Callable] = None
     body_frame: Optional[Callable] = None
+
+
+def left_translations(alg: LieAlgebraSpec) -> SymmetryHandle:
+    """Left multiplication of the group of a nilpotent matrix algebra on itself, x <-> exp(x).
+
+    The generators are the right-invariant fields R(x) = L(-x), the body frame is the left-invariant
+    L(x) (``lie.left_invariant_frame``), g acts by x -> log(g exp(x)), and its Jacobian is
+    L(g.x) L(x)^-1 because left translation carries left-invariant fields to themselves.
+    """
+    if not _is_nilpotent(alg):
+        raise NonNilpotentError("left translations need a nilpotent algebra (lower central series reaching 0)")
+    alg.matrix_size  # the action needs the matrix realization
+
+    def act_on_state(g: GroupElement, x):
+        return log_nilpotent(alg, g.matrix @ _exp_series(alg, np.asarray(x, dtype=float)))
+
+    def state_jacobian(g: GroupElement, x):
+        return left_invariant_frame(alg, act_on_state(g, x)) @ np.linalg.inv(left_invariant_frame(alg, x))
+
+    return SymmetryHandle(
+        algebra=alg,
+        infinitesimal_action=lambda xi, x: np.asarray(xi) @ left_invariant_frame(alg, np.negative(x)).swapaxes(-1, -2),
+        act_on_state=act_on_state,
+        state_jacobian=state_jacobian,
+        body_frame=lambda x: left_invariant_frame(alg, x),
+    )
 
 
 @dataclass(frozen=True)

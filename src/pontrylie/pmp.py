@@ -24,7 +24,7 @@ import numpy as np
 from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
-from .ocp import ControlProblem, PontryaginPoint, hamiltonian_partials
+from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
 from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials, _row_partials
 
 
@@ -216,16 +216,15 @@ def optimal_feedback(
 
 
 def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
-    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry."""
+    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry, from one stacked call."""
     sym = problem.symmetry
     if sym is None:
         raise PontrylieError("problem declares no symmetry")
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    basis = np.eye(sym.algebra.dim)
-    return CoalgebraElement(
-        np.array([float(p @ np.asarray(sym.infinitesimal_action(e, x), dtype=float)) for e in basis])
-    )
+    dim = sym.algebra.dim
+    generators = np.asarray(sym.infinitesimal_action(np.eye(dim), np.asarray(x, dtype=float)), dtype=float)
+    if generators.shape != (dim, problem.n):
+        raise DimensionMismatchError(f"generators of the basis have shape {generators.shape}, expected (dim, n)")
+    return CoalgebraElement(generators @ np.asarray(p, dtype=float))
 
 
 def time_grid(duration: float, step: float) -> np.ndarray:
@@ -344,8 +343,8 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
     xdot = np.gradient(x, trajectory.times, axis=0, edge_order=2)
     integrand = np.empty(len(trajectory))
     for k in range(len(trajectory)):
-        f = np.asarray(problem.dynamics(x[k], u[k]), dtype=float)
-        integrand[k] = float(problem.lagrangian(x[k], u[k])) + float(p[k] @ (xdot[k] - f))
+        f = _eval_dynamics(problem, x[k], u[k])
+        integrand[k] = _eval_lagrangian(problem, x[k], u[k]) + float(p[k] @ (xdot[k] - f))
     return float(np.trapezoid(integrand, trajectory.times))
 
 

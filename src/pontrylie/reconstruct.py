@@ -25,7 +25,7 @@ from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, EvaluationError
 from .heisenberg import lambda_closed_form
 from .lie import GroupElement, LieAlgebraSpec, _coeffs, _exp_series, log_nilpotent
 from .pmp import Trajectory, time_grid
@@ -70,6 +70,10 @@ def reconstruct_group(
     times = time_grid(duration, step)
     h = np.diff(times)
     mids = _as_xi_function(xi, alg.dim)(times[:-1] + 0.5 * h)
+    finite = np.all(np.isfinite(mids), axis=1)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise EvaluationError(f"non-finite algebra velocity xi at t = {times[k] + 0.5 * h[k]:g}", point=mids[k])
     updates = _exp_series(alg, h[:, None] * mids)
     mats = np.empty((len(times),) + g0.matrix.shape)
     mats[0] = g0.matrix

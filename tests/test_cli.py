@@ -14,6 +14,7 @@ import pytest
 from conftest import so3_algebra
 from pontrylie import cli, ocp
 from pontrylie.cli import load_problem_file, main
+from pontrylie.heisenberg import heisenberg_algebra
 from pontrylie.pmp import Trajectory
 
 HEISENBERG_JSON = {
@@ -192,6 +193,28 @@ def test_reconstruct_of_its_own_chart_output_names_the_missing_block(tmp_path, c
     assert result["status"] == "error"
     assert "'u' columns, the problem needs 2" in result["error"]
     assert not (tmp_path / "again.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_vector_options_are_input_errors(tmp_path, capsys, bad):
+    """--g0 (and every other vector option) with a non-finite entry exits 1 and writes nothing."""
+    data = json.loads(json.dumps(HEISENBERG_JSON))
+    data["algebra"]["matrix_basis"] = [m.tolist() for m in heisenberg_algebra().matrix_basis]
+    problem_file, red = tmp_path / "heis.json", tmp_path / "red.csv"
+    problem_file.write_text(json.dumps(data))
+    run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--lambda0", "1,0,1", "--T", "0.1",
+            "--step", "1e-2", "--out", str(red))
+    chart = tmp_path / "chart.csv"
+    code, result, _ = run_cli(capsys, "reconstruct", "--problem", str(problem_file), "--traj", str(red),
+                              f"--g0={bad},0,0", "--out", str(chart))
+    assert code == 1
+    assert result["status"] == "error" and "non-finite" in result["error"]
+    assert not chart.exists()
+    code, result, _ = run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", f"1,{bad},1", "--T", "0.1",
+                              "--out", str(tmp_path / "full.csv"))
+    assert code == 1 and "non-finite" in result["error"]
+    assert run_cli(capsys, "reconstruct", "--problem", str(problem_file), "--traj", str(red),
+                   "--g0=0.4,-0.2,1", "--out", str(chart))[0] == 0
 
 
 def test_reconstruct_equilibrium_is_constant(tmp_path, capsys):

@@ -15,6 +15,7 @@ from pontrylie.lie import (
     bracket,
     coadjoint,
     exp_nilpotent,
+    left_invariant_frame,
     log_nilpotent,
     pairing,
 )
@@ -234,3 +235,41 @@ def test_stacked_exponential_equals_one_element_at_a_time():
     assert np.array_equal(stacked, [[exp_nilpotent(UT4, row).matrix for row in block] for block in xi])
     with pytest.raises(NonNilpotentError):
         _exp_series(so3_algebra(), np.vstack([np.zeros((3, 3)), [[0.0, 0.0, 1.0]]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+def test_invariant_frames_are_the_derivatives_of_translation_on_upper_triangular_4x4(entries):
+    """Column j of L(x) is d/dt log(exp(x) exp(t e_j)); of the right frame L(-x), d/dt log(exp(t e_j) exp(x))."""
+    x, h = np.array(entries), 1e-5
+    left, right = left_invariant_frame(UT4, x), left_invariant_frame(UT4, -x)
+    for j, e in enumerate(np.eye(6)):
+        g, step = exp_nilpotent(UT4, x).matrix, exp_nilpotent(UT4, h * e).matrix
+        back = exp_nilpotent(UT4, -h * e).matrix
+        d_left = (log_nilpotent(UT4, g @ step) - log_nilpotent(UT4, g @ back)) / (2.0 * h)
+        d_right = (log_nilpotent(UT4, step @ g) - log_nilpotent(UT4, back @ g)) / (2.0 * h)
+        assert np.max(np.abs(left[:, j] - d_left)) <= 1e-7
+        assert np.max(np.abs(right[:, j] - d_right)) <= 1e-7
+
+
+def test_left_invariant_frame_takes_stacks(heis_algebra):
+    x = np.random.default_rng(3).normal(size=(4, 2, 3))
+    stacked = left_invariant_frame(heis_algebra, x)
+    assert stacked.shape == (4, 2, 3, 3)
+    assert np.array_equal(stacked[2, 1], left_invariant_frame(heis_algebra, x[2, 1]))
+    assert np.array_equal(left_invariant_frame(heis_algebra, np.zeros(3)), np.eye(3))
+
+
+def test_group_checks_reject_non_finite_values(heis_algebra):
+    """A NaN or infinite coefficient or matrix entry fails the nilpotency and unipotency checks."""
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(NonNilpotentError):
+            _exp_series(heis_algebra, np.array([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(NonNilpotentError):
+            exp_nilpotent(heis_algebra, [0.0, bad, 0.0])
+        g = np.eye(3)
+        g[0, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(DimensionMismatchError):
+            log_nilpotent(heis_algebra, g)
+        with np.errstate(invalid="ignore"), pytest.raises(DimensionMismatchError):
+            log_nilpotent(heis_algebra, np.stack([np.eye(3), g]))

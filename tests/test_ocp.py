@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError
+from conftest import so3_algebra
+from pontrylie.errors import DimensionMismatchError, EvaluationError, InvalidAlgebraError, NonNilpotentError
+from pontrylie.errors import PontrylieError
 from pontrylie.heisenberg import heisenberg_algebra
-from pontrylie.lie import GroupElement, exp_nilpotent
+from pontrylie.lie import GroupElement, LieAlgebraSpec, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import (
     ControlProblem,
     PontryaginPoint,
@@ -14,9 +18,47 @@ from pontrylie.ocp import (
     check_invariance,
     hamiltonian_partials,
     invariance_deviation,
+    left_translations,
     pontryagin_hamiltonian,
     validate_jacobians,
 )
+from pontrylie.pmp import momentum_map
+from test_lie import UT4
+
+
+# Hand-written Heisenberg group formulas in the chart (x, y, z) = exponential coordinates.
+def heisenberg_body_frame(q):
+    """Columns are the left-invariant basis fields at q."""
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5 * q[1], 0.5 * q[0], 1.0]])
+
+
+def heisenberg_generators(xi, q):
+    """The generator of left multiplication by exp(t xi): the right-invariant field of xi at q."""
+    return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
+
+
+def heisenberg_chart_product(q1, q2):
+    """The group law in the chart."""
+    x1, y1, z1 = q1
+    x2, y2, z2 = q2
+    return np.array([x1 + x2, y1 + y2, z1 + z2 + 0.5 * (x1 * y2 - y1 * x2)])
+
+
+def heisenberg_state_jacobian(g_chart):
+    """Jacobian in q of q -> g_chart * q."""
+    gx, gy, _ = g_chart
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5 * gy, 0.5 * gx, 1.0]])
+
+
+def heisenberg_cotangent_lift(g_chart, p):
+    """The costate carried along by q -> g_chart * q (the inverse transpose of the Jacobian)."""
+    gx, gy, _ = g_chart
+    return np.array([p[0] + 0.5 * gy * p[2], p[1] - 0.5 * gx * p[2], p[2]])
+
+
+def _scaled_points(rng, count):
+    """Random chart points with entries spread over scales 1e-8 .. 1e5."""
+    return rng.normal(size=(count, 3)) * 10.0 ** rng.integers(-8, 6, size=(count, 3))
 
 
 def test_hamiltonian_at_origin(heis_problem):
@@ -189,3 +231,75 @@ def test_fd_jacobian_fallback_for_state_action(heis_problem):
     )
     report = check_invariance(problem, samples=10, seed=1)
     assert report.invariant  # the action is affine in x, so FD is exact to roundoff
+
+
+def test_left_translations_reproduce_the_hand_written_heisenberg_frames(heis_problem):
+    sym = heis_problem.symmetry
+    rng = np.random.default_rng(11)
+    points, costates = _scaled_points(rng, 2000), _scaled_points(rng, 2000)
+    for q, p in zip(points, costates):
+        assert np.array_equal(sym.body_frame(q), heisenberg_body_frame(q))
+        expected = [p @ heisenberg_generators(e, q) for e in np.eye(3)]
+        assert np.array_equal(momentum_map(heis_problem, q, p).coeffs, expected)
+    assert np.array_equal(sym.body_frame(points), [heisenberg_body_frame(q) for q in points])
+
+
+def test_left_translations_reproduce_the_heisenberg_chart_product(heis_problem):
+    sym = heis_problem.symmetry
+    rng = np.random.default_rng(12)
+    algebra = heisenberg_algebra()
+
+    def rel(a, b):
+        return np.max(np.abs(a - b) / (1.0 + np.abs(b)))
+
+    for g_chart, q in rng.normal(scale=2.0, size=(500, 2, 3)):
+        g = exp_nilpotent(algebra, g_chart)
+        assert rel(sym.act_on_state(g, q), heisenberg_chart_product(g_chart, q)) <= 1e-12
+        assert rel(sym.state_jacobian(g, q), heisenberg_state_jacobian(g_chart)) <= 1e-12
+
+
+def test_infinitesimal_action_takes_a_stack_of_algebra_elements(heis_problem):
+    q = np.array([0.7, -1.3, 0.4])
+    xi = np.random.default_rng(13).normal(size=(5, 2, 3))
+    stacked = heis_problem.symmetry.infinitesimal_action(xi, q)
+    assert stacked.shape == (5, 2, 3)
+    expected = [[heisenberg_generators(row, q) for row in block] for block in xi]
+    assert np.allclose(stacked, expected, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_left_invariant_problem_on_upper_triangular_4x4_is_invariant(seed):
+    """x_dot = L(x) B u is invariant under left translation; the right-invariant x_dot = L(-x) B u is not."""
+    sym, b = left_translations(UT4), np.random.default_rng(seed).normal(size=(6, 2))
+    problem = ControlProblem(n=6, r=2, dynamics=lambda x, u: sym.body_frame(x) @ (b @ u),
+                             lagrangian=lambda x, u: 0.5 * float(u @ u), symmetry=sym)
+    assert check_invariance(problem, samples=5, seed=seed).invariant
+    right = ControlProblem(n=6, r=2, dynamics=lambda x, u: sym.body_frame(-x) @ (b @ u),
+                           lagrangian=problem.lagrangian, symmetry=sym)
+    assert not check_invariance(right, samples=5, seed=seed).invariant
+
+
+def test_left_translations_compose_on_upper_triangular_4x4():
+    sym = left_translations(UT4)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=6)
+    g, h = (exp_nilpotent(UT4, v) for v in rng.normal(size=(2, 6)))
+    gh = GroupElement(g.matrix @ h.matrix)
+    assert np.allclose(sym.act_on_state(gh, x), sym.act_on_state(g, sym.act_on_state(h, x)), atol=1e-12)
+    assert np.allclose(sym.act_on_state(g, x), log_nilpotent(UT4, g.matrix @ exp_nilpotent(UT4, x).matrix))
+
+
+def test_left_translations_need_a_nilpotent_matrix_algebra():
+    with pytest.raises(NonNilpotentError):
+        left_translations(so3_algebra())
+    # solvable but not nilpotent: [e1, e2] = e2 with the matrices diag(1, 0) and E12
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0
+    e1, e2 = np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NonNilpotentError):
+        left_translations(LieAlgebraSpec(dim=2, structure_constants=c, matrix_basis=(e1, e2)))
+    with pytest.raises(InvalidAlgebraError):
+        left_translations(LieAlgebraSpec(dim=3, structure_constants=heisenberg_algebra().structure_constants))
+    line = left_translations(LieAlgebraSpec(dim=1, structure_constants=np.zeros((1, 1, 1)), matrix_basis=(e2,)))
+    assert np.array_equal(line.body_frame(np.ones((4, 1))), np.ones((4, 1, 1)))

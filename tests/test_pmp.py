@@ -1,11 +1,14 @@
 """Feedback solver, Hamilton-equation integration, conservation, action functional."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
+    EvaluationError,
     PontrylieError,
     RegularityError,
     TrajectoryFormatError,
@@ -268,11 +271,43 @@ def test_action_needs_two_samples(heis_problem, default_config):
         lagrange_pontryagin_action(heis_problem, traj)
 
 
+def test_action_of_a_non_finite_integrand_is_an_evaluation_error():
+    """The action evaluates f and L through the same finite-value checks as every other path."""
+    problem = ControlProblem(n=1, r=1, dynamics=lambda x, u: np.sqrt(x - 1.0), lagrangian=lambda x, u: 0.0)
+    states = [[0.0, 1.0, 0.0], [0.5, 1.0, 0.0], [1.0, 1.0, 0.0]]  # x1 in [0, 1], where sqrt(x1 - 1) is NaN
+    traj = Trajectory(times=[0.0, 0.5, 1.0], columns=("x1", "p1", "u1"), states=states)
+    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match="dynamics"):
+        lagrange_pontryagin_action(problem, traj)
+    costly = ControlProblem(n=1, r=1, dynamics=lambda x, u: u, lagrangian=lambda x, u: np.log(x[0] - 0.5))
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(EvaluationError, match="Lagrangian"):
+        lagrange_pontryagin_action(costly, traj)
+
+
 def test_momentum_map_values(heis_problem):
     # at the identity-chart origin the generators reduce to the basis vectors
     p = np.array([0.4, -1.1, 2.2])
     assert np.allclose(momentum_map(heis_problem, np.zeros(3), p).coeffs, p)
     assert np.allclose(momentum_map(heis_problem, [1.0, 2.0, 3.0], np.zeros(3)).coeffs, 0.0)
+
+
+def test_momentum_map_takes_all_generators_from_one_stacked_call(heis_problem):
+    """The handle gets the identity (one basis element per row); a handle that returns one vector is refused."""
+    from pontrylie.ocp import SymmetryHandle
+
+    calls = []
+
+    def action(xi, x):
+        calls.append(np.shape(xi))
+        return heis_problem.symmetry.infinitesimal_action(xi, x)
+
+    handle = SymmetryHandle(algebra=heis_problem.symmetry.algebra, infinitesimal_action=action)
+    problem = dataclasses.replace(heis_problem, symmetry=handle)
+    x, p = np.array([0.2, -0.4, 1.0]), np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(momentum_map(problem, x, p).coeffs, momentum_map(heis_problem, x, p).coeffs)
+    assert calls == [(3, 3)]
+    single = SymmetryHandle(algebra=problem.symmetry.algebra, infinitesimal_action=lambda xi, x: np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="generators"):
+        momentum_map(dataclasses.replace(problem, symmetry=single), x, p)
 
 
 def test_momentum_map_requires_symmetry():

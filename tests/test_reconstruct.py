@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pontrylie.errors import DimensionMismatchError, NonNilpotentError
+from pontrylie.errors import DimensionMismatchError, EvaluationError, NonNilpotentError
 from pontrylie.heisenberg import (
     geodesic_chart_closed_form,
     heisenberg_algebra,
@@ -195,3 +195,14 @@ def test_every_midpoint_exponential_is_checked_for_nilpotency():
         reconstruct_group(so3_algebra(), GroupElement(np.eye(3)), (times, values), 1.0, 0.1)
     with pytest.raises(DimensionMismatchError):
         reconstruct_group(heisenberg_algebra(), GroupElement(np.eye(3)), lambda t: [t, 0.0], 1.0, 0.1)
+
+
+def test_non_finite_algebra_velocity_is_an_evaluation_error(heis_algebra):
+    """The first non-finite midpoint xi is named by its time instead of yielding NaN matrices."""
+    times = np.linspace(0.0, 1.0, 11)
+    values = np.tile([1.0, 0.5, 0.0], (11, 1))
+    values[4, 1] = np.nan  # spoils the midpoints on both sides of t = 0.4
+    with pytest.raises(EvaluationError, match=r"t = 0\.35"):
+        reconstruct_group(heis_algebra, GroupElement(np.eye(3)), (times, values), 1.0, 0.1)
+    with pytest.raises(EvaluationError, match=r"t = 0\.05"):
+        reconstruct_group(heis_algebra, GroupElement(np.eye(3)), lambda t: [np.inf, 0.0, 0.0], 1.0, 0.1)

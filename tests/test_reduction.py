@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_ocp import heisenberg_cotangent_lift
 from pontrylie.errors import DimensionMismatchError, ReductionUnsupportedError
 from pontrylie.heisenberg import (
     heisenberg_algebra,
     lambda_closed_form,
     unit_cylinder_costate,
 )
-from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent
+from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import PontryaginPoint, _newton, _partials
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp
 from pontrylie.reduction import (
@@ -239,7 +240,8 @@ def test_projection_invariant_under_group_translation(heis_problem):
         u0 = rng.normal(size=2)
         g = exp_nilpotent(heisenberg_algebra(), rng.normal(size=3))
         x1 = sym.act_on_state(g, x0)
-        p1 = sym.act_on_costate(g, x0, p0)
+        p1 = heisenberg_cotangent_lift(log_nilpotent(heisenberg_algebra(), g), p0)
+        assert np.allclose(p1, np.linalg.solve(sym.state_jacobian(g, x0).T, p0), rtol=0, atol=1e-12)
         mu0 = project_full_to_reduced(heis_problem, PontryaginPoint(x0, p0, u0)).mu
         mu1 = project_full_to_reduced(heis_problem, PontryaginPoint(x1, p1, u0)).mu
         assert np.max(np.abs(mu0 - mu1)) <= 1e-12

@@ -56,6 +56,7 @@ from .ocp import (
     hamiltonian_partials,
     left_translations,
     pontryagin_hamiltonian,
+    stacked,
     validate_jacobians,
 )
 from .pmp import (

@@ -206,6 +206,14 @@ def _drift(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - values[0]))) if values.size else 0.0
 
 
+def _solver_stats(trajectory: Trajectory) -> dict:
+    """The most Newton updates of any solve and the worst stationarity residual of a stored row."""
+    return {
+        "newton_iters_max": int(np.max(trajectory.channel("newton_iters"))),
+        "stationarity_max": float(np.max(trajectory.channel("stationarity"))),
+    }
+
+
 def cmd_solve_pmp(args) -> Tuple[int, dict]:
     loaded = _load(args)
     problem = loaded.problem
@@ -222,6 +230,7 @@ def cmd_solve_pmp(args) -> Tuple[int, dict]:
         "rows": len(trajectory),
         "out": out,
         "H_drift": _drift(trajectory.channel("H")),
+        **_solver_stats(trajectory),
     }
     momentum = {k: _drift(v) for k, v in trajectory.channels.items() if k.startswith("J")}
     if momentum:
@@ -233,30 +242,21 @@ def cmd_solve_pmp(args) -> Tuple[int, dict]:
     return EXIT_OK, summary
 
 
-def _solve_reduced_single(loaded: LoadedProblem, mu0, args, suffix=""):
+def _reduced_summary(loaded: LoadedProblem, trajectory: Trajectory, mu0, out: str, args) -> dict:
     problem = loaded.reduced
-    s = problem.base_dim
-    z0 = _parse_vector(args.z0) if args.z0 else np.zeros(s)
-    pz0 = _parse_vector(args.pz0) if args.pz0 else np.zeros(s)
-    state0 = reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim))
-    trajectory = reduction.integrate_reduced(problem, state0, args.T, PmpSolverConfig(rk_step=args.step))
-    stem = args.out or f"reduced_{loaded.name}.{args.format}"
-    if suffix:
-        p = Path(stem)
-        stem = str(p.with_name(p.stem + suffix + p.suffix))
-    _write(trajectory, stem, args.format)
     summary = {
         "mu0": [float(v) for v in mu0],
         "rows": len(trajectory),
-        "out": stem,
+        "out": out,
         "h_drift": _drift(trajectory.channel("h")),
+        **_solver_stats(trajectory),
     }
     for name in problem.casimirs:
         summary[f"{name}_drift"] = _drift(trajectory.channel(name))
     if args.builtin == "heisenberg":
         exact = heisenberg.lambda_rotation_closed_form(mu0, trajectory.times)
         summary["closed_form_max_dev"] = float(np.max(np.abs(trajectory.block("mu") - exact)))
-    return trajectory, summary
+    return summary
 
 
 def cmd_solve_reduced(args) -> Tuple[int, dict]:
@@ -282,7 +282,18 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
         if mu0.shape != (problem.algebra.dim,):
             raise PontrylieError(f"lambda0 must have length {problem.algebra.dim}")
 
-    runs = [_solve_reduced_single(loaded, mu0, args, suffix)[1] for mu0, suffix in mu0_list]
+    s = problem.base_dim
+    z0 = _parse_vector(args.z0) if args.z0 else np.zeros(s)
+    pz0 = _parse_vector(args.pz0) if args.pz0 else np.zeros(s)
+    states = [reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim)) for mu0, _ in mu0_list]
+    # the whole grid in one batch: every member advances in the same RK4 sweep
+    trajectories = reduction.integrate_reduced(problem, states, args.T, PmpSolverConfig(rk_step=args.step))
+    stem = args.out or f"reduced_{loaded.name}.{args.format}"
+    runs = []
+    for (mu0, suffix), trajectory in zip(mu0_list, trajectories):
+        path = Path(stem)
+        out = _write(trajectory, str(path.with_name(path.stem + suffix + path.suffix)) if suffix else stem, args.format)
+        runs.append(_reduced_summary(loaded, trajectory, mu0, out, args))
     for summary in runs:
         line = f"mu0={summary['mu0']} rows={summary['rows']} h_drift={summary['h_drift']:.3e}"
         if "closed_form_max_dev" in summary:
@@ -488,6 +499,8 @@ def main(argv=None) -> int:
         code, result = EXIT_SOLVER, {"status": "error", "error": str(exc), "exit_code": EXIT_SOLVER}
         if isinstance(exc, SolverError):
             located = {"residual": exc.residual, "t": exc.t}
+            if exc.member is not None:
+                located["member"] = exc.member
             if exc.state is not None:
                 located["state"] = [float(v) for v in exc.state]
             result.update({key: value for key, value in located.items() if np.all(np.isfinite(value))})

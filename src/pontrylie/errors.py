@@ -33,15 +33,18 @@ class EvaluationError(PontrylieError):
 class SolverError(PontrylieError):
     """A control solve failed.
 
-    Carries the last residual norm, the time (nan when unknown) and the
-    (q, lam) state row where Newton failed (None when unknown).
+    Carries the last residual norm, the time (nan when unknown), the
+    (q, lam) state row where Newton failed (None when unknown) and the index
+    of the failing member of a batch (None when unknown).
     """
 
-    def __init__(self, message: str, residual: float = float("nan"), t: float = float("nan"), state=None):
+    def __init__(self, message: str, residual: float = float("nan"), t: float = float("nan"), state=None,
+                 member=None):
         super().__init__(message)
         self.residual = residual
         self.t = t
         self.state = state
+        self.member = member
 
 
 class ConvergenceError(SolverError):

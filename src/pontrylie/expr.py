@@ -13,9 +13,10 @@ constant (it is constant-folded at parse time; a non-constant exponent is a
 syntax error).  Identifiers must come from the declared variable set.
 
 Trees are differentiated symbolically (``differentiate``) and compiled once
-into Python functions of vector arguments (``compile_tables``) that repeat the
-tree walker's float operations in the same order; ``evaluate`` remains the
-reference semantics and produces the error messages.
+into Python functions of stacked vector arguments (``compile_tables``) that
+repeat the tree walker's float operations in the same order, member by
+member; ``evaluate`` remains the reference semantics and produces the error
+messages.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import PontrylieError
+from .ocp import stacked
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -487,23 +489,55 @@ def _nested(atoms: np.ndarray) -> str:
     return "[" + ", ".join(_nested(row) for row in atoms) + "]"
 
 
+_FLOAT = np.dtype(float)
+
+
+def _members(*args):
+    """The leading member shape of the stacked arguments and, per member, its rows as lists of floats."""
+    arrays = [np.asarray(a, _FLOAT) for a in args]
+    lead = arrays[0].shape[:-1]
+    if len(lead) != 1:  # one member without leading axes, or several leading axes
+        arrays = [a.reshape(math.prod(lead), a.shape[-1]) for a in arrays]
+    return lead, zip(*[a.tolist() for a in arrays])
+
+
+def _tiled(constant: np.ndarray, lead: tuple) -> np.ndarray:
+    """``constant`` once per member: a new array (*lead, *constant.shape)."""
+    out = np.empty(lead + constant.shape)
+    out[...] = constant
+    return out
+
+
+def _assemble(values: list, lead: tuple, shape: tuple):
+    """Per-member values as one array (*lead, *shape); one member without leading axes is returned alone."""
+    if not lead:
+        return values[0] if not shape else np.array(values[0], dtype=float)
+    out = np.array(values, dtype=float)
+    return out if len(lead) == 1 else out.reshape(lead + shape)
+
+
 def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[str]]) -> List[Callable]:
-    """Compile object arrays of trees into functions of vector arguments, in one pass.
+    """Compile object arrays of trees into stacked functions of vector arguments, in one pass.
 
     ``arguments`` names the variables bound to the entries of each positional
-    vector argument; it must cover every variable of the trees.  The function for a 0-d table returns a float, any other
-    an ndarray of the table's shape.  Each entry is computed with the float
-    operations of ``evaluate`` in the same order (``math`` functions on Python
-    floats), so results agree bit for bit; on an arithmetic failure the tree
-    walker re-runs on the same bindings and raises ``ExprEvaluationError``
-    with the source offset.
+    vector argument; it must cover every variable of the trees.  The arguments
+    may carry the same leading member axes, (..., k); the generated code loops
+    over the members and returns one value of the table's shape per member,
+    (..., *shape).  Without leading axes the function for a 0-d table returns
+    a float, any other an ndarray of the table's shape.  The functions are
+    marked ``ocp.stacked``.  Each entry is computed with the float operations
+    of ``evaluate`` in the same order (``math`` functions on Python floats),
+    so results agree bit for bit; on an arithmetic failure the tree walker
+    re-runs on the failing member's bindings and raises
+    ``ExprEvaluationError`` with the source offset.
     """
     names, loads = {}, {}
     for k, group in enumerate(arguments):
         for i, var in enumerate(group):
             names[var] = f"_v{len(names)}"
-            loads[var] = f"{names[var]} = float(a{k}[{i}])"
+            loads[var] = f"{names[var]} = _r{k}[{i}]"
     params = ", ".join(f"a{k}" for k in range(len(arguments)))
+    rows = "".join(f"_r{k}, " for k in range(len(arguments)))
     namespace = {}
     source = []
     for index, table in enumerate(tables):
@@ -511,22 +545,20 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
         atoms = np.empty(table.shape, dtype=object)
         for position, node in np.ndenumerate(table):
             atoms[position] = emitter.emit(node)
-        if table.ndim == 0:
-            result = atoms[()]
-        elif all(isinstance(node, Constant) for node in table.flat):
-            # built once; each call returns a copy (zero Jacobian blocks, empty tables)
-            namespace[f"_c{index}"] = np.array([node.value for node in table.flat], dtype=float).reshape(table.shape)
-            result = f"_c{index}.copy()"
-        else:
-            result = f"_array({_nested(atoms)})"
         source.append(f"def _f{index}({params}):")
-        source += [f"    {loads[var]}" for var in loads if var in emitter.used]
-        if emitter.lines:
-            source += ["    try:"] + [f"        {line}" for line in emitter.lines]
-            source += [f"        return {result}", "    except _ARITHMETIC_FAILURES as exc:",
-                       f"        _walk({index}, [{params}], exc)"]
-        else:  # no arithmetic, nothing can fail
-            source.append(f"    return {result}")
+        if table.ndim and all(isinstance(node, Constant) for node in table.flat):
+            # no arithmetic, nothing can fail (zero Jacobian blocks, empty tables)
+            namespace[f"_c{index}"] = np.array([node.value for node in table.flat], dtype=float).reshape(table.shape)
+            source.append(f"    return _tiled(_c{index}, _shape(a0)[:-1])")
+            continue
+        source.append(f"    _lead, _rows = _members({params})")
+        result = atoms[()] if table.ndim == 0 else _nested(atoms)
+        source += ["    _out = []", f"    for {rows}in _rows:"]
+        source += [f"        {loads[var]}" for var in loads if var in emitter.used]
+        source += ["        try:"] + [f"            {line}" for line in emitter.lines]
+        source += [f"            _out.append({result})", "        except _ARITHMETIC_FAILURES as exc:",
+                   f"            _walk({index}, [{rows}], exc)"]
+        source.append(f"    return _assemble(_out, _lead, {table.shape!r})")
 
     def walk(index, args, exc):
         bindings = {var: float(value) for group, arg in zip(arguments, args) for var, value in zip(group, arg)}
@@ -535,10 +567,10 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
         raise exc
 
     namespace.update(
-        _array=np.array, _float=float, _pow=math.pow, _sin=math.sin, _cos=math.cos, _exp=math.exp,
-        _sqrt=math.sqrt, _walk=walk,
+        _tiled=_tiled, _shape=np.shape, _members=_members, _assemble=_assemble, _float=float,
+        _pow=math.pow, _sin=math.sin, _cos=math.cos, _exp=math.exp, _sqrt=math.sqrt, _walk=walk,
         # what the float operations and math functions raise on failure
         _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
     )
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
-    return [namespace[f"_f{index}"] for index in range(len(tables))]
+    return [stacked(namespace[f"_f{index}"]) for index in range(len(tables))]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie import LieAlgebraSpec
-from .ocp import ControlProblem, ProblemJacobians, left_translations
+from .ocp import ControlProblem, ProblemJacobians, left_translations, stacked
 from .reduction import ReducedJacobians, ReducedProblem
 
 
@@ -61,25 +61,64 @@ def heisenberg_algebra() -> LieAlgebraSpec:
     )
 
 
+# The problem callables are stacked (``ocp.stacked``): they index x[..., i], so one call serves a batch.
+
+
+def _columns(*columns) -> np.ndarray:
+    """The stack whose last axis holds the given per-member columns."""
+    out = np.empty(columns[0].shape + (len(columns),))
+    for i, column in enumerate(columns):
+        out[..., i] = column
+    return out
+
+
+@stacked
 def _dynamics(x, u):
-    return np.array([u[0], u[1], 0.5 * (x[0] * u[1] - x[1] * u[0])])
+    return _columns(u[..., 0], u[..., 1], 0.5 * (x[..., 0] * u[..., 1] - x[..., 1] * u[..., 0]))
 
 
+@stacked
 def _lagrangian(x, u):
-    return 0.5 * float(u[0] ** 2 + u[1] ** 2)
+    return 0.5 * (u[..., 0] ** 2 + u[..., 1] ** 2)
+
+
+@stacked
+def _df_dx(x, u):
+    out = np.zeros(u.shape[:-1] + (3, 3))
+    out[..., 2, 0] = 0.5 * u[..., 1]
+    out[..., 2, 1] = -0.5 * u[..., 0]
+    return out
+
+
+@stacked
+def _df_du(x, u):
+    out = np.zeros(x.shape[:-1] + (3, 2))
+    out[..., 0, 0] = out[..., 1, 1] = 1.0
+    out[..., 2, 0] = -0.5 * x[..., 1]
+    out[..., 2, 1] = 0.5 * x[..., 0]
+    return out
+
+
+@stacked
+def _control(x, u):
+    return np.asarray(u, dtype=float)
+
+
+def _constant(value):
+    """A stacked callable giving every member the constant array ``value``."""
+    value = np.asarray(value, dtype=float)
+    return stacked(lambda x, u: value + np.zeros(u.shape[:-1] + value.shape))
 
 
 def heisenberg_problem() -> ControlProblem:
     """The geodesic problem as a control problem with full analytic derivatives."""
     jac = ProblemJacobians(
-        df_dx=lambda x, u: np.array(
-            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5 * u[1], -0.5 * u[0], 0.0]]
-        ),
-        df_du=lambda x, u: np.array([[1.0, 0.0], [0.0, 1.0], [-0.5 * x[1], 0.5 * x[0]]]),
-        dL_dx=lambda x, u: np.zeros(3),
-        dL_du=lambda x, u: np.asarray(u, dtype=float),
-        d2f_du2=lambda x, u: np.zeros((3, 2, 2)),
-        d2L_du2=lambda x, u: np.eye(2),
+        df_dx=_df_dx,
+        df_du=_df_du,
+        dL_dx=_constant(np.zeros(3)),
+        dL_du=_control,
+        d2f_du2=_constant(np.zeros((3, 2, 2))),
+        d2L_du2=_constant(np.eye(2)),
     )
     return ControlProblem(
         n=3,
@@ -92,21 +131,26 @@ def heisenberg_problem() -> ControlProblem:
     )
 
 
+@stacked
+def _fiber_dynamics(z, u):
+    return _columns(u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
+
+
 def heisenberg_reduced_problem() -> ReducedProblem:
     """The fully reduced (zero-dimensional base) Lie-Poisson form of the problem."""
     jac = ReducedJacobians(
-        dl_du=lambda z, u: np.asarray(u, dtype=float),
-        dfiber_du=lambda z, u: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        d2l_du2=lambda z, u: np.eye(2),
-        d2fiber_du2=lambda z, u: np.zeros((3, 2, 2)),
+        dl_du=_control,
+        dfiber_du=_constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        d2l_du2=_constant(np.eye(2)),
+        d2fiber_du2=_constant(np.zeros((3, 2, 2))),
     )
     return ReducedProblem(
         base_dim=0,
         algebra=heisenberg_algebra(),
         control_dim=2,
-        lagrangian=lambda z, u: 0.5 * float(u[0] ** 2 + u[1] ** 2),
-        base_dynamics=lambda z, u: np.zeros(0),
-        fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.0]),
+        lagrangian=_lagrangian,
+        base_dynamics=_constant(np.zeros(0)),
+        fiber_dynamics=_fiber_dynamics,
         jacobians=jac,
         casimirs={"casimir_mu3": lambda mu: float(mu[2])},
         name="heisenberg",

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidAlgebraError, NonNilpotentError
+from .errors import DimensionMismatchError, EvaluationError, InvalidAlgebraError, NonNilpotentError
 
 Coeffs = Union[np.ndarray, Sequence[float], "AlgebraElement", "CoalgebraElement"]
 
@@ -183,9 +183,14 @@ def coadjoint(alg: LieAlgebraSpec, xi: Coeffs, lam: Coeffs) -> CoalgebraElement:
 
     Component k is sum_{i,j} xi_i c[i][k][j] lam_j.
     """
-    a = _coeffs(xi, alg.dim)
-    m = _coeffs(lam, alg.dim)
-    return CoalgebraElement(np.einsum("i,ikj,j->k", a, alg.structure_constants, m))
+    return CoalgebraElement(_coadjoint_stack(alg, _coeffs(xi, alg.dim), _coeffs(lam, alg.dim)))
+
+
+def _coadjoint_stack(alg: LieAlgebraSpec, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """ad*_xi(lam) for stacks (..., dim), as two matrix products per member."""
+    dim = alg.dim
+    ad = (xi[..., None, :] @ alg.structure_constants.reshape(dim, dim * dim)).reshape(xi.shape[:-1] + (dim, dim))
+    return (ad @ lam[..., None])[..., 0]
 
 
 def exp_nilpotent(alg: LieAlgebraSpec, xi: Coeffs) -> GroupElement:
@@ -199,8 +204,18 @@ def exp_nilpotent(alg: LieAlgebraSpec, xi: Coeffs) -> GroupElement:
 
 
 def _exp_series(alg: LieAlgebraSpec, xi: np.ndarray) -> np.ndarray:
-    """``exp_nilpotent`` of coefficient rows (..., dim) as matrices (..., m, m), each tail checked."""
+    """``exp_nilpotent`` of coefficient rows (..., dim) as matrices (..., m, m), each tail checked.
+
+    A non-finite coefficient is refused before any arithmetic, naming its index.
+    """
     size = alg.matrix_size
+    xi = np.asarray(xi, dtype=float)
+    bad = np.argwhere(~np.isfinite(xi))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise EvaluationError(
+            f"exponential of a non-finite algebra element: coefficient xi{list(index)} is {xi[index]}"
+        )
     x = np.tensordot(xi, np.stack(alg.matrix_basis), axes=1)
     term = result = np.broadcast_to(np.eye(size), x.shape)
     for k in range(1, alg.dim + 2):
@@ -209,7 +224,7 @@ def _exp_series(alg: LieAlgebraSpec, xi: np.ndarray) -> np.ndarray:
         if not np.any(term):
             return result
     tail = np.linalg.norm(term @ x / (alg.dim + 2), axis=(-2, -1))
-    if not np.all(tail <= 1e-12):  # also rejects a non-finite element
+    if not np.all(tail <= 1e-12):  # also rejects terms that overflowed
         raise NonNilpotentError(
             f"exponential series did not terminate after {alg.dim + 1} terms "
             f"(next term has norm {np.max(tail):.3e})"
@@ -223,13 +238,16 @@ def log_nilpotent(alg: LieAlgebraSpec, g: Union[GroupElement, np.ndarray]) -> np
     ``g`` is a group element or a stack of matrices of shape (..., m, m); the
     result has shape (..., dim).  With n = g - 1 the series
     log(1 + n) = n - n^2/2 + n^3/3 - ... ends once n^m = 0, and the logarithm
-    is expanded in the matrix basis.  A matrix that is not unipotent, or
-    whose logarithm leaves the span of the basis, is rejected.
+    is expanded in the matrix basis.  A matrix that is not unipotent (a
+    non-finite entry is checked first), or whose logarithm leaves the span of
+    the basis, is rejected.
     """
     size = alg.matrix_size
     m = np.asarray(g.matrix if isinstance(g, GroupElement) else g, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (size, size):
         raise DimensionMismatchError(f"expected {size}x{size} matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DimensionMismatchError("matrix has a non-finite entry, so it is not unipotent")
     n = m.reshape(-1, size, size) - np.eye(size)
     log, power = n, n
     for k in range(2, size + 1):

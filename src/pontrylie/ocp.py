@@ -15,10 +15,16 @@ any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
 it, and one Newton loop eliminates the controls of both.  Partials fall back
 to central finite differences (step scaled by 1 + |coordinate|) wherever
 analytic derivatives are not supplied; dH/dlam = F(q, u) is always exact.
+
+The kernel works on stacks: every argument may carry leading member axes (a
+batch of initial conditions, or all rows of a trajectory), and one point is
+the stack without them.  Problem callables marked ``stacked`` take the whole
+stack at once; any other callable is called once per member.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -36,10 +42,10 @@ class ProblemJacobians:
     """Optional analytic derivatives of the dynamics and Lagrangian.
 
     First derivatives: df_dx, df_du of shape (n, n) / (n, r) and dL_dx, dL_du
-    of shape (n,) / (r,).  The control Hessians d2f_du2 (n, r, r) and d2L_du2
-    (r, r) are optional on top of that; when present the control Hessian of H
-    is exact, which some callers need at tighter-than-finite-difference
-    accuracy.
+    of shape (n,) / (r,), per member (see ``stacked``).  The control Hessians
+    d2f_du2 (n, r, r) and d2L_du2 (r, r) are optional on top of that; when
+    present the control Hessian of H is exact, which some callers need at
+    tighter-than-finite-difference accuracy.
     """
 
     df_dx: Optional[Callable] = None
@@ -57,8 +63,9 @@ class SymmetryHandle:
     ``infinitesimal_action(xi, x)`` returns the generator vector field
     xi_P(x) and is the only mandatory field (it feeds the momentum map).  It
     is linear in xi and takes a stack of algebra elements: xi of shape
-    (..., dim) gives (..., n), so the identity matrix gives all generators
-    at once.  The remaining callables enable invariance checking and, for
+    (..., dim) gives (..., n), so one call gives all generators
+    (``pmp.momentum_map`` passes the identity and the basis sum, and
+    refuses a handle written for one vector).  The remaining callables enable invariance checking and, for
     problems whose state space is the group itself, reduction:
 
     - ``act_on_state(g, x)``: the action of a GroupElement on a chart point.
@@ -142,20 +149,65 @@ class PontryaginPoint:
         return self
 
 
-def _eval_dynamics(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    f = np.asarray(problem.dynamics(x, u), dtype=float)
-    if f.shape != (problem.n,):
-        raise DimensionMismatchError(f"dynamics returned shape {f.shape}, expected ({problem.n},)")
-    if not np.all(np.isfinite(f)):
-        raise EvaluationError("dynamics produced a non-finite value", point=(x.copy(), u.copy()))
-    return f
+def stacked(fn: Callable) -> Callable:
+    """Mark ``fn`` as a stacked problem callable and return it.
+
+    A stacked callable takes arguments with leading member axes, x of shape
+    (..., n) and u of shape (..., r), indexes them as ``x[..., i]`` and returns
+    one value per member, (..., *shape).  The solvers call it once on a whole
+    batch; an unmarked callable is called once per member instead.
+    """
+    fn.stacked = True
+    return fn
 
 
-def _eval_lagrangian(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> float:
-    val = float(problem.lagrangian(x, u))
-    if not np.isfinite(val):
-        raise EvaluationError("Lagrangian produced a non-finite value", point=(x.copy(), u.copy()))
-    return val
+def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Callable]:
+    """``fn`` as a stacked callable: itself when marked ``stacked``, else a loop calling it on each member.
+
+    Each member's value must have the trailing ``shape``; a scalar (``shape == ()``) is read by float().
+    """
+    if fn is None or getattr(fn, "stacked", False):
+        return fn
+
+    def each(*args):
+        lead = np.shape(args[0])[:-1]
+        count = math.prod(lead)
+        values = []
+        for row in zip(*(np.reshape(a, (count, np.shape(a)[-1])) for a in args)):
+            value = float(fn(*row)) if not shape else np.asarray(fn(*row), dtype=float)
+            if np.shape(value) != shape:
+                raise DimensionMismatchError(
+                    f"{name} returned shape {np.shape(value)} for one member, expected {shape}"
+                )
+            values.append(value)
+        return np.array(values, dtype=float).reshape(lead + shape)
+
+    return each
+
+
+def _sized(fn: Callable, name: str, size: int) -> Callable:
+    """The stacked vector callable ``fn``, its values checked to hold ``size`` entries per member."""
+
+    def checked(q, u):
+        value = np.asarray(fn(q, u), dtype=float)
+        if value.shape != q.shape[:-1] + (size,):
+            raise DimensionMismatchError(f"{name} returned shape {value.shape}, expected {q.shape[:-1] + (size,)}")
+        return value
+
+    return checked
+
+
+def _require_finite(values: np.ndarray, message: str, *rows: np.ndarray) -> np.ndarray:
+    """``values`` (leading member axes as ``rows[0]``) once all finite; else EvaluationError at the first bad member.
+
+    The error's point holds that member's entries of ``rows``.
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    count = math.prod(rows[0].shape[:-1])
+    i = int(np.argmin(finite.reshape(count, -1).all(axis=1)))
+    raise EvaluationError(message, point=tuple(np.reshape(v, (count, v.shape[-1]))[i].copy() for v in rows))
 
 
 # Central-difference step of every derivative fallback, scaled by 1 + |coordinate|.
@@ -172,7 +224,10 @@ class HamiltonianPartials(NamedTuple):
 
 
 class ControlledHamiltonian(NamedTuple):
-    """H(q, lam, u) = <lam, F(q, u)> - L(q, u); ``jac`` holds dF/dq as df_dx, and so on."""
+    """H(q, lam, u) = <lam, F(q, u)> - L(q, u); ``jac`` holds dF/dq as df_dx, and so on.
+
+    Every callable is stacked (see ``stacked``).
+    """
 
     F: Callable
     L: Callable
@@ -180,39 +235,54 @@ class ControlledHamiltonian(NamedTuple):
 
 
 def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
+    n, r = problem.n, problem.r
+    jac = problem.jacobians or ProblemJacobians()
+    shapes = {"df_dx": (n, n), "df_du": (n, r), "dL_dx": (n,), "dL_du": (r,), "d2f_du2": (n, r, r), "d2L_du2": (r, r)}
     return ControlledHamiltonian(
-        F=lambda x, u: _eval_dynamics(problem, x, u),
-        L=lambda x, u: _eval_lagrangian(problem, x, u),
-        jac=problem.jacobians or ProblemJacobians(),
+        F=_sized(_per_member(problem.dynamics, "dynamics", (n,)), "dynamics", n),
+        L=_per_member(problem.lagrangian, "Lagrangian", ()),
+        jac=ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()}),
     )
 
 
-def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u) -> float:
-    value = float(lam @ ham.F(q, u)) - ham.L(q, u)
-    if not np.isfinite(value):
-        raise EvaluationError("non-finite Hamiltonian", point=(q, lam, u))
-    return value
+def _eval_dynamics(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return _require_finite(_full_view(problem).F(x, u), "dynamics produced a non-finite value", x, u)
+
+
+def _eval_lagrangian(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return _require_finite(_full_view(problem).L(x, u), "Lagrangian produced a non-finite value", x, u)
+
+
+def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f=None) -> np.ndarray:
+    """H per member; ``f`` is F(q, u) when the caller holds it already."""
+    f = ham.F(q, u) if f is None else f
+    value = (lam[..., None, :] @ f[..., None])[..., 0, 0] - ham.L(q, u)
+    return _require_finite(value, "non-finite Hamiltonian", q, lam, u)
 
 
 def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
-    """(dH/dq, dH/dlam = F, dH/du, W = d2H/du2) at (q, lam, u).
+    """(dH/dq, dH/dlam = F, dH/du, W = d2H/du2) at every member of the stacks (q, lam, u).
 
     The one place that picks a derivative source, in order of preference:
     analytic blocks, central differences of an analytic dH/du, plain second
     differences of H (step sqrt(FD_STEP) to keep roundoff noise down).  A
     block is analytic only when both its F and its L field are given; a
-    zero-length block is never evaluated.
+    zero-length block is never evaluated.  Pairings with lam are matrix
+    products per member, so a member's partials do not depend on the batch.
+    One finiteness check covers all four.
     """
     F, L, jac = ham
     dH_dlam = F(q, u)
+    row = lam[..., None, :]
+    lead, r = u.shape[:-1], u.shape[-1]
 
     def h_at(q_, u_):
-        return float(lam @ F(q_, u_)) - L(q_, u_)
+        return (row @ F(q_, u_)[..., None])[..., 0, 0] - L(q_, u_)
 
-    if not q.size:
-        dH_dq = np.zeros(0)
+    if not q.shape[-1]:
+        dH_dq = np.zeros(q.shape)
     elif jac.df_dx is not None and jac.dL_dx is not None:
-        dH_dq = np.asarray(jac.df_dx(q, u), dtype=float).T @ lam - np.asarray(jac.dL_dx(q, u), dtype=float)
+        dH_dq = (row @ jac.df_dx(q, u))[..., 0, :] - jac.dL_dx(q, u)
     else:
         dH_dq = fd_gradient(lambda q_: h_at(q_, u), q, FD_STEP)
 
@@ -220,60 +290,70 @@ def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
 
     def dH_du_at(u_):
         if have_first_du:
-            return np.asarray(jac.df_du(q, u_), dtype=float).T @ lam - np.asarray(jac.dL_du(q, u_), dtype=float)
+            return (row @ jac.df_du(q, u_))[..., 0, :] - jac.dL_du(q, u_)
         return fd_gradient(lambda v: h_at(q, v), u_, FD_STEP)
 
-    if not u.size:
-        dH_du, w = np.zeros(0), np.zeros((0, 0))
+    if not r:
+        dH_du, w = np.zeros(u.shape), np.zeros(u.shape + (0,))
     else:
         dH_du = dH_du_at(u)
         if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
-            d2F = np.asarray(jac.d2f_du2(q, u), dtype=float)
-            w = np.tensordot(lam, d2F, axes=1) - np.asarray(jac.d2L_du2(q, u), dtype=float)
+            d2F = jac.d2f_du2(q, u)
+            w = (row @ d2F.reshape(d2F.shape[:-2] + (r * r,))).reshape(lead + (r, r)) - jac.d2L_du2(q, u)
         elif have_first_du:
             w = fd_hessian_from_gradient(dH_du_at, u, FD_STEP)
         else:
             w = fd_hessian_direct(lambda v: h_at(q, v), u, FD_STEP)
-        w = 0.5 * (w + w.T)
+        w = 0.5 * (w + np.swapaxes(w, -1, -2))
 
-    parts = HamiltonianPartials(np.asarray(dH_dq, dtype=float), dH_dlam, np.asarray(dH_du, dtype=float), w)
-    for arr in parts:
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError("non-finite Hamiltonian partial", point=(q, lam, u))
+    parts = HamiltonianPartials(dH_dq, dH_dlam, dH_du, w)
+    _require_finite(np.concatenate([dH_dq, dH_dlam, dH_du, w.reshape(lead + (r * r,))], axis=-1),
+                    "non-finite Hamiltonian partial", q, lam, u)
     return parts
 
 
-def _row_partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
-    """``_partials`` at every row of the stacked (q, lam, u), each field stacked row by row."""
-    rows = [_partials(ham, *row) for row in zip(q, lam, u)]
-    if not rows:  # no rows: empty blocks of the right widths
-        return HamiltonianPartials(q, lam, u, np.zeros((0, u.shape[1], u.shape[1])))
-    return HamiltonianPartials(*(np.array(field) for field in zip(*rows)))
-
-
-def _is_regular(w: np.ndarray) -> bool:
-    return float(np.linalg.svd(w, compute_uv=False)[-1]) > RANK_TOL
+def _is_regular(w: np.ndarray) -> np.ndarray:
+    """Per member of a stack of control Hessians (..., r, r): smallest singular value above ``RANK_TOL``."""
+    return np.linalg.svd(w, compute_uv=False)[..., -1] > RANK_TOL
 
 
 def _newton(partials_at: Callable, u_guess, config):
     """Newton solve of dH/du = 0 from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
 
-    Returns (u*, iterations, residual, ``partials_at(u*)``); callers reuse
-    the partials, so each RK stage evaluates them once per iteration.
+    ``u_guess`` is one control (r,) or a stack (..., r); ``partials_at(u)``
+    gives the partials at every member.  Each member keeps its own
+    convergence: once its residual is within tolerance it is not updated
+    again, and every iteration checks the regularity of the other members
+    with one stacked SVD and updates them with one stacked solve, so a member
+    takes the same steps in any batch.  Returns (u*, iterations, residual,
+    ``partials_at(u*)``), iterations and residual per member; callers reuse
+    the partials.  A failure names the flat index of the first failing member.
     """
-    u = np.atleast_1d(np.asarray(u_guess, dtype=float)).copy()
+    u = np.array(u_guess, dtype=float, ndmin=1)
+    iterations = np.zeros(u.shape[:-1], dtype=int)
     for iteration in range(config.newton_max_iter + 1):
         parts = partials_at(u)
-        if not u.size:
-            return u, 0, 0.0, parts
-        residual = float(np.max(np.abs(parts.dH_du)))
-        if residual <= config.newton_tol:
-            return u, iteration, residual, parts
+        residual = np.abs(parts.dH_du).max(axis=-1, initial=0.0)
+        active = ~(residual <= config.newton_tol)
+        if not active.any():
+            return u, iterations, residual, parts
+        everyone = active.all()
+        w, g = (parts.d2H_du2, parts.dH_du) if everyone else (parts.d2H_du2[active], parts.dH_du[active])
         if iteration == config.newton_max_iter:
-            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations", residual=residual)
-        if not _is_regular(parts.d2H_du2):
-            raise RegularityError("control Hessian is singular along the Newton iteration", residual=residual)
-        u = u - np.linalg.solve(parts.d2H_du2, parts.dH_du)
+            i = int(np.flatnonzero(active)[0])
+            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
+                                   residual=float(residual.flat[i]), member=i)
+        regular = _is_regular(w)
+        if not regular.all():
+            i = int(np.flatnonzero(active)[np.argmin(regular)])
+            raise RegularityError("control Hessian is singular along the Newton iteration",
+                                  residual=float(residual.flat[i]), member=i)
+        step = np.linalg.solve(w, g[..., None])[..., 0]
+        if everyone:
+            u, iterations = u - step, iterations + 1
+        else:
+            u[active] = u[active] - step
+            iterations[active] += 1
 
 
 def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> HamiltonianPartials:
@@ -285,7 +365,7 @@ def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> Ham
 def pontryagin_hamiltonian(problem: ControlProblem, point: PontryaginPoint) -> float:
     """H(x, p, u) = <p, f(x, u)> - L(x, u)."""
     point.conform(problem)
-    return _hamiltonian_value(_full_view(problem), point.x, point.p, point.u)
+    return float(_hamiltonian_value(_full_view(problem), point.x, point.p, point.u))
 
 
 def _fd_pushforward(action: Callable, g: GroupElement, x: np.ndarray, v: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -312,7 +392,7 @@ def invariance_deviation(problem: ControlProblem, g: GroupElement, x: np.ndarray
         raise PontrylieError("problem has no symmetry group action to check")
     gx = np.asarray(sym.act_on_state(g, x), dtype=float)
     gu = np.asarray(sym.act_on_control(g, x, u), dtype=float) if sym.act_on_control else u
-    l_dev = abs(_eval_lagrangian(problem, gx, gu) - _eval_lagrangian(problem, x, u))
+    l_dev = abs(float(_eval_lagrangian(problem, gx, gu) - _eval_lagrangian(problem, x, u)))
     f = _eval_dynamics(problem, x, u)
     if sym.state_jacobian is not None:
         pushed = np.asarray(sym.state_jacobian(g, x), dtype=float) @ f
@@ -361,31 +441,27 @@ def validate_jacobians(
     Returns the worst relative deviation over random probe points; raises
     EvaluationError if it exceeds ``rtol``.
     """
-    jac = problem.jacobians
-    if jac is None:
+    if problem.jacobians is None:
         return 0.0
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = [(rng.normal(size=problem.n), rng.normal(size=problem.r)) for _ in range(probes)]
+    x = np.array([d[0] for d in draws]).reshape(probes, problem.n)
+    u = np.array([d[1] for d in draws]).reshape(probes, problem.r)
 
     def rel(a, b):
         return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))), initial=0.0))
 
-    for _ in range(probes):
-        x = rng.normal(size=problem.n)
-        u = rng.normal(size=problem.r)
-        _eval_dynamics(problem, x, u)  # also enforces the output-length invariant
-        if jac.df_dx is not None:
-            fd = fd_jacobian(lambda xi: _eval_dynamics(problem, xi, u), x, fd_step)
-            worst = max(worst, rel(np.asarray(jac.df_dx(x, u), dtype=float), fd))
-        if jac.df_du is not None and problem.r:
-            fd = fd_jacobian(lambda ui: _eval_dynamics(problem, x, ui), u, fd_step)
-            worst = max(worst, rel(np.asarray(jac.df_du(x, u), dtype=float), fd))
-        if jac.dL_dx is not None:
-            fd = fd_gradient(lambda xi: _eval_lagrangian(problem, xi, u), x, fd_step)
-            worst = max(worst, rel(np.asarray(jac.dL_dx(x, u), dtype=float), fd))
-        if jac.dL_du is not None and problem.r:
-            fd = fd_gradient(lambda ui: _eval_lagrangian(problem, x, ui), u, fd_step)
-            worst = max(worst, rel(np.asarray(jac.dL_du(x, u), dtype=float), fd))
+    _eval_dynamics(problem, x, u)  # also enforces the output-length invariant
+    jac = _full_view(problem).jac
+    worst = 0.0
+    for analytic, differences, fun, wrt in (
+        (jac.df_dx, fd_jacobian, lambda v: _eval_dynamics(problem, v, u), x),
+        (jac.df_du, fd_jacobian, lambda v: _eval_dynamics(problem, x, v), u),
+        (jac.dL_dx, fd_gradient, lambda v: _eval_lagrangian(problem, v, u), x),
+        (jac.dL_du, fd_gradient, lambda v: _eval_lagrangian(problem, x, v), u),
+    ):
+        if analytic is not None and wrt.shape[-1]:
+            worst = max(worst, rel(analytic(x, u), differences(fun, wrt, fd_step)))
     if worst > rtol:
         raise EvaluationError(f"analytic jacobians deviate from finite differences by {worst:.3e}")
     return worst

@@ -17,7 +17,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
-from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials, _row_partials
+from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def regularity_check(problem: ControlProblem, point: PontryaginPoint) -> bool:
 
     Problems without controls are vacuously regular.
     """
-    return problem.r == 0 or _is_regular(hamiltonian_partials(problem, point).d2H_du2)
+    return problem.r == 0 or bool(_is_regular(hamiltonian_partials(problem, point).d2H_du2))
 
 
 def optimal_feedback(
@@ -212,19 +212,40 @@ def optimal_feedback(
     config: PmpSolverConfig = PmpSolverConfig(),
 ) -> np.ndarray:
     """The control solving dH/du = 0, tracked by Newton from ``u_guess``."""
-    return _newton(lambda u: hamiltonian_partials(problem, PontryaginPoint(x, p, u)), u_guess, config)[0]
+    point = PontryaginPoint(x, p, u_guess).conform(problem)
+    ham = _full_view(problem)
+    return _newton(lambda u: _partials(ham, point.x, point.p, u), point.u, config)[0]
 
 
 def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
-    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry, from one stacked call."""
+    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry, from one stacked call.
+
+    The handle gets the stack of every basis element and their sum, so one
+    written for a single algebra vector is refused: it returns the wrong
+    shape, fails to index the stack, or does not give the sum's generator as
+    the sum of the others (to 1e-12 relative).
+    """
     sym = problem.symmetry
     if sym is None:
         raise PontrylieError("problem declares no symmetry")
-    dim = sym.algebra.dim
-    generators = np.asarray(sym.infinitesimal_action(np.eye(dim), np.asarray(x, dtype=float)), dtype=float)
-    if generators.shape != (dim, problem.n):
-        raise DimensionMismatchError(f"generators of the basis have shape {generators.shape}, expected (dim, n)")
-    return CoalgebraElement(generators @ np.asarray(p, dtype=float))
+    dim, n = sym.algebra.dim, problem.n
+    probes = np.vstack([np.eye(dim), np.ones(dim)])
+    try:
+        generators = np.asarray(sym.infinitesimal_action(probes, np.asarray(x, dtype=float)), dtype=float)
+    except IndexError as exc:
+        raise DimensionMismatchError(
+            f"generators: the symmetry handle cannot take a stack of algebra elements ({exc})"
+        ) from exc
+    if generators.shape != (dim + 1, n):
+        raise DimensionMismatchError(
+            f"generators of the basis and its sum have shape {generators.shape}, expected ({dim + 1}, {n})"
+        )
+    basis, total = generators[:dim], generators[dim]
+    if not np.all(np.abs(basis.sum(axis=0) - total) <= 1e-12 * np.abs(basis).sum(axis=0)):
+        raise DimensionMismatchError(
+            "generators: the generator of the basis sum is not the sum of the basis generators"
+        )
+    return CoalgebraElement(basis @ np.asarray(p, dtype=float))
 
 
 def time_grid(duration: float, step: float) -> np.ndarray:
@@ -242,55 +263,90 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_channel, channels) -> Trajectory:
-    """Fixed-step RK4 on y = (q, lam) with the control eliminated at every stage.
+def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_channel, channels) -> List[Trajectory]:
+    """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
-    At every stage Newton solves dH/du = 0 warm started from the previous
-    stage's control, and ``vector_field(y, partials)`` gives y_dot.  Every
-    grid node records the row (y, u*) with columns <prefix>1.. for each
+    All members advance together: every stage makes one ``_partials`` call
+    per Newton iteration on the whole stack, and a member's trajectory is
+    bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0
+    warm started from the previous stage's control; stage 1 reuses the
+    partials of the node's converged solve, taken at the same (y, u*).
+    ``vector_field(y, partials)`` gives y_dot for the stack.  Every grid node
+    records, per member, the row (y, u*) with columns <prefix>1.. for each
     (prefix, size) of ``blocks`` (q first), then u1..; H under
-    ``hamiltonian_channel``; and the dict ``channels(y)``.  Solver errors are
-    re-raised with the grid time (of the node, or of the start of the step
-    whose stage failed) and the (q, lam) row Newton was solving at.
+    ``hamiltonian_channel``; the channels "newton_iters" (most Newton updates
+    of any solve of the step ending at the node) and "stationarity" (the
+    node's residual max |dH/du|); and the dict ``channels(y)`` of per-member
+    values.  Solver errors are re-raised with the failing member's index, the
+    grid time (of the node, or of the start of the step whose stage failed)
+    and the (q, lam) row Newton was solving at.  Returns one Trajectory per member.
     """
     nq = blocks[0][1]
     times = time_grid(duration, config.rk_step)
 
     def solve(y, u_warm, where, t):
-        q, lam = y[:nq], y[nq:]
         try:
-            return _newton(lambda u: _partials(ham, q, lam, u), u_warm, config)
+            return _newton(lambda u: _partials(ham, y[:, :nq], y[:, nq:], u), u_warm, config)
         except SolverError as exc:
-            raise type(exc)(f"{exc} ({where} t={t:.6g})", residual=exc.residual, t=t, state=y) from exc
+            i = exc.member
+            raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
+                            member=i) from exc
 
     def stage(y, u_warm, t):
-        u_star, _, _, parts = solve(y, u_warm, "while stepping from", t)
-        return vector_field(y, parts), u_star
+        u_star, iterations, _, parts = solve(y, u_warm, "while stepping from", t)
+        return vector_field(y, parts), u_star, iterations
 
-    rows, hams, extras = [], [], []
+    members, width = y0.shape
+    states = np.empty((members, len(times), width + u0.shape[1]))
+    recorded: Dict[str, np.ndarray] = {}
 
-    def node(t, y, u_warm):
-        u_star = solve(y, u_warm, "at", t)[0]
-        rows.append(np.concatenate([y, u_star]))
-        hams.append(_hamiltonian_value(ham, y[:nq], y[nq:], u_star))
-        extras.append(channels(y))
-        return u_star
+    def node(k, y, u_warm, step_iterations):
+        u_star, iterations, residual, parts = solve(y, u_warm, "at", times[k])
+        states[:, k, :width], states[:, k, width:] = y, u_star
+        values = {
+            hamiltonian_channel: _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, parts.dH_dp),
+            "newton_iters": np.maximum(step_iterations, iterations),
+            "stationarity": residual,
+            **channels(y),
+        }
+        for name, value in values.items():
+            if name not in recorded:
+                recorded[name] = np.empty((members, len(times)))
+            recorded[name][:, k] = value
+        return u_star, parts
 
-    y = y0.copy()
-    u_warm = node(times[0], y, u0)
+    y = y0
+    u_warm, parts = node(0, y, u0, 0)
     for k in range(len(times) - 1):
         t, h = times[k], times[k + 1] - times[k]
-        k1, u1 = stage(y, u_warm, t)
-        k2, u2 = stage(y + 0.5 * h * k1, u1, t)
-        k3, u3 = stage(y + 0.5 * h * k2, u2, t)
-        k4, u4 = stage(y + h * k3, u3, t)
+        k1 = vector_field(y, parts)
+        k2, u2, i2 = stage(y + 0.5 * h * k1, u_warm, t)
+        k3, u3, i3 = stage(y + 0.5 * h * k2, u2, t)
+        k4, u4, i4 = stage(y + h * k3, u3, t)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u_warm = node(times[k + 1], y, u4)
+        u_warm, parts = node(k + 1, y, u4, np.maximum(np.maximum(i2, i3), i4))
 
-    columns = [f"{prefix}{i+1}" for prefix, size in (*blocks, ("u", len(u0))) for i in range(size)]
-    out = {hamiltonian_channel: np.asarray(hams)}
-    out.update({name: np.asarray([extra[name] for extra in extras]) for name in extras[0]})
-    return Trajectory(times=times, columns=columns, states=np.asarray(rows), channels=out)
+    columns = [f"{prefix}{i+1}" for prefix, size in (*blocks, ("u", u0.shape[1])) for i in range(size)]
+    return [
+        Trajectory(times=times, columns=columns, states=states[i], channels={k: v[i] for k, v in recorded.items()})
+        for i in range(members)
+    ]
+
+
+def _initial_stacks(**blocks) -> Tuple[bool, List[np.ndarray]]:
+    """Initial-condition blocks ``name=(value, width)`` as (N, width) stacks, and whether any came as a stack.
+
+    Each value is one row (width,) or a stack (N, width); a single row is shared by every member.
+    """
+    rows = [np.atleast_1d(np.asarray(value, dtype=float)) for value, _ in blocks.values()]
+    for (name, (_, width)), row in zip(blocks.items(), rows):
+        if row.ndim > 2 or row.shape[-1] != width:
+            raise DimensionMismatchError(f"{name} has shape {row.shape}, expected ({width},) or (members, {width})")
+    counts = sorted({len(row) for row in rows if row.ndim == 2})
+    if len(counts) > 1:
+        raise DimensionMismatchError(f"initial conditions stack different member counts {counts}")
+    members = counts[0] if counts else 1
+    return bool(counts), [np.broadcast_to(row, (members, row.shape[-1])) for row in rows]
 
 
 def integrate_pmp(
@@ -300,33 +356,38 @@ def integrate_pmp(
     duration: float,
     config: PmpSolverConfig = PmpSolverConfig(),
     u_guess=None,
-) -> Trajectory:
+) -> Union[Trajectory, List[Trajectory]]:
     """Integrate the Hamilton equations with per-stage control elimination.
 
     Classical RK4 on the 2n-dimensional (x, p) system; at every stage the
     control is re-solved by Newton, warm started from the previous stage.
     The trajectory records columns x1..xn, p1..pn, u1..ur, the Hamiltonian
-    channel "H", and momentum-map channels "J1".."Jd" when the problem
-    declares a symmetry.
+    channel "H", the solver channels "newton_iters" and "stationarity", and
+    momentum-map channels "J1".."Jd" when the problem declares a symmetry.
+
+    ``x0``, ``p0`` and ``u_guess`` are each one row, (n,) or (r,), or a
+    stack of N rows; single rows are shared by every member.  When any is a
+    stack, all N members are integrated in one batch and one Trajectory per
+    member is returned, each bit for bit the one that member gives alone;
+    otherwise the one Trajectory.
     """
     n, r = problem.n, problem.r
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    if x0.shape != (n,) or p0.shape != (n,):
-        raise DimensionMismatchError(f"x0/p0 shapes {x0.shape}/{p0.shape} do not match n={n}")
-    u_start = np.zeros(r) if u_guess is None else np.atleast_1d(np.asarray(u_guess, dtype=float))
-    if u_start.shape != (r,):
-        raise DimensionMismatchError(f"u_guess shape {u_start.shape} does not match r={r}")
+    batch, (x0, p0, u0) = _initial_stacks(
+        x0=(x0, n), p0=(p0, n), u_guess=(np.zeros(r) if u_guess is None else u_guess, r)
+    )
 
     def momenta(y):
         if problem.symmetry is None:
             return {}
-        return {f"J{i+1}": c for i, c in enumerate(momentum_map(problem, y[:n], y[n:]).coeffs)}
+        dim = problem.symmetry.algebra.dim
+        values = np.array([momentum_map(problem, row[:n], row[n:]).coeffs for row in y]).reshape(len(y), dim)
+        return {f"J{i+1}": values[:, i] for i in range(dim)}
 
-    return _rk4_dae(
-        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0]), u_start, duration, config,
-        lambda y, parts: np.concatenate([parts.dH_dp, -parts.dH_dx]), "H", momenta,
+    trajectories = _rk4_dae(
+        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config,
+        lambda y, parts: np.concatenate([parts.dH_dp, -parts.dH_dx], axis=-1), "H", momenta,
     )
+    return trajectories if batch else trajectories[0]
 
 
 def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) -> float:
@@ -341,10 +402,8 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
         raise TrajectoryFormatError("action needs at least two samples")
     x, p, u = trajectory.blocks(x=problem.n, p=problem.n, u=problem.r)
     xdot = np.gradient(x, trajectory.times, axis=0, edge_order=2)
-    integrand = np.empty(len(trajectory))
-    for k in range(len(trajectory)):
-        f = _eval_dynamics(problem, x[k], u[k])
-        integrand[k] = _eval_lagrangian(problem, x[k], u[k]) + float(p[k] @ (xdot[k] - f))
+    f = _eval_dynamics(problem, x, u)
+    integrand = _eval_lagrangian(problem, x, u) + (p[:, None, :] @ (xdot - f)[:, :, None])[:, 0, 0]
     return float(np.trapezoid(integrand, trajectory.times))
 
 
@@ -359,7 +418,7 @@ def dirac_membership_residuals(problem: ControlProblem, trajectory: Trajectory) 
     """
     n = problem.n
     x, p, u = trajectory.blocks(x=n, p=n, u=problem.r)
-    parts = _row_partials(_full_view(problem), x, p, u)
+    parts = _partials(_full_view(problem), x, p, u)
     velocity = np.hstack([parts.dH_dp, -parts.dH_dx, np.zeros_like(u)])
     covector = np.hstack([parts.dH_dx, parts.dH_dp, parts.dH_du])
     return dirac.graph_residuals(dirac._pontryagin_matrix(np.zeros((n, n))), velocity, covector)

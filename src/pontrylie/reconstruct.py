@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError
 from .heisenberg import lambda_closed_form
 from .lie import GroupElement, LieAlgebraSpec, _coeffs, _exp_series, log_nilpotent
+from .ocp import _per_member, _sized
 from .pmp import Trajectory, time_grid
 from .reduction import ReducedProblem
 
@@ -187,7 +188,8 @@ def audit_geodesic_forms(
 
 
 def xi_curve_from_reduced(problem: ReducedProblem, trajectory: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
-    """Sampled algebra curve xi(t) = fiber_dynamics(z, u) along a reduced trajectory."""
+    """Sampled algebra curve xi(t) = fiber_dynamics(z, u) along a reduced trajectory, from one stacked call."""
     z_rows, u_rows = trajectory.blocks(z=problem.base_dim, u=problem.control_dim)
-    values = [np.asarray(problem.fiber_dynamics(z, u), dtype=float) for z, u in zip(z_rows, u_rows)]
-    return trajectory.times, np.array(values)
+    dim = problem.algebra.dim
+    fiber = _sized(_per_member(problem.fiber_dynamics, "fiber dynamics", (dim,)), "fiber dynamics", dim)
+    return trajectory.times, fiber(z_rows, u_rows)

@@ -22,16 +22,17 @@ derivatives in the caller's trivialization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import dirac
 from .errors import DimensionMismatchError, ReductionUnsupportedError
-from .lie import LieAlgebraSpec, _coeffs, coadjoint
+from .lie import LieAlgebraSpec, _coadjoint_stack, _coeffs
 from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
-from .ocp import _hamiltonian_value, _newton, _partials, _row_partials
+from .ocp import _hamiltonian_value, _newton, _partials, _per_member, _sized
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae
 
 
@@ -112,34 +113,31 @@ def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
 
     Built once per solve.  A derivative block is analytic only when both its
     base and its fiber half are given; a zero-dimensional base contributes
-    no half at all.
+    no half at all.  Unmarked callables are called once per member.
     """
-    s, jac = problem.base_dim, problem.jacobians or ReducedJacobians()
+    s, dim, r = problem.base_dim, problem.algebra.dim, problem.control_dim
+    jac = problem.jacobians or ReducedJacobians()
 
-    def velocity(z, u):
-        base = np.atleast_1d(np.asarray(problem.base_dynamics(z, u), dtype=float))
-        fiber = np.atleast_1d(np.asarray(problem.fiber_dynamics(z, u), dtype=float))
-        if base.shape != (s,) or fiber.shape != (problem.algebra.dim,):
-            raise DimensionMismatchError(f"base/fiber dynamics returned shapes {base.shape}/{fiber.shape}")
-        return np.concatenate([base, fiber])
-
-    def stacked(base, fiber):
+    def joined(base, fiber, name, tail):
+        """The stacked block (base; fiber) with per-member shape (s + dim, *tail)."""
+        fiber = _per_member(fiber, f"fiber {name}", (dim, *tail))
         if not s:
             return fiber
         if base is None or fiber is None:
             return None
-        return lambda z, u: np.concatenate([np.asarray(f(z, u), dtype=float) for f in (base, fiber)])
+        base = _per_member(base, f"base {name}", (s, *tail))
+        return lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=z.ndim - 1)
 
     return ControlledHamiltonian(
-        F=velocity,
-        L=lambda z, u: float(problem.lagrangian(z, u)),
+        F=_sized(joined(problem.base_dynamics, problem.fiber_dynamics, "dynamics", ()), "base/fiber dynamics", s + dim),
+        L=_per_member(problem.lagrangian, "reduced Lagrangian", ()),
         jac=ProblemJacobians(
-            df_dx=stacked(jac.dbase_dz, jac.dfiber_dz),
-            df_du=stacked(jac.dbase_du, jac.dfiber_du),
-            dL_dx=jac.dl_dz,
-            dL_du=jac.dl_du,
-            d2f_du2=stacked(jac.d2base_du2, jac.d2fiber_du2),
-            d2L_du2=jac.d2l_du2,
+            df_dx=joined(jac.dbase_dz, jac.dfiber_dz, "dz", (s,)),
+            df_du=joined(jac.dbase_du, jac.dfiber_du, "du", (r,)),
+            dL_dx=_per_member(jac.dl_dz, "dl_dz", (s,)),
+            dL_du=_per_member(jac.dl_du, "dl_du", (r,)),
+            d2f_du2=joined(jac.d2base_du2, jac.d2fiber_du2, "du2", (r, r)),
+            d2L_du2=_per_member(jac.d2l_du2, "d2l_du2", (r, r)),
         ),
     )
 
@@ -153,7 +151,7 @@ def _point(z, p_z, mu):
 def reduced_hamiltonian(problem: ReducedProblem, state: ReducedState) -> float:
     """h = <p_z, base> + <mu, fiber> - l."""
     state.conform(problem)
-    return _hamiltonian_value(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u)
+    return float(_hamiltonian_value(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u))
 
 
 class ReducedPartials(NamedTuple):
@@ -190,12 +188,13 @@ class ReducedRhs(NamedTuple):
 
 def _rhs_from_parts(problem: ReducedProblem, z: np.ndarray, mu: np.ndarray, parts: HamiltonianPartials) -> ReducedRhs:
     s = problem.base_dim
-    z_dot, xi, pz_dot = parts.dH_dp[:s], parts.dH_dp[s:], -parts.dH_dx
+    z_dot, xi, pz_dot = parts.dH_dp[..., :s], parts.dH_dp[..., s:], -parts.dH_dx
     if problem.curvature is not None and s:
-        coupling = np.array([float(problem.curvature(z, mu, z_dot, e)) for e in np.eye(s)])
-        pz_dot = pz_dot - coupling
-    mu_dot = coadjoint(problem.algebra, xi, mu).coeffs
-    return ReducedRhs(z_dot=z_dot, pz_dot=pz_dot, mu_dot=mu_dot, xi=xi)
+        count = math.prod(z.shape[:-1])
+        rows = zip(z.reshape(count, s), mu.reshape(count, -1), z_dot.reshape(count, s))
+        coupling = [[float(problem.curvature(zi, mi, vi, e)) for e in np.eye(s)] for zi, mi, vi in rows]
+        pz_dot = pz_dot - np.array(coupling).reshape(z.shape)
+    return ReducedRhs(z_dot=z_dot, pz_dot=pz_dot, mu_dot=_coadjoint_stack(problem.algebra, xi, mu), xi=xi)
 
 
 def reduced_pmp_rhs(
@@ -215,28 +214,37 @@ def reduced_pmp_rhs(
 
 def integrate_reduced(
     problem: ReducedProblem,
-    state0: ReducedState,
+    state0: Union[ReducedState, Sequence[ReducedState]],
     duration: float,
     config: PmpSolverConfig = PmpSolverConfig(),
-) -> Trajectory:
+) -> Union[Trajectory, List[Trajectory]]:
     """RK4 on (z, p_z, mu) with per-stage control elimination.
 
-    Channels: "h" (reduced Hamiltonian) plus every registered Casimir.
+    Channels: "h" (reduced Hamiltonian), the solver channels "newton_iters"
+    and "stationarity", plus every registered Casimir.
     Columns: z1.., pz1.., mu1.., u1.. .
+
+    ``state0`` is one ReducedState, which gives its Trajectory, or a
+    sequence of them, integrated in one batch into one Trajectory per
+    member, each bit for bit the one that member gives alone.
     """
-    state0.conform(problem)
-    s = problem.base_dim
+    states = [state0] if isinstance(state0, ReducedState) else list(state0)
+    s, dim, r = problem.base_dim, problem.algebra.dim, problem.control_dim
+    for state in states:
+        state.conform(problem)
 
     def vector_field(y, parts):
-        out = _rhs_from_parts(problem, y[:s], y[2 * s :], parts)
-        return np.concatenate([out.z_dot, out.pz_dot, out.mu_dot])
+        out = _rhs_from_parts(problem, y[:, :s], y[:, 2 * s :], parts)
+        return np.concatenate([out.z_dot, out.pz_dot, out.mu_dot], axis=-1)
 
     def casimirs(y):
-        return {name: float(fun(y[2 * s :])) for name, fun in problem.casimirs.items()}
+        return {name: np.array([float(fun(mu)) for mu in y[:, 2 * s :]]) for name, fun in problem.casimirs.items()}
 
-    blocks = (("z", s), ("pz", s), ("mu", problem.algebra.dim))
-    y0 = np.concatenate([state0.z, state0.p_z, state0.mu])
-    return _rk4_dae(_reduced_view(problem), blocks, y0, state0.u, duration, config, vector_field, "h", casimirs)
+    blocks = (("z", s), ("pz", s), ("mu", dim))
+    y0 = np.array([np.concatenate([st.z, st.p_z, st.mu]) for st in states]).reshape(len(states), 2 * s + dim)
+    u0 = np.array([st.u for st in states]).reshape(len(states), r)
+    trajectories = _rk4_dae(_reduced_view(problem), blocks, y0, u0, duration, config, vector_field, "h", casimirs)
+    return trajectories[0] if isinstance(state0, ReducedState) else trajectories
 
 
 def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> ReducedState:
@@ -278,9 +286,9 @@ def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> 
     if problem.base_dim != 0:
         raise ReductionUnsupportedError("reduced Dirac fibers are defined for a zero-dimensional base")
     mu, u = trajectory.blocks(mu=problem.algebra.dim, u=problem.control_dim)
-    parts = _row_partials(_reduced_view(problem), np.zeros((len(mu), 0)), mu, u)
+    parts = _partials(_reduced_view(problem), np.zeros((len(mu), 0)), mu, u)
     xi = parts.dH_dp
-    mu_dot = np.einsum("ni,ikj,nj->nk", xi, problem.algebra.structure_constants, mu)  # ad*_xi(mu) per row
+    mu_dot = _coadjoint_stack(problem.algebra, xi, mu)
     velocity = np.hstack([xi, mu_dot, np.zeros_like(u)])
     covector = np.hstack([np.zeros_like(xi), xi, parts.dH_du])
     return dirac.graph_residuals(dirac._lie_poisson_matrix(problem.algebra, mu), velocity, covector)

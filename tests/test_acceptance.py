@@ -57,22 +57,17 @@ def verdict(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def reduced_runs(heis_reduced):
-    runs = {}
-    for theta in THETAS:
-        for k in KS:
-            st0 = ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2))
-            runs[(theta, k)] = integrate_reduced(heis_reduced, st0, TWO_PI, CONFIG)
-    return runs
+    """Every (theta, k) of the grid, integrated in one batch."""
+    cases = [(theta, k) for theta in THETAS for k in KS]
+    states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2)) for theta, k in cases]
+    return dict(zip(cases, integrate_reduced(heis_reduced, states, TWO_PI, CONFIG)))
 
 
 @pytest.fixture(scope="module")
 def full_runs(heis_problem):
-    return {
-        (theta, k): integrate_pmp(
-            heis_problem, np.zeros(3), unit_cylinder_costate(theta, k), TWO_PI, CONFIG
-        )
-        for theta, k in FULL_CASES
-    }
+    """Both full cases, integrated in one batch."""
+    p0 = [unit_cylinder_costate(theta, k) for theta, k in FULL_CASES]
+    return dict(zip(FULL_CASES, integrate_pmp(heis_problem, np.zeros(3), p0, TWO_PI, CONFIG)))
 
 
 def test_criterion_1_reduced_lie_poisson_reproduction(reduced_runs):

@@ -61,6 +61,7 @@ def test_solve_pmp_builtin(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert result["H_drift"] <= 1e-6
+    assert result["newton_iters_max"] == 1 and 0.0 <= result["stationarity_max"] <= 1e-12
     assert "H drift" in captured.out
     traj = Trajectory.from_csv(out)
     assert traj.columns[:3] == ("x1", "x2", "x3")
@@ -147,6 +148,31 @@ def test_solve_reduced_grid(tmp_path, capsys):
     assert len(result["runs"]) == 4
     written = sorted(p.name for p in tmp_path.glob("grid_*.csv"))
     assert len(written) == 4
+    for run in result["runs"]:
+        assert run["newton_iters_max"] == 1 and 0.0 <= run["stationarity_max"] <= 1e-12
+    # the grid is one batch; each member's file is the one its own solve writes
+    single = tmp_path / "single.csv"
+    run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--theta", "0.785", "--k", "0.5",
+            "--T", "0.5", "--step", "1e-2", "--out", str(single))
+    member = Trajectory.from_csv(tmp_path / "grid_theta0.785_k0.5.csv")
+    assert single.read_text() == (tmp_path / "grid_theta0.785_k0.5.csv").read_text()
+    assert set(member.channels) == {"h", "casimir_mu3", "newton_iters", "stationarity"}
+
+
+def test_failing_grid_member_exits_2_naming_it(tmp_path, capsys):
+    """xi3 = u1^2/2 makes the control Hessian singular exactly where k = mu3 = 1: the grid's second member."""
+    problem_file = tmp_path / "singular.json"
+    problem_file.write_text(json.dumps({
+        **HEISENBERG_JSON,
+        "reduced": {"s": 0, "lagrangian": "0.5*(u1^2 + u2^2)", "fiber_dynamics": ["u1", "u2", "0.5*u1^2"]},
+    }))
+    code, result, captured = run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--theta", "0",
+                                     "--k", "0.5,1,2", "--T", "0.5", "--step", "0.1", "--out", str(tmp_path / "g.csv"))
+    assert code == 2 and result["exit_code"] == 2 and result["status"] == "error"
+    assert "singular" in result["error"] and "member 1 at t=0" in result["error"]
+    assert result["member"] == 1 and result["t"] == 0.0 and result["residual"] == 1.0
+    assert result["state"] == [1.0, 0.0, 1.0]
+    assert not list(tmp_path.glob("g*.csv"))
 
 
 def test_reconstruct_circle_report(tmp_path, capsys):

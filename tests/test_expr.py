@@ -299,6 +299,30 @@ def test_compiled_matches_tree_walker_bit_for_bit(src, point):
     assert [float.hex(float(v)) for v in values] == [_outcome(lambda: fn(np.array(point))) for fn in fns]
 
 
+@PROPERTY
+@given(_grammar(safe=False), st.lists(st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                               min_size=3, max_size=3), min_size=1, max_size=5))
+def test_stacked_compiled_tables_equal_the_tree_walker_row_by_row(src, rows):
+    """Arguments (N, k) give one value per member, each bit for bit what evaluate gives on that member's bindings."""
+    tree = parse(src, VARS).ast
+    trees = [tree] + [differentiate(tree, var) for var in VARS]
+    scalar, vector = compile_tables([np.array(tree, dtype=object), np.array(trees, dtype=object)],
+                                    [VARS[:2], VARS[2:]])
+    x, u = np.array(rows)[:, :2], np.array(rows)[:, 2:]
+    expected = [[_outcome(lambda: evaluate_tree(t, dict(zip(VARS, row)))) for t in trees] for row in rows]
+    failed = [value for row in expected for value in row if value.startswith("error")]
+    if failed:  # the first failing member's first failing entry, with its source offset
+        with pytest.raises(ExprEvaluationError) as err:
+            vector(x, u)
+        assert f"error: {err.value}" == failed[0]
+        return
+    values = vector(x, u)
+    assert values.shape == (len(rows), len(trees))
+    assert [[float.hex(float(v)) for v in row] for row in values] == expected
+    assert [float.hex(float(v)) for v in scalar(x, u)] == [row[0] for row in expected]
+    assert np.array_equal(vector(x[:, None], u[:, None]), values[:, None])  # any leading member axes
+
+
 def _positions(node):
     out = {node.pos}
     if isinstance(node, Unary):

@@ -1,12 +1,14 @@
 """Bracket, pairing, coadjoint action, nilpotent exponential and logarithm."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import so3_algebra
-from pontrylie.errors import DimensionMismatchError, InvalidAlgebraError, NonNilpotentError
+from pontrylie.errors import DimensionMismatchError, EvaluationError, InvalidAlgebraError, NonNilpotentError
 from pontrylie.lie import (
     GroupElement,
     LieAlgebraSpec,
@@ -261,15 +263,18 @@ def test_left_invariant_frame_takes_stacks(heis_algebra):
 
 
 def test_group_checks_reject_non_finite_values(heis_algebra):
-    """A NaN or infinite coefficient or matrix entry fails the nilpotency and unipotency checks."""
-    for bad in (np.nan, np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(NonNilpotentError):
-            _exp_series(heis_algebra, np.array([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]]))
-        with np.errstate(invalid="ignore"), pytest.raises(NonNilpotentError):
-            exp_nilpotent(heis_algebra, [0.0, bad, 0.0])
-        g = np.eye(3)
-        g[0, 2] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(DimensionMismatchError):
-            log_nilpotent(heis_algebra, g)
-        with np.errstate(invalid="ignore"), pytest.raises(DimensionMismatchError):
-            log_nilpotent(heis_algebra, np.stack([np.eye(3), g]))
+    """A NaN or infinite coefficient or matrix entry is refused before any arithmetic, so NumPy warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(EvaluationError, match=r"coefficient xi\[1, 0\] is (nan|inf)"):
+                _exp_series(heis_algebra, np.array([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]]))
+            with pytest.raises(EvaluationError, match=r"coefficient xi\[1\] is (nan|inf)"):
+                exp_nilpotent(heis_algebra, [0.0, bad, 0.0])
+            g = np.eye(3)
+            g[0, 2] = bad
+            with pytest.raises(DimensionMismatchError, match="non-finite"):
+                log_nilpotent(heis_algebra, g)
+            with pytest.raises(DimensionMismatchError, match="non-finite"):
+                log_nilpotent(heis_algebra, np.stack([np.eye(3), g]))
+    assert not caught, [str(w.message) for w in caught]

@@ -18,6 +18,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.ocp import ControlProblem, PontryaginPoint, ProblemJacobians, _newton, hamiltonian_partials
+from pontrylie.ocp import pontryagin_hamiltonian
 from pontrylie.pmp import (
     PmpSolverConfig,
     Trajectory,
@@ -236,6 +237,127 @@ def test_stage_failure_reports_the_stage_state():
     assert np.allclose(err.value.state, [0.05 * u0, 2.05], atol=1e-15)
 
 
+def scalar_heisenberg(calls=None):
+    """The Heisenberg problem written for one point at a time (unmarked callables), recording argument shapes."""
+
+    def one(fn):
+        def called(x, u):
+            if calls is not None:
+                calls.append((np.shape(x), np.shape(u)))
+            return fn(x, u)
+        return called
+
+    return ControlProblem(
+        n=3,
+        r=2,
+        dynamics=one(lambda x, u: np.array([u[0], u[1], 0.5 * (x[0] * u[1] - x[1] * u[0])])),
+        lagrangian=one(lambda x, u: 0.5 * float(u[0] ** 2 + u[1] ** 2)),
+        jacobians=ProblemJacobians(
+            df_dx=one(lambda x, u: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5 * u[1], -0.5 * u[0], 0.0]])),
+            df_du=one(lambda x, u: np.array([[1.0, 0.0], [0.0, 1.0], [-0.5 * x[1], 0.5 * x[0]]])),
+            dL_dx=one(lambda x, u: np.zeros(3)),
+            dL_du=one(lambda x, u: np.asarray(u, dtype=float)),
+            d2f_du2=one(lambda x, u: np.zeros((3, 2, 2))),
+            d2L_du2=one(lambda x, u: np.eye(2)),
+        ),
+    )
+
+
+def sequential_pmp(problem, x0, p0, duration, config):
+    """The earlier one-member RK4 through the one-point API: every stage, the first included, solves its control."""
+    n = problem.n
+
+    def field(y, u_warm):
+        u = optimal_feedback(problem, y[:n], y[n:], u_warm, config)
+        parts = hamiltonian_partials(problem, PontryaginPoint(y[:n], y[n:], u))
+        return np.concatenate([parts.dH_dp, -parts.dH_dx]), u
+
+    times = time_grid(duration, config.rk_step)
+    y = np.concatenate([x0, p0])
+    u = optimal_feedback(problem, x0, p0, np.zeros(problem.r), config)
+    rows, hs = [np.concatenate([y, u])], [pontryagin_hamiltonian(problem, PontryaginPoint(x0, p0, u))]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h = t1 - t0
+        k1, u1 = field(y, u)
+        k2, u2 = field(y + 0.5 * h * k1, u1)
+        k3, u3 = field(y + 0.5 * h * k2, u2)
+        k4, u4 = field(y + h * k3, u3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = optimal_feedback(problem, y[:n], y[n:], u4, config)
+        rows.append(np.concatenate([y, u]))
+        hs.append(pontryagin_hamiltonian(problem, PontryaginPoint(y[:n], y[n:], u)))
+    return np.array(rows), np.array(hs)
+
+
+def test_batch_equals_each_member_alone_bit_for_bit(heis_problem):
+    config = PmpSolverConfig(rk_step=1e-2)
+    x0 = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [1.0, 2.0, -3.0], [0.0, 0.0, 0.0]])
+    p0 = np.array([unit_cylinder_costate(theta, k) for theta, k in ((0.0, 1.0), (0.7, 0.5), (2.0, 2.0), (0.3, 0.0))])
+    batch = integrate_pmp(heis_problem, x0, p0, 1.0, config)
+    assert len(batch) == 4
+    for x, p, traj in zip(x0, p0, batch):
+        alone = integrate_pmp(heis_problem, x, p, 1.0, config)
+        assert isinstance(alone, Trajectory)
+        assert np.array_equal(traj.states, alone.states)
+        assert set(traj.channels) == set(alone.channels) == {"H", "J1", "J2", "J3", "newton_iters", "stationarity"}
+        for name in alone.channels:
+            assert np.array_equal(traj.channel(name), alone.channel(name)), name
+    # a single row is shared by every member
+    shared = integrate_pmp(heis_problem, np.zeros(3), p0[:2], 1.0, config)
+    assert np.array_equal(shared[1].states, integrate_pmp(heis_problem, np.zeros(3), p0[1], 1.0, config).states)
+    with pytest.raises(DimensionMismatchError):
+        integrate_pmp(heis_problem, x0[:3], p0, 1.0, config)
+
+
+def test_batch_of_one_reproduces_the_sequential_solver(heis_problem):
+    config = PmpSolverConfig(rk_step=1e-2)
+    x0, p0 = np.array([0.1, -0.2, 0.3]), unit_cylinder_costate(0.4, 1.3)
+    rows, hs = sequential_pmp(heis_problem, x0, p0, 2.0, config)
+    traj = integrate_pmp(heis_problem, x0, p0, 2.0, config)
+    assert np.max(np.abs(traj.states - rows)) <= 1e-13
+    assert np.max(np.abs(traj.channel("H") - hs)) <= 1e-13
+
+
+def test_unmarked_scalar_callables_run_once_per_member(heis_problem):
+    """Callables without the ``stacked`` marker get one member's vectors per call and give the same trajectories."""
+    calls = []
+    config = PmpSolverConfig(rk_step=1e-2)
+    p0 = [unit_cylinder_costate(0.2, 1.0), unit_cylinder_costate(1.1, 0.5)]
+    scalar = integrate_pmp(scalar_heisenberg(calls), np.zeros(3), p0, 0.5, config)
+    assert calls and set(calls) == {((3,), (2,))}
+    for traj, builtin in zip(scalar, integrate_pmp(heis_problem, np.zeros(3), p0, 0.5, config)):
+        assert np.array_equal(traj.states, builtin.states)
+        assert np.array_equal(traj.channel("H"), builtin.channel("H"))
+    wrong = dataclasses.replace(scalar_heisenberg(), dynamics=lambda x, u: np.zeros(2))
+    with pytest.raises(DimensionMismatchError, match="dynamics returned shape"):
+        integrate_pmp(wrong, np.zeros(3), p0, 0.5, config)
+
+
+def test_solver_channels_record_newton_work(heis_problem):
+    config = PmpSolverConfig(rk_step=1e-2)
+    traj = integrate_pmp(heis_problem, np.zeros(3), unit_cylinder_costate(0.3, 1.0), 0.5, config)
+    iters, stationarity = traj.channel("newton_iters"), traj.channel("stationarity")
+    # dH/du is affine in u: the first node takes one update from u = 0, and so does every stage after it
+    assert np.array_equal(iters, np.ones(len(traj)))
+    assert np.max(stationarity) <= config.newton_tol
+    for x, p, u, res in zip(traj.block("x"), traj.block("p"), traj.block("u"), stationarity):
+        assert abs(res - np.max(np.abs(consistency_residual(heis_problem, PontryaginPoint(x, p, u))))) <= 1e-15
+
+
+def test_failing_member_is_named_with_its_time_state_and_residual():
+    # phi = p exp(u) has no root unless p = 0: members 0 and 2 converge at once, member 1 never
+    problem = ControlProblem(
+        n=1, r=1, dynamics=lambda x, u: np.array([np.exp(u[0])]), lagrangian=lambda x, u: 0.0
+    )
+    with pytest.raises(ConvergenceError) as err:
+        integrate_pmp(problem, [0.0], [[0.0], [2.0], [0.0]], 0.5, PmpSolverConfig(newton_max_iter=5, rk_step=0.1))
+    assert err.value.member == 1
+    assert "member 1 at t=0" in str(err.value)
+    assert err.value.t == 0.0
+    assert np.array_equal(err.value.state, [0.0, 2.0])
+    assert np.isfinite(err.value.residual) and err.value.residual > 0
+
+
 def test_action_along_geodesic(heis_problem):
     config = PmpSolverConfig(rk_step=1e-3)
     traj = integrate_pmp(heis_problem, np.zeros(3), unit_cylinder_costate(0.3, 1.0), 1.0, config)
@@ -291,7 +413,7 @@ def test_momentum_map_values(heis_problem):
 
 
 def test_momentum_map_takes_all_generators_from_one_stacked_call(heis_problem):
-    """The handle gets the identity (one basis element per row); a handle that returns one vector is refused."""
+    """The handle gets the identity and the basis sum, one element per row; a handle returning one vector is refused."""
     from pontrylie.ocp import SymmetryHandle
 
     calls = []
@@ -304,10 +426,35 @@ def test_momentum_map_takes_all_generators_from_one_stacked_call(heis_problem):
     problem = dataclasses.replace(heis_problem, symmetry=handle)
     x, p = np.array([0.2, -0.4, 1.0]), np.array([1.0, 2.0, 3.0])
     assert np.array_equal(momentum_map(problem, x, p).coeffs, momentum_map(heis_problem, x, p).coeffs)
-    assert calls == [(3, 3)]
+    assert calls == [(4, 3)]
     single = SymmetryHandle(algebra=problem.symmetry.algebra, infinitesimal_action=lambda xi, x: np.zeros(3))
     with pytest.raises(DimensionMismatchError, match="generators"):
         momentum_map(dataclasses.replace(problem, symmetry=single), x, p)
+
+
+def test_momentum_map_refuses_a_handle_written_for_one_algebra_vector(heis_problem):
+    """The deleted single-vector Heisenberg formula, handed the identity, returned the transpose of the generators."""
+    from pontrylie.ocp import SymmetryHandle
+
+    def one_vector(xi, q):
+        return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
+
+    x, p = np.array([0.3, -0.7, 0.2]), np.array([1.0, 2.0, 3.0])
+    assert np.allclose(one_vector(np.eye(3), x) @ p, [1.0, 2.0, 2.35])  # what the identity alone let through
+    assert np.allclose(momentum_map(heis_problem, x, p).coeffs, [-0.05, 1.55, 3.0], rtol=0, atol=1e-15)
+    algebra = heis_problem.symmetry.algebra
+
+    def combination(xi, q):  # sum_i xi_i (e_i)_P for one vector: the stack's fourth row has no generator
+        return sum(xi[i] * one_vector(np.eye(3), q).T[i] for i in range(len(xi)))
+
+    for action, match in ((one_vector, "shape"), (combination, "cannot take a stack")):
+        handle = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
+        with pytest.raises(DimensionMismatchError, match=match):
+            momentum_map(dataclasses.replace(heis_problem, symmetry=handle), x, p)
+    # the right shape, but the sum's generator is not the sum of the basis generators
+    nonlinear = SymmetryHandle(algebra=algebra, infinitesimal_action=lambda xi, q: np.asarray(xi) ** 2 + q)
+    with pytest.raises(DimensionMismatchError, match="sum"):
+        momentum_map(dataclasses.replace(heis_problem, symmetry=nonlinear), x, p)
 
 
 def test_momentum_map_requires_symmetry():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from test_ocp import heisenberg_cotangent_lift
-from pontrylie.errors import DimensionMismatchError, ReductionUnsupportedError
+from pontrylie import pmp
+from pontrylie.errors import DimensionMismatchError, RegularityError, ReductionUnsupportedError
 from pontrylie.heisenberg import (
     heisenberg_algebra,
     lambda_closed_form,
@@ -14,8 +15,9 @@ from pontrylie.heisenberg import (
 )
 from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import PontryaginPoint, _newton, _partials
-from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp
+from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, time_grid
 from pontrylie.reduction import (
+    ReducedJacobians,
     ReducedProblem,
     ReducedState,
     _reduced_view,
@@ -34,6 +36,66 @@ EMPTY = np.zeros(0)
 # expression-free toy problems below use finite-difference derivatives, whose
 # noise floor sits above the default 1e-12 stationarity tolerance
 FD_CONFIG = PmpSolverConfig(newton_tol=1e-9)
+
+
+# the benchmark's theta-k grid: six rotating members and two at rest (k = 0)
+GRID = [(theta, k) for theta in (0.1, 0.8) for k in (0.0, 0.5, 1.0, 2.0)]
+
+
+def grid_states(cases=GRID):
+    return [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2)) for theta, k in cases]
+
+
+def singular_at_unit_k():
+    """xi3 = u1^2/2 makes the control Hessian diag(mu3 - 1, -1): singular exactly where mu3 = 1 (scalar callables)."""
+
+    def d2fiber_du2(z, u):
+        out = np.zeros((3, 2, 2))
+        out[2, 0, 0] = 1.0
+        return out
+
+    return ReducedProblem(
+        base_dim=0,
+        algebra=heisenberg_algebra(),
+        control_dim=2,
+        lagrangian=lambda z, u: 0.5 * float(u[0] ** 2 + u[1] ** 2),
+        base_dynamics=lambda z, u: np.zeros(0),
+        fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.5 * u[0] ** 2]),
+        jacobians=ReducedJacobians(
+            dl_du=lambda z, u: np.asarray(u, dtype=float),
+            dfiber_du=lambda z, u: np.array([[1.0, 0.0], [0.0, 1.0], [u[0], 0.0]]),
+            d2l_du2=lambda z, u: np.eye(2),
+            d2fiber_du2=d2fiber_du2,
+        ),
+    )
+
+
+def sequential_reduced(problem, mu0, duration, config):
+    """The earlier one-member RK4 through the one-point API: every stage, the first included, solves its control."""
+
+    def field(mu, u_warm):
+        u = eliminate_controls_reduced(problem, EMPTY, EMPTY, mu, u_warm, config)
+        xi = reduced_partials(problem, EMPTY, EMPTY, mu, u).dh_dmu
+        return coadjoint(problem.algebra, xi, mu).coeffs, u
+
+    def h(mu, u):
+        return reduced_hamiltonian(problem, ReducedState(EMPTY, EMPTY, mu, u))
+
+    times = time_grid(duration, config.rk_step)
+    mu = np.asarray(mu0, dtype=float)
+    u = eliminate_controls_reduced(problem, EMPTY, EMPTY, mu, np.zeros(problem.control_dim), config)
+    rows, hs = [np.concatenate([mu, u])], [h(mu, u)]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        step = t1 - t0
+        k1, u1 = field(mu, u)
+        k2, u2 = field(mu + 0.5 * step * k1, u1)
+        k3, u3 = field(mu + 0.5 * step * k2, u2)
+        k4, u4 = field(mu + step * k3, u3)
+        mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = eliminate_controls_reduced(problem, EMPTY, EMPTY, mu, u4, config)
+        rows.append(np.concatenate([mu, u]))
+        hs.append(h(mu, u))
+    return np.array(rows), np.array(hs)
 
 
 def abelian_base_problem():
@@ -329,3 +391,57 @@ def test_dirac_scans_of_an_empty_trajectory_are_empty(heis_problem, heis_reduced
     ):
         empty = Trajectory(times=np.zeros(0), columns=columns, states=np.zeros((0, len(columns))))
         assert scan(problem, empty).shape == (0,)
+
+
+def test_reduced_batch_equals_each_member_alone_bit_for_bit(heis_reduced):
+    config = PmpSolverConfig(rk_step=1e-2)
+    states = grid_states()
+    batch = integrate_reduced(heis_reduced, states, 1.0, config)
+    assert isinstance(batch, list) and len(batch) == len(GRID)
+    for state, traj in zip(states, batch):
+        alone = integrate_reduced(heis_reduced, state, 1.0, config)
+        assert np.array_equal(traj.states, alone.states)
+        assert set(traj.channels) == set(alone.channels) == {"h", "casimir_mu3", "newton_iters", "stationarity"}
+        for name in alone.channels:
+            assert np.array_equal(traj.channel(name), alone.channel(name)), name
+    assert integrate_reduced(heis_reduced, [], 1.0, config) == []
+
+
+def test_reduced_batch_of_one_reproduces_the_sequential_solver(heis_reduced):
+    config = PmpSolverConfig(rk_step=1e-2)
+    for theta, k in ((0.4, 1.3), (0.1, 0.0)):
+        mu0 = unit_cylinder_costate(theta, k)
+        rows, hs = sequential_reduced(heis_reduced, mu0, 2.0, config)
+        traj = integrate_reduced(heis_reduced, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), 2.0, config)
+        assert np.max(np.abs(traj.states - rows)) <= 1e-13
+        assert np.max(np.abs(traj.channel("h") - hs)) <= 1e-13
+
+
+def test_a_singular_member_is_named_with_its_time_state_and_residual():
+    states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(0.0, k), np.zeros(2)) for k in (0.5, 1.0, 2.0)]
+    with pytest.raises(RegularityError) as err:
+        integrate_reduced(singular_at_unit_k(), states, 0.5, PmpSolverConfig(rk_step=0.1))
+    assert err.value.member == 1
+    assert "member 1 at t=0" in str(err.value)
+    assert err.value.t == 0.0 and err.value.residual == 1.0
+    assert np.array_equal(err.value.state, [1.0, 0.0, 1.0])
+    # without the singular member the same batch integrates
+    assert len(integrate_reduced(singular_at_unit_k(), states[::2], 0.5, PmpSolverConfig(rk_step=0.1))) == 2
+
+
+def test_each_reduced_step_reuses_the_node_partials(heis_reduced, monkeypatch):
+    """Stage 1 takes the node's partials: 8 calls per step for a rotating member, 4 at rest, 7 over the grid."""
+    calls = []
+    partials = pmp._partials
+    monkeypatch.setattr(pmp, "_partials", lambda *args: calls.append(1) or partials(*args))
+    steps = 100
+    config = PmpSolverConfig(rk_step=1e-3)
+    counts = []
+    for state in grid_states():
+        calls.clear()
+        integrate_reduced(heis_reduced, state, steps * config.rk_step, config)
+        counts.append(len(calls))
+    rotating = 2 + 8 * steps  # the first node's solve from u = 0, then stages 2-4 and the node, one update each
+    resting = 2 + 4 * steps  # mu never moves, so no stage needs an update
+    assert counts == [resting, rotating, rotating, rotating] * 2
+    assert round(sum(counts) / (len(GRID) * steps)) == 7

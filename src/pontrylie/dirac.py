@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DiracPropertyError
-from .lie import LieAlgebraSpec, _coeffs
+from .lie import LieAlgebraSpec, _coeffs, _lie_poisson_form
 
 _RANK_RTOL = 1e-10
 
@@ -261,11 +261,6 @@ def _pontryagin_matrix(b: np.ndarray, r: int = 0) -> np.ndarray:
     return m
 
 
-def _lie_poisson_matrix(alg: LieAlgebraSpec, mu: np.ndarray, r: int = 0) -> np.ndarray:
-    """The reduced fiber's form at mu, or at each row of a stack of mu: B(mu)_ij = sum_k c_ijk mu_k."""
-    return _pontryagin_matrix(np.einsum("ijk,...k->...ij", alg.structure_constants, mu), r)
-
-
 def pontryagin_two_form(n: int, r: int) -> TwoForm:
     """The presymplectic form on a (x, p, u) fiber: dx^i wedge dp_i, degenerate on u.
 
@@ -295,4 +290,4 @@ def reduced_dirac_fiber(alg: LieAlgebraSpec, lam, r: int = 0) -> LinearDiracStru
     Lie-Poisson equations xi = dh_dmu, mu_dot = ad*_xi(lam), together with
     the stationarity dh_du = 0.
     """
-    return graph_of_two_form(TwoForm(_lie_poisson_matrix(alg, _coeffs(lam, alg.dim), r)))
+    return graph_of_two_form(TwoForm(_pontryagin_matrix(_lie_poisson_form(alg, _coeffs(lam, alg.dim)), r)))

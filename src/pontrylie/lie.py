@@ -100,35 +100,27 @@ class LieAlgebraSpec:
 
 
 @dataclass(frozen=True)
-class AlgebraElement:
+class _Coefficients:
+    """A flat float coefficient vector."""
+
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.coeffs, dtype=dtype)
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
+
+
+class AlgebraElement(_Coefficients):
     """An algebra element as a coefficient vector in the chosen basis."""
 
-    coeffs: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coeffs, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True)
-class CoalgebraElement:
+class CoalgebraElement(_Coefficients):
     """A dual-space element as a coefficient vector in the dual basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coeffs, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,7 @@ class GroupElement:
 
 def _coeffs(x: Coeffs, dim: int) -> np.ndarray:
     """Coerce to a flat float vector of length ``dim``."""
-    if isinstance(x, (AlgebraElement, CoalgebraElement)):
+    if isinstance(x, _Coefficients):
         v = x.coeffs
     else:
         v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -181,16 +173,15 @@ def pairing(lam: Coeffs, xi: Coeffs) -> float:
 def coadjoint(alg: LieAlgebraSpec, xi: Coeffs, lam: Coeffs) -> CoalgebraElement:
     """Coadjoint action ad*_xi(lam), with <ad*_xi(lam), zeta> = <lam, [xi, zeta]>.
 
-    Component k is sum_{i,j} xi_i c[i][k][j] lam_j.
+    Component k is sum_{i,j} xi_i c[i][k][j] lam_j, that is -(B(lam) xi)_k with B from ``_lie_poisson_form``.
     """
-    return CoalgebraElement(_coadjoint_stack(alg, _coeffs(xi, alg.dim), _coeffs(lam, alg.dim)))
+    return CoalgebraElement(-(_lie_poisson_form(alg, _coeffs(lam, alg.dim)) @ _coeffs(xi, alg.dim)))
 
 
-def _coadjoint_stack(alg: LieAlgebraSpec, xi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """ad*_xi(lam) for stacks (..., dim), as two matrix products per member."""
+def _lie_poisson_form(alg: LieAlgebraSpec, mu: np.ndarray) -> np.ndarray:
+    """B(mu)_ij = sum_k c_ijk mu_k for mu of shape (..., dim): the Lie-Poisson bracket as a (..., dim, dim) form."""
     dim = alg.dim
-    ad = (xi[..., None, :] @ alg.structure_constants.reshape(dim, dim * dim)).reshape(xi.shape[:-1] + (dim, dim))
-    return (ad @ lam[..., None])[..., 0]
+    return (mu @ alg.structure_constants.reshape(dim * dim, dim).T).reshape(mu.shape[:-1] + (dim, dim))
 
 
 def exp_nilpotent(alg: LieAlgebraSpec, xi: Coeffs) -> GroupElement:

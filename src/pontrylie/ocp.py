@@ -226,12 +226,15 @@ class HamiltonianPartials(NamedTuple):
 class ControlledHamiltonian(NamedTuple):
     """H(q, lam, u) = <lam, F(q, u)> - L(q, u); ``jac`` holds dF/dq as df_dx, and so on.
 
+    ``form(q, lam)`` is the antisymmetric (..., k, k) matrix B, k = len(lam), of the Poisson bracket's
+    non-canonical part (see ``_hamilton_field``); None means B = 0, and then len(lam) = len(q).
     Every callable is stacked (see ``stacked``).
     """
 
     F: Callable
     L: Callable
     jac: ProblemJacobians
+    form: Optional[Callable] = None
 
 
 def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
@@ -271,13 +274,13 @@ def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
     products per member, so a member's partials do not depend on the batch.
     One finiteness check covers all four.
     """
-    F, L, jac = ham
-    dH_dlam = F(q, u)
+    jac = ham.jac
+    dH_dlam = ham.F(q, u)
     row = lam[..., None, :]
     lead, r = u.shape[:-1], u.shape[-1]
 
     def h_at(q_, u_):
-        return (row @ F(q_, u_)[..., None])[..., 0, 0] - L(q_, u_)
+        return (row @ ham.F(q_, u_)[..., None])[..., 0, 0] - ham.L(q_, u_)
 
     if not q.shape[-1]:
         dH_dq = np.zeros(q.shape)
@@ -310,6 +313,15 @@ def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
     _require_finite(np.concatenate([dH_dq, dH_dlam, dH_du, w.reshape(lead + (r * r,))], axis=-1),
                     "non-finite Hamiltonian partial", q, lam, u)
     return parts
+
+
+def _hamilton_field(ham: ControlledHamiltonian, q, lam, parts: HamiltonianPartials):
+    """Hamilton's equations of the form B: (dH/dlam[..., :nq], -(dH/dq, 0) - B dH/dlam) from the partials at u*."""
+    if ham.form is None:
+        return parts.dH_dp, -parts.dH_dx
+    lam_dot = -(ham.form(q, lam) @ parts.dH_dp[..., None])[..., 0]
+    lam_dot[..., : q.shape[-1]] -= parts.dH_dx
+    return parts.dH_dp[..., : q.shape[-1]], lam_dot
 
 
 def _is_regular(w: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
-from .ocp import _full_view, _hamiltonian_value, _is_regular, _newton, _partials
+from .ocp import _full_view, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _partials
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,9 @@ class PmpSolverConfig:
     rk_step: float = 1e-3
 
     def __post_init__(self):
-        if min(self.newton_tol, self.rk_step) <= 0:
-            raise DimensionMismatchError("all solver tolerances and steps must be positive")
+        for name, value in (("newton_tol", self.newton_tol), ("rk_step", self.rk_step)):
+            if not (np.isfinite(value) and value > 0):
+                raise DimensionMismatchError(f"{name} must be positive and finite, got {value}")
         if self.newton_max_iter < 1:
             raise DimensionMismatchError("newton_max_iter must be at least 1")
 
@@ -250,6 +251,9 @@ def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
 
 def time_grid(duration: float, step: float) -> np.ndarray:
     """Uniform grid 0, h, 2h, ..., closed with a partial final step when needed."""
+    for name, value in (("duration", duration), ("step", step)):
+        if not np.isfinite(value):
+            raise DimensionMismatchError(f"{name} must be finite, got {value}")
     if duration < 0 or step <= 0:
         raise DimensionMismatchError(f"inconsistent duration {duration} / step {step}")
     if duration == 0:
@@ -263,7 +267,7 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_channel, channels) -> List[Trajectory]:
+def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel, channels) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
     All members advance together: every stage makes one ``_partials`` call
@@ -271,7 +275,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_ch
     bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0
     warm started from the previous stage's control; stage 1 reuses the
     partials of the node's converged solve, taken at the same (y, u*).
-    ``vector_field(y, partials)`` gives y_dot for the stack.  Every grid node
+    y_dot is ``ocp._hamilton_field`` of ``ham``'s form.  Every grid node
     records, per member, the row (y, u*) with columns <prefix>1.. for each
     (prefix, size) of ``blocks`` (q first), then u1..; H under
     ``hamiltonian_channel``; the channels "newton_iters" (most Newton updates
@@ -291,6 +295,9 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, vector_field, hamiltonian_ch
             i = exc.member
             raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
                             member=i) from exc
+
+    def vector_field(y, parts):
+        return np.concatenate(_hamilton_field(ham, y[:, :nq], y[:, nq:], parts), axis=-1)
 
     def stage(y, u_warm, t):
         u_star, iterations, _, parts = solve(y, u_warm, "while stepping from", t)
@@ -384,8 +391,7 @@ def integrate_pmp(
         return {f"J{i+1}": values[:, i] for i in range(dim)}
 
     trajectories = _rk4_dae(
-        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config,
-        lambda y, parts: np.concatenate([parts.dH_dp, -parts.dH_dx], axis=-1), "H", momenta,
+        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config, "H", momenta
     )
     return trajectories if batch else trajectories[0]
 
@@ -408,17 +414,22 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
 
 
 def dirac_membership_residuals(problem: ControlProblem, trajectory: Trajectory) -> np.ndarray:
-    """Per-row normalized residual of ((x_dot, p_dot, 0), dH) against the presymplectic Dirac fiber.
+    """Per-row normalized residual of ((x_dot, p_dot, 0), dH) against the presymplectic fiber: ``_scan_rows``, B = 0."""
+    x, p, u = trajectory.blocks(x=problem.n, p=problem.n, u=problem.r)
+    return _scan_rows(_full_view(problem), x, p, u)
 
-    The fiber is the graph of the reduced fiber's form [[B, I, 0], [-I, 0, 0],
-    [0, 0, 0]] with B = 0, all rows scored at once by ``dirac.graph_residuals``.
-    The velocity is the DAE right-hand side at the stored point, so for an
-    ``integrate_pmp`` trajectory the residual is bounded by the Newton
-    tolerance, and a corrupted row shows through dH/du.
+
+def _scan_rows(ham, q, lam, u) -> np.ndarray:
+    """Residuals of rows (q, lam, u) against the graph of [[B, I, 0], [-I, 0, 0], [0, 0, 0]], B = ``ham``'s form.
+
+    A row tests velocity (dH/dlam, lam_dot, 0) and covector ((dH/dq, 0), dH/dlam, dH/du), lam_dot from
+    ``ocp._hamilton_field``: for an integrated trajectory the residual is bounded by the Newton tolerance,
+    and a corrupted row shows through dH/du.  ``dirac.graph_residuals`` scores all rows at once.
     """
-    n = problem.n
-    x, p, u = trajectory.blocks(x=n, p=n, u=problem.r)
-    parts = _partials(_full_view(problem), x, p, u)
-    velocity = np.hstack([parts.dH_dp, -parts.dH_dx, np.zeros_like(u)])
-    covector = np.hstack([parts.dH_dx, parts.dH_dp, parts.dH_du])
-    return dirac.graph_residuals(dirac._pontryagin_matrix(np.zeros((n, n))), velocity, covector)
+    parts = _partials(ham, q, lam, u)
+    k = lam.shape[-1]
+    pad = np.zeros(lam.shape[:-1] + (k - q.shape[-1],))  # (dH/dq, 0) has the length of lam
+    velocity = np.concatenate([parts.dH_dp, _hamilton_field(ham, q, lam, parts)[1], np.zeros_like(u)], axis=-1)
+    covector = np.concatenate([parts.dH_dx, pad, parts.dH_dp, parts.dH_du], axis=-1)
+    form = np.zeros((k, k)) if ham.form is None else ham.form(q, lam)
+    return dirac.graph_residuals(dirac._pontryagin_matrix(form), velocity, covector)

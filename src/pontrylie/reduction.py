@@ -5,11 +5,12 @@ mu, control u) with reduced Hamiltonian
 
     h(z, p_z, mu, u) = <p_z, base_dynamics(z, u)> + <mu, fiber_dynamics(z, u)> - l(z, u)
 
-and evolves by
+and evolves by Hamilton's equations (``ocp._hamilton_field``) with lam = (p_z, mu) and
+the form B = [[C(z, mu), 0], [0, B(mu)]], C_ij = curvature(z, mu, e_j, e_i), B(mu)_ij = sum_k c_ijk mu_k:
 
     z_dot   = dh/dp_z
-    pz_dot  = -dh/dz - curvature coupling (coordinate form, zero by default)
-    mu_dot  = ad*_xi(mu),   xi = dh/dmu
+    pz_dot  = -dh/dz - C z_dot  (curvature coupling, coordinate form, zero by default)
+    mu_dot  = -B(mu) xi = ad*_xi(mu),   xi = dh/dmu
     dh/du   = 0              (controls eliminated by Newton)
 
 With the package's ad* convention this reproduces the closed-form Heisenberg
@@ -22,7 +23,6 @@ derivatives in the caller's trivialization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
@@ -30,10 +30,10 @@ import numpy as np
 
 from . import dirac
 from .errors import DimensionMismatchError, ReductionUnsupportedError
-from .lie import LieAlgebraSpec, _coadjoint_stack, _coeffs
-from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
-from .ocp import _hamiltonian_value, _newton, _partials, _per_member, _sized
-from .pmp import PmpSolverConfig, Trajectory, _rk4_dae
+from .lie import LieAlgebraSpec, _coeffs, _lie_poisson_form
+from .ocp import ControlledHamiltonian, ControlProblem, PontryaginPoint, ProblemJacobians
+from .ocp import _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
+from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,10 @@ class ReducedProblem:
 
     ``base_dynamics(z, u)`` returns the base velocity (length base_dim) and
     ``fiber_dynamics(z, u)`` the algebra coefficients of the vertical part.
-    ``curvature(z, mu, v, w)``, when given, is the scalar curvature coupling
-    evaluated on two base vectors (antisymmetric in v, w); it enters the p_z
-    equation as the covector -curvature(z, mu, z_dot, e_i).  Casimirs are
+    ``curvature(z, mu, v, w)``, when given, is the scalar curvature coupling on
+    two base vectors.  It must be bilinear and antisymmetric in (v, w): it is the
+    z-block C_ij = curvature(z, mu, e_j, e_i) of the form B, and the p_z equation
+    gets -(C z_dot)_i, which is -curvature(z, mu, z_dot, e_i) only then.  Casimirs are
     monitored, never discovered: a dict of name -> function of mu.
     """
 
@@ -113,10 +114,20 @@ def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
 
     Built once per solve.  A derivative block is analytic only when both its
     base and its fiber half are given; a zero-dimensional base contributes
-    no half at all.  Unmarked callables are called once per member.
+    no half at all.  Unmarked callables are called once per member, curvature once per member and pair.
     """
     s, dim, r = problem.base_dim, problem.algebra.dim, problem.control_dim
     jac = problem.jacobians or ReducedJacobians()
+    curvature = None if problem.curvature is None else _per_member(
+        lambda z, mu: [[problem.curvature(z, mu, v, w) for v in np.eye(s)] for w in np.eye(s)], "curvature", (s, s)
+    )
+
+    def form(z, lam):
+        b = np.zeros(lam.shape + (s + dim,))
+        b[..., s:, s:] = _lie_poisson_form(problem.algebra, lam[..., s:])
+        if curvature is not None:
+            b[..., :s, :s] = curvature(z, lam[..., s:])
+        return b
 
     def joined(base, fiber, name, tail):
         """The stacked block (base; fiber) with per-member shape (s + dim, *tail)."""
@@ -139,6 +150,7 @@ def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
             d2f_du2=joined(jac.d2base_du2, jac.d2fiber_du2, "du2", (r, r)),
             d2L_du2=_per_member(jac.d2l_du2, "d2l_du2", (r, r)),
         ),
+        form=form,
     )
 
 
@@ -186,17 +198,6 @@ class ReducedRhs(NamedTuple):
     xi: np.ndarray
 
 
-def _rhs_from_parts(problem: ReducedProblem, z: np.ndarray, mu: np.ndarray, parts: HamiltonianPartials) -> ReducedRhs:
-    s = problem.base_dim
-    z_dot, xi, pz_dot = parts.dH_dp[..., :s], parts.dH_dp[..., s:], -parts.dH_dx
-    if problem.curvature is not None and s:
-        count = math.prod(z.shape[:-1])
-        rows = zip(z.reshape(count, s), mu.reshape(count, -1), z_dot.reshape(count, s))
-        coupling = [[float(problem.curvature(zi, mi, vi, e)) for e in np.eye(s)] for zi, mi, vi in rows]
-        pz_dot = pz_dot - np.array(coupling).reshape(z.shape)
-    return ReducedRhs(z_dot=z_dot, pz_dot=pz_dot, mu_dot=_coadjoint_stack(problem.algebra, xi, mu), xi=xi)
-
-
 def reduced_pmp_rhs(
     problem: ReducedProblem, state: ReducedState, config: PmpSolverConfig = PmpSolverConfig()
 ) -> ReducedRhs:
@@ -208,8 +209,12 @@ def reduced_pmp_rhs(
     ``config`` is accepted for call compatibility and not read.
     """
     state.conform(problem)
-    parts = _partials(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u)
-    return _rhs_from_parts(problem, state.z, state.mu, parts)
+    ham = _reduced_view(problem)
+    q, lam = _point(state.z, state.p_z, state.mu)
+    parts = _partials(ham, q, lam, state.u)
+    z_dot, lam_dot = _hamilton_field(ham, q, lam, parts)
+    s = problem.base_dim
+    return ReducedRhs(z_dot=z_dot, pz_dot=lam_dot[:s], mu_dot=lam_dot[s:], xi=parts.dH_dp[s:])
 
 
 def integrate_reduced(
@@ -233,17 +238,13 @@ def integrate_reduced(
     for state in states:
         state.conform(problem)
 
-    def vector_field(y, parts):
-        out = _rhs_from_parts(problem, y[:, :s], y[:, 2 * s :], parts)
-        return np.concatenate([out.z_dot, out.pz_dot, out.mu_dot], axis=-1)
-
     def casimirs(y):
         return {name: np.array([float(fun(mu)) for mu in y[:, 2 * s :]]) for name, fun in problem.casimirs.items()}
 
     blocks = (("z", s), ("pz", s), ("mu", dim))
     y0 = np.array([np.concatenate([st.z, st.p_z, st.mu]) for st in states]).reshape(len(states), 2 * s + dim)
     u0 = np.array([st.u for st in states]).reshape(len(states), r)
-    trajectories = _rk4_dae(_reduced_view(problem), blocks, y0, u0, duration, config, vector_field, "h", casimirs)
+    trajectories = _rk4_dae(_reduced_view(problem), blocks, y0, u0, duration, config, "h", casimirs)
     return trajectories[0] if isinstance(state0, ReducedState) else trajectories
 
 
@@ -272,23 +273,15 @@ def membership_check_reduced(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, tol: f
     """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu (no control block)."""
     mu, mu_dot, xi, dh_dmu = (_coeffs(v, alg.dim) for v in (mu, mu_dot, xi, dh_dmu))
     velocity, covector = np.concatenate([xi, mu_dot]), np.concatenate([np.zeros(alg.dim), dh_dmu])
-    return float(dirac.graph_residuals(dirac._lie_poisson_matrix(alg, mu), velocity, covector)) <= tol
+    return float(dirac.graph_residuals(dirac._pontryagin_matrix(_lie_poisson_form(alg, mu)), velocity, covector)) <= tol
 
 
 def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> np.ndarray:
-    """Per-row normalized membership residual against the reduced Dirac fiber on g (+) g* (+) U.
+    """Per-row normalized membership residual against the reduced Dirac fiber: ``pmp._scan_rows`` of the reduced form.
 
-    Only the zero-dimensional-base (pure Lie-Poisson) case carries the fiber
-    structure.  Each row tests ((xi, mu_dot, 0), (0, dh/dmu, dh/du)), with
-    xi = dh/dmu and mu_dot = ad*_xi(mu) at the stored (mu, u), against the
-    form with B(mu)_ij = sum_k c_ijk mu_k; ``dirac.graph_residuals`` scores all rows at once.
+    With a zero-dimensional base a row tests ((xi, mu_dot, 0), (0, dh/dmu, dh/du)), xi = dh/dmu and
+    mu_dot = ad*_xi(mu) at the stored (mu, u): the Lie-Poisson equations and dh/du = 0.
     """
-    if problem.base_dim != 0:
-        raise ReductionUnsupportedError("reduced Dirac fibers are defined for a zero-dimensional base")
-    mu, u = trajectory.blocks(mu=problem.algebra.dim, u=problem.control_dim)
-    parts = _partials(_reduced_view(problem), np.zeros((len(mu), 0)), mu, u)
-    xi = parts.dH_dp
-    mu_dot = _coadjoint_stack(problem.algebra, xi, mu)
-    velocity = np.hstack([xi, mu_dot, np.zeros_like(u)])
-    covector = np.hstack([np.zeros_like(xi), xi, parts.dH_du])
-    return dirac.graph_residuals(dirac._lie_poisson_matrix(problem.algebra, mu), velocity, covector)
+    s = problem.base_dim
+    z, p_z, mu, u = trajectory.blocks(z=s, pz=s, mu=problem.algebra.dim, u=problem.control_dim)
+    return _scan_rows(_reduced_view(problem), z, np.hstack([p_z, mu]), u)

@@ -1,13 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The heavy trajectories (step 1e-3 over a full period) are computed once per
-module and shared across criteria.
+The heavy trajectories (step 1e-3 over a full period) are the session fixtures
+``reduced_runs`` and ``full_runs`` of conftest, computed once and shared.
 """
 
 import numpy as np
-import pytest
 
-from conftest import record_acceptance
+from conftest import FULL_CASES, STEP, THETAS, TWO_PI, record_acceptance
 from pontrylie.dirac import (
     LinearDiracStructure,
     TwoForm,
@@ -39,35 +38,12 @@ from pontrylie.reconstruct import (
     reconstruct_group,
     xi_curve_from_reduced,
 )
-from pontrylie.reduction import ReducedState, integrate_reduced, project_full_to_reduced, reduced_dirac_residuals
-
-TWO_PI = 2.0 * np.pi
-STEP = 1e-3
-THETAS = (0.0, np.pi / 4)
-KS = (0.5, 1.0, 2.0)
-FULL_CASES = ((0.0, 1.0), (np.pi / 4, 0.5))
-EMPTY = np.zeros(0)
-CONFIG = PmpSolverConfig(rk_step=STEP)
+from pontrylie.reduction import project_full_to_reduced, reduced_dirac_residuals
 
 
 def verdict(number: int, name: str, ok: bool, detail: str) -> None:
     record_acceptance(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} {name}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def reduced_runs(heis_reduced):
-    """Every (theta, k) of the grid, integrated in one batch."""
-    cases = [(theta, k) for theta in THETAS for k in KS]
-    states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2)) for theta, k in cases]
-    return dict(zip(cases, integrate_reduced(heis_reduced, states, TWO_PI, CONFIG)))
-
-
-@pytest.fixture(scope="module")
-def full_runs(heis_problem):
-    """Both full cases, integrated in one batch."""
-    p0 = [unit_cylinder_costate(theta, k) for theta, k in FULL_CASES]
-    return dict(zip(FULL_CASES, integrate_pmp(heis_problem, np.zeros(3), p0, TWO_PI, CONFIG)))
 
 
 def test_criterion_1_reduced_lie_poisson_reproduction(reduced_runs):

@@ -416,6 +416,21 @@ def test_compare_disjoint_ranges(tmp_path, capsys):
     assert "disjoint" in result["error"]
 
 
+@pytest.mark.parametrize("args, name", [
+    (("solve-pmp", "--p0", "1,0,1", "--T", "inf"), "duration"),
+    (("solve-pmp", "--p0", "1,0,1", "--T", "1", "--step", "nan"), "rk_step"),
+    (("solve-reduced", "--theta", "0", "--k", "1", "--T", "0.01", "--step", "inf"), "rk_step"),
+    (("solve-reduced", "--theta", "0", "--k", "1", "--T", "nan"), "duration"),
+])
+def test_non_finite_duration_or_step_is_an_input_error(tmp_path, capsys, args, name):
+    """A non-finite --T or --step exits 1 naming it, with a RESULT line and no output file."""
+    out = tmp_path / "out.csv"
+    code, result, _ = run_cli(capsys, args[0], "--builtin", "heisenberg", *args[1:], "--out", str(out))
+    assert code == 1
+    assert result["status"] == "error" and f"{name} must be" in result["error"]
+    assert not list(tmp_path.iterdir())
+
+
 def _with_nan(source, target, column):
     lines = source.read_text().splitlines()
     index = lines[0].split(",").index(column)

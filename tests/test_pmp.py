@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CONFIG
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -141,13 +142,12 @@ def test_feedback_singular_hessian_raises(default_config):
         optimal_feedback(degenerate_problem(), [0.0, 0.0], [2.0, -1.0], [0.0, 0.0], default_config)
 
 
-def test_integrate_conserves_hamiltonian(heis_problem):
-    config = PmpSolverConfig(rk_step=1e-3)
-    traj = integrate_pmp(heis_problem, np.zeros(3), [1.0, 0.0, 1.0], TWO_PI, config)
+def test_integrate_conserves_hamiltonian(full_period_runs):
+    traj = full_period_runs[(0.0, 1.0)]  # p0 = (1, 0, 1)
     h = traj.channel("H")
     assert np.max(np.abs(h - 0.5)) <= 1e-6
     # observed drift obeys the C * step^4 * T bound with C < 10
-    assert np.max(np.abs(h - h[0])) <= 10.0 * config.rk_step**4 * TWO_PI
+    assert np.max(np.abs(h - h[0])) <= 10.0 * CONFIG.rk_step**4 * TWO_PI
 
 
 def test_integrate_zero_duration(heis_problem, default_config):
@@ -157,10 +157,8 @@ def test_integrate_zero_duration(heis_problem, default_config):
     assert np.allclose(traj.block("p")[0], [1.0, 0.0, 0.5])
 
 
-def test_integrate_casimir_exact(heis_problem):
-    config = PmpSolverConfig(rk_step=2e-3)
-    for k in (0.5, 2.0):
-        traj = integrate_pmp(heis_problem, np.zeros(3), [1.0, 0.0, k], TWO_PI, config)
+def test_integrate_casimir_exact(heis_problem, casimir_runs):
+    for k, traj in casimir_runs.items():  # p0 = (1, 0, k), step 2e-3
         lam3 = np.array(
             [body_momentum(heis_problem, x, p)[2] for x, p in zip(traj.block("x"), traj.block("p"))]
         )
@@ -175,9 +173,8 @@ def test_integrate_rows_satisfy_stationarity(heis_problem):
         assert np.max(np.abs(res)) <= 10.0 * config.newton_tol
 
 
-def test_momentum_channels_conserved(heis_problem):
-    config = PmpSolverConfig(rk_step=1e-3)
-    traj = integrate_pmp(heis_problem, np.zeros(3), unit_cylinder_costate(0.2, 1.0), TWO_PI, config)
+def test_momentum_channels_conserved(full_period_runs):
+    traj = full_period_runs[(0.2, 1.0)]
     for name in ("J1", "J2", "J3"):
         values = traj.channel(name)
         assert np.max(np.abs(values - values[0])) <= 1e-8, name
@@ -482,6 +479,21 @@ def test_time_grid_edges():
         time_grid(-1.0, 0.1)
     with pytest.raises(DimensionMismatchError):
         time_grid(1.0, 0.0)
+
+
+@pytest.mark.parametrize("duration, step, name", [
+    (np.inf, 0.1, "duration"), (np.nan, 0.1, "duration"), (1.0, np.inf, "step"), (1.0, np.nan, "step"),
+])
+def test_time_grid_rejects_non_finite_values(duration, step, name):
+    with pytest.raises(DimensionMismatchError, match=f"{name} must be finite"):
+        time_grid(duration, step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["newton_tol", "rk_step"])
+def test_solver_config_rejects_non_finite_values(name, bad):
+    with pytest.raises(DimensionMismatchError, match=f"{name} must be positive and finite"):
+        PmpSolverConfig(**{name: bad})
 
 
 def test_trajectory_roundtrip(tmp_path, heis_problem, default_config):

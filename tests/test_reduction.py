@@ -111,6 +111,23 @@ def abelian_base_problem():
     )
 
 
+def cross_curvature(z, mu, v, w):
+    return float(v[0] * w[1] - v[1] * w[0])
+
+
+def curvature_base_problem(curvature=cross_curvature):
+    """Two-dimensional base, abelian algebra, base = (u, 1) and the antisymmetric coupling v1 w2 - v2 w1."""
+    return ReducedProblem(
+        base_dim=2,
+        algebra=LieAlgebraSpec(2, np.zeros((2, 2, 2))),
+        control_dim=1,
+        lagrangian=lambda z, u: 0.5 * float(u[0] ** 2),
+        base_dynamics=lambda z, u: np.array([u[0], 1.0]),
+        fiber_dynamics=lambda z, u: np.zeros(2),
+        curvature=curvature,
+    )
+
+
 def test_reduced_hamiltonian_formula(heis_reduced):
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -215,25 +232,14 @@ def test_rhs_coadjoint_sign_switch(heis_reduced):
 
 
 def test_curvature_coupling_enters_base_costate_equation():
-    problem = abelian_base_problem()
-    # F(z, mu)(v, w) = v1 * w1 would be symmetric, so use the only antisymmetric
-    # option in one dimension: zero; instead verify the hook by base_dim=2.
-    abelian = LieAlgebraSpec(2, np.zeros((2, 2, 2)))
+    # a one-dimensional base has only the zero antisymmetric coupling, so use base_dim=2
     seen = []
 
     def curvature(z, mu, v, w):
         seen.append(True)
-        return float(v[0] * w[1] - v[1] * w[0])
+        return cross_curvature(z, mu, v, w)
 
-    problem2 = ReducedProblem(
-        base_dim=2,
-        algebra=abelian,
-        control_dim=1,
-        lagrangian=lambda z, u: 0.5 * float(u[0] ** 2),
-        base_dynamics=lambda z, u: np.array([u[0], 1.0]),
-        fiber_dynamics=lambda z, u: np.zeros(2),
-        curvature=curvature,
-    )
+    problem2 = curvature_base_problem(curvature)
     z, pz, mu = np.zeros(2), np.array([0.5, 0.0]), np.zeros(2)
     u = eliminate_controls_reduced(problem2, z, pz, mu, np.zeros(1), FD_CONFIG)
     out = reduced_pmp_rhs(problem2, ReducedState(z, pz, mu, u), FD_CONFIG)
@@ -260,10 +266,8 @@ def test_integrate_reduced_zero_duration(heis_reduced, default_config):
     assert np.allclose(traj.block("mu")[0], [0.1, 0.2, 0.3])
 
 
-def test_integrate_reduced_energy_and_casimir(heis_reduced):
-    config = PmpSolverConfig(rk_step=1e-3)
-    st0 = ReducedState(EMPTY, EMPTY, unit_cylinder_costate(0.0, 1.0), np.zeros(2))
-    traj = integrate_reduced(heis_reduced, st0, TWO_PI, config)
+def test_integrate_reduced_energy_and_casimir(reduced_runs):
+    traj = reduced_runs[(0.0, 1.0)]  # mu0 = (1, 0, 1), step 1e-3
     h = traj.channel("h")
     assert np.max(np.abs(h - 0.5)) <= 1e-6
     # mu3 never moves: its time derivative is identically zero inside RK4
@@ -351,17 +355,21 @@ def test_membership_abelian_canonical_case():
     assert not membership_check_reduced(abelian, mu, np.array([0.1, 0.0]), dh_dmu, dh_dmu, tol=1e-6)
 
 
-def test_reduced_dirac_residuals_requires_pointlike_base():
-    with pytest.raises(ReductionUnsupportedError):
-        reduced_dirac_residuals(
-            abelian_base_problem(),
-            integrate_reduced(
-                abelian_base_problem(),
-                ReducedState([0.0], [1.0], np.zeros(2), np.zeros(1)),
-                0.0,
-                FD_CONFIG,
-            ),
-        )
+@pytest.mark.parametrize("make_problem, z0, pz0", [
+    (abelian_base_problem, [0.2], [1.0]),
+    (curvature_base_problem, [0.0, 0.3], [0.5, -0.4]),
+], ids=["abelian-s1", "curvature-s2"])
+def test_reduced_dirac_residuals_with_a_base(make_problem, z0, pz0):
+    """The reduced scan reads (z, p_z, mu, u) rows against the form [[C, 0], [0, B(mu)]], and flags a raised pz1."""
+    problem = make_problem()
+    mu0 = np.linspace(0.3, -0.5, problem.algebra.dim)
+    traj = integrate_reduced(problem, ReducedState(z0, pz0, mu0, np.zeros(1)), 0.2, FD_CONFIG)
+    assert np.max(reduced_dirac_residuals(problem, traj)) <= 1e-6
+    states = traj.states.copy()
+    states[100, traj.columns.index("pz1")] += 0.5
+    residuals = reduced_dirac_residuals(problem, Trajectory(traj.times, traj.columns, states, traj.channels))
+    assert residuals[100] > 1e-2
+    assert np.max(np.delete(residuals, 100)) <= 1e-6
 
 
 def test_reduced_state_validation(heis_reduced):

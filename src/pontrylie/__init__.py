@@ -53,6 +53,7 @@ from .ocp import (
     ProblemJacobians,
     SymmetryHandle,
     check_invariance,
+    constant,
     hamiltonian_partials,
     left_translations,
     pontryagin_hamiltonian,

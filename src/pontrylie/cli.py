@@ -21,7 +21,7 @@ import numpy as np
 from . import dirac, expr, heisenberg, pmp, reconstruct, reduction
 from .errors import EvaluationError, NonNilpotentError, PontrylieError, SolverError
 from .lie import algebra_from_dict, exp_nilpotent
-from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle
+from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, stacked
 from .pmp import PmpSolverConfig, Trajectory
 
 EXIT_OK = 0
@@ -119,6 +119,7 @@ def load_problem_file(path) -> LoadedProblem:
             raise PontrylieError("action must be a dim x n table of expressions")
         (generators,) = expr.compile_tables([_table(rows, x_vars)], [x_vars])
 
+        @stacked
         def action(xi, x):
             return np.asarray(xi, dtype=float) @ generators(x)
 
@@ -192,6 +193,19 @@ def _parse_vector(text: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise PontrylieError(f"vector '{text}' has a non-finite entry")
     return values
+
+
+def _shortcut_values(text: str, option: str) -> List[float]:
+    """The comma-separated floats of a ``--theta``/``--k`` list, each checked to be finite."""
+    values = [float(v) for v in str(text).split(",")]
+    if not all(np.isfinite(values)):
+        raise PontrylieError(f"--{option} '{text}' has a non-finite entry")
+    return values
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise PontrylieError(f"--tol must be finite and nonnegative, got {tol}")
 
 
 def _write(trajectory: Trajectory, out: str, fmt: str) -> str:
@@ -269,8 +283,7 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     if args.lambda0:
         mu0_list.append((_parse_vector(args.lambda0), ""))
     elif args.theta is not None and args.k is not None:
-        thetas = [float(v) for v in str(args.theta).split(",")]
-        ks = [float(v) for v in str(args.k).split(",")]
+        thetas, ks = _shortcut_values(args.theta, "theta"), _shortcut_values(args.k, "k")
         grid = len(thetas) * len(ks) > 1
         for theta in thetas:
             for k in ks:
@@ -367,6 +380,7 @@ def cmd_check_dirac(args) -> Tuple[int, dict]:
 
     if not args.traj:
         raise PontrylieError("give --traj FILE or --self-test")
+    _check_tolerance(args.tol)
     loaded = _load(args)
     trajectory = _read_trajectory(args.traj)
     if "mu1" in trajectory.columns:
@@ -390,6 +404,7 @@ def cmd_check_dirac(args) -> Tuple[int, dict]:
 
 
 def cmd_compare(args) -> Tuple[int, dict]:
+    _check_tolerance(args.tol)
     loaded = _load(args)
     sym = loaded.problem.symmetry
     if sym is None or sym.body_frame is None:

@@ -29,7 +29,7 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import PontrylieError
-from .ocp import stacked
+from .ocp import constant, stacked
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -501,13 +501,6 @@ def _members(*args):
     return lead, zip(*[a.tolist() for a in arrays])
 
 
-def _tiled(constant: np.ndarray, lead: tuple) -> np.ndarray:
-    """``constant`` once per member: a new array (*lead, *constant.shape)."""
-    out = np.empty(lead + constant.shape)
-    out[...] = constant
-    return out
-
-
 def _assemble(values: list, lead: tuple, shape: tuple):
     """Per-member values as one array (*lead, *shape); one member without leading axes is returned alone."""
     if not lead:
@@ -525,7 +518,8 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
     over the members and returns one value of the table's shape per member,
     (..., *shape).  Without leading axes the function for a 0-d table returns
     a float, any other an ndarray of the table's shape.  The functions are
-    marked ``ocp.stacked``.  Each entry is computed with the float operations
+    marked ``ocp.stacked``; a table of constants only becomes an
+    ``ocp.constant``.  Each entry is computed with the float operations
     of ``evaluate`` in the same order (``math`` functions on Python floats),
     so results agree bit for bit; on an arithmetic failure the tree walker
     re-runs on the failing member's bindings and raises
@@ -540,17 +534,17 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
     rows = "".join(f"_r{k}, " for k in range(len(arguments)))
     namespace = {}
     source = []
+    constants = {}
     for index, table in enumerate(tables):
+        if table.ndim and all(isinstance(node, Constant) for node in table.flat):
+            # no arithmetic, nothing can fail (zero Jacobian blocks, empty tables)
+            constants[index] = constant(np.array([node.value for node in table.flat], dtype=float).reshape(table.shape))
+            continue
         emitter = _Emitter(names)
         atoms = np.empty(table.shape, dtype=object)
         for position, node in np.ndenumerate(table):
             atoms[position] = emitter.emit(node)
         source.append(f"def _f{index}({params}):")
-        if table.ndim and all(isinstance(node, Constant) for node in table.flat):
-            # no arithmetic, nothing can fail (zero Jacobian blocks, empty tables)
-            namespace[f"_c{index}"] = np.array([node.value for node in table.flat], dtype=float).reshape(table.shape)
-            source.append(f"    return _tiled(_c{index}, _shape(a0)[:-1])")
-            continue
         source.append(f"    _lead, _rows = _members({params})")
         result = atoms[()] if table.ndim == 0 else _nested(atoms)
         source += ["    _out = []", f"    for {rows}in _rows:"]
@@ -567,10 +561,10 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
         raise exc
 
     namespace.update(
-        _tiled=_tiled, _shape=np.shape, _members=_members, _assemble=_assemble, _float=float,
+        _members=_members, _assemble=_assemble, _float=float,
         _pow=math.pow, _sin=math.sin, _cos=math.cos, _exp=math.exp, _sqrt=math.sqrt, _walk=walk,
         # what the float operations and math functions raise on failure
         _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
     )
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
-    return [stacked(namespace[f"_f{index}"]) for index in range(len(tables))]
+    return [constants[index] if index in constants else stacked(namespace[f"_f{index}"]) for index in range(len(tables))]

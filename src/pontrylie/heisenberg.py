@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie import LieAlgebraSpec
-from .ocp import ControlProblem, ProblemJacobians, left_translations, stacked
+from .ocp import ControlProblem, ProblemJacobians, constant, left_translations, stacked
 from .reduction import ReducedJacobians, ReducedProblem
 
 
@@ -61,7 +61,8 @@ def heisenberg_algebra() -> LieAlgebraSpec:
     )
 
 
-# The problem callables are stacked (``ocp.stacked``): they index x[..., i], so one call serves a batch.
+# The problem callables are stacked (``ocp.stacked``): they index x[..., i], so one call serves a batch;
+# constant blocks are ``ocp.constant`` values, which the solvers read instead of calling.
 
 
 def _columns(*columns) -> np.ndarray:
@@ -104,21 +105,15 @@ def _control(x, u):
     return np.asarray(u, dtype=float)
 
 
-def _constant(value):
-    """A stacked callable giving every member the constant array ``value``."""
-    value = np.asarray(value, dtype=float)
-    return stacked(lambda x, u: value + np.zeros(u.shape[:-1] + value.shape))
-
-
 def heisenberg_problem() -> ControlProblem:
     """The geodesic problem as a control problem with full analytic derivatives."""
     jac = ProblemJacobians(
         df_dx=_df_dx,
         df_du=_df_du,
-        dL_dx=_constant(np.zeros(3)),
+        dL_dx=constant(np.zeros(3)),
         dL_du=_control,
-        d2f_du2=_constant(np.zeros((3, 2, 2))),
-        d2L_du2=_constant(np.eye(2)),
+        d2f_du2=constant(np.zeros((3, 2, 2))),
+        d2L_du2=constant(np.eye(2)),
     )
     return ControlProblem(
         n=3,
@@ -140,16 +135,16 @@ def heisenberg_reduced_problem() -> ReducedProblem:
     """The fully reduced (zero-dimensional base) Lie-Poisson form of the problem."""
     jac = ReducedJacobians(
         dl_du=_control,
-        dfiber_du=_constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        d2l_du2=_constant(np.eye(2)),
-        d2fiber_du2=_constant(np.zeros((3, 2, 2))),
+        dfiber_du=constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        d2l_du2=constant(np.eye(2)),
+        d2fiber_du2=constant(np.zeros((3, 2, 2))),
     )
     return ReducedProblem(
         base_dim=0,
         algebra=heisenberg_algebra(),
         control_dim=2,
         lagrangian=_lagrangian,
-        base_dynamics=_constant(np.zeros(0)),
+        base_dynamics=constant(np.zeros(0)),
         fiber_dynamics=_fiber_dynamics,
         jacobians=jac,
         casimirs={"casimir_mu3": lambda mu: float(mu[2])},

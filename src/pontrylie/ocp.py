@@ -24,6 +24,7 @@ stack at once; any other callable is called once per member.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -65,8 +66,12 @@ class SymmetryHandle:
     is linear in xi and takes a stack of algebra elements: xi of shape
     (..., dim) gives (..., n), so one call gives all generators
     (``pmp.momentum_map`` passes the identity and the basis sum, and
-    refuses a handle written for one vector).  The remaining callables enable invariance checking and, for
-    problems whose state space is the group itself, reduction:
+    refuses a handle written for one vector).  Marked ``stacked``, it also
+    takes a stack of points: xi (k, dim) and x (..., n) give (..., k, n), and
+    the J channels of a whole integration come from one call; unmarked, it
+    is called once per point.  The remaining callables enable invariance
+    checking and, for problems whose state space is the group itself,
+    reduction:
 
     - ``act_on_state(g, x)``: the action of a GroupElement on a chart point.
     - ``act_on_control(g, x, u)``: fiber part of the action; identity if None.
@@ -106,7 +111,9 @@ def left_translations(alg: LieAlgebraSpec) -> SymmetryHandle:
 
     return SymmetryHandle(
         algebra=alg,
-        infinitesimal_action=lambda xi, x: np.asarray(xi) @ left_invariant_frame(alg, np.negative(x)).swapaxes(-1, -2),
+        infinitesimal_action=stacked(
+            lambda xi, x: np.asarray(xi) @ left_invariant_frame(alg, np.negative(x)).swapaxes(-1, -2)
+        ),
         act_on_state=act_on_state,
         state_jacobian=state_jacobian,
         body_frame=lambda x: left_invariant_frame(alg, x),
@@ -159,6 +166,29 @@ def stacked(fn: Callable) -> Callable:
     """
     fn.stacked = True
     return fn
+
+
+def constant(value) -> Callable:
+    """The stacked callable giving every member the array ``value``, which it carries as ``.value``.
+
+    Called, it returns a new array (*lead, *value.shape), lead the leading member axes of its first
+    argument.  The kernel reads ``.value`` instead of calling it (see ``_read``).
+    """
+    value = np.asarray(value, dtype=float)
+
+    def tiled(*args):
+        out = np.empty(np.shape(args[0])[:-1] + value.shape)
+        out[...] = value
+        return out
+
+    tiled.value = value
+    return stacked(tiled)
+
+
+def _read(fn: Callable, q, u):
+    """``fn(q, u)``, or the value a ``constant`` carries; that value broadcasts against the per-member ones."""
+    value = getattr(fn, "value", None)
+    return fn(q, u) if value is None else value
 
 
 def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Callable]:
@@ -228,6 +258,7 @@ class ControlledHamiltonian(NamedTuple):
 
     ``form(q, lam)`` is the antisymmetric (..., k, k) matrix B, k = len(lam), of the Poisson bracket's
     non-canonical part (see ``_hamilton_field``); None means B = 0, and then len(lam) = len(q).
+    ``hessian`` holds W when it is the same at every point (see ``_ConstantHessian``).
     Every callable is stacked (see ``stacked``).
     """
 
@@ -235,16 +266,42 @@ class ControlledHamiltonian(NamedTuple):
     L: Callable
     jac: ProblemJacobians
     form: Optional[Callable] = None
+    hessian: Optional["_ConstantHessian"] = None
+
+
+class _ConstantHessian:
+    """W of a view when it is the same at every point, worked out once per view, at first use.
+
+    ``w`` is -d2L/du2, symmetrized, when d2f/du2 is a ``constant`` zero and d2L/du2 a finite (r, r)
+    ``constant``, else None (W varies, and Newton evaluates it); ``regular`` is its one SVD.
+    """
+
+    def __init__(self, jac: ProblemJacobians, r: int):
+        self.blocks = getattr(jac.d2f_du2, "value", None), getattr(jac.d2L_du2, "value", None), r
+
+    @functools.cached_property
+    def w(self) -> Optional[np.ndarray]:
+        d2f, d2L, r = self.blocks
+        if d2f is None or d2L is None or d2f.any() or d2L.shape != (r, r) or not np.isfinite(d2L).all():
+            return None
+        w = 0.0 - d2L  # what the general path's <lam, 0> - d2L/du2 gives
+        return 0.5 * (w + w.T)
+
+    @functools.cached_property
+    def regular(self) -> bool:
+        return bool(_is_regular(self.w))
 
 
 def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
     n, r = problem.n, problem.r
     jac = problem.jacobians or ProblemJacobians()
     shapes = {"df_dx": (n, n), "df_du": (n, r), "dL_dx": (n,), "dL_du": (r,), "d2f_du2": (n, r, r), "d2L_du2": (r, r)}
+    jac = ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
     return ControlledHamiltonian(
         F=_sized(_per_member(problem.dynamics, "dynamics", (n,)), "dynamics", n),
         L=_per_member(problem.lagrangian, "Lagrangian", ()),
-        jac=ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()}),
+        jac=jac,
+        hessian=_ConstantHessian(jac, r),
     )
 
 
@@ -263,56 +320,66 @@ def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f=None) -> np.ndar
     return _require_finite(value, "non-finite Hamiltonian", q, lam, u)
 
 
+def _h(ham: ControlledHamiltonian, q, row, u) -> np.ndarray:
+    """H per member; ``row`` is lam[..., None, :]."""
+    return (row @ ham.F(q, u)[..., None])[..., 0, 0] - ham.L(q, u)
+
+
+def _state_partials(ham: ControlledHamiltonian, q, row, u):
+    """(dH/dq, dH/dlam = F): analytic when both df_dx and dL_dx are given, else central differences of H."""
+    jac = ham.jac
+    if not q.shape[-1]:
+        dH_dq = np.zeros(q.shape)
+    elif jac.df_dx is not None and jac.dL_dx is not None:
+        dH_dq = (row @ _read(jac.df_dx, q, u))[..., 0, :] - _read(jac.dL_dx, q, u)
+    else:
+        dH_dq = fd_gradient(lambda q_: _h(ham, q_, row, u), q, FD_STEP)
+    return dH_dq, ham.F(q, u)
+
+
+def _control_gradient(ham: ControlledHamiltonian, q, row, u) -> np.ndarray:
+    """dH/du: analytic when both df_du and dL_du are given, else central differences of H."""
+    jac = ham.jac
+    if not u.shape[-1]:
+        return np.zeros(u.shape)
+    if jac.df_du is not None and jac.dL_du is not None:
+        return (row @ _read(jac.df_du, q, u))[..., 0, :] - _read(jac.dL_du, q, u)
+    return fd_gradient(lambda v: _h(ham, q, row, v), u, FD_STEP)
+
+
+def _control_hessian(ham: ControlledHamiltonian, q, row, u) -> np.ndarray:
+    """W = d2H/du2, symmetrized, for r > 0: analytic blocks, central differences of an analytic dH/du, or plain
+    second differences of H (step sqrt(FD_STEP) to keep roundoff noise down)."""
+    jac, r = ham.jac, u.shape[-1]
+    if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
+        d2F = _read(jac.d2f_du2, q, u)
+        w = (row @ d2F.reshape(d2F.shape[:-2] + (r * r,))).reshape(u.shape[:-1] + (r, r)) - _read(jac.d2L_du2, q, u)
+    elif jac.df_du is not None and jac.dL_du is not None:
+        w = fd_hessian_from_gradient(lambda v: _control_gradient(ham, q, row, v), u, FD_STEP)
+    else:
+        w = fd_hessian_direct(lambda v: _h(ham, q, row, v), u, FD_STEP)
+    return 0.5 * (w + np.swapaxes(w, -1, -2))
+
+
 def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
     """(dH/dq, dH/dlam = F, dH/du, W = d2H/du2) at every member of the stacks (q, lam, u).
 
-    The one place that picks a derivative source, in order of preference:
-    analytic blocks, central differences of an analytic dH/du, plain second
-    differences of H (step sqrt(FD_STEP) to keep roundoff noise down).  A
-    block is analytic only when both its F and its L field are given; a
+    These helpers are the one place that picks a derivative source, in order
+    of preference: analytic blocks (a ``constant`` is read, not called),
+    central differences of an analytic dH/du, plain second differences of H.
+    A block is analytic only when both its F and its L field are given; a
     zero-length block is never evaluated.  Pairings with lam are matrix
     products per member, so a member's partials do not depend on the batch.
     One finiteness check covers all four.
     """
-    jac = ham.jac
-    dH_dlam = ham.F(q, u)
     row = lam[..., None, :]
     lead, r = u.shape[:-1], u.shape[-1]
-
-    def h_at(q_, u_):
-        return (row @ ham.F(q_, u_)[..., None])[..., 0, 0] - ham.L(q_, u_)
-
-    if not q.shape[-1]:
-        dH_dq = np.zeros(q.shape)
-    elif jac.df_dx is not None and jac.dL_dx is not None:
-        dH_dq = (row @ jac.df_dx(q, u))[..., 0, :] - jac.dL_dx(q, u)
-    else:
-        dH_dq = fd_gradient(lambda q_: h_at(q_, u), q, FD_STEP)
-
-    have_first_du = jac.df_du is not None and jac.dL_du is not None
-
-    def dH_du_at(u_):
-        if have_first_du:
-            return (row @ jac.df_du(q, u_))[..., 0, :] - jac.dL_du(q, u_)
-        return fd_gradient(lambda v: h_at(q, v), u_, FD_STEP)
-
-    if not r:
-        dH_du, w = np.zeros(u.shape), np.zeros(u.shape + (0,))
-    else:
-        dH_du = dH_du_at(u)
-        if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
-            d2F = jac.d2f_du2(q, u)
-            w = (row @ d2F.reshape(d2F.shape[:-2] + (r * r,))).reshape(lead + (r, r)) - jac.d2L_du2(q, u)
-        elif have_first_du:
-            w = fd_hessian_from_gradient(dH_du_at, u, FD_STEP)
-        else:
-            w = fd_hessian_direct(lambda v: h_at(q, v), u, FD_STEP)
-        w = 0.5 * (w + np.swapaxes(w, -1, -2))
-
-    parts = HamiltonianPartials(dH_dq, dH_dlam, dH_du, w)
+    dH_dq, dH_dlam = _state_partials(ham, q, row, u)
+    dH_du = _control_gradient(ham, q, row, u)
+    w = _control_hessian(ham, q, row, u) if r else np.zeros(u.shape + (0,))
     _require_finite(np.concatenate([dH_dq, dH_dlam, dH_du, w.reshape(lead + (r * r,))], axis=-1),
                     "non-finite Hamiltonian partial", q, lam, u)
-    return parts
+    return HamiltonianPartials(dH_dq, dH_dlam, dH_du, w)
 
 
 def _hamilton_field(ham: ControlledHamiltonian, q, lam, parts: HamiltonianPartials):
@@ -329,42 +396,54 @@ def _is_regular(w: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[..., -1] > RANK_TOL
 
 
-def _newton(partials_at: Callable, u_guess, config):
-    """Newton solve of dH/du = 0 from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
+def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
+    """Newton solve of dH/du = 0 at the stacks (q, lam) from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
 
-    ``u_guess`` is one control (r,) or a stack (..., r); ``partials_at(u)``
-    gives the partials at every member.  Each member keeps its own
-    convergence: once its residual is within tolerance it is not updated
+    ``u_guess`` is one control (r,) or a stack (..., r).  Each member keeps its
+    own convergence: once its residual is within tolerance it is not updated
     again, and every iteration checks the regularity of the other members
     with one stacked SVD and updates them with one stacked solve, so a member
-    takes the same steps in any batch.  Returns (u*, iterations, residual,
-    ``partials_at(u*)``), iterations and residual per member; callers reuse
-    the partials.  A failure names the flat index of the first failing member.
+    takes the same steps in any batch.  An iterate evaluates only what it
+    reads: dH/du at every iterate, W at the members that take a step (the
+    view's constant ``hessian``, whose regularity is decided once, when it
+    has one), and dH/dq and F = dH/dlam once, at the root.  Returns (u*,
+    iterations, residual, partials at u* with d2H_du2 None), iterations and
+    residual per member.  A failure names the flat index of the first
+    failing member; a non-finite partial raises EvaluationError at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
+    row = lam[..., None, :]
     iterations = np.zeros(u.shape[:-1], dtype=int)
     for iteration in range(config.newton_max_iter + 1):
-        parts = partials_at(u)
-        residual = np.abs(parts.dH_du).max(axis=-1, initial=0.0)
+        g = _control_gradient(ham, q, row, u)
+        # max |dH/du| is NaN or infinite exactly when dH/du is not finite
+        residual = _require_finite(np.abs(g).max(axis=-1, initial=0.0), "non-finite Hamiltonian partial", q, lam, u)
         active = ~(residual <= config.newton_tol)
         if not active.any():
-            return u, iterations, residual, parts
+            dH_dq, dH_dlam = _state_partials(ham, q, row, u)
+            _require_finite(np.concatenate([dH_dq, dH_dlam], axis=-1), "non-finite Hamiltonian partial", q, lam, u)
+            return u, iterations, residual, HamiltonianPartials(dH_dq, dH_dlam, g, None)
         everyone = active.all()
-        w, g = (parts.d2H_du2, parts.dH_du) if everyone else (parts.d2H_du2[active], parts.dH_du[active])
         if iteration == config.newton_max_iter:
             i = int(np.flatnonzero(active)[0])
             raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
                                    residual=float(residual.flat[i]), member=i)
-        regular = _is_regular(w)
+        qa, la, ua, ga = (q, lam, u, g) if everyone else (q[active], lam[active], u[active], g[active])
+        if ham.hessian is not None and ham.hessian.w is not None:
+            w, regular = ham.hessian.w, np.array(ham.hessian.regular)
+        else:
+            w = _control_hessian(ham, qa, la[..., None, :], ua)
+            _require_finite(w.reshape(ua.shape[:-1] + (-1,)), "non-finite Hamiltonian partial", qa, la, ua)
+            regular = _is_regular(w)
         if not regular.all():
             i = int(np.flatnonzero(active)[np.argmin(regular)])
             raise RegularityError("control Hessian is singular along the Newton iteration",
                                   residual=float(residual.flat[i]), member=i)
-        step = np.linalg.solve(w, g[..., None])[..., 0]
+        step = np.linalg.solve(w, ga[..., None])[..., 0]
         if everyone:
             u, iterations = u - step, iterations + 1
         else:
-            u[active] = u[active] - step
+            u[active] = ua - step
             iterations[active] += 1
 
 

@@ -13,11 +13,12 @@ can never be switched silently - failure to converge raises instead).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
-from .ocp import _full_view, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _partials
+from .ocp import _full_view, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _partials, _per_member
 
 
 @dataclass(frozen=True)
@@ -214,39 +215,52 @@ def optimal_feedback(
 ) -> np.ndarray:
     """The control solving dH/du = 0, tracked by Newton from ``u_guess``."""
     point = PontryaginPoint(x, p, u_guess).conform(problem)
-    ham = _full_view(problem)
-    return _newton(lambda u: _partials(ham, point.x, point.p, u), point.u, config)[0]
+    return _newton(_full_view(problem), point.x, point.p, point.u, config)[0]
 
 
 def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
-    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry, from one stacked call.
+    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry (see ``_momenta``)."""
+    return CoalgebraElement(_momenta(problem, np.asarray(x, dtype=float), np.asarray(p, dtype=float)))
+
+
+def _momenta(problem: ControlProblem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """J of every member of the stacks x, p (..., n), as (..., dim).
 
     The handle gets the stack of every basis element and their sum, so one
     written for a single algebra vector is refused: it returns the wrong
     shape, fails to index the stack, or does not give the sum's generator as
-    the sum of the others (to 1e-12 relative).
+    the sum of the others (to 1e-12 relative).  A ``stacked`` handle also
+    takes the stack of points, (dim + 1, dim) and (..., n) giving
+    (..., dim + 1, n), in one call; any other is called once per member.
     """
     sym = problem.symmetry
     if sym is None:
         raise PontrylieError("problem declares no symmetry")
     dim, n = sym.algebra.dim, problem.n
     probes = np.vstack([np.eye(dim), np.ones(dim)])
-    try:
-        generators = np.asarray(sym.infinitesimal_action(probes, np.asarray(x, dtype=float)), dtype=float)
-    except IndexError as exc:
-        raise DimensionMismatchError(
-            f"generators: the symmetry handle cannot take a stack of algebra elements ({exc})"
-        ) from exc
-    if generators.shape != (dim + 1, n):
-        raise DimensionMismatchError(
-            f"generators of the basis and its sum have shape {generators.shape}, expected ({dim + 1}, {n})"
-        )
-    basis, total = generators[:dim], generators[dim]
-    if not np.all(np.abs(basis.sum(axis=0) - total) <= 1e-12 * np.abs(basis).sum(axis=0)):
-        raise DimensionMismatchError(
-            "generators: the generator of the basis sum is not the sum of the basis generators"
-        )
-    return CoalgebraElement(basis @ np.asarray(p, dtype=float))
+
+    def pairing(x, p):
+        try:
+            generators = np.asarray(sym.infinitesimal_action(probes, x), dtype=float)
+        except IndexError as exc:
+            raise DimensionMismatchError(
+                f"generators: the symmetry handle cannot take a stack of algebra elements ({exc})"
+            ) from exc
+        if generators.shape != x.shape[:-1] + (dim + 1, n):
+            raise DimensionMismatchError(
+                f"generators of the basis and its sum have shape {generators.shape}, "
+                f"expected {x.shape[:-1] + (dim + 1, n)}"
+            )
+        basis, total = generators[..., :dim, :], generators[..., dim, :]
+        if not np.all(np.abs(basis.sum(axis=-2) - total) <= 1e-12 * np.abs(basis).sum(axis=-2)):
+            raise DimensionMismatchError(
+                "generators: the generator of the basis sum is not the sum of the basis generators"
+            )
+        return (basis @ p[..., None])[..., 0]
+
+    if getattr(sym.infinitesimal_action, "stacked", False):
+        return pairing(x, p)
+    return _per_member(pairing, "momentum map", (dim,))(x, p)
 
 
 def time_grid(duration: float, step: float) -> np.ndarray:
@@ -267,30 +281,30 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel, channels) -> List[Trajectory]:
+def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
-    All members advance together: every stage makes one ``_partials`` call
-    per Newton iteration on the whole stack, and a member's trajectory is
-    bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0
-    warm started from the previous stage's control; stage 1 reuses the
-    partials of the node's converged solve, taken at the same (y, u*).
+    All members advance together: every stage makes one ``ocp._newton`` solve
+    on the whole stack, and a member's trajectory is bit for bit the one it
+    has alone.  At stages 2-4 Newton solves dH/du = 0 warm started from the
+    previous stage's control; stage 1 reuses the partials of the node's
+    converged solve, taken at the same (y, u*).
     y_dot is ``ocp._hamilton_field`` of ``ham``'s form.  Every grid node
     records, per member, the row (y, u*) with columns <prefix>1.. for each
     (prefix, size) of ``blocks`` (q first), then u1..; H under
-    ``hamiltonian_channel``; the channels "newton_iters" (most Newton updates
-    of any solve of the step ending at the node) and "stationarity" (the
-    node's residual max |dH/du|); and the dict ``channels(y)`` of per-member
-    values.  Solver errors are re-raised with the failing member's index, the
-    grid time (of the node, or of the start of the step whose stage failed)
-    and the (q, lam) row Newton was solving at.  Returns one Trajectory per member.
+    ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
+    updates of any solve of the step ending at the node) and "stationarity"
+    (the node's residual max |dH/du|).  Solver errors are re-raised with the
+    failing member's index, the grid time (of the node, or of the start of
+    the step whose stage failed) and the (q, lam) row Newton was solving at.
+    Returns one Trajectory per member.
     """
     nq = blocks[0][1]
     times = time_grid(duration, config.rk_step)
 
     def solve(y, u_warm, where, t):
         try:
-            return _newton(lambda u: _partials(ham, y[:, :nq], y[:, nq:], u), u_warm, config)
+            return _newton(ham, y[:, :nq], y[:, nq:], u_warm, config)
         except SolverError as exc:
             i = exc.member
             raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
@@ -314,7 +328,6 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel, channel
             hamiltonian_channel: _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, parts.dH_dp),
             "newton_iters": np.maximum(step_iterations, iterations),
             "stationarity": residual,
-            **channels(y),
         }
         for name, value in values.items():
             if name not in recorded:
@@ -337,6 +350,20 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel, channel
     return [
         Trajectory(times=times, columns=columns, states=states[i], channels={k: v[i] for k, v in recorded.items()})
         for i in range(members)
+    ]
+
+
+def _with_channels(trajectories: List[Trajectory], channels: Callable) -> List[Trajectory]:
+    """Each trajectory with the channels ``channels(states)`` added, from the (members, nodes, width) stack of its rows.
+
+    ``channels`` returns a dict of (members, nodes) values.
+    """
+    if not trajectories:
+        return trajectories
+    values = channels(np.stack([trajectory.states for trajectory in trajectories]))
+    return [
+        dataclasses.replace(trajectory, channels={**trajectory.channels, **{k: v[i] for k, v in values.items()}})
+        for i, trajectory in enumerate(trajectories)
     ]
 
 
@@ -383,16 +410,16 @@ def integrate_pmp(
         x0=(x0, n), p0=(p0, n), u_guess=(np.zeros(r) if u_guess is None else u_guess, r)
     )
 
-    def momenta(y):
-        if problem.symmetry is None:
-            return {}
-        dim = problem.symmetry.algebra.dim
-        values = np.array([momentum_map(problem, row[:n], row[n:]).coeffs for row in y]).reshape(len(y), dim)
-        return {f"J{i+1}": values[:, i] for i in range(dim)}
-
     trajectories = _rk4_dae(
-        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config, "H", momenta
+        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config, "H"
     )
+    if problem.symmetry is not None:
+
+        def momenta(states):
+            values = _momenta(problem, states[..., :n], states[..., n : 2 * n])
+            return {f"J{i+1}": values[..., i] for i in range(values.shape[-1])}
+
+        trajectories = _with_channels(trajectories, momenta)
     return trajectories if batch else trajectories[0]
 
 

@@ -32,8 +32,8 @@ from . import dirac
 from .errors import DimensionMismatchError, ReductionUnsupportedError
 from .lie import LieAlgebraSpec, _coeffs, _lie_poisson_form
 from .ocp import ControlledHamiltonian, ControlProblem, PontryaginPoint, ProblemJacobians
-from .ocp import _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
-from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows
+from .ocp import _ConstantHessian, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
+from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows, _with_channels
 
 
 @dataclass(frozen=True)
@@ -139,18 +139,20 @@ def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
         base = _per_member(base, f"base {name}", (s, *tail))
         return lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=z.ndim - 1)
 
+    jac = ProblemJacobians(
+        df_dx=joined(jac.dbase_dz, jac.dfiber_dz, "dz", (s,)),
+        df_du=joined(jac.dbase_du, jac.dfiber_du, "du", (r,)),
+        dL_dx=_per_member(jac.dl_dz, "dl_dz", (s,)),
+        dL_du=_per_member(jac.dl_du, "dl_du", (r,)),
+        d2f_du2=joined(jac.d2base_du2, jac.d2fiber_du2, "du2", (r, r)),
+        d2L_du2=_per_member(jac.d2l_du2, "d2l_du2", (r, r)),
+    )
     return ControlledHamiltonian(
         F=_sized(joined(problem.base_dynamics, problem.fiber_dynamics, "dynamics", ()), "base/fiber dynamics", s + dim),
         L=_per_member(problem.lagrangian, "reduced Lagrangian", ()),
-        jac=ProblemJacobians(
-            df_dx=joined(jac.dbase_dz, jac.dfiber_dz, "dz", (s,)),
-            df_du=joined(jac.dbase_du, jac.dfiber_du, "du", (r,)),
-            dL_dx=_per_member(jac.dl_dz, "dl_dz", (s,)),
-            dL_du=_per_member(jac.dl_du, "dl_du", (r,)),
-            d2f_du2=joined(jac.d2base_du2, jac.d2fiber_du2, "du2", (r, r)),
-            d2L_du2=_per_member(jac.d2l_du2, "d2l_du2", (r, r)),
-        ),
+        jac=jac,
         form=form,
+        hessian=_ConstantHessian(jac, r),
     )
 
 
@@ -186,9 +188,7 @@ def eliminate_controls_reduced(
     problem: ReducedProblem, z, p_z, mu, u_guess, config: PmpSolverConfig = PmpSolverConfig()
 ) -> np.ndarray:
     """Newton solve of dh/du = 0 from ``u_guess`` (reduced optimal feedback)."""
-    ham = _reduced_view(problem)
-    q, lam = _point(z, p_z, mu)
-    return _newton(lambda u: _partials(ham, q, lam, u), u_guess, config)[0]
+    return _newton(_reduced_view(problem), *_point(z, p_z, mu), u_guess, config)[0]
 
 
 class ReducedRhs(NamedTuple):
@@ -226,7 +226,9 @@ def integrate_reduced(
     """RK4 on (z, p_z, mu) with per-stage control elimination.
 
     Channels: "h" (reduced Hamiltonian), the solver channels "newton_iters"
-    and "stationarity", plus every registered Casimir.
+    and "stationarity", plus every registered Casimir, evaluated on the
+    stored mu rows after the sweep (once per row, or once in all for a
+    ``stacked`` Casimir).
     Columns: z1.., pz1.., mu1.., u1.. .
 
     ``state0`` is one ReducedState, which gives its Trajectory, or a
@@ -238,13 +240,14 @@ def integrate_reduced(
     for state in states:
         state.conform(problem)
 
-    def casimirs(y):
-        return {name: np.array([float(fun(mu)) for mu in y[:, 2 * s :]]) for name, fun in problem.casimirs.items()}
-
     blocks = (("z", s), ("pz", s), ("mu", dim))
     y0 = np.array([np.concatenate([st.z, st.p_z, st.mu]) for st in states]).reshape(len(states), 2 * s + dim)
     u0 = np.array([st.u for st in states]).reshape(len(states), r)
-    trajectories = _rk4_dae(_reduced_view(problem), blocks, y0, u0, duration, config, "h", casimirs)
+    trajectories = _rk4_dae(_reduced_view(problem), blocks, y0, u0, duration, config, "h")
+    trajectories = _with_channels(trajectories, lambda states: {
+        name: _per_member(fun, f"Casimir {name}", ())(states[..., 2 * s : 2 * s + dim])
+        for name, fun in problem.casimirs.items()
+    })
     return trajectories[0] if isinstance(state0, ReducedState) else trajectories
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import so3_algebra
-from pontrylie import cli, ocp
+from pontrylie import cli, heisenberg, ocp
 from pontrylie.cli import load_problem_file, main
 from pontrylie.heisenberg import heisenberg_algebra
 from pontrylie.pmp import Trajectory
@@ -428,6 +428,47 @@ def test_non_finite_duration_or_step_is_an_input_error(tmp_path, capsys, args, n
     code, result, _ = run_cli(capsys, args[0], "--builtin", "heisenberg", *args[1:], "--out", str(out))
     assert code == 1
     assert result["status"] == "error" and f"{name} must be" in result["error"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, value", [("theta", "0,nan"), ("k", "inf"), ("k", "1,-inf")])
+def test_non_finite_theta_or_k_is_an_input_error(tmp_path, capsys, option, value):
+    """A non-finite --theta/--k entry exits 1 naming the option, before integrating, with no output file."""
+    other = ("--k", "1") if option == "theta" else ("--theta", "0")
+    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", f"--{option}={value}", *other,
+                              "--T", "0.01", "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert result["status"] == "error" and f"--{option} '{value}' has a non-finite entry" in result["error"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_non_finite_or_negative_tolerance_is_an_input_error(tmp_path, capsys, tol):
+    """check-dirac and compare refuse a non-finite or negative --tol with exit 1 and a strict RESULT naming it."""
+    full, red = tmp_path / "full.csv", tmp_path / "red.csv"
+    run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.05", "--out", str(full))
+    run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1", "--T", "0.05", "--out", str(red))
+    for command, *files in (("check-dirac", "--traj", str(full)), ("compare", "--full", str(full), "--reduced", str(red))):
+        code, result, _ = run_cli(capsys, command, "--builtin", "heisenberg", *files, f"--tol={tol}")
+        assert code == 1, command
+        assert result["status"] == "error" and "--tol must be finite and nonnegative" in result["error"]
+
+
+@pytest.mark.parametrize("mark", [True, False])
+def test_a_single_vector_symmetry_handle_exits_1(tmp_path, capsys, monkeypatch, mark):
+    """A handle written for one algebra vector is refused by the momentum map, whether it is called once on
+    every node (``stacked``) or once per node, with exit 1 and no output file."""
+
+    def one_vector(xi, q):
+        return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
+
+    builtin = heisenberg.heisenberg_problem
+    handle = dataclasses.replace(builtin().symmetry, infinitesimal_action=ocp.stacked(one_vector) if mark else one_vector)
+    monkeypatch.setattr(heisenberg, "heisenberg_problem", lambda: dataclasses.replace(builtin(), symmetry=handle))
+    code, result, _ = run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.01",
+                              "--out", str(tmp_path / "full.csv"))
+    assert code == 1
+    assert result["status"] == "error" and "generators" in result["error"]
     assert not list(tmp_path.iterdir())
 
 

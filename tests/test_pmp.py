@@ -18,8 +18,8 @@ from pontrylie.heisenberg import (
     full_state_closed_form,
     unit_cylinder_costate,
 )
-from pontrylie.ocp import ControlProblem, PontryaginPoint, ProblemJacobians, _newton, hamiltonian_partials
-from pontrylie.ocp import pontryagin_hamiltonian
+from pontrylie.ocp import ControlProblem, PontryaginPoint, ProblemJacobians, _full_view, _newton, constant
+from pontrylie.ocp import hamiltonian_partials, pontryagin_hamiltonian, stacked
 from pontrylie.pmp import (
     PmpSolverConfig,
     Trajectory,
@@ -41,7 +41,7 @@ def body_momentum(problem, x, p):
 
 
 def newton_feedback(problem, x, p, u_guess, config):
-    return _newton(lambda u: hamiltonian_partials(problem, PontryaginPoint(x, p, u)), u_guess, config)
+    return _newton(_full_view(problem), x, p, u_guess, config)
 
 
 def degenerate_problem():
@@ -140,6 +140,72 @@ def test_feedback_singular_hessian_raises(default_config):
     # solver must inspect the vanishing Hessian and refuse
     with pytest.raises(RegularityError):
         optimal_feedback(degenerate_problem(), [0.0, 0.0], [2.0, -1.0], [0.0, 0.0], default_config)
+
+
+def test_a_constant_singular_hessian_is_refused_where_a_step_needs_it(default_config):
+    """d2L/du2 = 0 as constants: the once-checked W still raises RegularityError naming the member and residual."""
+    degenerate = degenerate_problem()
+    problem = dataclasses.replace(degenerate, jacobians=dataclasses.replace(
+        degenerate.jacobians, d2f_du2=constant(np.zeros((2, 2, 2))), d2L_du2=constant(np.zeros((2, 2)))
+    ))
+    assert _full_view(problem).hessian.w is not None
+    with pytest.raises(RegularityError) as err:
+        optimal_feedback(problem, [0.0, 0.0], [2.0, -1.0], [0.0, 0.0], default_config)
+    assert err.value.member == 0 and err.value.residual == 2.0
+    # p = (1, 1) is at a root (dH/du = p - 1 = 0), so the member that must step is the second
+    with pytest.raises(RegularityError) as err:
+        integrate_pmp(problem, np.zeros(2), [[1.0, 1.0], [2.0, -1.0]], 0.1, PmpSolverConfig(rk_step=0.05))
+    assert err.value.member == 1 and err.value.residual == 2.0
+    assert "member 1 at t=0" in str(err.value)
+
+
+def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
+    """dH/dq is evaluated only at the root; a NaN there still raises EvaluationError with (x, p, u*)."""
+    problem = ControlProblem(
+        n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: 0.5 * float(u[0] ** 2),
+        jacobians=ProblemJacobians(
+            df_dx=lambda x, u: np.array([[np.nan]]), df_du=lambda x, u: np.ones((1, 1)),
+            dL_dx=lambda x, u: np.zeros(1), dL_du=lambda x, u: np.asarray(u, dtype=float),
+        ),
+    )
+    with pytest.raises(EvaluationError, match="non-finite Hamiltonian partial") as err:
+        optimal_feedback(problem, [0.5], [2.0], [0.0], default_config)
+    x, p, u = err.value.point
+    assert (x.tolist(), p.tolist(), u.tolist()) == ([0.5], [2.0], [2.0])
+
+
+def plain_blocks(jacobians):
+    """The Jacobian blocks as plain stacked callables, so a ``constant`` block is called rather than read."""
+
+    def plain(fn):
+        return None if fn is None else stacked(lambda *args: fn(*args))
+
+    return dataclasses.replace(jacobians, **{f.name: plain(getattr(jacobians, f.name)) for f in dataclasses.fields(jacobians)})
+
+
+@pytest.mark.parametrize("members", [5, 1])
+def test_constant_blocks_give_the_general_path_bit_for_bit(heis_problem, heis_reduced, members):
+    """Read constant blocks and the once-checked constant W change no bit of a full or a reduced integration."""
+    from pontrylie.reduction import ReducedState, _reduced_view, integrate_reduced
+
+    plain = dataclasses.replace(heis_problem, jacobians=plain_blocks(heis_problem.jacobians))
+    plain_reduced = dataclasses.replace(heis_reduced, jacobians=plain_blocks(heis_reduced.jacobians))
+    assert _full_view(heis_problem).hessian.w is not None and _full_view(plain).hessian.w is None
+    assert _reduced_view(heis_reduced).hessian.w is not None and _reduced_view(plain_reduced).hessian.w is None
+    cases = [(0.0, 1.0), (0.7, -0.5), (2.0, 2.0), (0.3, 0.0), (4.0, -1.5)][:members]
+    x0 = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [1.0, 2.0, -3.0], [0.0, 0.0, 0.0], [-0.5, 0.25, 1.0]])[:members]
+    p0 = np.array([unit_cylinder_costate(theta, k) for theta, k in cases])
+    states = [ReducedState(np.zeros(0), np.zeros(0), mu0, np.zeros(2)) for mu0 in p0]
+    config = PmpSolverConfig(rk_step=1e-2)
+    full = [integrate_pmp(problem, x0, p0, 1.0, config) for problem in (heis_problem, plain)]
+    reduced = [integrate_reduced(problem, states, 1.0, config) for problem in (heis_reduced, plain_reduced)]
+    for fast, general in (full, reduced):
+        assert len(fast) == len(general) == members
+        for a, b in zip(fast, general):
+            assert np.array_equal(a.states, b.states)
+            assert a.channel("newton_iters").max() == 1
+            for name in ("newton_iters", "stationarity"):
+                assert np.array_equal(a.channel(name), b.channel(name)), name
 
 
 def test_integrate_conserves_hamiltonian(full_period_runs):

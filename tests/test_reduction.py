@@ -1,12 +1,12 @@
 """Reduced dynamics, control elimination, projection, and Dirac membership."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from test_ocp import heisenberg_cotangent_lift
-from pontrylie import pmp
 from pontrylie.errors import DimensionMismatchError, RegularityError, ReductionUnsupportedError
 from pontrylie.heisenberg import (
     heisenberg_algebra,
@@ -14,7 +14,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent, log_nilpotent
-from pontrylie.ocp import PontryaginPoint, _newton, _partials
+from pontrylie.ocp import PontryaginPoint, _newton
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, time_grid
 from pontrylie.reduction import (
     ReducedJacobians,
@@ -169,8 +169,7 @@ def test_eliminate_controls(heis_reduced, default_config):
         np.zeros(2),
     )
     # an already-optimal guess passes the residual check with zero updates
-    ham = _reduced_view(heis_reduced)
-    _, iterations, _, _ = _newton(lambda u: _partials(ham, EMPTY, mu, u), mu[:2], default_config)
+    _, iterations, _, _ = _newton(_reduced_view(heis_reduced), EMPTY, mu, mu[:2], default_config)
     assert iterations == 0
 
 
@@ -437,19 +436,54 @@ def test_a_singular_member_is_named_with_its_time_state_and_residual():
     assert len(integrate_reduced(singular_at_unit_k(), states[::2], 0.5, PmpSolverConfig(rk_step=0.1))) == 2
 
 
-def test_each_reduced_step_reuses_the_node_partials(heis_reduced, monkeypatch):
-    """Stage 1 takes the node's partials: 8 calls per step for a rotating member, 4 at rest, 7 over the grid."""
-    calls = []
-    partials = pmp._partials
-    monkeypatch.setattr(pmp, "_partials", lambda *args: calls.append(1) or partials(*args))
-    steps = 100
+def counting(calls, name, fn):
+    """``fn`` adding one to ``calls[name]`` per call; its ``stacked`` and ``constant`` marks are kept."""
+
+    def called(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    called.__dict__.update(vars(fn))
+    return called
+
+
+def counted(calls, obj):
+    """The problem dataclass ``obj`` with every callable field counted under its name."""
+    fields = (f.name for f in dataclasses.fields(obj) if callable(getattr(obj, f.name)))
+    return dataclasses.replace(obj, **{name: counting(calls, name, getattr(obj, name)) for name in fields})
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduced, kind, monkeypatch):
+    """Problem callbacks of a resting (k = 0) and a rotating (k = 1) member, and SVDs, per integration.
+
+    A Newton iterate calls only the dH/du blocks and the root adds F and dH/dq; constant blocks are read,
+    not called, and the constant control Hessian is rank-checked once.  Per node come H (or h and the
+    Casimir); the J channels come from one call of the stacked symmetry handle.
+    """
+    calls, svds = collections.Counter(), []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
+    if kind == "full":
+        problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians),
+                                      symmetry=counted(calls, heis_problem.symmetry))
+    else:
+        problem = dataclasses.replace(counted(calls, heis_reduced), jacobians=counted(calls, heis_reduced.jacobians),
+                                      casimirs={k: counting(calls, k, f) for k, f in heis_reduced.casimirs.items()})
+    steps = 50
     config = PmpSolverConfig(rk_step=1e-3)
-    counts = []
-    for state in grid_states():
+    solves = 1 + 4 * steps  # stage 1 reuses the node's solve: stages 2-4 and the node solve once per step
+    # every solve of a rotating member takes one update (two iterates); a resting one only the first, from u = 0
+    for k, iterates in ((0.0, solves + 1), (1.0, 2 * solves)):
         calls.clear()
-        integrate_reduced(heis_reduced, state, steps * config.rk_step, config)
-        counts.append(len(calls))
-    rotating = 2 + 8 * steps  # the first node's solve from u = 0, then stages 2-4 and the node, one update each
-    resting = 2 + 4 * steps  # mu never moves, so no stage needs an update
-    assert counts == [resting, rotating, rotating, rotating] * 2
-    assert round(sum(counts) / (len(GRID) * steps)) == 7
+        svds.clear()
+        mu0 = unit_cylinder_costate(0.1, k)
+        if kind == "full":
+            integrate_pmp(problem, np.zeros(3), mu0, steps * config.rk_step, config)
+            expected = {"df_du": iterates, "dL_du": iterates, "dynamics": solves, "df_dx": solves,
+                        "lagrangian": steps + 1, "infinitesimal_action": 1}
+        else:
+            integrate_reduced(problem, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), steps * config.rk_step, config)
+            expected = {"dl_du": iterates, "fiber_dynamics": solves, "lagrangian": steps + 1, "casimir_mu3": steps + 1}
+        assert dict(calls) == expected
+        assert len(svds) == 1

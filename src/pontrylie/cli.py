@@ -20,8 +20,8 @@ import numpy as np
 
 from . import dirac, expr, heisenberg, pmp, reconstruct, reduction
 from .errors import EvaluationError, NonNilpotentError, PontrylieError, SolverError
-from .lie import algebra_from_dict, exp_nilpotent
-from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, stacked
+from .lie import exp_nilpotent
+from .ocp import ControlProblem
 from .pmp import PmpSolverConfig, Trajectory
 
 EXIT_OK = 0
@@ -38,11 +38,6 @@ class LoadedProblem:
     reduced: Optional[reduction.ReducedProblem]
 
 
-_FILE_KEYS = ("n", "r", "dynamics", "lagrangian", "algebra", "action", "reduced")
-_ALGEBRA_KEYS = ("dim", "structure", "matrix_basis", "labels")
-_REDUCED_KEYS = ("s", "lagrangian", "base_dynamics", "fiber_dynamics")
-
-
 def _builtin(name: str) -> LoadedProblem:
     if name != "heisenberg":
         raise PontrylieError(f"unknown builtin problem '{name}'")
@@ -53,128 +48,12 @@ def _builtin(name: str) -> LoadedProblem:
     )
 
 
-def _known_keys(block, allowed: Tuple[str, ...], where: str) -> dict:
-    """``block`` itself, once it is checked to be an object with no key outside ``allowed``."""
-    if not isinstance(block, dict):
-        raise PontrylieError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise PontrylieError(f"unknown key '{unknown[0]}' in {where}; allowed keys: {', '.join(allowed)}")
-    return block
-
-
-def _table(sources, variables: List[str]) -> np.ndarray:
-    """Parse an expression string, or a (nested) list of them, into an object array of trees."""
-    table = np.array(sources, dtype=object)
-    for index, src in np.ndenumerate(table):
-        table[index] = expr.parse(str(src), variables).ast
-    return table
-
-
-def _with_derivatives(table: np.ndarray, state: List[str], control: List[str]) -> List[np.ndarray]:
-    """[g, dg/dstate, dg/dcontrol, d2g/dcontrol2] for a table of trees g."""
-    g_control = expr.derivative_table(table, control)
-    return [
-        table,
-        expr.derivative_table(table, state),
-        g_control,
-        expr.derivative_table(g_control, control),
-    ]
-
-
 def load_problem_file(path) -> LoadedProblem:
-    """Build a problem from the JSON schema (see README for the field list).
-
-    Every expression is parsed, differentiated symbolically (first
-    derivatives in states and controls, second derivatives in controls) and
-    compiled once here, so the solvers take their analytic-derivative paths.
-    """
+    """Build a problem from the JSON schema (see README and ``expr.load_problem``)."""
     with open(path) as fh:
-        data = _known_keys(json.load(fh), _FILE_KEYS, f"problem file {path}")
-    try:
-        n, r = int(data["n"]), int(data["r"])
-        dyn_src = list(data["dynamics"])
-        lag_src = str(data["lagrangian"])
-    except (KeyError, TypeError) as exc:
-        raise PontrylieError(f"problem file {path} is missing required field: {exc}") from exc
-    if len(dyn_src) != n:
-        raise PontrylieError(f"expected {n} dynamics expressions, got {len(dyn_src)}")
-    algebra = None
-    if "algebra" in data:
-        algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block"))
-    x_vars = [f"x{i+1}" for i in range(n)]
-    u_vars = [f"u{a+1}" for a in range(r)]
-    dynamics, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2 = expr.compile_tables(
-        _with_derivatives(_table(dyn_src, x_vars + u_vars), x_vars, u_vars)
-        + _with_derivatives(_table(lag_src, x_vars + u_vars), x_vars, u_vars),
-        [x_vars, u_vars],
-    )
-
-    symmetry = None
-    if "action" in data:
-        if algebra is None:
-            raise PontrylieError("an action table requires an algebra block")
-        rows = data["action"]
-        if len(rows) != algebra.dim or any(len(row) != n for row in rows):
-            raise PontrylieError("action must be a dim x n table of expressions")
-        (generators,) = expr.compile_tables([_table(rows, x_vars)], [x_vars])
-
-        @stacked
-        def action(xi, x):
-            return np.asarray(xi, dtype=float) @ generators(x)
-
-        symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
-
-    problem = ControlProblem(
-        n=n,
-        r=r,
-        dynamics=dynamics,
-        lagrangian=lagrangian,
-        jacobians=ProblemJacobians(
-            df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2
-        ),
-        symmetry=symmetry,
-        name=Path(path).stem,
-    )
-
-    reduced = None
-    if "reduced" in data:
-        if algebra is None:
-            raise PontrylieError("a reduced block requires an algebra block")
-        block = _known_keys(data["reduced"], _REDUCED_KEYS, "the reduced block")
-        s = int(block.get("s", 0))
-        z_vars = [f"z{i+1}" for i in range(s)]
-        base_src = list(block.get("base_dynamics", []))
-        fiber_src = list(block["fiber_dynamics"])
-        if len(base_src) != s or len(fiber_src) != algebra.dim:
-            raise PontrylieError("reduced dynamics expression counts do not match s/dim")
-        zu_vars = z_vars + u_vars
-        (
-            base, dbase_dz, dbase_du, d2base_du2,
-            fiber, dfiber_dz, dfiber_du, d2fiber_du2,
-            lagrangian_z, dl_dz, dl_du, d2l_du2,
-        ) = expr.compile_tables(
-            _with_derivatives(_table(base_src, zu_vars), z_vars, u_vars)
-            + _with_derivatives(_table(fiber_src, zu_vars), z_vars, u_vars)
-            + _with_derivatives(_table(str(block["lagrangian"]), zu_vars), z_vars, u_vars),
-            [z_vars, u_vars],
-        )
-        reduced = reduction.ReducedProblem(
-            base_dim=s,
-            algebra=algebra,
-            control_dim=r,
-            lagrangian=lagrangian_z,
-            base_dynamics=base,
-            fiber_dynamics=fiber,
-            jacobians=reduction.ReducedJacobians(
-                dl_dz=dl_dz, dl_du=dl_du,
-                dbase_dz=dbase_dz, dbase_du=dbase_du,
-                dfiber_dz=dfiber_dz, dfiber_du=dfiber_du,
-                d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2,
-            ),
-            name=Path(path).stem,
-        )
-    return LoadedProblem(name=Path(path).stem, problem=problem, reduced=reduced)
+        data = json.load(fh)
+    name = Path(path).stem
+    return LoadedProblem(name, *expr.load_problem(data, name, f"problem file {path}"))
 
 
 def _load(args) -> LoadedProblem:
@@ -208,6 +87,14 @@ def _check_tolerance(tol: float) -> None:
         raise PontrylieError(f"--tol must be finite and nonnegative, got {tol}")
 
 
+def _output_path(args, default: str) -> str:
+    """``--out``, or ``default``, once its directory is known to exist: checked before any work."""
+    out = args.out or default
+    if not Path(out).parent.is_dir():
+        raise PontrylieError(f"--out directory '{Path(out).parent}' does not exist")
+    return out
+
+
 def _write(trajectory: Trajectory, out: str, fmt: str) -> str:
     if fmt == "json":
         trajectory.to_json(out)
@@ -230,13 +117,13 @@ def _solver_stats(trajectory: Trajectory) -> dict:
 
 def cmd_solve_pmp(args) -> Tuple[int, dict]:
     loaded = _load(args)
+    out = _output_path(args, f"pmp_{loaded.name}.{args.format}")
     problem = loaded.problem
     x0 = _parse_vector(args.x0) if args.x0 else np.zeros(problem.n)
     if args.p0 is None:
         raise PontrylieError("--p0 is required")
     p0 = _parse_vector(args.p0)
     trajectory = pmp.integrate_pmp(problem, x0, p0, args.T, PmpSolverConfig(rk_step=args.step))
-    out = args.out or f"pmp_{loaded.name}.{args.format}"
     _write(trajectory, out, args.format)
     summary = {
         "command": "solve-pmp",
@@ -278,6 +165,7 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     if loaded.reduced is None:
         raise PontrylieError(f"problem '{loaded.name}' declares no reduced form")
     problem = loaded.reduced
+    stem = _output_path(args, f"reduced_{loaded.name}.{args.format}")
 
     mu0_list: List[Tuple[np.ndarray, str]] = []
     if args.lambda0:
@@ -301,7 +189,6 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     states = [reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim)) for mu0, _ in mu0_list]
     # the whole grid in one batch: every member advances in the same RK4 sweep
     trajectories = reduction.integrate_reduced(problem, states, args.T, PmpSolverConfig(rk_step=args.step))
-    stem = args.out or f"reduced_{loaded.name}.{args.format}"
     runs = []
     for (mu0, suffix), trajectory in zip(mu0_list, trajectories):
         path = Path(stem)
@@ -321,14 +208,16 @@ def cmd_reconstruct(args) -> Tuple[int, dict]:
     if loaded.reduced is None:
         raise PontrylieError(f"problem '{loaded.name}' declares no reduced form")
     algebra = loaded.reduced.algebra
+    out = _output_path(args, f"reconstructed_{loaded.name}.{args.format}")
+    if args.step is not None and not (np.isfinite(args.step) and args.step > 0):
+        raise PontrylieError(f"--step must be positive and finite, got {args.step}")
     g0 = exp_nilpotent(algebra, _parse_vector(args.g0) if args.g0 else np.zeros(algebra.dim))
     trajectory = _read_trajectory(args.traj)
     times, values = reconstruct.xi_curve_from_reduced(loaded.reduced, trajectory)
-    step = args.step if args.step else float(np.median(np.diff(times))) if len(times) > 1 else 1.0
+    step = args.step if args.step is not None else float(np.median(np.diff(times))) if len(times) > 1 else 1.0
     duration = float(times[-1] - times[0])
     path = reconstruct.reconstruct_group(algebra, g0, (times - times[0], values), duration, step)
     chart = reconstruct.chart_trajectory(path)
-    out = args.out or f"reconstructed_{loaded.name}.{args.format}"
     _write(chart, out, args.format)
     summary = {"command": "reconstruct", "rows": len(chart), "out": out}
     mu = trajectory.block("mu")
@@ -361,6 +250,9 @@ def _read_trajectory(path: str) -> Trajectory:
 
 def cmd_check_dirac(args) -> Tuple[int, dict]:
     if args.self_test:
+        for option, value in (("count", args.count), ("max-dim", args.max_dim)):
+            if value < 1:
+                raise PontrylieError(f"--{option} must be at least 1, got {value}")
         rng = np.random.default_rng(args.seed)
         passes = 0
         for _ in range(args.count):

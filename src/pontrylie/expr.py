@@ -12,11 +12,14 @@ Precedence: ^  >  unary -  >  * /  >  + -.  The exponent of ^ must fold to a
 constant (it is constant-folded at parse time; a non-constant exponent is a
 syntax error).  Identifiers must come from the declared variable set.
 
-Trees are differentiated symbolically (``differentiate``) and compiled once
-into Python functions of stacked vector arguments (``compile_tables``) that
-repeat the tree walker's float operations in the same order, member by
-member; ``evaluate`` remains the reference semantics and produces the error
-messages.
+``x^2`` is the product ``x*x``.  Trees are differentiated symbolically
+(``differentiate``, which folds constants and nested constant factors) and
+compiled once into NumPy column code over the member axis of stacked vector
+arguments (``compile_tables``) that repeats the tree walker's float
+operations in the same order; ``evaluate`` remains the reference semantics
+and produces the error messages.  ``load_problem`` compiles a problem file's
+JSON data into a control problem and its reduced form; the Heisenberg
+builtin is such a file.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Union
+from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import PontrylieError
-from .ocp import constant, stacked
+from .lie import algebra_from_dict
+from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
+from .reduction import ReducedJacobians, ReducedProblem
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -238,6 +243,8 @@ def _apply_binary(op: str, a: float, b: float, pos: int) -> float:
             raise ExprEvaluationError("division by zero", pos)
         return a / b
     if op == "^":
+        if b == 2.0:
+            return a * a  # a product never raises; a**2.0 raises OverflowError
         try:
             value = a**b
         except (OverflowError, ZeroDivisionError) as exc:
@@ -374,7 +381,19 @@ def _binary(op: str, left: Node, right: Node, pos: int) -> Node:
             return right
         if _is_constant(right, 1.0):
             return left
-    elif op == "/":
+        # nested constant factors fold: 0.5*(2*u1) is u1
+        for factor, other in ((left, right), (right, left)):
+            if isinstance(factor, Constant) and isinstance(other, Binary) and other.op == "*":
+                for inner, rest in ((other.left, other.right), (other.right, other.left)):
+                    if isinstance(inner, Constant) and math.isfinite(factor.value * inner.value):
+                        return _binary("*", Constant(factor.value * inner.value, pos), rest, pos)
+    if op in "*/":
+        # a sign moves into a constant factor, exactly: (-x2)/2 is x2/(-2)
+        if isinstance(right, Constant) and isinstance(left, Unary) and left.op == "neg":
+            return _binary(op, left.operand, Constant(-right.value, pos), pos)
+        if isinstance(left, Constant) and isinstance(right, Unary) and right.op == "neg":
+            return _binary(op, Constant(-left.value, pos), right.operand, pos)
+    if op == "/":
         if _is_constant(left, 0.0) and not _is_constant(right, 0.0):
             return Constant(0.0, pos)
         if _is_constant(right, 1.0):
@@ -446,8 +465,24 @@ def derivative_table(table: np.ndarray, variables: Sequence[str]) -> np.ndarray:
 
 # ---------------------------------------------------------------- compilation
 
+
+def _constant_divisor(node: Binary) -> bool:
+    return isinstance(node.right, Constant) and node.right.value != 0.0
+
+
+def _safe(node: Node) -> bool:
+    """True when ``evaluate`` cannot raise on ``node``: only + - *, negation, division by a nonzero constant, ^2."""
+    if isinstance(node, Unary):
+        return node.op == "neg" and _safe(node.operand)
+    if isinstance(node, Binary):
+        if (node.op == "/" and not _constant_divisor(node)) or (node.op == "^" and not _is_constant(node.right, 2.0)):
+            return False
+        return _safe(node.left) and _safe(node.right)
+    return True
+
+
 class _Emitter:
-    """Straight-line Python for a set of trees: one temporary per distinct operation."""
+    """Straight-line NumPy code over the member axis for a set of trees: one temporary per distinct operation."""
 
     def __init__(self, names: Mapping[str, str]):
         self.names = names
@@ -467,14 +502,12 @@ class _Emitter:
             code = f"-{operand}" if node.op == "neg" else f"_{node.op}({operand})"
         else:
             left, right = self.emit(node.left), self.emit(node.right)
-            if node.op != "^":
-                code = f"{left} {node.op} {right}"
-            elif isinstance(node.right, Constant) and float(node.right.value).is_integer():
-                code = f"{left} ** {right}"
+            if node.op == "^":
+                code = f"{left} * {left}" if _is_constant(node.right, 2.0) else f"_pow({left}, {right})"
+            elif node.op == "/" and not _constant_divisor(node):
+                code = f"_divide({left}, {right})"
             else:
-                # math.pow computes what float ** does, but raises ValueError
-                # where ** would return a complex number
-                code = f"_pow({left}, {right})"
+                code = f"{left} {node.op} {right}"
         name = self.temps.get(code)
         if name is None:
             name = self.temps[code] = f"_t{len(self.temps)}"
@@ -482,31 +515,27 @@ class _Emitter:
         return name
 
 
-def _nested(atoms: np.ndarray) -> str:
-    """A nested list display of an object array of atoms."""
-    if atoms.ndim == 1:
-        return "[" + ", ".join(atoms) + "]"
-    return "[" + ", ".join(_nested(row) for row in atoms) + "]"
+def _elementwise(fn: Callable, nin: int) -> Callable:
+    """``fn`` of Python floats applied member by member; a scalar argument gives a float."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+
+    def apply(*args):
+        out = ufunc(*args)
+        return out.astype(float) if isinstance(out, np.ndarray) else out
+
+    return apply
 
 
-_FLOAT = np.dtype(float)
+def _divide(a, b):
+    """``a / b``, raising wherever ``evaluate`` does: at every zero divisor, whatever the numerator."""
+    if not np.all(b):
+        raise ZeroDivisionError("division by zero")
+    return a / b
 
 
-def _members(*args):
-    """The leading member shape of the stacked arguments and, per member, its rows as lists of floats."""
-    arrays = [np.asarray(a, _FLOAT) for a in args]
-    lead = arrays[0].shape[:-1]
-    if len(lead) != 1:  # one member without leading axes, or several leading axes
-        arrays = [a.reshape(math.prod(lead), a.shape[-1]) for a in arrays]
-    return lead, zip(*[a.tolist() for a in arrays])
-
-
-def _assemble(values: list, lead: tuple, shape: tuple):
-    """Per-member values as one array (*lead, *shape); one member without leading axes is returned alone."""
-    if not lead:
-        return values[0] if not shape else np.array(values[0], dtype=float)
-    out = np.array(values, dtype=float)
-    return out if len(lead) == 1 else out.reshape(lead + shape)
+def _tile(value: float, a0: np.ndarray):
+    """The value of a variable-free scalar table for every member of ``a0``."""
+    return np.full(a0.shape[:-1], value) if a0.ndim > 1 else value
 
 
 def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[str]]) -> List[Callable]:
@@ -514,24 +543,30 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
 
     ``arguments`` names the variables bound to the entries of each positional
     vector argument; it must cover every variable of the trees.  The arguments
-    may carry the same leading member axes, (..., k); the generated code loops
-    over the members and returns one value of the table's shape per member,
-    (..., *shape).  Without leading axes the function for a 0-d table returns
-    a float, any other an ndarray of the table's shape.  The functions are
-    marked ``ocp.stacked``; a table of constants only becomes an
-    ``ocp.constant``.  Each entry is computed with the float operations
-    of ``evaluate`` in the same order (``math`` functions on Python floats),
-    so results agree bit for bit; on an arithmetic failure the tree walker
-    re-runs on the failing member's bindings and raises
-    ``ExprEvaluationError`` with the source offset.
+    are float arrays that may carry the same leading member axes, (..., k);
+    the generated code is NumPy arithmetic on the member columns ``a[..., i]``
+    and returns one value of the table's shape per member, (..., *shape) (a
+    scalar for a 0-d table without leading axes).  The functions are marked
+    ``ocp.stacked``; a table of constants only becomes an ``ocp.constant``,
+    and a table that is one argument returns a copy of it.  Each entry is
+    computed with the float operations of ``evaluate`` in the same order, so
+    results agree bit for bit:
+
+    - a safe table (``_safe``: nothing in it can raise) runs unguarded;
+    - any other runs under ``np.errstate(all="raise")``, with ``sin``, ``cos``,
+      ``exp`` and powers other than 2 computed by ``math`` member by member
+      (NumPy's differ in the last bit); on any arithmetic failure the tree
+      walker re-runs member by member and raises the first member's
+      ``ExprEvaluationError`` with the source offset, or, when no member
+      fails (an overflow to inf, an underflow), returns its values.
     """
-    names, loads = {}, {}
+    names, columns = {}, {}
     for k, group in enumerate(arguments):
         for i, var in enumerate(group):
             names[var] = f"_v{len(names)}"
-            loads[var] = f"{names[var]} = _r{k}[{i}]"
+            columns[var] = f"{names[var]} = a{k}[..., {i}]"
     params = ", ".join(f"a{k}" for k in range(len(arguments)))
-    rows = "".join(f"_r{k}, " for k in range(len(arguments)))
+    groups = [list(group) for group in arguments]
     namespace = {}
     source = []
     constants = {}
@@ -540,31 +575,141 @@ def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[st
             # no arithmetic, nothing can fail (zero Jacobian blocks, empty tables)
             constants[index] = constant(np.array([node.value for node in table.flat], dtype=float).reshape(table.shape))
             continue
-        emitter = _Emitter(names)
-        atoms = np.empty(table.shape, dtype=object)
-        for position, node in np.ndenumerate(table):
-            atoms[position] = emitter.emit(node)
         source.append(f"def _f{index}({params}):")
-        source.append(f"    _lead, _rows = _members({params})")
-        result = atoms[()] if table.ndim == 0 else _nested(atoms)
-        source += ["    _out = []", f"    for {rows}in _rows:"]
-        source += [f"        {loads[var]}" for var in loads if var in emitter.used]
-        source += ["        try:"] + [f"            {line}" for line in emitter.lines]
-        source += [f"            _out.append({result})", "        except _ARITHMETIC_FAILURES as exc:",
-                   f"            _walk({index}, [{rows}], exc)"]
-        source.append(f"    return _assemble(_out, _lead, {table.shape!r})")
+        entries = [getattr(node, "name", None) for node in table.flat]
+        if table.ndim == 1 and entries in groups:
+            # an argument itself, such as dL/du = u
+            source.append(f"    return a{groups.index(entries)}.copy()")
+            continue
+        emitter = _Emitter(names)
+        atoms = {position: emitter.emit(node) for position, node in np.ndenumerate(table)}
+        source += [f"    {columns[var]}" for var in columns if var in emitter.used]
+        if all(_safe(node) for node in table.flat):
+            source += [f"    {line}" for line in emitter.lines]
+        else:
+            source += ["    try:", "        with _errstate(all='raise'):"]
+            source += [f"            {line}" for line in emitter.lines]
+            source += ["    except _ARITHMETIC_FAILURES:", f"        return _walk({index}, ({params},))"]
+        if not table.ndim:
+            source.append(f"    return {atoms[()]}" if emitter.used else f"    return _tile({atoms[()]}, a0)")
+            continue
+        zeros = "(0.0)" in atoms.values()  # +0.0 only: "(-0.0)" is written like any other entry
+        source.append(f"    _out = {'_zeros' if zeros else '_empty'}(a0.shape[:-1] + {table.shape!r})")
+        source += [f"    _out[..., {', '.join(map(str, position))}] = {atom}"
+                   for position, atom in atoms.items() if not (zeros and atom == "(0.0)")]
+        source.append("    return _out")
 
-    def walk(index, args, exc):
-        bindings = {var: float(value) for group, arg in zip(arguments, args) for var, value in zip(group, arg)}
-        for node in np.ravel(tables[index]):
-            _eval_node(node, bindings)
-        raise exc
+    def walk(index, args):
+        """The tree walker on every member: the first failing member's error, else the values."""
+        args = [np.asarray(a, dtype=float) for a in args]
+        lead = args[0].shape[:-1]
+        count = math.prod(lead)
+        nodes = tables[index].ravel()
+        values = []
+        for row in zip(*(a.reshape(count, a.shape[-1]).tolist() for a in args)):
+            bindings = {var: value for group, vector in zip(arguments, row) for var, value in zip(group, vector)}
+            values.append([_eval_node(node, bindings) for node in nodes])
+        return np.array(values, dtype=float).reshape(lead + tables[index].shape)[()]
 
     namespace.update(
-        _members=_members, _assemble=_assemble, _float=float,
-        _pow=math.pow, _sin=math.sin, _cos=math.cos, _exp=math.exp, _sqrt=math.sqrt, _walk=walk,
+        _float=float, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _errstate=np.errstate, _walk=walk,
+        _divide=_divide, _sqrt=np.sqrt,
+        **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
+        _pow=_elementwise(math.pow, 2),
         # what the float operations and math functions raise on failure
         _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
     )
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
     return [constants[index] if index in constants else stacked(namespace[f"_f{index}"]) for index in range(len(tables))]
+
+
+# ---------------------------------------------------------------- problem files
+
+_FILE_KEYS = ("n", "r", "dynamics", "lagrangian", "algebra", "action", "reduced")
+_ALGEBRA_KEYS = ("dim", "structure", "matrix_basis", "labels")
+_REDUCED_KEYS = ("s", "lagrangian", "base_dynamics", "fiber_dynamics")
+
+
+def _known_keys(block, allowed: Tuple[str, ...], where: str) -> dict:
+    """``block`` itself, once it is checked to be an object with no key outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise PontrylieError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise PontrylieError(f"unknown key '{unknown[0]}' in {where}; allowed keys: {', '.join(allowed)}")
+    return block
+
+
+def _table(sources, variables: List[str]) -> np.ndarray:
+    """Parse an expression string, or a (nested) list of them, into an object array of trees."""
+    table = np.array(sources, dtype=object)
+    for index, src in np.ndenumerate(table):
+        table[index] = parse(str(src), variables).ast
+    return table
+
+
+def _with_derivatives(sources: Sequence, state: List[str], control: List[str]) -> List[Callable]:
+    """g, dg/dstate, dg/dcontrol and d2g/dcontrol2 for each expression table g of ``sources``, compiled in one pass."""
+    tables = []
+    for g in (_table(src, state + control) for src in sources):
+        g_control = derivative_table(g, control)
+        tables += [g, derivative_table(g, state), g_control, derivative_table(g_control, control)]
+    return compile_tables(tables, [state, control])
+
+
+def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
+    """The control problem, and its reduced form when declared, of a problem file's JSON data (see README).
+
+    Every expression is parsed, differentiated symbolically (first
+    derivatives in states and controls, second derivatives in controls) and
+    compiled once here, so the solvers take their analytic-derivative paths.
+    ``where`` names the data in error messages.
+    """
+    data = _known_keys(data, _FILE_KEYS, where)
+    try:
+        n, r = int(data["n"]), int(data["r"])
+        dyn_src = list(data["dynamics"])
+        lag_src = str(data["lagrangian"])
+    except (KeyError, TypeError) as exc:
+        raise PontrylieError(f"{where} is missing required field: {exc}") from exc
+    if len(dyn_src) != n:
+        raise PontrylieError(f"expected {n} dynamics expressions, got {len(dyn_src)}")
+    algebra = None
+    if "algebra" in data:
+        algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block"))
+    x_vars = [f"x{i+1}" for i in range(n)]
+    u_vars = [f"u{a+1}" for a in range(r)]
+    f, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2 = _with_derivatives([dyn_src, lag_src], x_vars, u_vars)
+
+    symmetry = None
+    if "action" in data:
+        if algebra is None:
+            raise PontrylieError("an action table requires an algebra block")
+        rows = data["action"]
+        if len(rows) != algebra.dim or any(len(row) != n for row in rows):
+            raise PontrylieError("action must be a dim x n table of expressions")
+        (generators,) = compile_tables([_table(rows, x_vars)], [x_vars])
+        action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
+        symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
+    jac = ProblemJacobians(df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2)
+    problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
+
+    reduced = None
+    if "reduced" in data:
+        if algebra is None:
+            raise PontrylieError("a reduced block requires an algebra block")
+        block = _known_keys(data["reduced"], _REDUCED_KEYS, "the reduced block")
+        s = int(block.get("s", 0))
+        z_vars = [f"z{i+1}" for i in range(s)]
+        base_src = list(block.get("base_dynamics", []))
+        fiber_src = list(block["fiber_dynamics"])
+        if len(base_src) != s or len(fiber_src) != algebra.dim:
+            raise PontrylieError("reduced dynamics expression counts do not match s/dim")
+        (base, dbase_dz, dbase_du, d2base_du2, fiber, dfiber_dz, dfiber_du, d2fiber_du2,
+         lagrangian_z, dl_dz, dl_du, d2l_du2) = _with_derivatives(
+            [base_src, fiber_src, str(block["lagrangian"])], z_vars, u_vars)
+        jac = ReducedJacobians(dl_dz=dl_dz, dl_du=dl_du, dbase_dz=dbase_dz, dbase_du=dbase_du, dfiber_dz=dfiber_dz,
+                               dfiber_du=dfiber_du, d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2)
+        reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
+                                 base_dynamics=base, fiber_dynamics=fiber, jacobians=jac, name=name)
+    return problem, reduced

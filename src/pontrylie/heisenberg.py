@@ -20,8 +20,10 @@ gives the control system
 and the geodesic problem minimizes the energy integral of (u1^2 + u2^2)/2.
 The left-invariant frame has columns (1, 0, -y/2), (0, 1, x/2), (0, 0, 1);
 the right-invariant one, which generates left multiplication, flips the signs
-of -y/2 and x/2.  These formulas are documentation: ``ocp.left_translations``
-derives the problem's symmetry handle from the exponential map.
+of -y/2 and x/2.  These formulas are documentation: the problem is
+``PROBLEM_JSON``, the README's problem file, compiled by ``expr.load_problem``,
+and ``ocp.left_translations`` derives its symmetry handle from the
+exponential map.
 
 Left multiplication is a symmetry; the body momentum (costate pulled back to
 the identity by left translation) obeys the closed-form flow
@@ -35,121 +37,62 @@ a vertical drift; straight lines for k = 0).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
+from typing import Tuple
+
 import numpy as np
 
-from .lie import LieAlgebraSpec
-from .ocp import ControlProblem, ProblemJacobians, constant, left_translations, stacked
-from .reduction import ReducedJacobians, ReducedProblem
+from .expr import load_problem
+from .lie import LieAlgebraSpec, algebra_from_dict
+from .ocp import ControlProblem, left_translations
+from .reduction import ReducedProblem
 
 
 def heisenberg_algebra() -> LieAlgebraSpec:
-    """The nilpotent algebra with [gamma1, gamma2] = gamma3 and its matrix basis."""
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2] = 1.0
-    c[1, 0, 2] = -1.0
-    e12 = np.zeros((3, 3))
-    e12[0, 1] = 1.0
-    e23 = np.zeros((3, 3))
-    e23[1, 2] = 1.0
-    e13 = np.zeros((3, 3))
-    e13[0, 2] = 1.0
-    return LieAlgebraSpec(
-        dim=3,
-        structure_constants=c,
-        matrix_basis=(e12, e23, e13),
-        labels=("gamma1", "gamma2", "gamma3"),
-    )
+    """The nilpotent algebra with [gamma1, gamma2] = gamma3 and its matrix basis E12, E23, E13."""
+    e = np.eye(3)
+    return algebra_from_dict({"dim": 3, "structure": [[0, 1, 2, 1.0]], "labels": ["gamma1", "gamma2", "gamma3"],
+                              "matrix_basis": [np.outer(e[i], e[j]) for i, j in ((0, 1), (1, 2), (0, 2))]})
 
 
-# The problem callables are stacked (``ocp.stacked``): they index x[..., i], so one call serves a batch;
-# constant blocks are ``ocp.constant`` values, which the solvers read instead of calling.
+# The README's problem file, word for word: the builtin is this text compiled.
+PROBLEM_JSON = """\
+{
+  "n": 3, "r": 2,
+  "dynamics": ["u1", "u2", "(x1*u2 - x2*u1)/2"],
+  "lagrangian": "0.5*(u1^2 + u2^2)",
+  "algebra": {"dim": 3, "structure": [[0, 1, 2, 1.0]]},
+  "action": [["1", "0", "0.5*x2"], ["0", "1", "-0.5*x1"], ["0", "0", "1"]],
+  "reduced": {
+    "s": 0,
+    "lagrangian": "0.5*(u1^2 + u2^2)",
+    "base_dynamics": [],
+    "fiber_dynamics": ["u1", "u2", "0"]
+  }
+}
+"""
 
 
-def _columns(*columns) -> np.ndarray:
-    """The stack whose last axis holds the given per-member columns."""
-    out = np.empty(columns[0].shape + (len(columns),))
-    for i, column in enumerate(columns):
-        out[..., i] = column
-    return out
-
-
-@stacked
-def _dynamics(x, u):
-    return _columns(u[..., 0], u[..., 1], 0.5 * (x[..., 0] * u[..., 1] - x[..., 1] * u[..., 0]))
-
-
-@stacked
-def _lagrangian(x, u):
-    return 0.5 * (u[..., 0] ** 2 + u[..., 1] ** 2)
-
-
-@stacked
-def _df_dx(x, u):
-    out = np.zeros(u.shape[:-1] + (3, 3))
-    out[..., 2, 0] = 0.5 * u[..., 1]
-    out[..., 2, 1] = -0.5 * u[..., 0]
-    return out
-
-
-@stacked
-def _df_du(x, u):
-    out = np.zeros(x.shape[:-1] + (3, 2))
-    out[..., 0, 0] = out[..., 1, 1] = 1.0
-    out[..., 2, 0] = -0.5 * x[..., 1]
-    out[..., 2, 1] = 0.5 * x[..., 0]
-    return out
-
-
-@stacked
-def _control(x, u):
-    return np.asarray(u, dtype=float)
+@functools.lru_cache(maxsize=None)
+def _builtin() -> Tuple[ControlProblem, ReducedProblem]:
+    """``PROBLEM_JSON`` compiled, once per process and only when first asked for, with its symmetry handle
+    ``left_translations``, the matrix basis of its algebra and the Casimir mu3; every caller shares the pair."""
+    problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "the heisenberg builtin")
+    algebra = heisenberg_algebra()
+    return (dataclasses.replace(problem, symmetry=left_translations(algebra)),
+            dataclasses.replace(reduced, algebra=algebra, casimirs={"casimir_mu3": lambda mu: float(mu[2])}))
 
 
 def heisenberg_problem() -> ControlProblem:
-    """The geodesic problem as a control problem with full analytic derivatives."""
-    jac = ProblemJacobians(
-        df_dx=_df_dx,
-        df_du=_df_du,
-        dL_dx=constant(np.zeros(3)),
-        dL_du=_control,
-        d2f_du2=constant(np.zeros((3, 2, 2))),
-        d2L_du2=constant(np.eye(2)),
-    )
-    return ControlProblem(
-        n=3,
-        r=2,
-        dynamics=_dynamics,
-        lagrangian=_lagrangian,
-        jacobians=jac,
-        symmetry=left_translations(heisenberg_algebra()),
-        name="heisenberg",
-    )
-
-
-@stacked
-def _fiber_dynamics(z, u):
-    return _columns(u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
+    """The geodesic problem with exact derivatives and the symmetry of left multiplication."""
+    return _builtin()[0]
 
 
 def heisenberg_reduced_problem() -> ReducedProblem:
     """The fully reduced (zero-dimensional base) Lie-Poisson form of the problem."""
-    jac = ReducedJacobians(
-        dl_du=_control,
-        dfiber_du=constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        d2l_du2=constant(np.eye(2)),
-        d2fiber_du2=constant(np.zeros((3, 2, 2))),
-    )
-    return ReducedProblem(
-        base_dim=0,
-        algebra=heisenberg_algebra(),
-        control_dim=2,
-        lagrangian=_lagrangian,
-        base_dynamics=constant(np.zeros(0)),
-        fiber_dynamics=_fiber_dynamics,
-        jacobians=jac,
-        casimirs={"casimir_mu3": lambda mu: float(mu[2])},
-        name="heisenberg",
-    )
+    return _builtin()[1]
 
 
 def unit_cylinder_costate(theta: float, k: float) -> np.ndarray:

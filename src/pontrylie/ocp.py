@@ -396,6 +396,13 @@ def _is_regular(w: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[..., -1] > RANK_TOL
 
 
+def _root_partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
+    """dH/dq and F = dH/dlam at the stacks (q, lam, u), checked finite; dH/du and W are not evaluated (None)."""
+    dH_dq, dH_dlam = _state_partials(ham, q, lam[..., None, :], u)
+    _require_finite(np.concatenate([dH_dq, dH_dlam], axis=-1), "non-finite Hamiltonian partial", q, lam, u)
+    return HamiltonianPartials(dH_dq, dH_dlam, None, None)
+
+
 def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     """Newton solve of dH/du = 0 at the stacks (q, lam) from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
 
@@ -404,10 +411,10 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     again, and every iteration checks the regularity of the other members
     with one stacked SVD and updates them with one stacked solve, so a member
     takes the same steps in any batch.  An iterate evaluates only what it
-    reads: dH/du at every iterate, W at the members that take a step (the
+    reads: dH/du at every iterate and W at the members that take a step (the
     view's constant ``hessian``, whose regularity is decided once, when it
-    has one), and dH/dq and F = dH/dlam once, at the root.  Returns (u*,
-    iterations, residual, partials at u* with d2H_du2 None), iterations and
+    has one); the caller that needs dH/dq and F at the root asks
+    ``_root_partials``.  Returns (u*, iterations, residual), iterations and
     residual per member.  A failure names the flat index of the first
     failing member; a non-finite partial raises EvaluationError at its point.
     """
@@ -420,9 +427,7 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
         residual = _require_finite(np.abs(g).max(axis=-1, initial=0.0), "non-finite Hamiltonian partial", q, lam, u)
         active = ~(residual <= config.newton_tol)
         if not active.any():
-            dH_dq, dH_dlam = _state_partials(ham, q, row, u)
-            _require_finite(np.concatenate([dH_dq, dH_dlam], axis=-1), "non-finite Hamiltonian partial", q, lam, u)
-            return u, iterations, residual, HamiltonianPartials(dH_dq, dH_dlam, g, None)
+            return u, iterations, residual
         everyone = active.all()
         if iteration == config.newton_max_iter:
             i = int(np.flatnonzero(active)[0])

@@ -27,6 +27,7 @@ from .errors import DimensionMismatchError, PontrylieError, SolverError, Traject
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
 from .ocp import _full_view, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _partials, _per_member
+from .ocp import _root_partials
 
 
 @dataclass(frozen=True)
@@ -303,8 +304,11 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     times = time_grid(duration, config.rk_step)
 
     def solve(y, u_warm, where, t):
+        """(u*, iterations, residual, partials at u*) of the Newton solve at the rows y."""
+        q, lam = y[:, :nq], y[:, nq:]
         try:
-            return _newton(ham, y[:, :nq], y[:, nq:], u_warm, config)
+            u_star, iterations, residual = _newton(ham, q, lam, u_warm, config)
+            return u_star, iterations, residual, _root_partials(ham, q, lam, u_star)
         except SolverError as exc:
             i = exc.member
             raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],

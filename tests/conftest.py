@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pontrylie import PmpSolverConfig
+from pontrylie.ocp import ControlProblem, ProblemJacobians, constant, left_translations, stacked
 from pontrylie.heisenberg import (
     heisenberg_algebra,
     heisenberg_problem,
@@ -9,7 +10,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.pmp import integrate_pmp
-from pontrylie.reduction import ReducedState, integrate_reduced
+from pontrylie.reduction import ReducedJacobians, ReducedProblem, ReducedState, integrate_reduced
 
 ACCEPTANCE_LINES = []
 
@@ -59,6 +60,71 @@ def heis_reduced():
 @pytest.fixture(scope="session")
 def default_config():
     return PmpSolverConfig()
+
+
+# ---------------------------------------------------------------- hand-written Heisenberg oracle
+# The builtin is the README problem file compiled; these stacked callables write the same problem out by
+# hand (x_dot = u1, y_dot = u2, z_dot = (x u2 - y u1)/2, L = (u1^2 + u2^2)/2) and must agree bit for bit.
+
+
+def _columns(*columns) -> np.ndarray:
+    """The stack whose last axis holds the given per-member columns."""
+    out = np.empty(columns[0].shape + (len(columns),))
+    for i, column in enumerate(columns):
+        out[..., i] = column
+    return out
+
+
+@stacked
+def _oracle_dynamics(x, u):
+    return _columns(u[..., 0], u[..., 1], 0.5 * (x[..., 0] * u[..., 1] - x[..., 1] * u[..., 0]))
+
+
+@stacked
+def _oracle_lagrangian(x, u):
+    return 0.5 * (u[..., 0] ** 2 + u[..., 1] ** 2)
+
+
+@stacked
+def _oracle_df_dx(x, u):
+    out = np.zeros(u.shape[:-1] + (3, 3))
+    out[..., 2, 0] = 0.5 * u[..., 1]
+    out[..., 2, 1] = -0.5 * u[..., 0]
+    return out
+
+
+@stacked
+def _oracle_df_du(x, u):
+    out = np.zeros(x.shape[:-1] + (3, 2))
+    out[..., 0, 0] = out[..., 1, 1] = 1.0
+    out[..., 2, 0] = -0.5 * x[..., 1]
+    out[..., 2, 1] = 0.5 * x[..., 0]
+    return out
+
+
+@stacked
+def _oracle_control(x, u):
+    return np.asarray(u, dtype=float)
+
+
+@stacked
+def _oracle_fiber_dynamics(z, u):
+    return _columns(u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
+
+
+def heisenberg_oracle_problem() -> ControlProblem:
+    jac = ProblemJacobians(df_dx=_oracle_df_dx, df_du=_oracle_df_du, dL_dx=constant(np.zeros(3)),
+                           dL_du=_oracle_control, d2f_du2=constant(np.zeros((3, 2, 2))), d2L_du2=constant(np.eye(2)))
+    return ControlProblem(n=3, r=2, dynamics=_oracle_dynamics, lagrangian=_oracle_lagrangian, jacobians=jac,
+                          symmetry=left_translations(heisenberg_algebra()), name="heisenberg")
+
+
+def heisenberg_oracle_reduced() -> ReducedProblem:
+    jac = ReducedJacobians(dl_du=_oracle_control, dfiber_du=constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                           d2l_du2=constant(np.eye(2)), d2fiber_du2=constant(np.zeros((3, 2, 2))))
+    return ReducedProblem(base_dim=0, algebra=heisenberg_algebra(), control_dim=2, lagrangian=_oracle_lagrangian,
+                          base_dynamics=constant(np.zeros(0)), fiber_dynamics=_oracle_fiber_dynamics, jacobians=jac,
+                          casimirs={"casimir_mu3": lambda mu: float(mu[2])}, name="heisenberg")
 
 
 def so3_algebra():

@@ -12,25 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import so3_algebra
-from pontrylie import cli, heisenberg, ocp
+from pontrylie import cli, heisenberg, ocp, pmp, reconstruct, reduction
 from pontrylie.cli import load_problem_file, main
 from pontrylie.heisenberg import heisenberg_algebra
 from pontrylie.pmp import Trajectory
 
-HEISENBERG_JSON = {
-    "n": 3,
-    "r": 2,
-    "dynamics": ["u1", "u2", "(x1*u2 - x2*u1)/2"],
-    "lagrangian": "0.5*(u1^2 + u2^2)",
-    "algebra": {"dim": 3, "structure": [[0, 1, 2, 1.0]]},
-    "action": [["1", "0", "0.5*x2"], ["0", "1", "-0.5*x1"], ["0", "0", "1"]],
-    "reduced": {
-        "s": 0,
-        "lagrangian": "0.5*(u1^2 + u2^2)",
-        "base_dynamics": [],
-        "fiber_dynamics": ["u1", "u2", "0"],
-    },
-}
+HEISENBERG_JSON = json.loads(heisenberg.PROBLEM_JSON)
 
 
 def _strict_result(out: str) -> dict:
@@ -562,12 +549,32 @@ def test_file_problem_solve_reduced(tmp_path, capsys):
     assert result["runs"][0]["h_drift"] <= 1e-6
 
 
-def _readme_problem() -> dict:
-    """The JSON example of the README's "Problem files" section."""
+def _readme_problem_text() -> str:
+    """The JSON example of the README's "Problem files" section, as written."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = text[text.index("## Problem files"):]
-    block = section[section.index("```json") + len("```json"):]
-    return json.loads(block[: block.index("```")])
+    block = section[section.index("```json\n") + len("```json\n"):]
+    return block[: block.index("```")]
+
+
+def _readme_problem() -> dict:
+    return json.loads(_readme_problem_text())
+
+
+def test_readme_problem_file_is_the_builtin_text():
+    assert _readme_problem_text() == heisenberg.PROBLEM_JSON
+
+
+def test_builtin_compiles_once_per_process_and_not_at_import():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import pontrylie.cli\n"
+            "from pontrylie import heisenberg\n"
+            "at_import = heisenberg._builtin.cache_info().misses\n"
+            "heisenberg.heisenberg_problem(), heisenberg.heisenberg_reduced_problem(), heisenberg.heisenberg_problem()\n"
+            "print(at_import, heisenberg._builtin.cache_info().misses)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_problem_file_has_exact_derivatives(tmp_path):
@@ -598,8 +605,47 @@ def test_readme_problem_file_reproduces_builtin(tmp_path, capsys, monkeypatch, c
         assert code == 0
         runs.append(Trajectory.from_csv(out))
     builtin, from_file = runs
-    assert np.max(np.abs(builtin.states - from_file.states)) <= 1e-13
-    assert np.max(np.abs(builtin.channel(channel) - from_file.channel(channel))) <= 1e-13
+    assert np.array_equal(builtin.states, from_file.states)
+    assert np.array_equal(builtin.channel(channel), from_file.channel(channel))
+    # every channel of the file is the builtin's; the builtin adds the Casimir to the reduced run
+    assert all(np.array_equal(value, builtin.channel(name)) for name, value in from_file.channels.items())
+
+
+@pytest.mark.parametrize(("option", "value"), [("--count", "-3"), ("--count", "0"), ("--max-dim", "0")])
+def test_self_test_sizes_below_one_are_input_errors(capsys, option, value):
+    code, result, _ = run_cli(capsys, "check-dirac", "--self-test", option, value)
+    assert code == 1
+    assert f"{option} must be at least 1, got {value}" in result["error"]
+
+
+def test_reconstruct_rejects_a_step_that_is_not_positive(tmp_path, capsys):
+    red, chart = tmp_path / "red.csv", tmp_path / "chart.csv"
+    run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--theta", "0", "--k", "1", "--T", "0.1",
+            "--out", str(red))
+    for step in ("0", "-0.1"):
+        code, result, _ = run_cli(capsys, "reconstruct", "--builtin", "heisenberg", "--traj", str(red),
+                                  "--step", step, "--out", str(chart))
+        assert code == 1
+        assert "--step must be positive and finite" in result["error"]
+    assert not chart.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "1"],
+    ["solve-reduced", "--builtin", "heisenberg", "--theta", "0,1", "--k", "1", "--T", "1"],
+    ["reconstruct", "--builtin", "heisenberg", "--traj", "red.csv"],
+])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    for module, name in ((pmp, "integrate_pmp"), (reduction, "integrate_reduced"), (cli, "_read_trajectory"),
+                         (reconstruct, "reconstruct_group")):
+        monkeypatch.setattr(module, name, no_work)
+    missing = tmp_path / "missing"
+    code, result, _ = run_cli(capsys, *command, "--out", str(missing / "out.csv"))
+    assert code == 1
+    assert f"--out directory '{missing}' does not exist" in result["error"]
 
 
 def test_fractional_power_of_negative_value_is_a_solver_failure(tmp_path, capsys):

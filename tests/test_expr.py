@@ -282,6 +282,9 @@ def _outcome(fn):
 @PROPERTY
 @given(_grammar(safe=False), st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                                       min_size=3, max_size=3))
+# ^2 is a product: inf on both paths, where 1e200**2.0 would raise OverflowError
+@example("1e200^2", [0.0, 0.0, 0.0])
+@example("(1e200*x1)^2", [1.0, 0.0, 0.0])
 def test_compiled_matches_tree_walker_bit_for_bit(src, point):
     tree = parse(src, VARS).ast
     trees = [tree] + [differentiate(tree, var) for var in VARS]
@@ -302,6 +305,8 @@ def test_compiled_matches_tree_walker_bit_for_bit(src, point):
 @PROPERTY
 @given(_grammar(safe=False), st.lists(st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                                                min_size=3, max_size=3), min_size=1, max_size=5))
+# a guarded table (exp) whose only floating-point event, an overflow to inf, does not raise in evaluate
+@example("exp(x1) * 1e308", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def test_stacked_compiled_tables_equal_the_tree_walker_row_by_row(src, rows):
     """Arguments (N, k) give one value per member, each bit for bit what evaluate gives on that member's bindings."""
     tree = parse(src, VARS).ast
@@ -346,6 +351,9 @@ def test_derivative_folds_constants():
     assert differentiate(differentiate(tree, "u1"), "u1") == Constant(1.0)
     assert differentiate(parse("x1*u1", VARS).ast, "u1") == Variable("x1")
     assert differentiate(parse("(x1*u1 - x2)/2", VARS).ast, "u1") == Binary("/", Variable("x1"), Constant(2.0))
+    # nested constant factors fold, and a sign moves into a constant factor
+    assert differentiate(tree, "u1") == Variable("u1")
+    assert differentiate(parse("(x1*u1 - x2*u1)/2", VARS).ast, "x2") == Binary("/", Variable("u1"), Constant(-2.0))
 
 
 def test_derivative_table_shapes():

@@ -102,7 +102,7 @@ def test_regularity_no_controls():
 def test_feedback_single_newton_step(heis_problem, default_config):
     # phi is affine in u with unit Hessian, so one update lands exactly
     theta, k = 0.93, 0.4
-    u, iterations, residual, _ = newton_feedback(
+    u, iterations, residual = newton_feedback(
         heis_problem, np.zeros(3), unit_cylinder_costate(theta, k), np.zeros(2), default_config
     )
     assert iterations == 1
@@ -114,7 +114,7 @@ def test_feedback_fixed_point(heis_problem, default_config):
     x = np.array([0.4, 0.6, -1.0])
     p = np.array([0.3, -0.2, 0.9])
     u_star = body_momentum(heis_problem, x, p)[:2]
-    u, iterations, _, _ = newton_feedback(heis_problem, x, p, u_star, default_config)
+    u, iterations, _ = newton_feedback(heis_problem, x, p, u_star, default_config)
     assert iterations == 0
     assert np.array_equal(u, u_star)
 
@@ -160,7 +160,8 @@ def test_a_constant_singular_hessian_is_refused_where_a_step_needs_it(default_co
 
 
 def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
-    """dH/dq is evaluated only at the root; a NaN there still raises EvaluationError with (x, p, u*)."""
+    """dH/dq is evaluated only at the root, where the integrator reads it; a NaN there raises EvaluationError with
+    (x, p, u*)."""
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: 0.5 * float(u[0] ** 2),
         jacobians=ProblemJacobians(
@@ -169,7 +170,7 @@ def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
         ),
     )
     with pytest.raises(EvaluationError, match="non-finite Hamiltonian partial") as err:
-        optimal_feedback(problem, [0.5], [2.0], [0.0], default_config)
+        integrate_pmp(problem, [0.5], [2.0], 0.1, default_config)
     x, p, u = err.value.point
     assert (x.tolist(), p.tolist(), u.tolist()) == ([0.5], [2.0], [2.0])
 

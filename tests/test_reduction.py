@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced
 from test_ocp import heisenberg_cotangent_lift
 from pontrylie.errors import DimensionMismatchError, RegularityError, ReductionUnsupportedError
 from pontrylie.heisenberg import (
@@ -15,7 +16,8 @@ from pontrylie.heisenberg import (
 )
 from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import PontryaginPoint, _newton
-from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, time_grid
+from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, optimal_feedback
+from pontrylie.pmp import time_grid
 from pontrylie.reduction import (
     ReducedJacobians,
     ReducedProblem,
@@ -169,7 +171,7 @@ def test_eliminate_controls(heis_reduced, default_config):
         np.zeros(2),
     )
     # an already-optimal guess passes the residual check with zero updates
-    _, iterations, _, _ = _newton(_reduced_view(heis_reduced), EMPTY, mu, mu[:2], default_config)
+    _, iterations, _ = _newton(_reduced_view(heis_reduced), EMPTY, mu, mu[:2], default_config)
     assert iterations == 0
 
 
@@ -184,7 +186,9 @@ def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dbase_du)
         lagrangian=heis_reduced.lagrangian,
         base_dynamics=lambda z, u: np.array([z[0] * u[0] + u[1] ** 2]),
         fiber_dynamics=heis_reduced.fiber_dynamics,
-        jacobians=dataclasses.replace(heis_reduced.jacobians, dbase_du=dbase_du),
+        # the builtin's z blocks are empty (its base is zero-dimensional); this base has none
+        jacobians=dataclasses.replace(heis_reduced.jacobians, dbase_du=dbase_du, dl_dz=None, dbase_dz=None,
+                                      dfiber_dz=None, d2base_du2=None),
     )
     parts = reduced_partials(problem, [0.7], [2.0], [0.3, -0.4, 1.0], [0.2, 0.5])
     assert np.allclose(parts.dh_du, [1.5, 1.1], atol=1e-8)
@@ -487,3 +491,38 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
             expected = {"dl_du": iterates, "fiber_dynamics": solves, "lagrangian": steps + 1, "casimir_mu3": steps + 1}
         assert dict(calls) == expected
         assert len(svds) == 1
+
+
+def test_feedback_evaluates_only_the_control_gradient(heis_problem):
+    """One feedback solve from u = 0 at a rotating point: two iterates of dH/du, nothing at the root."""
+    calls = collections.Counter()
+    problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians))
+    u = optimal_feedback(problem, np.zeros(3), unit_cylinder_costate(0.1, 1.0), np.zeros(2))
+    assert np.allclose(u, [np.cos(0.1), np.sin(0.1)], atol=1e-15)
+    assert dict(calls) == {"df_du": 2, "dL_du": 2}
+
+
+def _same_trajectories(a, b):
+    assert np.array_equal(a.times, b.times) and a.columns == b.columns and np.array_equal(a.states, b.states)
+    assert a.channels.keys() == b.channels.keys()
+    assert all(np.array_equal(value, b.channels[name]) for name, value in a.channels.items())
+
+
+def test_compiled_builtin_is_the_hand_written_oracle_bit_for_bit(heis_problem, heis_reduced, full_period_runs,
+                                                                 reduced_runs):
+    """The builtin, the README problem file compiled, against the hand-written callables of conftest.
+
+    Over the acceptance grid both give the same trajectories (states and every channel) and the same Dirac
+    residuals, bit for bit.
+    """
+    oracle, oracle_reduced = heisenberg_oracle_problem(), heisenberg_oracle_reduced()
+    p0 = [unit_cylinder_costate(theta, k) for theta, k in FULL_PERIOD_CASES]
+    for case, traj in zip(FULL_PERIOD_CASES, integrate_pmp(oracle, np.zeros(3), p0, TWO_PI, CONFIG)):
+        _same_trajectories(full_period_runs[case], traj)
+        assert np.array_equal(dirac_membership_residuals(heis_problem, full_period_runs[case]),
+                              dirac_membership_residuals(oracle, traj))
+    states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2)) for theta, k in reduced_runs]
+    for case, traj in zip(reduced_runs, integrate_reduced(oracle_reduced, states, TWO_PI, CONFIG)):
+        _same_trajectories(reduced_runs[case], traj)
+        assert np.array_equal(reduced_dirac_residuals(heis_reduced, reduced_runs[case]),
+                              reduced_dirac_residuals(oracle_reduced, traj))

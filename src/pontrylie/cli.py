@@ -75,8 +75,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _shortcut_values(text: str, option: str) -> List[float]:
-    """The comma-separated floats of a ``--theta``/``--k`` list, each checked to be finite."""
-    values = [float(v) for v in str(text).split(",")]
+    """The comma-separated floats of a ``--theta``/``--k`` list, each checked to be a finite number."""
+    try:
+        values = [float(v) for v in str(text).split(",")]
+    except ValueError as exc:
+        raise PontrylieError(f"--{option} '{text}' has an entry that is not a number ({exc})") from exc
     if not all(np.isfinite(values)):
         raise PontrylieError(f"--{option} '{text}' has a non-finite entry")
     return values
@@ -411,6 +414,10 @@ def main(argv=None) -> int:
             if exc.state is not None:
                 located["state"] = [float(v) for v in exc.state]
             result.update({key: value for key, value in located.items() if np.all(np.isfinite(value))})
+        elif isinstance(exc, EvaluationError) and exc.point is not None:
+            point = [[float(v) for v in np.ravel(part)] for part in exc.point]
+            if all(np.all(np.isfinite(part)) for part in point):
+                result["point"] = point
     except (PontrylieError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code, result = EXIT_INPUT, {"status": "error", "error": str(exc), "exit_code": EXIT_INPUT}

@@ -19,7 +19,11 @@ arguments (``compile_tables``) that repeats the tree walker's float
 operations in the same order; ``evaluate`` remains the reference semantics
 and produces the error messages.  ``load_problem`` compiles a problem file's
 JSON data into a control problem and its reduced form; the Heisenberg
-builtin is such a file.
+builtin is such a file.  It also differentiates the Pontryagin Hamiltonian
+H = <p, f> - L (and the reduced h), assembling its gradient from the
+derivative trees of f and L, and compiles it into the two stacked functions
+of (state, costate, control) that the solvers read, ``dH_du`` and
+``dH`` = (dH/du, dH/dstate, f).
 """
 
 from __future__ import annotations
@@ -648,13 +652,39 @@ def _table(sources, variables: List[str]) -> np.ndarray:
     return table
 
 
-def _with_derivatives(sources: Sequence, state: List[str], control: List[str]) -> List[Callable]:
-    """g, dg/dstate, dg/dcontrol and d2g/dcontrol2 for each expression table g of ``sources``, compiled in one pass."""
-    tables = []
-    for g in (_table(src, state + control) for src in sources):
-        g_control = derivative_table(g, control)
-        tables += [g, derivative_table(g, state), g_control, derivative_table(g_control, control)]
-    return compile_tables(tables, [state, control])
+def _compiled_problem(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, state: List[str], costate: List[str],
+                      control: List[str]) -> List[Callable]:
+    """g, dg/dstate, dg/dcontrol and d2g/dcontrol2 for each table g of ``dynamics`` and for ``lagrangian``,
+    functions of (state, control); then dH_du and dH = (dH/du, dH/dstate, f) of
+    H = sum_i costate_i * f_i - lagrangian (f the dynamics joined), functions of (state, costate, control).
+
+    The gradient of H is built by linearity from the derivative trees of the
+    blocks, folded term by term: the trees ``differentiate`` gives for the
+    tree of H.  The first entries of dH are the trees of dH_du, so they agree
+    bit for bit.  Each of the two groups is compiled in one pass.
+    """
+    tables, d_state, d_control = [], [], []
+    for g in (*dynamics, lagrangian):
+        g_state, g_control = derivative_table(g, state), derivative_table(g, control)
+        tables += [g, g_state, g_control, derivative_table(g_control, control)]
+        d_state.append(g_state)
+        d_control.append(g_control)
+
+    def gradient(d_dynamics, d_lagrangian):
+        """sum_i costate_i * d_dynamics[i, j] - d_lagrangian[j] for each column j."""
+        entries = []
+        for column, d_l in zip(d_dynamics.T, d_lagrangian):
+            h = Constant(0.0)
+            for var, d_f in zip(costate, column):
+                h = _binary("+", h, _binary("*", Variable(var), d_f, d_f.pos), d_f.pos)
+            entries.append(_binary("-", h, d_l, d_l.pos))
+        return np.array(entries, dtype=object)
+
+    f = np.concatenate(dynamics)
+    dH_du = gradient(np.concatenate(d_control[:-1]), d_control[-1])
+    dH_dx = gradient(np.concatenate(d_state[:-1]), d_state[-1])
+    return (compile_tables(tables, [state, control])
+            + compile_tables([dH_du, np.concatenate([dH_du, dH_dx, f])], [state, costate, control]))
 
 
 def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
@@ -662,7 +692,9 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
 
     Every expression is parsed, differentiated symbolically (first
     derivatives in states and controls, second derivatives in controls) and
-    compiled once here, so the solvers take their analytic-derivative paths.
+    compiled once here, and so is the gradient of the Hamiltonian built from
+    them (``_compiled_problem``, costates p1..pn, or pz1..pzs and mu1..mudim
+    for the reduced h), so the solvers take their analytic paths.
     ``where`` names the data in error messages.
     """
     data = _known_keys(data, _FILE_KEYS, where)
@@ -679,7 +711,9 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block"))
     x_vars = [f"x{i+1}" for i in range(n)]
     u_vars = [f"u{a+1}" for a in range(r)]
-    f, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2 = _with_derivatives([dyn_src, lag_src], x_vars, u_vars)
+    f, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2, dH_du, dH = _compiled_problem(
+        [_table(dyn_src, x_vars + u_vars)], _table(lag_src, x_vars + u_vars), x_vars,
+        [f"p{i+1}" for i in range(n)], u_vars)
 
     symmetry = None
     if "action" in data:
@@ -691,7 +725,8 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         (generators,) = compile_tables([_table(rows, x_vars)], [x_vars])
         action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
         symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
-    jac = ProblemJacobians(df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2)
+    jac = ProblemJacobians(df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2,
+                           dH_du=dH_du, dH=dH)
     problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
 
     reduced = None
@@ -705,11 +740,15 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         fiber_src = list(block["fiber_dynamics"])
         if len(base_src) != s or len(fiber_src) != algebra.dim:
             raise PontrylieError("reduced dynamics expression counts do not match s/dim")
+        base_table, fiber_table, lag_table = (_table(src, z_vars + u_vars)
+                                              for src in (base_src, fiber_src, str(block["lagrangian"])))
+        costate = [f"pz{i+1}" for i in range(s)] + [f"mu{i+1}" for i in range(algebra.dim)]
         (base, dbase_dz, dbase_du, d2base_du2, fiber, dfiber_dz, dfiber_du, d2fiber_du2,
-         lagrangian_z, dl_dz, dl_du, d2l_du2) = _with_derivatives(
-            [base_src, fiber_src, str(block["lagrangian"])], z_vars, u_vars)
+         lagrangian_z, dl_dz, dl_du, d2l_du2, dH_du, dH) = _compiled_problem(
+            [base_table, fiber_table], lag_table, z_vars, costate, u_vars)
         jac = ReducedJacobians(dl_dz=dl_dz, dl_du=dl_du, dbase_dz=dbase_dz, dbase_du=dbase_du, dfiber_dz=dfiber_dz,
-                               dfiber_du=dfiber_du, d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2)
+                               dfiber_du=dfiber_du, d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2,
+                               dH_du=dH_du, dH=dH)
         reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
                                  base_dynamics=base, fiber_dynamics=fiber, jacobians=jac, name=name)
     return problem, reduced

@@ -12,9 +12,12 @@ The central object is the Pontryagin Hamiltonian
 whose first and second partials drive the maximum-principle solver.  One
 kernel computes them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
 any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
-it, and one Newton loop eliminates the controls of both.  Partials fall back
-to central finite differences (step scaled by 1 + |coordinate|) wherever
-analytic derivatives are not supplied; dH/dlam = F(q, u) is always exact.
+it, and one Newton loop eliminates the controls of both.  A view of H
+(``_controlled``) picks its derivative sources once: the compiled gradient of
+H itself when the problem gives it (every problem file does), else pairings
+of lam with the dynamics and cost blocks, else central finite differences
+(step scaled by 1 + |coordinate|).  The solvers read two callables of it,
+dH/du and the stacked (dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
 
 The kernel works on stacks: every argument may carry leading member axes (a
 batch of initial conditions, or all rows of a trajectory), and one point is
@@ -24,6 +27,7 @@ stack at once; any other callable is called once per member.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -47,6 +51,12 @@ class ProblemJacobians:
     d2f_du2 (n, r, r) and d2L_du2 (r, r) are optional on top of that; when
     present the control Hessian of H is exact, which some callers need at
     tighter-than-finite-difference accuracy.
+
+    The gradient of H(x, p, u) = <p, f(x, u)> - L(x, u) itself may be given
+    too, as functions of (x, p, u): dH_du of shape (r,) and dH of shape
+    (r + 2n,), the concatenation (dH/du, dH/dx, f) whose first r entries
+    must be those of dH_du bit for bit.  The solvers then read only these two
+    (``expr.load_problem`` compiles them for every problem file).
     """
 
     df_dx: Optional[Callable] = None
@@ -55,6 +65,8 @@ class ProblemJacobians:
     dL_du: Optional[Callable] = None
     d2f_du2: Optional[Callable] = None
     d2L_du2: Optional[Callable] = None
+    dH_du: Optional[Callable] = None
+    dH: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -254,26 +266,31 @@ class HamiltonianPartials(NamedTuple):
 
 
 class ControlledHamiltonian(NamedTuple):
-    """H(q, lam, u) = <lam, F(q, u)> - L(q, u); ``jac`` holds dF/dq as df_dx, and so on.
+    """H(q, lam, u) = <lam, F(q, u)> - L(q, u) and its derivatives, each source picked once by ``_controlled``.
 
-    ``form(q, lam)`` is the antisymmetric (..., k, k) matrix B, k = len(lam), of the Poisson bracket's
-    non-canonical part (see ``_hamilton_field``); None means B = 0, and then len(lam) = len(q).
-    ``hessian`` holds W when it is the same at every point (see ``_ConstantHessian``).
+    ``dH_du(q, lam, u)`` gives (..., r); ``dH(q, lam, u)`` gives (..., r + nq + k) = (dH/du, dH/dq, F),
+    nq = len(q) and k = len(lam), its first r columns bit for bit those of ``dH_du`` (see ``_split``);
+    ``d2H_du2`` gives W, symmetrized, (..., r, r).  ``form(q, lam)`` is the antisymmetric (..., k, k)
+    matrix B of the Poisson bracket's non-canonical part (see ``_hamilton_field``); None means B = 0,
+    and then k = nq.  ``hessian`` holds W when it is the same at every point (see ``_ConstantHessian``).
     Every callable is stacked (see ``stacked``).
     """
 
     F: Callable
     L: Callable
-    jac: ProblemJacobians
+    dH_du: Callable
+    dH: Callable
+    d2H_du2: Callable
+    hessian: "_ConstantHessian"
     form: Optional[Callable] = None
-    hessian: Optional["_ConstantHessian"] = None
 
 
 class _ConstantHessian:
     """W of a view when it is the same at every point, worked out once per view, at first use.
 
     ``w`` is -d2L/du2, symmetrized, when d2f/du2 is a ``constant`` zero and d2L/du2 a finite (r, r)
-    ``constant``, else None (W varies, and Newton evaluates it); ``regular`` is its one SVD.
+    ``constant``, else None (W varies, and Newton evaluates it); ``regular`` is its one SVD and
+    ``inverse`` its inverse, which turns each Newton step into one matmul.
     """
 
     def __init__(self, jac: ProblemJacobians, r: int):
@@ -291,18 +308,89 @@ class _ConstantHessian:
     def regular(self) -> bool:
         return bool(_is_regular(self.w))
 
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.w)
 
-def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
+
+def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int,
+                form: Optional[Callable] = None) -> ControlledHamiltonian:
+    """The view of H = <lam, F> - L on stacked F, L and blocks ``jac``, every derivative source picked here, once.
+
+    In order of preference: the compiled gradients ``jac.dH_du``/``jac.dH``; closures pairing lam with
+    the blocks (a ``constant`` is read, not called), analytic only when both the F and the L block are
+    given; central differences of H.  W comes from the second-derivative blocks, else from central
+    differences of an analytic dH/du, else from plain second differences of H (step sqrt(FD_STEP) to keep
+    roundoff noise down).  A zero-length q or u block is never evaluated.  Pairings with lam are matrix
+    products per member, so a member's derivatives do not depend on the batch.
+    """
+
+    def h(q, lam, u):
+        return (lam[..., None, :] @ F(q, u)[..., None])[..., 0, 0] - L(q, u)
+
+    def paired(d_f, d_L):
+        """<lam, d_f> - d_L per member, or None unless both blocks are given."""
+        if d_f is None or d_L is None:
+            return None
+        return lambda q, lam, u: (lam[..., None, :] @ _read(d_f, q, u))[..., 0, :] - _read(d_L, q, u)
+
+    if jac.dH_du is not None:
+        dH_du = jac.dH_du
+    elif jac.dH is not None:
+        dH_du = lambda q, lam, u: jac.dH(q, lam, u)[..., :r]  # noqa: E731
+    else:
+        dH_du = paired(jac.df_du, jac.dL_du)
+    analytic = dH_du is not None
+    if not r:
+        dH_du = lambda q, lam, u: np.zeros(u.shape)  # noqa: E731
+    elif not analytic:
+        dH_du = lambda q, lam, u: fd_gradient(lambda v: h(q, lam, v), u, FD_STEP)  # noqa: E731
+
+    dH = jac.dH
+    if dH is None:
+        dH_dq = paired(jac.df_dx, jac.dL_dx)
+        if not nq:
+            dH_dq = lambda q, lam, u: np.zeros(q.shape)  # noqa: E731
+        elif dH_dq is None:
+            dH_dq = lambda q, lam, u: fd_gradient(lambda v: h(v, lam, u), q, FD_STEP)  # noqa: E731
+
+        def dH(q, lam, u):
+            return np.concatenate([dH_du(q, lam, u), dH_dq(q, lam, u), F(q, u)], axis=-1)
+
+    if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
+        def hessian(q, lam, u):
+            d2F = _read(jac.d2f_du2, q, u)
+            lam_d2F = lam[..., None, :] @ d2F.reshape(d2F.shape[:-2] + (r * r,))
+            return lam_d2F.reshape(u.shape[:-1] + (r, r)) - _read(jac.d2L_du2, q, u)
+    elif analytic:
+        def hessian(q, lam, u):
+            return fd_hessian_from_gradient(lambda v: dH_du(q, lam, v), u, FD_STEP)
+    else:
+        def hessian(q, lam, u):
+            return fd_hessian_direct(lambda v: h(q, lam, v), u, FD_STEP)
+
+    def d2H_du2(q, lam, u):
+        w = hessian(q, lam, u)
+        return 0.5 * (w + np.swapaxes(w, -1, -2))
+
+    return ControlledHamiltonian(F=F, L=L, dH_du=dH_du, dH=dH, d2H_du2=d2H_du2, hessian=_ConstantHessian(jac, r),
+                                 form=form)
+
+
+def _full_jacobians(problem: ControlProblem) -> ProblemJacobians:
+    """The problem's derivative callables, each stacked (see ``_per_member``); absent ones None."""
     n, r = problem.n, problem.r
     jac = problem.jacobians or ProblemJacobians()
-    shapes = {"df_dx": (n, n), "df_du": (n, r), "dL_dx": (n,), "dL_du": (r,), "d2f_du2": (n, r, r), "d2L_du2": (r, r)}
-    jac = ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
-    return ControlledHamiltonian(
-        F=_sized(_per_member(problem.dynamics, "dynamics", (n,)), "dynamics", n),
-        L=_per_member(problem.lagrangian, "Lagrangian", ()),
-        jac=jac,
-        hessian=_ConstantHessian(jac, r),
-    )
+    shapes = {"df_dx": (n, n), "df_du": (n, r), "dL_dx": (n,), "dL_du": (r,), "d2f_du2": (n, r, r), "d2L_du2": (r, r),
+              "dH_du": (r,), "dH": (r + 2 * n,)}
+    return ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
+
+
+def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
+    n = problem.n
+    return _controlled(F=_sized(_per_member(problem.dynamics, "dynamics", (n,)), "dynamics", n),
+                       L=_per_member(problem.lagrangian, "Lagrangian", ()), jac=_full_jacobians(problem),
+                       nq=n, r=problem.r)
 
 
 def _eval_dynamics(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -320,87 +408,45 @@ def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f=None) -> np.ndar
     return _require_finite(value, "non-finite Hamiltonian", q, lam, u)
 
 
-def _h(ham: ControlledHamiltonian, q, row, u) -> np.ndarray:
-    """H per member; ``row`` is lam[..., None, :]."""
-    return (row @ ham.F(q, u)[..., None])[..., 0, 0] - ham.L(q, u)
+def _split(grad: np.ndarray, nq: int, r: int):
+    """(dH/du, dH/dq, F) of a ``dH`` value whose q has length nq and u length r."""
+    return grad[..., :r], grad[..., r : r + nq], grad[..., r + nq :]
 
 
-def _state_partials(ham: ControlledHamiltonian, q, row, u):
-    """(dH/dq, dH/dlam = F): analytic when both df_dx and dL_dx are given, else central differences of H."""
-    jac = ham.jac
-    if not q.shape[-1]:
-        dH_dq = np.zeros(q.shape)
-    elif jac.df_dx is not None and jac.dL_dx is not None:
-        dH_dq = (row @ _read(jac.df_dx, q, u))[..., 0, :] - _read(jac.dL_dx, q, u)
-    else:
-        dH_dq = fd_gradient(lambda q_: _h(ham, q_, row, u), q, FD_STEP)
-    return dH_dq, ham.F(q, u)
-
-
-def _control_gradient(ham: ControlledHamiltonian, q, row, u) -> np.ndarray:
-    """dH/du: analytic when both df_du and dL_du are given, else central differences of H."""
-    jac = ham.jac
-    if not u.shape[-1]:
-        return np.zeros(u.shape)
-    if jac.df_du is not None and jac.dL_du is not None:
-        return (row @ _read(jac.df_du, q, u))[..., 0, :] - _read(jac.dL_du, q, u)
-    return fd_gradient(lambda v: _h(ham, q, row, v), u, FD_STEP)
-
-
-def _control_hessian(ham: ControlledHamiltonian, q, row, u) -> np.ndarray:
-    """W = d2H/du2, symmetrized, for r > 0: analytic blocks, central differences of an analytic dH/du, or plain
-    second differences of H (step sqrt(FD_STEP) to keep roundoff noise down)."""
-    jac, r = ham.jac, u.shape[-1]
-    if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
-        d2F = _read(jac.d2f_du2, q, u)
-        w = (row @ d2F.reshape(d2F.shape[:-2] + (r * r,))).reshape(u.shape[:-1] + (r, r)) - _read(jac.d2L_du2, q, u)
-    elif jac.df_du is not None and jac.dL_du is not None:
-        w = fd_hessian_from_gradient(lambda v: _control_gradient(ham, q, row, v), u, FD_STEP)
-    else:
-        w = fd_hessian_direct(lambda v: _h(ham, q, row, v), u, FD_STEP)
-    return 0.5 * (w + np.swapaxes(w, -1, -2))
+def _gradient(ham: ControlledHamiltonian, q, lam, u, grad=None) -> np.ndarray:
+    """dH = (dH/du, dH/dq, F) at the stacks (q, lam, u), checked finite; ``grad`` is dH when the caller holds it."""
+    grad = ham.dH(q, lam, u) if grad is None else grad
+    return _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u)
 
 
 def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
-    """(dH/dq, dH/dlam = F, dH/du, W = d2H/du2) at every member of the stacks (q, lam, u).
+    """(dH/dq, dH/dlam = F, dH/du, W = d2H/du2) at every member of the stacks (q, lam, u), from one ``dH`` call.
 
-    These helpers are the one place that picks a derivative source, in order
-    of preference: analytic blocks (a ``constant`` is read, not called),
-    central differences of an analytic dH/du, plain second differences of H.
-    A block is analytic only when both its F and its L field are given; a
-    zero-length block is never evaluated.  Pairings with lam are matrix
-    products per member, so a member's partials do not depend on the batch.
     One finiteness check covers all four.
     """
-    row = lam[..., None, :]
     lead, r = u.shape[:-1], u.shape[-1]
-    dH_dq, dH_dlam = _state_partials(ham, q, row, u)
-    dH_du = _control_gradient(ham, q, row, u)
-    w = _control_hessian(ham, q, row, u) if r else np.zeros(u.shape + (0,))
-    _require_finite(np.concatenate([dH_dq, dH_dlam, dH_du, w.reshape(lead + (r * r,))], axis=-1),
+    grad = ham.dH(q, lam, u)
+    w = ham.d2H_du2(q, lam, u) if r else np.zeros(u.shape + (0,))
+    _require_finite(np.concatenate([grad, w.reshape(lead + (r * r,))], axis=-1),
                     "non-finite Hamiltonian partial", q, lam, u)
-    return HamiltonianPartials(dH_dq, dH_dlam, dH_du, w)
+    dH_du, dH_dq, f = _split(grad, q.shape[-1], r)
+    return HamiltonianPartials(dH_dq, f, dH_du, w)
 
 
-def _hamilton_field(ham: ControlledHamiltonian, q, lam, parts: HamiltonianPartials):
-    """Hamilton's equations of the form B: (dH/dlam[..., :nq], -(dH/dq, 0) - B dH/dlam) from the partials at u*."""
+def _hamilton_field(ham: ControlledHamiltonian, q, lam, grad: np.ndarray):
+    """Hamilton's equations of the form B: (F[..., :nq], -(dH/dq, 0) - B F) from the ``dH`` value at u*."""
+    nq = q.shape[-1]
+    _, dH_dq, f = _split(grad, nq, grad.shape[-1] - nq - lam.shape[-1])
     if ham.form is None:
-        return parts.dH_dp, -parts.dH_dx
-    lam_dot = -(ham.form(q, lam) @ parts.dH_dp[..., None])[..., 0]
-    lam_dot[..., : q.shape[-1]] -= parts.dH_dx
-    return parts.dH_dp[..., : q.shape[-1]], lam_dot
+        return f, -dH_dq
+    lam_dot = -(ham.form(q, lam) @ f[..., None])[..., 0]
+    lam_dot[..., :nq] -= dH_dq
+    return f[..., :nq], lam_dot
 
 
 def _is_regular(w: np.ndarray) -> np.ndarray:
     """Per member of a stack of control Hessians (..., r, r): smallest singular value above ``RANK_TOL``."""
     return np.linalg.svd(w, compute_uv=False)[..., -1] > RANK_TOL
-
-
-def _root_partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
-    """dH/dq and F = dH/dlam at the stacks (q, lam, u), checked finite; dH/du and W are not evaluated (None)."""
-    dH_dq, dH_dlam = _state_partials(ham, q, lam[..., None, :], u)
-    _require_finite(np.concatenate([dH_dq, dH_dlam], axis=-1), "non-finite Hamiltonian partial", q, lam, u)
-    return HamiltonianPartials(dH_dq, dH_dlam, None, None)
 
 
 def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
@@ -410,46 +456,58 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     own convergence: once its residual is within tolerance it is not updated
     again, and every iteration checks the regularity of the other members
     with one stacked SVD and updates them with one stacked solve, so a member
-    takes the same steps in any batch.  An iterate evaluates only what it
-    reads: dH/du at every iterate and W at the members that take a step (the
-    view's constant ``hessian``, whose regularity is decided once, when it
-    has one); the caller that needs dH/dq and F at the root asks
-    ``_root_partials``.  Returns (u*, iterations, residual), iterations and
-    residual per member.  A failure names the flat index of the first
-    failing member; a non-finite partial raises EvaluationError at its point.
+    takes the same steps in any batch (a view's constant ``hessian`` is
+    rank-checked and inverted once, and a step is then one matmul).  The first iterate evaluates ``dH_du``;
+    every iterate after a step evaluates the whole ``dH`` on the whole stack,
+    so when that iterate converges (one step, for H quadratic in u) the
+    caller's ``_gradient`` at the root costs no call.  W is evaluated only at
+    the members that take a step.  Returns
+    (u*, iterations, residual, dH at u* unchecked, or None when no step was
+    taken), iterations and residual per member.  A failure names the flat
+    index of the first failing member; a non-finite dH/du raises
+    EvaluationError at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
-    row = lam[..., None, :]
+    r = u.shape[-1]
     iterations = np.zeros(u.shape[:-1], dtype=int)
+    grad, g = None, ham.dH_du(q, lam, u)
+    constant_w = ham.hessian.w is not None
     for iteration in range(config.newton_max_iter + 1):
-        g = _control_gradient(ham, q, row, u)
-        # max |dH/du| is NaN or infinite exactly when dH/du is not finite
-        residual = _require_finite(np.abs(g).max(axis=-1, initial=0.0), "non-finite Hamiltonian partial", q, lam, u)
+        residual = np.abs(g).max(axis=-1, initial=0.0)
         active = ~(residual <= config.newton_tol)
-        if not active.any():
-            return u, iterations, residual
-        everyone = active.all()
+        stepping = np.count_nonzero(active)
+        if not stepping:  # every residual is within tolerance, so finite
+            return u, iterations, residual, grad
+        # max |dH/du| is NaN or infinite exactly when dH/du is not finite
+        _require_finite(residual, "non-finite Hamiltonian partial", q, lam, u)
+        everyone = stepping == active.size
         if iteration == config.newton_max_iter:
             i = int(np.flatnonzero(active)[0])
             raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
                                    residual=float(residual.flat[i]), member=i)
-        qa, la, ua, ga = (q, lam, u, g) if everyone else (q[active], lam[active], u[active], g[active])
-        if ham.hessian is not None and ham.hessian.w is not None:
-            w, regular = ham.hessian.w, np.array(ham.hessian.regular)
+        if constant_w:
+            singular = not ham.hessian.regular  # one W for every member
         else:
-            w = _control_hessian(ham, qa, la[..., None, :], ua)
+            qa, la, ua, ga = (q, lam, u, g) if everyone else (q[active], lam[active], u[active], g[active])
+            w = ham.d2H_du2(qa, la, ua)
             _require_finite(w.reshape(ua.shape[:-1] + (-1,)), "non-finite Hamiltonian partial", qa, la, ua)
             regular = _is_regular(w)
-        if not regular.all():
-            i = int(np.flatnonzero(active)[np.argmin(regular)])
+            singular = not regular.all()
+        if singular:
+            i = int(np.flatnonzero(active)[0 if constant_w else np.argmin(regular)])
             raise RegularityError("control Hessian is singular along the Newton iteration",
                                   residual=float(residual.flat[i]), member=i)
-        step = np.linalg.solve(w, ga[..., None])[..., 0]
-        if everyone:
-            u, iterations = u - step, iterations + 1
+        if constant_w:  # one matmul on the whole stack; a converged member keeps its control
+            stepped = u - (ham.hessian.inverse @ g[..., None])[..., 0]
+            u = stepped if everyone else np.where(active[..., None], stepped, u)
+            iterations = iterations + active
+        elif everyone:
+            u, iterations = u - np.linalg.solve(w, g[..., None])[..., 0], iterations + 1
         else:
-            u[active] = ua - step
+            u[active] = ua - np.linalg.solve(w, ga[..., None])[..., 0]
             iterations[active] += 1
+        grad = ham.dH(q, lam, u)
+        g = grad[..., :r]
 
 
 def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> HamiltonianPartials:
@@ -534,8 +592,12 @@ def validate_jacobians(
 ) -> float:
     """Cross-check analytic first derivatives against central differences.
 
-    Returns the worst relative deviation over random probe points; raises
-    EvaluationError if it exceeds ``rtol``.
+    The blocks are checked against central differences of the dynamics and
+    the Lagrangian; the gradients dH_du and dH of H, at random costates,
+    against what the view gives without them: the pairing of the blocks, or
+    central differences of H where blocks are missing.  Returns the worst
+    relative deviation over random probe points; raises EvaluationError if it
+    exceeds ``rtol``.
     """
     if problem.jacobians is None:
         return 0.0
@@ -543,12 +605,15 @@ def validate_jacobians(
     draws = [(rng.normal(size=problem.n), rng.normal(size=problem.r)) for _ in range(probes)]
     x = np.array([d[0] for d in draws]).reshape(probes, problem.n)
     u = np.array([d[1] for d in draws]).reshape(probes, problem.r)
+    p = rng.normal(size=(probes, problem.n))
 
     def rel(a, b):
         return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))), initial=0.0))
 
     _eval_dynamics(problem, x, u)  # also enforces the output-length invariant
-    jac = _full_view(problem).jac
+    jac = _full_jacobians(problem)
+    blocks_only = dataclasses.replace(problem.jacobians, dH_du=None, dH=None)
+    reference = _full_view(dataclasses.replace(problem, jacobians=blocks_only))
     worst = 0.0
     for analytic, differences, fun, wrt in (
         (jac.df_dx, fd_jacobian, lambda v: _eval_dynamics(problem, v, u), x),
@@ -558,6 +623,9 @@ def validate_jacobians(
     ):
         if analytic is not None and wrt.shape[-1]:
             worst = max(worst, rel(analytic(x, u), differences(fun, wrt, fd_step)))
+    for analytic, expected in ((jac.dH_du, reference.dH_du), (jac.dH, reference.dH)):
+        if analytic is not None:
+            worst = max(worst, rel(analytic(x, p, u), expected(x, p, u)))
     if worst > rtol:
         raise EvaluationError(f"analytic jacobians deviate from finite differences by {worst:.3e}")
     return worst

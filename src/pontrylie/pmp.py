@@ -26,8 +26,8 @@ from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
-from .ocp import _full_view, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _partials, _per_member
-from .ocp import _root_partials
+from .ocp import _full_view, _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
+from .ocp import _split
 
 
 @dataclass(frozen=True)
@@ -288,9 +288,15 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     All members advance together: every stage makes one ``ocp._newton`` solve
     on the whole stack, and a member's trajectory is bit for bit the one it
     has alone.  At stages 2-4 Newton solves dH/du = 0 warm started from the
-    previous stage's control; stage 1 reuses the partials of the node's
-    converged solve, taken at the same (y, u*).
-    y_dot is ``ocp._hamilton_field`` of ``ham``'s form.  Every grid node
+    previous stage's control; stage 1 reuses the gradient of the node's
+    converged solve, taken at the same (y, u*).  A solve reads only the
+    view's two gradient callables: ``dH_du`` at its first iterate and the
+    whole ``dH`` = (dH/du, dH/dq, F) after each step, so the check of a
+    converged step also gives y_dot (``ocp._hamilton_field`` of ``ham``'s
+    form) and H.  The sweep runs under one ``np.errstate`` that silences
+    overflow and invalid-value warnings: a non-finite value still raises
+    EvaluationError at its point, and guarded compiled tables still raise
+    inside it.  Every grid node
     records, per member, the row (y, u*) with columns <prefix>1.. for each
     (prefix, size) of ``blocks`` (q first), then u1..; H under
     ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
@@ -304,32 +310,33 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     times = time_grid(duration, config.rk_step)
 
     def solve(y, u_warm, where, t):
-        """(u*, iterations, residual, partials at u*) of the Newton solve at the rows y."""
+        """(u*, iterations, residual, dH at u*) of the Newton solve at the rows y."""
         q, lam = y[:, :nq], y[:, nq:]
         try:
-            u_star, iterations, residual = _newton(ham, q, lam, u_warm, config)
-            return u_star, iterations, residual, _root_partials(ham, q, lam, u_star)
+            u_star, iterations, residual, grad = _newton(ham, q, lam, u_warm, config)
+            return u_star, iterations, residual, _gradient(ham, q, lam, u_star, grad)
         except SolverError as exc:
             i = exc.member
             raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
                             member=i) from exc
 
-    def vector_field(y, parts):
-        return np.concatenate(_hamilton_field(ham, y[:, :nq], y[:, nq:], parts), axis=-1)
+    def vector_field(y, grad):
+        return np.concatenate(_hamilton_field(ham, y[:, :nq], y[:, nq:], grad), axis=-1)
 
     def stage(y, u_warm, t):
-        u_star, iterations, _, parts = solve(y, u_warm, "while stepping from", t)
-        return vector_field(y, parts), u_star, iterations
+        u_star, iterations, _, grad = solve(y, u_warm, "while stepping from", t)
+        return vector_field(y, grad), u_star, iterations
 
     members, width = y0.shape
-    states = np.empty((members, len(times), width + u0.shape[1]))
+    r = u0.shape[1]
+    states = np.empty((members, len(times), width + r))
     recorded: Dict[str, np.ndarray] = {}
 
     def node(k, y, u_warm, step_iterations):
-        u_star, iterations, residual, parts = solve(y, u_warm, "at", times[k])
+        u_star, iterations, residual, grad = solve(y, u_warm, "at", times[k])
         states[:, k, :width], states[:, k, width:] = y, u_star
         values = {
-            hamiltonian_channel: _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, parts.dH_dp),
+            hamiltonian_channel: _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, _split(grad, nq, r)[2]),
             "newton_iters": np.maximum(step_iterations, iterations),
             "stationarity": residual,
         }
@@ -337,20 +344,21 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
             if name not in recorded:
                 recorded[name] = np.empty((members, len(times)))
             recorded[name][:, k] = value
-        return u_star, parts
+        return u_star, grad
 
-    y = y0
-    u_warm, parts = node(0, y, u0, 0)
-    for k in range(len(times) - 1):
-        t, h = times[k], times[k + 1] - times[k]
-        k1 = vector_field(y, parts)
-        k2, u2, i2 = stage(y + 0.5 * h * k1, u_warm, t)
-        k3, u3, i3 = stage(y + 0.5 * h * k2, u2, t)
-        k4, u4, i4 = stage(y + h * k3, u3, t)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u_warm, parts = node(k + 1, y, u4, np.maximum(np.maximum(i2, i3), i4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = y0
+        u_warm, grad = node(0, y, u0, 0)
+        for k in range(len(times) - 1):
+            t, h = times[k], times[k + 1] - times[k]
+            k1 = vector_field(y, grad)
+            k2, u2, i2 = stage(y + 0.5 * h * k1, u_warm, t)
+            k3, u3, i3 = stage(y + 0.5 * h * k2, u2, t)
+            k4, u4, i4 = stage(y + h * k3, u3, t)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u_warm, grad = node(k + 1, y, u4, np.maximum(np.maximum(i2, i3), i4))
 
-    columns = [f"{prefix}{i+1}" for prefix, size in (*blocks, ("u", u0.shape[1])) for i in range(size)]
+    columns = [f"{prefix}{i+1}" for prefix, size in (*blocks, ("u", r)) for i in range(size)]
     return [
         Trajectory(times=times, columns=columns, states=states[i], channels={k: v[i] for k, v in recorded.items()})
         for i in range(members)
@@ -454,13 +462,17 @@ def _scan_rows(ham, q, lam, u) -> np.ndarray:
     """Residuals of rows (q, lam, u) against the graph of [[B, I, 0], [-I, 0, 0], [0, 0, 0]], B = ``ham``'s form.
 
     A row tests velocity (dH/dlam, lam_dot, 0) and covector ((dH/dq, 0), dH/dlam, dH/du), lam_dot from
-    ``ocp._hamilton_field``: for an integrated trajectory the residual is bounded by the Newton tolerance,
-    and a corrupted row shows through dH/du.  ``dirac.graph_residuals`` scores all rows at once.
+    ``ocp._hamilton_field``, all from one ``dH`` call, the one the solver reads: for an integrated
+    trajectory the residual is bounded by the Newton tolerance, and a corrupted row shows through dH/du.
+    ``dirac.graph_residuals`` scores all rows at once; the scan runs under one ``np.errstate`` as the
+    solver's sweep does (see ``_rk4_dae``).
     """
-    parts = _partials(ham, q, lam, u)
-    k = lam.shape[-1]
-    pad = np.zeros(lam.shape[:-1] + (k - q.shape[-1],))  # (dH/dq, 0) has the length of lam
-    velocity = np.concatenate([parts.dH_dp, _hamilton_field(ham, q, lam, parts)[1], np.zeros_like(u)], axis=-1)
-    covector = np.concatenate([parts.dH_dx, pad, parts.dH_dp, parts.dH_du], axis=-1)
-    form = np.zeros((k, k)) if ham.form is None else ham.form(q, lam)
-    return dirac.graph_residuals(dirac._pontryagin_matrix(form), velocity, covector)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _gradient(ham, q, lam, u)
+        dH_du, dH_dq, f = _split(grad, q.shape[-1], u.shape[-1])
+        k = lam.shape[-1]
+        pad = np.zeros(lam.shape[:-1] + (k - q.shape[-1],))  # (dH/dq, 0) has the length of lam
+        velocity = np.concatenate([f, _hamilton_field(ham, q, lam, grad)[1], np.zeros_like(u)], axis=-1)
+        covector = np.concatenate([dH_dq, pad, f, dH_du], axis=-1)
+        form = np.zeros((k, k)) if ham.form is None else ham.form(q, lam)
+        return dirac.graph_residuals(dirac._pontryagin_matrix(form), velocity, covector)

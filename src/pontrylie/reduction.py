@@ -32,13 +32,18 @@ from . import dirac
 from .errors import DimensionMismatchError, ReductionUnsupportedError
 from .lie import LieAlgebraSpec, _coeffs, _lie_poisson_form
 from .ocp import ControlledHamiltonian, ControlProblem, PontryaginPoint, ProblemJacobians
-from .ocp import _ConstantHessian, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
+from .ocp import _controlled, _gradient, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
+from .ocp import _split
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows, _with_channels
 
 
 @dataclass(frozen=True)
 class ReducedJacobians:
-    """Optional analytic derivatives of the reduced data (same spirit as ocp)."""
+    """Optional analytic derivatives of the reduced data (same spirit as ocp).
+
+    dH_du and dH are the gradient of h itself as functions of (z, lam, u), lam = (p_z, mu): shapes (r,)
+    and (r + 2 s + dim,), dH the concatenation (dh/du, dh/dz, base, fiber).
+    """
 
     dl_dz: Optional[Callable] = None
     dl_du: Optional[Callable] = None
@@ -49,6 +54,8 @@ class ReducedJacobians:
     d2l_du2: Optional[Callable] = None
     d2base_du2: Optional[Callable] = None
     d2fiber_du2: Optional[Callable] = None
+    dH_du: Optional[Callable] = None
+    dH: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,10 @@ class ReducedState:
 def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
     """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber).
 
-    Built once per solve.  A derivative block is analytic only when both its
-    base and its fiber half are given; a zero-dimensional base contributes
-    no half at all.  Unmarked callables are called once per member, curvature once per member and pair.
+    Built once per solve; ``ocp._controlled`` picks the derivative sources.  A
+    derivative block is analytic only when both its base and its fiber half
+    are given; a zero-dimensional base contributes no half at all.  Unmarked
+    callables are called once per member, curvature once per member and pair.
     """
     s, dim, r = problem.base_dim, problem.algebra.dim, problem.control_dim
     jac = problem.jacobians or ReducedJacobians()
@@ -146,13 +154,13 @@ def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
         dL_du=_per_member(jac.dl_du, "dl_du", (r,)),
         d2f_du2=joined(jac.d2base_du2, jac.d2fiber_du2, "du2", (r, r)),
         d2L_du2=_per_member(jac.d2l_du2, "d2l_du2", (r, r)),
+        dH_du=_per_member(jac.dH_du, "dH_du", (r,)),
+        dH=_per_member(jac.dH, "dH", (r + 2 * s + dim,)),
     )
-    return ControlledHamiltonian(
+    return _controlled(
         F=_sized(joined(problem.base_dynamics, problem.fiber_dynamics, "dynamics", ()), "base/fiber dynamics", s + dim),
         L=_per_member(problem.lagrangian, "reduced Lagrangian", ()),
-        jac=jac,
-        form=form,
-        hessian=_ConstantHessian(jac, r),
+        jac=jac, nq=s, r=r, form=form,
     )
 
 
@@ -211,10 +219,11 @@ def reduced_pmp_rhs(
     state.conform(problem)
     ham = _reduced_view(problem)
     q, lam = _point(state.z, state.p_z, state.mu)
-    parts = _partials(ham, q, lam, state.u)
-    z_dot, lam_dot = _hamilton_field(ham, q, lam, parts)
+    grad = _gradient(ham, q, lam, state.u)
+    z_dot, lam_dot = _hamilton_field(ham, q, lam, grad)
     s = problem.base_dim
-    return ReducedRhs(z_dot=z_dot, pz_dot=lam_dot[:s], mu_dot=lam_dot[s:], xi=parts.dH_dp[s:])
+    xi = _split(grad, s, problem.control_dim)[2][s:]
+    return ReducedRhs(z_dot=z_dot, pz_dot=lam_dot[:s], mu_dot=lam_dot[s:], xi=xi)
 
 
 def integrate_reduced(

@@ -112,16 +112,55 @@ def _oracle_fiber_dynamics(z, u):
     return _columns(u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
 
 
-def heisenberg_oracle_problem() -> ControlProblem:
+# The gradient of H = p1 u1 + p2 u2 + p3 (x1 u2 - x2 u1)/2 - L in the float operations of its compiled tree:
+# dH/du1 = (p1 + p3 (x2 / -2)) - u1, dH/du2 = (p2 + p3 (x1 / 2)) - u2, dH/dx = (p3 (u2 / 2), p3 (u1 / -2), 0).
+
+
+def _oracle_control_gradient(x, p, u):
+    return ((p[..., 0] + p[..., 2] * (x[..., 1] / -2.0)) - u[..., 0],
+            (p[..., 1] + p[..., 2] * (x[..., 0] / 2.0)) - u[..., 1])
+
+
+@stacked
+def _oracle_dH_du(x, p, u):
+    return _columns(*_oracle_control_gradient(x, p, u))
+
+
+@stacked
+def _oracle_dH(x, p, u):
+    f = _oracle_dynamics(x, u)
+    return _columns(*_oracle_control_gradient(x, p, u), p[..., 2] * (u[..., 1] / 2.0), p[..., 2] * (u[..., 0] / -2.0),
+                    np.zeros(x.shape[:-1]), f[..., 0], f[..., 1], f[..., 2])
+
+
+# the reduced h = mu1 u1 + mu2 u2 - L: dh/du = mu[:2] - u, and dh/dlam is the fiber (u1, u2, 0)
+
+
+@stacked
+def _oracle_reduced_dH_du(z, mu, u):
+    return mu[..., :2] - u
+
+
+@stacked
+def _oracle_reduced_dH(z, mu, u):
+    return _columns(mu[..., 0] - u[..., 0], mu[..., 1] - u[..., 1], u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
+
+
+def heisenberg_oracle_problem(gradients: bool = True) -> ControlProblem:
+    """The hand-written full problem; without ``gradients`` the solvers pair p with its blocks instead."""
     jac = ProblemJacobians(df_dx=_oracle_df_dx, df_du=_oracle_df_du, dL_dx=constant(np.zeros(3)),
-                           dL_du=_oracle_control, d2f_du2=constant(np.zeros((3, 2, 2))), d2L_du2=constant(np.eye(2)))
+                           dL_du=_oracle_control, d2f_du2=constant(np.zeros((3, 2, 2))), d2L_du2=constant(np.eye(2)),
+                           dH_du=_oracle_dH_du if gradients else None, dH=_oracle_dH if gradients else None)
     return ControlProblem(n=3, r=2, dynamics=_oracle_dynamics, lagrangian=_oracle_lagrangian, jacobians=jac,
                           symmetry=left_translations(heisenberg_algebra()), name="heisenberg")
 
 
-def heisenberg_oracle_reduced() -> ReducedProblem:
+def heisenberg_oracle_reduced(gradients: bool = True) -> ReducedProblem:
+    """The hand-written reduced problem; without ``gradients`` the solvers pair mu with its blocks instead."""
     jac = ReducedJacobians(dl_du=_oracle_control, dfiber_du=constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-                           d2l_du2=constant(np.eye(2)), d2fiber_du2=constant(np.zeros((3, 2, 2))))
+                           d2l_du2=constant(np.eye(2)), d2fiber_du2=constant(np.zeros((3, 2, 2))),
+                           dH_du=_oracle_reduced_dH_du if gradients else None,
+                           dH=_oracle_reduced_dH if gradients else None)
     return ReducedProblem(base_dim=0, algebra=heisenberg_algebra(), control_dim=2, lagrangian=_oracle_lagrangian,
                           base_dynamics=constant(np.zeros(0)), fiber_dynamics=_oracle_fiber_dynamics, jacobians=jac,
                           casimirs={"casimir_mu3": lambda mu: float(mu[2])}, name="heisenberg")

@@ -251,7 +251,7 @@ def test_criterion_8_regularity_and_feedback(heis_problem):
         w = hamiltonian_partials(heis_problem, PontryaginPoint(x, p, rng.normal(size=2))).d2H_du2
         sigma_min = float(np.linalg.svd(w, compute_uv=False)[-1])
         worst_sigma_err = max(worst_sigma_err, abs(sigma_min - 1.0))
-        _, iterations, _ = _newton(_full_view(heis_problem), x, p, np.zeros(2), config)
+        _, iterations, _, _ = _newton(_full_view(heis_problem), x, p, np.zeros(2), config)
         worst_iterations = max(worst_iterations, iterations)
     ok = worst_sigma_err <= 1e-12 and worst_iterations <= 2
     verdict(

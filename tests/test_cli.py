@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,16 @@ def test_non_finite_theta_or_k_is_an_input_error(tmp_path, capsys, option, value
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("option, value", [("theta", "abc"), ("k", "1,,2")])
+def test_unparsable_theta_or_k_is_an_input_error_naming_the_option(tmp_path, capsys, option, value):
+    other = ("--k", "1") if option == "theta" else ("--theta", "0")
+    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", f"--{option}={value}", *other,
+                              "--T", "0.01", "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert result["status"] == "error" and f"--{option} '{value}' has an entry that is not a number" in result["error"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
 def test_non_finite_or_negative_tolerance_is_an_input_error(tmp_path, capsys, tol):
     """check-dirac and compare refuse a non-finite or negative --tol with exit 1 and a strict RESULT naming it."""
@@ -660,6 +671,22 @@ def test_fractional_power_of_negative_value_is_a_solver_failure(tmp_path, capsys
     assert result["exit_code"] == 2 and result["status"] == "error"
     assert "fractional power" in result["error"]
     assert "(at offset 6)" in result["error"]  # the '^' of (u1-1)^0.5
+
+
+def test_overflow_mid_solve_exits_2_with_its_point_and_no_warning(tmp_path, capsys):
+    """x_dot = x1*x1 + u1 is a safe (unguarded) table: x1 = 1e150 overflows it at the first stage, and NumPy
+    stays silent while the solver turns the infinite F into a numerical failure at that point."""
+    problem_file = tmp_path / "blowup.json"
+    problem_file.write_text(json.dumps({"n": 1, "r": 1, "dynamics": ["x1*x1 + u1"], "lagrangian": "0.5*u1^2"}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, result, _ = run_cli(capsys, "solve-pmp", "--problem", str(problem_file), "--x0", "1e150", "--p0", "1",
+                                  "--T", "1", "--step", "0.1", "--out", str(tmp_path / "blowup.csv"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+    assert code == 2 and result["status"] == "error"
+    assert "non-finite Hamiltonian partial" in result["error"]
+    x, p, u = result["point"]  # the stage (x, p, u*) where F overflowed
+    assert x[0] * x[0] == np.inf and p == u
 
 
 def test_action_without_algebra_is_rejected(tmp_path, capsys):

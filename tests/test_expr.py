@@ -20,6 +20,7 @@ from pontrylie.expr import (
     derivative_table,
     differentiate,
     evaluate,
+    load_problem,
     parse,
 )
 
@@ -326,6 +327,26 @@ def test_stacked_compiled_tables_equal_the_tree_walker_row_by_row(src, rows):
     assert [[float.hex(float(v)) for v in row] for row in values] == expected
     assert [float.hex(float(v)) for v in scalar(x, u)] == [row[0] for row in expected]
     assert np.array_equal(vector(x[:, None], u[:, None]), values[:, None])  # any leading member axes
+
+
+@PROPERTY
+@given(st.lists(_grammar(safe=True), min_size=3, max_size=3),
+       st.lists(st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=5, max_size=5), min_size=1, max_size=3))
+def test_compiled_gradient_of_h_is_the_contraction_of_the_blocks(sources, rows):
+    """dH_du and dH = (dH/du, dH/dx, f), compiled from the tree of H = p1 f1 + p2 f2 - L, against p paired with
+    the compiled blocks: a few ulp of the terms apart (a sum may round in another order); the dH/du entries of
+    dH are dH_du and its f entries the dynamics, bit for bit."""
+    problem, _ = load_problem({"n": 2, "r": 1, "dynamics": sources[:2], "lagrangian": sources[2]}, "random", "test")
+    jac = problem.jacobians
+    x, p, u = (np.array(rows)[:, i] for i in (slice(0, 2), slice(2, 4), slice(4, 5)))
+    dH_du, dH = jac.dH_du(x, p, u), jac.dH(x, p, u)
+    assert dH_du.shape == (len(rows), 1) and dH.shape == (len(rows), 5)
+    for d_f, d_L, got in ((jac.df_du, jac.dL_du, dH_du), (jac.df_dx, jac.dL_dx, dH[:, 1:3])):
+        blocks, cost = d_f(x, u), d_L(x, u)
+        paired = (p[:, None, :] @ blocks)[:, 0, :] - cost
+        scale = (np.abs(p)[:, None, :] @ np.abs(blocks))[:, 0, :] + np.abs(cost)
+        assert np.all(np.abs(got - paired) <= 4 * np.finfo(float).eps * scale), sources
+    assert np.array_equal(dH[:, :1], dH_du) and np.array_equal(dH[:, 3:], problem.dynamics(x, u))
 
 
 def _positions(node):

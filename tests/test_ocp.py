@@ -1,5 +1,7 @@
 """Control problems, Pontryagin Hamiltonian and partials, invariance checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from pontrylie.ocp import (
     invariance_deviation,
     left_translations,
     pontryagin_hamiltonian,
+    stacked,
     validate_jacobians,
 )
 from pontrylie.pmp import momentum_map
@@ -174,6 +177,22 @@ def test_validate_jacobians_flags_wrong_derivative(heis_problem):
     )
     with pytest.raises(EvaluationError):
         validate_jacobians(wrong, probes=10, seed=1)
+
+
+def test_validate_jacobians_flags_a_wrong_gradient_of_h(heis_problem):
+    """A hand-supplied dH_du that disagrees with the dynamics and the Lagrangian (here: the sign of L flipped)."""
+    jac = heis_problem.jacobians
+    assert jac.dH_du is not None and jac.dH is not None  # the builtin's compiled gradients are checked too
+    assert validate_jacobians(heis_problem, probes=10, seed=1) <= 1e-8
+    wrong = dataclasses.replace(jac, dH_du=stacked(lambda x, p, u: jac.dH_du(x, p, u) + 2.0 * u))
+    with pytest.raises(EvaluationError, match="deviate"):
+        validate_jacobians(dataclasses.replace(heis_problem, jacobians=wrong), probes=10, seed=1)
+    # without blocks the reference is central differences of H
+    bare = ControlProblem(n=3, r=2, dynamics=heis_problem.dynamics, lagrangian=heis_problem.lagrangian,
+                          jacobians=ProblemJacobians(dH_du=jac.dH_du, dH=jac.dH))
+    assert validate_jacobians(bare, probes=10, seed=1) <= 1e-8
+    with pytest.raises(EvaluationError, match="deviate"):
+        validate_jacobians(dataclasses.replace(bare, jacobians=ProblemJacobians(dH_du=wrong.dH_du)), probes=10, seed=1)
 
 
 def test_heisenberg_is_invariant(heis_problem):

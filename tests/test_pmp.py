@@ -41,7 +41,7 @@ def body_momentum(problem, x, p):
 
 
 def newton_feedback(problem, x, p, u_guess, config):
-    return _newton(_full_view(problem), x, p, u_guess, config)
+    return _newton(_full_view(problem), x, p, u_guess, config)[:3]
 
 
 def degenerate_problem():

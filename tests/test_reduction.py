@@ -171,7 +171,7 @@ def test_eliminate_controls(heis_reduced, default_config):
         np.zeros(2),
     )
     # an already-optimal guess passes the residual check with zero updates
-    _, iterations, _ = _newton(_reduced_view(heis_reduced), EMPTY, mu, mu[:2], default_config)
+    _, iterations, _, _ = _newton(_reduced_view(heis_reduced), EMPTY, mu, mu[:2], default_config)
     assert iterations == 0
 
 
@@ -186,9 +186,10 @@ def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dbase_du)
         lagrangian=heis_reduced.lagrangian,
         base_dynamics=lambda z, u: np.array([z[0] * u[0] + u[1] ** 2]),
         fiber_dynamics=heis_reduced.fiber_dynamics,
-        # the builtin's z blocks are empty (its base is zero-dimensional); this base has none
+        # the builtin's z blocks are empty (its base is zero-dimensional); this base has none, and the
+        # builtin's compiled gradient of h is the gradient of its own h
         jacobians=dataclasses.replace(heis_reduced.jacobians, dbase_du=dbase_du, dl_dz=None, dbase_dz=None,
-                                      dfiber_dz=None, d2base_du2=None),
+                                      dfiber_dz=None, d2base_du2=None, dH_du=None, dH=None),
     )
     parts = reduced_partials(problem, [0.7], [2.0], [0.3, -0.4, 1.0], [0.2, 0.5])
     assert np.allclose(parts.dh_du, [1.5, 1.1], atol=1e-8)
@@ -461,9 +462,10 @@ def counted(calls, obj):
 def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduced, kind, monkeypatch):
     """Problem callbacks of a resting (k = 0) and a rotating (k = 1) member, and SVDs, per integration.
 
-    A Newton iterate calls only the dH/du blocks and the root adds F and dH/dq; constant blocks are read,
-    not called, and the constant control Hessian is rank-checked once.  Per node come H (or h and the
-    Casimir); the J channels come from one call of the stacked symmetry handle.
+    A solve calls the compiled dH_du at its first iterate and the compiled dH = (dH/du, dH/dq, F) once:
+    after its step, where it converges, or at the root when the warm start already has converged.  The
+    constant control Hessian is rank-checked once.  Per node come H (or h and the Casimir); the J
+    channels come from one call of the stacked symmetry handle.
     """
     calls, svds = collections.Counter(), []
     svd = np.linalg.svd
@@ -477,29 +479,27 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     steps = 50
     config = PmpSolverConfig(rk_step=1e-3)
     solves = 1 + 4 * steps  # stage 1 reuses the node's solve: stages 2-4 and the node solve once per step
-    # every solve of a rotating member takes one update (two iterates); a resting one only the first, from u = 0
-    for k, iterates in ((0.0, solves + 1), (1.0, 2 * solves)):
+    for k in (0.0, 1.0):
         calls.clear()
         svds.clear()
         mu0 = unit_cylinder_costate(0.1, k)
         if kind == "full":
             integrate_pmp(problem, np.zeros(3), mu0, steps * config.rk_step, config)
-            expected = {"df_du": iterates, "dL_du": iterates, "dynamics": solves, "df_dx": solves,
-                        "lagrangian": steps + 1, "infinitesimal_action": 1}
+            expected = {"dH_du": solves, "dH": solves, "lagrangian": steps + 1, "infinitesimal_action": 1}
         else:
             integrate_reduced(problem, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), steps * config.rk_step, config)
-            expected = {"dl_du": iterates, "fiber_dynamics": solves, "lagrangian": steps + 1, "casimir_mu3": steps + 1}
+            expected = {"dH_du": solves, "dH": solves, "lagrangian": steps + 1, "casimir_mu3": steps + 1}
         assert dict(calls) == expected
         assert len(svds) == 1
 
 
-def test_feedback_evaluates_only_the_control_gradient(heis_problem):
-    """One feedback solve from u = 0 at a rotating point: two iterates of dH/du, nothing at the root."""
+def test_feedback_makes_one_gradient_call_per_iterate(heis_problem):
+    """One feedback solve from u = 0 at a rotating point: dH/du at the first iterate, the whole dH after the step."""
     calls = collections.Counter()
     problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians))
     u = optimal_feedback(problem, np.zeros(3), unit_cylinder_costate(0.1, 1.0), np.zeros(2))
     assert np.allclose(u, [np.cos(0.1), np.sin(0.1)], atol=1e-15)
-    assert dict(calls) == {"df_du": 2, "dL_du": 2}
+    assert dict(calls) == {"dH_du": 1, "dH": 1}
 
 
 def _same_trajectories(a, b):
@@ -513,7 +513,7 @@ def test_compiled_builtin_is_the_hand_written_oracle_bit_for_bit(heis_problem, h
     """The builtin, the README problem file compiled, against the hand-written callables of conftest.
 
     Over the acceptance grid both give the same trajectories (states and every channel) and the same Dirac
-    residuals, bit for bit.
+    residuals, bit for bit: the oracle's gradients of H repeat the compiled tree's float operations.
     """
     oracle, oracle_reduced = heisenberg_oracle_problem(), heisenberg_oracle_reduced()
     p0 = [unit_cylinder_costate(theta, k) for theta, k in FULL_PERIOD_CASES]
@@ -526,3 +526,23 @@ def test_compiled_builtin_is_the_hand_written_oracle_bit_for_bit(heis_problem, h
         _same_trajectories(reduced_runs[case], traj)
         assert np.array_equal(reduced_dirac_residuals(heis_reduced, reduced_runs[case]),
                               reduced_dirac_residuals(oracle_reduced, traj))
+
+
+def test_pairing_the_blocks_agrees_with_the_compiled_gradient(heis_problem, heis_reduced, full_period_runs,
+                                                              reduced_runs):
+    """The hand-written oracle without its gradients of H, so the solvers pair the costate with its blocks (a
+    matmul), against the builtin over the acceptance grid: within 1e-14 in states and every channel."""
+    oracle, oracle_reduced = heisenberg_oracle_problem(gradients=False), heisenberg_oracle_reduced(gradients=False)
+    assert oracle.jacobians.dH is None and oracle_reduced.jacobians.dH is None
+
+    def close(a, b):
+        assert a.columns == b.columns and a.channels.keys() == b.channels.keys()
+        assert np.max(np.abs(a.states - b.states)) <= 1e-14
+        assert all(np.max(np.abs(value - b.channels[name])) <= 1e-14 for name, value in a.channels.items())
+
+    p0 = [unit_cylinder_costate(theta, k) for theta, k in FULL_PERIOD_CASES]
+    for case, traj in zip(FULL_PERIOD_CASES, integrate_pmp(oracle, np.zeros(3), p0, TWO_PI, CONFIG)):
+        close(full_period_runs[case], traj)
+    states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2)) for theta, k in reduced_runs]
+    for case, traj in zip(reduced_runs, integrate_reduced(oracle_reduced, states, TWO_PI, CONFIG)):
+        close(reduced_runs[case], traj)

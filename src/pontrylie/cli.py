@@ -9,6 +9,7 @@ its last stdout line; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -333,7 +334,9 @@ def cmd_compare(args) -> Tuple[int, dict]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(prog="pontrylie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

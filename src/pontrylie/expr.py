@@ -14,23 +14,28 @@ syntax error).  Identifiers must come from the declared variable set.
 
 ``x^2`` is the product ``x*x``.  Trees are differentiated symbolically
 (``differentiate``, which folds constants and nested constant factors) and
-compiled once into NumPy column code over the member axis of stacked vector
-arguments (``compile_tables``) that repeats the tree walker's float
-operations in the same order; ``evaluate`` remains the reference semantics
-and produces the error messages.  ``load_problem`` compiles a problem file's
-JSON data into a control problem and its reduced form; the Heisenberg
-builtin is such a file.  It also differentiates the Pontryagin Hamiltonian
-H = <p, f> - L (and the reduced h), assembling its gradient from the
-derivative trees of f and L, and compiles it into the two stacked functions
-of (state, costate, control) that the solvers read, ``dH_du`` and
-``dH`` = (dH/du, dH/dstate, f).
+compiled once into functions of stacked vector arguments
+(``compile_tables``) that repeat the tree walker's float operations in the
+same order.  A function writes each table's arithmetic once and runs it in
+one of two branches: on Python floats for a one-member stack, on NumPy
+columns over the member axis for any other.  ``evaluate`` remains the
+reference semantics and produces the error messages.  ``load_problem``
+compiles a problem file's JSON data, in one ``compile()``, into a control
+problem and its reduced form; the Heisenberg builtin is such a file.  It
+also differentiates the Pontryagin Hamiltonian H = <p, f> - L (and the
+reduced h), assembling its gradient from the derivative trees of f and L,
+and compiles it into the two stacked functions of (state, costate, control)
+that the solvers read, ``dH_du`` and ``dH`` = (dH/du, dH/dstate, f).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from itertools import islice, product
+from types import FunctionType
 from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -363,6 +368,8 @@ def _unary(op: str, operand: Node, pos: int) -> Node:
 
 def _binary(op: str, left: Node, right: Node, pos: int) -> Node:
     """``left op right``, folding constants and the identities of 0 and 1."""
+    if not isinstance(left, Constant) and not isinstance(right, Constant):
+        return Binary(op, left, right, pos)  # every rule below needs a constant operand
     if isinstance(left, Constant) and isinstance(right, Constant):
         try:
             return Constant(_apply_binary(op, left.value, right.value, pos), pos)
@@ -461,9 +468,7 @@ def differentiate(node: Node, var: str) -> Node:
 def derivative_table(table: np.ndarray, variables: Sequence[str]) -> np.ndarray:
     """Differentiate an object array of trees; the variables index a new last axis."""
     out = np.empty(table.shape + (len(variables),), dtype=object)
-    for index, node in np.ndenumerate(table):
-        for k, var in enumerate(variables):
-            out[index + (k,)] = differentiate(node, var)
+    out.flat = [differentiate(node, var) for node in table.flat for var in variables]
     return out
 
 
@@ -474,42 +479,39 @@ def _constant_divisor(node: Binary) -> bool:
     return isinstance(node.right, Constant) and node.right.value != 0.0
 
 
-def _safe(node: Node) -> bool:
-    """True when ``evaluate`` cannot raise on ``node``: only + - *, negation, division by a nonzero constant, ^2."""
-    if isinstance(node, Unary):
-        return node.op == "neg" and _safe(node.operand)
-    if isinstance(node, Binary):
-        if (node.op == "/" and not _constant_divisor(node)) or (node.op == "^" and not _is_constant(node.right, 2.0)):
-            return False
-        return _safe(node.left) and _safe(node.right)
-    return True
-
-
 class _Emitter:
-    """Straight-line NumPy code over the member axis for a set of trees: one temporary per distinct operation."""
+    """Straight-line arithmetic for a set of trees, one temporary per distinct operation.
 
-    def __init__(self, names: Mapping[str, str]):
-        self.names = names
-        self.used = set()
+    The lines run alike on Python floats and on NumPy member columns.  ``names`` maps each variable
+    read to its local, in order of first use; ``guarded`` is set when a line can raise (anything but
+    + - *, negation, division by a nonzero constant and ^2), which ``evaluate`` would turn into an error.
+    """
+
+    def __init__(self):
+        self.names = {}
         self.lines: List[str] = []
         self.temps = {}
+        self.guarded = False
 
     def emit(self, node: Node) -> str:
         if isinstance(node, Constant):
             value = float(node.value)
             return f"({value!r})" if math.isfinite(value) else f"_float({str(value)!r})"
         if isinstance(node, Variable):
-            self.used.add(node.name)
-            return self.names[node.name]
+            return self.names.setdefault(node.name, f"_v{len(self.names)}")
         if isinstance(node, Unary):
             operand = self.emit(node.operand)
             code = f"-{operand}" if node.op == "neg" else f"_{node.op}({operand})"
+            self.guarded |= node.op != "neg"
         else:
             left, right = self.emit(node.left), self.emit(node.right)
             if node.op == "^":
-                code = f"{left} * {left}" if _is_constant(node.right, 2.0) else f"_pow({left}, {right})"
+                squared = _is_constant(node.right, 2.0)
+                code = f"{left} * {left}" if squared else f"_pow({left}, {right})"
+                self.guarded |= not squared
             elif node.op == "/" and not _constant_divisor(node):
                 code = f"_divide({left}, {right})"
+                self.guarded = True
             else:
                 code = f"{left} {node.op} {right}"
         name = self.temps.get(code)
@@ -520,21 +522,24 @@ class _Emitter:
 
 
 def _elementwise(fn: Callable, nin: int) -> Callable:
-    """``fn`` of Python floats applied member by member; a scalar argument gives a float."""
+    """``fn`` of Python floats: called once on floats, member by member on the columns of a stack."""
     ufunc = np.frompyfunc(fn, nin, 1)
 
     def apply(*args):
-        out = ufunc(*args)
-        return out.astype(float) if isinstance(out, np.ndarray) else out
+        return fn(*args) if isinstance(args[0], float) else ufunc(*args).astype(float)
 
     return apply
 
 
 def _divide(a, b):
     """``a / b``, raising wherever ``evaluate`` does: at every zero divisor, whatever the numerator."""
-    if not np.all(b):
+    if (b == 0.0) if isinstance(b, float) else not np.all(b):
         raise ZeroDivisionError("division by zero")
     return a / b
+
+
+def _sqrt(v):
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
 
 def _tile(value: float, a0: np.ndarray):
@@ -542,89 +547,169 @@ def _tile(value: float, a0: np.ndarray):
     return np.full(a0.shape[:-1], value) if a0.ndim > 1 else value
 
 
-def compile_tables(tables: Sequence[np.ndarray], arguments: Sequence[Sequence[str]]) -> List[Callable]:
-    """Compile object arrays of trees into stacked functions of vector arguments, in one pass.
+def _packing(atoms: np.ndarray, lead: Optional[str]) -> List[str]:
+    """The lines returning a table's entries ``atoms`` for every member.
 
-    ``arguments`` names the variables bound to the entries of each positional
-    vector argument; it must cover every variable of the trees.  The arguments
-    are float arrays that may carry the same leading member axes, (..., k);
-    the generated code is NumPy arithmetic on the member columns ``a[..., i]``
-    and returns one value of the table's shape per member, (..., *shape) (a
-    scalar for a 0-d table without leading axes).  The functions are marked
-    ``ocp.stacked``; a table of constants only becomes an ``ocp.constant``,
-    and a table that is one argument returns a copy of it.  Each entry is
+    ``lead`` is a local holding an array of the leading shape on a stack, or None when the function has no
+    float branch.  The float branch (``_one`` set to the ndim of ``a0``) packs a scalar or vector table with one
+    ``np.array``; a matrix table, mostly constants (Jacobian blocks, generators), it writes entry by entry into
+    a zero-filled array, as the column branch does.
+    """
+    if not atoms.ndim:
+        atom = atoms[()]
+        return [f"return _array([{atom}]) if _one == 2 else {atom}" if lead else f"return _tile({atom}, a0)"]
+    lines = []
+    if lead and atoms.ndim == 1:
+        lines += ["if _one:", f"    return _array([{', '.join(atoms)}], ndmin=_one)"]
+    else:
+        lead = None
+    zeros = "(0.0)" in atoms.flat  # +0.0 only: "(-0.0)" is written like any other entry
+    shape = f"{lead}.shape" if lead else "a0.shape[:-1]"
+    lines.append(f"_out = {'_zeros' if zeros else '_empty'}({shape} + {atoms.shape!r})")
+    lines += [f"_out[..., {', '.join(map(str, position))}] = {atom}"
+              for position, atom in zip(product(*map(range, atoms.shape)), atoms.flat)
+              if not (zeros and atom == "(0.0)")]
+    return lines + ["return _out"]
+
+
+def _bindings(names: Mapping[str, str], arguments: Sequence[Sequence[str]]) -> Tuple[List[str], Optional[str]]:
+    """The lines binding the locals ``names`` of variables to the arguments, and one local that has the leading
+    shape on a stack (None when no variable is read).
+
+    A one-member stack (leading shape () or (1,), told apart by ndim and length, never by size: an argument
+    may have no entries) unpacks each argument into Python floats and sets ``_one`` to the ndim of ``a0``;
+    any other reads the member columns ``a[..., i]`` and sets ``_one`` to 0.
+    """
+    floats, columns = [], {}
+    for k, group in enumerate(arguments):
+        bound = [names.get(var, "_") for var in group]
+        if set(bound) - {"_"}:
+            floats.append(f"{', '.join(bound)}{',' * (len(group) == 1)} = a{k}.ravel().tolist()")
+            columns.update({name: f"a{k}[..., {i}]" for i, name in enumerate(bound) if name != "_"})
+    if not columns:
+        return [], None
+    lines = ["if a0.ndim == 1 or len(a0) == 1 and a0.ndim == 2:", "    _one = a0.ndim",
+             *(f"    {line}" for line in floats),
+             "else:", "    _one = 0", *(f"    {name} = {column}" for name, column in columns.items())]
+    return lines, next(iter(columns))
+
+
+def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]]) -> List[Callable]:
+    """Compile object arrays of trees into stacked functions of vector arguments, all in one ``compile()``.
+
+    Each table comes with its ``arguments``: the variables bound to the
+    entries of each positional vector argument, covering every variable of
+    the table.  The arguments are float arrays with the same leading member
+    axes, (..., k); the function returns one value of the table's shape per
+    member, (..., *shape) (a scalar for a 0-d table without leading axes).
+    The functions are marked ``ocp.stacked``; a table of constants only
+    becomes an ``ocp.constant``, and a table that is one argument returns a
+    copy of it.
+
+    A function has two branches over one set of arithmetic lines; only the
+    binding of the variables and the packing of the entries differ.  A
+    one-member stack (leading shape () or (1,)) runs on Python floats
+    (``a.ravel().tolist()``) and packs its entries with one ``np.array``;
+    any other stack runs on NumPy member columns ``a[..., i]`` and writes
+    them into the result column by column.  Either way each entry is
     computed with the float operations of ``evaluate`` in the same order, so
-    results agree bit for bit:
+    both agree with the tree walker bit for bit:
 
-    - a safe table (``_safe``: nothing in it can raise) runs unguarded;
+    - a safe table (nothing in it can raise: + - *, negation, division by a
+      nonzero constant, ^2) runs unguarded;
     - any other runs under ``np.errstate(all="raise")``, with ``sin``, ``cos``,
-      ``exp`` and powers other than 2 computed by ``math`` member by member
-      (NumPy's differ in the last bit); on any arithmetic failure the tree
-      walker re-runs member by member and raises the first member's
+      ``exp`` and powers other than 2 computed by ``math`` (member by member
+      on a stack; NumPy's differ in the last bit); on any arithmetic failure
+      the tree walker re-runs member by member and raises the first member's
       ``ExprEvaluationError`` with the source offset, or, when no member
       fails (an overflow to inf, an underflow), returns its values.
+
+    Less code is generated, for a smaller ``compile()``: tables whose
+    functions read the same share one, and a vector table whose entries are
+    the first entries of another vector table of the same arguments (dH_du
+    and dH) runs that table's code with ``_prefix`` set, which returns after
+    its own lines.
     """
-    names, columns = {}, {}
-    for k, group in enumerate(arguments):
-        for i, var in enumerate(group):
-            names[var] = f"_v{len(names)}"
-            columns[var] = f"{names[var]} = a{k}[..., {i}]"
-    params = ", ".join(f"a{k}" for k in range(len(arguments)))
-    groups = [list(group) for group in arguments]
-    namespace = {}
-    source = []
-    constants = {}
-    for index, table in enumerate(tables):
+    constants, copies = {}, {}
+    for index, (table, arguments) in enumerate(tables):
+        groups = [list(group) for group in arguments]
         if table.ndim and all(isinstance(node, Constant) for node in table.flat):
             # no arithmetic, nothing can fail (zero Jacobian blocks, empty tables)
             constants[index] = constant(np.array([node.value for node in table.flat], dtype=float).reshape(table.shape))
-            continue
-        source.append(f"def _f{index}({params}):")
-        entries = [getattr(node, "name", None) for node in table.flat]
-        if table.ndim == 1 and entries in groups:
+        elif table.ndim == 1 and [getattr(node, "name", None) for node in table] in groups:
             # an argument itself, such as dL/du = u
-            source.append(f"    return a{groups.index(entries)}.copy()")
+            copies[index] = groups.index([node.name for node in table])
+
+    vectors = {}  # the computed vector tables, by their first entry
+    for index, (table, _) in enumerate(tables):
+        if table.ndim == 1 and len(table) and index not in constants and index not in copies:
+            vectors.setdefault(id(table[0]), []).append(index)
+    heads = {}  # a vector table -> the shorter one of the same arguments holding its first entries
+    for group in vectors.values():
+        *shorter, longest = sorted(group, key=lambda index: len(tables[index][0]))
+        table, arguments = tables[longest]
+        heads.update({longest: head for head in shorter[:1] if tables[head][1] == arguments
+                      and len(tables[head][0]) < len(table) and all(map(operator.is_, tables[head][0], table))})
+    source, bodies, shared = [], {}, {}
+    for index, (table, arguments) in enumerate(tables):
+        if index in constants or index in heads.values():
             continue
-        emitter = _Emitter(names)
-        atoms = {position: emitter.emit(node) for position, node in np.ndenumerate(table)}
-        source += [f"    {columns[var]}" for var in columns if var in emitter.used]
-        if all(_safe(node) for node in table.flat):
-            source += [f"    {line}" for line in emitter.lines]
+        params = ", ".join(f"a{k}" for k in range(len(arguments)))
+        if index in copies:
+            body = [f"return a{copies[index]}.copy()"]
         else:
-            source += ["    try:", "        with _errstate(all='raise'):"]
-            source += [f"            {line}" for line in emitter.lines]
-            source += ["    except _ARITHMETIC_FAILURES:", f"        return _walk({index}, ({params},))"]
-        if not table.ndim:
-            source.append(f"    return {atoms[()]}" if emitter.used else f"    return _tile({atoms[()]}, a0)")
-            continue
-        zeros = "(0.0)" in atoms.values()  # +0.0 only: "(-0.0)" is written like any other entry
-        source.append(f"    _out = {'_zeros' if zeros else '_empty'}(a0.shape[:-1] + {table.shape!r})")
-        source += [f"    _out[..., {', '.join(map(str, position))}] = {atom}"
-                   for position, atom in atoms.items() if not (zeros and atom == "(0.0)")]
-        source.append("    return _out")
+            head = heads.get(index)
+            size = None if head is None else len(tables[head][0])
+            emitter = _Emitter()
+            atoms = []
+            for node in table.flat:
+                if len(atoms) == size:
+                    cut = len(emitter.lines)
+                atoms.append(emitter.emit(node))
+            atoms = np.array(atoms, dtype=object).reshape(table.shape)
+            body, lead = _bindings(emitter.names, arguments)
+            lines = list(emitter.lines)
+            if head is not None:
+                lines[cut:cut] = ["if _prefix:", *(f"    {line}" for line in _packing(atoms[:size], lead))]
+                params += ", _prefix=False"
+            if emitter.guarded:
+                walked = index if head is None else f"{head} if _prefix else {index}"
+                body += ["try:", "    with _errstate(all='raise'):", *(f"        {line}" for line in lines),
+                         "except _ARITHMETIC_FAILURES:",
+                         f"    return _walk({walked}, ({', '.join(f'a{k}' for k in range(len(arguments)))},))"]
+            else:
+                body += lines
+            body += _packing(atoms, lead)
+        shared[index] = bodies.setdefault("\n".join([params, *body]), index)
+        if shared[index] == index:
+            source += [f"def _f{index}({params}):", *(f"    {line}" for line in body)]
 
     def walk(index, args):
         """The tree walker on every member: the first failing member's error, else the values."""
+        table, arguments = tables[index]
         args = [np.asarray(a, dtype=float) for a in args]
         lead = args[0].shape[:-1]
         count = math.prod(lead)
-        nodes = tables[index].ravel()
+        nodes = table.ravel()
         values = []
         for row in zip(*(a.reshape(count, a.shape[-1]).tolist() for a in args)):
             bindings = {var: value for group, vector in zip(arguments, row) for var, value in zip(group, vector)}
             values.append([_eval_node(node, bindings) for node in nodes])
-        return np.array(values, dtype=float).reshape(lead + tables[index].shape)[()]
+        return np.array(values, dtype=float).reshape(lead + table.shape)[()]
 
-    namespace.update(
-        _float=float, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _errstate=np.errstate, _walk=walk,
-        _divide=_divide, _sqrt=np.sqrt,
+    namespace = dict(
+        _float=float, _array=np.array, _empty=np.empty, _zeros=np.zeros, _tile=_tile,
+        _errstate=np.errstate, _walk=walk, _divide=_divide, _sqrt=_sqrt,
         **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
         _pow=_elementwise(math.pow, 2),
         # what the float operations and math functions raise on failure
         _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
     )
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
-    return [constants[index] if index in constants else stacked(namespace[f"_f{index}"]) for index in range(len(tables))]
+    functions = {index: namespace[f"_f{first}"] for index, first in shared.items()}
+    for longer, head in heads.items():  # the longer table's code, returning after the head's lines
+        functions[head] = FunctionType(functions[longer].__code__, namespace, f"_f{head}", (True,))
+    return [constants[index] if index in constants else stacked(functions[index]) for index in range(len(tables))]
 
 
 # ---------------------------------------------------------------- problem files
@@ -647,26 +732,25 @@ def _known_keys(block, allowed: Tuple[str, ...], where: str) -> dict:
 def _table(sources, variables: List[str]) -> np.ndarray:
     """Parse an expression string, or a (nested) list of them, into an object array of trees."""
     table = np.array(sources, dtype=object)
-    for index, src in np.ndenumerate(table):
-        table[index] = parse(str(src), variables).ast
+    table.flat = [parse(str(src), variables).ast for src in table.flat]
     return table
 
 
-def _compiled_problem(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, state: List[str], costate: List[str],
-                      control: List[str]) -> List[Callable]:
-    """g, dg/dstate, dg/dcontrol and d2g/dcontrol2 for each table g of ``dynamics`` and for ``lagrangian``,
-    functions of (state, control); then dH_du and dH = (dH/du, dH/dstate, f) of
-    H = sum_i costate_i * f_i - lagrangian (f the dynamics joined), functions of (state, costate, control).
+def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, state: List[str],
+                        costate: List[str], control: List[str]) -> List[Tuple[np.ndarray, List[List[str]]]]:
+    """The tables, with their arguments, of g, dg/dstate, dg/dcontrol and d2g/dcontrol2 for each table g of
+    ``dynamics`` and for ``lagrangian``, functions of (state, control); then of dH_du and dH = (dH/du, dH/dstate,
+    f) of H = sum_i costate_i * f_i - lagrangian (f the dynamics joined), functions of (state, costate, control).
 
     The gradient of H is built by linearity from the derivative trees of the
     blocks, folded term by term: the trees ``differentiate`` gives for the
     tree of H.  The first entries of dH are the trees of dH_du, so they agree
-    bit for bit.  Each of the two groups is compiled in one pass.
+    bit for bit.
     """
-    tables, d_state, d_control = [], [], []
+    blocks, d_state, d_control = [], [], []
     for g in (*dynamics, lagrangian):
         g_state, g_control = derivative_table(g, state), derivative_table(g, control)
-        tables += [g, g_state, g_control, derivative_table(g_control, control)]
+        blocks += [g, g_state, g_control, derivative_table(g_control, control)]
         d_state.append(g_state)
         d_control.append(g_control)
 
@@ -683,8 +767,8 @@ def _compiled_problem(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, st
     f = np.concatenate(dynamics)
     dH_du = gradient(np.concatenate(d_control[:-1]), d_control[-1])
     dH_dx = gradient(np.concatenate(d_state[:-1]), d_state[-1])
-    return (compile_tables(tables, [state, control])
-            + compile_tables([dH_du, np.concatenate([dH_du, dH_dx, f])], [state, costate, control]))
+    return ([(block, [state, control]) for block in blocks]
+            + [(table, [state, costate, control]) for table in (dH_du, np.concatenate([dH_du, dH_dx, f]))])
 
 
 def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
@@ -692,9 +776,11 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
 
     Every expression is parsed, differentiated symbolically (first
     derivatives in states and controls, second derivatives in controls) and
-    compiled once here, and so is the gradient of the Hamiltonian built from
-    them (``_compiled_problem``, costates p1..pn, or pz1..pzs and mu1..mudim
-    for the reduced h), so the solvers take their analytic paths.
+    compiled here, and so is the gradient of the Hamiltonian built from them
+    (``_hamiltonian_tables``, costates p1..pn, or pz1..pzs and mu1..mudim
+    for the reduced h), so the solvers take their analytic paths.  All
+    tables of the file go through one ``compile_tables`` call, one
+    ``compile()``.
     ``where`` names the data in error messages.
     """
     data = _known_keys(data, _FILE_KEYS, where)
@@ -711,25 +797,15 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block"))
     x_vars = [f"x{i+1}" for i in range(n)]
     u_vars = [f"u{a+1}" for a in range(r)]
-    f, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2, dH_du, dH = _compiled_problem(
-        [_table(dyn_src, x_vars + u_vars)], _table(lag_src, x_vars + u_vars), x_vars,
-        [f"p{i+1}" for i in range(n)], u_vars)
-
-    symmetry = None
+    tables = _hamiltonian_tables([_table(dyn_src, x_vars + u_vars)], _table(lag_src, x_vars + u_vars), x_vars,
+                                 [f"p{i+1}" for i in range(n)], u_vars)
     if "action" in data:
         if algebra is None:
             raise PontrylieError("an action table requires an algebra block")
         rows = data["action"]
         if len(rows) != algebra.dim or any(len(row) != n for row in rows):
             raise PontrylieError("action must be a dim x n table of expressions")
-        (generators,) = compile_tables([_table(rows, x_vars)], [x_vars])
-        action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
-        symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
-    jac = ProblemJacobians(df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2,
-                           dH_du=dH_du, dH=dH)
-    problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
-
-    reduced = None
+        tables.append((_table(rows, x_vars), [x_vars]))
     if "reduced" in data:
         if algebra is None:
             raise PontrylieError("a reduced block requires an algebra block")
@@ -743,9 +819,23 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         base_table, fiber_table, lag_table = (_table(src, z_vars + u_vars)
                                               for src in (base_src, fiber_src, str(block["lagrangian"])))
         costate = [f"pz{i+1}" for i in range(s)] + [f"mu{i+1}" for i in range(algebra.dim)]
+        tables += _hamiltonian_tables([base_table, fiber_table], lag_table, z_vars, costate, u_vars)
+
+    compiled = iter(compile_tables(tables))
+    f, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2, dH_du, dH = islice(compiled, 10)
+    symmetry = None
+    if "action" in data:
+        generators = next(compiled)
+        action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
+        symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
+    jac = ProblemJacobians(df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2,
+                           dH_du=dH_du, dH=dH)
+    problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
+
+    reduced = None
+    if "reduced" in data:
         (base, dbase_dz, dbase_du, d2base_du2, fiber, dfiber_dz, dfiber_du, d2fiber_du2,
-         lagrangian_z, dl_dz, dl_du, d2l_du2, dH_du, dH) = _compiled_problem(
-            [base_table, fiber_table], lag_table, z_vars, costate, u_vars)
+         lagrangian_z, dl_dz, dl_du, d2l_du2, dH_du, dH) = compiled
         jac = ReducedJacobians(dl_dz=dl_dz, dl_du=dl_du, dbase_dz=dbase_dz, dbase_du=dbase_du, dfiber_dz=dfiber_dz,
                                dfiber_du=dfiber_du, d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2,
                                dH_du=dH_du, dH=dH)

@@ -59,11 +59,8 @@ class LieAlgebraSpec:
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > _STRUCTURE_TOL:
             raise InvalidAlgebraError("structure constants are not antisymmetric in (i, j)")
         # Jacobi: sum_m c[i,j,m] c[m,k,l] + cyclic in (i,j,k) must vanish.
-        jac = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
+        nested = np.einsum("ijm,mkl->ijkl", c, c)
+        jac = nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
         if np.max(np.abs(jac)) > _STRUCTURE_TOL:
             raise InvalidAlgebraError(
                 f"Jacobi identity violated, max residual {np.max(np.abs(jac)):.3e}"
@@ -308,11 +305,8 @@ def algebra_from_dict(data: dict) -> LieAlgebraSpec:
             raise InvalidAlgebraError(f"structure index out of range in {entry!r}")
         c[i, j, k] = float(value)
     # fill antisymmetric counterparts that were left implicit
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if c[i, j, k] != 0.0 and c[j, i, k] == 0.0:
-                    c[j, i, k] = -c[i, j, k]
+    implicit = (c == 0.0) & (c.swapaxes(0, 1) != 0.0)
+    c[implicit] = -c.swapaxes(0, 1)[implicit]
     basis = data.get("matrix_basis")
     mats = tuple(np.asarray(m, dtype=float) for m in basis) if basis is not None else None
     labels = tuple(data["labels"]) if "labels" in data else None

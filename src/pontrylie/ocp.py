@@ -230,13 +230,22 @@ def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Cal
 def _sized(fn: Callable, name: str, size: int) -> Callable:
     """The stacked vector callable ``fn``, its values checked to hold ``size`` entries per member."""
 
-    def checked(q, u):
-        value = np.asarray(fn(q, u), dtype=float)
+    def checked(q, *args):
+        value = np.asarray(fn(q, *args), dtype=float)
         if value.shape != q.shape[:-1] + (size,):
             raise DimensionMismatchError(f"{name} returned shape {value.shape}, expected {q.shape[:-1] + (size,)}")
         return value
 
     return checked
+
+
+def _sized_gradient(ham: "ControlledHamiltonian", nq: int, k: int, r: int) -> "ControlledHamiltonian":
+    """``ham`` with ``dH_du`` and ``dH`` checked to give r and r + nq + k entries per member.
+
+    A solver wraps its view once, for one call of each (not per iterate): a gradient of the wrong width
+    fails here naming its field, where it would otherwise fail in NumPy or be read at the wrong entries.
+    """
+    return ham._replace(dH_du=_sized(ham.dH_du, "dH_du", r), dH=_sized(ham.dH, "dH", r + nq + k))
 
 
 def _require_finite(values: np.ndarray, message: str, *rows: np.ndarray) -> np.ndarray:

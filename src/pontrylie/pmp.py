@@ -27,7 +27,7 @@ from .errors import DimensionMismatchError, PontrylieError, SolverError, Traject
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
 from .ocp import _full_view, _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
-from .ocp import _split
+from .ocp import _sized_gradient, _split
 
 
 @dataclass(frozen=True)
@@ -309,12 +309,12 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     nq = blocks[0][1]
     times = time_grid(duration, config.rk_step)
 
-    def solve(y, u_warm, where, t):
+    def solve(y, u_warm, where, t, view=ham):
         """(u*, iterations, residual, dH at u*) of the Newton solve at the rows y."""
         q, lam = y[:, :nq], y[:, nq:]
         try:
-            u_star, iterations, residual, grad = _newton(ham, q, lam, u_warm, config)
-            return u_star, iterations, residual, _gradient(ham, q, lam, u_star, grad)
+            u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
+            return u_star, iterations, residual, _gradient(view, q, lam, u_star, grad)
         except SolverError as exc:
             i = exc.member
             raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
@@ -332,8 +332,8 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     states = np.empty((members, len(times), width + r))
     recorded: Dict[str, np.ndarray] = {}
 
-    def node(k, y, u_warm, step_iterations):
-        u_star, iterations, residual, grad = solve(y, u_warm, "at", times[k])
+    def node(k, y, u_warm, step_iterations, view=ham):
+        u_star, iterations, residual, grad = solve(y, u_warm, "at", times[k], view)
         states[:, k, :width], states[:, k, width:] = y, u_star
         values = {
             hamiltonian_channel: _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, _split(grad, nq, r)[2]),
@@ -348,7 +348,8 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
 
     with np.errstate(over="ignore", invalid="ignore"):
         y = y0
-        u_warm, grad = node(0, y, u0, 0)
+        # node 0 reads both gradients (dH_du at the first iterate, dH at the root): their widths are checked there
+        u_warm, grad = node(0, y, u0, 0, _sized_gradient(ham, nq, width - nq, r))
         for k in range(len(times) - 1):
             t, h = times[k], times[k + 1] - times[k]
             k1 = vector_field(y, grad)
@@ -464,11 +465,12 @@ def _scan_rows(ham, q, lam, u) -> np.ndarray:
     A row tests velocity (dH/dlam, lam_dot, 0) and covector ((dH/dq, 0), dH/dlam, dH/du), lam_dot from
     ``ocp._hamilton_field``, all from one ``dH`` call, the one the solver reads: for an integrated
     trajectory the residual is bounded by the Newton tolerance, and a corrupted row shows through dH/du.
+    The width of ``dH`` is checked (``ocp._sized_gradient``).
     ``dirac.graph_residuals`` scores all rows at once; the scan runs under one ``np.errstate`` as the
     solver's sweep does (see ``_rk4_dae``).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = _gradient(ham, q, lam, u)
+        grad = _gradient(_sized_gradient(ham, q.shape[-1], lam.shape[-1], u.shape[-1]), q, lam, u)
         dH_du, dH_dq, f = _split(grad, q.shape[-1], u.shape[-1])
         k = lam.shape[-1]
         pad = np.zeros(lam.shape[:-1] + (k - q.shape[-1],))  # (dH/dq, 0) has the length of lam

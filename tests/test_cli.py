@@ -813,3 +813,51 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1].startswith("RESULT ")
+
+
+def test_a_gradient_of_the_wrong_width_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    builtin = heisenberg.heisenberg_reduced_problem
+    dH = builtin().jacobians.dH
+    short = ocp.stacked(lambda q, lam, u: dH(q, lam, u)[..., :-1])
+    monkeypatch.setattr(heisenberg, "heisenberg_reduced_problem", lambda: dataclasses.replace(
+        builtin(), jacobians=dataclasses.replace(builtin().jacobians, dH=short)))
+    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1",
+                              "--T", "0.01", "--out", str(tmp_path / "reduced.csv"))
+    assert code == 1
+    assert result["status"] == "error" and "dH returned shape" in result["error"]
+
+
+def _fresh_process(cwd, args):
+    """The exit code and the stdout of ``python -m pontrylie ARGS`` in a new process on this checkout's sources."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pontrylie", *args], capture_output=True, text=True, env=env, cwd=cwd)
+    return proc.returncode, proc.stdout
+
+
+def test_successive_main_calls_share_the_parser_without_leaking_options(tmp_path, capsys, monkeypatch):
+    """One parser serves every ``main`` call of a process: each call gives the exit code and stdout (the
+    RESULT line) of a fresh process.  A usage error exits 1 from argparse, before any RESULT line."""
+    monkeypatch.chdir(tmp_path)
+    solve = ["solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.01"]
+    calls = [
+        [*solve, "--format", "json", "--out", "a.json"], [*solve, "--out", "b.csv"],
+        ["solve-pmp", "--T", "not-a-number"], [*solve, "--out", "c.csv"],
+        ["check-dirac", "--self-test", "--count", "3"], ["check-dirac", "--builtin", "heisenberg", "--traj", "b.csv"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    in_process = []
+    for args in calls:
+        code = main(args)
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [0, 0, 1, 0, 0, 0]
+    assert _strict_result(in_process[1][1])["out"] == "b.csv" and Trajectory.from_csv(tmp_path / "b.csv")
+    assert _strict_result(in_process[5][1])["mode"] == "full"
+    for args, outcome in zip(calls, in_process):
+        assert _fresh_process(tmp_path, args) == outcome, args
+
+
+def test_python_dash_m_pontrylie(tmp_path):
+    code, out = _fresh_process(tmp_path, ["check-dirac", "--self-test", "--count", "5"])
+    assert code == 0 and _strict_result(out)["passes"] == 5

@@ -1,5 +1,6 @@
 """Expression parser and evaluator."""
 
+import json
 import math
 
 import numpy as np
@@ -23,8 +24,10 @@ from pontrylie.expr import (
     load_problem,
     parse,
 )
+from pontrylie.heisenberg import PROBLEM_JSON
 
 XU = {"x1", "x2", "x3", "u1", "u2"}
+HEISENBERG_FILE = json.loads(PROBLEM_JSON)
 
 
 def test_hand_evaluated_example():
@@ -195,7 +198,7 @@ POINTS = st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=3, max_size=3)
 
 
 def _compiled(node):
-    (fn,) = compile_tables([np.array(node, dtype=object)], [VARS])
+    (fn,) = compile_tables([(np.array(node, dtype=object), [VARS])])
     return lambda v: fn(np.asarray(v, dtype=float))
 
 
@@ -289,13 +292,13 @@ def _outcome(fn):
 def test_compiled_matches_tree_walker_bit_for_bit(src, point):
     tree = parse(src, VARS).ast
     trees = [tree] + [differentiate(tree, var) for var in VARS]
-    fns = compile_tables([np.array(t, dtype=object) for t in trees], [VARS])
+    fns = compile_tables([(np.array(t, dtype=object), [VARS]) for t in trees])
     bindings = dict(zip(VARS, point))
     for t, fn in zip(trees, fns):
         expected = _outcome(lambda: evaluate_tree(t, bindings))
         assert _outcome(lambda: fn(np.array(point))) == expected, src
     # a vector table computes each entry exactly as the scalar one does
-    (vector,) = compile_tables([np.array(trees, dtype=object)], [VARS])
+    (vector,) = compile_tables([(np.array(trees, dtype=object), [VARS])])
     try:
         values = vector(np.array(point))
     except ExprEvaluationError:
@@ -312,8 +315,8 @@ def test_stacked_compiled_tables_equal_the_tree_walker_row_by_row(src, rows):
     """Arguments (N, k) give one value per member, each bit for bit what evaluate gives on that member's bindings."""
     tree = parse(src, VARS).ast
     trees = [tree] + [differentiate(tree, var) for var in VARS]
-    scalar, vector = compile_tables([np.array(tree, dtype=object), np.array(trees, dtype=object)],
-                                    [VARS[:2], VARS[2:]])
+    split = [VARS[:2], VARS[2:]]
+    scalar, vector = compile_tables([(np.array(tree, dtype=object), split), (np.array(trees, dtype=object), split)])
     x, u = np.array(rows)[:, :2], np.array(rows)[:, 2:]
     expected = [[_outcome(lambda: evaluate_tree(t, dict(zip(VARS, row)))) for t in trees] for row in rows]
     failed = [value for row in expected for value in row if value.startswith("error")]
@@ -382,7 +385,7 @@ def test_derivative_table_shapes():
     d2 = derivative_table(derivative_table(table, ["u1"]), ["u1"])
     assert d2.shape == (2, 1, 1)
     assert derivative_table(table, []).shape == (2, 0)
-    fn, empty = compile_tables([d2, derivative_table(table, [])], [VARS])
+    fn, empty = compile_tables([(d2, [VARS]), (derivative_table(table, []), [VARS])])
     assert fn(np.zeros(3)).tolist() == [[[0.0]], [[2.0]]]
     assert empty(np.zeros(3)).shape == (2, 0)
 
@@ -394,13 +397,13 @@ def test_undefined_derivative_raises_with_offset():
     with pytest.raises(ExprEvaluationError) as err:
         evaluate_tree(d, {"x1": 0.0, "x2": 1.0, "u1": 0.0})
     assert err.value.pos == src.index("sqrt")
-    (fn,) = compile_tables([np.array(d, dtype=object)], [VARS])
+    (fn,) = compile_tables([(np.array(d, dtype=object), [VARS])])
     with pytest.raises(ExprEvaluationError) as err:
         fn(np.array([0.0, 1.0, 0.0]))
     assert err.value.pos == src.index("sqrt")
     # a negative power of zero in the derivative of a fractional power
     src = "x1^0.5"
-    (fn,) = compile_tables([np.array(differentiate(parse(src, VARS).ast, "x1"), dtype=object)], [VARS])
+    (fn,) = compile_tables([(np.array(differentiate(parse(src, VARS).ast, "x1"), dtype=object), [VARS])])
     with pytest.raises(ExprEvaluationError) as err:
         fn(np.zeros(3))
     assert err.value.pos == src.index("^")
@@ -413,8 +416,88 @@ def test_fractional_power_of_negative_value():
         evaluate(e, {"u1": 0.0})
     assert err.value.pos == src.index("^")
     assert "fractional power" in str(err.value)
-    (fn,) = compile_tables([np.array(e.ast, dtype=object)], [VARS])
+    (fn,) = compile_tables([(np.array(e.ast, dtype=object), [VARS])])
     with pytest.raises(ExprEvaluationError) as err:
         fn(np.zeros(3))
     assert err.value.pos == src.index("^")
     assert fn(np.array([0.0, 0.0, 5.0])) == 2.0
+
+
+GUARDED_FILE = {"n": 2, "r": 1,
+                "dynamics": ["sin(x1) * u1 + sqrt(2 + cos(x2))", "exp(x2 / (3 + x1^2)) - u1^3 / (1 + x1^2)"],
+                "lagrangian": "0.5*u1^2 + 0.1*x1^3"}
+
+
+def _compiled_callables(data):
+    """Every function ``load_problem`` compiles from ``data``, with the widths of its arguments."""
+    problem, reduced = load_problem(data, "file", "test")
+    n, r = problem.n, problem.r
+    jac = problem.jacobians
+    found = [(fn, (n, r)) for fn in (problem.dynamics, problem.lagrangian, jac.df_dx, jac.df_du, jac.dL_dx,
+                                     jac.dL_du, jac.d2f_du2, jac.d2L_du2)]
+    found += [(jac.dH_du, (n, n, r)), (jac.dH, (n, n, r))]
+    if problem.symmetry is not None:
+        dim = problem.symmetry.algebra.dim
+        found.append((lambda x: problem.symmetry.infinitesimal_action(np.eye(dim), x), (n,)))
+    if reduced is not None:
+        s, k = reduced.base_dim, reduced.base_dim + reduced.algebra.dim
+        rj = reduced.jacobians
+        found += [(fn, (s, r)) for fn in (reduced.base_dynamics, reduced.fiber_dynamics, reduced.lagrangian,
+                                          rj.dl_dz, rj.dl_du, rj.dbase_dz, rj.dbase_du, rj.dfiber_dz, rj.dfiber_du,
+                                          rj.d2l_du2, rj.d2base_du2, rj.d2fiber_du2)]
+        found += [(rj.dH_du, (s, k, r)), (rj.dH, (s, k, r))]
+    return found
+
+
+@pytest.mark.parametrize("data", [HEISENBERG_FILE, GUARDED_FILE], ids=["readme", "guarded"])
+def test_one_member_is_bit_for_bit_the_same_member_of_any_stack(data):
+    """The float branch (leading shape () or (1,)) against the column branch (stacks (8,) and (2, 4)): every
+    compiled function of the README file and of a guarded file gives a member the same bits alone as in a stack."""
+    rng = np.random.default_rng(3)
+    for fn, widths in _compiled_callables(data):
+        stack = [rng.uniform(-1.5, 1.5, size=(8, w)) for w in widths]
+        values = np.asarray(fn(*stack))
+        grid = np.asarray(fn(*(a.reshape(2, 4, a.shape[-1]) for a in stack)))
+        assert np.array_equal(grid, values.reshape((2, 4) + values.shape[1:]))
+        for i in range(8):
+            alone = fn(*(a[i] for a in stack))
+            assert np.shape(alone) == values.shape[1:] and np.array_equal(alone, values[i])
+            assert np.array_equal(fn(*(a[i : i + 1] for a in stack)), values[i : i + 1])
+            if not values.shape[1:] and getattr(fn, "value", None) is None:
+                assert type(alone) is float  # a scalar table at one member is Python float arithmetic
+
+
+def test_one_member_raises_the_walkers_error_with_its_offset():
+    data = {"n": 2, "r": 1, "dynamics": ["u1 / x2", "sqrt(x1) + u1"], "lagrangian": "0.5*u1^2"}
+    problem, _ = load_problem(data, "file", "test")
+    bindings = {"x1": -1.0, "x2": 0.0, "u1": 1.0}
+    with pytest.raises(ExprEvaluationError) as walker:
+        evaluate(parse(data["dynamics"][0], list(bindings)), bindings)
+    x, u = np.array([-1.0, 0.0]), np.array([1.0])
+    for args in ((x, u), (x[None], u[None]), (np.vstack([x, x + 1]), np.vstack([u, u]))):
+        with pytest.raises(ExprEvaluationError) as compiled:
+            problem.dynamics(*args)
+        assert str(compiled.value) == str(walker.value) and compiled.value.pos == walker.value.pos == 3
+    with pytest.raises(ExprEvaluationError, match="sqrt of negative value") as err:
+        problem.dynamics(np.array([[-1.0, 1.0]]), np.array([[1.0]]))
+    assert err.value.pos == data["dynamics"][1].index("sqrt")
+    # an overflow in math.exp is the walker's error too, alone and in a stack
+    overflowing = load_problem({"n": 1, "r": 0, "dynamics": ["exp(x1)"], "lagrangian": "0"}, "f", "t")[0]
+    for x in (np.array([1000.0]), np.array([[0.0], [1000.0]])):
+        with pytest.raises(ExprEvaluationError, match="exp failed"):
+            overflowing.dynamics(x, np.zeros(x.shape[:-1] + (0,)))
+
+
+def test_a_zero_width_argument_takes_the_float_branch():
+    """The builtin's reduced base has width 0: at leading shape (1,) the functions bind floats from the other
+    arguments and give the (1, ...) values of that member."""
+    _, reduced = load_problem(HEISENBERG_FILE, "heisenberg", "test")
+    z, mu, u = np.zeros((1, 0)), np.array([[0.3, -0.7, 1.1]]), np.array([[0.2, 0.5]])
+    dH = reduced.jacobians.dH(z, mu, u)
+    assert dH.shape == (1, 5) and dH.tolist() == [[0.3 - 0.2, -0.7 - 0.5, 0.2, 0.5, 0.0]]
+    assert np.array_equal(reduced.jacobians.dH(z[0], mu[0], u[0]), dH[0])
+    assert np.array_equal(reduced.jacobians.dH_du(z, mu, u), dH[:, :2])
+    assert type(reduced.lagrangian(z[0], u[0])) is float
+    assert reduced.lagrangian(z, u).shape == (1,)
+    stack = reduced.jacobians.dH(np.zeros((3, 0)), np.repeat(mu, 3, axis=0), np.repeat(u, 3, axis=0))
+    assert np.array_equal(stack, np.repeat(dH, 3, axis=0))

@@ -178,6 +178,23 @@ def test_algebra_from_dict_roundtrip(heis_algebra):
     assert abs(g.matrix[0, 2] - 1.0) <= 1e-15  # c + ab/2 with c=0, a=1, b=2
 
 
+def test_algebra_from_dict_fills_each_implicit_counterpart_as_the_entrywise_loop():
+    """The (j, i, k) entries left out are filled with -c[i, j, k]; given entries stay as given.  The validation
+    of the result is switched off: random entries are not a Lie algebra."""
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        given = rng.normal(size=(4, 4, 4)) * (rng.random((4, 4, 4)) < 0.3)
+        expected = given.copy()
+        for i, j, k in np.ndindex(expected.shape):
+            if expected[i, j, k] != 0.0 and expected[j, i, k] == 0.0:
+                expected[j, i, k] = -expected[i, j, k]
+        captured = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("pontrylie.lie.LieAlgebraSpec", lambda **kw: captured.update(kw))
+            algebra_from_dict({"dim": 4, "structure": [[*index, given[index]] for index in zip(*np.nonzero(given))]})
+        assert np.array_equal(captured["structure_constants"], expected)
+
+
 def test_matrix_basis_must_be_independent(heis_algebra):
     mats = list(heis_algebra.matrix_basis)
     with pytest.raises(InvalidAlgebraError, match="linearly dependent"):

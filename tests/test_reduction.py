@@ -15,7 +15,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent, log_nilpotent
-from pontrylie.ocp import PontryaginPoint, _newton
+from pontrylie.ocp import PontryaginPoint, _newton, constant, stacked
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, optimal_feedback
 from pontrylie.pmp import time_grid
 from pontrylie.reduction import (
@@ -546,3 +546,56 @@ def test_pairing_the_blocks_agrees_with_the_compiled_gradient(heis_problem, heis
     states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(theta, k), np.zeros(2)) for theta, k in reduced_runs]
     for case, traj in zip(reduced_runs, integrate_reduced(oracle_reduced, states, TWO_PI, CONFIG)):
         close(reduced_runs[case], traj)
+
+
+def _short_dH(fn):
+    return stacked(lambda q, lam, u: fn(q, lam, u)[..., :-1])
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_a_gradient_one_entry_short_is_a_dimension_error_naming_it(heis_reduced, heis_problem, members):
+    """dH one entry short, full and reduced: the integration and the Dirac scan name the field."""
+    reduced = dataclasses.replace(heis_reduced, jacobians=dataclasses.replace(
+        heis_reduced.jacobians, dH=_short_dH(heis_reduced.jacobians.dH)))
+    states = [ReducedState(EMPTY, EMPTY, unit_cylinder_costate(0.3 * i, 1.0), np.zeros(2)) for i in range(members)]
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+        integrate_reduced(reduced, states, 0.01, CONFIG)
+    traj = integrate_reduced(heis_reduced, states[0], 0.01, CONFIG)
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+        reduced_dirac_residuals(reduced, traj)
+    problem = dataclasses.replace(heis_problem, jacobians=dataclasses.replace(
+        heis_problem.jacobians, dH=_short_dH(heis_problem.jacobians.dH)))
+    p0 = [unit_cylinder_costate(0.3 * i, 1.0) for i in range(members)]
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+        integrate_pmp(problem, np.zeros(3), p0, 0.01, CONFIG)
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+        dirac_membership_residuals(problem, integrate_pmp(heis_problem, np.zeros(3), p0[0], 0.01, CONFIG))
+
+
+def test_a_wide_dH_du_is_a_dimension_error_naming_it(heis_reduced):
+    wide = stacked(lambda q, lam, u: np.concatenate([heis_reduced.jacobians.dH_du(q, lam, u), u[..., :1]], axis=-1))
+    reduced = dataclasses.replace(heis_reduced, jacobians=dataclasses.replace(heis_reduced.jacobians, dH_du=wide))
+    with pytest.raises(DimensionMismatchError, match="dH_du returned shape"):
+        integrate_reduced(reduced, ReducedState(EMPTY, EMPTY, unit_cylinder_costate(0.3, 1.0), np.zeros(2)), 0.01,
+                          CONFIG)
+
+
+def test_a_base_borrowing_the_builtin_gradients_is_a_dimension_error(heis_reduced):
+    """A one-dimensional base with the builtin's compiled gradients of h (written for s = 0): on a stack they
+    read p_z as mu1 and give r + dim entries, not r + 2 s + dim; the width check names dH.  One member fails
+    in the compiled code itself, which unpacks exactly the entries it was written for."""
+    jac = heis_reduced.jacobians
+    borrowed = ReducedJacobians(dH_du=jac.dH_du, dH=jac.dH, d2l_du2=jac.d2l_du2, d2fiber_du2=jac.d2fiber_du2,
+                                d2base_du2=constant(np.zeros((1, 2, 2))))
+    base = dataclasses.replace(heis_reduced, base_dim=1, base_dynamics=stacked(lambda z, u: u[..., :1]),
+                               jacobians=borrowed, casimirs={})
+    states = [ReducedState(np.zeros(1), np.zeros(1), unit_cylinder_costate(0.3 * i, 1.0), np.zeros(2))
+              for i in range(2)]
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+        integrate_reduced(base, states, 0.01, CONFIG)
+    with pytest.raises(ValueError):
+        integrate_reduced(base, states[0], 0.01, CONFIG)
+    rows = Trajectory(times=[0.0, 0.1], columns=("z1", "pz1", "mu1", "mu2", "mu3", "u1", "u2"),
+                      states=np.ones((2, 7)))
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+        reduced_dirac_residuals(base, rows)

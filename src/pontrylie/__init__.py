@@ -72,7 +72,6 @@ from .pmp import (
     regularity_check,
 )
 from .reduction import (
-    ReducedJacobians,
     ReducedProblem,
     ReducedState,
     eliminate_controls_reduced,

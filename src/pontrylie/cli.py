@@ -398,12 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else EXIT_INPUT
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed its usage message to stderr
+            if exc.code in (0, None):
+                return EXIT_OK
+            raise PontrylieError("invalid command line (the usage message is on stderr)") from None
         code, result = args.fn(args)
         result.setdefault("status", "ok" if code == EXIT_OK else "check-failed")
         result["exit_code"] = code

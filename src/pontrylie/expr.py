@@ -22,10 +22,11 @@ columns over the member axis for any other.  ``evaluate`` remains the
 reference semantics and produces the error messages.  ``load_problem``
 compiles a problem file's JSON data, in one ``compile()``, into a control
 problem and its reduced form; the Heisenberg builtin is such a file.  It
-also differentiates the Pontryagin Hamiltonian H = <p, f> - L (and the
-reduced h), assembling its gradient from the derivative trees of f and L,
-and compiles it into the two stacked functions of (state, costate, control)
-that the solvers read, ``dH_du`` and ``dH`` = (dH/du, dH/dstate, f).
+differentiates the Pontryagin Hamiltonian H = <p, f> - L (and the reduced
+h), assembling its gradient from the derivative trees of f and L, and
+compiles it into the three stacked functions of (state, costate, control)
+that are the problem's derivatives: ``dH_du``, ``dH`` = (dH/du, dH/dstate,
+f) and ``d2H_du2``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import PontrylieError
 from .lie import algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
-from .reduction import ReducedJacobians, ReducedProblem
+from .reduction import ReducedProblem
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -552,7 +553,7 @@ def _packing(atoms: np.ndarray, lead: Optional[str]) -> List[str]:
 
     ``lead`` is a local holding an array of the leading shape on a stack, or None when the function has no
     float branch.  The float branch (``_one`` set to the ndim of ``a0``) packs a scalar or vector table with one
-    ``np.array``; a matrix table, mostly constants (Jacobian blocks, generators), it writes entry by entry into
+    ``np.array``; a matrix table (a control Hessian, generators), it writes entry by entry into
     a zero-filled array, as the column branch does.
     """
     if not atoms.ndim:
@@ -634,10 +635,10 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
     for index, (table, arguments) in enumerate(tables):
         groups = [list(group) for group in arguments]
         if table.ndim and all(isinstance(node, Constant) for node in table.flat):
-            # no arithmetic, nothing can fail (zero Jacobian blocks, empty tables)
+            # no arithmetic, nothing can fail (a constant control Hessian, empty tables)
             constants[index] = constant(np.array([node.value for node in table.flat], dtype=float).reshape(table.shape))
         elif table.ndim == 1 and [getattr(node, "name", None) for node in table] in groups:
-            # an argument itself, such as dL/du = u
+            # an argument itself, such as dynamics f = u
             copies[index] = groups.index([node.name for node in table])
 
     vectors = {}  # the computed vector tables, by their first entry
@@ -738,21 +739,20 @@ def _table(sources, variables: List[str]) -> np.ndarray:
 
 def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, state: List[str],
                         costate: List[str], control: List[str]) -> List[Tuple[np.ndarray, List[List[str]]]]:
-    """The tables, with their arguments, of g, dg/dstate, dg/dcontrol and d2g/dcontrol2 for each table g of
-    ``dynamics`` and for ``lagrangian``, functions of (state, control); then of dH_du and dH = (dH/du, dH/dstate,
-    f) of H = sum_i costate_i * f_i - lagrangian (f the dynamics joined), functions of (state, costate, control).
+    """The tables, with their arguments, of each table of ``dynamics`` and of ``lagrangian``, functions of
+    (state, control); then of dH_du, dH = (dH/du, dH/dstate, f) and d2H_du2 of H = sum_i costate_i * f_i -
+    lagrangian (f the dynamics joined), functions of (state, costate, control).
 
-    The gradient of H is built by linearity from the derivative trees of the
-    blocks, folded term by term: the trees ``differentiate`` gives for the
-    tree of H.  The first entries of dH are the trees of dH_du, so they agree
-    bit for bit.
+    The gradient of H is built by linearity from the derivative trees of
+    the dynamics and the Lagrangian, folded term by term: the trees
+    ``differentiate`` gives for the tree of H.  The first entries of dH are
+    the trees of dH_du, so they agree bit for bit, and d2H_du2 is the
+    derivative table of dH_du.
     """
-    blocks, d_state, d_control = [], [], []
+    d_state, d_control = [], []
     for g in (*dynamics, lagrangian):
-        g_state, g_control = derivative_table(g, state), derivative_table(g, control)
-        blocks += [g, g_state, g_control, derivative_table(g_control, control)]
-        d_state.append(g_state)
-        d_control.append(g_control)
+        d_state.append(derivative_table(g, state))
+        d_control.append(derivative_table(g, control))
 
     def gradient(d_dynamics, d_lagrangian):
         """sum_i costate_i * d_dynamics[i, j] - d_lagrangian[j] for each column j."""
@@ -767,16 +767,16 @@ def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, 
     f = np.concatenate(dynamics)
     dH_du = gradient(np.concatenate(d_control[:-1]), d_control[-1])
     dH_dx = gradient(np.concatenate(d_state[:-1]), d_state[-1])
-    return ([(block, [state, control]) for block in blocks]
-            + [(table, [state, costate, control]) for table in (dH_du, np.concatenate([dH_du, dH_dx, f]))])
+    hamiltonian = (dH_du, np.concatenate([dH_du, dH_dx, f]), derivative_table(dH_du, control))
+    return ([(g, [state, control]) for g in (*dynamics, lagrangian)]
+            + [(table, [state, costate, control]) for table in hamiltonian])
 
 
 def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
     """The control problem, and its reduced form when declared, of a problem file's JSON data (see README).
 
-    Every expression is parsed, differentiated symbolically (first
-    derivatives in states and controls, second derivatives in controls) and
-    compiled here, and so is the gradient of the Hamiltonian built from them
+    Every expression is parsed and compiled here, and so are the
+    derivatives of the Hamiltonian, differentiated symbolically from them
     (``_hamiltonian_tables``, costates p1..pn, or pz1..pzs and mu1..mudim
     for the reduced h), so the solvers take their analytic paths.  All
     tables of the file go through one ``compile_tables`` call, one
@@ -822,23 +822,19 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         tables += _hamiltonian_tables([base_table, fiber_table], lag_table, z_vars, costate, u_vars)
 
     compiled = iter(compile_tables(tables))
-    f, df_dx, df_du, d2f_du2, lagrangian, dL_dx, dL_du, d2L_du2, dH_du, dH = islice(compiled, 10)
+    f, lagrangian, dH_du, dH, d2H_du2 = islice(compiled, 5)
     symmetry = None
     if "action" in data:
         generators = next(compiled)
         action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
         symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
-    jac = ProblemJacobians(df_dx=df_dx, df_du=df_du, dL_dx=dL_dx, dL_du=dL_du, d2f_du2=d2f_du2, d2L_du2=d2L_du2,
-                           dH_du=dH_du, dH=dH)
+    jac = ProblemJacobians(dH_du=dH_du, dH=dH, d2H_du2=d2H_du2)
     problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
 
     reduced = None
     if "reduced" in data:
-        (base, dbase_dz, dbase_du, d2base_du2, fiber, dfiber_dz, dfiber_du, d2fiber_du2,
-         lagrangian_z, dl_dz, dl_du, d2l_du2, dH_du, dH) = compiled
-        jac = ReducedJacobians(dl_dz=dl_dz, dl_du=dl_du, dbase_dz=dbase_dz, dbase_du=dbase_du, dfiber_dz=dfiber_dz,
-                               dfiber_du=dfiber_du, d2l_du2=d2l_du2, d2base_du2=d2base_du2, d2fiber_du2=d2fiber_du2,
-                               dH_du=dH_du, dH=dH)
+        base, fiber, lagrangian_z, dH_du, dH, d2H_du2 = compiled
         reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
-                                 base_dynamics=base, fiber_dynamics=fiber, jacobians=jac, name=name)
+                                 base_dynamics=base, fiber_dynamics=fiber,
+                                 jacobians=ProblemJacobians(dH_du=dH_du, dH=dH, d2H_du2=d2H_du2), name=name)
     return problem, reduced

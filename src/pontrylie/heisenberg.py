@@ -46,7 +46,7 @@ import numpy as np
 
 from .expr import load_problem
 from .lie import LieAlgebraSpec, algebra_from_dict
-from .ocp import ControlProblem, left_translations
+from .ocp import ControlProblem, left_translations, stacked
 from .reduction import ReducedProblem
 
 
@@ -82,7 +82,7 @@ def _builtin() -> Tuple[ControlProblem, ReducedProblem]:
     problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "the heisenberg builtin")
     algebra = heisenberg_algebra()
     return (dataclasses.replace(problem, symmetry=left_translations(algebra)),
-            dataclasses.replace(reduced, algebra=algebra, casimirs={"casimir_mu3": lambda mu: float(mu[2])}))
+            dataclasses.replace(reduced, algebra=algebra, casimirs={"casimir_mu3": stacked(lambda mu: mu[..., 2])}))
 
 
 def heisenberg_problem() -> ControlProblem:

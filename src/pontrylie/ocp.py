@@ -9,13 +9,13 @@ The central object is the Pontryagin Hamiltonian
 
     H(x, p, u) = <p, f(x, u)> - L(x, u)
 
-whose first and second partials drive the maximum-principle solver.  One
+whose first and second partials drive the maximum-principle solver; they are
+the only analytic derivatives a problem gives (``ProblemJacobians``).  One
 kernel computes them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
 any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
 it, and one Newton loop eliminates the controls of both.  A view of H
-(``_controlled``) picks its derivative sources once: the compiled gradient of
-H itself when the problem gives it (every problem file does), else pairings
-of lam with the dynamics and cost blocks, else central finite differences
+(``_controlled``) picks its derivative sources once: the given derivatives of
+H (every problem file gives all three), else central finite differences of H
 (step scaled by 1 + |coordinate|).  The solvers read two callables of it,
 dH/du and the stacked (dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
 
@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._fd import fd_gradient, fd_hessian_direct, fd_hessian_from_gradient, fd_jacobian
+from ._fd import fd_gradient, fd_hessian_direct, fd_hessian_from_gradient
 from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, NonNilpotentError, PontrylieError
 from .errors import RegularityError
 from .lie import GroupElement, LieAlgebraSpec, _exp_series, _is_nilpotent, exp_nilpotent, left_invariant_frame
@@ -44,29 +44,18 @@ from .lie import log_nilpotent
 
 @dataclass(frozen=True)
 class ProblemJacobians:
-    """Optional analytic derivatives of the dynamics and Lagrangian.
+    """Optional analytic derivatives of the Pontryagin Hamiltonian H(x, p, u) = <p, f(x, u)> - L(x, u).
 
-    First derivatives: df_dx, df_du of shape (n, n) / (n, r) and dL_dx, dL_du
-    of shape (n,) / (r,), per member (see ``stacked``).  The control Hessians
-    d2f_du2 (n, r, r) and d2L_du2 (r, r) are optional on top of that; when
-    present the control Hessian of H is exact, which some callers need at
-    tighter-than-finite-difference accuracy.
-
-    The gradient of H(x, p, u) = <p, f(x, u)> - L(x, u) itself may be given
-    too, as functions of (x, p, u): dH_du of shape (r,) and dH of shape
-    (r + 2n,), the concatenation (dH/du, dH/dx, f) whose first r entries
-    must be those of dH_du bit for bit.  The solvers then read only these two
-    (``expr.load_problem`` compiles them for every problem file).
+    Each is a function of (x, p, u), per member (see ``stacked``): dH_du of shape (r,); dH of shape
+    (r + 2n,), the concatenation (dH/du, dH/dx, f), whose first r entries must be those of dH_du bit for
+    bit and whose last n those of the dynamics; d2H_du2 of shape (r, r), the control Hessian W.  A missing
+    one comes from the others or from central differences of H (see ``_controlled``).
+    ``expr.load_problem`` compiles all three for every problem file.
     """
 
-    df_dx: Optional[Callable] = None
-    df_du: Optional[Callable] = None
-    dL_dx: Optional[Callable] = None
-    dL_du: Optional[Callable] = None
-    d2f_du2: Optional[Callable] = None
-    d2L_du2: Optional[Callable] = None
     dH_du: Optional[Callable] = None
     dH: Optional[Callable] = None
+    d2H_du2: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +173,7 @@ def constant(value) -> Callable:
     """The stacked callable giving every member the array ``value``, which it carries as ``.value``.
 
     Called, it returns a new array (*lead, *value.shape), lead the leading member axes of its first
-    argument.  The kernel reads ``.value`` instead of calling it (see ``_read``).
+    argument.  The kernel reads ``.value`` instead of calling it (see ``_ConstantHessian``).
     """
     value = np.asarray(value, dtype=float)
 
@@ -195,12 +184,6 @@ def constant(value) -> Callable:
 
     tiled.value = value
     return stacked(tiled)
-
-
-def _read(fn: Callable, q, u):
-    """``fn(q, u)``, or the value a ``constant`` carries; that value broadcasts against the per-member ones."""
-    value = getattr(fn, "value", None)
-    return fn(q, u) if value is None else value
 
 
 def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Callable]:
@@ -228,10 +211,20 @@ def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Cal
 
 
 def _sized(fn: Callable, name: str, size: int) -> Callable:
-    """The stacked vector callable ``fn``, its values checked to hold ``size`` entries per member."""
+    """The stacked vector callable ``fn``, its values checked to hold ``size`` entries per member.
+
+    A ValueError of the call itself, such as a one-member compiled function unpacking an argument of the
+    wrong width, is a DimensionMismatchError naming ``name`` too.
+    """
 
     def checked(q, *args):
-        value = np.asarray(fn(q, *args), dtype=float)
+        try:
+            value = np.asarray(fn(q, *args), dtype=float)
+        except ValueError as exc:
+            if isinstance(exc, PontrylieError):
+                raise
+            shapes = ", ".join(str(np.shape(a)) for a in (q, *args))
+            raise DimensionMismatchError(f"{name} failed on arguments of shapes {shapes}: {exc}") from exc
         if value.shape != q.shape[:-1] + (size,):
             raise DimensionMismatchError(f"{name} returned shape {value.shape}, expected {q.shape[:-1] + (size,)}")
         return value
@@ -240,12 +233,25 @@ def _sized(fn: Callable, name: str, size: int) -> Callable:
 
 
 def _sized_gradient(ham: "ControlledHamiltonian", nq: int, k: int, r: int) -> "ControlledHamiltonian":
-    """``ham`` with ``dH_du`` and ``dH`` checked to give r and r + nq + k entries per member.
+    """``ham`` with ``dH_du`` and ``dH`` checked to give r and r + nq + k entries per member, and the F entries
+    of ``dH`` to be ``ham.F`` at the same rows, to 1e-12 (1 + |F|).
 
     A solver wraps its view once, for one call of each (not per iterate): a gradient of the wrong width
-    fails here naming its field, where it would otherwise fail in NumPy or be read at the wrong entries.
+    fails here naming its field, where it would otherwise fail in NumPy or be read at the wrong entries, and
+    a ``dH`` that belongs to other dynamics fails here, where it would otherwise be read silently.
     """
-    return ham._replace(dH_du=_sized(ham.dH_du, "dH_du", r), dH=_sized(ham.dH, "dH", r + nq + k))
+    sized = _sized(ham.dH, "dH", r + nq + k)
+
+    def dH(q, lam, u):
+        grad = sized(q, lam, u)
+        f = ham.F(q, u)
+        deviation = np.abs(grad[..., r + nq :] - f)
+        if np.any(deviation > 1e-12 * (1.0 + np.abs(f))):
+            raise PontrylieError(f"dH does not belong to the dynamics: its F entries deviate from the dynamics "
+                                 f"by up to {np.nanmax(deviation):.3e}")
+        return grad
+
+    return ham._replace(dH_du=_sized(ham.dH_du, "dH_du", r), dH=dH)
 
 
 def _require_finite(values: np.ndarray, message: str, *rows: np.ndarray) -> np.ndarray:
@@ -297,20 +303,19 @@ class ControlledHamiltonian(NamedTuple):
 class _ConstantHessian:
     """W of a view when it is the same at every point, worked out once per view, at first use.
 
-    ``w`` is -d2L/du2, symmetrized, when d2f/du2 is a ``constant`` zero and d2L/du2 a finite (r, r)
-    ``constant``, else None (W varies, and Newton evaluates it); ``regular`` is its one SVD and
-    ``inverse`` its inverse, which turns each Newton step into one matmul.
+    ``w`` is d2H_du2's value, symmetrized, when d2H_du2 is a ``constant`` of finite (r, r) value, else None
+    (W varies, and Newton evaluates it); ``regular`` is its one SVD and ``inverse`` its inverse, which turns
+    each Newton step into one matmul.
     """
 
-    def __init__(self, jac: ProblemJacobians, r: int):
-        self.blocks = getattr(jac.d2f_du2, "value", None), getattr(jac.d2L_du2, "value", None), r
+    def __init__(self, d2H_du2: Optional[Callable], r: int):
+        self.value, self.r = getattr(d2H_du2, "value", None), r
 
     @functools.cached_property
     def w(self) -> Optional[np.ndarray]:
-        d2f, d2L, r = self.blocks
-        if d2f is None or d2L is None or d2f.any() or d2L.shape != (r, r) or not np.isfinite(d2L).all():
+        w = self.value
+        if w is None or w.shape != (self.r, self.r) or not np.isfinite(w).all():
             return None
-        w = 0.0 - d2L  # what the general path's <lam, 0> - d2L/du2 gives
         return 0.5 * (w + w.T)
 
     @functools.cached_property
@@ -324,53 +329,35 @@ class _ConstantHessian:
 
 def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int,
                 form: Optional[Callable] = None) -> ControlledHamiltonian:
-    """The view of H = <lam, F> - L on stacked F, L and blocks ``jac``, every derivative source picked here, once.
+    """The view of H = <lam, F> - L on stacked F, L and derivatives ``jac``, every derivative source picked here, once.
 
-    In order of preference: the compiled gradients ``jac.dH_du``/``jac.dH``; closures pairing lam with
-    the blocks (a ``constant`` is read, not called), analytic only when both the F and the L block are
-    given; central differences of H.  W comes from the second-derivative blocks, else from central
-    differences of an analytic dH/du, else from plain second differences of H (step sqrt(FD_STEP) to keep
-    roundoff noise down).  A zero-length q or u block is never evaluated.  Pairings with lam are matrix
-    products per member, so a member's derivatives do not depend on the batch.
+    dH/du is ``jac.dH_du``, else the first r entries of ``jac.dH``, else central differences of H; dH is
+    ``jac.dH``, else dH/du, central differences of H in q and F joined.  W is ``jac.d2H_du2``, else central
+    differences of an analytic dH/du, else plain second differences of H (step sqrt(FD_STEP) to keep roundoff
+    noise down).  A zero-length q or u block is never evaluated.
     """
 
     def h(q, lam, u):
         return (lam[..., None, :] @ F(q, u)[..., None])[..., 0, 0] - L(q, u)
 
-    def paired(d_f, d_L):
-        """<lam, d_f> - d_L per member, or None unless both blocks are given."""
-        if d_f is None or d_L is None:
-            return None
-        return lambda q, lam, u: (lam[..., None, :] @ _read(d_f, q, u))[..., 0, :] - _read(d_L, q, u)
-
-    if jac.dH_du is not None:
+    analytic = jac.dH_du is not None or jac.dH is not None
+    if not r:
+        dH_du = lambda q, lam, u: np.zeros(u.shape)  # noqa: E731
+    elif jac.dH_du is not None:
         dH_du = jac.dH_du
     elif jac.dH is not None:
         dH_du = lambda q, lam, u: jac.dH(q, lam, u)[..., :r]  # noqa: E731
     else:
-        dH_du = paired(jac.df_du, jac.dL_du)
-    analytic = dH_du is not None
-    if not r:
-        dH_du = lambda q, lam, u: np.zeros(u.shape)  # noqa: E731
-    elif not analytic:
         dH_du = lambda q, lam, u: fd_gradient(lambda v: h(q, lam, v), u, FD_STEP)  # noqa: E731
 
     dH = jac.dH
     if dH is None:
-        dH_dq = paired(jac.df_dx, jac.dL_dx)
-        if not nq:
-            dH_dq = lambda q, lam, u: np.zeros(q.shape)  # noqa: E731
-        elif dH_dq is None:
-            dH_dq = lambda q, lam, u: fd_gradient(lambda v: h(v, lam, u), q, FD_STEP)  # noqa: E731
-
         def dH(q, lam, u):
-            return np.concatenate([dH_du(q, lam, u), dH_dq(q, lam, u), F(q, u)], axis=-1)
+            dH_dq = fd_gradient(lambda v: h(v, lam, u), q, FD_STEP) if nq else np.zeros(q.shape)
+            return np.concatenate([dH_du(q, lam, u), dH_dq, F(q, u)], axis=-1)
 
-    if jac.d2f_du2 is not None and jac.d2L_du2 is not None:
-        def hessian(q, lam, u):
-            d2F = _read(jac.d2f_du2, q, u)
-            lam_d2F = lam[..., None, :] @ d2F.reshape(d2F.shape[:-2] + (r * r,))
-            return lam_d2F.reshape(u.shape[:-1] + (r, r)) - _read(jac.d2L_du2, q, u)
+    if jac.d2H_du2 is not None:
+        hessian = jac.d2H_du2
     elif analytic:
         def hessian(q, lam, u):
             return fd_hessian_from_gradient(lambda v: dH_du(q, lam, v), u, FD_STEP)
@@ -382,24 +369,22 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
         w = hessian(q, lam, u)
         return 0.5 * (w + np.swapaxes(w, -1, -2))
 
-    return ControlledHamiltonian(F=F, L=L, dH_du=dH_du, dH=dH, d2H_du2=d2H_du2, hessian=_ConstantHessian(jac, r),
-                                 form=form)
+    return ControlledHamiltonian(F=F, L=L, dH_du=dH_du, dH=dH, d2H_du2=d2H_du2,
+                                 hessian=_ConstantHessian(jac.d2H_du2, r), form=form)
 
 
-def _full_jacobians(problem: ControlProblem) -> ProblemJacobians:
-    """The problem's derivative callables, each stacked (see ``_per_member``); absent ones None."""
-    n, r = problem.n, problem.r
-    jac = problem.jacobians or ProblemJacobians()
-    shapes = {"df_dx": (n, n), "df_du": (n, r), "dL_dx": (n,), "dL_du": (r,), "d2f_du2": (n, r, r), "d2L_du2": (r, r),
-              "dH_du": (r,), "dH": (r + 2 * n,)}
+def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> ProblemJacobians:
+    """The derivatives ``jac`` of H, each stacked (see ``_per_member``), dH of ``width`` entries; absent ones None."""
+    jac = jac or ProblemJacobians()
+    shapes = {"dH_du": (r,), "dH": (width,), "d2H_du2": (r, r)}
     return ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
 
 
 def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
-    n = problem.n
+    n, r = problem.n, problem.r
     return _controlled(F=_sized(_per_member(problem.dynamics, "dynamics", (n,)), "dynamics", n),
-                       L=_per_member(problem.lagrangian, "Lagrangian", ()), jac=_full_jacobians(problem),
-                       nq=n, r=problem.r)
+                       L=_per_member(problem.lagrangian, "Lagrangian", ()),
+                       jac=_stacked_jacobians(problem.jacobians, r, r + 2 * n), nq=n, r=r)
 
 
 def _eval_dynamics(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -592,21 +577,13 @@ def check_invariance(problem: ControlProblem, samples: int = 20, seed: int = 0) 
     )
 
 
-def validate_jacobians(
-    problem: ControlProblem,
-    probes: int = 20,
-    seed: int = 0,
-    fd_step: float = FD_STEP,
-    rtol: float = 1e-5,
-) -> float:
-    """Cross-check analytic first derivatives against central differences.
+def validate_jacobians(problem: ControlProblem, probes: int = 20, seed: int = 0, rtol: float = 1e-5) -> float:
+    """Cross-check the given derivatives of H against central differences of H.
 
-    The blocks are checked against central differences of the dynamics and
-    the Lagrangian; the gradients dH_du and dH of H, at random costates,
-    against what the view gives without them: the pairing of the blocks, or
-    central differences of H where blocks are missing.  Returns the worst
-    relative deviation over random probe points; raises EvaluationError if it
-    exceeds ``rtol``.
+    At random points and costates, each field of ``problem.jacobians`` that is given is compared with what
+    the view of the problem without them gives: central differences of H = <p, f> - L, built from the
+    dynamics and the Lagrangian.  Returns the worst relative deviation over the probes; raises
+    EvaluationError if it exceeds ``rtol``.
     """
     if problem.jacobians is None:
         return 0.0
@@ -620,21 +597,11 @@ def validate_jacobians(
         return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))), initial=0.0))
 
     _eval_dynamics(problem, x, u)  # also enforces the output-length invariant
-    jac = _full_jacobians(problem)
-    blocks_only = dataclasses.replace(problem.jacobians, dH_du=None, dH=None)
-    reference = _full_view(dataclasses.replace(problem, jacobians=blocks_only))
+    view, reference = _full_view(problem), _full_view(dataclasses.replace(problem, jacobians=None))
     worst = 0.0
-    for analytic, differences, fun, wrt in (
-        (jac.df_dx, fd_jacobian, lambda v: _eval_dynamics(problem, v, u), x),
-        (jac.df_du, fd_jacobian, lambda v: _eval_dynamics(problem, x, v), u),
-        (jac.dL_dx, fd_gradient, lambda v: _eval_lagrangian(problem, v, u), x),
-        (jac.dL_du, fd_gradient, lambda v: _eval_lagrangian(problem, x, v), u),
-    ):
-        if analytic is not None and wrt.shape[-1]:
-            worst = max(worst, rel(analytic(x, u), differences(fun, wrt, fd_step)))
-    for analytic, expected in ((jac.dH_du, reference.dH_du), (jac.dH, reference.dH)):
-        if analytic is not None:
-            worst = max(worst, rel(analytic(x, p, u), expected(x, p, u)))
+    for field in dataclasses.fields(problem.jacobians):
+        if getattr(problem.jacobians, field.name) is not None:
+            worst = max(worst, rel(getattr(view, field.name)(x, p, u), getattr(reference, field.name)(x, p, u)))
     if worst > rtol:
-        raise EvaluationError(f"analytic jacobians deviate from finite differences by {worst:.3e}")
+        raise EvaluationError(f"analytic derivatives of H deviate from finite differences by {worst:.3e}")
     return worst

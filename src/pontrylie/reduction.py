@@ -33,29 +33,8 @@ from .errors import DimensionMismatchError, ReductionUnsupportedError
 from .lie import LieAlgebraSpec, _coeffs, _lie_poisson_form
 from .ocp import ControlledHamiltonian, ControlProblem, PontryaginPoint, ProblemJacobians
 from .ocp import _controlled, _gradient, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
-from .ocp import _split
+from .ocp import _split, _stacked_jacobians
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows, _with_channels
-
-
-@dataclass(frozen=True)
-class ReducedJacobians:
-    """Optional analytic derivatives of the reduced data (same spirit as ocp).
-
-    dH_du and dH are the gradient of h itself as functions of (z, lam, u), lam = (p_z, mu): shapes (r,)
-    and (r + 2 s + dim,), dH the concatenation (dh/du, dh/dz, base, fiber).
-    """
-
-    dl_dz: Optional[Callable] = None
-    dl_du: Optional[Callable] = None
-    dbase_dz: Optional[Callable] = None
-    dbase_du: Optional[Callable] = None
-    dfiber_dz: Optional[Callable] = None
-    dfiber_du: Optional[Callable] = None
-    d2l_du2: Optional[Callable] = None
-    d2base_du2: Optional[Callable] = None
-    d2fiber_du2: Optional[Callable] = None
-    dH_du: Optional[Callable] = None
-    dH: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -67,8 +46,9 @@ class ReducedProblem:
     ``curvature(z, mu, v, w)``, when given, is the scalar curvature coupling on
     two base vectors.  It must be bilinear and antisymmetric in (v, w): it is the
     z-block C_ij = curvature(z, mu, e_j, e_i) of the form B, and the p_z equation
-    gets -(C z_dot)_i, which is -curvature(z, mu, z_dot, e_i) only then.  Casimirs are
-    monitored, never discovered: a dict of name -> function of mu.
+    gets -(C z_dot)_i, which is -curvature(z, mu, z_dot, e_i) only then.  ``jacobians`` holds the
+    derivatives of h as functions of (z, lam, u), lam = (p_z, mu): dH of shape (r + 2 s + dim,) is
+    (dh/du, dh/dz, base, fiber).  Casimirs are monitored, never discovered: a dict of name -> function of mu.
     """
 
     base_dim: int
@@ -78,7 +58,7 @@ class ReducedProblem:
     base_dynamics: Callable
     fiber_dynamics: Callable
     curvature: Optional[Callable] = None
-    jacobians: Optional[ReducedJacobians] = None
+    jacobians: Optional[ProblemJacobians] = None
     casimirs: Dict[str, Callable] = field(default_factory=dict)
     name: str = ""
 
@@ -119,13 +99,11 @@ class ReducedState:
 def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
     """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber).
 
-    Built once per solve; ``ocp._controlled`` picks the derivative sources.  A
-    derivative block is analytic only when both its base and its fiber half
-    are given; a zero-dimensional base contributes no half at all.  Unmarked
-    callables are called once per member, curvature once per member and pair.
+    Built once per solve; ``ocp._controlled`` picks the derivative sources.  A zero-dimensional base
+    contributes no dynamics at all.  Unmarked callables are called once per member, curvature once per
+    member and pair.
     """
     s, dim, r = problem.base_dim, problem.algebra.dim, problem.control_dim
-    jac = problem.jacobians or ReducedJacobians()
     curvature = None if problem.curvature is None else _per_member(
         lambda z, mu: [[problem.curvature(z, mu, v, w) for v in np.eye(s)] for w in np.eye(s)], "curvature", (s, s)
     )
@@ -137,30 +115,13 @@ def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
             b[..., :s, :s] = curvature(z, lam[..., s:])
         return b
 
-    def joined(base, fiber, name, tail):
-        """The stacked block (base; fiber) with per-member shape (s + dim, *tail)."""
-        fiber = _per_member(fiber, f"fiber {name}", (dim, *tail))
-        if not s:
-            return fiber
-        if base is None or fiber is None:
-            return None
-        base = _per_member(base, f"base {name}", (s, *tail))
-        return lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=z.ndim - 1)
-
-    jac = ProblemJacobians(
-        df_dx=joined(jac.dbase_dz, jac.dfiber_dz, "dz", (s,)),
-        df_du=joined(jac.dbase_du, jac.dfiber_du, "du", (r,)),
-        dL_dx=_per_member(jac.dl_dz, "dl_dz", (s,)),
-        dL_du=_per_member(jac.dl_du, "dl_du", (r,)),
-        d2f_du2=joined(jac.d2base_du2, jac.d2fiber_du2, "du2", (r, r)),
-        d2L_du2=_per_member(jac.d2l_du2, "d2l_du2", (r, r)),
-        dH_du=_per_member(jac.dH_du, "dH_du", (r,)),
-        dH=_per_member(jac.dH, "dH", (r + 2 * s + dim,)),
-    )
+    F = fiber = _per_member(problem.fiber_dynamics, "fiber dynamics", (dim,))
+    if s:
+        base = _per_member(problem.base_dynamics, "base dynamics", (s,))
+        F = lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=-1)  # noqa: E731
     return _controlled(
-        F=_sized(joined(problem.base_dynamics, problem.fiber_dynamics, "dynamics", ()), "base/fiber dynamics", s + dim),
-        L=_per_member(problem.lagrangian, "reduced Lagrangian", ()),
-        jac=jac, nq=s, r=r, form=form,
+        F=_sized(F, "base/fiber dynamics", s + dim), L=_per_member(problem.lagrangian, "reduced Lagrangian", ()),
+        jac=_stacked_jacobians(problem.jacobians, r, r + 2 * s + dim), nq=s, r=r, form=form,
     )
 
 

@@ -10,7 +10,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.pmp import integrate_pmp
-from pontrylie.reduction import ReducedJacobians, ReducedProblem, ReducedState, integrate_reduced
+from pontrylie.reduction import ReducedProblem, ReducedState, integrate_reduced
 
 ACCEPTANCE_LINES = []
 
@@ -86,28 +86,6 @@ def _oracle_lagrangian(x, u):
 
 
 @stacked
-def _oracle_df_dx(x, u):
-    out = np.zeros(u.shape[:-1] + (3, 3))
-    out[..., 2, 0] = 0.5 * u[..., 1]
-    out[..., 2, 1] = -0.5 * u[..., 0]
-    return out
-
-
-@stacked
-def _oracle_df_du(x, u):
-    out = np.zeros(x.shape[:-1] + (3, 2))
-    out[..., 0, 0] = out[..., 1, 1] = 1.0
-    out[..., 2, 0] = -0.5 * x[..., 1]
-    out[..., 2, 1] = 0.5 * x[..., 0]
-    return out
-
-
-@stacked
-def _oracle_control(x, u):
-    return np.asarray(u, dtype=float)
-
-
-@stacked
 def _oracle_fiber_dynamics(z, u):
     return _columns(u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
 
@@ -146,23 +124,23 @@ def _oracle_reduced_dH(z, mu, u):
     return _columns(mu[..., 0] - u[..., 0], mu[..., 1] - u[..., 1], u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
 
 
+def _oracle_jacobians(dH_du, dH, gradients: bool):
+    """The hand-written derivatives of H, W = -I among them, or None for central differences of H."""
+    return ProblemJacobians(dH_du=dH_du, dH=dH, d2H_du2=constant(-np.eye(2))) if gradients else None
+
+
 def heisenberg_oracle_problem(gradients: bool = True) -> ControlProblem:
-    """The hand-written full problem; without ``gradients`` the solvers pair p with its blocks instead."""
-    jac = ProblemJacobians(df_dx=_oracle_df_dx, df_du=_oracle_df_du, dL_dx=constant(np.zeros(3)),
-                           dL_du=_oracle_control, d2f_du2=constant(np.zeros((3, 2, 2))), d2L_du2=constant(np.eye(2)),
-                           dH_du=_oracle_dH_du if gradients else None, dH=_oracle_dH if gradients else None)
-    return ControlProblem(n=3, r=2, dynamics=_oracle_dynamics, lagrangian=_oracle_lagrangian, jacobians=jac,
+    """The hand-written full problem; without ``gradients`` the solvers take central differences of H instead."""
+    return ControlProblem(n=3, r=2, dynamics=_oracle_dynamics, lagrangian=_oracle_lagrangian,
+                          jacobians=_oracle_jacobians(_oracle_dH_du, _oracle_dH, gradients),
                           symmetry=left_translations(heisenberg_algebra()), name="heisenberg")
 
 
 def heisenberg_oracle_reduced(gradients: bool = True) -> ReducedProblem:
-    """The hand-written reduced problem; without ``gradients`` the solvers pair mu with its blocks instead."""
-    jac = ReducedJacobians(dl_du=_oracle_control, dfiber_du=constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-                           d2l_du2=constant(np.eye(2)), d2fiber_du2=constant(np.zeros((3, 2, 2))),
-                           dH_du=_oracle_reduced_dH_du if gradients else None,
-                           dH=_oracle_reduced_dH if gradients else None)
+    """The hand-written reduced problem; without ``gradients`` the solvers take central differences of h instead."""
     return ReducedProblem(base_dim=0, algebra=heisenberg_algebra(), control_dim=2, lagrangian=_oracle_lagrangian,
-                          base_dynamics=constant(np.zeros(0)), fiber_dynamics=_oracle_fiber_dynamics, jacobians=jac,
+                          base_dynamics=constant(np.zeros(0)), fiber_dynamics=_oracle_fiber_dynamics,
+                          jacobians=_oracle_jacobians(_oracle_reduced_dH_du, _oracle_reduced_dH, gradients),
                           casimirs={"casimir_mu3": lambda mu: float(mu[2])}, name="heisenberg")
 
 

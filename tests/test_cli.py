@@ -589,11 +589,14 @@ def test_builtin_compiles_once_per_process_and_not_at_import():
 
 
 def test_problem_file_has_exact_derivatives(tmp_path):
+    """The README file and the builtin give dH_du, dH and d2H_du2, full and reduced; W is the constant -I."""
     problem_file = tmp_path / "heis.json"
     problem_file.write_text(json.dumps(_readme_problem()))
-    loaded = load_problem_file(problem_file)
-    for jac in (loaded.problem.jacobians, loaded.reduced.jacobians):
-        assert all(getattr(jac, f.name) is not None for f in dataclasses.fields(jac))
+    for loaded in (load_problem_file(problem_file), cli._builtin("heisenberg")):
+        for jac in (loaded.problem.jacobians, loaded.reduced.jacobians):
+            assert [f.name for f in dataclasses.fields(jac)] == ["dH_du", "dH", "d2H_du2"]
+            assert all(getattr(jac, f.name) is not None for f in dataclasses.fields(jac))
+            assert np.array_equal(jac.d2H_du2.value, -np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -796,8 +799,12 @@ def test_json_output_format(tmp_path, capsys):
 
 
 def test_bad_usage_maps_to_input_error(capsys):
-    assert main(["solve-pmp", "--T", "not-a-number"]) == 1
-    capsys.readouterr()
+    """argparse's message goes to stderr and a strict RESULT line ends stdout; --help still exits 0."""
+    code, result, captured = run_cli(capsys, "solve-pmp", "--T", "not-a-number")
+    assert code == 1 and result["status"] == "error" and result["exit_code"] == 1
+    assert "invalid float value: 'not-a-number'" in captured.err
+    assert main(["--help"]) == 0
+    assert not any(line.startswith("RESULT ") for line in capsys.readouterr().out.splitlines())
 
 
 def test_console_entry_point():
@@ -827,6 +834,23 @@ def test_a_gradient_of_the_wrong_width_exits_1_naming_it(tmp_path, capsys, monke
     assert result["status"] == "error" and "dH returned shape" in result["error"]
 
 
+@pytest.mark.parametrize("command", ["solve-pmp", "solve-reduced"])
+def test_a_gradient_of_other_dynamics_exits_1_naming_it(tmp_path, capsys, monkeypatch, command):
+    """The builtin with its dynamics doubled keeps the gradient compiled for the original ones: exit 1, not a run."""
+    name, field, start = {
+        "solve-pmp": ("heisenberg_problem", "dynamics", ["--p0", "1,0,1"]),
+        "solve-reduced": ("heisenberg_reduced_problem", "fiber_dynamics", ["--lambda0", "1,0,1"]),
+    }[command]
+    problem = getattr(heisenberg, name)()
+    twice = ocp.stacked(lambda *args: 2.0 * getattr(problem, field)(*args))
+    monkeypatch.setattr(heisenberg, name, lambda: dataclasses.replace(problem, **{field: twice}))
+    code, result, _ = run_cli(capsys, command, "--builtin", "heisenberg", *start, "--T", "0.01",
+                              "--out", str(tmp_path / "run.csv"))
+    assert code == 1
+    assert result["status"] == "error" and "dH does not belong to the dynamics" in result["error"]
+    assert not (tmp_path / "run.csv").exists()
+
+
 def _fresh_process(cwd, args):
     """The exit code and the stdout of ``python -m pontrylie ARGS`` in a new process on this checkout's sources."""
     env = dict(os.environ)
@@ -838,7 +862,7 @@ def _fresh_process(cwd, args):
 
 def test_successive_main_calls_share_the_parser_without_leaking_options(tmp_path, capsys, monkeypatch):
     """One parser serves every ``main`` call of a process: each call gives the exit code and stdout (the
-    RESULT line) of a fresh process.  A usage error exits 1 from argparse, before any RESULT line."""
+    RESULT line) of a fresh process.  A usage error exits 1 with an error RESULT line."""
     monkeypatch.chdir(tmp_path)
     solve = ["solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.01"]
     calls = [
@@ -853,6 +877,7 @@ def test_successive_main_calls_share_the_parser_without_leaking_options(tmp_path
         in_process.append((code, capsys.readouterr().out))
     assert [code for code, _ in in_process] == [0, 0, 1, 0, 0, 0]
     assert _strict_result(in_process[1][1])["out"] == "b.csv" and Trajectory.from_csv(tmp_path / "b.csv")
+    assert _strict_result(in_process[2][1])["status"] == "error"
     assert _strict_result(in_process[5][1])["mode"] == "full"
     for args, outcome in zip(calls, in_process):
         assert _fresh_process(tmp_path, args) == outcome, args

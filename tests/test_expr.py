@@ -270,6 +270,14 @@ def test_derivatives_match_sympy(src, point):
             exact2 = float(sympy.diff(reference, sym, sym2).evalf(subs=subs))
             ours2 = evaluate_tree(differentiate(differentiate(tree, var), var2), bindings)
             assert abs(ours2 - exact2) <= 1e-9 * (1.0 + abs(exact2)), (src, var, var2)
+    # the compiled control Hessian of H = p1 src + p2 x2 u1^2 - u1 src, the README file's d2H_du2 for this src
+    data = {"n": 2, "r": 1, "dynamics": [src, "x2 * u1^2"], "lagrangian": f"u1 * ({src})"}
+    x1, x2, u1 = symbols
+    p = np.array([0.7, -1.3])
+    h = p[0] * reference + p[1] * x2 * u1**2 - u1 * reference
+    exact = float(sympy.diff(h, u1, u1).evalf(subs=subs))
+    ours = load_problem(data, "sympy", "test")[0].jacobians.d2H_du2(np.array(point[:2]), p, np.array(point[2:]))
+    assert abs(ours[0, 0] - exact) <= 1e-9 * (1.0 + abs(exact)), src
 
 
 def evaluate_tree(node, bindings):
@@ -336,18 +344,23 @@ def test_stacked_compiled_tables_equal_the_tree_walker_row_by_row(src, rows):
 @given(st.lists(_grammar(safe=True), min_size=3, max_size=3),
        st.lists(st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=5, max_size=5), min_size=1, max_size=3))
 def test_compiled_gradient_of_h_is_the_contraction_of_the_blocks(sources, rows):
-    """dH_du and dH = (dH/du, dH/dx, f), compiled from the tree of H = p1 f1 + p2 f2 - L, against p paired with
-    the compiled blocks: a few ulp of the terms apart (a sum may round in another order); the dH/du entries of
-    dH are dH_du and its f entries the dynamics, bit for bit."""
+    """dH_du, dH = (dH/du, dH/dx, f) and d2H_du2, compiled from the tree of H = p1 f1 + p2 f2 - L, against p
+    paired with the compiled derivative tables of f and L: a few ulp of the terms apart (a sum may round in
+    another order); the dH/du entries of dH are dH_du and its f entries the dynamics, bit for bit."""
     problem, _ = load_problem({"n": 2, "r": 1, "dynamics": sources[:2], "lagrangian": sources[2]}, "random", "test")
     jac = problem.jacobians
     x, p, u = (np.array(rows)[:, i] for i in (slice(0, 2), slice(2, 4), slice(4, 5)))
-    dH_du, dH = jac.dH_du(x, p, u), jac.dH(x, p, u)
-    assert dH_du.shape == (len(rows), 1) and dH.shape == (len(rows), 5)
-    for d_f, d_L, got in ((jac.df_du, jac.dL_du, dH_du), (jac.df_dx, jac.dL_dx, dH[:, 1:3])):
-        blocks, cost = d_f(x, u), d_L(x, u)
-        paired = (p[:, None, :] @ blocks)[:, 0, :] - cost
-        scale = (np.abs(p)[:, None, :] @ np.abs(blocks))[:, 0, :] + np.abs(cost)
+    dH_du, dH, d2H_du2 = jac.dH_du(x, p, u), jac.dH(x, p, u), jac.d2H_du2(x, p, u)
+    assert dH_du.shape == (len(rows), 1) and dH.shape == (len(rows), 5) and d2H_du2.shape == (len(rows), 1, 1)
+    f, lagrangian = (np.array([parse(src, VARS).ast for src in group], dtype=object) for group in (sources[:2],
+                                                                                                   sources[2:]))
+    d_u, l_u = derivative_table(f, ["u1"]), derivative_table(lagrangian, ["u1"])[0]
+    tables = [d_u, l_u, derivative_table(f, ["x1", "x2"]), derivative_table(lagrangian, ["x1", "x2"])[0],
+              derivative_table(d_u, ["u1"])[..., 0], derivative_table(l_u, ["u1"])[..., 0]]
+    blocks = [fn(x, u) for fn in compile_tables([(table, [VARS[:2], VARS[2:]]) for table in tables])]
+    for d_f, cost, got in zip(blocks[::2], blocks[1::2], (dH_du, dH[:, 1:3], d2H_du2[..., 0])):
+        paired = (p[:, None, :] @ d_f)[:, 0, :] - cost
+        scale = (np.abs(p)[:, None, :] @ np.abs(d_f))[:, 0, :] + np.abs(cost)
         assert np.all(np.abs(got - paired) <= 4 * np.finfo(float).eps * scale), sources
     assert np.array_equal(dH[:, :1], dH_du) and np.array_equal(dH[:, 3:], problem.dynamics(x, u))
 
@@ -433,19 +446,16 @@ def _compiled_callables(data):
     problem, reduced = load_problem(data, "file", "test")
     n, r = problem.n, problem.r
     jac = problem.jacobians
-    found = [(fn, (n, r)) for fn in (problem.dynamics, problem.lagrangian, jac.df_dx, jac.df_du, jac.dL_dx,
-                                     jac.dL_du, jac.d2f_du2, jac.d2L_du2)]
-    found += [(jac.dH_du, (n, n, r)), (jac.dH, (n, n, r))]
+    found = [(fn, (n, r)) for fn in (problem.dynamics, problem.lagrangian)]
+    found += [(fn, (n, n, r)) for fn in (jac.dH_du, jac.dH, jac.d2H_du2)]
     if problem.symmetry is not None:
         dim = problem.symmetry.algebra.dim
         found.append((lambda x: problem.symmetry.infinitesimal_action(np.eye(dim), x), (n,)))
     if reduced is not None:
         s, k = reduced.base_dim, reduced.base_dim + reduced.algebra.dim
         rj = reduced.jacobians
-        found += [(fn, (s, r)) for fn in (reduced.base_dynamics, reduced.fiber_dynamics, reduced.lagrangian,
-                                          rj.dl_dz, rj.dl_du, rj.dbase_dz, rj.dbase_du, rj.dfiber_dz, rj.dfiber_du,
-                                          rj.d2l_du2, rj.d2base_du2, rj.d2fiber_du2)]
-        found += [(rj.dH_du, (s, k, r)), (rj.dH, (s, k, r))]
+        found += [(fn, (s, r)) for fn in (reduced.base_dynamics, reduced.fiber_dynamics, reduced.lagrangian)]
+        found += [(fn, (s, k, r)) for fn in (rj.dH_du, rj.dH, rj.d2H_du2)]
     return found
 
 

@@ -18,6 +18,7 @@ from pontrylie.ocp import (
     ProblemJacobians,
     SymmetryHandle,
     check_invariance,
+    constant,
     hamiltonian_partials,
     invariance_deviation,
     left_translations,
@@ -165,18 +166,13 @@ def test_fd_and_analytic_partials_agree(heis_problem):
 
 
 def test_validate_jacobians_flags_wrong_derivative(heis_problem):
-    wrong = ControlProblem(
-        n=3,
-        r=2,
-        dynamics=heis_problem.dynamics,
-        lagrangian=heis_problem.lagrangian,
-        jacobians=ProblemJacobians(
-            df_dx=lambda x, u: np.zeros((3, 3)),  # wrong: drops the u-coupling rows
-            dL_dx=lambda x, u: np.zeros(3),
-        ),
-    )
-    with pytest.raises(EvaluationError):
-        validate_jacobians(wrong, probes=10, seed=1)
+    """W = -I is checked against second differences of H: a matrix of ones, or +I as a constant, is flagged."""
+    assert validate_jacobians(heis_problem, probes=10, seed=1) <= 1e-8  # the builtin's constant -I is checked
+    for d2H_du2 in (stacked(lambda x, p, u: np.ones(u.shape[:-1] + (2, 2))), constant(np.eye(2))):
+        jac = dataclasses.replace(heis_problem.jacobians, d2H_du2=d2H_du2)
+        for jacobians in (jac, ProblemJacobians(d2H_du2=d2H_du2)):
+            with pytest.raises(EvaluationError, match="deviate"):
+                validate_jacobians(dataclasses.replace(heis_problem, jacobians=jacobians), probes=10, seed=1)
 
 
 def test_validate_jacobians_flags_a_wrong_gradient_of_h(heis_problem):
@@ -187,7 +183,7 @@ def test_validate_jacobians_flags_a_wrong_gradient_of_h(heis_problem):
     wrong = dataclasses.replace(jac, dH_du=stacked(lambda x, p, u: jac.dH_du(x, p, u) + 2.0 * u))
     with pytest.raises(EvaluationError, match="deviate"):
         validate_jacobians(dataclasses.replace(heis_problem, jacobians=wrong), probes=10, seed=1)
-    # without blocks the reference is central differences of H
+    # given alone, the gradients are checked against central differences of H just the same
     bare = ControlProblem(n=3, r=2, dynamics=heis_problem.dynamics, lagrangian=heis_problem.lagrangian,
                           jacobians=ProblemJacobians(dH_du=jac.dH_du, dH=jac.dH))
     assert validate_jacobians(bare, probes=10, seed=1) <= 1e-8

@@ -45,17 +45,15 @@ def newton_feedback(problem, x, p, u_guess, config):
 
 
 def degenerate_problem():
-    """L and f both linear in u: the control Hessian vanishes identically."""
+    """L and f both linear in u: the control Hessian vanishes identically (W from differences of dH/du)."""
     return ControlProblem(
         n=2,
         r=2,
         dynamics=lambda x, u: np.array([u[0] + x[0], u[1]]),
         lagrangian=lambda x, u: u[0] + u[1],
         jacobians=ProblemJacobians(
-            df_dx=lambda x, u: np.array([[1.0, 0.0], [0.0, 0.0]]),
-            df_du=lambda x, u: np.eye(2),
-            dL_dx=lambda x, u: np.zeros(2),
-            dL_du=lambda x, u: np.ones(2),
+            dH_du=lambda x, p, u: p - 1.0,
+            dH=lambda x, p, u: np.array([p[0] - 1.0, p[1] - 1.0, p[0], 0.0, u[0] + x[0], u[1]]),
         ),
     )
 
@@ -143,10 +141,10 @@ def test_feedback_singular_hessian_raises(default_config):
 
 
 def test_a_constant_singular_hessian_is_refused_where_a_step_needs_it(default_config):
-    """d2L/du2 = 0 as constants: the once-checked W still raises RegularityError naming the member and residual."""
+    """W = 0 as a constant: the once-checked W still raises RegularityError naming the member and residual."""
     degenerate = degenerate_problem()
     problem = dataclasses.replace(degenerate, jacobians=dataclasses.replace(
-        degenerate.jacobians, d2f_du2=constant(np.zeros((2, 2, 2))), d2L_du2=constant(np.zeros((2, 2)))
+        degenerate.jacobians, d2H_du2=constant(np.zeros((2, 2)))
     ))
     assert _full_view(problem).hessian.w is not None
     with pytest.raises(RegularityError) as err:
@@ -165,8 +163,7 @@ def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: 0.5 * float(u[0] ** 2),
         jacobians=ProblemJacobians(
-            df_dx=lambda x, u: np.array([[np.nan]]), df_du=lambda x, u: np.ones((1, 1)),
-            dL_dx=lambda x, u: np.zeros(1), dL_du=lambda x, u: np.asarray(u, dtype=float),
+            dH_du=lambda x, p, u: p - u, dH=lambda x, p, u: np.array([p[0] - u[0], np.nan, u[0]]),
         ),
     )
     with pytest.raises(EvaluationError, match="non-finite Hamiltonian partial") as err:
@@ -176,7 +173,7 @@ def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
 
 
 def plain_blocks(jacobians):
-    """The Jacobian blocks as plain stacked callables, so a ``constant`` block is called rather than read."""
+    """The derivatives of H as plain stacked callables, so a ``constant`` W is called rather than read."""
 
     def plain(fn):
         return None if fn is None else stacked(lambda *args: fn(*args))
@@ -186,7 +183,7 @@ def plain_blocks(jacobians):
 
 @pytest.mark.parametrize("members", [5, 1])
 def test_constant_blocks_give_the_general_path_bit_for_bit(heis_problem, heis_reduced, members):
-    """Read constant blocks and the once-checked constant W change no bit of a full or a reduced integration."""
+    """The once-checked constant W, read and inverted once, changes no bit of a full or a reduced integration."""
     from pontrylie.reduction import ReducedState, _reduced_view, integrate_reduced
 
     plain = dataclasses.replace(heis_problem, jacobians=plain_blocks(heis_problem.jacobians))
@@ -288,9 +285,8 @@ def test_stage_failure_reports_the_stage_state():
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: float(np.exp(u[0]) + x[0]),
         jacobians=ProblemJacobians(
-            df_dx=lambda x, u: np.zeros((1, 1)), df_du=lambda x, u: np.ones((1, 1)),
-            dL_dx=lambda x, u: np.ones(1), dL_du=lambda x, u: np.exp(u),
-            d2f_du2=lambda x, u: np.zeros((1, 1, 1)), d2L_du2=lambda x, u: np.exp(u)[None],
+            dH_du=lambda x, p, u: p - np.exp(u), dH=lambda x, p, u: np.array([p[0] - np.exp(u[0]), -1.0, u[0]]),
+            d2H_du2=lambda x, p, u: -np.exp(u)[None],  # W varies: Newton evaluates it at every step
         ),
     )
     u0 = np.log(2.0)
@@ -302,27 +298,35 @@ def test_stage_failure_reports_the_stage_state():
 
 
 def scalar_heisenberg(calls=None):
-    """The Heisenberg problem written for one point at a time (unmarked callables), recording argument shapes."""
+    """The Heisenberg problem written for one point at a time (unmarked callables), recording the shapes of x and u.
+
+    The gradient of H repeats the float operations of the compiled one (see conftest); W = -I is not a
+    ``constant``, so Newton evaluates it at every step.
+    """
 
     def one(fn):
-        def called(x, u):
+        def called(*args):
             if calls is not None:
-                calls.append((np.shape(x), np.shape(u)))
-            return fn(x, u)
+                calls.append((np.shape(args[0]), np.shape(args[-1])))
+            return fn(*args)
         return called
+
+    def control_gradient(x, p, u):
+        return [(p[0] + p[2] * (x[1] / -2.0)) - u[0], (p[1] + p[2] * (x[0] / 2.0)) - u[1]]
+
+    def dynamics(x, u):
+        return [u[0], u[1], 0.5 * (x[0] * u[1] - x[1] * u[0])]
 
     return ControlProblem(
         n=3,
         r=2,
-        dynamics=one(lambda x, u: np.array([u[0], u[1], 0.5 * (x[0] * u[1] - x[1] * u[0])])),
+        dynamics=one(lambda x, u: np.array(dynamics(x, u))),
         lagrangian=one(lambda x, u: 0.5 * float(u[0] ** 2 + u[1] ** 2)),
         jacobians=ProblemJacobians(
-            df_dx=one(lambda x, u: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5 * u[1], -0.5 * u[0], 0.0]])),
-            df_du=one(lambda x, u: np.array([[1.0, 0.0], [0.0, 1.0], [-0.5 * x[1], 0.5 * x[0]]])),
-            dL_dx=one(lambda x, u: np.zeros(3)),
-            dL_du=one(lambda x, u: np.asarray(u, dtype=float)),
-            d2f_du2=one(lambda x, u: np.zeros((3, 2, 2))),
-            d2L_du2=one(lambda x, u: np.eye(2)),
+            dH_du=one(lambda x, p, u: np.array(control_gradient(x, p, u))),
+            dH=one(lambda x, p, u: np.array(control_gradient(x, p, u) + [p[2] * (u[1] / 2.0), p[2] * (u[0] / -2.0),
+                                                                        0.0] + dynamics(x, u))),
+            d2H_du2=one(lambda x, p, u: -np.eye(2)),
         ),
     )
 

@@ -24,19 +24,17 @@ compiles a problem file's JSON data, in one ``compile()``, into a control
 problem and its reduced form; the Heisenberg builtin is such a file.  It
 differentiates the Pontryagin Hamiltonian H = <p, f> - L (and the reduced
 h), assembling its gradient from the derivative trees of f and L, and
-compiles it into the three stacked functions of (state, costate, control)
-that are the problem's derivatives: ``dH_du``, ``dH`` = (dH/du, dH/dstate,
-f) and ``d2H_du2``.
+compiles it into the two stacked functions of (state, costate, control)
+that are the problem's derivatives: ``dH`` = (dH/du, dH/dstate, f) and
+``d2H_du2``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from itertools import islice, product
-from types import FunctionType
 from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -605,7 +603,8 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
     member, (..., *shape) (a scalar for a 0-d table without leading axes).
     The functions are marked ``ocp.stacked``; a table of constants only
     becomes an ``ocp.constant``, and a table that is one argument returns a
-    copy of it.
+    copy of it.  Every function but a constant carries the widths of its
+    arguments as ``widths`` (``ocp._sized`` checks them before a call).
 
     A function has two branches over one set of arithmetic lines; only the
     binding of the variables and the packing of the entries differ.  A
@@ -625,63 +624,31 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
       ``ExprEvaluationError`` with the source offset, or, when no member
       fails (an overflow to inf, an underflow), returns its values.
 
-    Less code is generated, for a smaller ``compile()``: tables whose
-    functions read the same share one, and a vector table whose entries are
-    the first entries of another vector table of the same arguments (dH_du
-    and dH) runs that table's code with ``_prefix`` set, which returns after
-    its own lines.
+    Tables whose functions read the same, with arguments of the same widths,
+    share one function, for a smaller ``compile()``.
     """
-    constants, copies = {}, {}
+    constants, source, bodies, shared = {}, [], {}, {}
     for index, (table, arguments) in enumerate(tables):
         groups = [list(group) for group in arguments]
         if table.ndim and all(isinstance(node, Constant) for node in table.flat):
             # no arithmetic, nothing can fail (a constant control Hessian, empty tables)
             constants[index] = constant(np.array([node.value for node in table.flat], dtype=float).reshape(table.shape))
-        elif table.ndim == 1 and [getattr(node, "name", None) for node in table] in groups:
-            # an argument itself, such as dynamics f = u
-            copies[index] = groups.index([node.name for node in table])
-
-    vectors = {}  # the computed vector tables, by their first entry
-    for index, (table, _) in enumerate(tables):
-        if table.ndim == 1 and len(table) and index not in constants and index not in copies:
-            vectors.setdefault(id(table[0]), []).append(index)
-    heads = {}  # a vector table -> the shorter one of the same arguments holding its first entries
-    for group in vectors.values():
-        *shorter, longest = sorted(group, key=lambda index: len(tables[index][0]))
-        table, arguments = tables[longest]
-        heads.update({longest: head for head in shorter[:1] if tables[head][1] == arguments
-                      and len(tables[head][0]) < len(table) and all(map(operator.is_, tables[head][0], table))})
-    source, bodies, shared = [], {}, {}
-    for index, (table, arguments) in enumerate(tables):
-        if index in constants or index in heads.values():
             continue
         params = ", ".join(f"a{k}" for k in range(len(arguments)))
-        if index in copies:
-            body = [f"return a{copies[index]}.copy()"]
+        if table.ndim == 1 and [getattr(node, "name", None) for node in table] in groups:
+            # an argument itself, such as dynamics f = u
+            body = [f"return a{groups.index([node.name for node in table])}.copy()"]
         else:
-            head = heads.get(index)
-            size = None if head is None else len(tables[head][0])
             emitter = _Emitter()
-            atoms = []
-            for node in table.flat:
-                if len(atoms) == size:
-                    cut = len(emitter.lines)
-                atoms.append(emitter.emit(node))
-            atoms = np.array(atoms, dtype=object).reshape(table.shape)
+            atoms = np.array([emitter.emit(node) for node in table.flat], dtype=object).reshape(table.shape)
             body, lead = _bindings(emitter.names, arguments)
-            lines = list(emitter.lines)
-            if head is not None:
-                lines[cut:cut] = ["if _prefix:", *(f"    {line}" for line in _packing(atoms[:size], lead))]
-                params += ", _prefix=False"
             if emitter.guarded:
-                walked = index if head is None else f"{head} if _prefix else {index}"
-                body += ["try:", "    with _errstate(all='raise'):", *(f"        {line}" for line in lines),
-                         "except _ARITHMETIC_FAILURES:",
-                         f"    return _walk({walked}, ({', '.join(f'a{k}' for k in range(len(arguments)))},))"]
+                body += ["try:", "    with _errstate(all='raise'):", *(f"        {line}" for line in emitter.lines),
+                         "except _ARITHMETIC_FAILURES:", f"    return _walk({index}, ({params},))"]
             else:
-                body += lines
+                body += emitter.lines
             body += _packing(atoms, lead)
-        shared[index] = bodies.setdefault("\n".join([params, *body]), index)
+        shared[index] = bodies.setdefault((tuple(map(len, groups)), "\n".join([params, *body])), index)
         if shared[index] == index:
             source += [f"def _f{index}({params}):", *(f"    {line}" for line in body)]
 
@@ -707,10 +674,10 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
         _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
     )
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
-    functions = {index: namespace[f"_f{first}"] for index, first in shared.items()}
-    for longer, head in heads.items():  # the longer table's code, returning after the head's lines
-        functions[head] = FunctionType(functions[longer].__code__, namespace, f"_f{head}", (True,))
-    return [constants[index] if index in constants else stacked(functions[index]) for index in range(len(tables))]
+    functions = {index: stacked(namespace[f"_f{first}"]) for index, first in shared.items()}
+    for index, function in functions.items():
+        function.widths = tuple(map(len, tables[index][1]))  # the same for every table sharing the function
+    return [constants[index] if index in constants else functions[index] for index in range(len(tables))]
 
 
 # ---------------------------------------------------------------- problem files
@@ -740,14 +707,13 @@ def _table(sources, variables: List[str]) -> np.ndarray:
 def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, state: List[str],
                         costate: List[str], control: List[str]) -> List[Tuple[np.ndarray, List[List[str]]]]:
     """The tables, with their arguments, of each table of ``dynamics`` and of ``lagrangian``, functions of
-    (state, control); then of dH_du, dH = (dH/du, dH/dstate, f) and d2H_du2 of H = sum_i costate_i * f_i -
+    (state, control); then of dH = (dH/du, dH/dstate, f) and d2H_du2 of H = sum_i costate_i * f_i -
     lagrangian (f the dynamics joined), functions of (state, costate, control).
 
     The gradient of H is built by linearity from the derivative trees of
     the dynamics and the Lagrangian, folded term by term: the trees
-    ``differentiate`` gives for the tree of H.  The first entries of dH are
-    the trees of dH_du, so they agree bit for bit, and d2H_du2 is the
-    derivative table of dH_du.
+    ``differentiate`` gives for the tree of H.  d2H_du2 is the derivative
+    table of the dH/du entries of dH.
     """
     d_state, d_control = [], []
     for g in (*dynamics, lagrangian):
@@ -767,7 +733,7 @@ def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, 
     f = np.concatenate(dynamics)
     dH_du = gradient(np.concatenate(d_control[:-1]), d_control[-1])
     dH_dx = gradient(np.concatenate(d_state[:-1]), d_state[-1])
-    hamiltonian = (dH_du, np.concatenate([dH_du, dH_dx, f]), derivative_table(dH_du, control))
+    hamiltonian = (np.concatenate([dH_du, dH_dx, f]), derivative_table(dH_du, control))
     return ([(g, [state, control]) for g in (*dynamics, lagrangian)]
             + [(table, [state, costate, control]) for table in hamiltonian])
 
@@ -822,19 +788,19 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         tables += _hamiltonian_tables([base_table, fiber_table], lag_table, z_vars, costate, u_vars)
 
     compiled = iter(compile_tables(tables))
-    f, lagrangian, dH_du, dH, d2H_du2 = islice(compiled, 5)
+    f, lagrangian, dH, d2H_du2 = islice(compiled, 4)
     symmetry = None
     if "action" in data:
         generators = next(compiled)
         action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
         symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
-    jac = ProblemJacobians(dH_du=dH_du, dH=dH, d2H_du2=d2H_du2)
+    jac = ProblemJacobians(dH=dH, d2H_du2=d2H_du2)
     problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
 
     reduced = None
     if "reduced" in data:
-        base, fiber, lagrangian_z, dH_du, dH, d2H_du2 = compiled
+        base, fiber, lagrangian_z, dH, d2H_du2 = compiled
         reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
                                  base_dynamics=base, fiber_dynamics=fiber,
-                                 jacobians=ProblemJacobians(dH_du=dH_du, dH=dH, d2H_du2=d2H_du2), name=name)
+                                 jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2), name=name)
     return problem, reduced

@@ -15,9 +15,9 @@ kernel computes them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
 any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
 it, and one Newton loop eliminates the controls of both.  A view of H
 (``_controlled``) picks its derivative sources once: the given derivatives of
-H (every problem file gives all three), else central finite differences of H
-(step scaled by 1 + |coordinate|).  The solvers read two callables of it,
-dH/du and the stacked (dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
+H (every problem file gives both), else central finite differences of H
+(step scaled by 1 + |coordinate|).  The solvers read one gradient of it, the
+stacked (dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
 
 The kernel works on stacks: every argument may carry leading member axes (a
 batch of initial conditions, or all rows of a trajectory), and one point is
@@ -46,14 +46,12 @@ from .lie import log_nilpotent
 class ProblemJacobians:
     """Optional analytic derivatives of the Pontryagin Hamiltonian H(x, p, u) = <p, f(x, u)> - L(x, u).
 
-    Each is a function of (x, p, u), per member (see ``stacked``): dH_du of shape (r,); dH of shape
-    (r + 2n,), the concatenation (dH/du, dH/dx, f), whose first r entries must be those of dH_du bit for
-    bit and whose last n those of the dynamics; d2H_du2 of shape (r, r), the control Hessian W.  A missing
-    one comes from the others or from central differences of H (see ``_controlled``).
-    ``expr.load_problem`` compiles all three for every problem file.
+    Each is a function of (x, p, u), per member (see ``stacked``): dH of shape (r + 2n,), the
+    concatenation (dH/du, dH/dx, f), whose last n entries must be those of the dynamics; d2H_du2 of shape
+    (r, r), the control Hessian W.  A missing one comes from the other or from central differences of H
+    (see ``_controlled``).  ``expr.load_problem`` compiles both for every problem file.
     """
 
-    dH_du: Optional[Callable] = None
     dH: Optional[Callable] = None
     d2H_du2: Optional[Callable] = None
 
@@ -189,7 +187,9 @@ def constant(value) -> Callable:
 def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Callable]:
     """``fn`` as a stacked callable: itself when marked ``stacked``, else a loop calling it on each member.
 
-    Each member's value must have the trailing ``shape``; a scalar (``shape == ()``) is read by float().
+    Each member's value must have the trailing ``shape``; a scalar (``shape == ()``) is read by float().  A
+    ValueError or ArithmeticError of ``fn`` itself (``math.sqrt`` of a negative number, say) is an
+    EvaluationError at that member's arguments.
     """
     if fn is None or getattr(fn, "stacked", False):
         return fn
@@ -199,7 +199,13 @@ def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Cal
         count = math.prod(lead)
         values = []
         for row in zip(*(np.reshape(a, (count, np.shape(a)[-1])) for a in args)):
-            value = float(fn(*row)) if not shape else np.asarray(fn(*row), dtype=float)
+            try:
+                value = fn(*row)
+            except (ValueError, ArithmeticError) as exc:
+                if isinstance(exc, PontrylieError):
+                    raise
+                raise EvaluationError(f"{name} failed: {exc}", point=tuple(np.array(a) for a in row)) from exc
+            value = float(value) if not shape else np.asarray(value, dtype=float)
             if np.shape(value) != shape:
                 raise DimensionMismatchError(
                     f"{name} returned shape {np.shape(value)} for one member, expected {shape}"
@@ -213,18 +219,16 @@ def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Cal
 def _sized(fn: Callable, name: str, size: int) -> Callable:
     """The stacked vector callable ``fn``, its values checked to hold ``size`` entries per member.
 
-    A ValueError of the call itself, such as a one-member compiled function unpacking an argument of the
-    wrong width, is a DimensionMismatchError naming ``name`` too.
+    A compiled ``fn`` (``expr.compile_tables``) carries the ``widths`` of its arguments, and arguments of
+    other widths are a DimensionMismatchError naming ``name``, before the call.
     """
+    widths = getattr(fn, "widths", None)
 
     def checked(q, *args):
-        try:
-            value = np.asarray(fn(q, *args), dtype=float)
-        except ValueError as exc:
-            if isinstance(exc, PontrylieError):
-                raise
+        if widths is not None and tuple(np.shape(a)[-1] for a in (q, *args)) != widths:
             shapes = ", ".join(str(np.shape(a)) for a in (q, *args))
-            raise DimensionMismatchError(f"{name} failed on arguments of shapes {shapes}: {exc}") from exc
+            raise DimensionMismatchError(f"{name} takes arguments of widths {widths}, got shapes {shapes}")
+        value = np.asarray(fn(q, *args), dtype=float)
         if value.shape != q.shape[:-1] + (size,):
             raise DimensionMismatchError(f"{name} returned shape {value.shape}, expected {q.shape[:-1] + (size,)}")
         return value
@@ -233,12 +237,12 @@ def _sized(fn: Callable, name: str, size: int) -> Callable:
 
 
 def _sized_gradient(ham: "ControlledHamiltonian", nq: int, k: int, r: int) -> "ControlledHamiltonian":
-    """``ham`` with ``dH_du`` and ``dH`` checked to give r and r + nq + k entries per member, and the F entries
-    of ``dH`` to be ``ham.F`` at the same rows, to 1e-12 (1 + |F|).
+    """``ham`` with ``dH`` checked to give r + nq + k entries per member, and its F entries to be ``ham.F`` at
+    the same rows, to 1e-12 (1 + |F|).
 
-    A solver wraps its view once, for one call of each (not per iterate): a gradient of the wrong width
-    fails here naming its field, where it would otherwise fail in NumPy or be read at the wrong entries, and
-    a ``dH`` that belongs to other dynamics fails here, where it would otherwise be read silently.
+    A solver wraps its view for one solve or scan (not for every one): a gradient of the wrong width fails
+    here naming ``dH``, where it would otherwise fail in NumPy or be read at the wrong entries, and a ``dH``
+    that belongs to other dynamics fails here, where it would otherwise be read silently.
     """
     sized = _sized(ham.dH, "dH", r + nq + k)
 
@@ -251,7 +255,7 @@ def _sized_gradient(ham: "ControlledHamiltonian", nq: int, k: int, r: int) -> "C
                                  f"by up to {np.nanmax(deviation):.3e}")
         return grad
 
-    return ham._replace(dH_du=_sized(ham.dH_du, "dH_du", r), dH=dH)
+    return ham._replace(dH=dH)
 
 
 def _require_finite(values: np.ndarray, message: str, *rows: np.ndarray) -> np.ndarray:
@@ -283,9 +287,8 @@ class HamiltonianPartials(NamedTuple):
 class ControlledHamiltonian(NamedTuple):
     """H(q, lam, u) = <lam, F(q, u)> - L(q, u) and its derivatives, each source picked once by ``_controlled``.
 
-    ``dH_du(q, lam, u)`` gives (..., r); ``dH(q, lam, u)`` gives (..., r + nq + k) = (dH/du, dH/dq, F),
-    nq = len(q) and k = len(lam), its first r columns bit for bit those of ``dH_du`` (see ``_split``);
-    ``d2H_du2`` gives W, symmetrized, (..., r, r).  ``form(q, lam)`` is the antisymmetric (..., k, k)
+    ``dH(q, lam, u)`` gives (..., r + nq + k) = (dH/du, dH/dq, F), nq = len(q) and k = len(lam) (see
+    ``_split``); ``d2H_du2`` gives W, symmetrized, (..., r, r).  ``form(q, lam)`` is the antisymmetric (..., k, k)
     matrix B of the Poisson bracket's non-canonical part (see ``_hamilton_field``); None means B = 0,
     and then k = nq.  ``hessian`` holds W when it is the same at every point (see ``_ConstantHessian``).
     Every callable is stacked (see ``stacked``).
@@ -293,7 +296,6 @@ class ControlledHamiltonian(NamedTuple):
 
     F: Callable
     L: Callable
-    dH_du: Callable
     dH: Callable
     d2H_du2: Callable
     hessian: "_ConstantHessian"
@@ -331,36 +333,26 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
                 form: Optional[Callable] = None) -> ControlledHamiltonian:
     """The view of H = <lam, F> - L on stacked F, L and derivatives ``jac``, every derivative source picked here, once.
 
-    dH/du is ``jac.dH_du``, else the first r entries of ``jac.dH``, else central differences of H; dH is
-    ``jac.dH``, else dH/du, central differences of H in q and F joined.  W is ``jac.d2H_du2``, else central
-    differences of an analytic dH/du, else plain second differences of H (step sqrt(FD_STEP) to keep roundoff
-    noise down).  A zero-length q or u block is never evaluated.
+    dH is ``jac.dH``, else central differences of H in u and in q and F joined.  W is ``jac.d2H_du2``, else
+    central differences of the first r entries of an analytic dH, else plain second differences of H (step
+    sqrt(FD_STEP) to keep roundoff noise down).  A zero-length q or u block is never evaluated.
     """
 
     def h(q, lam, u):
         return (lam[..., None, :] @ F(q, u)[..., None])[..., 0, 0] - L(q, u)
 
-    analytic = jac.dH_du is not None or jac.dH is not None
-    if not r:
-        dH_du = lambda q, lam, u: np.zeros(u.shape)  # noqa: E731
-    elif jac.dH_du is not None:
-        dH_du = jac.dH_du
-    elif jac.dH is not None:
-        dH_du = lambda q, lam, u: jac.dH(q, lam, u)[..., :r]  # noqa: E731
-    else:
-        dH_du = lambda q, lam, u: fd_gradient(lambda v: h(q, lam, v), u, FD_STEP)  # noqa: E731
-
     dH = jac.dH
     if dH is None:
         def dH(q, lam, u):
+            dH_du = fd_gradient(lambda v: h(q, lam, v), u, FD_STEP) if r else np.zeros(u.shape)
             dH_dq = fd_gradient(lambda v: h(v, lam, u), q, FD_STEP) if nq else np.zeros(q.shape)
-            return np.concatenate([dH_du(q, lam, u), dH_dq, F(q, u)], axis=-1)
+            return np.concatenate([dH_du, dH_dq, F(q, u)], axis=-1)
 
     if jac.d2H_du2 is not None:
         hessian = jac.d2H_du2
-    elif analytic:
+    elif jac.dH is not None:
         def hessian(q, lam, u):
-            return fd_hessian_from_gradient(lambda v: dH_du(q, lam, v), u, FD_STEP)
+            return fd_hessian_from_gradient(lambda v: jac.dH(q, lam, v)[..., :r], u, FD_STEP)
     else:
         def hessian(q, lam, u):
             return fd_hessian_direct(lambda v: h(q, lam, v), u, FD_STEP)
@@ -369,14 +361,14 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
         w = hessian(q, lam, u)
         return 0.5 * (w + np.swapaxes(w, -1, -2))
 
-    return ControlledHamiltonian(F=F, L=L, dH_du=dH_du, dH=dH, d2H_du2=d2H_du2,
+    return ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2,
                                  hessian=_ConstantHessian(jac.d2H_du2, r), form=form)
 
 
 def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> ProblemJacobians:
     """The derivatives ``jac`` of H, each stacked (see ``_per_member``), dH of ``width`` entries; absent ones None."""
     jac = jac or ProblemJacobians()
-    shapes = {"dH_du": (r,), "dH": (width,), "d2H_du2": (r, r)}
+    shapes = {"dH": (width,), "d2H_du2": (r, r)}
     return ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
 
 
@@ -407,10 +399,9 @@ def _split(grad: np.ndarray, nq: int, r: int):
     return grad[..., :r], grad[..., r : r + nq], grad[..., r + nq :]
 
 
-def _gradient(ham: ControlledHamiltonian, q, lam, u, grad=None) -> np.ndarray:
-    """dH = (dH/du, dH/dq, F) at the stacks (q, lam, u), checked finite; ``grad`` is dH when the caller holds it."""
-    grad = ham.dH(q, lam, u) if grad is None else grad
-    return _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u)
+def _gradient(ham: ControlledHamiltonian, q, lam, u) -> np.ndarray:
+    """dH = (dH/du, dH/dq, F) at the stacks (q, lam, u), checked finite."""
+    return _require_finite(ham.dH(q, lam, u), "non-finite Hamiltonian partial", q, lam, u)
 
 
 def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
@@ -451,22 +442,22 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     again, and every iteration checks the regularity of the other members
     with one stacked SVD and updates them with one stacked solve, so a member
     takes the same steps in any batch (a view's constant ``hessian`` is
-    rank-checked and inverted once, and a step is then one matmul).  The first iterate evaluates ``dH_du``;
-    every iterate after a step evaluates the whole ``dH`` on the whole stack,
-    so when that iterate converges (one step, for H quadratic in u) the
-    caller's ``_gradient`` at the root costs no call.  W is evaluated only at
-    the members that take a step.  Returns
-    (u*, iterations, residual, dH at u* unchecked, or None when no step was
-    taken), iterations and residual per member.  A failure names the flat
-    index of the first failing member; a non-finite dH/du raises
-    EvaluationError at its point.
+    rank-checked and inverted once, and a step is then one matmul).  Every
+    iterate evaluates the whole ``dH`` on the whole stack and reads dH/du,
+    its first r entries, so the gradient at the root, that of the last
+    iterate, costs the caller no call (one step, for H quadratic in u).  W
+    is evaluated only at the members that take a step.  Returns (u*,
+    iterations, residual, dH at u* unchecked), iterations and residual per
+    member.  A failure names the flat index of the first failing member; a
+    non-finite dH/du raises EvaluationError at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
     r = u.shape[-1]
     iterations = np.zeros(u.shape[:-1], dtype=int)
-    grad, g = None, ham.dH_du(q, lam, u)
     constant_w = ham.hessian.w is not None
     for iteration in range(config.newton_max_iter + 1):
+        grad = ham.dH(q, lam, u)
+        g = grad[..., :r]
         residual = np.abs(g).max(axis=-1, initial=0.0)
         active = ~(residual <= config.newton_tol)
         stepping = np.count_nonzero(active)
@@ -500,8 +491,6 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
         else:
             u[active] = ua - np.linalg.solve(w, ga[..., None])[..., 0]
             iterations[active] += 1
-        grad = ham.dH(q, lam, u)
-        g = grad[..., :r]
 
 
 def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> HamiltonianPartials:

@@ -27,7 +27,7 @@ from .errors import DimensionMismatchError, PontrylieError, SolverError, Traject
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
 from .ocp import _full_view, _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
-from .ocp import _sized_gradient, _split
+from .ocp import _require_finite, _sized_gradient, _split
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class Trajectory:
             )
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise TrajectoryFormatError(f"malformed trajectory JSON {path}: {exc}") from exc
-        return _require_finite(trajectory, path)
+        return _finite_trajectory(trajectory, path)
 
     @staticmethod
     def from_csv(path) -> "Trajectory":
@@ -172,7 +172,7 @@ class Trajectory:
             states=data[:, state_idx] if state_idx else np.zeros((data.shape[0], 0)),
             channels={header[i]: data[:, i] for i in chan_idx},
         )
-        return _require_finite(trajectory, path)
+        return _finite_trajectory(trajectory, path)
 
 
 def _csv_body_error(path, lines, width: int, exc) -> TrajectoryFormatError:
@@ -185,7 +185,7 @@ def _csv_body_error(path, lines, width: int, exc) -> TrajectoryFormatError:
     return TrajectoryFormatError(f"malformed trajectory CSV {path}: {exc}")
 
 
-def _require_finite(trajectory: Trajectory, path) -> Trajectory:
+def _finite_trajectory(trajectory: Trajectory, path) -> Trajectory:
     """Reject a loaded trajectory holding NaN or Inf, naming the first such column."""
     named = {"t": trajectory.times, **dict(zip(trajectory.columns, trajectory.states.T)), **trajectory.channels}
     bad = [name for name, values in named.items() if not np.all(np.isfinite(values))]
@@ -290,13 +290,12 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     has alone.  At stages 2-4 Newton solves dH/du = 0 warm started from the
     previous stage's control; stage 1 reuses the gradient of the node's
     converged solve, taken at the same (y, u*).  A solve reads only the
-    view's two gradient callables: ``dH_du`` at its first iterate and the
-    whole ``dH`` = (dH/du, dH/dq, F) after each step, so the check of a
-    converged step also gives y_dot (``ocp._hamilton_field`` of ``ham``'s
-    form) and H.  The sweep runs under one ``np.errstate`` that silences
-    overflow and invalid-value warnings: a non-finite value still raises
-    EvaluationError at its point, and guarded compiled tables still raise
-    inside it.  Every grid node
+    view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the
+    last iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of
+    ``ham``'s form) and H.  The sweep runs under one ``np.errstate`` that
+    silences overflow and invalid-value warnings: a non-finite value still
+    raises EvaluationError at its point, and guarded compiled tables still
+    raise inside it.  Every grid node
     records, per member, the row (y, u*) with columns <prefix>1.. for each
     (prefix, size) of ``blocks`` (q first), then u1..; H under
     ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
@@ -314,7 +313,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
         q, lam = y[:, :nq], y[:, nq:]
         try:
             u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
-            return u_star, iterations, residual, _gradient(view, q, lam, u_star, grad)
+            return u_star, iterations, residual, _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
         except SolverError as exc:
             i = exc.member
             raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
@@ -348,7 +347,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
 
     with np.errstate(over="ignore", invalid="ignore"):
         y = y0
-        # node 0 reads both gradients (dH_du at the first iterate, dH at the root): their widths are checked there
+        # the gradient of every iterate of node 0 is checked: its width and its F entries
         u_warm, grad = node(0, y, u0, 0, _sized_gradient(ham, nq, width - nq, r))
         for k in range(len(times) - 1):
             t, h = times[k], times[k + 1] - times[k]

@@ -48,7 +48,8 @@ class ReducedProblem:
     z-block C_ij = curvature(z, mu, e_j, e_i) of the form B, and the p_z equation
     gets -(C z_dot)_i, which is -curvature(z, mu, z_dot, e_i) only then.  ``jacobians`` holds the
     derivatives of h as functions of (z, lam, u), lam = (p_z, mu): dH of shape (r + 2 s + dim,) is
-    (dh/du, dh/dz, base, fiber).  Casimirs are monitored, never discovered: a dict of name -> function of mu.
+    (dh/du, dh/dz, base, fiber) and d2H_du2 of shape (r, r) the control Hessian, as for H (see
+    ``ProblemJacobians``).  Casimirs are monitored, never discovered: a dict of name -> function of mu.
     """
 
     base_dim: int

@@ -94,20 +94,12 @@ def _oracle_fiber_dynamics(z, u):
 # dH/du1 = (p1 + p3 (x2 / -2)) - u1, dH/du2 = (p2 + p3 (x1 / 2)) - u2, dH/dx = (p3 (u2 / 2), p3 (u1 / -2), 0).
 
 
-def _oracle_control_gradient(x, p, u):
-    return ((p[..., 0] + p[..., 2] * (x[..., 1] / -2.0)) - u[..., 0],
-            (p[..., 1] + p[..., 2] * (x[..., 0] / 2.0)) - u[..., 1])
-
-
-@stacked
-def _oracle_dH_du(x, p, u):
-    return _columns(*_oracle_control_gradient(x, p, u))
-
-
 @stacked
 def _oracle_dH(x, p, u):
     f = _oracle_dynamics(x, u)
-    return _columns(*_oracle_control_gradient(x, p, u), p[..., 2] * (u[..., 1] / 2.0), p[..., 2] * (u[..., 0] / -2.0),
+    return _columns((p[..., 0] + p[..., 2] * (x[..., 1] / -2.0)) - u[..., 0],
+                    (p[..., 1] + p[..., 2] * (x[..., 0] / 2.0)) - u[..., 1],
+                    p[..., 2] * (u[..., 1] / 2.0), p[..., 2] * (u[..., 0] / -2.0),
                     np.zeros(x.shape[:-1]), f[..., 0], f[..., 1], f[..., 2])
 
 
@@ -115,24 +107,19 @@ def _oracle_dH(x, p, u):
 
 
 @stacked
-def _oracle_reduced_dH_du(z, mu, u):
-    return mu[..., :2] - u
-
-
-@stacked
 def _oracle_reduced_dH(z, mu, u):
     return _columns(mu[..., 0] - u[..., 0], mu[..., 1] - u[..., 1], u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
 
 
-def _oracle_jacobians(dH_du, dH, gradients: bool):
+def _oracle_jacobians(dH, gradients: bool):
     """The hand-written derivatives of H, W = -I among them, or None for central differences of H."""
-    return ProblemJacobians(dH_du=dH_du, dH=dH, d2H_du2=constant(-np.eye(2))) if gradients else None
+    return ProblemJacobians(dH=dH, d2H_du2=constant(-np.eye(2))) if gradients else None
 
 
 def heisenberg_oracle_problem(gradients: bool = True) -> ControlProblem:
     """The hand-written full problem; without ``gradients`` the solvers take central differences of H instead."""
     return ControlProblem(n=3, r=2, dynamics=_oracle_dynamics, lagrangian=_oracle_lagrangian,
-                          jacobians=_oracle_jacobians(_oracle_dH_du, _oracle_dH, gradients),
+                          jacobians=_oracle_jacobians(_oracle_dH, gradients),
                           symmetry=left_translations(heisenberg_algebra()), name="heisenberg")
 
 
@@ -140,7 +127,7 @@ def heisenberg_oracle_reduced(gradients: bool = True) -> ReducedProblem:
     """The hand-written reduced problem; without ``gradients`` the solvers take central differences of h instead."""
     return ReducedProblem(base_dim=0, algebra=heisenberg_algebra(), control_dim=2, lagrangian=_oracle_lagrangian,
                           base_dynamics=constant(np.zeros(0)), fiber_dynamics=_oracle_fiber_dynamics,
-                          jacobians=_oracle_jacobians(_oracle_reduced_dH_du, _oracle_reduced_dH, gradients),
+                          jacobians=_oracle_jacobians(_oracle_reduced_dH, gradients),
                           casimirs={"casimir_mu3": lambda mu: float(mu[2])}, name="heisenberg")
 
 

@@ -589,12 +589,12 @@ def test_builtin_compiles_once_per_process_and_not_at_import():
 
 
 def test_problem_file_has_exact_derivatives(tmp_path):
-    """The README file and the builtin give dH_du, dH and d2H_du2, full and reduced; W is the constant -I."""
+    """The README file and the builtin give dH and d2H_du2, full and reduced; W is the constant -I."""
     problem_file = tmp_path / "heis.json"
     problem_file.write_text(json.dumps(_readme_problem()))
     for loaded in (load_problem_file(problem_file), cli._builtin("heisenberg")):
         for jac in (loaded.problem.jacobians, loaded.reduced.jacobians):
-            assert [f.name for f in dataclasses.fields(jac)] == ["dH_du", "dH", "d2H_du2"]
+            assert [f.name for f in dataclasses.fields(jac)] == ["dH", "d2H_du2"]
             assert all(getattr(jac, f.name) is not None for f in dataclasses.fields(jac))
             assert np.array_equal(jac.d2H_du2.value, -np.eye(2))
 

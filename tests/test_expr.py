@@ -344,25 +344,25 @@ def test_stacked_compiled_tables_equal_the_tree_walker_row_by_row(src, rows):
 @given(st.lists(_grammar(safe=True), min_size=3, max_size=3),
        st.lists(st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=5, max_size=5), min_size=1, max_size=3))
 def test_compiled_gradient_of_h_is_the_contraction_of_the_blocks(sources, rows):
-    """dH_du, dH = (dH/du, dH/dx, f) and d2H_du2, compiled from the tree of H = p1 f1 + p2 f2 - L, against p
-    paired with the compiled derivative tables of f and L: a few ulp of the terms apart (a sum may round in
-    another order); the dH/du entries of dH are dH_du and its f entries the dynamics, bit for bit."""
+    """dH = (dH/du, dH/dx, f) and d2H_du2, compiled from the tree of H = p1 f1 + p2 f2 - L, against p paired
+    with the compiled derivative tables of f and L: a few ulp of the terms apart (a sum may round in another
+    order); the f entries of dH are the dynamics, bit for bit."""
     problem, _ = load_problem({"n": 2, "r": 1, "dynamics": sources[:2], "lagrangian": sources[2]}, "random", "test")
     jac = problem.jacobians
     x, p, u = (np.array(rows)[:, i] for i in (slice(0, 2), slice(2, 4), slice(4, 5)))
-    dH_du, dH, d2H_du2 = jac.dH_du(x, p, u), jac.dH(x, p, u), jac.d2H_du2(x, p, u)
-    assert dH_du.shape == (len(rows), 1) and dH.shape == (len(rows), 5) and d2H_du2.shape == (len(rows), 1, 1)
+    dH, d2H_du2 = jac.dH(x, p, u), jac.d2H_du2(x, p, u)
+    assert dH.shape == (len(rows), 5) and d2H_du2.shape == (len(rows), 1, 1)
     f, lagrangian = (np.array([parse(src, VARS).ast for src in group], dtype=object) for group in (sources[:2],
                                                                                                    sources[2:]))
     d_u, l_u = derivative_table(f, ["u1"]), derivative_table(lagrangian, ["u1"])[0]
     tables = [d_u, l_u, derivative_table(f, ["x1", "x2"]), derivative_table(lagrangian, ["x1", "x2"])[0],
               derivative_table(d_u, ["u1"])[..., 0], derivative_table(l_u, ["u1"])[..., 0]]
     blocks = [fn(x, u) for fn in compile_tables([(table, [VARS[:2], VARS[2:]]) for table in tables])]
-    for d_f, cost, got in zip(blocks[::2], blocks[1::2], (dH_du, dH[:, 1:3], d2H_du2[..., 0])):
+    for d_f, cost, got in zip(blocks[::2], blocks[1::2], (dH[:, :1], dH[:, 1:3], d2H_du2[..., 0])):
         paired = (p[:, None, :] @ d_f)[:, 0, :] - cost
         scale = (np.abs(p)[:, None, :] @ np.abs(d_f))[:, 0, :] + np.abs(cost)
         assert np.all(np.abs(got - paired) <= 4 * np.finfo(float).eps * scale), sources
-    assert np.array_equal(dH[:, :1], dH_du) and np.array_equal(dH[:, 3:], problem.dynamics(x, u))
+    assert np.array_equal(dH[:, 3:], problem.dynamics(x, u))
 
 
 def _positions(node):
@@ -447,7 +447,7 @@ def _compiled_callables(data):
     n, r = problem.n, problem.r
     jac = problem.jacobians
     found = [(fn, (n, r)) for fn in (problem.dynamics, problem.lagrangian)]
-    found += [(fn, (n, n, r)) for fn in (jac.dH_du, jac.dH, jac.d2H_du2)]
+    found += [(fn, (n, n, r)) for fn in (jac.dH, jac.d2H_du2)]
     if problem.symmetry is not None:
         dim = problem.symmetry.algebra.dim
         found.append((lambda x: problem.symmetry.infinitesimal_action(np.eye(dim), x), (n,)))
@@ -455,7 +455,7 @@ def _compiled_callables(data):
         s, k = reduced.base_dim, reduced.base_dim + reduced.algebra.dim
         rj = reduced.jacobians
         found += [(fn, (s, r)) for fn in (reduced.base_dynamics, reduced.fiber_dynamics, reduced.lagrangian)]
-        found += [(fn, (s, k, r)) for fn in (rj.dH_du, rj.dH, rj.d2H_du2)]
+        found += [(fn, (s, k, r)) for fn in (rj.dH, rj.d2H_du2)]
     return found
 
 
@@ -498,6 +498,19 @@ def test_one_member_raises_the_walkers_error_with_its_offset():
             overflowing.dynamics(x, np.zeros(x.shape[:-1] + (0,)))
 
 
+def test_a_problem_file_compiles_in_one_compile(monkeypatch):
+    """All tables of the README file go through one ``compile()``: f, L, dH, d2H_du2 and the generators, then the
+    reduced base, fiber, l, dH and d2H_du2."""
+    from pontrylie import expr
+
+    compiles, tables = [], []
+    monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args[1]) or compile(*args), raising=False)
+    compile_all = expr.compile_tables
+    monkeypatch.setattr(expr, "compile_tables", lambda given: tables.append(len(given)) or compile_all(given))
+    load_problem(HEISENBERG_FILE, "heisenberg", "test")
+    assert compiles == ["<pontrylie.expr>"] and tables == [10]
+
+
 def test_a_zero_width_argument_takes_the_float_branch():
     """The builtin's reduced base has width 0: at leading shape (1,) the functions bind floats from the other
     arguments and give the (1, ...) values of that member."""
@@ -506,7 +519,6 @@ def test_a_zero_width_argument_takes_the_float_branch():
     dH = reduced.jacobians.dH(z, mu, u)
     assert dH.shape == (1, 5) and dH.tolist() == [[0.3 - 0.2, -0.7 - 0.5, 0.2, 0.5, 0.0]]
     assert np.array_equal(reduced.jacobians.dH(z[0], mu[0], u[0]), dH[0])
-    assert np.array_equal(reduced.jacobians.dH_du(z, mu, u), dH[:, :2])
     assert type(reduced.lagrangian(z[0], u[0])) is float
     assert reduced.lagrangian(z, u).shape == (1,)
     stack = reduced.jacobians.dH(np.zeros((3, 0)), np.repeat(mu, 3, axis=0), np.repeat(u, 3, axis=0))

@@ -176,19 +176,27 @@ def test_validate_jacobians_flags_wrong_derivative(heis_problem):
 
 
 def test_validate_jacobians_flags_a_wrong_gradient_of_h(heis_problem):
-    """A hand-supplied dH_du that disagrees with the dynamics and the Lagrangian (here: the sign of L flipped)."""
+    """A hand-supplied dH whose dH/du entries disagree with the dynamics and the Lagrangian (here: the sign of L
+    flipped)."""
     jac = heis_problem.jacobians
-    assert jac.dH_du is not None and jac.dH is not None  # the builtin's compiled gradients are checked too
+    assert jac.dH is not None  # the builtin's compiled gradient is checked too
     assert validate_jacobians(heis_problem, probes=10, seed=1) <= 1e-8
-    wrong = dataclasses.replace(jac, dH_du=stacked(lambda x, p, u: jac.dH_du(x, p, u) + 2.0 * u))
+
+    @stacked
+    def wrong_dH(x, p, u):
+        grad = np.array(jac.dH(x, p, u))
+        grad[..., :2] += 2.0 * u
+        return grad
+
     with pytest.raises(EvaluationError, match="deviate"):
-        validate_jacobians(dataclasses.replace(heis_problem, jacobians=wrong), probes=10, seed=1)
-    # given alone, the gradients are checked against central differences of H just the same
+        validate_jacobians(dataclasses.replace(heis_problem, jacobians=dataclasses.replace(jac, dH=wrong_dH)),
+                           probes=10, seed=1)
+    # given alone, the gradient is checked against central differences of H just the same
     bare = ControlProblem(n=3, r=2, dynamics=heis_problem.dynamics, lagrangian=heis_problem.lagrangian,
-                          jacobians=ProblemJacobians(dH_du=jac.dH_du, dH=jac.dH))
+                          jacobians=ProblemJacobians(dH=jac.dH))
     assert validate_jacobians(bare, probes=10, seed=1) <= 1e-8
     with pytest.raises(EvaluationError, match="deviate"):
-        validate_jacobians(dataclasses.replace(bare, jacobians=ProblemJacobians(dH_du=wrong.dH_du)), probes=10, seed=1)
+        validate_jacobians(dataclasses.replace(bare, jacobians=ProblemJacobians(dH=wrong_dH)), probes=10, seed=1)
 
 
 def test_heisenberg_is_invariant(heis_problem):

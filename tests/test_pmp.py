@@ -1,6 +1,7 @@
 """Feedback solver, Hamilton-equation integration, conservation, action functional."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -45,16 +46,14 @@ def newton_feedback(problem, x, p, u_guess, config):
 
 
 def degenerate_problem():
-    """L and f both linear in u: the control Hessian vanishes identically (W from differences of dH/du)."""
+    """L and f both linear in u: the control Hessian vanishes identically (W from differences of the dH/du
+    entries of dH)."""
     return ControlProblem(
         n=2,
         r=2,
         dynamics=lambda x, u: np.array([u[0] + x[0], u[1]]),
         lagrangian=lambda x, u: u[0] + u[1],
-        jacobians=ProblemJacobians(
-            dH_du=lambda x, p, u: p - 1.0,
-            dH=lambda x, p, u: np.array([p[0] - 1.0, p[1] - 1.0, p[0], 0.0, u[0] + x[0], u[1]]),
-        ),
+        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - 1.0, p[1] - 1.0, p[0], 0.0, u[0] + x[0], u[1]])),
     )
 
 
@@ -158,18 +157,30 @@ def test_a_constant_singular_hessian_is_refused_where_a_step_needs_it(default_co
 
 
 def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
-    """dH/dq is evaluated only at the root, where the integrator reads it; a NaN there raises EvaluationError with
-    (x, p, u*)."""
+    """Newton reads only the dH/du entries of each iterate's dH; the integrator reads the dH/dq entries of the
+    root's, and a NaN there raises EvaluationError with (x, p, u*)."""
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: 0.5 * float(u[0] ** 2),
-        jacobians=ProblemJacobians(
-            dH_du=lambda x, p, u: p - u, dH=lambda x, p, u: np.array([p[0] - u[0], np.nan, u[0]]),
-        ),
+        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - u[0], np.nan, u[0]])),
     )
     with pytest.raises(EvaluationError, match="non-finite Hamiltonian partial") as err:
         integrate_pmp(problem, [0.5], [2.0], 0.1, default_config)
     x, p, u = err.value.point
     assert (x.tolist(), p.tolist(), u.tolist()) == ([0.5], [2.0], [2.0])
+
+
+def test_a_math_error_of_an_unmarked_callable_is_an_evaluation_error_at_its_point(default_config):
+    """An unmarked dynamics taking math.sqrt of a negative number raises EvaluationError (exit 2) at the
+    member's arguments, alone and inside an integration."""
+    problem = ControlProblem(n=1, r=1, dynamics=lambda x, u: np.array([math.sqrt(x[0] - 1.0) + u[0]]),
+                             lagrangian=lambda x, u: 0.5 * float(u[0] ** 2))
+    with pytest.raises(EvaluationError, match="dynamics failed: math domain error") as err:
+        pontryagin_hamiltonian(problem, PontryaginPoint([0.0], [1.0], [0.5]))
+    assert [v.tolist() for v in err.value.point] == [[0.0], [0.5]]
+    with pytest.raises(EvaluationError, match="dynamics failed: math domain error") as err:
+        integrate_pmp(problem, [0.0], [1.0], 0.1, default_config)
+    x, u = err.value.point
+    assert x.tolist() == [0.0] and u.shape == (1,)
 
 
 def plain_blocks(jacobians):
@@ -285,7 +296,7 @@ def test_stage_failure_reports_the_stage_state():
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: float(np.exp(u[0]) + x[0]),
         jacobians=ProblemJacobians(
-            dH_du=lambda x, p, u: p - np.exp(u), dH=lambda x, p, u: np.array([p[0] - np.exp(u[0]), -1.0, u[0]]),
+            dH=lambda x, p, u: np.array([p[0] - np.exp(u[0]), -1.0, u[0]]),
             d2H_du2=lambda x, p, u: -np.exp(u)[None],  # W varies: Newton evaluates it at every step
         ),
     )
@@ -323,7 +334,6 @@ def scalar_heisenberg(calls=None):
         dynamics=one(lambda x, u: np.array(dynamics(x, u))),
         lagrangian=one(lambda x, u: 0.5 * float(u[0] ** 2 + u[1] ** 2)),
         jacobians=ProblemJacobians(
-            dH_du=one(lambda x, p, u: np.array(control_gradient(x, p, u))),
             dH=one(lambda x, p, u: np.array(control_gradient(x, p, u) + [p[2] * (u[1] / 2.0), p[2] * (u[0] / -2.0),
                                                                         0.0] + dynamics(x, u))),
             d2H_du2=one(lambda x, p, u: -np.eye(2)),

@@ -51,7 +51,7 @@ def grid_states(cases=GRID):
 def singular_at_unit_k():
     """xi3 = u1^2/2 makes the control Hessian diag(mu3 - 1, -1): singular exactly where mu3 = 1 (scalar callables).
 
-    dh/du and W are given; dh/dz (none, s = 0) and the dynamics come without them.
+    dH = (dh/du, dh/dz (none, s = 0), fiber) and W are given; the dynamics come without them.
     """
     return ReducedProblem(
         base_dim=0,
@@ -61,7 +61,7 @@ def singular_at_unit_k():
         base_dynamics=lambda z, u: np.zeros(0),
         fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.5 * u[0] ** 2]),
         jacobians=ProblemJacobians(
-            dH_du=lambda z, mu, u: np.array([mu[0] + mu[2] * u[0] - u[0], mu[1] - u[1]]),
+            dH=lambda z, mu, u: np.array([mu[0] + mu[2] * u[0] - u[0], mu[1] - u[1], u[0], u[1], 0.5 * u[0] ** 2]),
             d2H_du2=lambda z, mu, u: np.diag([mu[2] - 1.0, -1.0]),
         ),
     )
@@ -170,12 +170,13 @@ def test_eliminate_controls(heis_reduced, default_config):
     assert iterations == 0
 
 
-@pytest.mark.parametrize("dH_du", [
-    None, lambda z, lam, u: np.array([lam[0] * z[0] + lam[1] - u[0], 2.0 * lam[0] * u[1] + lam[2] - u[1]]),
+@pytest.mark.parametrize("dH", [
+    None, lambda z, lam, u: np.array([lam[0] * z[0] + lam[1] - u[0], 2.0 * lam[0] * u[1] + lam[2] - u[1],
+                                      lam[0] * u[0], z[0] * u[0] + u[1] ** 2, u[0], u[1], 0.0]),
 ])
-def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dH_du):
-    # base = z u1 + u2^2 has no analytic dh/dz or control Hessian here (nor, in the first case, an analytic
-    # control gradient): its <p_z, .> terms must still count
+def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dH):
+    # base = z u1 + u2^2 has no analytic control Hessian here (nor, in the first case, an analytic gradient):
+    # its <p_z, .> terms must still count
     problem = ReducedProblem(
         base_dim=1,
         algebra=heis_reduced.algebra,
@@ -183,7 +184,7 @@ def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dH_du):
         lagrangian=heis_reduced.lagrangian,
         base_dynamics=lambda z, u: np.array([z[0] * u[0] + u[1] ** 2]),
         fiber_dynamics=heis_reduced.fiber_dynamics,
-        jacobians=ProblemJacobians(dH_du=dH_du),
+        jacobians=ProblemJacobians(dH=dH),
     )
     parts = reduced_partials(problem, [0.7], [2.0], [0.3, -0.4, 1.0], [0.2, 0.5])
     assert np.allclose(parts.dh_du, [1.5, 1.1], atol=1e-8)
@@ -457,9 +458,10 @@ def counted(calls, obj):
 def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduced, kind, monkeypatch):
     """Problem callbacks of a resting (k = 0) and a rotating (k = 1) member, and SVDs, per integration.
 
-    A solve calls the compiled dH_du at its first iterate and the compiled dH = (dH/du, dH/dq, F) once:
-    after its step, where it converges, or at the root when the warm start already has converged.  The
-    dynamics are called once, to check the F entries of the first dH.  The constant control Hessian is
+    A solve calls the compiled dH = (dH/du, dH/dq, F) once per iterate: twice from a warm start one step
+    away from the root (node 0 from u = 0, and every solve of the rotating member), once from a warm start
+    already at the root (every later solve of the resting member).  The dynamics are called once per
+    iterate of node 0, to check the F entries of its dH.  The constant control Hessian is
     rank-checked once.  Per node comes the Lagrangian of H (or h); the J channels come from one call of
     the stacked symmetry handle, and the Casimir channel from one call of the stacked Casimir.
     """
@@ -475,29 +477,29 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     steps = 50
     config = PmpSolverConfig(rk_step=1e-3)
     solves = 1 + 4 * steps  # stage 1 reuses the node's solve: stages 2-4 and the node solve once per step
-    for k in (0.0, 1.0):
+    for k, per_solve in ((0.0, 1), (1.0, 2)):
         calls.clear()
         svds.clear()
         mu0 = unit_cylinder_costate(0.1, k)
         if kind == "full":
             integrate_pmp(problem, np.zeros(3), mu0, steps * config.rk_step, config)
-            expected = {"dH_du": solves, "dH": solves, "dynamics": 1, "lagrangian": steps + 1,
+            expected = {"dH": 2 + per_solve * (solves - 1), "dynamics": 2, "lagrangian": steps + 1,
                         "infinitesimal_action": 1}
         else:
             integrate_reduced(problem, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), steps * config.rk_step, config)
-            expected = {"dH_du": solves, "dH": solves, "fiber_dynamics": 1, "lagrangian": steps + 1,
+            expected = {"dH": 2 + per_solve * (solves - 1), "fiber_dynamics": 2, "lagrangian": steps + 1,
                         "casimir_mu3": 1}
         assert dict(calls) == expected
         assert len(svds) == 1
 
 
 def test_feedback_makes_one_gradient_call_per_iterate(heis_problem):
-    """One feedback solve from u = 0 at a rotating point: dH/du at the first iterate, the whole dH after the step."""
+    """One feedback solve from u = 0 at a rotating point: one dH at the first iterate, one after the step."""
     calls = collections.Counter()
     problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians))
     u = optimal_feedback(problem, np.zeros(3), unit_cylinder_costate(0.1, 1.0), np.zeros(2))
     assert np.allclose(u, [np.cos(0.1), np.sin(0.1)], atol=1e-15)
-    assert dict(calls) == {"dH_du": 1, "dH": 1}
+    assert dict(calls) == {"dH": 2}
 
 
 def _same_trajectories(a, b):
@@ -576,29 +578,30 @@ def test_a_gradient_one_entry_short_is_a_dimension_error_naming_it(heis_reduced,
         dirac_membership_residuals(problem, integrate_pmp(heis_problem, np.zeros(3), p0[0], 0.01, CONFIG))
 
 
-def test_a_wide_dH_du_is_a_dimension_error_naming_it(heis_reduced):
-    wide = stacked(lambda q, lam, u: np.concatenate([heis_reduced.jacobians.dH_du(q, lam, u), u[..., :1]], axis=-1))
-    reduced = dataclasses.replace(heis_reduced, jacobians=dataclasses.replace(heis_reduced.jacobians, dH_du=wide))
-    with pytest.raises(DimensionMismatchError, match="dH_du returned shape"):
+def test_a_wide_dH_is_a_dimension_error_naming_it(heis_reduced):
+    wide = stacked(lambda q, lam, u: np.concatenate([heis_reduced.jacobians.dH(q, lam, u), u[..., :1]], axis=-1))
+    reduced = dataclasses.replace(heis_reduced, jacobians=dataclasses.replace(heis_reduced.jacobians, dH=wide))
+    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
         integrate_reduced(reduced, ReducedState(EMPTY, EMPTY, unit_cylinder_costate(0.3, 1.0), np.zeros(2)), 0.01,
                           CONFIG)
 
 
 def test_a_base_borrowing_the_builtin_gradients_is_a_dimension_error(heis_reduced):
-    """A one-dimensional base with the builtin's compiled derivatives of h (written for s = 0): on a stack they
-    read p_z as mu1 and give r + dim entries, not r + 2 s + dim; the width check names dH.  One member fails
-    in the compiled code itself, which unpacks exactly the entries it was written for: the error names dH_du."""
+    """A one-dimensional base with the builtin's compiled derivatives of h (written for s = 0): unchecked, they
+    would read p_z as mu1 on a stack and fail to unpack the arguments at one member.  The compiled dH carries
+    the widths of its arguments, and the integration, at one member and on a stack, and the Dirac scan refuse
+    the others before the call, naming dH."""
     base = dataclasses.replace(heis_reduced, base_dim=1, base_dynamics=stacked(lambda z, u: u[..., :1]),
                                casimirs={})
     states = [ReducedState(np.zeros(1), np.zeros(1), unit_cylinder_costate(0.3 * i, 1.0), np.zeros(2))
               for i in range(2)]
-    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+    with pytest.raises(DimensionMismatchError, match="dH takes arguments of widths"):
         integrate_reduced(base, states, 0.01, CONFIG)
-    with pytest.raises(DimensionMismatchError, match="dH"):
+    with pytest.raises(DimensionMismatchError, match="dH takes arguments of widths"):
         integrate_reduced(base, states[0], 0.01, CONFIG)
     rows = Trajectory(times=[0.0, 0.1], columns=("z1", "pz1", "mu1", "mu2", "mu3", "u1", "u2"),
                       states=np.ones((2, 7)))
-    with pytest.raises(DimensionMismatchError, match="dH returned shape"):
+    with pytest.raises(DimensionMismatchError, match="dH takes arguments of widths"):
         reduced_dirac_residuals(base, rows)
 
 

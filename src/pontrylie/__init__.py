@@ -76,7 +76,6 @@ from .reduction import (
     ReducedState,
     eliminate_controls_reduced,
     integrate_reduced,
-    membership_check_reduced,
     project_full_to_reduced,
     reduced_dirac_residuals,
     reduced_hamiltonian,

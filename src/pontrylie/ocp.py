@@ -13,11 +13,12 @@ whose first and second partials drive the maximum-principle solver; they are
 the only analytic derivatives a problem gives (``ProblemJacobians``).  One
 kernel computes them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
 any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
-it, and one Newton loop eliminates the controls of both.  A view of H
-(``_controlled``) picks its derivative sources once: the given derivatives of
-H (every problem file gives both), else central finite differences of H
-(step scaled by 1 + |coordinate|).  The solvers read one gradient of it, the
-stacked (dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
+it, and one Newton loop eliminates the controls of both.  Each problem holds
+one view of H (``ControlProblem.view``, built by ``_controlled``), which picks
+its derivative sources and decides a constant W once: the given derivatives of
+H (every problem file gives both), else central finite differences of H (step
+scaled by 1 + |coordinate|).  The solvers read one gradient of it, the stacked
+(dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
 
 The kernel works on stacks: every argument may carry leading member axes (a
 batch of initial conditions, or all rows of a trajectory), and one point is
@@ -133,6 +134,14 @@ class ControlProblem:
         if self.n < 1 or self.r < 0:
             raise DimensionMismatchError("need n >= 1 and r >= 0")
 
+    @functools.cached_property
+    def view(self) -> "ControlledHamiltonian":
+        """The view of H (``_controlled``), built at first use and held; a replaced problem builds its own."""
+        n, r = self.n, self.r
+        return _controlled(F=_sized(_per_member(self.dynamics, "dynamics", (n,)), "dynamics", n),
+                           L=_per_member(self.lagrangian, "Lagrangian", ()),
+                           jac=_stacked_jacobians(self.jacobians, r, r + 2 * n), nq=n, r=r)
+
 
 @dataclass(frozen=True)
 class PontryaginPoint:
@@ -171,7 +180,7 @@ def constant(value) -> Callable:
     """The stacked callable giving every member the array ``value``, which it carries as ``.value``.
 
     Called, it returns a new array (*lead, *value.shape), lead the leading member axes of its first
-    argument.  The kernel reads ``.value`` instead of calling it (see ``_ConstantHessian``).
+    argument.  The kernel reads ``.value`` instead of calling it (see ``ControlledHamiltonian.w``).
     """
     value = np.asarray(value, dtype=float)
 
@@ -240,9 +249,9 @@ def _sized_gradient(ham: "ControlledHamiltonian", nq: int, k: int, r: int) -> "C
     """``ham`` with ``dH`` checked to give r + nq + k entries per member, and its F entries to be ``ham.F`` at
     the same rows, to 1e-12 (1 + |F|).
 
-    A solver wraps its view for one solve or scan (not for every one): a gradient of the wrong width fails
-    here naming ``dH``, where it would otherwise fail in NumPy or be read at the wrong entries, and a ``dH``
-    that belongs to other dynamics fails here, where it would otherwise be read silently.
+    An integration wraps its problem's view for its first node, a scan for its one call: a gradient of the wrong
+    width fails here naming ``dH``, where it would otherwise fail in NumPy or be read at the wrong entries, and
+    a ``dH`` that belongs to other dynamics fails here, where it would otherwise be read silently.
     """
     sized = _sized(ham.dH, "dH", r + nq + k)
 
@@ -290,43 +299,17 @@ class ControlledHamiltonian(NamedTuple):
     ``dH(q, lam, u)`` gives (..., r + nq + k) = (dH/du, dH/dq, F), nq = len(q) and k = len(lam) (see
     ``_split``); ``d2H_du2`` gives W, symmetrized, (..., r, r).  ``form(q, lam)`` is the antisymmetric (..., k, k)
     matrix B of the Poisson bracket's non-canonical part (see ``_hamilton_field``); None means B = 0,
-    and then k = nq.  ``hessian`` holds W when it is the same at every point (see ``_ConstantHessian``).
-    Every callable is stacked (see ``stacked``).
+    and then k = nq.  ``w`` is W when it is the same at every point (a ``constant``), else None, and
+    ``w_inverse`` its inverse, None when W is singular.  Every callable is stacked (see ``stacked``).
     """
 
     F: Callable
     L: Callable
     dH: Callable
     d2H_du2: Callable
-    hessian: "_ConstantHessian"
+    w: Optional[np.ndarray]
+    w_inverse: Optional[np.ndarray]
     form: Optional[Callable] = None
-
-
-class _ConstantHessian:
-    """W of a view when it is the same at every point, worked out once per view, at first use.
-
-    ``w`` is d2H_du2's value, symmetrized, when d2H_du2 is a ``constant`` of finite (r, r) value, else None
-    (W varies, and Newton evaluates it); ``regular`` is its one SVD and ``inverse`` its inverse, which turns
-    each Newton step into one matmul.
-    """
-
-    def __init__(self, d2H_du2: Optional[Callable], r: int):
-        self.value, self.r = getattr(d2H_du2, "value", None), r
-
-    @functools.cached_property
-    def w(self) -> Optional[np.ndarray]:
-        w = self.value
-        if w is None or w.shape != (self.r, self.r) or not np.isfinite(w).all():
-            return None
-        return 0.5 * (w + w.T)
-
-    @functools.cached_property
-    def regular(self) -> bool:
-        return bool(_is_regular(self.w))
-
-    @functools.cached_property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.w)
 
 
 def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int,
@@ -335,7 +318,8 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
 
     dH is ``jac.dH``, else central differences of H in u and in q and F joined.  W is ``jac.d2H_du2``, else
     central differences of the first r entries of an analytic dH, else plain second differences of H (step
-    sqrt(FD_STEP) to keep roundoff noise down).  A zero-length q or u block is never evaluated.
+    sqrt(FD_STEP) to keep roundoff noise down).  A ``constant`` W of finite (r, r) value is symmetrized,
+    rank-checked by one SVD and inverted here.  A zero-length q or u block is never evaluated.
     """
 
     def h(q, lam, u):
@@ -361,8 +345,10 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
         w = hessian(q, lam, u)
         return 0.5 * (w + np.swapaxes(w, -1, -2))
 
-    return ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2,
-                                 hessian=_ConstantHessian(jac.d2H_du2, r), form=form)
+    w = getattr(jac.d2H_du2, "value", None)
+    w = 0.5 * (w + w.T) if w is not None and w.shape == (r, r) and np.isfinite(w).all() else None
+    w_inverse = np.linalg.inv(w) if w is not None and (r == 0 or _is_regular(w)) else None
+    return ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2, w=w, w_inverse=w_inverse, form=form)
 
 
 def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> ProblemJacobians:
@@ -372,19 +358,12 @@ def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> P
     return ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
 
 
-def _full_view(problem: ControlProblem) -> ControlledHamiltonian:
-    n, r = problem.n, problem.r
-    return _controlled(F=_sized(_per_member(problem.dynamics, "dynamics", (n,)), "dynamics", n),
-                       L=_per_member(problem.lagrangian, "Lagrangian", ()),
-                       jac=_stacked_jacobians(problem.jacobians, r, r + 2 * n), nq=n, r=r)
-
-
 def _eval_dynamics(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _require_finite(_full_view(problem).F(x, u), "dynamics produced a non-finite value", x, u)
+    return _require_finite(problem.view.F(x, u), "dynamics produced a non-finite value", x, u)
 
 
 def _eval_lagrangian(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _require_finite(_full_view(problem).L(x, u), "Lagrangian produced a non-finite value", x, u)
+    return _require_finite(problem.view.L(x, u), "Lagrangian produced a non-finite value", x, u)
 
 
 def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f=None) -> np.ndarray:
@@ -441,8 +420,8 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     own convergence: once its residual is within tolerance it is not updated
     again, and every iteration checks the regularity of the other members
     with one stacked SVD and updates them with one stacked solve, so a member
-    takes the same steps in any batch (a view's constant ``hessian`` is
-    rank-checked and inverted once, and a step is then one matmul).  Every
+    takes the same steps in any batch (for a constant W the view holds its
+    inverse, ``w_inverse``, and a step is then one matmul).  Every
     iterate evaluates the whole ``dH`` on the whole stack and reads dH/du,
     its first r entries, so the gradient at the root, that of the last
     iterate, costs the caller no call (one step, for H quadratic in u).  W
@@ -454,7 +433,7 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     u = np.array(u_guess, dtype=float, ndmin=1)
     r = u.shape[-1]
     iterations = np.zeros(u.shape[:-1], dtype=int)
-    constant_w = ham.hessian.w is not None
+    constant_w = ham.w is not None
     for iteration in range(config.newton_max_iter + 1):
         grad = ham.dH(q, lam, u)
         g = grad[..., :r]
@@ -471,7 +450,7 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
             raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
                                    residual=float(residual.flat[i]), member=i)
         if constant_w:
-            singular = not ham.hessian.regular  # one W for every member
+            singular = ham.w_inverse is None  # one W for every member
         else:
             qa, la, ua, ga = (q, lam, u, g) if everyone else (q[active], lam[active], u[active], g[active])
             w = ham.d2H_du2(qa, la, ua)
@@ -483,7 +462,7 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
             raise RegularityError("control Hessian is singular along the Newton iteration",
                                   residual=float(residual.flat[i]), member=i)
         if constant_w:  # one matmul on the whole stack; a converged member keeps its control
-            stepped = u - (ham.hessian.inverse @ g[..., None])[..., 0]
+            stepped = u - (ham.w_inverse @ g[..., None])[..., 0]
             u = stepped if everyone else np.where(active[..., None], stepped, u)
             iterations = iterations + active
         elif everyone:
@@ -496,13 +475,13 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
 def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> HamiltonianPartials:
     """First partials of H plus the control Hessian W = d2H/du2 (see ``_partials``)."""
     point.conform(problem)
-    return _partials(_full_view(problem), point.x, point.p, point.u)
+    return _partials(problem.view, point.x, point.p, point.u)
 
 
 def pontryagin_hamiltonian(problem: ControlProblem, point: PontryaginPoint) -> float:
     """H(x, p, u) = <p, f(x, u)> - L(x, u)."""
     point.conform(problem)
-    return float(_hamiltonian_value(_full_view(problem), point.x, point.p, point.u))
+    return float(_hamiltonian_value(problem.view, point.x, point.p, point.u))
 
 
 def _fd_pushforward(action: Callable, g: GroupElement, x: np.ndarray, v: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -586,7 +565,7 @@ def validate_jacobians(problem: ControlProblem, probes: int = 20, seed: int = 0,
         return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))), initial=0.0))
 
     _eval_dynamics(problem, x, u)  # also enforces the output-length invariant
-    view, reference = _full_view(problem), _full_view(dataclasses.replace(problem, jacobians=None))
+    view, reference = problem.view, dataclasses.replace(problem, jacobians=None).view
     worst = 0.0
     for field in dataclasses.fields(problem.jacobians):
         if getattr(problem.jacobians, field.name) is not None:

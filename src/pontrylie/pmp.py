@@ -26,7 +26,7 @@ from . import dirac
 from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
-from .ocp import _full_view, _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
+from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
 from .ocp import _require_finite, _sized_gradient, _split
 
 
@@ -216,7 +216,7 @@ def optimal_feedback(
 ) -> np.ndarray:
     """The control solving dH/du = 0, tracked by Newton from ``u_guess``."""
     point = PontryaginPoint(x, p, u_guess).conform(problem)
-    return _newton(_full_view(problem), point.x, point.p, point.u, config)[0]
+    return _newton(problem.view, point.x, point.p, point.u, config)[0]
 
 
 def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
@@ -423,7 +423,7 @@ def integrate_pmp(
     )
 
     trajectories = _rk4_dae(
-        _full_view(problem), (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config, "H"
+        problem.view, (("x", n), ("p", n)), np.concatenate([x0, p0], axis=1), u0, duration, config, "H"
     )
     if problem.symmetry is not None:
 
@@ -455,7 +455,7 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
 def dirac_membership_residuals(problem: ControlProblem, trajectory: Trajectory) -> np.ndarray:
     """Per-row normalized residual of ((x_dot, p_dot, 0), dH) against the presymplectic fiber: ``_scan_rows``, B = 0."""
     x, p, u = trajectory.blocks(x=problem.n, p=problem.n, u=problem.r)
-    return _scan_rows(_full_view(problem), x, p, u)
+    return _scan_rows(problem.view, x, p, u)
 
 
 def _scan_rows(ham, q, lam, u) -> np.ndarray:

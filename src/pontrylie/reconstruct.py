@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError
 from .heisenberg import lambda_closed_form
 from .lie import GroupElement, LieAlgebraSpec, _coeffs, _exp_series, log_nilpotent
-from .ocp import _per_member, _sized
 from .pmp import Trajectory, time_grid
 from .reduction import ReducedProblem
 
@@ -188,8 +187,6 @@ def audit_geodesic_forms(
 
 
 def xi_curve_from_reduced(problem: ReducedProblem, trajectory: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
-    """Sampled algebra curve xi(t) = fiber_dynamics(z, u) along a reduced trajectory, from one stacked call."""
+    """Sampled algebra curve xi(t) = fiber_dynamics(z, u) along a reduced trajectory: one call of the view's F."""
     z_rows, u_rows = trajectory.blocks(z=problem.base_dim, u=problem.control_dim)
-    dim = problem.algebra.dim
-    fiber = _sized(_per_member(problem.fiber_dynamics, "fiber dynamics", (dim,)), "fiber dynamics", dim)
-    return trajectory.times, fiber(z_rows, u_rows)
+    return trajectory.times, problem.view.F(z_rows, u_rows)[..., problem.base_dim :]

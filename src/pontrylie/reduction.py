@@ -23,15 +23,15 @@ derivatives in the caller's trivialization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import dirac
 from .errors import DimensionMismatchError, ReductionUnsupportedError
-from .lie import LieAlgebraSpec, _coeffs, _lie_poisson_form
-from .ocp import ControlledHamiltonian, ControlProblem, PontryaginPoint, ProblemJacobians
+from .lie import LieAlgebraSpec, _lie_poisson_form
+from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
 from .ocp import _controlled, _gradient, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
 from .ocp import _split, _stacked_jacobians
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows, _with_channels
@@ -67,6 +67,35 @@ class ReducedProblem:
         if self.base_dim < 0 or self.control_dim < 0:
             raise DimensionMismatchError("base_dim and control_dim must be nonnegative")
 
+    @functools.cached_property
+    def view(self) -> ControlledHamiltonian:
+        """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber), built once and held.
+
+        ``ocp._controlled`` picks the derivative sources and decides the constant W, once per problem.  A
+        zero-dimensional base contributes no dynamics at all.  Unmarked callables are called once per
+        member, curvature once per member and pair.
+        """
+        s, dim, r = self.base_dim, self.algebra.dim, self.control_dim
+        curvature = None if self.curvature is None else _per_member(
+            lambda z, mu: [[self.curvature(z, mu, v, w) for v in np.eye(s)] for w in np.eye(s)], "curvature", (s, s)
+        )
+
+        def form(z, lam):
+            b = np.zeros(lam.shape + (s + dim,))
+            b[..., s:, s:] = _lie_poisson_form(self.algebra, lam[..., s:])
+            if curvature is not None:
+                b[..., :s, :s] = curvature(z, lam[..., s:])
+            return b
+
+        F = fiber = _per_member(self.fiber_dynamics, "fiber dynamics", (dim,))
+        if s:
+            base = _per_member(self.base_dynamics, "base dynamics", (s,))
+            F = lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=-1)  # noqa: E731
+        return _controlled(
+            F=_sized(F, "base/fiber dynamics", s + dim), L=_per_member(self.lagrangian, "reduced Lagrangian", ()),
+            jac=_stacked_jacobians(self.jacobians, r, r + 2 * s + dim), nq=s, r=r, form=form,
+        )
+
 
 @dataclass(frozen=True)
 class ReducedState:
@@ -97,68 +126,29 @@ class ReducedState:
         return self
 
 
-def _reduced_view(problem: ReducedProblem) -> ControlledHamiltonian:
-    """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber).
-
-    Built once per solve; ``ocp._controlled`` picks the derivative sources.  A zero-dimensional base
-    contributes no dynamics at all.  Unmarked callables are called once per member, curvature once per
-    member and pair.
-    """
-    s, dim, r = problem.base_dim, problem.algebra.dim, problem.control_dim
-    curvature = None if problem.curvature is None else _per_member(
-        lambda z, mu: [[problem.curvature(z, mu, v, w) for v in np.eye(s)] for w in np.eye(s)], "curvature", (s, s)
-    )
-
-    def form(z, lam):
-        b = np.zeros(lam.shape + (s + dim,))
-        b[..., s:, s:] = _lie_poisson_form(problem.algebra, lam[..., s:])
-        if curvature is not None:
-            b[..., :s, :s] = curvature(z, lam[..., s:])
-        return b
-
-    F = fiber = _per_member(problem.fiber_dynamics, "fiber dynamics", (dim,))
-    if s:
-        base = _per_member(problem.base_dynamics, "base dynamics", (s,))
-        F = lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=-1)  # noqa: E731
-    return _controlled(
-        F=_sized(F, "base/fiber dynamics", s + dim), L=_per_member(problem.lagrangian, "reduced Lagrangian", ()),
-        jac=_stacked_jacobians(problem.jacobians, r, r + 2 * s + dim), nq=s, r=r, form=form,
-    )
-
-
-def _point(z, p_z, mu):
-    """(q, lam) = (z, (p_z, mu)) as float arrays."""
-    z, p_z, mu = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (z, p_z, mu))
-    return z, np.concatenate([p_z, mu])
+def _point(state: ReducedState):
+    """(q, lam) = (z, (p_z, mu)) of a reduced state."""
+    return state.z, np.concatenate([state.p_z, state.mu])
 
 
 def reduced_hamiltonian(problem: ReducedProblem, state: ReducedState) -> float:
     """h = <p_z, base> + <mu, fiber> - l."""
     state.conform(problem)
-    return float(_hamiltonian_value(_reduced_view(problem), *_point(state.z, state.p_z, state.mu), state.u))
+    return float(_hamiltonian_value(problem.view, *_point(state), state.u))
 
 
-class ReducedPartials(NamedTuple):
-    dh_dz: np.ndarray
-    dh_dpz: np.ndarray
-    dh_dmu: np.ndarray
-    dh_du: np.ndarray
-    d2h_du2: np.ndarray
-
-
-def reduced_partials(problem: ReducedProblem, z, p_z, mu, u) -> ReducedPartials:
-    """Partials of the reduced Hamiltonian; dh/dp_z and dh/dmu are always exact."""
-    q, lam = _point(z, p_z, mu)
-    parts = _partials(_reduced_view(problem), q, lam, np.atleast_1d(np.asarray(u, dtype=float)))
-    s = problem.base_dim
-    return ReducedPartials(parts.dH_dx, parts.dH_dp[:s], parts.dH_dp[s:], parts.dH_du, parts.d2H_du2)
+def reduced_partials(problem: ReducedProblem, z, p_z, mu, u) -> HamiltonianPartials:
+    """The partials of h at q = z, lam = (p_z, mu): dH_dx is dh/dz, dH_dp (base, fiber) = (dh/dp_z, dh/dmu), exact."""
+    state = ReducedState(z, p_z, mu, u).conform(problem)
+    return _partials(problem.view, *_point(state), state.u)
 
 
 def eliminate_controls_reduced(
     problem: ReducedProblem, z, p_z, mu, u_guess, config: PmpSolverConfig = PmpSolverConfig()
 ) -> np.ndarray:
     """Newton solve of dh/du = 0 from ``u_guess`` (reduced optimal feedback)."""
-    return _newton(_reduced_view(problem), *_point(z, p_z, mu), u_guess, config)[0]
+    state = ReducedState(z, p_z, mu, u_guess).conform(problem)
+    return _newton(problem.view, *_point(state), state.u, config)[0]
 
 
 class ReducedRhs(NamedTuple):
@@ -179,8 +169,8 @@ def reduced_pmp_rhs(
     ``config`` is accepted for call compatibility and not read.
     """
     state.conform(problem)
-    ham = _reduced_view(problem)
-    q, lam = _point(state.z, state.p_z, state.mu)
+    ham = problem.view
+    q, lam = _point(state)
     grad = _gradient(ham, q, lam, state.u)
     z_dot, lam_dot = _hamilton_field(ham, q, lam, grad)
     s = problem.base_dim
@@ -214,7 +204,7 @@ def integrate_reduced(
     blocks = (("z", s), ("pz", s), ("mu", dim))
     y0 = np.array([np.concatenate([st.z, st.p_z, st.mu]) for st in states]).reshape(len(states), 2 * s + dim)
     u0 = np.array([st.u for st in states]).reshape(len(states), r)
-    trajectories = _rk4_dae(_reduced_view(problem), blocks, y0, u0, duration, config, "h")
+    trajectories = _rk4_dae(problem.view, blocks, y0, u0, duration, config, "h")
     trajectories = _with_channels(trajectories, lambda states: {
         name: _per_member(fun, f"Casimir {name}", ())(states[..., 2 * s : 2 * s + dim])
         for name, fun in problem.casimirs.items()
@@ -243,13 +233,6 @@ def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> 
     return ReducedState(z=np.zeros(0), p_z=np.zeros(0), mu=mu, u=point.u)
 
 
-def membership_check_reduced(alg: LieAlgebraSpec, mu, mu_dot, xi, dh_dmu, tol: float = 1e-6) -> bool:
-    """Whether ((xi, mu_dot), (0, dh_dmu)) lies in the reduced Dirac fiber at mu (no control block)."""
-    mu, mu_dot, xi, dh_dmu = (_coeffs(v, alg.dim) for v in (mu, mu_dot, xi, dh_dmu))
-    velocity, covector = np.concatenate([xi, mu_dot]), np.concatenate([np.zeros(alg.dim), dh_dmu])
-    return float(dirac.graph_residuals(dirac._pontryagin_matrix(_lie_poisson_form(alg, mu)), velocity, covector)) <= tol
-
-
 def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> np.ndarray:
     """Per-row normalized membership residual against the reduced Dirac fiber: ``pmp._scan_rows`` of the reduced form.
 
@@ -258,4 +241,4 @@ def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> 
     """
     s = problem.base_dim
     z, p_z, mu, u = trajectory.blocks(z=s, pz=s, mu=problem.algebra.dim, u=problem.control_dim)
-    return _scan_rows(_reduced_view(problem), z, np.hstack([p_z, mu]), u)
+    return _scan_rows(problem.view, z, np.hstack([p_z, mu]), u)

@@ -15,11 +15,12 @@ from pontrylie.errors import (
     RegularityError,
     TrajectoryFormatError,
 )
+from pontrylie.expr import load_problem
 from pontrylie.heisenberg import (
     full_state_closed_form,
     unit_cylinder_costate,
 )
-from pontrylie.ocp import ControlProblem, PontryaginPoint, ProblemJacobians, _full_view, _newton, constant
+from pontrylie.ocp import ControlProblem, PontryaginPoint, ProblemJacobians, _newton, constant
 from pontrylie.ocp import hamiltonian_partials, pontryagin_hamiltonian, stacked
 from pontrylie.pmp import (
     PmpSolverConfig,
@@ -42,7 +43,7 @@ def body_momentum(problem, x, p):
 
 
 def newton_feedback(problem, x, p, u_guess, config):
-    return _newton(_full_view(problem), x, p, u_guess, config)[:3]
+    return _newton(problem.view, x, p, u_guess, config)[:3]
 
 
 def degenerate_problem():
@@ -96,6 +97,14 @@ def test_regularity_no_controls():
     assert regularity_check(problem, PontryaginPoint([1.0], [1.0], []))
 
 
+def test_a_constant_empty_control_hessian_is_regular():
+    """A problem file without controls compiles W as a constant (0, 0) array: its view holds it and its
+    inverse, and a solve takes no step."""
+    problem = load_problem({"n": 1, "r": 0, "dynamics": ["-x1"], "lagrangian": "0"}, "f", "t")[0]
+    assert problem.view.w.shape == problem.view.w_inverse.shape == (0, 0)
+    assert optimal_feedback(problem, [1.0], [1.0], []).shape == (0,)
+
+
 def test_feedback_single_newton_step(heis_problem, default_config):
     # phi is affine in u with unit Hessian, so one update lands exactly
     theta, k = 0.93, 0.4
@@ -145,7 +154,7 @@ def test_a_constant_singular_hessian_is_refused_where_a_step_needs_it(default_co
     problem = dataclasses.replace(degenerate, jacobians=dataclasses.replace(
         degenerate.jacobians, d2H_du2=constant(np.zeros((2, 2)))
     ))
-    assert _full_view(problem).hessian.w is not None
+    assert problem.view.w is not None and problem.view.w_inverse is None
     with pytest.raises(RegularityError) as err:
         optimal_feedback(problem, [0.0, 0.0], [2.0, -1.0], [0.0, 0.0], default_config)
     assert err.value.member == 0 and err.value.residual == 2.0
@@ -195,12 +204,12 @@ def plain_blocks(jacobians):
 @pytest.mark.parametrize("members", [5, 1])
 def test_constant_blocks_give_the_general_path_bit_for_bit(heis_problem, heis_reduced, members):
     """The once-checked constant W, read and inverted once, changes no bit of a full or a reduced integration."""
-    from pontrylie.reduction import ReducedState, _reduced_view, integrate_reduced
+    from pontrylie.reduction import ReducedState, integrate_reduced
 
     plain = dataclasses.replace(heis_problem, jacobians=plain_blocks(heis_problem.jacobians))
     plain_reduced = dataclasses.replace(heis_reduced, jacobians=plain_blocks(heis_reduced.jacobians))
-    assert _full_view(heis_problem).hessian.w is not None and _full_view(plain).hessian.w is None
-    assert _reduced_view(heis_reduced).hessian.w is not None and _reduced_view(plain_reduced).hessian.w is None
+    assert heis_problem.view.w is not None and plain.view.w is None
+    assert heis_reduced.view.w is not None and plain_reduced.view.w is None
     cases = [(0.0, 1.0), (0.7, -0.5), (2.0, 2.0), (0.3, 0.0), (4.0, -1.5)][:members]
     x0 = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [1.0, 2.0, -3.0], [0.0, 0.0, 0.0], [-0.5, 0.25, 1.0]])[:members]
     p0 = np.array([unit_cylinder_costate(theta, k) for theta, k in cases])

@@ -33,12 +33,6 @@ def fd_gradient(fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
     return fd_jacobian(lambda w: np.asarray(fun(w), dtype=float)[..., None], v, step)[..., 0, :]
 
 
-def fd_hessian_from_gradient(grad_fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
-    """Hessian as central differences of a (possibly analytic) gradient; symmetrized."""
-    h = fd_jacobian(grad_fun, v, step)
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
-
-
 def fd_hessian_direct(fun: Callable, v: np.ndarray, step: float) -> np.ndarray:
     """Hessian by direct second differences of a scalar function.
 

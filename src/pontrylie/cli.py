@@ -175,6 +175,9 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     if args.lambda0:
         mu0_list.append((_parse_vector(args.lambda0), ""))
     elif args.theta is not None and args.k is not None:
+        if problem.algebra.dim != 3:
+            raise PontrylieError("--theta/--k build lambda0 = (cos theta, sin theta, k) and need an algebra "
+                                 f"of dimension 3, got {problem.algebra.dim}")
         thetas, ks = _shortcut_values(args.theta, "theta"), _shortcut_values(args.k, "k")
         grid = len(thetas) * len(ks) > 1
         for theta in thetas:
@@ -320,9 +323,7 @@ def cmd_compare(args) -> Tuple[int, dict]:
         print("warning: time grids differ; resampling the reduced trajectory by linear interpolation",
               file=sys.stderr)
     mu_interp = np.column_stack([np.interp(times, red.times, column) for column in mu_red.T])
-    frames = np.asarray(sym.body_frame(x[mask]), dtype=float)
-    frame_rows = (np.swapaxes(frames, -1, -2) @ p[mask][..., None])[..., 0]
-    deviation = float(np.max(np.abs(frame_rows - mu_interp)))
+    deviation = float(np.max(np.abs(reduction._body_momentum(loaded.problem, x[mask], p[mask]) - mu_interp)))
     print(f"max |projected full - reduced| over {len(times)} rows: {deviation:.3e} (tol {args.tol:g})")
     ok = deviation <= args.tol
     return (EXIT_OK if ok else EXIT_SOLVER), {

@@ -174,12 +174,24 @@ def _nullspace(m: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
     return vt[_rank(s, rtol) :].T
 
 
+def _pullback(psi: np.ndarray, pv: np.ndarray, pa: np.ndarray):
+    """Vector and covector parts of a spanning set of B_psi(D'), D' spanned by the rows (pv, pa).
+
+    (psi v, b) lies in D' iff psi v = pv^T c and b = pa^T c for some c, so the
+    kernel of [psi | -pv^T] in (v, c) gives the rows (v, psi^T pa^T c).  The
+    forward image is the same problem by duality: with sigma(v, a) = (a, v),
+    F_psi(D) = sigma B_{psi^T}(sigma D).
+    """
+    m_in = psi.shape[1]
+    null = _nullspace(np.hstack([psi, -pv.T]))
+    return null[:m_in].T, null[m_in:].T @ pa @ psi
+
+
 def backward(psi: np.ndarray, target: LinearDiracStructure) -> LinearDiracStructure:
     """Backward image of a structure on V' along a linear map psi: V -> V'.
 
-    B_psi(D') = {(v, psi^T b) : (psi v, b) in D'}.  Computed as a kernel
-    problem in the unknowns (v, b, c) where c are coordinates of (psi v, b)
-    in the basis of D'.  The result of a Dirac input is again Dirac.
+    B_psi(D') = {(v, psi^T b) : (psi v, b) in D'}, from the kernel problem of
+    ``_pullback``.  The result of a Dirac input is again Dirac.
     """
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     m_out, m_in = psi.shape
@@ -187,21 +199,8 @@ def backward(psi: np.ndarray, target: LinearDiracStructure) -> LinearDiracStruct
         raise DimensionMismatchError(
             f"map codomain dimension {m_out} does not match structure dimension {target.base_dim}"
         )
-    pv = target.vector_part
-    pa = target.covector_part
-    k = target.basis.shape[0]
-    # rows: psi v - Pv^T c = 0  and  b - Pa^T c = 0
-    system = np.block(
-        [
-            [psi, np.zeros((m_out, m_out)), -pv.T],
-            [np.zeros((m_out, m_in)), np.eye(m_out), -pa.T],
-        ]
-    )
-    null = _nullspace(system)
-    vs = null[:m_in, :].T
-    betas = null[m_in : m_in + m_out, :].T
-    rows = np.hstack([vs, betas @ psi])
-    result = LinearDiracStructure(base_dim=m_in, basis=_orthonormal_rows(rows))
+    vs, alphas = _pullback(psi, target.vector_part, target.covector_part)
+    result = LinearDiracStructure(base_dim=m_in, basis=_orthonormal_rows(np.hstack([vs, alphas])))
     if is_dirac(target) and not is_dirac(result):
         raise DiracPropertyError("backward image of a Dirac structure failed the Dirac check")
     return result
@@ -210,7 +209,8 @@ def backward(psi: np.ndarray, target: LinearDiracStructure) -> LinearDiracStruct
 def forward(psi: np.ndarray, source: LinearDiracStructure) -> LinearDiracStructure:
     """Forward image of a structure on V along a linear map psi: V -> V'.
 
-    F_psi(D) = {(psi u, a) : (u, psi^T a) in D}; dual to ``backward``.
+    F_psi(D) = {(psi u, a) : (u, psi^T a) in D}: the backward image along
+    psi^T of D with its parts swapped, swapped back (see ``_pullback``).
     """
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     m_out, m_in = psi.shape
@@ -218,19 +218,8 @@ def forward(psi: np.ndarray, source: LinearDiracStructure) -> LinearDiracStructu
         raise DimensionMismatchError(
             f"map domain dimension {m_in} does not match structure dimension {source.base_dim}"
         )
-    pv = source.vector_part
-    pa = source.covector_part
-    system = np.block(
-        [
-            [np.eye(m_in), np.zeros((m_in, m_out)), -pv.T],
-            [np.zeros((m_in, m_in)), psi.T, -pa.T],
-        ]
-    )
-    null = _nullspace(system)
-    us = null[:m_in, :].T
-    alphas = null[m_in : m_in + m_out, :].T
-    rows = np.hstack([us @ psi.T, alphas])
-    result = LinearDiracStructure(base_dim=m_out, basis=_orthonormal_rows(rows))
+    alphas, vs = _pullback(psi.T, source.covector_part, source.vector_part)
+    result = LinearDiracStructure(base_dim=m_out, basis=_orthonormal_rows(np.hstack([vs, alphas])))
     if is_dirac(source) and not is_dirac(result):
         raise DiracPropertyError("forward image of a Dirac structure failed the Dirac check")
     return result

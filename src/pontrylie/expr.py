@@ -623,11 +623,8 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
       the tree walker re-runs member by member and raises the first member's
       ``ExprEvaluationError`` with the source offset, or, when no member
       fails (an overflow to inf, an underflow), returns its values.
-
-    Tables whose functions read the same, with arguments of the same widths,
-    share one function, for a smaller ``compile()``.
     """
-    constants, source, bodies, shared = {}, [], {}, {}
+    constants, source = {}, []
     for index, (table, arguments) in enumerate(tables):
         groups = [list(group) for group in arguments]
         if table.ndim and all(isinstance(node, Constant) for node in table.flat):
@@ -648,9 +645,7 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
             else:
                 body += emitter.lines
             body += _packing(atoms, lead)
-        shared[index] = bodies.setdefault((tuple(map(len, groups)), "\n".join([params, *body])), index)
-        if shared[index] == index:
-            source += [f"def _f{index}({params}):", *(f"    {line}" for line in body)]
+        source += [f"def _f{index}({params}):", *(f"    {line}" for line in body)]
 
     def walk(index, args):
         """The tree walker on every member: the first failing member's error, else the values."""
@@ -674,9 +669,9 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
         _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
     )
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
-    functions = {index: stacked(namespace[f"_f{first}"]) for index, first in shared.items()}
+    functions = {index: stacked(namespace[f"_f{index}"]) for index in range(len(tables)) if index not in constants}
     for index, function in functions.items():
-        function.widths = tuple(map(len, tables[index][1]))  # the same for every table sharing the function
+        function.widths = tuple(map(len, tables[index][1]))
     return [constants[index] if index in constants else functions[index] for index in range(len(tables))]
 
 

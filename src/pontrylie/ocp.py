@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._fd import fd_gradient, fd_hessian_direct, fd_hessian_from_gradient
+from ._fd import fd_gradient, fd_hessian_direct, fd_jacobian
 from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, NonNilpotentError, PontrylieError
 from .errors import RegularityError
 from .lie import GroupElement, LieAlgebraSpec, _exp_series, _is_nilpotent, exp_nilpotent, left_invariant_frame
@@ -336,7 +336,7 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
         hessian = jac.d2H_du2
     elif jac.dH is not None:
         def hessian(q, lam, u):
-            return fd_hessian_from_gradient(lambda v: jac.dH(q, lam, v)[..., :r], u, FD_STEP)
+            return fd_jacobian(lambda v: jac.dH(q, lam, v)[..., :r], u, FD_STEP)
     else:
         def hessian(q, lam, u):
             return fd_hessian_direct(lambda v: h(q, lam, v), u, FD_STEP)

@@ -226,11 +226,16 @@ def project_full_to_reduced(problem: ControlProblem, point: PontryaginPoint) -> 
             "projection needs a symmetry handle with a left-invariant body frame "
             "(only the state-space-equals-group case is supported)"
         )
-    frame = np.asarray(sym.body_frame(point.x), dtype=float)
-    if frame.shape != (problem.n, sym.algebra.dim):
+    return ReducedState(z=np.zeros(0), p_z=np.zeros(0), mu=_body_momentum(problem, point.x, point.p), u=point.u)
+
+
+def _body_momentum(problem: ControlProblem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The body momenta L(x)^T p (..., dim) of stacks x, p (..., n), L the handle's body frame (..., n, dim)."""
+    sym = problem.symmetry
+    frame = np.asarray(sym.body_frame(x), dtype=float)
+    if frame.shape != x.shape + (sym.algebra.dim,):
         raise DimensionMismatchError(f"body frame has shape {frame.shape}")
-    mu = frame.T @ point.p
-    return ReducedState(z=np.zeros(0), p_z=np.zeros(0), mu=mu, u=point.u)
+    return (np.swapaxes(frame, -1, -2) @ p[..., None])[..., 0]
 
 
 def reduced_dirac_residuals(problem: ReducedProblem, trajectory: Trajectory) -> np.ndarray:

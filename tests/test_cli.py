@@ -610,7 +610,7 @@ def test_readme_problem_file_reproduces_builtin(tmp_path, capsys, monkeypatch, c
     def no_finite_differences(*args, **kwargs):
         raise AssertionError("finite-difference fallback used")
 
-    for name in ("fd_gradient", "fd_hessian_direct", "fd_hessian_from_gradient"):
+    for name in ("fd_gradient", "fd_hessian_direct", "fd_jacobian"):
         monkeypatch.setattr(ocp, name, no_finite_differences)
     runs = []
     for source in (["--builtin", "heisenberg"], ["--problem", str(problem_file)]):
@@ -724,6 +724,20 @@ def test_problem_file_named_heisenberg_is_not_the_builtin(tmp_path, capsys):
     )
     assert code == 0
     assert "closed_form_max_dev" not in result["runs"][0]
+
+
+def test_theta_k_on_an_algebra_not_of_dimension_3_names_the_shortcut(tmp_path, capsys, monkeypatch):
+    """--theta/--k build (cos theta, sin theta, k); on a 2-dimensional algebra they are refused before any work."""
+    problem_file = tmp_path / "plane.json"
+    problem_file.write_text(json.dumps(ABELIAN_PLANE_JSON))
+    monkeypatch.setattr(reduction, "integrate_reduced", None)
+    code, result, _ = run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--theta", "0", "--k", "1",
+                              "--T", "0.1", "--out", str(tmp_path / "plane.csv"))
+    assert code == 1
+    assert "--theta/--k build lambda0 = (cos theta, sin theta, k)" in result["error"]
+    assert "need an algebra of dimension 3, got 2" in result["error"]
+    assert "lambda0 must have length" not in result["error"]
+    assert not (tmp_path / "plane.csv").exists()
 
 
 @pytest.mark.parametrize(

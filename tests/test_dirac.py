@@ -231,6 +231,51 @@ def test_images_preserve_dirac_property():
         assert is_dirac(backward(psi, graph_of_two_form(random_two_form(rng, m_out))))
 
 
+def _image_from_definition(image, psi, structure):
+    """The image as the kernel of its defining equations, with c the coordinates in the basis (pv, pa).
+
+    backward: (psi v, b) = (pv^T c, pa^T c) in (v, b, c), rows (v, psi^T b);
+    forward: (u, psi^T a) = (pv^T c, pa^T c) in (u, a, c), rows (psi u, a).
+    """
+    m_out, m_in = psi.shape
+    pv, pa = structure.vector_part, structure.covector_part
+    if image is backward:
+        system = np.block([[psi, np.zeros((m_out, m_out)), -pv.T], [np.zeros((m_out, m_in)), np.eye(m_out), -pa.T]])
+    else:
+        system = np.block([[np.eye(m_in), np.zeros((m_in, m_out)), -pv.T], [np.zeros((m_in, m_in)), psi.T, -pa.T]])
+    null = dirac._nullspace(system)
+    first, second = null[:m_in].T, null[m_in : m_in + m_out].T
+    if image is backward:
+        return LinearDiracStructure(m_in, dirac._orthonormal_rows(np.hstack([first, second @ psi])))
+    return LinearDiracStructure(m_out, dirac._orthonormal_rows(np.hstack([first @ psi.T, second])))
+
+
+def _random_structure(rng, d, kind):
+    """A structure on R^d: a graph, a random (mostly non-Dirac) subspace, the zero subspace, or W (+) ann(W)."""
+    if kind == "graph":
+        return graph_of_two_form(random_two_form(rng, d))
+    if kind == "subspace":
+        return LinearDiracStructure(d, rng.normal(size=(int(rng.integers(0, 2 * d + 1)), 2 * d)))
+    if kind == "zero":
+        return LinearDiracStructure(d, np.zeros((0, 2 * d)))
+    w = int(rng.integers(0, d + 1))
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return LinearDiracStructure(d, np.block([[q[:, :w].T, np.zeros((w, d))], [np.zeros((d - w, d)), q[:, w:].T]]))
+
+
+@pytest.mark.parametrize("kind", ["graph", "subspace", "zero", "annihilator"])
+@pytest.mark.parametrize("image", [backward, forward])
+def test_images_equal_the_kernel_of_their_definition(image, kind):
+    """Full-rank and rank-deficient maps, spaces of dimension 0 to 5, Dirac and non-Dirac structures."""
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        m_in, m_out = (int(v) for v in rng.integers(0, 6, size=2))
+        rank = int(rng.integers(0, min(m_in, m_out) + 1))
+        psi = rng.normal(size=(m_out, rank)) @ rng.normal(size=(rank, m_in)) if trial % 2 else rng.normal(size=(m_out, m_in))
+        structure = _random_structure(rng, m_out if image is backward else m_in, kind)
+        assert subspaces_equal(image(psi, structure), _image_from_definition(image, psi, structure))
+
+
 def test_reduced_fiber_abelian_is_canonical(heis_algebra):
     abelian = LieAlgebraSpec(3, np.zeros((3, 3, 3)))
     fiber = reduced_dirac_fiber(abelian, np.array([0.3, -1.0, 2.0]))

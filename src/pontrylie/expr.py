@@ -42,7 +42,7 @@ import numpy as np
 from .errors import PontrylieError
 from .lie import algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
-from .reduction import ReducedProblem
+from .reduction import CompiledLiePoisson, ReducedProblem
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -699,6 +699,19 @@ def _table(sources, variables: List[str]) -> np.ndarray:
     return table
 
 
+def _pairing(variables: Sequence[str], table: np.ndarray) -> np.ndarray:
+    """The trees sum_i variables_i * table[i, j], one per column j of the object array ``table``, folded term by term
+    (a zero entry's term folds away, so it is skipped)."""
+    entries = []
+    for column in table.T:
+        h = Constant(0.0)
+        for var, entry in zip(variables, column):
+            if not _is_constant(entry, 0.0):
+                h = _binary("+", h, _binary("*", Variable(var), entry, entry.pos), entry.pos)
+        entries.append(h)
+    return np.array(entries, dtype=object)
+
+
 def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, state: List[str],
                         costate: List[str], control: List[str]) -> List[Tuple[np.ndarray, List[List[str]]]]:
     """The tables, with their arguments, of each table of ``dynamics`` and of ``lagrangian``, functions of
@@ -717,13 +730,8 @@ def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, 
 
     def gradient(d_dynamics, d_lagrangian):
         """sum_i costate_i * d_dynamics[i, j] - d_lagrangian[j] for each column j."""
-        entries = []
-        for column, d_l in zip(d_dynamics.T, d_lagrangian):
-            h = Constant(0.0)
-            for var, d_f in zip(costate, column):
-                h = _binary("+", h, _binary("*", Variable(var), d_f, d_f.pos), d_f.pos)
-            entries.append(_binary("-", h, d_l, d_l.pos))
-        return np.array(entries, dtype=object)
+        return np.array([_binary("-", h, d_l, d_l.pos) for h, d_l in zip(_pairing(costate, d_dynamics), d_lagrangian)],
+                        dtype=object)
 
     f = np.concatenate(dynamics)
     dH_du = gradient(np.concatenate(d_control[:-1]), d_control[-1])
@@ -733,13 +741,25 @@ def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, 
             + [(table, [state, costate, control]) for table in hamiltonian])
 
 
+def _lie_poisson_tables(c: np.ndarray) -> List[Tuple[np.ndarray, List[List[str]]]]:
+    """The tables, with their arguments, of B(mu)_ij = sum_k c_ijk mu_k and of -B(mu) xi for the structure
+    constants ``c``, each sum in index order as in the matmuls of ``lie._lie_poisson_form`` and -(B @ xi)."""
+    dim = len(c)
+    mu, xi = ([f"{name}{k+1}" for k in range(dim)] for name in ("mu", "xi"))
+    form = _pairing(mu, np.array([[Constant(float(v)) for v in row] for row in c.reshape(dim * dim, dim).T],
+                                 dtype=object)).reshape(dim, dim)
+    bracket = np.array([_unary("neg", entry, 0) for entry in _pairing(xi, form.T)], dtype=object)
+    return [(form, [mu]), (bracket, [mu, xi])]
+
+
 def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
     """The control problem, and its reduced form when declared, of a problem file's JSON data (see README).
 
     Every expression is parsed and compiled here, and so are the
     derivatives of the Hamiltonian, differentiated symbolically from them
     (``_hamiltonian_tables``, costates p1..pn, or pz1..pzs and mu1..mudim
-    for the reduced h), so the solvers take their analytic paths.  All
+    for the reduced h), so the solvers take their analytic paths; so are the
+    reduced problem's B(mu) and -B(mu) xi (``_lie_poisson_tables``).  All
     tables of the file go through one ``compile_tables`` call, one
     ``compile()``.
     ``where`` names the data in error messages.
@@ -781,6 +801,7 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
                                               for src in (base_src, fiber_src, str(block["lagrangian"])))
         costate = [f"pz{i+1}" for i in range(s)] + [f"mu{i+1}" for i in range(algebra.dim)]
         tables += _hamiltonian_tables([base_table, fiber_table], lag_table, z_vars, costate, u_vars)
+        tables += _lie_poisson_tables(algebra.structure_constants)
 
     compiled = iter(compile_tables(tables))
     f, lagrangian, dH, d2H_du2 = islice(compiled, 4)
@@ -794,8 +815,9 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
 
     reduced = None
     if "reduced" in data:
-        base, fiber, lagrangian_z, dH, d2H_du2 = compiled
+        base, fiber, lagrangian_z, dH, d2H_du2, form, bracket = compiled
         reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
                                  base_dynamics=base, fiber_dynamics=fiber,
-                                 jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2), name=name)
+                                 jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2), name=name,
+                                 lie_poisson=CompiledLiePoisson(form, bracket))
     return problem, reduced

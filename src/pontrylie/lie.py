@@ -36,7 +36,7 @@ _STRUCTURE_TOL = 1e-12
 class LieAlgebraSpec:
     """A Lie algebra given by structure constants and an optional matrix realization.
 
-    Validated on construction: antisymmetry of c in its first two indices, the
+    Validated on construction: finite constants, antisymmetry of c in its first two indices, the
     Jacobi identity, and (if ``matrix_basis`` is present) that the matrices
     are linearly independent and their commutators reproduce the structure
     constants entrywise to 1e-12.
@@ -56,6 +56,8 @@ class LieAlgebraSpec:
                 f"structure constants must have shape {(self.dim,) * 3}, got {c.shape}"
             )
         object.__setattr__(self, "structure_constants", c)
+        if not np.isfinite(c).all():  # NaN passes every comparison below
+            raise InvalidAlgebraError("structure constants must be finite")
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > _STRUCTURE_TOL:
             raise InvalidAlgebraError("structure constants are not antisymmetric in (i, j)")
         # Jacobi: sum_m c[i,j,m] c[m,k,l] + cyclic in (i,j,k) must vanish.

@@ -298,9 +298,10 @@ class ControlledHamiltonian(NamedTuple):
 
     ``dH(q, lam, u)`` gives (..., r + nq + k) = (dH/du, dH/dq, F), nq = len(q) and k = len(lam) (see
     ``_split``); ``d2H_du2`` gives W, symmetrized, (..., r, r).  ``form(q, lam)`` is the antisymmetric (..., k, k)
-    matrix B of the Poisson bracket's non-canonical part (see ``_hamilton_field``); None means B = 0,
-    and then k = nq.  ``w`` is W when it is the same at every point (a ``constant``), else None, and
-    ``w_inverse`` its inverse, None when W is singular.  Every callable is stacked (see ``stacked``).
+    matrix B of the Poisson bracket's non-canonical part and ``bracket(q, lam, f)`` the product -B f that
+    ``_hamilton_field`` reads; None for both means B = 0, and then k = nq.  ``w`` is W when it is the same at
+    every point (a ``constant``), else None, and ``w_inverse`` its inverse, None when W is singular.  Every
+    callable is stacked (see ``stacked``).
     """
 
     F: Callable
@@ -310,10 +311,10 @@ class ControlledHamiltonian(NamedTuple):
     w: Optional[np.ndarray]
     w_inverse: Optional[np.ndarray]
     form: Optional[Callable] = None
+    bracket: Optional[Callable] = None
 
 
-def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int,
-                form: Optional[Callable] = None) -> ControlledHamiltonian:
+def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int) -> ControlledHamiltonian:
     """The view of H = <lam, F> - L on stacked F, L and derivatives ``jac``, every derivative source picked here, once.
 
     dH is ``jac.dH``, else central differences of H in u and in q and F joined.  W is ``jac.d2H_du2``, else
@@ -348,7 +349,7 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
     w = getattr(jac.d2H_du2, "value", None)
     w = 0.5 * (w + w.T) if w is not None and w.shape == (r, r) and np.isfinite(w).all() else None
     w_inverse = np.linalg.inv(w) if w is not None and (r == 0 or _is_regular(w)) else None
-    return ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2, w=w, w_inverse=w_inverse, form=form)
+    return ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2, w=w, w_inverse=w_inverse)
 
 
 def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> ProblemJacobians:
@@ -398,13 +399,15 @@ def _partials(ham: ControlledHamiltonian, q, lam, u) -> HamiltonianPartials:
 
 
 def _hamilton_field(ham: ControlledHamiltonian, q, lam, grad: np.ndarray):
-    """Hamilton's equations of the form B: (F[..., :nq], -(dH/dq, 0) - B F) from the ``dH`` value at u*."""
+    """Hamilton's equations of the form B: (F[..., :nq], -(dH/dq, 0) - B F) from the ``dH`` value at u*, with
+    -B F (a new array) from one ``ham.bracket`` call."""
     nq = q.shape[-1]
     _, dH_dq, f = _split(grad, nq, grad.shape[-1] - nq - lam.shape[-1])
-    if ham.form is None:
+    if ham.bracket is None:
         return f, -dH_dq
-    lam_dot = -(ham.form(q, lam) @ f[..., None])[..., 0]
-    lam_dot[..., :nq] -= dH_dq
+    lam_dot = ham.bracket(q, lam, f)
+    if nq:
+        lam_dot[..., :nq] -= dH_dq
     return f[..., :nq], lam_dot
 
 

@@ -320,7 +320,8 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
                             member=i) from exc
 
     def vector_field(y, grad):
-        return np.concatenate(_hamilton_field(ham, y[:, :nq], y[:, nq:], grad), axis=-1)
+        q_dot, lam_dot = _hamilton_field(ham, y[:, :nq], y[:, nq:], grad)
+        return np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
 
     def stage(y, u_warm, t):
         u_star, iterations, _, grad = solve(y, u_warm, "while stepping from", t)

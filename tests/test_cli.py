@@ -16,6 +16,7 @@ from conftest import so3_algebra
 from pontrylie import cli, heisenberg, ocp, pmp, reconstruct, reduction
 from pontrylie.cli import load_problem_file, main
 from pontrylie.heisenberg import heisenberg_algebra
+from pontrylie.lie import LieAlgebraSpec
 from pontrylie.pmp import Trajectory
 
 HEISENBERG_JSON = json.loads(heisenberg.PROBLEM_JSON)
@@ -863,6 +864,44 @@ def test_a_gradient_of_other_dynamics_exits_1_naming_it(tmp_path, capsys, monkey
     assert code == 1
     assert result["status"] == "error" and "dH does not belong to the dynamics" in result["error"]
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_a_bracket_compiled_for_another_algebra_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    """The builtin reduced problem on the opposite algebra keeps the bracket compiled for its own: exit 1 naming
+    the form, not a run of the wrong flow."""
+    builtin = heisenberg.heisenberg_reduced_problem()
+    opposite = LieAlgebraSpec(3, -builtin.algebra.structure_constants)
+    monkeypatch.setattr(heisenberg, "heisenberg_reduced_problem", lambda: dataclasses.replace(builtin, algebra=opposite))
+    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1", "--T", "0.01",
+                              "--out", str(tmp_path / "run.csv"))
+    assert code == 1
+    assert result["status"] == "error" and "compiled Lie-Poisson form" in result["error"]
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_a_one_dimensional_base_pads_the_compiled_bracket(tmp_path, capsys):
+    """The README file with a base coordinate z1, z1_dot = u1 (n = 4, s = 1): the p_z row of -B F is zero, so p_z
+    stays 0, z1 integrates u1, and the mu and u columns and h are those of the README file bit for bit;
+    check-dirac passes."""
+    data = _readme_problem()
+    data.update(n=4, dynamics=data["dynamics"] + ["u1"], action=[row + ["0"] for row in data["action"]])
+    data["reduced"].update(s=1, base_dynamics=["u1"])
+    runs = []
+    for name, problem in (("readme", _readme_problem()), ("base", data)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(problem))
+        out = tmp_path / f"{name}.csv"
+        code, _, _ = run_cli(capsys, "solve-reduced", "--problem", str(tmp_path / f"{name}.json"), "--lambda0",
+                             "0.6,-0.8,1", "--T", "1", "--step", "1e-2", "--out", str(out))
+        assert code == 0
+        runs.append(Trajectory.from_csv(out))
+    readme, base = runs
+    assert base.columns == ("z1", "pz1", *readme.columns)
+    assert np.array_equal(base.states[:, 2:], readme.states) and np.array_equal(base.channel("h"), readme.channel("h"))
+    assert np.array_equal(base.block("pz"), np.zeros((len(base), 1)))
+    assert abs(base.block("z")[-1, 0] - np.trapezoid(base.block("u")[:, 0], base.times)) <= 1e-4
+    code, result, _ = run_cli(capsys, "check-dirac", "--problem", str(tmp_path / "base.json"),
+                              "--traj", str(tmp_path / "base.csv"))
+    assert code == 0 and result["mode"] == "reduced" and result["max_residual"] <= 1e-12
 
 
 def _fresh_process(cwd, args):

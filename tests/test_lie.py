@@ -140,6 +140,14 @@ def test_structure_constant_validation():
         LieAlgebraSpec(dim=2, structure_constants=bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_structure_constants_are_rejected(value):
+    """A NaN constant passes the antisymmetry and Jacobi comparisons, so finiteness is checked first; a problem
+    file's algebra goes through the same check (exit 1)."""
+    with pytest.raises(InvalidAlgebraError, match="must be finite"):
+        algebra_from_dict({"dim": 3, "structure": [[0, 1, 2, value]]})
+
+
 def test_jacobi_validation():
     # dim-3 constants violating Jacobi: [e1,e2]=e3, [e1,e3]=e1, [e2,e3]=e2
     c = np.zeros((3, 3, 3))

@@ -6,8 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced
+from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced, so3_algebra
+from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
+from pontrylie import lie, reduction
 from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
 from pontrylie.errors import ReductionUnsupportedError, SolverError
 from pontrylie.heisenberg import (
@@ -15,12 +17,14 @@ from pontrylie.heisenberg import (
     lambda_closed_form,
     unit_cylinder_costate,
 )
-from pontrylie.lie import LieAlgebraSpec, coadjoint, exp_nilpotent, log_nilpotent
+from pontrylie.expr import _lie_poisson_tables, compile_tables
+from pontrylie.lie import LieAlgebraSpec, _lie_poisson_form, coadjoint, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import PontryaginPoint, ProblemJacobians, _newton, check_invariance, hamiltonian_partials
 from pontrylie.ocp import pontryagin_hamiltonian, stacked
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, optimal_feedback
 from pontrylie.pmp import time_grid
 from pontrylie.reduction import (
+    CompiledLiePoisson,
     ReducedProblem,
     ReducedState,
     eliminate_controls_reduced,
@@ -219,11 +223,14 @@ def test_rhs_abelian_is_canonical_hamilton():
 
 
 def test_rhs_coadjoint_sign_switch(heis_reduced):
-    """The opposite ad* convention is the opposite algebra: negated structure constants."""
-    opposite = dataclasses.replace(
-        heis_reduced, algebra=LieAlgebraSpec(3, -heis_reduced.algebra.structure_constants)
-    )
+    """The opposite ad* convention is the opposite algebra: negated structure constants.  The builtin's bracket,
+    compiled for its own algebra, does not carry over: on the opposite algebra it is an input error naming the
+    form, and without it the view computes B(mu) of the opposite algebra."""
+    on_opposite = dataclasses.replace(heis_reduced, algebra=LieAlgebraSpec(3, -heis_reduced.algebra.structure_constants))
     st = ReducedState(EMPTY, EMPTY, [1.0, 0.0, 2.0], [1.0, 0.0])
+    with pytest.raises(PontrylieError, match="compiled Lie-Poisson form"):
+        reduced_pmp_rhs(on_opposite, st)
+    opposite = dataclasses.replace(on_opposite, lie_poisson=None)
     plus = reduced_pmp_rhs(heis_reduced, st)
     minus = reduced_pmp_rhs(opposite, st)
     assert np.allclose(plus.mu_dot, -minus.mu_dot)
@@ -647,3 +654,62 @@ def test_a_gradient_of_other_dynamics_is_an_input_error(heis_problem, heis_reduc
         with pytest.raises(PontrylieError, match="dH does not belong to the dynamics") as err:
             run()
         assert not isinstance(err.value, (DimensionMismatchError, SolverError, EvaluationError))
+
+
+ALGEBRAS = {"heisenberg": heisenberg_algebra, "so3": so3_algebra, "upper_triangular_4x4": upper_triangular_4x4,
+            "opposite_heisenberg": lambda: LieAlgebraSpec(3, -heisenberg_algebra().structure_constants)}
+
+
+def compiled_lie_poisson(alg: LieAlgebraSpec) -> CompiledLiePoisson:
+    return CompiledLiePoisson(*compile_tables(_lie_poisson_tables(alg.structure_constants)))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (8,), (0,)])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_the_compiled_bracket_is_the_lie_poisson_form_and_the_coadjoint_action(name, lead):
+    """Compiled B(mu) is ``lie._lie_poisson_form`` and compiled -B(mu) xi is ``lie.coadjoint``, at one point, one
+    member, a stack and no member: bit for bit on Heisenberg, to 1e-15 relative on the other algebras."""
+    alg = ALGEBRAS[name]()
+    dim, compiled = alg.dim, compiled_lie_poisson(alg)
+    rng = np.random.default_rng(11)
+    mu, xi = rng.normal(size=(2,) + lead + (dim,))
+    form, bracket = compiled.form(mu), compiled.bracket(mu, xi)
+    rows = zip(mu.reshape(-1, dim), xi.reshape(-1, dim))
+    expected = (_lie_poisson_form(alg, mu),
+                np.array([coadjoint(alg, x, m).coeffs for m, x in rows]).reshape(lead + (dim,)))
+    assert form.shape == lead + (dim, dim) and bracket.shape == lead + (dim,)
+    for value, reference in zip((form, bracket), expected):
+        if name == "heisenberg":
+            assert np.array_equal(value, reference)
+        else:
+            assert np.abs(value - reference).max(initial=0.0) <= 1e-15 * np.abs(reference).max(initial=0.0)
+
+
+@pytest.mark.parametrize("name", ["so3", "upper_triangular_4x4", "opposite_heisenberg"])
+def test_a_bracket_compiled_for_another_algebra_is_an_input_error(heis_reduced, name):
+    """The view checks the compiled bracket once against the problem's own structure constants, so a bracket
+    that outlived its algebra (one of the same dimension, or of another) is refused naming the form."""
+    problem = dataclasses.replace(heis_reduced, algebra=ALGEBRAS[name]())
+    with pytest.raises(PontrylieError, match="compiled Lie-Poisson form"):
+        problem.view
+    assert dataclasses.replace(problem, lie_poisson=compiled_lie_poisson(problem.algebra)).view
+
+
+def test_the_view_reads_the_given_bracket_else_computes_it(heis_reduced, monkeypatch):
+    """Given, else computed: with ``lie._lie_poisson_form`` broken the builtin still integrates and scans its
+    rows on its compiled bracket; the hand-written oracle, which gives none, reaches ``_lie_poisson_form``
+    and agrees with the builtin to 0.0."""
+    def broken(*args):
+        raise AssertionError("the computed Lie-Poisson form was read")
+
+    for module in (lie, reduction):
+        monkeypatch.setattr(module, "_lie_poisson_form", broken)
+    builtin = dataclasses.replace(heis_reduced)  # a new problem builds its own view
+    runs = integrate_reduced(builtin, grid_states(), 0.2, CONFIG)
+    assert reduced_dirac_residuals(builtin, runs[0]).max() <= 1e-12
+    calls = []
+    monkeypatch.setattr(reduction, "_lie_poisson_form", lambda alg, mu: calls.append(1) or _lie_poisson_form(alg, mu))
+    oracle_runs = integrate_reduced(heisenberg_oracle_reduced(), grid_states(), 0.2, CONFIG)
+    assert calls
+    for run, oracle in zip(runs, oracle_runs):
+        assert np.array_equal(run.states, oracle.states) and np.array_equal(run.channel("h"), oracle.channel("h"))

@@ -171,19 +171,25 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     problem = loaded.reduced
     stem = _output_path(args, f"reduced_{loaded.name}.{args.format}")
 
-    mu0_list: List[Tuple[np.ndarray, str]] = []
+    mu0_list: List[Tuple[np.ndarray, str]] = []  # (mu0, output path)
+    if args.lambda0 is not None and (args.theta is not None or args.k is not None):
+        raise PontrylieError("give either --lambda0 or --theta/--k, not both")
     if args.lambda0:
-        mu0_list.append((_parse_vector(args.lambda0), ""))
+        mu0_list.append((_parse_vector(args.lambda0), stem))
     elif args.theta is not None and args.k is not None:
         if problem.algebra.dim != 3:
             raise PontrylieError("--theta/--k build lambda0 = (cos theta, sin theta, k) and need an algebra "
                                  f"of dimension 3, got {problem.algebra.dim}")
         thetas, ks = _shortcut_values(args.theta, "theta"), _shortcut_values(args.k, "k")
-        grid = len(thetas) * len(ks) > 1
+        grid, path, points = len(thetas) * len(ks) > 1, Path(stem), {}
         for theta in thetas:
             for k in ks:
-                suffix = f"_theta{theta:g}_k{k:g}" if grid else ""
-                mu0_list.append((heisenberg.unit_cylinder_costate(theta, k), suffix))
+                out = str(path.with_name(f"{path.stem}_theta{theta:g}_k{k:g}{path.suffix}")) if grid else stem
+                if out in points:
+                    raise PontrylieError(f"grid points (theta, k) = {points[out]} and ({theta!r}, {k!r}) would both "
+                                         f"write '{out}'")
+                points[out] = f"({theta!r}, {k!r})"
+                mu0_list.append((heisenberg.unit_cylinder_costate(theta, k), out))
     else:
         raise PontrylieError("give --lambda0 or both --theta and --k")
     for mu0, _ in mu0_list:
@@ -196,11 +202,8 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     states = [reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim)) for mu0, _ in mu0_list]
     # the whole grid in one batch: every member advances in the same RK4 sweep
     trajectories = reduction.integrate_reduced(problem, states, args.T, PmpSolverConfig(rk_step=args.step))
-    runs = []
-    for (mu0, suffix), trajectory in zip(mu0_list, trajectories):
-        path = Path(stem)
-        out = _write(trajectory, str(path.with_name(path.stem + suffix + path.suffix)) if suffix else stem, args.format)
-        runs.append(_reduced_summary(loaded, trajectory, mu0, out, args))
+    runs = [_reduced_summary(loaded, trajectory, mu0, _write(trajectory, out, args.format), args)
+            for (mu0, out), trajectory in zip(mu0_list, trajectories)]
     for summary in runs:
         line = f"mu0={summary['mu0']} rows={summary['rows']} h_drift={summary['h_drift']:.3e}"
         if "closed_form_max_dev" in summary:

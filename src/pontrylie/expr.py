@@ -42,7 +42,7 @@ import numpy as np
 from .errors import PontrylieError
 from .lie import algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
-from .reduction import CompiledLiePoisson, ReducedProblem
+from .reduction import ReducedProblem
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -758,10 +758,10 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
     Every expression is parsed and compiled here, and so are the
     derivatives of the Hamiltonian, differentiated symbolically from them
     (``_hamiltonian_tables``, costates p1..pn, or pz1..pzs and mu1..mudim
-    for the reduced h), so the solvers take their analytic paths; so are the
-    reduced problem's B(mu) and -B(mu) xi (``_lie_poisson_tables``).  All
+    for the reduced h), so the solvers take their analytic paths.  All
     tables of the file go through one ``compile_tables`` call, one
-    ``compile()``.
+    ``compile()``; the reduced problem's B(mu) and -B(mu) xi are compiled by
+    its view (``ReducedProblem.view``), from the algebra.
     ``where`` names the data in error messages.
     """
     data = _known_keys(data, _FILE_KEYS, where)
@@ -801,7 +801,6 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
                                               for src in (base_src, fiber_src, str(block["lagrangian"])))
         costate = [f"pz{i+1}" for i in range(s)] + [f"mu{i+1}" for i in range(algebra.dim)]
         tables += _hamiltonian_tables([base_table, fiber_table], lag_table, z_vars, costate, u_vars)
-        tables += _lie_poisson_tables(algebra.structure_constants)
 
     compiled = iter(compile_tables(tables))
     f, lagrangian, dH, d2H_du2 = islice(compiled, 4)
@@ -815,9 +814,8 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
 
     reduced = None
     if "reduced" in data:
-        base, fiber, lagrangian_z, dH, d2H_du2, form, bracket = compiled
+        base, fiber, lagrangian_z, dH, d2H_du2 = compiled
         reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
                                  base_dynamics=base, fiber_dynamics=fiber,
-                                 jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2), name=name,
-                                 lie_poisson=CompiledLiePoisson(form, bracket))
+                                 jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2), name=name)
     return problem, reduced

@@ -13,8 +13,7 @@ the form B = [[C(z, mu), 0], [0, B(mu)]], C_ij = curvature(z, mu, e_j, e_i), B(m
     mu_dot  = -B(mu) xi = ad*_xi(mu),   xi = dh/dmu
     dh/du   = 0              (controls eliminated by Newton)
 
-B(mu) and -B(mu) xi come from compiled code when the problem gives it (``CompiledLiePoisson``, checked
-against the algebra when the view is built), else from ``lie._lie_poisson_form``.
+B(mu) and -B(mu) xi are compiled from the algebra's own structure constants when the view is built.
 
 With the package's ad* convention this reproduces the closed-form Heisenberg
 flow; data written for the opposite convention is the same flow on the
@@ -32,20 +31,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PontrylieError, ReductionUnsupportedError
-from .lie import LieAlgebraSpec, _lie_poisson_form
+from .errors import DimensionMismatchError, ReductionUnsupportedError
+from .lie import LieAlgebraSpec
 from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
 from .ocp import _controlled, _gradient, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
 from .ocp import _split, _stacked_jacobians
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows, _with_channels
-
-
-class CompiledLiePoisson(NamedTuple):
-    """The Lie-Poisson bracket of an algebra as stacked compiled code: ``form(mu)`` is B(mu), (..., dim, dim),
-    B_ij = sum_k c_ijk mu_k, and ``bracket(mu, xi)`` is -B(mu) xi = ad*_xi(mu), (..., dim)."""
-
-    form: Callable
-    bracket: Callable
 
 
 @dataclass(frozen=True)
@@ -60,8 +51,7 @@ class ReducedProblem:
     gets -(C z_dot)_i, which is -curvature(z, mu, z_dot, e_i) only then.  ``jacobians`` holds the
     derivatives of h as functions of (z, lam, u), lam = (p_z, mu): dH of shape (r + 2 s + dim,) is
     (dh/du, dh/dz, base, fiber) and d2H_du2 of shape (r, r) the control Hessian, as for H (see
-    ``ProblemJacobians``).  ``lie_poisson`` is the algebra's bracket as compiled code, if given.  Casimirs are
-    monitored, never discovered: a dict of name -> function of mu.
+    ``ProblemJacobians``).  Casimirs are monitored, never discovered: a dict of name -> function of mu.
     """
 
     base_dim: int
@@ -74,7 +64,6 @@ class ReducedProblem:
     jacobians: Optional[ProblemJacobians] = None
     casimirs: Dict[str, Callable] = field(default_factory=dict)
     name: str = ""
-    lie_poisson: Optional[CompiledLiePoisson] = None
 
     def __post_init__(self):
         if self.base_dim < 0 or self.control_dim < 0:
@@ -85,16 +74,17 @@ class ReducedProblem:
         """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber), built once and held.
 
         ``ocp._controlled`` picks the derivative sources and decides the constant W, once per problem.  B(mu)
-        and -B(mu) xi are ``lie_poisson``, checked here (``_checked``), unless there is a curvature.  A
-        zero-dimensional base contributes no dynamics at all.  Unmarked callables are called once per member,
-        curvature once per member and pair.
+        and -B(mu) xi are compiled here from ``algebra.structure_constants`` (``expr._lie_poisson_tables``), so
+        a replaced algebra brings its own bracket.  A zero-dimensional base contributes no dynamics at all.
+        Unmarked callables are called once per member, curvature once per member and pair.
         """
+        from .expr import _lie_poisson_tables, compile_tables  # here: expr imports this module
+
         s, dim, r = self.base_dim, self.algebra.dim, self.control_dim
         curvature = None if self.curvature is None else _per_member(
             lambda z, mu: [[self.curvature(z, mu, v, w) for v in np.eye(s)] for w in np.eye(s)], "curvature", (s, s)
         )
-        compiled = _checked(self.lie_poisson, self.algebra) if curvature is None else None
-        lie_form = functools.partial(_lie_poisson_form, self.algebra) if compiled is None else compiled.form
+        lie_form, lie_bracket = compile_tables(_lie_poisson_tables(self.algebra.structure_constants))
 
         def form(z, lam):
             b = np.zeros(lam.shape + (s + dim,))
@@ -103,11 +93,13 @@ class ReducedProblem:
                 b[..., :s, :s] = curvature(z, lam[..., s:])
             return b
 
-        def bracket(z, lam, f):  # -B F, its p_z rows zero without a curvature
-            if compiled is None:
-                return -(form(z, lam) @ f[..., None])[..., 0]
-            mu_dot = compiled.bracket(lam[..., s:], f[..., s:])
-            return np.concatenate([np.zeros(z.shape), mu_dot], axis=-1) if s else mu_dot
+        def bracket(z, lam, f):  # -B F: the p_z rows -C F_z, zero without a curvature
+            mu_dot = lie_bracket(lam[..., s:], f[..., s:])
+            if not s:
+                return mu_dot
+            pz_dot = np.zeros(z.shape) if curvature is None else -(
+                curvature(z, lam[..., s:]) @ f[..., :s, None])[..., 0]
+            return np.concatenate([pz_dot, mu_dot], axis=-1)
 
         F = fiber = _per_member(self.fiber_dynamics, "fiber dynamics", (dim,))
         if s:
@@ -117,19 +109,6 @@ class ReducedProblem:
             F=_sized(F, "base/fiber dynamics", s + dim), L=_per_member(self.lagrangian, "reduced Lagrangian", ()),
             jac=_stacked_jacobians(self.jacobians, r, r + 2 * s + dim), nq=s, r=r,
         )._replace(form=form, bracket=bracket)
-
-
-def _checked(compiled: Optional[CompiledLiePoisson], algebra: LieAlgebraSpec) -> Optional[CompiledLiePoisson]:
-    """``compiled`` once exactly ``algebra``'s on the basis rows, B(e_k) = c[:, :, k] and -B(e_k) e_j = -c[:, j, k]."""
-    dim, c, eye = algebra.dim, algebra.structure_constants, np.eye(algebra.dim)
-    if compiled is not None and not (
-            all(getattr(fn, "widths", w) == w for fn, w in zip(compiled, ((dim,), (dim, dim))))
-            and np.array_equal(compiled.form(eye), np.moveaxis(c, 2, 0))
-            and np.array_equal(compiled.bracket(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1))),
-                               -c.transpose(2, 1, 0).reshape(dim * dim, dim))):
-        raise PontrylieError("the compiled Lie-Poisson form B(mu) is not that of the problem's algebra: its "
-                             "values on the basis rows mu = e_k differ from the structure constants")
-    return compiled
 
 
 @dataclass(frozen=True)

@@ -866,16 +866,43 @@ def test_a_gradient_of_other_dynamics_exits_1_naming_it(tmp_path, capsys, monkey
     assert not (tmp_path / "run.csv").exists()
 
 
-def test_a_bracket_compiled_for_another_algebra_exits_1_naming_it(tmp_path, capsys, monkeypatch):
-    """The builtin reduced problem on the opposite algebra keeps the bracket compiled for its own: exit 1 naming
-    the form, not a run of the wrong flow."""
+def test_the_builtin_on_the_opposite_algebra_runs_the_opposite_flow(tmp_path, capsys, monkeypatch):
+    """The builtin reduced problem with its algebra replaced by the opposite one brings that algebra's bracket:
+    it exits 0 and mu follows (cos(theta - k t), sin(theta - k t), k)."""
     builtin = heisenberg.heisenberg_reduced_problem()
     opposite = LieAlgebraSpec(3, -builtin.algebra.structure_constants)
     monkeypatch.setattr(heisenberg, "heisenberg_reduced_problem", lambda: dataclasses.replace(builtin, algebra=opposite))
-    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1", "--T", "0.01",
-                              "--out", str(tmp_path / "run.csv"))
-    assert code == 1
-    assert result["status"] == "error" and "compiled Lie-Poisson form" in result["error"]
+    theta, k = 0.3, 1.5
+    code, _, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--theta", str(theta), "--k", str(k),
+                         "--T", "1", "--out", str(tmp_path / "run.csv"))
+    assert code == 0
+    run = Trajectory.from_csv(tmp_path / "run.csv")
+    angle = theta - k * run.times
+    expected = np.column_stack([np.cos(angle), np.sin(angle), np.full(len(run), k)])
+    assert np.abs(run.block("mu") - expected).max() <= 1e-6
+
+
+@pytest.mark.parametrize("thetas", ["0.1234561,0.1234562", "0,0"])
+def test_grid_points_sharing_an_output_file_are_an_input_error(tmp_path, capsys, thetas):
+    """Two grid points whose output names agree to 6 significant digits exit 1 before any work, naming the
+    shared path and both points; nothing is written."""
+    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--theta", thetas, "--k", "1",
+                              "--T", "0.01", "--out", str(tmp_path / "grid.csv"))
+    first, second = thetas.split(",")
+    shared = tmp_path / f"grid_theta{float(first):g}_k1.csv"
+    assert code == 1 and result["status"] == "error"
+    assert str(shared) in result["error"]
+    assert f"({float(first)!r}, 1.0)" in result["error"] and f"({float(second)!r}, 1.0)" in result["error"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("shortcut", [("--theta", "0", "--k", "1"), ("--theta", "0"), ("--k", "1")])
+def test_lambda0_with_the_theta_k_shortcut_is_an_input_error(tmp_path, capsys, shortcut):
+    """--lambda0 together with --theta or --k exits 1 naming both options, with no output file."""
+    code, result, _ = run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1", *shortcut,
+                              "--T", "0.01", "--out", str(tmp_path / "run.csv"))
+    assert code == 1 and result["status"] == "error"
+    assert "--lambda0" in result["error"] and "--theta/--k" in result["error"]
     assert not (tmp_path / "run.csv").exists()
 
 

@@ -498,17 +498,46 @@ def test_one_member_raises_the_walkers_error_with_its_offset():
             overflowing.dynamics(x, np.zeros(x.shape[:-1] + (0,)))
 
 
-def test_a_problem_file_compiles_in_one_compile(monkeypatch):
-    """All tables of the README file go through one ``compile()``: f, L, dH, d2H_du2 and the generators, then the
-    reduced base, fiber, l, dH and d2H_du2, and the algebra's B(mu) and -B(mu) xi."""
+def counted_compiles(monkeypatch):
+    """Lists that record, from now on, each ``compile()`` of ``expr`` and the table count of each ``compile_tables``."""
     from pontrylie import expr
 
     compiles, tables = [], []
     monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args[1]) or compile(*args), raising=False)
     compile_all = expr.compile_tables
     monkeypatch.setattr(expr, "compile_tables", lambda given: tables.append(len(given)) or compile_all(given))
+    return compiles, tables
+
+
+def test_a_problem_file_compiles_in_one_compile(monkeypatch):
+    """All tables of the README file go through one ``compile()``: f, L, dH, d2H_du2 and the generators, then the
+    reduced base, fiber, l, dH and d2H_du2."""
+    compiles, tables = counted_compiles(monkeypatch)
     load_problem(HEISENBERG_FILE, "heisenberg", "test")
-    assert compiles == ["<pontrylie.expr>"] and tables == [12]
+    assert compiles == ["<pontrylie.expr>"] and tables == [10]
+
+
+def test_the_reduced_view_compiles_its_bracket_once(monkeypatch):
+    """Building the README file's reduced view makes one more ``compile()``, of its algebra's B(mu) and
+    -B(mu) xi; the held view makes none."""
+    _, reduced = load_problem(HEISENBERG_FILE, "heisenberg", "test")
+    compiles, tables = counted_compiles(monkeypatch)
+    assert reduced.view is reduced.view
+    assert compiles == ["<pontrylie.expr>"] and tables == [2]
+
+
+def test_a_full_dirac_scan_compiles_no_lie_poisson_table(monkeypatch):
+    """Loading the README file, integrating its full problem and scanning the rows never compiles B(mu)."""
+    from pontrylie import expr
+    from pontrylie.pmp import dirac_membership_residuals, integrate_pmp
+
+    def refused(c):
+        raise AssertionError("a Lie-Poisson table was compiled")
+
+    monkeypatch.setattr(expr, "_lie_poisson_tables", refused)
+    problem, _ = load_problem(HEISENBERG_FILE, "heisenberg", "test")
+    trajectory = integrate_pmp(problem, np.zeros(3), np.array([1.0, 0.0, 1.0]), 0.01)
+    assert dirac_membership_residuals(problem, trajectory).max() <= 1e-12
 
 
 def test_a_zero_width_argument_takes_the_float_branch():

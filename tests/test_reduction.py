@@ -2,6 +2,10 @@
 
 import collections
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced, so3_algebra
 from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
-from pontrylie import lie, reduction
+from pontrylie import lie
 from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
 from pontrylie.errors import ReductionUnsupportedError, SolverError
 from pontrylie.heisenberg import (
@@ -24,7 +28,6 @@ from pontrylie.ocp import pontryagin_hamiltonian, stacked
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, optimal_feedback
 from pontrylie.pmp import time_grid
 from pontrylie.reduction import (
-    CompiledLiePoisson,
     ReducedProblem,
     ReducedState,
     eliminate_controls_reduced,
@@ -223,14 +226,10 @@ def test_rhs_abelian_is_canonical_hamilton():
 
 
 def test_rhs_coadjoint_sign_switch(heis_reduced):
-    """The opposite ad* convention is the opposite algebra: negated structure constants.  The builtin's bracket,
-    compiled for its own algebra, does not carry over: on the opposite algebra it is an input error naming the
-    form, and without it the view computes B(mu) of the opposite algebra."""
-    on_opposite = dataclasses.replace(heis_reduced, algebra=LieAlgebraSpec(3, -heis_reduced.algebra.structure_constants))
+    """The opposite ad* convention is the opposite algebra: negated structure constants.  The builtin on the
+    opposite algebra computes B(mu) of that algebra, so its mu_dot is the builtin's negated."""
+    opposite = dataclasses.replace(heis_reduced, algebra=LieAlgebraSpec(3, -heis_reduced.algebra.structure_constants))
     st = ReducedState(EMPTY, EMPTY, [1.0, 0.0, 2.0], [1.0, 0.0])
-    with pytest.raises(PontrylieError, match="compiled Lie-Poisson form"):
-        reduced_pmp_rhs(on_opposite, st)
-    opposite = dataclasses.replace(on_opposite, lie_poisson=None)
     plus = reduced_pmp_rhs(heis_reduced, st)
     minus = reduced_pmp_rhs(opposite, st)
     assert np.allclose(plus.mu_dot, -minus.mu_dot)
@@ -660,8 +659,9 @@ ALGEBRAS = {"heisenberg": heisenberg_algebra, "so3": so3_algebra, "upper_triangu
             "opposite_heisenberg": lambda: LieAlgebraSpec(3, -heisenberg_algebra().structure_constants)}
 
 
-def compiled_lie_poisson(alg: LieAlgebraSpec) -> CompiledLiePoisson:
-    return CompiledLiePoisson(*compile_tables(_lie_poisson_tables(alg.structure_constants)))
+def compiled_lie_poisson(alg: LieAlgebraSpec):
+    """The compiled (B(mu), -B(mu) xi) of ``alg``, the pair the reduced view builds."""
+    return compile_tables(_lie_poisson_tables(alg.structure_constants))
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (8,), (0,)])
@@ -670,10 +670,10 @@ def test_the_compiled_bracket_is_the_lie_poisson_form_and_the_coadjoint_action(n
     """Compiled B(mu) is ``lie._lie_poisson_form`` and compiled -B(mu) xi is ``lie.coadjoint``, at one point, one
     member, a stack and no member: bit for bit on Heisenberg, to 1e-15 relative on the other algebras."""
     alg = ALGEBRAS[name]()
-    dim, compiled = alg.dim, compiled_lie_poisson(alg)
+    dim, (compiled_form, compiled_bracket) = alg.dim, compiled_lie_poisson(alg)
     rng = np.random.default_rng(11)
     mu, xi = rng.normal(size=(2,) + lead + (dim,))
-    form, bracket = compiled.form(mu), compiled.bracket(mu, xi)
+    form, bracket = compiled_form(mu), compiled_bracket(mu, xi)
     rows = zip(mu.reshape(-1, dim), xi.reshape(-1, dim))
     expected = (_lie_poisson_form(alg, mu),
                 np.array([coadjoint(alg, x, m).coeffs for m, x in rows]).reshape(lead + (dim,)))
@@ -685,31 +685,67 @@ def test_the_compiled_bracket_is_the_lie_poisson_form_and_the_coadjoint_action(n
             assert np.abs(value - reference).max(initial=0.0) <= 1e-15 * np.abs(reference).max(initial=0.0)
 
 
-@pytest.mark.parametrize("name", ["so3", "upper_triangular_4x4", "opposite_heisenberg"])
-def test_a_bracket_compiled_for_another_algebra_is_an_input_error(heis_reduced, name):
-    """The view checks the compiled bracket once against the problem's own structure constants, so a bracket
-    that outlived its algebra (one of the same dimension, or of another) is refused naming the form."""
-    problem = dataclasses.replace(heis_reduced, algebra=ALGEBRAS[name]())
-    with pytest.raises(PontrylieError, match="compiled Lie-Poisson form"):
-        problem.view
-    assert dataclasses.replace(problem, lie_poisson=compiled_lie_poisson(problem.algebra)).view
+@pytest.mark.parametrize("name", ["so3", "opposite_heisenberg"])
+def test_a_replaced_algebra_brings_its_own_bracket(heis_reduced, name):
+    """The view compiles B(mu) from the problem's own structure constants, so the builtin with its algebra
+    replaced moves mu by that algebra's coadjoint action: bit for bit on the opposite Heisenberg algebra, to
+    1e-15 relative on so(3)."""
+    alg = ALGEBRAS[name]()
+    heis_reduced.view  # a held view must not leak into a replaced problem
+    problem = dataclasses.replace(heis_reduced, algebra=alg)
+    rng = np.random.default_rng(5)
+    for mu, u in zip(rng.normal(size=(4, 3)), rng.normal(size=(4, 2))):
+        rhs = reduced_pmp_rhs(problem, ReducedState(EMPTY, EMPTY, mu, u))
+        expected = coadjoint(alg, rhs.xi, mu).coeffs
+        if name == "opposite_heisenberg":
+            assert np.array_equal(rhs.mu_dot, expected)
+        else:
+            assert np.abs(rhs.mu_dot - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-def test_the_view_reads_the_given_bracket_else_computes_it(heis_reduced, monkeypatch):
-    """Given, else computed: with ``lie._lie_poisson_form`` broken the builtin still integrates and scans its
-    rows on its compiled bracket; the hand-written oracle, which gives none, reaches ``_lie_poisson_form``
-    and agrees with the builtin to 0.0."""
+def test_one_bracket_for_every_reduced_problem(heis_reduced, monkeypatch):
+    """With ``lie._lie_poisson_form`` broken, the builtin, the hand-written oracle and a Python-defined problem
+    with a curvature all integrate on the bracket their view compiles; the builtin still scans its rows, and
+    it and the oracle agree to 0.0."""
     def broken(*args):
         raise AssertionError("the computed Lie-Poisson form was read")
 
-    for module in (lie, reduction):
-        monkeypatch.setattr(module, "_lie_poisson_form", broken)
+    monkeypatch.setattr(lie, "_lie_poisson_form", broken)
     builtin = dataclasses.replace(heis_reduced)  # a new problem builds its own view
     runs = integrate_reduced(builtin, grid_states(), 0.2, CONFIG)
     assert reduced_dirac_residuals(builtin, runs[0]).max() <= 1e-12
-    calls = []
-    monkeypatch.setattr(reduction, "_lie_poisson_form", lambda alg, mu: calls.append(1) or _lie_poisson_form(alg, mu))
     oracle_runs = integrate_reduced(heisenberg_oracle_reduced(), grid_states(), 0.2, CONFIG)
-    assert calls
+    curved = integrate_reduced(curvature_base_problem(), ReducedState(np.zeros(2), [0.5, 0.0], np.zeros(2), [0.0]),
+                               0.1, FD_CONFIG)
+    assert np.isfinite(curved.states).all() and len(curved) == 101
     for run, oracle in zip(runs, oracle_runs):
         assert np.array_equal(run.states, oracle.states) and np.array_equal(run.channel("h"), oracle.channel("h"))
+
+
+IMPORT_FIRST = """
+import numpy as np
+from pontrylie.reduction import ReducedProblem, ReducedState, integrate_reduced
+from pontrylie.lie import LieAlgebraSpec
+from pontrylie.pmp import PmpSolverConfig
+
+c = np.zeros((3, 3, 3))
+c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+problem = ReducedProblem(base_dim=0, algebra=LieAlgebraSpec(3, c), control_dim=2,
+                         lagrangian=lambda z, u: 0.5 * float(u @ u), base_dynamics=lambda z, u: np.zeros(0),
+                         fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.0]))
+run = integrate_reduced(problem, ReducedState([], [], [1.0, 0.0, 1.0], [0.0, 0.0]), 1e-3,
+                        PmpSolverConfig(rk_step=1e-3, newton_tol=1e-9))
+print(len(run), *run.block("mu")[-1])
+"""
+
+
+def test_a_view_built_with_reduction_imported_first():
+    """A fresh interpreter that imports ``pontrylie.reduction`` first builds a Python-defined problem's view,
+    whose bracket comes from ``expr`` imported inside the view, and integrates one step."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FIRST], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rows, *mu = map(float, proc.stdout.split())
+    assert rows == 2 and np.allclose(mu, [np.cos(1e-3), np.sin(1e-3), 1.0], atol=1e-9)

@@ -415,14 +415,17 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code, result = EXIT_SOLVER, {"status": "error", "error": str(exc), "exit_code": EXIT_SOLVER}
-        if isinstance(exc, SolverError):
-            located = {"residual": exc.residual, "t": exc.t}
+        # an evaluation error is located in time and batch only inside an integration
+        if isinstance(exc, SolverError) or isinstance(exc, EvaluationError) and np.isfinite(exc.t):
+            located = {"t": exc.t}
             if exc.member is not None:
                 located["member"] = exc.member
-            if exc.state is not None:
-                located["state"] = [float(v) for v in exc.state]
+            if isinstance(exc, SolverError):
+                located["residual"] = exc.residual
+                if exc.state is not None:
+                    located["state"] = [float(v) for v in exc.state]
             result.update({key: value for key, value in located.items() if np.all(np.isfinite(value))})
-        elif isinstance(exc, EvaluationError) and exc.point is not None:
+        if isinstance(exc, EvaluationError) and exc.point is not None:
             point = [[float(v) for v in np.ravel(part)] for part in exc.point]
             if all(np.all(np.isfinite(part)) for part in point):
                 result["point"] = point

@@ -22,12 +22,16 @@ class NonNilpotentError(PontrylieError):
 class EvaluationError(PontrylieError):
     """A dynamics/Lagrangian/Hamiltonian evaluation produced a non-finite value.
 
-    Carries the probe point so the failure can be reproduced.
+    Carries the probe point so the failure can be reproduced, the index of
+    the failing member of the stack evaluated (None when unknown) and, from
+    an integration, the time (nan when unknown).
     """
 
-    def __init__(self, message: str, point=None):
+    def __init__(self, message: str, point=None, t: float = float("nan"), member=None):
         super().__init__(message)
         self.point = point
+        self.t = t
+        self.member = member
 
 
 class SolverError(PontrylieError):

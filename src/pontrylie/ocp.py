@@ -207,13 +207,14 @@ def _per_member(fn: Optional[Callable], name: str, shape: tuple) -> Optional[Cal
         lead = np.shape(args[0])[:-1]
         count = math.prod(lead)
         values = []
-        for row in zip(*(np.reshape(a, (count, np.shape(a)[-1])) for a in args)):
+        for member, row in enumerate(zip(*(np.reshape(a, (count, np.shape(a)[-1])) for a in args))):
             try:
                 value = fn(*row)
             except (ValueError, ArithmeticError) as exc:
                 if isinstance(exc, PontrylieError):
                     raise
-                raise EvaluationError(f"{name} failed: {exc}", point=tuple(np.array(a) for a in row)) from exc
+                raise EvaluationError(f"{name} failed: {exc}", point=tuple(np.array(a) for a in row),
+                                      member=member) from exc
             value = float(value) if not shape else np.asarray(value, dtype=float)
             if np.shape(value) != shape:
                 raise DimensionMismatchError(
@@ -270,14 +271,14 @@ def _sized_gradient(ham: "ControlledHamiltonian", nq: int, k: int, r: int) -> "C
 def _require_finite(values: np.ndarray, message: str, *rows: np.ndarray) -> np.ndarray:
     """``values`` (leading member axes as ``rows[0]``) once all finite; else EvaluationError at the first bad member.
 
-    The error's point holds that member's entries of ``rows``.
+    The error names that member's flat index, and its point holds that member's entries of ``rows``.
     """
     finite = np.isfinite(values)
     if finite.all():
         return values
     count = math.prod(rows[0].shape[:-1])
     i = int(np.argmin(finite.reshape(count, -1).all(axis=1)))
-    raise EvaluationError(message, point=tuple(np.reshape(v, (count, v.shape[-1]))[i].copy() for v in rows))
+    raise EvaluationError(message, point=tuple(np.reshape(v, (count, v.shape[-1]))[i].copy() for v in rows), member=i)
 
 
 # Central-difference step of every derivative fallback, scaled by 1 + |coordinate|.
@@ -428,14 +429,34 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     iterate evaluates the whole ``dH`` on the whole stack and reads dH/du,
     its first r entries, so the gradient at the root, that of the last
     iterate, costs the caller no call (one step, for H quadratic in u).  W
-    is evaluated only at the members that take a step.  Returns (u*,
+    is evaluated only at the members that take a step.  One member (leading
+    shape () or (1,), as the compiled tables tell it) with a regular
+    constant W takes the same steps, each the same matmul, but keeps the
+    residual, the convergence and finiteness tests and the count on Python
+    floats, so it gives the bits it gives in a batch.  Returns (u*,
     iterations, residual, dH at u* unchecked), iterations and residual per
-    member.  A failure names the flat index of the first failing member; a
-    non-finite dH/du raises EvaluationError at its point.
+    member, Python numbers for that one member.  A failure names the flat
+    index of the first failing member; a non-finite dH/du raises
+    EvaluationError at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
-    r = u.shape[-1]
-    iterations = np.zeros(u.shape[:-1], dtype=int)
+    r, lead = u.shape[-1], u.shape[:-1]
+    if ham.w_inverse is not None and lead in ((), (1,)) and q.shape[:-1] == lam.shape[:-1] == lead:
+        # one member and a regular constant W: the steps of the stack path, the bookkeeping on Python floats
+        for iterations in range(config.newton_max_iter + 1):
+            grad = ham.dH(q, lam, u)
+            g = grad[..., :r]
+            values = g.ravel().tolist()
+            if not all(map(math.isfinite, values)):
+                _require_finite(g, "non-finite Hamiltonian partial", q, lam, u)
+            residual = max(map(abs, values), default=0.0)
+            if residual <= config.newton_tol:
+                return u, iterations, residual, grad
+            if iterations == config.newton_max_iter:
+                raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
+                                       residual=residual, member=0)
+            u = u - (ham.w_inverse @ g[..., None])[..., 0]
+    iterations = np.zeros(lead, dtype=int)
     constant_w = ham.w is not None
     for iteration in range(config.newton_max_iter + 1):
         grad = ham.dH(q, lam, u)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Tuple, Union
 import numpy as np
 
 from . import dirac
-from .errors import DimensionMismatchError, PontrylieError, SolverError, TrajectoryFormatError
+from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
 from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
@@ -273,7 +273,11 @@ def time_grid(duration: float, step: float) -> np.ndarray:
         raise DimensionMismatchError(f"inconsistent duration {duration} / step {step}")
     if duration == 0:
         return np.zeros(1)
-    n = int(np.floor(duration / step + 1e-9))
+    steps = np.floor(duration / step + 1e-9)
+    if not steps + 2 <= np.iinfo(np.intp).max:
+        raise DimensionMismatchError(f"duration {duration} / step {step} needs {steps + 1:.3g} grid nodes, "
+                                     "beyond NumPy's index range")
+    n = int(steps)
     ts = step * np.arange(n + 1)
     if duration - ts[-1] > max(1e-12, 1e-9 * duration):
         ts = np.append(ts, duration)
@@ -300,50 +304,57 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     (prefix, size) of ``blocks`` (q first), then u1..; H under
     ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
     updates of any solve of the step ending at the node) and "stationarity"
-    (the node's residual max |dH/du|).  Solver errors are re-raised with the
-    failing member's index, the grid time (of the node, or of the start of
-    the step whose stage failed) and the (q, lam) row Newton was solving at.
-    Returns one Trajectory per member.
+    (the node's residual max |dH/du|), each written in place into one
+    (members, nodes) array.  Solver and evaluation errors are re-raised
+    with the failing member's index and the grid time (of the node, or of
+    the start of the step whose stage failed); a solver error also with
+    the (q, lam) row Newton was solving at.  After the sweep a non-finite
+    recorded row, which no evaluation may have read, raises EvaluationError
+    at the first one (earliest node, then lowest member).  Returns one
+    Trajectory per member.
     """
     nq = blocks[0][1]
     times = time_grid(duration, config.rk_step)
 
-    def solve(y, u_warm, where, t, view=ham):
+    def located(exc, where, t, y):
+        """``exc`` again, its message and fields naming the failing member and the grid time."""
+        i = exc.member
+        message = f"{exc} (member {i} {where} t={t:.6g})"
+        if isinstance(exc, SolverError):
+            return type(exc)(message, residual=exc.residual, t=t, state=y[i], member=i)
+        return EvaluationError(message, point=exc.point, t=t, member=i)
+
+    def solve(y, u_warm, view=ham):
         """(u*, iterations, residual, dH at u*) of the Newton solve at the rows y."""
         q, lam = y[:, :nq], y[:, nq:]
-        try:
-            u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
-            return u_star, iterations, residual, _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
-        except SolverError as exc:
-            i = exc.member
-            raise type(exc)(f"{exc} (member {i} {where} t={t:.6g})", residual=exc.residual, t=t, state=y[i],
-                            member=i) from exc
+        u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
+        return u_star, iterations, residual, _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
 
     def vector_field(y, grad):
         q_dot, lam_dot = _hamilton_field(ham, y[:, :nq], y[:, nq:], grad)
         return np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
 
     def stage(y, u_warm, t):
-        u_star, iterations, _, grad = solve(y, u_warm, "while stepping from", t)
+        try:
+            u_star, iterations, _, grad = solve(y, u_warm)
+        except (SolverError, EvaluationError) as exc:
+            raise located(exc, "while stepping from", t, y) from exc
         return vector_field(y, grad), u_star, iterations
 
     members, width = y0.shape
     r = u0.shape[1]
     states = np.empty((members, len(times), width + r))
-    recorded: Dict[str, np.ndarray] = {}
+    hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
 
     def node(k, y, u_warm, step_iterations, view=ham):
-        u_star, iterations, residual, grad = solve(y, u_warm, "at", times[k], view)
+        try:
+            u_star, iterations, residual, grad = solve(y, u_warm, view)
+            hamiltonian[:, k] = _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, _split(grad, nq, r)[2])
+        except (SolverError, EvaluationError) as exc:
+            raise located(exc, "at", times[k], y) from exc
         states[:, k, :width], states[:, k, width:] = y, u_star
-        values = {
-            hamiltonian_channel: _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, _split(grad, nq, r)[2]),
-            "newton_iters": np.maximum(step_iterations, iterations),
-            "stationarity": residual,
-        }
-        for name, value in values.items():
-            if name not in recorded:
-                recorded[name] = np.empty((members, len(times)))
-            recorded[name][:, k] = value
+        newton_iters[:, k] = np.maximum(step_iterations, iterations)
+        stationarity[:, k] = residual
         return u_star, grad
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,9 +370,17 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             u_warm, grad = node(k + 1, y, u4, np.maximum(np.maximum(i2, i3), i4))
 
+    finite = np.isfinite(states).all(axis=-1)  # (members, nodes)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=0)))
+        i = int(np.argmin(finite[:, k]))
+        row = states[i, k].copy()
+        raise located(EvaluationError("non-finite state", point=(row[:nq], row[nq:width], row[width:]), member=i),
+                      "at", times[k], None)
     columns = [f"{prefix}{i+1}" for prefix, size in (*blocks, ("u", r)) for i in range(size)]
+    channels = {hamiltonian_channel: hamiltonian, "newton_iters": newton_iters, "stationarity": stationarity}
     return [
-        Trajectory(times=times, columns=columns, states=states[i], channels={k: v[i] for k, v in recorded.items()})
+        Trajectory(times=times, columns=columns, states=states[i], channels={k: v[i] for k, v in channels.items()})
         for i in range(members)
     ]
 

@@ -693,6 +693,63 @@ def test_overflow_mid_solve_exits_2_with_its_point_and_no_warning(tmp_path, caps
     assert x[0] * x[0] == np.inf and p == u
 
 
+def _without_symmetry(tmp_path) -> str:
+    """The README file without ``algebra``, ``action`` and ``reduced``, written to ``tmp_path``."""
+    problem_file = tmp_path / "plain.json"
+    problem_file.write_text(json.dumps({k: v for k, v in HEISENBERG_JSON.items()
+                                        if k not in ("algebra", "action", "reduced")}))
+    return str(problem_file)
+
+
+@pytest.mark.parametrize("source", ["file", "builtin"])
+def test_a_non_finite_state_row_exits_2_naming_its_time_and_member(tmp_path, capsys, source):
+    """x3 overflows in the RK4 update at t = 0.88 and no evaluation reads it: the file's run exited 0 writing inf,
+    the builtin's exited 1 blaming its generators."""
+    problem = ["--problem", _without_symmetry(tmp_path)] if source == "file" else ["--builtin", "heisenberg"]
+    out = tmp_path / "out.csv"
+    code, result, _ = run_cli(capsys, "solve-pmp", *problem, "--p0=1.3e154,0,1", "--T", "1", "--step", "0.01",
+                              "--out", str(out))
+    assert code == 2 and result["status"] == "error"
+    assert result["error"] == "non-finite state (member 0 at t=0.88)"
+    assert result["t"] == 0.88 and result["member"] == 0 and "point" not in result  # x3 is infinite
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, args, message", [
+    ({}, ("--p0=1.5e154,0,1",), "non-finite Hamiltonian (member 0 at t=0)"),
+    ({"n": 1, "r": 1, "dynamics": ["x1*x1 + u1"], "lagrangian": "0.5*u1^2"}, ("--x0", "1e150", "--p0", "1"),
+     "non-finite Hamiltonian partial (member 0 while stepping from t=0)"),
+])
+def test_evaluation_errors_of_the_sweep_carry_time_and_member(tmp_path, capsys, problem, args, message):
+    """u*^2 overflows H at the first node of the builtin; x1*x1 overflows F at the first stage of the file."""
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(problem))
+    source = ["--problem", str(problem_file)] if problem else ["--builtin", "heisenberg"]
+    code, result, _ = run_cli(capsys, "solve-pmp", *source, *args, "--T", "1", "--step", "0.1",
+                              "--out", str(tmp_path / "out.csv"))
+    assert code == 2 and result["status"] == "error"
+    assert result["error"] == message
+    assert result["t"] == 0.0 and result["member"] == 0 and len(result["point"]) == 3  # (x, p, u)
+
+
+def test_an_overflowing_scan_row_names_its_point_but_no_time_or_member(tmp_path, capsys):
+    """p3 x2 overflows dH at the second row of a stored trajectory: a scan is not an integration."""
+    traj = tmp_path / "bad.csv"
+    traj.write_text("t,x1,x2,x3,p1,p2,p3,u1,u2\n0,0,0,0,1,0,1,1,0\n0.1,0,1e200,0,1,0,1e200,1,0\n")
+    code, result, _ = run_cli(capsys, "check-dirac", "--builtin", "heisenberg", "--traj", str(traj))
+    assert code == 2 and result["error"] == "non-finite Hamiltonian partial"
+    assert result["point"] == [[0.0, 1e200, 0.0], [1.0, 0.0, 1e200], [1.0, 0.0]]
+    assert "t" not in result and "member" not in result
+
+
+def test_a_step_beyond_numpys_index_range_exits_1_naming_it(tmp_path, capsys):
+    """1 / 1e-300 nodes: refused naming duration, step and the node count (it was NumPy's bare message)."""
+    code, result, _ = run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "1",
+                              "--step", "1e-300", "--out", str(tmp_path / "out.csv"))
+    assert code == 1 and result["status"] == "error"
+    assert result["error"] == "duration 1.0 / step 1e-300 needs 1e+300 grid nodes, beyond NumPy's index range"
+
+
 def test_action_without_algebra_is_rejected(tmp_path, capsys):
     problem_file = tmp_path / "heis.json"
     data = {k: v for k, v in HEISENBERG_JSON.items() if k not in ("algebra", "reduced")}

@@ -1,7 +1,9 @@
 """Feedback solver, Hamilton-equation integration, conservation, action functional."""
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from pontrylie.errors import (
     TrajectoryFormatError,
 )
 from pontrylie.expr import load_problem
+from pontrylie import pmp
 from pontrylie.heisenberg import (
+    PROBLEM_JSON,
     full_state_closed_form,
     unit_cylinder_costate,
 )
@@ -224,6 +228,150 @@ def test_constant_blocks_give_the_general_path_bit_for_bit(heis_problem, heis_re
             assert a.channel("newton_iters").max() == 1
             for name in ("newton_iters", "stationarity"):
                 assert np.array_equal(a.channel(name), b.channel(name)), name
+
+
+def skewed_problems():
+    """The README file with the cost 0.5*(u1^2 + u1*u2 + 2*u2^2), full and reduced: a constant W whose inverse is
+    not diagonal, so a step folded in Python could differ from the stack's matmul in the last bit (Heisenberg's
+    W^-1 = -I cannot tell the two apart)."""
+    data = json.loads(PROBLEM_JSON)
+    data["lagrangian"] = data["reduced"]["lagrangian"] = "0.5*(u1^2 + u1*u2 + 2*u2^2)"
+    return load_problem(data, "skewed", "test")
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """(iterations, residual) of every ``_newton`` call made through ``pmp``: Python numbers on the one-member
+    branch, arrays on the stack path."""
+    calls = []
+
+    def spied(*args):
+        result = _newton(*args)
+        calls.append(result[1:3])
+        return result
+
+    monkeypatch.setattr(pmp, "_newton", spied)
+    return calls
+
+
+def branches(calls):
+    """The set of ``calls``' (iterations, residual) types, emptying ``calls``."""
+    kinds = {tuple(type(v) for v in call) for call in calls}
+    calls.clear()
+    return kinds
+
+
+def test_one_member_gives_its_batch_bits_with_an_off_diagonal_w(newton_calls):
+    """Alone, a member takes the one-member branch and gives the bits it has in a batch, full and reduced."""
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    problem, reduced = skewed_problems()
+    for view in (problem.view, reduced.view):
+        assert view.w_inverse is not None and view.w_inverse[0, 1] != 0.0
+    config = PmpSolverConfig(rk_step=1e-2)
+    x0 = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [1.0, 2.0, -3.0]])
+    p0 = np.array([unit_cylinder_costate(theta, k) for theta, k in ((0.0, 1.0), (0.7, 0.5), (2.0, 2.0))])
+    states = [ReducedState(np.zeros(0), np.zeros(0), mu0, np.zeros(2)) for mu0 in p0]
+    for batch, alone in (
+        (lambda: integrate_pmp(problem, x0, p0, 1.0, config),
+         lambda i: integrate_pmp(problem, x0[i], p0[i], 1.0, config)),
+        (lambda: integrate_reduced(reduced, states, 1.0, config),
+         lambda i: integrate_reduced(reduced, states[i], 1.0, config)),
+    ):
+        together = batch()
+        assert branches(newton_calls) == {(np.ndarray, np.ndarray)}
+        for i, member in enumerate(together):
+            single = alone(i)
+            assert branches(newton_calls) == {(int, float)}
+            assert np.array_equal(member.states, single.states)
+            assert member.channels.keys() == single.channels.keys()
+            for name in single.channels:
+                assert np.array_equal(member.channel(name), single.channel(name)), name
+
+
+def stiffening_problem():
+    """x_dot = u, L = u^2/2 + s u^4/4 with s = max(x - 1, 0), and W = -1 as a constant: exact while x <= 1,
+    after which Newton converges only linearly."""
+
+    @stacked
+    def dH(x, p, u):
+        s = np.maximum(x - 1.0, 0.0)
+        return np.concatenate([p - u - s * u**3, -0.25 * (x > 1.0) * u**4, u], axis=-1)
+
+    @stacked
+    def lagrangian(x, u):
+        return (0.5 * u**2 + 0.25 * np.maximum(x - 1.0, 0.0) * u**4)[..., 0]
+
+    return ControlProblem(n=1, r=1, dynamics=stacked(lambda x, u: u), lagrangian=lagrangian,
+                          jacobians=ProblemJacobians(dH=dH, d2H_du2=constant([[-1.0]])))
+
+
+def rooted_problem():
+    """x_dot = u, L = u^2/2 - u sqrt(1 - x), and W = -1 as a constant: dH/du = p - u + sqrt(1 - x) is NaN past
+    x = 1."""
+
+    @stacked
+    def dH(x, p, u):
+        root = np.sqrt(1.0 - x)
+        return np.concatenate([p - u + root, -0.5 * u / root, u], axis=-1)
+
+    return ControlProblem(n=1, r=1, dynamics=stacked(lambda x, u: u),
+                          lagrangian=stacked(lambda x, u: (0.5 * u**2 - u * np.sqrt(1.0 - x))[..., 0]),
+                          jacobians=ProblemJacobians(dH=dH, d2H_du2=constant([[-1.0]])))
+
+
+@pytest.mark.parametrize("problem, kind, message", [
+    (stiffening_problem(), ConvergenceError, "control Newton exhausted 2 iterations"),
+    (rooted_problem(), EvaluationError, "non-finite Hamiltonian partial"),
+])
+def test_a_one_member_failure_is_the_one_it_has_in_a_batch(newton_calls, problem, kind, message):
+    """Member 0 crosses x = 1 mid-run and fails there; the other two stay at x = -5.  Alone it fails on the
+    one-member branch with the type, message, residual, member, time, state and point it has in the batch."""
+    config = PmpSolverConfig(rk_step=0.01, newton_max_iter=2)
+    failures = []
+    for x0, p0 in (([[0.95], [-5.0], [-5.0]], [[1.0], [1.0], [0.5]]), ([0.95], [1.0])):
+        with pytest.raises(kind, match=message) as err:
+            integrate_pmp(problem, x0, p0, 0.5, config)
+        failures.append(err.value)
+    assert branches(newton_calls) == {(np.ndarray, np.ndarray), (int, float)}
+    together, alone = failures
+    assert str(together) == str(alone) and "member 0 while stepping from t=0.0" in str(alone)
+    assert together.member == alone.member == 0 and together.t == alone.t > 0.0
+    for name in ("residual", "state", "point"):
+        assert np.array_equal(getattr(together, name, None), getattr(alone, name, None)), name
+
+
+def test_optimal_feedback_of_one_point_takes_the_one_member_branch(newton_calls):
+    """A 1-D guess takes the one-member branch, and its control is the stack's, bit for bit."""
+    problem = skewed_problems()[0]
+    x, p, u0 = np.array([0.1, -0.2, 0.3]), unit_cylinder_costate(0.4, 1.3), np.array([0.2, -0.1])
+    u = optimal_feedback(problem, x, p, u0)
+    assert branches(newton_calls) == {(int, float)}
+    stack = _newton(problem.view, np.tile(x, (3, 1)), np.tile(p, (3, 1)), np.tile(u0, (3, 1)), PmpSolverConfig())
+    assert np.array_equal(stack[0], np.tile(u, (3, 1)))
+    assert stack[1].tolist() == [1, 1, 1]
+
+
+def without_symmetry():
+    """The README file without ``algebra``, ``action`` and ``reduced``: neither dH nor H reads x3."""
+    data = json.loads(PROBLEM_JSON)
+    for key in ("algebra", "action", "reduced"):
+        del data[key]
+    return load_problem(data, "plain", "test")[0]
+
+
+@pytest.mark.parametrize("p0, member, t", [
+    ([[1.0, 0.0, 1.0], [1.3e154, 0.0, 1.0], [1.33e154, 0.0, 1.0]], 2, 0.86),  # the earliest node first
+    ([[1.0, 0.0, 1.0], [1.3e154, 0.0, 1.0], [1.3e154, 0.0, 1.0]], 1, 0.88),  # then the lowest member
+    ([1.3e154, 0.0, 1.0], 0, 0.88),
+])
+def test_a_non_finite_state_row_is_an_evaluation_error_at_its_first_row(p0, member, t):
+    """x3 overflows in the RK4 update, which no evaluation reads: the recorded rows are checked after the sweep."""
+    with pytest.raises(EvaluationError, match=rf"non-finite state \(member {member} at t={t}\)") as err:
+        integrate_pmp(without_symmetry(), np.zeros(3), p0, 1.0, PmpSolverConfig(rk_step=0.01))
+    assert err.value.member == member and err.value.t == t
+    x, p, u = err.value.point
+    assert x.shape == p.shape == (3,) and u.shape == (2,) and x[2] == np.inf
 
 
 def test_integrate_conserves_hamiltonian(full_period_runs):
@@ -576,6 +724,16 @@ def test_time_grid_edges():
 ])
 def test_time_grid_rejects_non_finite_values(duration, step, name):
     with pytest.raises(DimensionMismatchError, match=f"{name} must be finite"):
+        time_grid(duration, step)
+
+
+@pytest.mark.parametrize("duration, step, nodes", [
+    (1.0, 1e-300, "1e+300"), (1e300, 1e-300, "inf"), (1e10, 1e-9, "1e+19"),
+])
+def test_a_grid_beyond_numpys_index_range_names_duration_step_and_nodes(duration, step, nodes):
+    """Refused before any allocation: the node count exceeds the largest NumPy index."""
+    message = f"duration {duration} / step {step} needs {nodes} grid nodes"
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
         time_grid(duration, step)
 
 

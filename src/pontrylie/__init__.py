@@ -63,13 +63,11 @@ from .ocp import (
 from .pmp import (
     PmpSolverConfig,
     Trajectory,
-    consistency_residual,
     dirac_membership_residuals,
     integrate_pmp,
     lagrange_pontryagin_action,
     momentum_map,
     optimal_feedback,
-    regularity_check,
 )
 from .reduction import (
     ReducedProblem,

@@ -40,7 +40,7 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import PontrylieError
-from .lie import algebra_from_dict
+from .lie import _nonnegative_int, algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
 from .reduction import ReducedProblem
 
@@ -679,7 +679,7 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
 
 _FILE_KEYS = ("n", "r", "dynamics", "lagrangian", "algebra", "action", "reduced")
 _ALGEBRA_KEYS = ("dim", "structure", "matrix_basis", "labels")
-_REDUCED_KEYS = ("s", "lagrangian", "base_dynamics", "fiber_dynamics")
+_REDUCED_KEYS = ("s", "lagrangian", "base_dynamics", "fiber_dynamics", "base_structure")
 
 
 def _known_keys(block, allowed: Tuple[str, ...], where: str) -> dict:
@@ -741,15 +741,35 @@ def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, 
             + [(table, [state, costate, control]) for table in hamiltonian])
 
 
-def _lie_poisson_tables(c: np.ndarray) -> List[Tuple[np.ndarray, List[List[str]]]]:
-    """The tables, with their arguments, of B(mu)_ij = sum_k c_ijk mu_k and of -B(mu) xi for the structure
-    constants ``c``, each sum in index order as in the matmuls of ``lie._lie_poisson_form`` and -(B @ xi)."""
+def _structure_functions(entries, s: int, dim: int) -> List[Tuple[int, int, int, Node]]:
+    """The entries (i, j, k, value) of a ``base_structure``, each value parsed as ``_table`` parses an expression: the
+    tree of C^k_ij(z), 0 <= i < j < s, 0 <= k < dim, read from z1..zs.  A malformed entry is an error that names it."""
+    parsed, entry = [], entries
+    try:
+        for entry in entries:
+            i, j, k, value = entry
+            i, j, k = (_nonnegative_int(index, "each index") for index in (i, j, k))
+            if not (i < j < s and k < dim):
+                raise ValueError(f"the indices need 0 <= i < j < s = {s} and 0 <= k < dim = {dim}")
+            parsed.append((i, j, k, parse(str(value), [f"z{m+1}" for m in range(s)]).ast))
+    except (PontrylieError, TypeError, ValueError) as exc:
+        raise PontrylieError(f"base_structure entry {entry!r}: {exc}") from None
+    return parsed
+
+
+def _lie_poisson_tables(c: np.ndarray, s: int, base_structure) -> List[Tuple[np.ndarray, List[List[str]]]]:
+    """The tables, with their arguments, of B(z, lam)_ab = sum_k C^k_ab(z) mu_k and of -B(z, lam) f, lam = (p_z, mu):
+    C holds ``base_structure`` (C^k_ji = -C^k_ij) and the structure constants ``c`` in its base and algebra blocks.
+    Each sum runs in index order, as in the matmuls of ``lie._lie_poisson_form`` and -(B @ xi)."""
     dim = len(c)
-    mu, xi = ([f"{name}{k+1}" for k in range(dim)] for name in ("mu", "xi"))
-    form = _pairing(mu, np.array([[Constant(float(v)) for v in row] for row in c.reshape(dim * dim, dim).T],
-                                 dtype=object)).reshape(dim, dim)
-    bracket = np.array([_unary("neg", entry, 0) for entry in _pairing(xi, form.T)], dtype=object)
-    return [(form, [mu]), (bracket, [mu, xi])]
+    z, lam, f = ([f"{name}{i+1}" for i in range(n)] for name, n in (("z", s), ("lam", s + dim), ("f", s + dim)))
+    table = np.full((s + dim, s + dim, dim), Constant(0.0), dtype=object)
+    table[s:, s:] = np.array([Constant(float(v)) for v in c.flat], dtype=object).reshape(c.shape)
+    for i, j, k, node in _structure_functions(base_structure, s, dim):
+        table[i, j, k], table[j, i, k] = node, _unary("neg", node, node.pos)
+    form = _pairing(lam[s:], table.reshape(-1, dim).T).reshape(s + dim, s + dim)
+    bracket = np.array([_unary("neg", entry, 0) for entry in _pairing(f, form.T)], dtype=object)
+    return [(form, [z, lam]), (bracket, [z, lam, f])]
 
 
 def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
@@ -760,13 +780,13 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
     (``_hamiltonian_tables``, costates p1..pn, or pz1..pzs and mu1..mudim
     for the reduced h), so the solvers take their analytic paths.  All
     tables of the file go through one ``compile_tables`` call, one
-    ``compile()``; the reduced problem's B(mu) and -B(mu) xi are compiled by
-    its view (``ReducedProblem.view``), from the algebra.
+    ``compile()``; the reduced problem's B(z, lam) and -B(z, lam) F are
+    compiled by its view (``ReducedProblem.view``), from its structure.
     ``where`` names the data in error messages.
     """
     data = _known_keys(data, _FILE_KEYS, where)
     try:
-        n, r = int(data["n"]), int(data["r"])
+        n, r = (_nonnegative_int(data[key], key) for key in ("n", "r"))
         dyn_src = list(data["dynamics"])
         lag_src = str(data["lagrangian"])
     except (KeyError, TypeError) as exc:
@@ -791,7 +811,7 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         if algebra is None:
             raise PontrylieError("a reduced block requires an algebra block")
         block = _known_keys(data["reduced"], _REDUCED_KEYS, "the reduced block")
-        s = int(block.get("s", 0))
+        s = _nonnegative_int(block.get("s", 0), "reduced s")
         z_vars = [f"z{i+1}" for i in range(s)]
         base_src = list(block.get("base_dynamics", []))
         fiber_src = list(block["fiber_dynamics"])
@@ -816,6 +836,6 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
     if "reduced" in data:
         base, fiber, lagrangian_z, dH, d2H_du2 = compiled
         reduced = ReducedProblem(base_dim=s, algebra=algebra, control_dim=r, lagrangian=lagrangian_z,
-                                 base_dynamics=base, fiber_dynamics=fiber,
-                                 jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2), name=name)
+                                 base_dynamics=base, fiber_dynamics=fiber, jacobians=ProblemJacobians(dH, d2H_du2),
+                                 base_structure=block.get("base_structure", ()), name=name)
     return problem, reduced

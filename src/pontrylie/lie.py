@@ -291,6 +291,13 @@ def _is_nilpotent(alg: LieAlgebraSpec) -> bool:
     return not span.size
 
 
+def _nonnegative_int(value, name: str) -> int:
+    """``value`` of a JSON integer field ``name``: a nonnegative integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise DimensionMismatchError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def algebra_from_dict(data: dict) -> LieAlgebraSpec:
     """Build a LieAlgebraSpec from its JSON form.
 
@@ -298,12 +305,13 @@ def algebra_from_dict(data: dict) -> LieAlgebraSpec:
     with 0-based indices; only the (i, j) entries with i < j need to be given,
     the antisymmetric counterparts are filled in automatically when absent.
     """
-    dim = int(data["dim"])
+    dim = _nonnegative_int(data["dim"], "algebra dim")
     c = np.zeros((dim, dim, dim))
     for entry in data.get("structure", []):
         i, j, k, value = entry
-        i, j, k = int(i), int(j), int(k)
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+        i, j, k = (_nonnegative_int(index, f"each index of the algebra structure entry {entry!r}")
+                   for index in (i, j, k))
+        if not (i < dim and j < dim and k < dim):
             raise InvalidAlgebraError(f"structure index out of range in {entry!r}")
         c[i, j, k] = float(value)
     # fill antisymmetric counterparts that were left implicit

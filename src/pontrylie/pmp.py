@@ -25,8 +25,8 @@ import numpy as np
 from . import dirac
 from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError, TrajectoryFormatError
 from .lie import CoalgebraElement
-from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian, hamiltonian_partials
-from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _is_regular, _newton, _per_member
+from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
+from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton, _per_member
 from .ocp import _require_finite, _sized_gradient, _split
 
 
@@ -192,19 +192,6 @@ def _finite_trajectory(trajectory: Trajectory, path) -> Trajectory:
     if bad:
         raise TrajectoryFormatError(f"trajectory file {path} has a non-finite value in column '{bad[0]}'")
     return trajectory
-
-
-def consistency_residual(problem: ControlProblem, point: PontryaginPoint) -> np.ndarray:
-    """The stationarity residual phi_a = dH/du_a at a bundle point."""
-    return hamiltonian_partials(problem, point).dH_du
-
-
-def regularity_check(problem: ControlProblem, point: PontryaginPoint) -> bool:
-    """True iff the control Hessian W has smallest singular value above ``ocp.RANK_TOL``.
-
-    Problems without controls are vacuously regular.
-    """
-    return problem.r == 0 or bool(_is_regular(hamiltonian_partials(problem, point).d2H_du2))
 
 
 def optimal_feedback(

@@ -5,15 +5,15 @@ mu, control u) with reduced Hamiltonian
 
     h(z, p_z, mu, u) = <p_z, base_dynamics(z, u)> + <mu, fiber_dynamics(z, u)> - l(z, u)
 
-and evolves by Hamilton's equations (``ocp._hamilton_field``) with lam = (p_z, mu) and
-the form B = [[C(z, mu), 0], [0, B(mu)]], C_ij = curvature(z, mu, e_j, e_i), B(mu)_ij = sum_k c_ijk mu_k:
+and evolves by Hamilton's equations (``ocp._hamilton_field``) with lam = (p_z, mu) and Martinez's Lie-algebroid
+form B(z, lam)_ab = sum_k C^k_ab(z) mu_k = [[C(z, mu), 0], [0, B(mu)]], C from ``base_structure`` and c_ijk:
 
     z_dot   = dh/dp_z
-    pz_dot  = -dh/dz - C z_dot  (curvature coupling, coordinate form, zero by default)
+    pz_dot  = -dh/dz - C(z, mu) z_dot  (coordinate form, zero without base structure)
     mu_dot  = -B(mu) xi = ad*_xi(mu),   xi = dh/dmu
     dh/du   = 0              (controls eliminated by Newton)
 
-B(mu) and -B(mu) xi are compiled from the algebra's own structure constants when the view is built.
+B(z, lam) and -B(z, lam) F are compiled from that structure when the view is built.
 
 With the package's ad* convention this reproduces the closed-form Heisenberg
 flow; data written for the opposite convention is the same flow on the
@@ -45,12 +45,12 @@ class ReducedProblem:
 
     ``base_dynamics(z, u)`` returns the base velocity (length base_dim) and
     ``fiber_dynamics(z, u)`` the algebra coefficients of the vertical part.
-    ``curvature(z, mu, v, w)``, when given, is the scalar curvature coupling on
-    two base vectors.  It must be bilinear and antisymmetric in (v, w): it is the
-    z-block C_ij = curvature(z, mu, e_j, e_i) of the form B, and the p_z equation
-    gets -(C z_dot)_i, which is -curvature(z, mu, z_dot, e_i) only then.  ``jacobians`` holds the
-    derivatives of h as functions of (z, lam, u), lam = (p_z, mu): dH of shape (r + 2 s + dim,) is
-    (dh/du, dh/dz, base, fiber) and d2H_du2 of shape (r, r) the control Hessian, as for H (see
+    ``base_structure`` lists the structure functions C^k_ij(z) = value, sparse as ``algebra_from_dict``'s
+    structure: entries (i, j, k, value), 0 <= i < j < base_dim, 0 <= k < algebra.dim, value a number or an ``expr``
+    expression in z1..zs, C^k_ji = -C^k_ij; base sections i and j bracket into algebra direction k, and the p_z
+    equation gets -(C(z, mu) z_dot)_i, C(z, mu)_ij = sum_k C^k_ij(z) mu_k (a malformed entry raises, naming it).
+    ``jacobians`` holds the derivatives of h as functions of (z, lam, u), lam = (p_z, mu): dH of shape (r + 2 s + dim,)
+    is (dh/du, dh/dz, base, fiber) and d2H_du2 of shape (r, r) the control Hessian, as for H (see
     ``ProblemJacobians``).  Casimirs are monitored, never discovered: a dict of name -> function of mu.
     """
 
@@ -60,7 +60,7 @@ class ReducedProblem:
     lagrangian: Callable
     base_dynamics: Callable
     fiber_dynamics: Callable
-    curvature: Optional[Callable] = None
+    base_structure: Sequence[tuple] = ()
     jacobians: Optional[ProblemJacobians] = None
     casimirs: Dict[str, Callable] = field(default_factory=dict)
     name: str = ""
@@ -68,39 +68,22 @@ class ReducedProblem:
     def __post_init__(self):
         if self.base_dim < 0 or self.control_dim < 0:
             raise DimensionMismatchError("base_dim and control_dim must be nonnegative")
+        from .expr import _structure_functions  # here: expr imports this module
+        _structure_functions(self.base_structure, self.base_dim, self.algebra.dim)
 
     @functools.cached_property
     def view(self) -> ControlledHamiltonian:
         """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber), built once and held.
 
-        ``ocp._controlled`` picks the derivative sources and decides the constant W, once per problem.  B(mu)
-        and -B(mu) xi are compiled here from ``algebra.structure_constants`` (``expr._lie_poisson_tables``), so
-        a replaced algebra brings its own bracket.  A zero-dimensional base contributes no dynamics at all.
-        Unmarked callables are called once per member, curvature once per member and pair.
+        ``ocp._controlled`` picks the derivative sources and decides the constant W, once per problem.  B(z, lam)
+        and -B(z, lam) F are compiled here, the two tables of one structure (``expr._lie_poisson_tables``), so a
+        replaced algebra brings its own bracket.  A zero-dimensional base contributes no dynamics at all.
+        Unmarked callables are called once per member.
         """
         from .expr import _lie_poisson_tables, compile_tables  # here: expr imports this module
 
         s, dim, r = self.base_dim, self.algebra.dim, self.control_dim
-        curvature = None if self.curvature is None else _per_member(
-            lambda z, mu: [[self.curvature(z, mu, v, w) for v in np.eye(s)] for w in np.eye(s)], "curvature", (s, s)
-        )
-        lie_form, lie_bracket = compile_tables(_lie_poisson_tables(self.algebra.structure_constants))
-
-        def form(z, lam):
-            b = np.zeros(lam.shape + (s + dim,))
-            b[..., s:, s:] = lie_form(lam[..., s:])
-            if curvature is not None:
-                b[..., :s, :s] = curvature(z, lam[..., s:])
-            return b
-
-        def bracket(z, lam, f):  # -B F: the p_z rows -C F_z, zero without a curvature
-            mu_dot = lie_bracket(lam[..., s:], f[..., s:])
-            if not s:
-                return mu_dot
-            pz_dot = np.zeros(z.shape) if curvature is None else -(
-                curvature(z, lam[..., s:]) @ f[..., :s, None])[..., 0]
-            return np.concatenate([pz_dot, mu_dot], axis=-1)
-
+        form, bracket = compile_tables(_lie_poisson_tables(self.algebra.structure_constants, s, self.base_structure))
         F = fiber = _per_member(self.fiber_dynamics, "fiber dynamics", (dim,))
         if s:
             base = _per_member(self.base_dynamics, "base dynamics", (s,))

@@ -815,6 +815,62 @@ def test_unknown_problem_file_keys_are_rejected(tmp_path, capsys, block, key):
     assert f"unknown key '{key}'" in result["error"]
 
 
+@pytest.mark.parametrize(("path", "value", "message"), [
+    (("n",), 3.9, "n must be a nonnegative integer, got 3.9"),
+    (("r",), "2", "r must be a nonnegative integer, got '2'"),
+    (("reduced", "s"), True, "reduced s must be a nonnegative integer, got True"),
+    (("reduced", "s"), -1, "reduced s must be a nonnegative integer, got -1"),
+    (("algebra", "dim"), 2.5, "algebra dim must be a nonnegative integer, got 2.5"),
+    (("algebra", "structure"), [[0, 1.7, 2, 1.0]],
+     "each index of the algebra structure entry [0, 1.7, 2, 1.0] must be a nonnegative integer, got 1.7"),
+    (("algebra", "structure"), [[0, 1, True, 1.0]],
+     "each index of the algebra structure entry [0, 1, True, 1.0] must be a nonnegative integer, got True"),
+], ids=["n-float", "r-string", "s-bool", "s-negative", "dim-float", "structure-float", "structure-bool"])
+def test_integer_fields_of_a_problem_file_must_be_nonnegative_integers(tmp_path, capsys, path, value, message):
+    """n, r, s, dim and every structure index are JSON integers, neither floats nor bools, and not negative:
+    anything else exits 1 naming the field, before any work (a float used to be truncated, a bool read as 0 or 1)."""
+    data = _readme_problem()
+    *blocks, key = path
+    target = data
+    for block in blocks:
+        target = target[block]
+    target[key] = value
+    problem_file = tmp_path / "bad.json"
+    problem_file.write_text(json.dumps(data))
+    code, result, _ = run_cli(capsys, "solve-pmp", "--problem", str(problem_file), "--p0", "1,0,1", "--T", "0.01",
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and result["status"] == "error"
+    assert result["error"] == message
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _curved_base_problem(base_structure) -> dict:
+    """The README file with its reduced block on a two-dimensional base: z_dot = (u2, u1) and the given
+    ``base_structure``; the full problem is the README's."""
+    data = _readme_problem()
+    data["reduced"].update(s=2, base_dynamics=["u2", "u1"], base_structure=base_structure)
+    return data
+
+
+@pytest.mark.parametrize("entry", [
+    [0, 2, 1, 1.0], [1, 0, 2, 1.0], [1, 1, 2, 1.0], [0, 1, 3, 1.0], [0, 1, 2, "x1"], [0, 1, 2, "mu3*z1"],
+    [0, 1.5, 2, 1.0], [0, 1, 2, True], [0, 1, 2, None], [0, 1, 2],
+], ids=["j-out-of-range", "i-above-j", "i-equals-j", "k-out-of-range", "reads-a-state", "reads-mu",
+        "float-index", "bool-value", "null-value", "three-fields"])
+@pytest.mark.parametrize("command", ["solve-pmp", "solve-reduced"])
+def test_a_malformed_base_structure_entry_exits_1_naming_it(tmp_path, capsys, command, entry):
+    """Every command loads the whole file, so a malformed ``base_structure`` entry fails each at load, even
+    solve-pmp, which never reads the reduced block: exit 1, naming the entry, with no output file."""
+    problem_file = tmp_path / "bad.json"
+    problem_file.write_text(json.dumps(_curved_base_problem([[0, 1, 2, "1 + 0.5*z1"], entry])))
+    start = ["--p0", "1,0,1"] if command == "solve-pmp" else ["--lambda0", "0.6,-0.8,1"]
+    code, result, _ = run_cli(capsys, command, "--problem", str(problem_file), *start, "--T", "0.01",
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and result["status"] == "error"
+    assert f"base_structure entry {entry!r}: " in result["error"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_reconstruct_needs_a_nilpotent_matrix_realization(tmp_path, capsys):
     """Exponential coordinates for any nilpotent matrix algebra; no basis, or a non-nilpotent one, fails."""
     e12, e13 = np.zeros((3, 3)), np.zeros((3, 3))
@@ -986,6 +1042,38 @@ def test_a_one_dimensional_base_pads_the_compiled_bracket(tmp_path, capsys):
     code, result, _ = run_cli(capsys, "check-dirac", "--problem", str(tmp_path / "base.json"),
                               "--traj", str(tmp_path / "base.csv"))
     assert code == 0 and result["mode"] == "reduced" and result["max_residual"] <= 1e-12
+
+
+def test_a_curved_base_from_a_file_is_the_same_problem_written_in_python(tmp_path, capsys):
+    """The README file on a two-dimensional base whose sections bracket into the central direction mu3 with the
+    structure function C^3_12(z) = 1 + z1/2: solve-reduced integrates it and check-dirac passes its rows to 1e-12.
+    The states and h agree to 1e-9 with the same problem written in Python, and differ from those of the
+    Python problem without the structure function, so the entry is read."""
+    problem_file = tmp_path / "curved.json"
+    problem_file.write_text(json.dumps(_curved_base_problem([[0, 1, 2, "1 + 0.5*z1"]])))
+    out = tmp_path / "curved.csv"
+    code, _, _ = run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--lambda0", "0.6,-0.8,1",
+                         "--z0", "0.1,-0.2", "--pz0", "0.3,0.1", "--T", "1", "--step", "1e-2", "--out", str(out))
+    assert code == 0
+    code, result, _ = run_cli(capsys, "check-dirac", "--problem", str(problem_file), "--traj", str(out))
+    assert code == 0 and result["mode"] == "reduced" and result["max_residual"] <= 1e-12
+
+    def dH(z, lam, u):  # (dh/du, dh/dz, base, fiber) of h = <p_z, (u2, u1)> + <mu, (u1, u2, 0)> - |u|^2 / 2
+        return np.array([lam[1] + lam[2] - u[0], lam[0] + lam[3] - u[1], 0.0, 0.0, u[1], u[0], u[0], u[1], 0.0])
+
+    python = reduction.ReducedProblem(
+        base_dim=2, algebra=heisenberg_algebra(), control_dim=2, lagrangian=lambda z, u: 0.5 * float(u @ u),
+        base_dynamics=lambda z, u: np.array([u[1], u[0]]), fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.0]),
+        base_structure=((0, 1, 2, "1 + 0.5*z1"),), jacobians=ocp.ProblemJacobians(dH=dH, d2H_du2=lambda *a: -np.eye(2)),
+    )
+    state = reduction.ReducedState([0.1, -0.2], [0.3, 0.1], [0.6, -0.8, 1.0], [0.0, 0.0])
+    runs = [reduction.integrate_reduced(problem, state, 1.0, pmp.PmpSolverConfig(rk_step=1e-2))
+            for problem in (python, dataclasses.replace(python, base_structure=()))]
+    curved = Trajectory.from_csv(out)
+    assert curved.columns == runs[0].columns
+    assert np.abs(curved.states - runs[0].states).max() <= 1e-9
+    assert np.abs(curved.channel("h") - runs[0].channel("h")).max() <= 1e-9
+    assert np.abs(curved.block("pz") - runs[1].block("pz")).max() > 1e-2
 
 
 def _fresh_process(cwd, args):

@@ -531,7 +531,7 @@ def test_a_full_dirac_scan_compiles_no_lie_poisson_table(monkeypatch):
     from pontrylie import expr
     from pontrylie.pmp import dirac_membership_residuals, integrate_pmp
 
-    def refused(c):
+    def refused(c, s, base_structure):
         raise AssertionError("a Lie-Poisson table was compiled")
 
     monkeypatch.setattr(expr, "_lie_poisson_tables", refused)

@@ -24,18 +24,16 @@ from pontrylie.heisenberg import (
     full_state_closed_form,
     unit_cylinder_costate,
 )
-from pontrylie.ocp import ControlProblem, PontryaginPoint, ProblemJacobians, _newton, constant
+from pontrylie.ocp import RANK_TOL, ControlProblem, PontryaginPoint, ProblemJacobians, _newton, constant
 from pontrylie.ocp import hamiltonian_partials, pontryagin_hamiltonian, stacked
 from pontrylie.pmp import (
     PmpSolverConfig,
     Trajectory,
-    consistency_residual,
     dirac_membership_residuals,
     integrate_pmp,
     lagrange_pontryagin_action,
     momentum_map,
     optimal_feedback,
-    regularity_check,
     time_grid,
 )
 
@@ -62,17 +60,25 @@ def degenerate_problem():
     )
 
 
+def is_regular(problem, point):
+    """The smallest singular value of W = d2H/du2 at ``point`` is above ``ocp.RANK_TOL``; vacuously so without
+    controls, where W is (0, 0)."""
+    w = hamiltonian_partials(problem, point).d2H_du2
+    assert w.shape == (problem.r, problem.r)
+    return problem.r == 0 or bool(np.linalg.svd(w, compute_uv=False)[-1] > RANK_TOL)
+
+
 def test_consistency_residual_vanishes_at_feedback(heis_problem):
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, p = rng.normal(size=(2, 3))
         u = body_momentum(heis_problem, x, p)[:2]  # u_a = <lambda, Gamma_a>
-        res = consistency_residual(heis_problem, PontryaginPoint(x, p, u))
+        res = hamiltonian_partials(heis_problem, PontryaginPoint(x, p, u)).dH_du
         assert np.max(np.abs(res)) <= 1e-12
 
 
 def test_consistency_residual_zero_costate(heis_problem):
-    res = consistency_residual(heis_problem, PontryaginPoint(np.zeros(3), np.zeros(3), [1.0, 1.0]))
+    res = hamiltonian_partials(heis_problem, PontryaginPoint(np.zeros(3), np.zeros(3), [1.0, 1.0])).dH_du
     assert np.allclose(res, [-1.0, -1.0])
 
 
@@ -80,7 +86,7 @@ def test_consistency_residual_at_newton_point(heis_problem, default_config):
     x = np.array([0.3, -0.7, 2.0])
     p = np.array([1.0, 0.5, -0.25])
     u = optimal_feedback(heis_problem, x, p, np.zeros(2), default_config)
-    res = consistency_residual(heis_problem, PontryaginPoint(x, p, u))
+    res = hamiltonian_partials(heis_problem, PontryaginPoint(x, p, u)).dH_du
     assert np.max(np.abs(res)) <= default_config.newton_tol
 
 
@@ -88,17 +94,17 @@ def test_regularity_heisenberg(heis_problem):
     rng = np.random.default_rng(1)
     for _ in range(5):
         pt = PontryaginPoint(rng.normal(size=3), rng.normal(size=3), rng.normal(size=2))
-        assert regularity_check(heis_problem, pt)
+        assert is_regular(heis_problem, pt)
 
 
 def test_regularity_degenerate_problem():
     pt = PontryaginPoint([0.1, 0.2], [1.0, -1.0], [0.3, 0.4])
-    assert not regularity_check(degenerate_problem(), pt)
+    assert not is_regular(degenerate_problem(), pt)
 
 
 def test_regularity_no_controls():
     problem = ControlProblem(n=1, r=0, dynamics=lambda x, u: -x, lagrangian=lambda x, u: 0.0)
-    assert regularity_check(problem, PontryaginPoint([1.0], [1.0], []))
+    assert is_regular(problem, PontryaginPoint([1.0], [1.0], []))
 
 
 def test_a_constant_empty_control_hessian_is_regular():
@@ -401,7 +407,7 @@ def test_integrate_rows_satisfy_stationarity(heis_problem):
     config = PmpSolverConfig(rk_step=5e-3)
     traj = integrate_pmp(heis_problem, np.zeros(3), [0.6, -0.8, 1.0], 1.0, config)
     for x, p, u in zip(traj.block("x"), traj.block("p"), traj.block("u")):
-        res = consistency_residual(heis_problem, PontryaginPoint(x, p, u))
+        res = hamiltonian_partials(heis_problem, PontryaginPoint(x, p, u)).dH_du
         assert np.max(np.abs(res)) <= 10.0 * config.newton_tol
 
 
@@ -576,7 +582,7 @@ def test_solver_channels_record_newton_work(heis_problem):
     assert np.array_equal(iters, np.ones(len(traj)))
     assert np.max(stationarity) <= config.newton_tol
     for x, p, u, res in zip(traj.block("x"), traj.block("p"), traj.block("u"), stationarity):
-        assert abs(res - np.max(np.abs(consistency_residual(heis_problem, PontryaginPoint(x, p, u))))) <= 1e-15
+        assert abs(res - np.max(np.abs(hamiltonian_partials(heis_problem, PontryaginPoint(x, p, u)).dH_du))) <= 1e-15
 
 
 def test_failing_member_is_named_with_its_time_state_and_residual():

@@ -114,12 +114,10 @@ def abelian_base_problem():
     )
 
 
-def cross_curvature(z, mu, v, w):
-    return float(v[0] * w[1] - v[1] * w[0])
-
-
-def curvature_base_problem(curvature=cross_curvature):
-    """Two-dimensional base, abelian algebra, base = (u, 1) and the antisymmetric coupling v1 w2 - v2 w1."""
+def curvature_base_problem(value=-1.0):
+    """Two-dimensional base, abelian 2-dim algebra, base = (u, 1) and one structure function: the bracket of the
+    base sections 0 and 1 lands in algebra direction 0 with coefficient ``value``.  Read at mu1 = 1 (a Casimir
+    here), the default is the coupling v1 w2 - v2 w1 of C_ij = C(e_j, e_i): C_01 = -1, C_10 = 1."""
     return ReducedProblem(
         base_dim=2,
         algebra=LieAlgebraSpec(2, np.zeros((2, 2, 2))),
@@ -127,7 +125,7 @@ def curvature_base_problem(curvature=cross_curvature):
         lagrangian=lambda z, u: 0.5 * float(u[0] ** 2),
         base_dynamics=lambda z, u: np.array([u[0], 1.0]),
         fiber_dynamics=lambda z, u: np.zeros(2),
-        curvature=curvature,
+        base_structure=((0, 1, 0, value),),
     )
 
 
@@ -238,21 +236,25 @@ def test_rhs_coadjoint_sign_switch(heis_reduced):
 
 def test_curvature_coupling_enters_base_costate_equation():
     # a one-dimensional base has only the zero antisymmetric coupling, so use base_dim=2
-    seen = []
+    def pz_dot(problem2):
+        z, pz, mu = np.zeros(2), np.array([0.5, 0.0]), np.array([1.0, 0.0])
+        u = eliminate_controls_reduced(problem2, z, pz, mu, np.zeros(1), FD_CONFIG)
+        return reduced_pmp_rhs(problem2, ReducedState(z, pz, mu, u), FD_CONFIG).pz_dot
 
-    def curvature(z, mu, v, w):
-        seen.append(True)
-        return cross_curvature(z, mu, v, w)
-
-    problem2 = curvature_base_problem(curvature)
-    z, pz, mu = np.zeros(2), np.array([0.5, 0.0]), np.zeros(2)
-    u = eliminate_controls_reduced(problem2, z, pz, mu, np.zeros(1), FD_CONFIG)
-    out = reduced_pmp_rhs(problem2, ReducedState(z, pz, mu, u), FD_CONFIG)
-    assert seen
+    out = pz_dot(curvature_base_problem())
+    assert not np.allclose(pz_dot(curvature_base_problem(-2.0)), out, atol=1e-9)  # the entry is read
     # z_dot = (0.5, 1); coupling covector F(z_dot, e_i) = (z_dot x e_i) = (-1, 0.5)... sign per formula
     expected = -np.array([0.5 * 0.0 - 1.0 * 1.0, 0.5 * 1.0 - 1.0 * 0.0])
     base_grad = np.zeros(2)  # h has no z dependence here
-    assert np.allclose(out.pz_dot, base_grad + expected, atol=1e-9)
+    assert np.allclose(out, base_grad + expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("entry", [(1, 0, 0, -1.0), (0, 2, 0, -1.0), (0, 1, 2, -1.0), (0, 1, 0, "mu1")])
+def test_a_malformed_base_structure_entry_fails_on_construction(entry):
+    """A Python-defined problem's entries are checked as a problem file's: 0 <= i < j < base_dim, k < dim and a
+    value in z1..zs; the error names the entry."""
+    with pytest.raises(PontrylieError, match=r"^base_structure entry \(" + ", ".join(map(repr, entry))):
+        dataclasses.replace(curvature_base_problem(), base_structure=(entry,))
 
 
 def test_integrate_reduced_matches_closed_form(heis_reduced):
@@ -660,8 +662,11 @@ ALGEBRAS = {"heisenberg": heisenberg_algebra, "so3": so3_algebra, "upper_triangu
 
 
 def compiled_lie_poisson(alg: LieAlgebraSpec):
-    """The compiled (B(mu), -B(mu) xi) of ``alg``, the pair the reduced view builds."""
-    return compile_tables(_lie_poisson_tables(alg.structure_constants))
+    """The compiled (B(mu), -B(mu) xi) of ``alg``, the pair the reduced view builds over a zero-dimensional base,
+    as functions of mu (and xi) alone: the base argument z passed is zero-width."""
+    form, bracket = compile_tables(_lie_poisson_tables(alg.structure_constants, 0, ()))
+    return (lambda mu: form(np.zeros(mu.shape[:-1] + (0,)), mu),
+            lambda mu, xi: bracket(np.zeros(mu.shape[:-1] + (0,)), mu, xi))
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (8,), (0,)])
@@ -705,8 +710,8 @@ def test_a_replaced_algebra_brings_its_own_bracket(heis_reduced, name):
 
 def test_one_bracket_for_every_reduced_problem(heis_reduced, monkeypatch):
     """With ``lie._lie_poisson_form`` broken, the builtin, the hand-written oracle and a Python-defined problem
-    with a curvature all integrate on the bracket their view compiles; the builtin still scans its rows, and
-    it and the oracle agree to 0.0."""
+    with a base structure function all integrate on the bracket their view compiles; the builtin still scans its
+    rows, and it and the oracle agree to 0.0."""
     def broken(*args):
         raise AssertionError("the computed Lie-Poisson form was read")
 
@@ -715,7 +720,7 @@ def test_one_bracket_for_every_reduced_problem(heis_reduced, monkeypatch):
     runs = integrate_reduced(builtin, grid_states(), 0.2, CONFIG)
     assert reduced_dirac_residuals(builtin, runs[0]).max() <= 1e-12
     oracle_runs = integrate_reduced(heisenberg_oracle_reduced(), grid_states(), 0.2, CONFIG)
-    curved = integrate_reduced(curvature_base_problem(), ReducedState(np.zeros(2), [0.5, 0.0], np.zeros(2), [0.0]),
+    curved = integrate_reduced(curvature_base_problem(), ReducedState(np.zeros(2), [0.5, 0.0], [1.0, 0.0], [0.0]),
                                0.1, FD_CONFIG)
     assert np.isfinite(curved.states).all() and len(curved) == 101
     for run, oracle in zip(runs, oracle_runs):

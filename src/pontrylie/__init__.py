@@ -21,8 +21,6 @@ from .errors import (
     TrajectoryFormatError,
 )
 from .lie import (
-    AlgebraElement,
-    CoalgebraElement,
     GroupElement,
     LieAlgebraSpec,
     bracket,
@@ -30,14 +28,12 @@ from .lie import (
     exp_nilpotent,
     left_invariant_frame,
     log_nilpotent,
-    pairing,
 )
 from .dirac import (
     LinearDiracStructure,
     TwoForm,
     backward,
     canonical_two_form,
-    contains,
     forward,
     graph_of_two_form,
     is_dirac,
@@ -56,7 +52,6 @@ from .ocp import (
     constant,
     hamiltonian_partials,
     left_translations,
-    pontryagin_hamiltonian,
     stacked,
     validate_jacobians,
 )
@@ -76,11 +71,9 @@ from .reduction import (
     integrate_reduced,
     project_full_to_reduced,
     reduced_dirac_residuals,
-    reduced_hamiltonian,
     reduced_pmp_rhs,
 )
 from .reconstruct import (
-    GeodesicFormAudit,
     audit_geodesic_forms,
     chart_trajectory,
     heisenberg_geodesic_oracle,

@@ -127,8 +127,7 @@ def is_dirac(structure: LinearDiracStructure, tol: float = 1e-10) -> bool:
 def membership_residual(structure: LinearDiracStructure, v: ArrayLike, alpha: ArrayLike) -> float:
     """Normalized least-squares distance of (v, alpha) from the subspace.
 
-    Returns dist / (1 + ||(v, alpha)||); ``contains`` compares this to a
-    tolerance.
+    Returns dist / (1 + ||(v, alpha)||), to be compared with a tolerance.
     """
     d = structure.base_dim
     v = np.asarray(v, dtype=float)
@@ -160,11 +159,6 @@ def graph_residuals(m: np.ndarray, v: np.ndarray, alpha: np.ndarray) -> np.ndarr
     c = np.linalg.solve(a, (vk + np.einsum("...ij,...j->...i", m, ak))[..., None])[..., 0]
     gap = np.concatenate([vk - c, ak - np.einsum("...ji,...j->...i", m, c), alpha[..., k:]], axis=-1)
     return np.linalg.norm(gap, axis=-1) / (1.0 + np.linalg.norm(np.concatenate([v, alpha], axis=-1), axis=-1))
-
-
-def contains(structure: LinearDiracStructure, v: ArrayLike, alpha: ArrayLike, tol: float = 1e-10) -> bool:
-    """True iff (v, alpha) lies in the subspace up to the normalized tolerance."""
-    return membership_residual(structure, v, alpha) <= tol
 
 
 def _nullspace(m: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import PontrylieError
-from .lie import _nonnegative_int, algebra_from_dict
+from .lie import _nonnegative_int, _sparse_entries, algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
 from .reduction import ReducedProblem
 
@@ -682,14 +682,25 @@ _ALGEBRA_KEYS = ("dim", "structure", "matrix_basis", "labels")
 _REDUCED_KEYS = ("s", "lagrangian", "base_dynamics", "fiber_dynamics", "base_structure")
 
 
-def _known_keys(block, allowed: Tuple[str, ...], where: str) -> dict:
-    """``block`` itself, once it is checked to be an object with no key outside ``allowed``."""
+def _known_keys(block, allowed: Tuple[str, ...], where: str, required: Tuple[str, ...]) -> dict:
+    """``block`` itself, once it is checked to be an object with every key of ``required`` and none outside
+    ``allowed``."""
     if not isinstance(block, dict):
         raise PontrylieError(f"{where} must be a JSON object")
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise PontrylieError(f"unknown key '{unknown[0]}' in {where}; allowed keys: {', '.join(allowed)}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise PontrylieError(f"{where} is missing required field '{missing[0]}'")
     return block
+
+
+def _expressions(sources, count: int, field: str) -> list:
+    """``sources``, checked to be a list of ``count`` expressions; else an error naming ``field``."""
+    if not isinstance(sources, list) or len(sources) != count:
+        raise PontrylieError(f"{field} must be a list of {count} expressions, got {sources!r}")
+    return sources
 
 
 def _table(sources, variables: List[str]) -> np.ndarray:
@@ -742,19 +753,10 @@ def _hamiltonian_tables(dynamics: Sequence[np.ndarray], lagrangian: np.ndarray, 
 
 
 def _structure_functions(entries, s: int, dim: int) -> List[Tuple[int, int, int, Node]]:
-    """The entries (i, j, k, value) of a ``base_structure``, each value parsed as ``_table`` parses an expression: the
-    tree of C^k_ij(z), 0 <= i < j < s, 0 <= k < dim, read from z1..zs.  A malformed entry is an error that names it."""
-    parsed, entry = [], entries
-    try:
-        for entry in entries:
-            i, j, k, value = entry
-            i, j, k = (_nonnegative_int(index, "each index") for index in (i, j, k))
-            if not (i < j < s and k < dim):
-                raise ValueError(f"the indices need 0 <= i < j < s = {s} and 0 <= k < dim = {dim}")
-            parsed.append((i, j, k, parse(str(value), [f"z{m+1}" for m in range(s)]).ast))
-    except (PontrylieError, TypeError, ValueError) as exc:
-        raise PontrylieError(f"base_structure entry {entry!r}: {exc}") from None
-    return parsed
+    """The entries (i, j, k, value) of a ``base_structure`` (``lie._sparse_entries``), each value parsed as ``_table``
+    parses an expression: the tree of C^k_ij(z), 0 <= i < j < s, 0 <= k < dim, read from z1..zs."""
+    z = [f"z{m+1}" for m in range(s)]
+    return _sparse_entries(entries, "base_structure", (s, s, dim), lambda value: parse(str(value), z).ast, ordered=True)
 
 
 def _lie_poisson_tables(c: np.ndarray, s: int, base_structure) -> List[Tuple[np.ndarray, List[List[str]]]]:
@@ -784,39 +786,32 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
     compiled by its view (``ReducedProblem.view``), from its structure.
     ``where`` names the data in error messages.
     """
-    data = _known_keys(data, _FILE_KEYS, where)
-    try:
-        n, r = (_nonnegative_int(data[key], key) for key in ("n", "r"))
-        dyn_src = list(data["dynamics"])
-        lag_src = str(data["lagrangian"])
-    except (KeyError, TypeError) as exc:
-        raise PontrylieError(f"{where} is missing required field: {exc}") from exc
-    if len(dyn_src) != n:
-        raise PontrylieError(f"expected {n} dynamics expressions, got {len(dyn_src)}")
+    data = _known_keys(data, _FILE_KEYS, where, ("n", "r", "dynamics", "lagrangian"))
+    n, r = (_nonnegative_int(data[key], key) for key in ("n", "r"))
+    dyn_src = _expressions(data["dynamics"], n, "dynamics")
     algebra = None
     if "algebra" in data:
-        algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block"))
+        algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block", ("dim",)))
     x_vars = [f"x{i+1}" for i in range(n)]
     u_vars = [f"u{a+1}" for a in range(r)]
-    tables = _hamiltonian_tables([_table(dyn_src, x_vars + u_vars)], _table(lag_src, x_vars + u_vars), x_vars,
-                                 [f"p{i+1}" for i in range(n)], u_vars)
+    tables = _hamiltonian_tables([_table(dyn_src, x_vars + u_vars)], _table(str(data["lagrangian"]), x_vars + u_vars),
+                                 x_vars, [f"p{i+1}" for i in range(n)], u_vars)
     if "action" in data:
         if algebra is None:
             raise PontrylieError("an action table requires an algebra block")
         rows = data["action"]
-        if len(rows) != algebra.dim or any(len(row) != n for row in rows):
-            raise PontrylieError("action must be a dim x n table of expressions")
+        if not (isinstance(rows, list) and len(rows) == algebra.dim
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
+            raise PontrylieError(f"action must be a dim x n = {algebra.dim} x {n} table of expressions, got {rows!r}")
         tables.append((_table(rows, x_vars), [x_vars]))
     if "reduced" in data:
         if algebra is None:
             raise PontrylieError("a reduced block requires an algebra block")
-        block = _known_keys(data["reduced"], _REDUCED_KEYS, "the reduced block")
+        block = _known_keys(data["reduced"], _REDUCED_KEYS, "the reduced block", ("lagrangian", "fiber_dynamics"))
         s = _nonnegative_int(block.get("s", 0), "reduced s")
         z_vars = [f"z{i+1}" for i in range(s)]
-        base_src = list(block.get("base_dynamics", []))
-        fiber_src = list(block["fiber_dynamics"])
-        if len(base_src) != s or len(fiber_src) != algebra.dim:
-            raise PontrylieError("reduced dynamics expression counts do not match s/dim")
+        base_src = _expressions(block.get("base_dynamics", []), s, "reduced base_dynamics")
+        fiber_src = _expressions(block["fiber_dynamics"], algebra.dim, "reduced fiber_dynamics")
         base_table, fiber_table, lag_table = (_table(src, z_vars + u_vars)
                                               for src in (base_src, fiber_src, str(block["lagrangian"])))
         costate = [f"pz{i+1}" for i in range(s)] + [f"mu{i+1}" for i in range(algebra.dim)]

@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, InvalidAlgebraError, NonNilpotentError
+from .errors import DimensionMismatchError, EvaluationError, InvalidAlgebraError, NonNilpotentError, PontrylieError
 
-Coeffs = Union[np.ndarray, Sequence[float], "AlgebraElement", "CoalgebraElement"]
+Coeffs = Union[np.ndarray, Sequence[float]]
 
 _STRUCTURE_TOL = 1e-12
 
@@ -99,30 +99,6 @@ class LieAlgebraSpec:
 
 
 @dataclass(frozen=True)
-class _Coefficients:
-    """A flat float coefficient vector."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coeffs, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
-
-class AlgebraElement(_Coefficients):
-    """An algebra element as a coefficient vector in the chosen basis."""
-
-
-class CoalgebraElement(_Coefficients):
-    """A dual-space element as a coefficient vector in the dual basis."""
-
-
-@dataclass(frozen=True)
 class GroupElement:
     """A group element realized as a square real matrix."""
 
@@ -134,47 +110,26 @@ class GroupElement:
             raise DimensionMismatchError(f"group element matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
-    def is_unitriangular(self, tol: float = 1e-12) -> bool:
-        """Ones on the diagonal and zeros below it, within tol."""
-        m = self.matrix
-        if np.max(np.abs(np.diag(m) - 1.0)) > tol:
-            return False
-        return np.max(np.abs(np.tril(m, k=-1))) <= tol
-
 
 def _coeffs(x: Coeffs, dim: int) -> np.ndarray:
     """Coerce to a flat float vector of length ``dim``."""
-    if isinstance(x, _Coefficients):
-        v = x.coeffs
-    else:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (dim,):
         raise DimensionMismatchError(f"expected coefficient vector of length {dim}, got shape {v.shape}")
     return v
 
 
-def bracket(alg: LieAlgebraSpec, xi: Coeffs, zeta: Coeffs) -> AlgebraElement:
-    """Lie bracket [xi, zeta] in basis coordinates."""
-    a = _coeffs(xi, alg.dim)
-    b = _coeffs(zeta, alg.dim)
-    return AlgebraElement(np.einsum("ijk,i,j->k", alg.structure_constants, a, b))
+def bracket(alg: LieAlgebraSpec, xi: Coeffs, zeta: Coeffs) -> np.ndarray:
+    """Lie bracket [xi, zeta] in basis coordinates, a (dim,) array."""
+    return np.einsum("ijk,i,j->k", alg.structure_constants, _coeffs(xi, alg.dim), _coeffs(zeta, alg.dim))
 
 
-def pairing(lam: Coeffs, xi: Coeffs) -> float:
-    """Natural pairing <lam, xi> between the dual and the algebra."""
-    a = np.atleast_1d(np.asarray(lam, dtype=float))
-    b = np.atleast_1d(np.asarray(xi, dtype=float))
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"pairing length mismatch: {a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
-def coadjoint(alg: LieAlgebraSpec, xi: Coeffs, lam: Coeffs) -> CoalgebraElement:
-    """Coadjoint action ad*_xi(lam), with <ad*_xi(lam), zeta> = <lam, [xi, zeta]>.
+def coadjoint(alg: LieAlgebraSpec, xi: Coeffs, lam: Coeffs) -> np.ndarray:
+    """Coadjoint action ad*_xi(lam), a (dim,) array, with <ad*_xi(lam), zeta> = <lam, [xi, zeta]>.
 
     Component k is sum_{i,j} xi_i c[i][k][j] lam_j, that is -(B(lam) xi)_k with B from ``_lie_poisson_form``.
     """
-    return CoalgebraElement(-(_lie_poisson_form(alg, _coeffs(lam, alg.dim)) @ _coeffs(xi, alg.dim)))
+    return -(_lie_poisson_form(alg, _coeffs(lam, alg.dim)) @ _coeffs(xi, alg.dim))
 
 
 def _lie_poisson_form(alg: LieAlgebraSpec, mu: np.ndarray) -> np.ndarray:
@@ -298,26 +253,56 @@ def _nonnegative_int(value, name: str) -> int:
     return int(value)
 
 
+def _sparse_entries(entries, field: str, bounds: Tuple[int, int, int], read: Callable, ordered: bool = False) -> list:
+    """The entries [i, j, k, value] of the sparse table ``field`` as tuples (i, j, k, read(value)).
+
+    Each entry has four items, its indices are nonnegative integers below ``bounds`` (and i < j when ``ordered``),
+    and no two entries share (i, j, k); a malformed entry is an error naming the field and the entry.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidAlgebraError(f"{field} must be a list of entries [i, j, k, value], got {entries!r}")
+    parsed, seen = [], {}
+    for entry in entries:
+        try:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+                raise ValueError("an entry has the four items [i, j, k, value]")
+            index = tuple(_nonnegative_int(i, "each index") for i in entry[:3])
+            if not all(i < bound for i, bound in zip(index, bounds)) or ordered and index[0] >= index[1]:
+                raise ValueError(f"the indices need 0 <= {'i < j' if ordered else 'i, j'} < {bounds[0]} "
+                                 f"and 0 <= k < {bounds[2]}")
+            if index in seen:
+                raise ValueError(f"(i, j, k) = {index} repeats the entry {seen[index]!r}")
+            parsed.append((*index, read(entry[3])))
+        except (PontrylieError, ValueError) as exc:
+            raise InvalidAlgebraError(f"{field} entry {entry!r}: {exc}") from None
+        seen[index] = entry
+    return parsed
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        raise ValueError(f"the value must be a number, got {value!r}")
+    return float(value)
+
+
 def algebra_from_dict(data: dict) -> LieAlgebraSpec:
     """Build a LieAlgebraSpec from its JSON form.
 
     ``{"dim": d, "structure": [[i, j, k, value], ...], "matrix_basis": [...]}``
-    with 0-based indices; only the (i, j) entries with i < j need to be given,
+    with 0-based indices (read by ``_sparse_entries``); only the (i, j) entries with i < j need to be given,
     the antisymmetric counterparts are filled in automatically when absent.
     """
     dim = _nonnegative_int(data["dim"], "algebra dim")
     c = np.zeros((dim, dim, dim))
-    for entry in data.get("structure", []):
-        i, j, k, value = entry
-        i, j, k = (_nonnegative_int(index, f"each index of the algebra structure entry {entry!r}")
-                   for index in (i, j, k))
-        if not (i < dim and j < dim and k < dim):
-            raise InvalidAlgebraError(f"structure index out of range in {entry!r}")
-        c[i, j, k] = float(value)
+    for i, j, k, value in _sparse_entries(data.get("structure", []), "algebra structure", (dim,) * 3, _number):
+        c[i, j, k] = value
     # fill antisymmetric counterparts that were left implicit
     implicit = (c == 0.0) & (c.swapaxes(0, 1) != 0.0)
     c[implicit] = -c.swapaxes(0, 1)[implicit]
-    basis = data.get("matrix_basis")
+    basis, labels = data.get("matrix_basis"), data.get("labels")
+    for name, value in (("matrix_basis", basis), ("labels", labels)):
+        if value is not None and not isinstance(value, (list, tuple)):
+            raise InvalidAlgebraError(f"algebra {name} must be a list, got {value!r}")
     mats = tuple(np.asarray(m, dtype=float) for m in basis) if basis is not None else None
-    labels = tuple(data["labels"]) if "labels" in data else None
     return LieAlgebraSpec(dim=dim, structure_constants=c, matrix_basis=mats, labels=labels)

@@ -368,9 +368,8 @@ def _eval_lagrangian(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> n
     return _require_finite(problem.view.L(x, u), "Lagrangian produced a non-finite value", x, u)
 
 
-def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f=None) -> np.ndarray:
-    """H per member; ``f`` is F(q, u) when the caller holds it already."""
-    f = ham.F(q, u) if f is None else f
+def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f: np.ndarray) -> np.ndarray:
+    """H per member, ``f`` = F(q, u)."""
     value = (lam[..., None, :] @ f[..., None])[..., 0, 0] - ham.L(q, u)
     return _require_finite(value, "non-finite Hamiltonian", q, lam, u)
 
@@ -500,12 +499,6 @@ def hamiltonian_partials(problem: ControlProblem, point: PontryaginPoint) -> Ham
     """First partials of H plus the control Hessian W = d2H/du2 (see ``_partials``)."""
     point.conform(problem)
     return _partials(problem.view, point.x, point.p, point.u)
-
-
-def pontryagin_hamiltonian(problem: ControlProblem, point: PontryaginPoint) -> float:
-    """H(x, p, u) = <p, f(x, u)> - L(x, u)."""
-    point.conform(problem)
-    return float(_hamiltonian_value(problem.view, point.x, point.p, point.u))
 
 
 def _fd_pushforward(action: Callable, g: GroupElement, x: np.ndarray, v: np.ndarray, step: float = 1e-5) -> np.ndarray:

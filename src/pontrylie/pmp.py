@@ -24,7 +24,6 @@ import numpy as np
 
 from . import dirac
 from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError, TrajectoryFormatError
-from .lie import CoalgebraElement
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
 from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton, _per_member
 from .ocp import _require_finite, _sized_gradient, _split
@@ -206,13 +205,9 @@ def optimal_feedback(
     return _newton(problem.view, point.x, point.p, point.u, config)[0]
 
 
-def momentum_map(problem: ControlProblem, x, p) -> CoalgebraElement:
-    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry (see ``_momenta``)."""
-    return CoalgebraElement(_momenta(problem, np.asarray(x, dtype=float), np.asarray(p, dtype=float)))
-
-
-def _momenta(problem: ControlProblem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """J of every member of the stacks x, p (..., n), as (..., dim).
+def momentum_map(problem: ControlProblem, x, p) -> np.ndarray:
+    """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry at every member of the stacks x, p
+    (..., n), as (..., dim).
 
     The handle gets the stack of every basis element and their sum, so one
     written for a single algebra vector is refused: it returns the wrong
@@ -225,6 +220,7 @@ def _momenta(problem: ControlProblem, x: np.ndarray, p: np.ndarray) -> np.ndarra
     if sym is None:
         raise PontrylieError("problem declares no symmetry")
     dim, n = sym.algebra.dim, problem.n
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     probes = np.vstack([np.eye(dim), np.ones(dim)])
 
     def pairing(x, p):
@@ -435,7 +431,7 @@ def integrate_pmp(
     if problem.symmetry is not None:
 
         def momenta(states):
-            values = _momenta(problem, states[..., :n], states[..., n : 2 * n])
+            values = momentum_map(problem, states[..., :n], states[..., n : 2 * n])
             return {f"J{i+1}": values[..., i] for i in range(values.shape[-1])}
 
         trajectories = _with_channels(trajectories, momenta)
@@ -450,8 +446,8 @@ def lagrange_pontryagin_action(problem: ControlProblem, trajectory: Trajectory) 
     is from solving the control equation), and the integral is a composite
     trapezoid rule.
     """
-    if len(trajectory) < 2:
-        raise TrajectoryFormatError("action needs at least two samples")
+    if len(trajectory) < 3:
+        raise TrajectoryFormatError("action needs at least three samples")
     x, p, u = trajectory.blocks(x=problem.n, p=problem.n, u=problem.r)
     xdot = np.gradient(x, trajectory.times, axis=0, edge_order=2)
     f = _eval_dynamics(problem, x, u)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ReductionUnsupportedError
 from .lie import LieAlgebraSpec
 from .ocp import ControlledHamiltonian, ControlProblem, HamiltonianPartials, PontryaginPoint, ProblemJacobians
-from .ocp import _controlled, _gradient, _hamilton_field, _hamiltonian_value, _newton, _partials, _per_member, _sized
+from .ocp import _controlled, _gradient, _hamilton_field, _newton, _partials, _per_member, _sized
 from .ocp import _split, _stacked_jacobians
 from .pmp import PmpSolverConfig, Trajectory, _rk4_dae, _scan_rows, _with_channels
 
@@ -126,12 +126,6 @@ class ReducedState:
 def _point(state: ReducedState):
     """(q, lam) = (z, (p_z, mu)) of a reduced state."""
     return state.z, np.concatenate([state.p_z, state.mu])
-
-
-def reduced_hamiltonian(problem: ReducedProblem, state: ReducedState) -> float:
-    """h = <p_z, base> + <mu, fiber> - l."""
-    state.conform(problem)
-    return float(_hamiltonian_value(problem.view, *_point(state), state.u))
 
 
 def reduced_partials(problem: ReducedProblem, z, p_z, mu, u) -> HamiltonianPartials:

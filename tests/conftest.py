@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pontrylie import PmpSolverConfig
-from pontrylie.ocp import ControlProblem, ProblemJacobians, constant, left_translations, stacked
+from pontrylie.ocp import ControlProblem, ProblemJacobians, constant, hamiltonian_partials, left_translations, stacked
 from pontrylie.heisenberg import (
     heisenberg_algebra,
     heisenberg_problem,
@@ -10,7 +10,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.pmp import integrate_pmp
-from pontrylie.reduction import ReducedProblem, ReducedState, integrate_reduced
+from pontrylie.reduction import ReducedProblem, ReducedState, integrate_reduced, reduced_partials
 
 ACCEPTANCE_LINES = []
 
@@ -27,6 +27,18 @@ FULL_CASES = ((0.0, 1.0), (np.pi / 4, 0.5))
 FULL_PERIOD_CASES = FULL_CASES + ((0.2, 1.0),)
 # the Casimir cases of test_pmp, at the coarser step 2e-3
 CASIMIR_KS = (0.5, 2.0)
+
+
+def hamiltonian(problem, point) -> float:
+    """H = <p, f> - L(x, u) at a Pontryagin point, f = dH/dp from ``hamiltonian_partials``."""
+    return float(point.p @ hamiltonian_partials(problem, point).dH_dp) - float(problem.lagrangian(point.x, point.u))
+
+
+def reduced_hamiltonian(problem, state) -> float:
+    """h = <(p_z, mu), (base, fiber)> - l(z, u) at a reduced state, (base, fiber) = dh/d(p_z, mu) from
+    ``reduced_partials``."""
+    parts = reduced_partials(problem, state.z, state.p_z, state.mu, state.u)
+    return float(np.concatenate([state.p_z, state.mu]) @ parts.dH_dp) - float(problem.lagrangian(state.z, state.u))
 
 
 def record_acceptance(line: str) -> None:

@@ -822,9 +822,9 @@ def test_unknown_problem_file_keys_are_rejected(tmp_path, capsys, block, key):
     (("reduced", "s"), -1, "reduced s must be a nonnegative integer, got -1"),
     (("algebra", "dim"), 2.5, "algebra dim must be a nonnegative integer, got 2.5"),
     (("algebra", "structure"), [[0, 1.7, 2, 1.0]],
-     "each index of the algebra structure entry [0, 1.7, 2, 1.0] must be a nonnegative integer, got 1.7"),
+     "algebra structure entry [0, 1.7, 2, 1.0]: each index must be a nonnegative integer, got 1.7"),
     (("algebra", "structure"), [[0, 1, True, 1.0]],
-     "each index of the algebra structure entry [0, 1, True, 1.0] must be a nonnegative integer, got True"),
+     "algebra structure entry [0, 1, True, 1.0]: each index must be a nonnegative integer, got True"),
 ], ids=["n-float", "r-string", "s-bool", "s-negative", "dim-float", "structure-float", "structure-bool"])
 def test_integer_fields_of_a_problem_file_must_be_nonnegative_integers(tmp_path, capsys, path, value, message):
     """n, r, s, dim and every structure index are JSON integers, neither floats nor bools, and not negative:
@@ -868,6 +868,63 @@ def test_a_malformed_base_structure_entry_exits_1_naming_it(tmp_path, capsys, co
                               "--out", str(tmp_path / "x.csv"))
     assert code == 1 and result["status"] == "error"
     assert f"base_structure entry {entry!r}: " in result["error"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(("path", "value", "message"), [
+    (("algebra", "structure"), [[0, 1, 2, 1.0], [0, 1, 2, 2.0]],
+     "algebra structure entry [0, 1, 2, 2.0]: (i, j, k) = (0, 1, 2) repeats the entry [0, 1, 2, 1.0]"),
+    (("reduced", "base_structure"), [[0, 1, 2, "1"], [0, 1, 2, "2"]],
+     "base_structure entry [0, 1, 2, '2']: (i, j, k) = (0, 1, 2) repeats the entry [0, 1, 2, '1']"),
+    (("algebra", "structure"), 5, "algebra structure must be a list of entries [i, j, k, value], got 5"),
+    (("reduced", "base_structure"), 5, "base_structure must be a list of entries [i, j, k, value], got 5"),
+    (("algebra", "structure"), [[0, 1, 2]], "algebra structure entry [0, 1, 2]: an entry has the four items "
+                                             "[i, j, k, value]"),
+    (("algebra", "structure"), [5], "algebra structure entry 5: an entry has the four items [i, j, k, value]"),
+    (("algebra", "structure"), [[0, 1, 2, "abc"]],
+     "algebra structure entry [0, 1, 2, 'abc']: the value must be a number, got 'abc'"),
+    (("algebra", "structure"), [[0, 1, 2, True]],
+     "algebra structure entry [0, 1, 2, True]: the value must be a number, got True"),
+    (("algebra", "structure"), [[0, 1, 3, 1.0]],
+     "algebra structure entry [0, 1, 3, 1.0]: the indices need 0 <= i, j < 3 and 0 <= k < 3"),
+    (("algebra", "matrix_basis"), 5, "algebra matrix_basis must be a list, got 5"),
+    (("algebra", "labels"), 5, "algebra labels must be a list, got 5"),
+    (("action",), 5, "action must be a dim x n = 3 x 3 table of expressions, got 5"),
+    (("action",), [5, 5, 5], "action must be a dim x n = 3 x 3 table of expressions, got [5, 5, 5]"),
+    (("reduced", "fiber_dynamics"), 5, "reduced fiber_dynamics must be a list of 3 expressions, got 5"),
+    (("reduced", "base_dynamics"), 5, "reduced base_dynamics must be a list of 2 expressions, got 5"),
+    (("dynamics",), 5, "dynamics must be a list of 3 expressions, got 5"),
+    (("dynamics",), "u1", "dynamics must be a list of 3 expressions, got 'u1'"),
+    (("dynamics",), MISSING, "problem file {file} is missing required field 'dynamics'"),
+    (("algebra", "dim"), MISSING, "the algebra block is missing required field 'dim'"),
+    (("reduced", "fiber_dynamics"), MISSING, "the reduced block is missing required field 'fiber_dynamics'"),
+], ids=["structure-repeated", "base-structure-repeated", "structure-not-a-list", "base-structure-not-a-list",
+        "structure-three-items", "structure-entry-not-a-list", "structure-string-value", "structure-bool-value",
+        "structure-index-out-of-range", "matrix-basis-number", "labels-number", "action-number", "action-rows-numbers", "fiber-dynamics-number",
+        "base-dynamics-number", "dynamics-number", "dynamics-string", "dynamics-missing", "dim-missing",
+        "fiber-dynamics-missing"])
+def test_a_malformed_problem_file_field_exits_1_naming_it(tmp_path, capsys, path, value, message):
+    """A repeated or malformed sparse entry, a block of the wrong JSON type and a missing required field each
+    exit 1 with a strict RESULT naming the field (and the entry), never a traceback or exit 0.  The file is the
+    README's with a two-dimensional base, so every field is present and ``base_structure`` is read."""
+    data = _curved_base_problem([])
+    *blocks, key = path
+    target = data
+    for block in blocks:
+        target = target[block]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    problem_file = tmp_path / "bad.json"
+    problem_file.write_text(json.dumps(data))
+    code, result, _ = run_cli(capsys, "solve-pmp", "--problem", str(problem_file), "--p0", "1,0,1", "--T", "0.01",
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and result["status"] == "error"
+    assert result["error"] == message.format(file=problem_file)
     assert not (tmp_path / "x.csv").exists()
 
 

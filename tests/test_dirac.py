@@ -11,7 +11,6 @@ from pontrylie.dirac import (
     TwoForm,
     backward,
     canonical_two_form,
-    contains,
     forward,
     graph_of_two_form,
     is_dirac,
@@ -85,8 +84,8 @@ def test_contains_graph_members():
     graph = graph_of_two_form(omega)
     v = np.array([1.0, 0.0])
     alpha = omega.matrix.T @ v
-    assert contains(graph, v, alpha, tol=1e-12)
-    assert not contains(graph, v, np.zeros(2), tol=1e-6)
+    assert membership_residual(graph, v, alpha) <= 1e-12
+    assert not membership_residual(graph, v, np.zeros(2)) <= 1e-6
     # residual grows with the perturbation
     assert membership_residual(graph, v, np.zeros(2)) > 0.1
 
@@ -154,7 +153,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         forward(np.eye(3), structure)
     with pytest.raises(DimensionMismatchError):
-        contains(structure, np.zeros(3), np.zeros(3))
+        membership_residual(structure, np.zeros(3), np.zeros(3))
 
 
 def test_constructor_rejects_dependent_basis():
@@ -295,13 +294,13 @@ def test_reduced_fiber_encodes_lie_poisson_flow(heis_algebra):
         fiber = reduced_dirac_fiber(heis_algebra, mu)
         assert is_dirac(fiber)
         xi = np.array([mu[0], mu[1], 0.0])  # dh/dmu for h = (mu1^2 + mu2^2)/2
-        mu_dot = coadjoint(heis_algebra, xi, mu).coeffs
+        mu_dot = coadjoint(heis_algebra, xi, mu)
         velocity = np.concatenate([xi, mu_dot])
         covector = np.concatenate([np.zeros(3), xi])
-        assert contains(fiber, velocity, covector, tol=1e-10)
+        assert membership_residual(fiber, velocity, covector) <= 1e-10
         bad = velocity.copy()
         bad[3] += 1e-2
-        assert not contains(fiber, bad, covector, tol=1e-6)
+        assert not membership_residual(fiber, bad, covector) <= 1e-6
 
 
 def test_reduced_fiber_random_momenta_are_dirac(heis_algebra):

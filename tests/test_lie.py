@@ -1,4 +1,4 @@
-"""Bracket, pairing, coadjoint action, nilpotent exponential and logarithm."""
+"""Bracket, coadjoint action, nilpotent exponential and logarithm, on plain coefficient arrays."""
 
 import warnings
 
@@ -19,7 +19,6 @@ from pontrylie.lie import (
     exp_nilpotent,
     left_invariant_frame,
     log_nilpotent,
-    pairing,
 )
 
 G1 = np.array([1.0, 0.0, 0.0])
@@ -28,14 +27,19 @@ G3 = np.array([0.0, 0.0, 1.0])
 
 
 def test_bracket_generators(heis_algebra):
-    assert np.allclose(bracket(heis_algebra, G1, G2).coeffs, G3)
-    assert np.allclose(bracket(heis_algebra, G1, G3).coeffs, 0.0)
-    assert np.allclose(bracket(heis_algebra, G2, G3).coeffs, 0.0)
+    assert np.allclose(bracket(heis_algebra, G1, G2), G3)
+    assert np.allclose(bracket(heis_algebra, G1, G3), 0.0)
+    assert np.allclose(bracket(heis_algebra, G2, G3), 0.0)
+
+
+def test_bracket_and_coadjoint_return_plain_coefficient_arrays(heis_algebra):
+    for out in (bracket(heis_algebra, G1, G2), coadjoint(heis_algebra, G1, G3)):
+        assert type(out) is np.ndarray and out.shape == (3,) and out.dtype == float
 
 
 def test_bracket_antisymmetry_diagonal(heis_algebra):
     xi = np.array([0.3, -1.2, 2.0])
-    assert np.allclose(bracket(heis_algebra, xi, xi).coeffs, 0.0)
+    assert np.allclose(bracket(heis_algebra, xi, xi), 0.0)
 
 
 def test_bracket_dimension_mismatch(heis_algebra):
@@ -43,24 +47,26 @@ def test_bracket_dimension_mismatch(heis_algebra):
         bracket(heis_algebra, np.ones(2), G1)
 
 
-def test_pairing_dual_basis():
-    assert pairing(G1, G1) == 1.0
-    assert pairing(G1, G2) == 0.0
+def test_pairing_dual_basis(heis_algebra):
+    """<lam, xi> is the plain dot product of coefficient arrays; a coalgebra element of the wrong length is
+    refused where the library pairs it, in the coadjoint action."""
+    assert G1 @ G1 == 1.0
+    assert G1 @ G2 == 0.0
     # plain dot product: 2*3 + 0*5 + 1*(-1) = 5
-    assert pairing([2.0, 0.0, 1.0], [3.0, 5.0, -1.0]) == 5.0
+    assert np.array([2.0, 0.0, 1.0]) @ np.array([3.0, 5.0, -1.0]) == 5.0
     with pytest.raises(DimensionMismatchError):
-        pairing([1.0, 2.0], [1.0, 2.0, 3.0])
+        coadjoint(heis_algebra, G1, [1.0, 2.0])
 
 
 def test_coadjoint_hand_example(heis_algebra):
     # <ad*_{g1} t3, zeta> = <t3, [g1, zeta]>; only zeta = g2 contributes
     # ([g1, g2] = g3 pairs to 1), so ad*_{g1} t3 = t2.
     out = coadjoint(heis_algebra, G1, G3)
-    assert np.allclose(out.coeffs, G2, atol=1e-15)
+    assert np.allclose(out, G2, atol=1e-15)
 
 
 def test_coadjoint_zero_momentum(heis_algebra):
-    assert np.allclose(coadjoint(heis_algebra, np.array([0.4, 1.0, -2.0]), np.zeros(3)).coeffs, 0.0)
+    assert np.allclose(coadjoint(heis_algebra, np.array([0.4, 1.0, -2.0]), np.zeros(3)), 0.0)
 
 
 def test_coadjoint_reproduces_lie_poisson_block(heis_algebra):
@@ -71,7 +77,7 @@ def test_coadjoint_reproduces_lie_poisson_block(heis_algebra):
         lam = rng.normal(size=3)
         out = coadjoint(heis_algebra, np.array([xi1, xi2, 0.0]), lam)
         expected = np.array([-xi2 * lam[2], xi1 * lam[2], 0.0])
-        assert np.allclose(out.coeffs, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("alg_factory", [so3_algebra, None])
@@ -81,8 +87,8 @@ def test_coadjoint_pairing_identity(alg_factory, heis_algebra):
     rng = np.random.default_rng(11)
     for _ in range(100):
         xi, zeta, lam = rng.normal(size=(3, alg.dim))
-        lhs = pairing(coadjoint(alg, xi, lam).coeffs, zeta)
-        rhs = pairing(lam, bracket(alg, xi, zeta).coeffs)
+        lhs = coadjoint(alg, xi, lam) @ zeta
+        rhs = lam @ bracket(alg, xi, zeta)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -93,9 +99,9 @@ def test_bracket_jacobi_identity(alg_factory, heis_algebra):
     for _ in range(50):
         a, b, c = rng.normal(size=(3, alg.dim))
         total = (
-            bracket(alg, a, bracket(alg, b, c).coeffs).coeffs
-            + bracket(alg, b, bracket(alg, c, a).coeffs).coeffs
-            + bracket(alg, c, bracket(alg, a, b).coeffs).coeffs
+            bracket(alg, a, bracket(alg, b, c))
+            + bracket(alg, b, bracket(alg, c, a))
+            + bracket(alg, c, bracket(alg, a, b))
         )
         assert np.max(np.abs(total)) <= 1e-12
 
@@ -105,7 +111,7 @@ def test_exp_closed_form(heis_algebra):
     g = exp_nilpotent(heis_algebra, np.array([a, b, c]))
     expected = np.array([[1.0, a, c + a * b / 2.0], [0.0, 1.0, b], [0.0, 0.0, 1.0]])
     assert np.allclose(g.matrix, expected, atol=1e-15)
-    assert g.is_unitriangular()
+    assert np.array_equal(np.diag(g.matrix), np.ones(3)) and not np.tril(g.matrix, k=-1).any()
 
 
 def test_exp_zero_is_identity(heis_algebra):
@@ -167,11 +173,14 @@ def test_matrix_basis_consistency_checked(heis_algebra):
         )
 
 
-def test_group_element_unitriangular_check():
-    assert GroupElement(np.eye(3)).is_unitriangular()
+def test_group_element_unitriangular_check(heis_algebra):
+    """Ones on the diagonal and zeros below it are what the logarithm checks: the identity has coordinates 0, and
+    1e-6 below the diagonal is refused."""
+    assert np.array_equal(log_nilpotent(heis_algebra, GroupElement(np.eye(3))), np.zeros(3))
     m = np.eye(3)
     m[2, 0] = 1e-6
-    assert not GroupElement(m).is_unitriangular()
+    with pytest.raises(DimensionMismatchError, match="not unipotent"):
+        log_nilpotent(heis_algebra, GroupElement(m))
 
 
 def test_algebra_from_dict_roundtrip(heis_algebra):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import so3_algebra
+from conftest import hamiltonian, so3_algebra
 from pontrylie.errors import DimensionMismatchError, EvaluationError, InvalidAlgebraError, NonNilpotentError
 from pontrylie.errors import PontrylieError
 from pontrylie.heisenberg import heisenberg_algebra
@@ -22,11 +22,10 @@ from pontrylie.ocp import (
     hamiltonian_partials,
     invariance_deviation,
     left_translations,
-    pontryagin_hamiltonian,
     stacked,
     validate_jacobians,
 )
-from pontrylie.pmp import momentum_map
+from pontrylie.pmp import integrate_pmp, momentum_map
 from test_lie import UT4
 
 
@@ -68,7 +67,7 @@ def _scaled_points(rng, count):
 def test_hamiltonian_at_origin(heis_problem):
     # <p, f> - L = 1*1 - 0.5*(1+0) = 0.5
     pt = PontryaginPoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0])
-    assert pontryagin_hamiltonian(heis_problem, pt) == 0.5
+    assert hamiltonian(heis_problem, pt) == 0.5
 
 
 def test_hamiltonian_without_cost_is_pairing():
@@ -80,7 +79,7 @@ def test_hamiltonian_without_cost_is_pairing():
         x, p = rng.normal(size=(2, 2))
         u = rng.normal(size=1)
         f = problem.dynamics(x, u)
-        assert pontryagin_hamiltonian(problem, PontryaginPoint(x, p, u)) == float(p @ f)
+        assert hamiltonian(problem, PontryaginPoint(x, p, u)) == float(p @ f)
 
 
 def test_hamiltonian_zero_costate(heis_problem):
@@ -88,21 +87,31 @@ def test_hamiltonian_zero_costate(heis_problem):
     for _ in range(5):
         u = rng.normal(size=2)
         pt = PontryaginPoint(rng.normal(size=3), np.zeros(3), u)
-        assert pontryagin_hamiltonian(heis_problem, pt) == -0.5 * (u[0] ** 2 + u[1] ** 2)
+        assert hamiltonian(heis_problem, pt) == -0.5 * (u[0] ** 2 + u[1] ** 2)
 
 
 def test_hamiltonian_dimension_mismatch(heis_problem):
     with pytest.raises(DimensionMismatchError):
-        pontryagin_hamiltonian(heis_problem, PontryaginPoint([0.0], [1.0], [0.0, 0.0]))
+        hamiltonian_partials(heis_problem, PontryaginPoint([0.0], [1.0], [0.0, 0.0]))
 
 
-def test_hamiltonian_nonfinite_carries_point():
+def test_hamiltonian_nonfinite_carries_point(default_config):
+    """A non-finite H fails at its point: in its partials (inf - inf differences, hence the errstate) and in the
+    H channel of an integration whose Newton solves succeed."""
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([np.inf * u[0]]), lagrangian=lambda x, u: 0.0
     )
-    with pytest.raises(EvaluationError) as err:
-        pontryagin_hamiltonian(problem, PontryaginPoint([0.0], [1.0], [1.0]))
+    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+        hamiltonian_partials(problem, PontryaginPoint([0.0], [1.0], [1.0]))
     assert err.value.point is not None
+    costly = ControlProblem(
+        n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: np.inf,
+        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - u[0], 0.0, u[0]]),
+                                   d2H_du2=constant(-np.eye(1))),
+    )
+    with pytest.raises(EvaluationError, match=r"^non-finite Hamiltonian \(member 0 at t=0") as err:
+        integrate_pmp(costly, [0.0], [1.0], 0.1, default_config)
+    assert [v.tolist() for v in err.value.point] == [[0.0], [1.0], [1.0]]
 
 
 def test_control_gradient_is_body_momentum_minus_control(heis_problem):
@@ -145,7 +154,7 @@ def test_hamiltonian_linear_in_costate(heis_problem):
     lag = heis_problem.lagrangian(x, u)
 
     def hl(p):
-        return pontryagin_hamiltonian(heis_problem, PontryaginPoint(x, p, u)) + lag
+        return hamiltonian(heis_problem, PontryaginPoint(x, p, u)) + lag
 
     assert abs(hl(a * p1 + b * p2) - (a * hl(p1) + b * hl(p2))) <= 1e-12
 
@@ -263,7 +272,7 @@ def test_left_translations_reproduce_the_hand_written_heisenberg_frames(heis_pro
     for q, p in zip(points, costates):
         assert np.array_equal(sym.body_frame(q), heisenberg_body_frame(q))
         expected = [p @ heisenberg_generators(e, q) for e in np.eye(3)]
-        assert np.array_equal(momentum_map(heis_problem, q, p).coeffs, expected)
+        assert np.array_equal(momentum_map(heis_problem, q, p), expected)
     assert np.array_equal(sym.body_frame(points), [heisenberg_body_frame(q) for q in points])
 
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import CONFIG
+from conftest import CONFIG, hamiltonian
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -25,7 +25,7 @@ from pontrylie.heisenberg import (
     unit_cylinder_costate,
 )
 from pontrylie.ocp import RANK_TOL, ControlProblem, PontryaginPoint, ProblemJacobians, _newton, constant
-from pontrylie.ocp import hamiltonian_partials, pontryagin_hamiltonian, stacked
+from pontrylie.ocp import hamiltonian_partials, stacked
 from pontrylie.pmp import (
     PmpSolverConfig,
     Trajectory,
@@ -190,11 +190,12 @@ def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
 
 def test_a_math_error_of_an_unmarked_callable_is_an_evaluation_error_at_its_point(default_config):
     """An unmarked dynamics taking math.sqrt of a negative number raises EvaluationError (exit 2) at the
-    member's arguments, alone and inside an integration."""
+    member's arguments, where H's terms are evaluated at stored points (the action) and inside an integration."""
     problem = ControlProblem(n=1, r=1, dynamics=lambda x, u: np.array([math.sqrt(x[0] - 1.0) + u[0]]),
                              lagrangian=lambda x, u: 0.5 * float(u[0] ** 2))
+    stored = Trajectory([0.0, 0.1, 0.2], ("x1", "p1", "u1"), [[0.0, 1.0, 0.5]] * 3)
     with pytest.raises(EvaluationError, match="dynamics failed: math domain error") as err:
-        pontryagin_hamiltonian(problem, PontryaginPoint([0.0], [1.0], [0.5]))
+        lagrange_pontryagin_action(problem, stored)
     assert [v.tolist() for v in err.value.point] == [[0.0], [0.5]]
     with pytest.raises(EvaluationError, match="dynamics failed: math domain error") as err:
         integrate_pmp(problem, [0.0], [1.0], 0.1, default_config)
@@ -516,7 +517,7 @@ def sequential_pmp(problem, x0, p0, duration, config):
     times = time_grid(duration, config.rk_step)
     y = np.concatenate([x0, p0])
     u = optimal_feedback(problem, x0, p0, np.zeros(problem.r), config)
-    rows, hs = [np.concatenate([y, u])], [pontryagin_hamiltonian(problem, PontryaginPoint(x0, p0, u))]
+    rows, hs = [np.concatenate([y, u])], [hamiltonian(problem, PontryaginPoint(x0, p0, u))]
     for t0, t1 in zip(times[:-1], times[1:]):
         h = t1 - t0
         k1, u1 = field(y, u)
@@ -526,7 +527,7 @@ def sequential_pmp(problem, x0, p0, duration, config):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u = optimal_feedback(problem, y[:n], y[n:], u4, config)
         rows.append(np.concatenate([y, u]))
-        hs.append(pontryagin_hamiltonian(problem, PontryaginPoint(y[:n], y[n:], u)))
+        hs.append(hamiltonian(problem, PontryaginPoint(y[:n], y[n:], u)))
     return np.array(rows), np.array(hs)
 
 
@@ -628,10 +629,14 @@ def test_action_sampling_density(heis_problem):
     assert abs(coarse - fine) <= 10.0 * (2e-2) ** 2
 
 
-def test_action_needs_two_samples(heis_problem, default_config):
+def test_action_needs_three_samples(heis_problem, default_config):
+    """The second-order difference of x needs three samples; two used to fail in NumPy with a bare ValueError."""
     traj = integrate_pmp(heis_problem, np.zeros(3), [1.0, 0.0, 1.0], 0.0, default_config)
     with pytest.raises(TrajectoryFormatError):
         lagrange_pontryagin_action(heis_problem, traj)
+    two = Trajectory([0.0, 0.1], traj.columns, np.vstack([traj.states] * 2))
+    with pytest.raises(TrajectoryFormatError, match="at least three samples"):
+        lagrange_pontryagin_action(heis_problem, two)
 
 
 def test_action_of_a_non_finite_integrand_is_an_evaluation_error():
@@ -649,8 +654,18 @@ def test_action_of_a_non_finite_integrand_is_an_evaluation_error():
 def test_momentum_map_values(heis_problem):
     # at the identity-chart origin the generators reduce to the basis vectors
     p = np.array([0.4, -1.1, 2.2])
-    assert np.allclose(momentum_map(heis_problem, np.zeros(3), p).coeffs, p)
-    assert np.allclose(momentum_map(heis_problem, [1.0, 2.0, 3.0], np.zeros(3)).coeffs, 0.0)
+    assert np.allclose(momentum_map(heis_problem, np.zeros(3), p), p)
+    assert np.allclose(momentum_map(heis_problem, [1.0, 2.0, 3.0], np.zeros(3)), 0.0)
+
+
+def test_momentum_map_takes_stacks_of_points(heis_problem):
+    """Points x, p of shape (..., n) give (..., dim), each member the plain array it gives alone."""
+    rng = np.random.default_rng(14)
+    x, p = rng.normal(size=(2, 4, 2, 3))
+    stack = momentum_map(heis_problem, x, p)
+    assert type(stack) is np.ndarray and stack.shape == (4, 2, 3)
+    for index in np.ndindex(4, 2):
+        assert np.array_equal(stack[index], momentum_map(heis_problem, x[index], p[index]))
 
 
 def test_momentum_map_takes_all_generators_from_one_stacked_call(heis_problem):
@@ -666,7 +681,7 @@ def test_momentum_map_takes_all_generators_from_one_stacked_call(heis_problem):
     handle = SymmetryHandle(algebra=heis_problem.symmetry.algebra, infinitesimal_action=action)
     problem = dataclasses.replace(heis_problem, symmetry=handle)
     x, p = np.array([0.2, -0.4, 1.0]), np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(momentum_map(problem, x, p).coeffs, momentum_map(heis_problem, x, p).coeffs)
+    assert np.array_equal(momentum_map(problem, x, p), momentum_map(heis_problem, x, p))
     assert calls == [(4, 3)]
     single = SymmetryHandle(algebra=problem.symmetry.algebra, infinitesimal_action=lambda xi, x: np.zeros(3))
     with pytest.raises(DimensionMismatchError, match="generators"):
@@ -682,7 +697,7 @@ def test_momentum_map_refuses_a_handle_written_for_one_algebra_vector(heis_probl
 
     x, p = np.array([0.3, -0.7, 0.2]), np.array([1.0, 2.0, 3.0])
     assert np.allclose(one_vector(np.eye(3), x) @ p, [1.0, 2.0, 2.35])  # what the identity alone let through
-    assert np.allclose(momentum_map(heis_problem, x, p).coeffs, [-0.05, 1.55, 3.0], rtol=0, atol=1e-15)
+    assert np.allclose(momentum_map(heis_problem, x, p), [-0.05, 1.55, 3.0], rtol=0, atol=1e-15)
     algebra = heis_problem.symmetry.algebra
 
     def combination(xi, q):  # sum_i xi_i (e_i)_P for one vector: the stack's fourth row has no generator

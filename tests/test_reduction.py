@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced, so3_algebra
+from conftest import reduced_hamiltonian
 from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
 from pontrylie import lie
@@ -24,7 +25,7 @@ from pontrylie.heisenberg import (
 from pontrylie.expr import _lie_poisson_tables, compile_tables
 from pontrylie.lie import LieAlgebraSpec, _lie_poisson_form, coadjoint, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import PontryaginPoint, ProblemJacobians, _newton, check_invariance, hamiltonian_partials
-from pontrylie.ocp import pontryagin_hamiltonian, stacked
+from pontrylie.ocp import stacked
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, optimal_feedback
 from pontrylie.pmp import time_grid
 from pontrylie.reduction import (
@@ -34,7 +35,6 @@ from pontrylie.reduction import (
     integrate_reduced,
     project_full_to_reduced,
     reduced_dirac_residuals,
-    reduced_hamiltonian,
     reduced_partials,
     reduced_pmp_rhs,
 )
@@ -79,7 +79,7 @@ def sequential_reduced(problem, mu0, duration, config):
     def field(mu, u_warm):
         u = eliminate_controls_reduced(problem, EMPTY, EMPTY, mu, u_warm, config)
         xi = reduced_partials(problem, EMPTY, EMPTY, mu, u).dH_dp
-        return coadjoint(problem.algebra, xi, mu).coeffs, u
+        return coadjoint(problem.algebra, xi, mu), u
 
     def h(mu, u):
         return reduced_hamiltonian(problem, ReducedState(EMPTY, EMPTY, mu, u))
@@ -231,7 +231,7 @@ def test_rhs_coadjoint_sign_switch(heis_reduced):
     plus = reduced_pmp_rhs(heis_reduced, st)
     minus = reduced_pmp_rhs(opposite, st)
     assert np.allclose(plus.mu_dot, -minus.mu_dot)
-    assert np.allclose(plus.mu_dot, coadjoint(heis_reduced.algebra, plus.xi, st.mu).coeffs)
+    assert np.allclose(plus.mu_dot, coadjoint(heis_reduced.algebra, plus.xi, st.mu))
 
 
 def test_curvature_coupling_enters_base_costate_equation():
@@ -510,10 +510,8 @@ def test_a_problem_builds_its_view_once(heis_problem, heis_reduced, monkeypatch)
         optimal_feedback(problem, point.x, point.p, point.u)
         eliminate_controls_reduced(reduced, EMPTY, EMPTY, mu, np.zeros(2))
     hamiltonian_partials(problem, point)
-    pontryagin_hamiltonian(problem, point)
     check_invariance(problem, samples=20)
     reduced_partials(reduced, EMPTY, EMPTY, mu, np.zeros(2))
-    reduced_hamiltonian(reduced, ReducedState(EMPTY, EMPTY, mu, np.zeros(2)))
     reduced_pmp_rhs(reduced, ReducedState(EMPTY, EMPTY, mu, mu[:2]))
     assert builds == {"pontrylie.ocp": 1, "pontrylie.reduction": 1}
 
@@ -681,7 +679,7 @@ def test_the_compiled_bracket_is_the_lie_poisson_form_and_the_coadjoint_action(n
     form, bracket = compiled_form(mu), compiled_bracket(mu, xi)
     rows = zip(mu.reshape(-1, dim), xi.reshape(-1, dim))
     expected = (_lie_poisson_form(alg, mu),
-                np.array([coadjoint(alg, x, m).coeffs for m, x in rows]).reshape(lead + (dim,)))
+                np.array([coadjoint(alg, x, m) for m, x in rows]).reshape(lead + (dim,)))
     assert form.shape == lead + (dim, dim) and bracket.shape == lead + (dim,)
     for value, reference in zip((form, bracket), expected):
         if name == "heisenberg":
@@ -701,7 +699,7 @@ def test_a_replaced_algebra_brings_its_own_bracket(heis_reduced, name):
     rng = np.random.default_rng(5)
     for mu, u in zip(rng.normal(size=(4, 3)), rng.normal(size=(4, 2))):
         rhs = reduced_pmp_rhs(problem, ReducedState(EMPTY, EMPTY, mu, u))
-        expected = coadjoint(alg, rhs.xi, mu).coeffs
+        expected = coadjoint(alg, rhs.xi, mu)
         if name == "opposite_heisenberg":
             assert np.array_equal(rhs.mu_dot, expected)
         else:

@@ -703,10 +703,16 @@ def _expressions(sources, count: int, field: str) -> list:
     return sources
 
 
-def _table(sources, variables: List[str]) -> np.ndarray:
-    """Parse an expression string, or a (nested) list of them, into an object array of trees."""
+def _table(sources, variables: List[str], field: str) -> np.ndarray:
+    """Parse an expression string, or a (nested) list of them, into an object array of trees; a syntax error is
+    prefixed with ``field`` and the entry's index in it (``dynamics[2]: ...``)."""
     table = np.array(sources, dtype=object)
-    table.flat = [parse(str(src), variables).ast for src in table.flat]
+    for index in np.ndindex(table.shape):
+        try:
+            table[index] = parse(str(table[index]), variables).ast
+        except ExprSyntaxError as exc:
+            exc.args = (f"{field}{''.join(f'[{i}]' for i in index)}: {exc}",)
+            raise
     return table
 
 
@@ -794,7 +800,8 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         algebra = algebra_from_dict(_known_keys(data["algebra"], _ALGEBRA_KEYS, "the algebra block", ("dim",)))
     x_vars = [f"x{i+1}" for i in range(n)]
     u_vars = [f"u{a+1}" for a in range(r)]
-    tables = _hamiltonian_tables([_table(dyn_src, x_vars + u_vars)], _table(str(data["lagrangian"]), x_vars + u_vars),
+    tables = _hamiltonian_tables([_table(dyn_src, x_vars + u_vars, "dynamics")],
+                                 _table(str(data["lagrangian"]), x_vars + u_vars, "lagrangian"),
                                  x_vars, [f"p{i+1}" for i in range(n)], u_vars)
     if "action" in data:
         if algebra is None:
@@ -803,7 +810,7 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         if not (isinstance(rows, list) and len(rows) == algebra.dim
                 and all(isinstance(row, list) and len(row) == n for row in rows)):
             raise PontrylieError(f"action must be a dim x n = {algebra.dim} x {n} table of expressions, got {rows!r}")
-        tables.append((_table(rows, x_vars), [x_vars]))
+        tables.append((_table(rows, x_vars, "action"), [x_vars]))
     if "reduced" in data:
         if algebra is None:
             raise PontrylieError("a reduced block requires an algebra block")
@@ -812,8 +819,8 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
         z_vars = [f"z{i+1}" for i in range(s)]
         base_src = _expressions(block.get("base_dynamics", []), s, "reduced base_dynamics")
         fiber_src = _expressions(block["fiber_dynamics"], algebra.dim, "reduced fiber_dynamics")
-        base_table, fiber_table, lag_table = (_table(src, z_vars + u_vars)
-                                              for src in (base_src, fiber_src, str(block["lagrangian"])))
+        base_table, fiber_table, lag_table = (_table(src, z_vars + u_vars, f"reduced {field}") for src, field in (
+            (base_src, "base_dynamics"), (fiber_src, "fiber_dynamics"), (str(block["lagrangian"]), "lagrangian")))
         costate = [f"pz{i+1}" for i in range(s)] + [f"mu{i+1}" for i in range(algebra.dim)]
         tables += _hamiltonian_tables([base_table, fiber_table], lag_table, z_vars, costate, u_vars)
 
@@ -821,9 +828,7 @@ def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[
     f, lagrangian, dH, d2H_du2 = islice(compiled, 4)
     symmetry = None
     if "action" in data:
-        generators = next(compiled)
-        action = stacked(lambda xi, x: np.asarray(xi, dtype=float) @ generators(x))
-        symmetry = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
+        symmetry = SymmetryHandle(algebra=algebra, generators=next(compiled))
     jac = ProblemJacobians(dH=dH, d2H_du2=d2H_du2)
     problem = ControlProblem(n=n, r=r, dynamics=f, lagrangian=lagrangian, jacobians=jac, symmetry=symmetry, name=name)
 

@@ -61,20 +61,16 @@ class ProblemJacobians:
 class SymmetryHandle:
     """Group-action data attached to a problem.
 
-    ``infinitesimal_action(xi, x)`` returns the generator vector field
-    xi_P(x) and is the only mandatory field (it feeds the momentum map).  It
-    is linear in xi and takes a stack of algebra elements: xi of shape
-    (..., dim) gives (..., n), so one call gives all generators
-    (``pmp.momentum_map`` passes the identity and the basis sum, and
-    refuses a handle written for one vector).  Marked ``stacked``, it also
-    takes a stack of points: xi (k, dim) and x (..., n) give (..., k, n), and
-    the J channels of a whole integration come from one call; unmarked, it
-    is called once per point.  The remaining callables enable invariance
-    checking and, for problems whose state space is the group itself,
-    reduction:
+    ``generators(x)`` is the only mandatory field (it feeds the momentum
+    map): for x of shape (..., n) it returns the (..., dim, n) matrices
+    whose row i is the generator (e_i)_P(x) of basis element i.  Like
+    ``body_frame`` it always takes a stack, so the J channels of a whole
+    integration come from one call.  The remaining callables enable
+    invariance checking and, for problems whose state space is the group
+    itself, reduction:
 
-    - ``act_on_state(g, x)``: the action of a GroupElement on a chart point.
-    - ``act_on_control(g, x, u)``: fiber part of the action; identity if None.
+    - ``act_on_state(g, x)``: the action of a GroupElement on a chart point
+      (controls are left as they are).
     - ``state_jacobian(g, x)``: Jacobian of act_on_state in x; finite
       differences if None.
     - ``body_frame(x)``: for x of shape (..., n), the (..., n, dim) matrices
@@ -85,9 +81,8 @@ class SymmetryHandle:
     """
 
     algebra: LieAlgebraSpec
-    infinitesimal_action: Callable
+    generators: Callable
     act_on_state: Optional[Callable] = None
-    act_on_control: Optional[Callable] = None
     state_jacobian: Optional[Callable] = None
     body_frame: Optional[Callable] = None
 
@@ -95,9 +90,9 @@ class SymmetryHandle:
 def left_translations(alg: LieAlgebraSpec) -> SymmetryHandle:
     """Left multiplication of the group of a nilpotent matrix algebra on itself, x <-> exp(x).
 
-    The generators are the right-invariant fields R(x) = L(-x), the body frame is the left-invariant
-    L(x) (``lie.left_invariant_frame``), g acts by x -> log(g exp(x)), and its Jacobian is
-    L(g.x) L(x)^-1 because left translation carries left-invariant fields to themselves.
+    The generators are the rows of L(-x)^T, the right-invariant fields R(x) = L(-x), the body frame is
+    the left-invariant L(x) (``lie.left_invariant_frame``), g acts by x -> log(g exp(x)), and its
+    Jacobian is L(g.x) L(x)^-1 because left translation carries left-invariant fields to themselves.
     """
     if not _is_nilpotent(alg):
         raise NonNilpotentError("left translations need a nilpotent algebra (lower central series reaching 0)")
@@ -111,9 +106,7 @@ def left_translations(alg: LieAlgebraSpec) -> SymmetryHandle:
 
     return SymmetryHandle(
         algebra=alg,
-        infinitesimal_action=stacked(
-            lambda xi, x: np.asarray(xi) @ left_invariant_frame(alg, np.negative(x)).swapaxes(-1, -2)
-        ),
+        generators=lambda x: left_invariant_frame(alg, np.negative(x)).swapaxes(-1, -2),
         act_on_state=act_on_state,
         state_jacobian=state_jacobian,
         body_frame=lambda x: left_invariant_frame(alg, x),
@@ -327,21 +320,25 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
     def h(q, lam, u):
         return (lam[..., None, :] @ F(q, u)[..., None])[..., 0, 0] - L(q, u)
 
+    # the differences run quietly: a non-finite H (inf - inf) is an EvaluationError of the finiteness checks
     dH = jac.dH
     if dH is None:
         def dH(q, lam, u):
-            dH_du = fd_gradient(lambda v: h(q, lam, v), u, FD_STEP) if r else np.zeros(u.shape)
-            dH_dq = fd_gradient(lambda v: h(v, lam, u), q, FD_STEP) if nq else np.zeros(q.shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dH_du = fd_gradient(lambda v: h(q, lam, v), u, FD_STEP) if r else np.zeros(u.shape)
+                dH_dq = fd_gradient(lambda v: h(v, lam, u), q, FD_STEP) if nq else np.zeros(q.shape)
             return np.concatenate([dH_du, dH_dq, F(q, u)], axis=-1)
 
     if jac.d2H_du2 is not None:
         hessian = jac.d2H_du2
     elif jac.dH is not None:
         def hessian(q, lam, u):
-            return fd_jacobian(lambda v: jac.dH(q, lam, v)[..., :r], u, FD_STEP)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fd_jacobian(lambda v: jac.dH(q, lam, v)[..., :r], u, FD_STEP)
     else:
         def hessian(q, lam, u):
-            return fd_hessian_direct(lambda v: h(q, lam, v), u, FD_STEP)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fd_hessian_direct(lambda v: h(q, lam, v), u, FD_STEP)
 
     def d2H_du2(q, lam, u):
         w = hessian(q, lam, u)
@@ -518,20 +515,19 @@ class InvarianceReport(NamedTuple):
 def invariance_deviation(problem: ControlProblem, g: GroupElement, x: np.ndarray, u: np.ndarray):
     """Deviations of the two invariance identities at a single (g, x, u).
 
-    Returns (|L(g.(x,u)) - L(x,u)|, max-norm of T(g.)f(x,u) - f(g.(x,u))).
+    Returns (|L(g.(x,u)) - L(x,u)|, max-norm of T(g.)f(x,u) - f(g.(x,u))), g.(x,u) = (g.x, u).
     """
     sym = problem.symmetry
     if sym is None or sym.act_on_state is None:
         raise PontrylieError("problem has no symmetry group action to check")
     gx = np.asarray(sym.act_on_state(g, x), dtype=float)
-    gu = np.asarray(sym.act_on_control(g, x, u), dtype=float) if sym.act_on_control else u
-    l_dev = abs(float(_eval_lagrangian(problem, gx, gu) - _eval_lagrangian(problem, x, u)))
+    l_dev = abs(float(_eval_lagrangian(problem, gx, u) - _eval_lagrangian(problem, x, u)))
     f = _eval_dynamics(problem, x, u)
     if sym.state_jacobian is not None:
         pushed = np.asarray(sym.state_jacobian(g, x), dtype=float) @ f
     else:
         pushed = _fd_pushforward(sym.act_on_state, g, x, f)
-    dyn_dev = float(np.max(np.abs(pushed - _eval_dynamics(problem, gx, gu)), initial=0.0))
+    dyn_dev = float(np.max(np.abs(pushed - _eval_dynamics(problem, gx, u)), initial=0.0))
     return l_dev, dyn_dev
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import dirac
 from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError, TrajectoryFormatError
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
-from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton, _per_member
+from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton
 from .ocp import _require_finite, _sized_gradient, _split
 
 
@@ -207,44 +207,20 @@ def optimal_feedback(
 
 def momentum_map(problem: ControlProblem, x, p) -> np.ndarray:
     """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry at every member of the stacks x, p
-    (..., n), as (..., dim).
+    (..., n), as (..., dim): one call of the handle's ``generators`` on the whole stack x, then one matmul.
 
-    The handle gets the stack of every basis element and their sum, so one
-    written for a single algebra vector is refused: it returns the wrong
-    shape, fails to index the stack, or does not give the sum's generator as
-    the sum of the others (to 1e-12 relative).  A ``stacked`` handle also
-    takes the stack of points, (dim + 1, dim) and (..., n) giving
-    (..., dim + 1, n), in one call; any other is called once per member.
+    Generators of any shape but (..., dim, n), such as one (dim, n) matrix for a stack of points, are a
+    DimensionMismatchError naming ``generators``.
     """
     sym = problem.symmetry
     if sym is None:
         raise PontrylieError("problem declares no symmetry")
-    dim, n = sym.algebra.dim, problem.n
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
-    probes = np.vstack([np.eye(dim), np.ones(dim)])
-
-    def pairing(x, p):
-        try:
-            generators = np.asarray(sym.infinitesimal_action(probes, x), dtype=float)
-        except IndexError as exc:
-            raise DimensionMismatchError(
-                f"generators: the symmetry handle cannot take a stack of algebra elements ({exc})"
-            ) from exc
-        if generators.shape != x.shape[:-1] + (dim + 1, n):
-            raise DimensionMismatchError(
-                f"generators of the basis and its sum have shape {generators.shape}, "
-                f"expected {x.shape[:-1] + (dim + 1, n)}"
-            )
-        basis, total = generators[..., :dim, :], generators[..., dim, :]
-        if not np.all(np.abs(basis.sum(axis=-2) - total) <= 1e-12 * np.abs(basis).sum(axis=-2)):
-            raise DimensionMismatchError(
-                "generators: the generator of the basis sum is not the sum of the basis generators"
-            )
-        return (basis @ p[..., None])[..., 0]
-
-    if getattr(sym.infinitesimal_action, "stacked", False):
-        return pairing(x, p)
-    return _per_member(pairing, "momentum map", (dim,))(x, p)
+    generators = np.asarray(sym.generators(x), dtype=float)
+    expected = x.shape[:-1] + (sym.algebra.dim, problem.n)
+    if generators.shape != expected:
+        raise DimensionMismatchError(f"generators returned shape {generators.shape}, expected {expected}")
+    return (generators @ p[..., None])[..., 0]
 
 
 def time_grid(duration: float, step: float) -> np.ndarray:

@@ -453,21 +453,16 @@ def test_non_finite_or_negative_tolerance_is_an_input_error(tmp_path, capsys, to
         assert result["status"] == "error" and "--tol must be finite and nonnegative" in result["error"]
 
 
-@pytest.mark.parametrize("mark", [True, False])
-def test_a_single_vector_symmetry_handle_exits_1(tmp_path, capsys, monkeypatch, mark):
-    """A handle written for one algebra vector is refused by the momentum map, whether it is called once on
-    every node (``stacked``) or once per node, with exit 1 and no output file."""
-
-    def one_vector(xi, q):
-        return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
-
+def test_generators_written_for_one_point_exit_1(tmp_path, capsys, monkeypatch):
+    """Generators that give one (dim, n) matrix for the whole stack of trajectory points are refused by the
+    momentum map, naming ``generators``, with exit 1 and no output file."""
     builtin = heisenberg.heisenberg_problem
-    handle = dataclasses.replace(builtin().symmetry, infinitesimal_action=ocp.stacked(one_vector) if mark else one_vector)
+    handle = ocp.SymmetryHandle(heisenberg_algebra(), lambda x: np.eye(3))
     monkeypatch.setattr(heisenberg, "heisenberg_problem", lambda: dataclasses.replace(builtin(), symmetry=handle))
     code, result, _ = run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.01",
                               "--out", str(tmp_path / "full.csv"))
     assert code == 1
-    assert result["status"] == "error" and "generators" in result["error"]
+    assert result["status"] == "error" and result["error"].startswith("generators returned shape (3, 3)")
     assert not list(tmp_path.iterdir())
 
 
@@ -901,15 +896,22 @@ MISSING = object()
     (("dynamics",), MISSING, "problem file {file} is missing required field 'dynamics'"),
     (("algebra", "dim"), MISSING, "the algebra block is missing required field 'dim'"),
     (("reduced", "fiber_dynamics"), MISSING, "the reduced block is missing required field 'fiber_dynamics'"),
+    (("dynamics", 2), "x1 +", "dynamics[2]: unexpected end of input (at offset 4)"),
+    (("lagrangian",), "u1 ** 2", "lagrangian: unexpected token '*' (at offset 4)"),
+    (("action", 0, 2), "0.5*z", "action[0][2]: undeclared variable 'z' (at offset 4)"),
+    (("reduced", "lagrangian"), "x1*u1", "reduced lagrangian: undeclared variable 'x1' (at offset 0)"),
+    (("reduced", "base_dynamics", 1), "u1)", "reduced base_dynamics[1]: unexpected token ')' (at offset 2)"),
 ], ids=["structure-repeated", "base-structure-repeated", "structure-not-a-list", "base-structure-not-a-list",
         "structure-three-items", "structure-entry-not-a-list", "structure-string-value", "structure-bool-value",
         "structure-index-out-of-range", "matrix-basis-number", "labels-number", "action-number", "action-rows-numbers", "fiber-dynamics-number",
         "base-dynamics-number", "dynamics-number", "dynamics-string", "dynamics-missing", "dim-missing",
-        "fiber-dynamics-missing"])
+        "fiber-dynamics-missing", "dynamics-syntax", "lagrangian-syntax", "action-undeclared",
+        "reduced-lagrangian-undeclared", "base-dynamics-syntax"])
 def test_a_malformed_problem_file_field_exits_1_naming_it(tmp_path, capsys, path, value, message):
-    """A repeated or malformed sparse entry, a block of the wrong JSON type and a missing required field each
-    exit 1 with a strict RESULT naming the field (and the entry), never a traceback or exit 0.  The file is the
-    README's with a two-dimensional base, so every field is present and ``base_structure`` is read."""
+    """A repeated or malformed sparse entry, a block of the wrong JSON type, a missing required field and an
+    expression that does not parse each exit 1 with a strict RESULT naming the field (and the entry; an
+    expression keeps its offset), never a traceback or exit 0.  The file is the README's with a
+    two-dimensional base, so every field is present and ``base_structure`` is read."""
     data = _curved_base_problem([])
     *blocks, key = path
     target = data

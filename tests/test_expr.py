@@ -449,8 +449,7 @@ def _compiled_callables(data):
     found = [(fn, (n, r)) for fn in (problem.dynamics, problem.lagrangian)]
     found += [(fn, (n, n, r)) for fn in (jac.dH, jac.d2H_du2)]
     if problem.symmetry is not None:
-        dim = problem.symmetry.algebra.dim
-        found.append((lambda x: problem.symmetry.infinitesimal_action(np.eye(dim), x), (n,)))
+        found.append((problem.symmetry.generators, (n,)))
     if reduced is not None:
         s, k = reduced.base_dim, reduced.base_dim + reduced.algebra.dim
         rj = reduced.jacobians

@@ -96,12 +96,12 @@ def test_hamiltonian_dimension_mismatch(heis_problem):
 
 
 def test_hamiltonian_nonfinite_carries_point(default_config):
-    """A non-finite H fails at its point: in its partials (inf - inf differences, hence the errstate) and in the
-    H channel of an integration whose Newton solves succeed."""
+    """A non-finite H fails at its point: in its partials (inf - inf differences, which warn about nothing) and in
+    the H channel of an integration whose Newton solves succeed."""
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([np.inf * u[0]]), lagrangian=lambda x, u: 0.0
     )
-    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+    with pytest.raises(EvaluationError) as err:
         hamiltonian_partials(problem, PontryaginPoint([0.0], [1.0], [1.0]))
     assert err.value.point is not None
     costly = ControlProblem(
@@ -250,9 +250,8 @@ def test_fd_jacobian_fallback_for_state_action(heis_problem):
     sym = heis_problem.symmetry
     reduced_handle = SymmetryHandle(
         algebra=sym.algebra,
-        infinitesimal_action=sym.infinitesimal_action,
+        generators=sym.generators,
         act_on_state=sym.act_on_state,
-        act_on_control=sym.act_on_control,
     )
     problem = ControlProblem(
         n=3,
@@ -290,13 +289,14 @@ def test_left_translations_reproduce_the_heisenberg_chart_product(heis_problem):
         assert rel(sym.state_jacobian(g, q), heisenberg_state_jacobian(g_chart)) <= 1e-12
 
 
-def test_infinitesimal_action_takes_a_stack_of_algebra_elements(heis_problem):
-    q = np.array([0.7, -1.3, 0.4])
-    xi = np.random.default_rng(13).normal(size=(5, 2, 3))
-    stacked = heis_problem.symmetry.infinitesimal_action(xi, q)
-    assert stacked.shape == (5, 2, 3)
-    expected = [[heisenberg_generators(row, q) for row in block] for block in xi]
-    assert np.allclose(stacked, expected, rtol=0, atol=1e-15)
+def test_generators_take_a_stack_of_points(heis_problem):
+    """For x of shape (..., n) the generators are (..., dim, n), row i the generator of basis element i at x."""
+    q = np.random.default_rng(13).normal(size=(5, 2, 3))
+    stack = heis_problem.symmetry.generators(q)
+    assert stack.shape == (5, 2, 3, 3)
+    expected = [[[heisenberg_generators(e, point) for e in np.eye(3)] for point in block] for block in q]
+    assert np.allclose(stack, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(heis_problem.symmetry.generators(q[2, 1]), stack[2, 1])
 
 
 @settings(max_examples=20, deadline=None)

@@ -656,6 +656,8 @@ def test_momentum_map_values(heis_problem):
     p = np.array([0.4, -1.1, 2.2])
     assert np.allclose(momentum_map(heis_problem, np.zeros(3), p), p)
     assert np.allclose(momentum_map(heis_problem, [1.0, 2.0, 3.0], np.zeros(3)), 0.0)
+    assert np.allclose(momentum_map(heis_problem, [0.3, -0.7, 0.2], [1.0, 2.0, 3.0]), [-0.05, 1.55, 3.0],
+                       rtol=0, atol=1e-15)
 
 
 def test_momentum_map_takes_stacks_of_points(heis_problem):
@@ -668,49 +670,36 @@ def test_momentum_map_takes_stacks_of_points(heis_problem):
         assert np.array_equal(stack[index], momentum_map(heis_problem, x[index], p[index]))
 
 
-def test_momentum_map_takes_all_generators_from_one_stacked_call(heis_problem):
-    """The handle gets the identity and the basis sum, one element per row; a handle returning one vector is refused."""
+def test_momentum_map_makes_one_generators_call_on_the_whole_stack(heis_problem):
+    """The handle's generators are called once, on the whole stack of points, and paired with p by one matmul."""
     from pontrylie.ocp import SymmetryHandle
 
     calls = []
 
-    def action(xi, x):
-        calls.append(np.shape(xi))
-        return heis_problem.symmetry.infinitesimal_action(xi, x)
+    def generators(x):
+        calls.append(np.shape(x))
+        return heis_problem.symmetry.generators(x)
 
-    handle = SymmetryHandle(algebra=heis_problem.symmetry.algebra, infinitesimal_action=action)
-    problem = dataclasses.replace(heis_problem, symmetry=handle)
-    x, p = np.array([0.2, -0.4, 1.0]), np.array([1.0, 2.0, 3.0])
+    problem = dataclasses.replace(heis_problem, symmetry=SymmetryHandle(heis_problem.symmetry.algebra, generators))
+    x, p = np.random.default_rng(15).normal(size=(2, 4, 2, 3))
     assert np.array_equal(momentum_map(problem, x, p), momentum_map(heis_problem, x, p))
-    assert calls == [(4, 3)]
-    single = SymmetryHandle(algebra=problem.symmetry.algebra, infinitesimal_action=lambda xi, x: np.zeros(3))
-    with pytest.raises(DimensionMismatchError, match="generators"):
-        momentum_map(dataclasses.replace(problem, symmetry=single), x, p)
+    assert calls == [(4, 2, 3)]
+    assert np.array_equal(momentum_map(problem, x, p), (heis_problem.symmetry.generators(x) @ p[..., None])[..., 0])
 
 
-def test_momentum_map_refuses_a_handle_written_for_one_algebra_vector(heis_problem):
-    """The deleted single-vector Heisenberg formula, handed the identity, returned the transpose of the generators."""
+def test_momentum_map_refuses_generators_of_the_wrong_shape(heis_problem):
+    """Generators of any shape but (..., dim, n) are refused naming ``generators``: a table of the wrong width, and
+    one (dim, n) matrix for a whole stack of points (constant generators written for one point)."""
     from pontrylie.ocp import SymmetryHandle
 
-    def one_vector(xi, q):
-        return np.array([xi[0], xi[1], xi[2] + 0.5 * (xi[0] * q[1] - xi[1] * q[0])])
-
-    x, p = np.array([0.3, -0.7, 0.2]), np.array([1.0, 2.0, 3.0])
-    assert np.allclose(one_vector(np.eye(3), x) @ p, [1.0, 2.0, 2.35])  # what the identity alone let through
-    assert np.allclose(momentum_map(heis_problem, x, p), [-0.05, 1.55, 3.0], rtol=0, atol=1e-15)
     algebra = heis_problem.symmetry.algebra
-
-    def combination(xi, q):  # sum_i xi_i (e_i)_P for one vector: the stack's fourth row has no generator
-        return sum(xi[i] * one_vector(np.eye(3), q).T[i] for i in range(len(xi)))
-
-    for action, match in ((one_vector, "shape"), (combination, "cannot take a stack")):
-        handle = SymmetryHandle(algebra=algebra, infinitesimal_action=action)
-        with pytest.raises(DimensionMismatchError, match=match):
+    x, p = np.random.default_rng(16).normal(size=(2, 5, 3))
+    one_matrix = SymmetryHandle(algebra, lambda q: np.eye(3))
+    assert np.array_equal(momentum_map(dataclasses.replace(heis_problem, symmetry=one_matrix), x[0], p[0]), p[0])
+    wide = SymmetryHandle(algebra, lambda q: np.zeros(q.shape + (4,)))
+    for handle, shape in ((wide, r"\(5, 3, 4\)"), (one_matrix, r"\(3, 3\)")):
+        with pytest.raises(DimensionMismatchError, match=rf"^generators returned shape {shape}, expected \(5, 3, 3\)$"):
             momentum_map(dataclasses.replace(heis_problem, symmetry=handle), x, p)
-    # the right shape, but the sum's generator is not the sum of the basis generators
-    nonlinear = SymmetryHandle(algebra=algebra, infinitesimal_action=lambda xi, q: np.asarray(xi) ** 2 + q)
-    with pytest.raises(DimensionMismatchError, match="sum"):
-        momentum_map(dataclasses.replace(heis_problem, symmetry=nonlinear), x, p)
 
 
 def test_momentum_map_requires_symmetry():

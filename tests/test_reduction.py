@@ -446,7 +446,7 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     already at the root (every later solve of the resting member).  The dynamics are called once per
     iterate of node 0, to check the F entries of its dH.  The constant control Hessian is
     rank-checked once per problem, when the first integration builds its view.  Per node comes the Lagrangian of H (or h); the J channels come from one call of
-    the stacked symmetry handle, and the Casimir channel from one call of the stacked Casimir.
+    the handle's generators, and the Casimir channel from one call of the stacked Casimir.
     """
     calls, svds = collections.Counter(), []
     svd = np.linalg.svd
@@ -467,7 +467,7 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
         if kind == "full":
             integrate_pmp(problem, np.zeros(3), mu0, steps * config.rk_step, config)
             expected = {"dH": 2 + per_solve * (solves - 1), "dynamics": 2, "lagrangian": steps + 1,
-                        "infinitesimal_action": 1}
+                        "generators": 1}
         else:
             integrate_reduced(problem, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), steps * config.rk_step, config)
             expected = {"dH": 2 + per_solve * (solves - 1), "fiber_dynamics": 2, "lagrangian": steps + 1,

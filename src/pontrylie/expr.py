@@ -543,54 +543,57 @@ def _sqrt(v):
 
 def _tile(value: float, a0: np.ndarray):
     """The value of a variable-free scalar table for every member of ``a0``."""
-    return np.full(a0.shape[:-1], value) if a0.ndim > 1 else value
+    return np.full(a0.shape[:-1], value) if np.ndim(a0) > 1 else value
+
+
+def _one_member(fn: Callable, *args: np.ndarray):
+    """``fn`` of one member's lists of Python floats, as a value of the leading shape () or (1,) of ``args``."""
+    value = fn(*(a.ravel().tolist() for a in args))
+    if args[0].ndim == 2:
+        return np.array([value])
+    return value if value.__class__ is float else np.array(value)
 
 
 def _packing(atoms: np.ndarray, lead: Optional[str]) -> List[str]:
-    """The lines returning a table's entries ``atoms`` for every member.
+    """The lines returning a table's entries ``atoms``: a float or (nested) lists given lists, else a stack.
 
-    ``lead`` is a local holding an array of the leading shape on a stack, or None when the function has no
-    float branch.  The float branch (``_one`` set to the ndim of ``a0``) packs a scalar or vector table with one
-    ``np.array``; a matrix table (a control Hessian, generators), it writes entry by entry into
-    a zero-filled array, as the column branch does.
+    ``lead`` is a local holding an array of the leading shape on a stack, or None when no variable is read.
     """
     if not atoms.ndim:
         atom = atoms[()]
-        return [f"return _array([{atom}]) if _one == 2 else {atom}" if lead else f"return _tile({atom}, a0)"]
-    lines = []
-    if lead and atoms.ndim == 1:
-        lines += ["if _one:", f"    return _array([{', '.join(atoms)}], ndmin=_one)"]
-    else:
-        lead = None
+        return [f"return {atom}" if lead else f"return _tile({atom}, a0)"]
+
+    def nested(entries):
+        return f"[{', '.join(map(nested, entries))}]" if isinstance(entries, list) else entries
+
     zeros = "(0.0)" in atoms.flat  # +0.0 only: "(-0.0)" is written like any other entry
     shape = f"{lead}.shape" if lead else "a0.shape[:-1]"
-    lines.append(f"_out = {'_zeros' if zeros else '_empty'}({shape} + {atoms.shape!r})")
+    lines = ["if a0.__class__ is list:", f"    return {nested(atoms.tolist())}",
+             f"_out = {'_zeros' if zeros else '_empty'}({shape} + {atoms.shape!r})"]
     lines += [f"_out[..., {', '.join(map(str, position))}] = {atom}"
               for position, atom in zip(product(*map(range, atoms.shape)), atoms.flat)
               if not (zeros and atom == "(0.0)")]
     return lines + ["return _out"]
 
 
-def _bindings(names: Mapping[str, str], arguments: Sequence[Sequence[str]]) -> Tuple[List[str], Optional[str]]:
+def _bindings(names: Mapping, arguments: Sequence[Sequence[str]], one: str) -> Tuple[List[str], Optional[str]]:
     """The lines binding the locals ``names`` of variables to the arguments, and one local that has the leading
     shape on a stack (None when no variable is read).
 
-    A one-member stack (leading shape () or (1,), told apart by ndim and length, never by size: an argument
-    may have no entries) unpacks each argument into Python floats and sets ``_one`` to the ndim of ``a0``;
-    any other reads the member columns ``a[..., i]`` and sets ``_one`` to 0.
+    One member given as lists binds their Python floats.  One given as a stack of leading shape () or (1,) (told
+    apart by ndim and length, never by size: an argument may have no entries) returns ``one``, the function on
+    its lists (``_one_member``).  Any other stack reads the member columns ``a[..., i]``.
     """
     floats, columns = [], {}
     for k, group in enumerate(arguments):
         bound = [names.get(var, "_") for var in group]
         if set(bound) - {"_"}:
-            floats.append(f"{', '.join(bound)}{',' * (len(group) == 1)} = a{k}.ravel().tolist()")
+            floats.append(f"{', '.join(bound)}{',' * (len(group) == 1)} = a{k}")
             columns.update({name: f"a{k}[..., {i}]" for i, name in enumerate(bound) if name != "_"})
-    if not columns:
-        return [], None
-    lines = ["if a0.ndim == 1 or len(a0) == 1 and a0.ndim == 2:", "    _one = a0.ndim",
-             *(f"    {line}" for line in floats),
-             "else:", "    _one = 0", *(f"    {name} = {column}" for name, column in columns.items())]
-    return lines, next(iter(columns))
+    lines = ["if a0.__class__ is list:", *(f"    {line}" for line in floats or ["pass"]),
+             "elif a0.ndim == 1 or len(a0) == 1 and a0.ndim == 2:", f"    return {one}",
+             "else:", *([f"    {name} = {column}" for name, column in columns.items()] or ["    pass"])]
+    return lines, next(iter(columns), None)
 
 
 def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]]) -> List[Callable]:
@@ -607,11 +610,11 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
     arguments as ``widths`` (``ocp._sized`` checks them before a call).
 
     A function has two branches over one set of arithmetic lines; only the
-    binding of the variables and the packing of the entries differ.  A
-    one-member stack (leading shape () or (1,)) runs on Python floats
-    (``a.ravel().tolist()``) and packs its entries with one ``np.array``;
-    any other stack runs on NumPy member columns ``a[..., i]`` and writes
-    them into the result column by column.  Either way each entry is
+    binding of the variables and the packing of the entries differ.  One
+    member runs on Python floats: lists of floats give a float or lists
+    (the float sweep of ``pmp._rk4_dae``), as does a stack of leading shape
+    () or (1,) packed (``_one_member``).  Any other stack runs on NumPy
+    member columns ``a[..., i]``, written column by column.  Either way each entry is
     computed with the float operations of ``evaluate`` in the same order, so
     both agree with the tree walker bit for bit:
 
@@ -638,7 +641,7 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
         else:
             emitter = _Emitter()
             atoms = np.array([emitter.emit(node) for node in table.flat], dtype=object).reshape(table.shape)
-            body, lead = _bindings(emitter.names, arguments)
+            body, lead = _bindings(emitter.names, arguments, f"_one_member(_f{index}, {params})")
             if emitter.guarded:
                 body += ["try:", "    with _errstate(all='raise'):", *(f"        {line}" for line in emitter.lines),
                          "except _ARITHMETIC_FAILURES:", f"    return _walk({index}, ({params},))"]
@@ -661,7 +664,7 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
         return np.array(values, dtype=float).reshape(lead + table.shape)[()]
 
     namespace = dict(
-        _float=float, _array=np.array, _empty=np.empty, _zeros=np.zeros, _tile=_tile,
+        _float=float, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _one_member=_one_member,
         _errstate=np.errstate, _walk=walk, _divide=_divide, _sqrt=_sqrt,
         **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
         _pow=_elementwise(math.pow, 2),

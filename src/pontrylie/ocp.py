@@ -365,9 +365,9 @@ def _eval_lagrangian(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> n
     return _require_finite(problem.view.L(x, u), "Lagrangian produced a non-finite value", x, u)
 
 
-def _hamiltonian_value(ham: ControlledHamiltonian, q, lam, u, f: np.ndarray) -> np.ndarray:
-    """H per member, ``f`` = F(q, u)."""
-    value = (lam[..., None, :] @ f[..., None])[..., 0, 0] - ham.L(q, u)
+def _hamiltonian_value(q, lam, u, f: np.ndarray, lagrangian) -> np.ndarray:
+    """H per member of the stacks (q, lam, u), checked finite; ``f`` = F(q, u) and ``lagrangian`` = L(q, u)."""
+    value = (lam[..., None, :] @ f[..., None])[..., 0, 0] - lagrangian
     return _require_finite(value, "non-finite Hamiltonian", q, lam, u)
 
 
@@ -413,6 +413,24 @@ def _is_regular(w: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[..., -1] > RANK_TOL
 
 
+def _float_newton(dH: Callable, w_inverse: np.ndarray, config, q: list, lam: list, u: list):
+    """``_newton`` for one member and a regular constant W on lists of Python floats, ``dH`` taking and giving lists;
+    the step W^-1 g is the stack's BLAS product (``w_inverse.dot``), so the member gets its bits in a batch."""
+    r = len(u)
+    for iterations in range(config.newton_max_iter + 1):
+        grad = dH(q, lam, u)
+        g = grad[:r]
+        if not all(map(math.isfinite, g)):
+            raise EvaluationError("non-finite Hamiltonian partial", point=tuple(map(np.array, (q, lam, u))), member=0)
+        residual = max(map(abs, g)) if r else 0.0
+        if residual <= config.newton_tol:
+            return u, iterations, residual, grad
+        if iterations == config.newton_max_iter:
+            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
+                                   residual=residual, member=0)
+        u = [a - b for a, b in zip(u, w_inverse.dot(g).tolist())]
+
+
 def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     """Newton solve of dH/du = 0 at the stacks (q, lam) from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
 
@@ -426,32 +444,23 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     its first r entries, so the gradient at the root, that of the last
     iterate, costs the caller no call (one step, for H quadratic in u).  W
     is evaluated only at the members that take a step.  One member (leading
-    shape () or (1,), as the compiled tables tell it) with a regular
-    constant W takes the same steps, each the same matmul, but keeps the
-    residual, the convergence and finiteness tests and the count on Python
-    floats, so it gives the bits it gives in a batch.  Returns (u*,
-    iterations, residual, dH at u* unchecked), iterations and residual per
-    member, Python numbers for that one member.  A failure names the flat
-    index of the first failing member; a non-finite dH/du raises
-    EvaluationError at its point.
+    shape () or (1,)) with a regular constant W is solved by ``_float_newton``
+    on Python floats, with the same steps, so it gives the bits it gives in
+    a batch; a compiled ``dH`` (one carrying ``widths``) takes the floats
+    themselves.  Returns (u*, iterations, residual, dH at u* unchecked),
+    iterations and residual per member, Python numbers for that one member.
+    A failure names the flat index of the first failing member; a non-finite
+    dH/du raises EvaluationError at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
     r, lead = u.shape[-1], u.shape[:-1]
     if ham.w_inverse is not None and lead in ((), (1,)) and q.shape[:-1] == lam.shape[:-1] == lead:
-        # one member and a regular constant W: the steps of the stack path, the bookkeeping on Python floats
-        for iterations in range(config.newton_max_iter + 1):
-            grad = ham.dH(q, lam, u)
-            g = grad[..., :r]
-            values = g.ravel().tolist()
-            if not all(map(math.isfinite, values)):
-                _require_finite(g, "non-finite Hamiltonian partial", q, lam, u)
-            residual = max(map(abs, values), default=0.0)
-            if residual <= config.newton_tol:
-                return u, iterations, residual, grad
-            if iterations == config.newton_max_iter:
-                raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
-                                       residual=residual, member=0)
-            u = u - (ham.w_inverse @ g[..., None])[..., 0]
+        dH = ham.dH
+        if not hasattr(dH, "widths"):  # a NumPy callable takes the caller's arrays q, lam and u of their shape
+            def dH(q_floats, lam_floats, u):
+                return np.asarray(ham.dH(q, lam, np.array(u, ndmin=len(lead) + 1))).ravel().tolist()
+        u, count, residual, grad = _float_newton(dH, ham.w_inverse, config, *(a.ravel().tolist() for a in (q, lam, u)))
+        return np.array(u, ndmin=len(lead) + 1), count, residual, np.array(grad, ndmin=len(lead) + 1)
     iterations = np.zeros(lead, dtype=int)
     constant_w = ham.w is not None
     for iteration in range(config.newton_max_iter + 1):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 from . import dirac
 from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError, TrajectoryFormatError
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
-from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton
+from .ocp import _float_newton, _gradient, _hamilton_field, _hamiltonian_value, _newton
 from .ocp import _require_finite, _sized_gradient, _split
 
 
@@ -209,14 +210,19 @@ def momentum_map(problem: ControlProblem, x, p) -> np.ndarray:
     """Momentum map components J_i = <p, (e_i)_P(x)> of the declared symmetry at every member of the stacks x, p
     (..., n), as (..., dim): one call of the handle's ``generators`` on the whole stack x, then one matmul.
 
-    Generators of any shape but (..., dim, n), such as one (dim, n) matrix for a stack of points, are a
-    DimensionMismatchError naming ``generators``.
+    Generators of any shape but (..., dim, n), and an IndexError, ValueError or TypeError of the handle's own
+    (a handle written for one point, on a stack), are a DimensionMismatchError naming ``generators``.
     """
     sym = problem.symmetry
     if sym is None:
         raise PontrylieError("problem declares no symmetry")
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
-    generators = np.asarray(sym.generators(x), dtype=float)
+    try:
+        generators = np.asarray(sym.generators(x), dtype=float)
+    except (IndexError, ValueError, TypeError) as exc:
+        if isinstance(exc, PontrylieError):
+            raise
+        raise DimensionMismatchError(f"generators failed on points of shape {x.shape}: {exc}") from exc
     expected = x.shape[:-1] + (sym.algebra.dim, problem.n)
     if generators.shape != expected:
         raise DimensionMismatchError(f"generators returned shape {generators.shape}, expected {expected}")
@@ -248,86 +254,128 @@ def time_grid(duration: float, step: float) -> np.ndarray:
 def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
-    All members advance together: every stage makes one ``ocp._newton`` solve
-    on the whole stack, and a member's trajectory is bit for bit the one it
-    has alone.  At stages 2-4 Newton solves dH/du = 0 warm started from the
-    previous stage's control; stage 1 reuses the gradient of the node's
-    converged solve, taken at the same (y, u*).  A solve reads only the
-    view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the
-    last iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of
-    ``ham``'s form) and H.  The sweep runs under one ``np.errstate`` that
-    silences overflow and invalid-value warnings: a non-finite value still
-    raises EvaluationError at its point, and guarded compiled tables still
-    raise inside it.  Every grid node
-    records, per member, the row (y, u*) with columns <prefix>1.. for each
-    (prefix, size) of ``blocks`` (q first), then u1..; H under
-    ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
-    updates of any solve of the step ending at the node) and "stationarity"
-    (the node's residual max |dH/du|), each written in place into one
-    (members, nodes) array.  Solver and evaluation errors are re-raised
-    with the failing member's index and the grid time (of the node, or of
-    the start of the step whose stage failed); a solver error also with
-    the (q, lam) row Newton was solving at.  After the sweep a non-finite
-    recorded row, which no evaluation may have read, raises EvaluationError
-    at the first one (earliest node, then lowest member).  Returns one
-    Trajectory per member.
+    All members advance together: every stage makes one ``ocp._newton`` solve on the whole stack, and a
+    member's trajectory is bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0 warm
+    started from the previous stage's control; stage 1 reuses the gradient of the node's converged solve,
+    taken at the same (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per
+    iterate, so the last iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form)
+    and H.  One member whose view has a regular constant W and compiled ``dH``, L and bracket (carrying
+    ``widths``) is swept on lists of Python floats: ``ocp._float_newton`` solves, and the vector field and
+    the RK4 update repeat the stack's float operations, so the bits are the same; a float fold checks each
+    node's H, which is recorded after the sweep from one stacked pairing.  The sweep runs under one
+    ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite value still raises
+    EvaluationError at its point, and guarded compiled tables still raise inside it.  Every grid node
+    records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of ``blocks`` (q
+    first), then u1..; H under ``hamiltonian_channel``; and the channels "newton_iters" (most Newton updates
+    of any solve of the step ending at the node) and "stationarity" (the node's residual max |dH/du|), each
+    in one (members, nodes) array.  Solver and evaluation errors are re-raised with the failing member's
+    index and the grid time (of the node, or of the start of the step whose stage failed); a solver error
+    also with the (q, lam) row Newton was solving at.  After the sweep a non-finite recorded row, which no
+    evaluation may have read, raises EvaluationError at the first one (earliest node, then lowest member).
+    Returns one Trajectory per member.
     """
     nq = blocks[0][1]
     times = time_grid(duration, config.rk_step)
+    (members, width), r = y0.shape, u0.shape[1]
+    states = np.empty((members, len(times), width + r))
+    hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
+    # node 0 reads the checked gradient: its width and its F entries
+    sized = _sized_gradient(ham, nq, width - nq, r)
+    compiled = all(hasattr(fn, "widths") for fn in {ham.dH, ham.L, ham.bracket} - {None})  # take lists of floats
 
     def located(exc, where, t, y):
         """``exc`` again, its message and fields naming the failing member and the grid time."""
         i = exc.member
         message = f"{exc} (member {i} {where} t={t:.6g})"
         if isinstance(exc, SolverError):
-            return type(exc)(message, residual=exc.residual, t=t, state=y[i], member=i)
+            return type(exc)(message, residual=exc.residual, t=t, state=np.atleast_2d(y)[i], member=i)
         return EvaluationError(message, point=exc.point, t=t, member=i)
 
-    def solve(y, u_warm, view=ham):
-        """(u*, iterations, residual, dH at u*) of the Newton solve at the rows y."""
-        q, lam = y[:, :nq], y[:, nq:]
-        u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
-        return u_star, iterations, residual, _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
+    if members == 1 and ham.w_inverse is not None and compiled:
+        y, u_warm, plain, most, f_rows = y0[0].tolist(), u0[0].tolist(), ham.dH, max, np.empty((len(times), width - nq))
 
-    def vector_field(y, grad):
-        q_dot, lam_dot = _hamilton_field(ham, y[:, :nq], y[:, nq:], grad)
-        return np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
+        def first(*args):
+            return sized.dH(*(np.array([v]) for v in args))[0].tolist()
+
+        def solve(y, u_warm, dH):
+            q, lam = y[:nq], y[nq:]
+            u_star, iterations, residual, grad = _float_newton(dH, ham.w_inverse, config, q, lam, u_warm)
+            if not all(map(math.isfinite, grad)):
+                raise EvaluationError("non-finite Hamiltonian partial", member=0,
+                                      point=(np.array(q), np.array(lam), np.array(u_star)))
+            return u_star, iterations, residual, grad
+
+        def field(y, grad):
+            dH_dq, f = grad[r : r + nq], grad[r + nq :]
+            if ham.bracket is None:
+                return f + [-v for v in dH_dq]
+            lam_dot = ham.bracket(y[:nq], y[nq:], f)
+            return f[:nq] + [a - b for a, b in zip(lam_dot, dH_dq)] + lam_dot[nq:]
+
+        def record(k, y, u_star, grad, iterations, residual):
+            f, lagrangian = grad[r + nq :], ham.L(y[:nq], u_star)
+            if not math.isfinite(sum(a * b for a, b in zip(y[nq:], f)) - lagrangian):  # the stacked H decides
+                _hamiltonian_value(*(np.array([v]) for v in (y[:nq], y[nq:], u_star, f)), lagrangian)
+            states[0, k], f_rows[k] = y + u_star, f
+            hamiltonian[0, k], newton_iters[0, k], stationarity[0, k] = lagrangian, iterations, residual
+
+        def axpy(y, c, v):
+            return [a + c * b for a, b in zip(y, v)]
+
+        def rk4(y, c, k1, k2, k3, k4):
+            return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    else:
+        y, u_warm, f_rows, first, plain, most = y0, u0, None, sized, ham, np.maximum.reduce
+
+        def solve(y, u_warm, view):
+            q, lam = y[:, :nq], y[:, nq:]
+            u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
+            return u_star, iterations, residual, _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
+
+        def field(y, grad):
+            q_dot, lam_dot = _hamilton_field(ham, y[:, :nq], y[:, nq:], grad)
+            return np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
+
+        def record(k, y, u_star, grad, iterations, residual):
+            q, lam = y[:, :nq], y[:, nq:]
+            hamiltonian[:, k] = _hamiltonian_value(q, lam, u_star, _split(grad, nq, r)[2], ham.L(q, u_star))
+            states[:, k, :width], states[:, k, width:] = y, u_star
+            newton_iters[:, k], stationarity[:, k] = iterations, residual
+
+        def axpy(y, c, v):
+            return y + c * v
+
+        def rk4(y, c, k1, k2, k3, k4):
+            return y + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def stage(y, u_warm, t):
         try:
-            u_star, iterations, _, grad = solve(y, u_warm)
+            u_star, iterations, _, grad = solve(y, u_warm, plain)
         except (SolverError, EvaluationError) as exc:
             raise located(exc, "while stepping from", t, y) from exc
-        return vector_field(y, grad), u_star, iterations
+        return field(y, grad), u_star, iterations
 
-    members, width = y0.shape
-    r = u0.shape[1]
-    states = np.empty((members, len(times), width + r))
-    hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
-
-    def node(k, y, u_warm, step_iterations, view=ham):
+    def node(k, y, u_warm, stage_iterations, source=plain):
         try:
-            u_star, iterations, residual, grad = solve(y, u_warm, view)
-            hamiltonian[:, k] = _hamiltonian_value(ham, y[:, :nq], y[:, nq:], u_star, _split(grad, nq, r)[2])
+            u_star, iterations, residual, grad = solve(y, u_warm, source)
+            record(k, y, u_star, grad, most((*stage_iterations, iterations)), residual)
         except (SolverError, EvaluationError) as exc:
-            raise located(exc, "at", times[k], y) from exc
-        states[:, k, :width], states[:, k, width:] = y, u_star
-        newton_iters[:, k] = np.maximum(step_iterations, iterations)
-        stationarity[:, k] = residual
+            raise located(exc, "at", grid[k], y) from exc
         return u_star, grad
 
+    grid = times.tolist()  # Python floats, as the float sweep's arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        y = y0
-        # the gradient of every iterate of node 0 is checked: its width and its F entries
-        u_warm, grad = node(0, y, u0, 0, _sized_gradient(ham, nq, width - nq, r))
-        for k in range(len(times) - 1):
-            t, h = times[k], times[k + 1] - times[k]
-            k1 = vector_field(y, grad)
-            k2, u2, i2 = stage(y + 0.5 * h * k1, u_warm, t)
-            k3, u3, i3 = stage(y + 0.5 * h * k2, u2, t)
-            k4, u4, i4 = stage(y + h * k3, u3, t)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u_warm, grad = node(k + 1, y, u4, np.maximum(np.maximum(i2, i3), i4))
+        u_warm, grad = node(0, y, u_warm, (), first)
+        for k in range(len(grid) - 1):
+            t, h = grid[k], grid[k + 1] - grid[k]
+            k1 = field(y, grad)
+            k2, u2, i2 = stage(axpy(y, 0.5 * h, k1), u_warm, t)
+            k3, u3, i3 = stage(axpy(y, 0.5 * h, k2), u2, t)
+            k4, u4, i4 = stage(axpy(y, h, k3), u3, t)
+            y = rk4(y, h / 6.0, k1, k2, k3, k4)
+            u_warm, grad = node(k + 1, y, u4, (i2, i3, i4))
+    if f_rows is not None:  # the float sweep's H = <lam, F> - L, from one stacked pairing of its F rows as on a stack
+        hamiltonian[0] = (states[0, :, None, nq:width] @ f_rows[:, :, None])[:, 0, 0] - hamiltonian[0]
 
     finite = np.isfinite(states).all(axis=-1)  # (members, nodes)
     if not finite.all():

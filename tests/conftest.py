@@ -189,3 +189,14 @@ def casimir_runs(heis_problem):
     p0 = [unit_cylinder_costate(0.0, k) for k in CASIMIR_KS]
     config = PmpSolverConfig(rk_step=2e-3)
     return dict(zip(CASIMIR_KS, integrate_pmp(heis_problem, np.zeros(3), p0, TWO_PI, config)))
+
+
+def counting(calls, name, fn):
+    """``fn`` adding one to ``calls[name]`` per call; its ``stacked`` and ``constant`` marks are kept."""
+
+    def called(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    called.__dict__.update(vars(fn))
+    return called

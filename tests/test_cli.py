@@ -466,6 +466,34 @@ def test_generators_written_for_one_point_exit_1(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def one_point_generators(q):
+    """The builtin's generators written for one point q = (x1, x2, x3)."""
+    x1, x2, _ = q
+    return np.array([[1.0, 0.0, 0.5 * x2], [0.0, 1.0, -0.5 * x1], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("generators, error", [
+    (lambda q: np.array([[1.0, 0.0, 0.5 * q[1]], [0.0, 1.0, -0.5 * q[0]], [0.0, 0.0, 1.0]]),
+     "index 1 is out of bounds for axis 0 with size 1"),
+    (lambda q: np.array([[1.0, 0.0, 0.5 * float(q[..., 1])], [0.0, 1.0, -0.5 * float(q[..., 0])], [0.0, 0.0, 1.0]]),
+     "only 0-dimensional arrays can be converted"),
+    (one_point_generators, "not enough values to unpack (expected 3, got 1)"),
+], ids=["IndexError", "TypeError", "ValueError"])
+def test_generators_that_fail_on_a_stack_exit_1_naming_them(tmp_path, capsys, monkeypatch, generators, error):
+    """A handle written for one point raises its own IndexError, TypeError or ValueError on the (members, nodes, n)
+    stack of the trajectory points: the momentum map reports it naming ``generators`` and the stack's shape, and
+    the command exits 1 with a RESULT line and writes no file."""
+    builtin = heisenberg.heisenberg_problem
+    handle = ocp.SymmetryHandle(heisenberg_algebra(), generators)
+    monkeypatch.setattr(heisenberg, "heisenberg_problem", lambda: dataclasses.replace(builtin(), symmetry=handle))
+    code, result, _ = run_cli(capsys, "solve-pmp", "--builtin", "heisenberg", "--p0", "1,0,1", "--T", "0.001",
+                              "--out", str(tmp_path / "full.csv"))
+    assert code == 1
+    assert result["status"] == "error" and result["error"].startswith("generators failed on points of shape (1, 2, 3): ")
+    assert error in result["error"]
+    assert not list(tmp_path.iterdir())
+
+
 def _with_nan(source, target, column):
     lines = source.read_text().splitlines()
     index = lines[0].split(",").index(column)

@@ -442,7 +442,8 @@ GUARDED_FILE = {"n": 2, "r": 1,
 
 
 def _compiled_callables(data):
-    """Every function ``load_problem`` compiles from ``data``, with the widths of its arguments."""
+    """Every function ``load_problem`` compiles from ``data``, and the bracket tables of the reduced view, with the
+    widths of their arguments."""
     problem, reduced = load_problem(data, "file", "test")
     n, r = problem.n, problem.r
     jac = problem.jacobians
@@ -455,6 +456,7 @@ def _compiled_callables(data):
         rj = reduced.jacobians
         found += [(fn, (s, r)) for fn in (reduced.base_dynamics, reduced.fiber_dynamics, reduced.lagrangian)]
         found += [(fn, (s, k, r)) for fn in (rj.dH, rj.d2H_du2)]
+        found += [(reduced.view.form, (s, k)), (reduced.view.bracket, (s, k, k))]
     return found
 
 
@@ -474,6 +476,9 @@ def test_one_member_is_bit_for_bit_the_same_member_of_any_stack(data):
             assert np.array_equal(fn(*(a[i : i + 1] for a in stack)), values[i : i + 1])
             if not values.shape[1:] and getattr(fn, "value", None) is None:
                 assert type(alone) is float  # a scalar table at one member is Python float arithmetic
+            if hasattr(fn, "widths"):  # lists of floats, as the solvers' float sweep passes them
+                listed = fn(*(a[i].tolist() for a in stack))
+                assert type(listed) is (list if values.ndim > 1 else float) and np.array_equal(listed, values[i])
 
 
 def test_one_member_raises_the_walkers_error_with_its_offset():

@@ -1,5 +1,6 @@
 """Feedback solver, Hamilton-equation integration, conservation, action functional."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import CONFIG, hamiltonian
+from conftest import CONFIG, counting, hamiltonian
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -17,8 +18,8 @@ from pontrylie.errors import (
     RegularityError,
     TrajectoryFormatError,
 )
-from pontrylie.expr import load_problem
-from pontrylie import pmp
+from pontrylie.expr import ExprEvaluationError, load_problem
+from pontrylie import ocp, pmp
 from pontrylie.heisenberg import (
     PROBLEM_JSON,
     full_state_closed_form,
@@ -248,16 +249,22 @@ def skewed_problems():
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """(iterations, residual) of every ``_newton`` call made through ``pmp``: Python numbers on the one-member
-    branch, arrays on the stack path."""
+    """(iterations, residual) of every Newton solve made through ``pmp``: arrays from the stack path's
+    ``_newton``, Python numbers from the one float Newton ``ocp._float_newton`` (of the float sweep, and of
+    ``_newton``'s one-member branch)."""
     calls = []
 
-    def spied(*args):
-        result = _newton(*args)
-        calls.append(result[1:3])
-        return result
+    def spy(solve):
+        def spied(*args):
+            result = solve(*args)
+            calls.append(result[1:3])
+            return result
 
-    monkeypatch.setattr(pmp, "_newton", spied)
+        return spied
+
+    monkeypatch.setattr(pmp, "_newton", spy(_newton))
+    for module in (ocp, pmp):
+        monkeypatch.setattr(module, "_float_newton", spy(ocp._float_newton))
     return calls
 
 
@@ -346,6 +353,47 @@ def test_a_one_member_failure_is_the_one_it_has_in_a_batch(newton_calls, problem
     assert together.member == alone.member == 0 and together.t == alone.t > 0.0
     for name in ("residual", "state", "point"):
         assert np.array_equal(getattr(together, name, None), getattr(alone, name, None)), name
+
+
+def failure_fields(err):
+    """Type, message, t, member, state, residual and point of ``err`` (None where it has none), arrays as lists."""
+    state, residual, point = (getattr(err, name, None) for name in ("state", "residual", "point"))
+    return (type(err), str(err), getattr(err, "t", None), getattr(err, "member", None),
+            None if state is None else state.tolist(), residual,
+            None if point is None else [np.asarray(v).tolist() for v in point])
+
+
+@pytest.mark.parametrize("lagrangian, kind, message", [
+    # dH/du reads sqrt(1 - x1), a guarded table, once x1 passes 1
+    ("0.5*u1^2 - u1*sqrt(1 - x1)", ExprEvaluationError, r"sqrt of negative value -0.0050802056"),
+    # dH overflows to inf, unguarded, once x2 passes about 0.64
+    ("0.5*u1^2 - u1*(x2*1e154)^2/1e308", EvaluationError,
+     r"non-finite Hamiltonian partial \(member 0 while stepping from t=0.13\)"),
+    # L overflows to inf once x2 passes about 0.97, and its gradient stays finite: H fails at that node
+    ("0.5*u1^2 + 1.7e308 + 1e307*x2", EvaluationError, r"non-finite Hamiltonian \(member 0 at t=0.48\)"),
+])
+def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, kind, message):
+    """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails mid-run; the other two stay finite.  Alone it
+    runs the float sweep (its solves are ``pmp._float_newton``'s) and fails with the type, message, time, member, state, residual and point it has in the
+    batch, at the same node: the Lagrangian is called once per node up to the failing one, as in the batch."""
+    problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
+    calls = collections.Counter()
+    monkeypatch.setattr(pmp, "_float_newton", counting(calls, "float sweep solves", ocp._float_newton))
+    counted = dataclasses.replace(problem, lagrangian=counting(calls, "lagrangian", problem.lagrangian))
+    config = PmpSolverConfig(rk_step=0.01)
+    failures, lagrangians = [], []
+    for x0, p0 in (([[0.95, 0.5], [-5.0, -0.5], [-5.0, -0.5]], [[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]]),
+                   ([0.95, 0.5], [1.0, 0.0])):
+        calls.clear()
+        with pytest.raises(kind, match=message) as err:
+            integrate_pmp(counted, x0, p0, 1.0, config)
+        failures.append(failure_fields(err.value))
+        lagrangians.append(calls["lagrangian"])
+    assert calls["float sweep solves"] > 1  # alone, and not in the batch
+    assert failures[0] == failures[1]
+    assert lagrangians[0] == lagrangians[1] > 1
+    if kind is EvaluationError:
+        assert lagrangians[1] == round(err.value.t / config.rk_step) + 1
 
 
 def test_optimal_feedback_of_one_point_takes_the_one_member_branch(newton_calls):

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced, so3_algebra
-from conftest import reduced_hamiltonian
+from conftest import counting, reduced_hamiltonian
 from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
-from pontrylie import lie
+from pontrylie import lie, ocp, pmp
 from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
 from pontrylie.errors import ReductionUnsupportedError, SolverError
 from pontrylie.heisenberg import (
@@ -420,17 +420,6 @@ def test_a_singular_member_is_named_with_its_time_state_and_residual():
     assert len(integrate_reduced(singular_at_unit_k(), states[::2], 0.5, PmpSolverConfig(rk_step=0.1))) == 2
 
 
-def counting(calls, name, fn):
-    """``fn`` adding one to ``calls[name]`` per call; its ``stacked`` and ``constant`` marks are kept."""
-
-    def called(*args):
-        calls[name] += 1
-        return fn(*args)
-
-    called.__dict__.update(vars(fn))
-    return called
-
-
 def counted(calls, obj):
     """The problem dataclass ``obj`` with every callable field counted under its name."""
     fields = (f.name for f in dataclasses.fields(obj) if callable(getattr(obj, f.name)))
@@ -446,11 +435,13 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     already at the root (every later solve of the resting member).  The dynamics are called once per
     iterate of node 0, to check the F entries of its dH.  The constant control Hessian is
     rank-checked once per problem, when the first integration builds its view.  Per node comes the Lagrangian of H (or h); the J channels come from one call of
-    the handle's generators, and the Casimir channel from one call of the stacked Casimir.
+    the handle's generators, and the Casimir channel from one call of the stacked Casimir.  Every solve of
+    these one-member integrations is the float sweep's (``pmp._float_newton``), through the counted callables.
     """
-    calls, svds = collections.Counter(), []
+    calls, svds, float_solves = collections.Counter(), [], collections.Counter()
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
+    monkeypatch.setattr(pmp, "_float_newton", counting(float_solves, "solves", ocp._float_newton))
     if kind == "full":
         problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians),
                                       symmetry=counted(calls, heis_problem.symmetry))
@@ -463,6 +454,7 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     for k, per_solve in ((0.0, 1), (1.0, 2)):
         calls.clear()
         svds.clear()
+        float_solves.clear()
         mu0 = unit_cylinder_costate(0.1, k)
         if kind == "full":
             integrate_pmp(problem, np.zeros(3), mu0, steps * config.rk_step, config)
@@ -474,6 +466,7 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
                         "casimir_mu3": 1}
         assert dict(calls) == expected
         assert len(svds) == (1 if k == 0.0 else 0)
+        assert float_solves == {"solves": solves}
 
 
 def test_feedback_makes_one_gradient_call_per_iterate(heis_problem):

@@ -65,20 +65,11 @@ def _load(args) -> LoadedProblem:
     raise PontrylieError("give either --builtin NAME or --problem FILE")
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _option_values(text: str, option: str) -> List[float]:
+    """The comma-separated floats given to ``--{option}``, each checked to be a finite number (an empty entry is
+    not one)."""
     try:
-        values = np.array([float(v) for v in text.split(",") if v != ""])
-    except ValueError as exc:
-        raise PontrylieError(f"cannot parse vector '{text}': {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise PontrylieError(f"vector '{text}' has a non-finite entry")
-    return values
-
-
-def _shortcut_values(text: str, option: str) -> List[float]:
-    """The comma-separated floats of a ``--theta``/``--k`` list, each checked to be a finite number."""
-    try:
-        values = [float(v) for v in str(text).split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise PontrylieError(f"--{option} '{text}' has an entry that is not a number ({exc})") from exc
     if not all(np.isfinite(values)):
@@ -123,10 +114,10 @@ def cmd_solve_pmp(args) -> Tuple[int, dict]:
     loaded = _load(args)
     out = _output_path(args, f"pmp_{loaded.name}.{args.format}")
     problem = loaded.problem
-    x0 = _parse_vector(args.x0) if args.x0 else np.zeros(problem.n)
+    x0 = _option_values(args.x0, "x0") if args.x0 else np.zeros(problem.n)
     if args.p0 is None:
         raise PontrylieError("--p0 is required")
-    p0 = _parse_vector(args.p0)
+    p0 = _option_values(args.p0, "p0")
     trajectory = pmp.integrate_pmp(problem, x0, p0, args.T, PmpSolverConfig(rk_step=args.step))
     _write(trajectory, out, args.format)
     summary = {
@@ -175,12 +166,12 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     if args.lambda0 is not None and (args.theta is not None or args.k is not None):
         raise PontrylieError("give either --lambda0 or --theta/--k, not both")
     if args.lambda0:
-        mu0_list.append((_parse_vector(args.lambda0), stem))
+        mu0_list.append((np.array(_option_values(args.lambda0, "lambda0")), stem))
     elif args.theta is not None and args.k is not None:
         if problem.algebra.dim != 3:
             raise PontrylieError("--theta/--k build lambda0 = (cos theta, sin theta, k) and need an algebra "
                                  f"of dimension 3, got {problem.algebra.dim}")
-        thetas, ks = _shortcut_values(args.theta, "theta"), _shortcut_values(args.k, "k")
+        thetas, ks = _option_values(args.theta, "theta"), _option_values(args.k, "k")
         grid, path, points = len(thetas) * len(ks) > 1, Path(stem), {}
         for theta in thetas:
             for k in ks:
@@ -197,8 +188,8 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
             raise PontrylieError(f"lambda0 must have length {problem.algebra.dim}")
 
     s = problem.base_dim
-    z0 = _parse_vector(args.z0) if args.z0 else np.zeros(s)
-    pz0 = _parse_vector(args.pz0) if args.pz0 else np.zeros(s)
+    z0 = _option_values(args.z0, "z0") if args.z0 else np.zeros(s)
+    pz0 = _option_values(args.pz0, "pz0") if args.pz0 else np.zeros(s)
     states = [reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim)) for mu0, _ in mu0_list]
     # the whole grid in one batch: every member advances in the same RK4 sweep
     trajectories = reduction.integrate_reduced(problem, states, args.T, PmpSolverConfig(rk_step=args.step))
@@ -221,7 +212,7 @@ def cmd_reconstruct(args) -> Tuple[int, dict]:
     out = _output_path(args, f"reconstructed_{loaded.name}.{args.format}")
     if args.step is not None and not (np.isfinite(args.step) and args.step > 0):
         raise PontrylieError(f"--step must be positive and finite, got {args.step}")
-    g0 = exp_nilpotent(algebra, _parse_vector(args.g0) if args.g0 else np.zeros(algebra.dim))
+    g0 = exp_nilpotent(algebra, _option_values(args.g0, "g0") if args.g0 else np.zeros(algebra.dim))
     trajectory = _read_trajectory(args.traj)
     times, values = reconstruct.xi_curve_from_reduced(loaded.reduced, trajectory)
     step = args.step if args.step is not None else float(np.median(np.diff(times))) if len(times) > 1 else 1.0

@@ -31,6 +31,7 @@ that are the problem's derivatives: ``dH`` = (dH/du, dH/dstate, f) and
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -620,7 +621,8 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
 
     - a safe table (nothing in it can raise: + - *, negation, division by a
       nonzero constant, ^2) runs unguarded;
-    - any other runs under ``np.errstate(all="raise")``, with ``sin``, ``cos``,
+    - any other runs its NumPy columns under ``np.errstate(all="raise")``
+      (Python floats raise on their own), with ``sin``, ``cos``,
       ``exp`` and powers other than 2 computed by ``math`` (member by member
       on a stack; NumPy's differ in the last bit); on any arithmetic failure
       the tree walker re-runs member by member and raises the first member's
@@ -643,7 +645,8 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
             atoms = np.array([emitter.emit(node) for node in table.flat], dtype=object).reshape(table.shape)
             body, lead = _bindings(emitter.names, arguments, f"_one_member(_f{index}, {params})")
             if emitter.guarded:
-                body += ["try:", "    with _errstate(all='raise'):", *(f"        {line}" for line in emitter.lines),
+                body += ["try:", "    with _unchanged if a0.__class__ is list else _errstate(all='raise'):",
+                         *(f"        {line}" for line in emitter.lines),
                          "except _ARITHMETIC_FAILURES:", f"    return _walk({index}, ({params},))"]
             else:
                 body += emitter.lines
@@ -665,7 +668,7 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
 
     namespace = dict(
         _float=float, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _one_member=_one_member,
-        _errstate=np.errstate, _walk=walk, _divide=_divide, _sqrt=_sqrt,
+        _errstate=np.errstate, _unchanged=contextlib.nullcontext(), _walk=walk, _divide=_divide, _sqrt=_sqrt,
         **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
         _pow=_elementwise(math.pow, 2),
         # what the float operations and math functions raise on failure

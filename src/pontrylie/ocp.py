@@ -413,24 +413,6 @@ def _is_regular(w: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w, compute_uv=False)[..., -1] > RANK_TOL
 
 
-def _float_newton(dH: Callable, w_inverse: np.ndarray, config, q: list, lam: list, u: list):
-    """``_newton`` for one member and a regular constant W on lists of Python floats, ``dH`` taking and giving lists;
-    the step W^-1 g is the stack's BLAS product (``w_inverse.dot``), so the member gets its bits in a batch."""
-    r = len(u)
-    for iterations in range(config.newton_max_iter + 1):
-        grad = dH(q, lam, u)
-        g = grad[:r]
-        if not all(map(math.isfinite, g)):
-            raise EvaluationError("non-finite Hamiltonian partial", point=tuple(map(np.array, (q, lam, u))), member=0)
-        residual = max(map(abs, g)) if r else 0.0
-        if residual <= config.newton_tol:
-            return u, iterations, residual, grad
-        if iterations == config.newton_max_iter:
-            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
-                                   residual=residual, member=0)
-        u = [a - b for a, b in zip(u, w_inverse.dot(g).tolist())]
-
-
 def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     """Newton solve of dH/du = 0 at the stacks (q, lam) from ``u_guess``, with ``config.newton_tol`` and ``newton_max_iter``.
 
@@ -443,24 +425,14 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     iterate evaluates the whole ``dH`` on the whole stack and reads dH/du,
     its first r entries, so the gradient at the root, that of the last
     iterate, costs the caller no call (one step, for H quadratic in u).  W
-    is evaluated only at the members that take a step.  One member (leading
-    shape () or (1,)) with a regular constant W is solved by ``_float_newton``
-    on Python floats, with the same steps, so it gives the bits it gives in
-    a batch; a compiled ``dH`` (one carrying ``widths``) takes the floats
-    themselves.  Returns (u*, iterations, residual, dH at u* unchecked),
-    iterations and residual per member, Python numbers for that one member.
-    A failure names the flat index of the first failing member; a non-finite
-    dH/du raises EvaluationError at its point.
+    is evaluated only at the members that take a step.  Returns (u*,
+    iterations, residual, dH at u* unchecked), iterations and residual
+    arrays of the stack's leading shape.  A failure names the flat index
+    of the first failing member; a non-finite dH/du raises EvaluationError
+    at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
     r, lead = u.shape[-1], u.shape[:-1]
-    if ham.w_inverse is not None and lead in ((), (1,)) and q.shape[:-1] == lam.shape[:-1] == lead:
-        dH = ham.dH
-        if not hasattr(dH, "widths"):  # a NumPy callable takes the caller's arrays q, lam and u of their shape
-            def dH(q_floats, lam_floats, u):
-                return np.asarray(ham.dH(q, lam, np.array(u, ndmin=len(lead) + 1))).ravel().tolist()
-        u, count, residual, grad = _float_newton(dH, ham.w_inverse, config, *(a.ravel().tolist() for a in (q, lam, u)))
-        return np.array(u, ndmin=len(lead) + 1), count, residual, np.array(grad, ndmin=len(lead) + 1)
     iterations = np.zeros(lead, dtype=int)
     constant_w = ham.w is not None
     for iteration in range(config.newton_max_iter + 1):
@@ -470,7 +442,7 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
         active = ~(residual <= config.newton_tol)
         stepping = np.count_nonzero(active)
         if not stepping:  # every residual is within tolerance, so finite
-            return u, iterations, residual, grad
+            return u, np.asarray(iterations), np.asarray(residual), grad  # not NumPy scalars, at one point
         # max |dH/du| is NaN or infinite exactly when dH/du is not finite
         _require_finite(residual, "non-finite Hamiltonian partial", q, lam, u)
         everyone = stepping == active.size

@@ -24,9 +24,10 @@ from typing import Callable, Dict, List, Tuple, Union
 import numpy as np
 
 from . import dirac
-from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError, TrajectoryFormatError
+from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, PontrylieError, SolverError
+from .errors import TrajectoryFormatError
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
-from .ocp import _float_newton, _gradient, _hamilton_field, _hamiltonian_value, _newton
+from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton
 from .ocp import _require_finite, _sized_gradient, _split
 
 
@@ -251,6 +252,24 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
+def _float_newton(dH: Callable, w_inverse: np.ndarray, config, q: list, lam: list, u: list):
+    """``ocp._newton`` for one member and a regular constant W on lists of Python floats, ``dH`` taking and giving
+    lists; the step W^-1 g is the stack's BLAS product (``w_inverse.dot``), so the member gets its bits in a batch."""
+    r = len(u)
+    for iterations in range(config.newton_max_iter + 1):
+        grad = dH(q, lam, u)
+        g = grad[:r]
+        if not all(map(math.isfinite, g)):
+            raise EvaluationError("non-finite Hamiltonian partial", point=tuple(map(np.array, (q, lam, u))), member=0)
+        residual = max(map(abs, g)) if r else 0.0
+        if residual <= config.newton_tol:
+            return u, iterations, residual, grad
+        if iterations == config.newton_max_iter:
+            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
+                                   residual=residual, member=0)
+        u = [a - b for a, b in zip(u, w_inverse.dot(g).tolist())]
+
+
 def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
@@ -260,7 +279,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     taken at the same (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per
     iterate, so the last iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form)
     and H.  One member whose view has a regular constant W and compiled ``dH``, L and bracket (carrying
-    ``widths``) is swept on lists of Python floats: ``ocp._float_newton`` solves, and the vector field and
+    ``widths``) is swept on lists of Python floats: ``_float_newton`` solves, and the vector field and
     the RK4 update repeat the stack's float operations, so the bits are the same; a float fold checks each
     node's H, which is recorded after the sweep from one stacked pairing.  The sweep runs under one
     ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite value still raises

@@ -441,6 +441,48 @@ def test_unparsable_theta_or_k_is_an_input_error_naming_the_option(tmp_path, cap
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, option, value, other", [
+    ("solve-pmp", "x0", "0,,0,0", ["--p0", "1,0,1"]),
+    ("solve-pmp", "p0", "1,0,,1", []),
+    ("solve-pmp", "p0", "1,0,1,", []),
+    ("solve-reduced", "lambda0", "1,,0,1", []),
+    ("solve-reduced", "z0", ",", ["--lambda0", "1,0,1"]),
+    ("solve-reduced", "pz0", ",", ["--lambda0", "1,0,1"]),
+    ("solve-reduced", "theta", "0,", ["--k", "1"]),
+    ("solve-reduced", "k", ",2", ["--theta", "0"]),
+    ("reconstruct", "g0", "0,,0,0", []),
+    ("reconstruct", "g0", ",,,", []),
+])
+def test_an_empty_list_entry_is_an_input_error_naming_the_option(tmp_path, capsys, command, option, value, other):
+    """Every comma-list option reads an empty entry as an entry that is not a number: exit 1 naming the option,
+    with no output file, where dropping the entry would run on the ones left."""
+    if command == "reconstruct":
+        red = tmp_path / "red.csv"
+        run_cli(capsys, "solve-reduced", "--builtin", "heisenberg", "--lambda0", "1,0,1", "--T", "0.01",
+                "--step", "1e-2", "--out", str(red))
+        other = ["--traj", str(red)]
+    else:
+        other = [*other, "--T", "0.01"]
+    out = tmp_path / "out.csv"
+    code, result, _ = run_cli(capsys, command, "--builtin", "heisenberg", f"--{option}={value}", *other,
+                              "--out", str(out))
+    assert code == 1
+    assert result["status"] == "error" and f"--{option} '{value}' has an entry that is not a number" in result["error"]
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("option", ["x0", "z0", "pz0"])
+def test_an_empty_vector_option_is_its_default(tmp_path, capsys, option):
+    """``--x0=`` (or ``--z0=``, ``--pz0=``) is the option left out: zeros."""
+    args = ["solve-pmp", "--p0", "1,0,1"] if option == "x0" else ["solve-reduced", "--lambda0", "1,0,1"]
+    outs = [tmp_path / "given.csv", tmp_path / "default.csv"]
+    for extra, out in (([f"--{option}="], outs[0]), ([], outs[1])):
+        code, _, _ = run_cli(capsys, args[0], "--builtin", "heisenberg", *args[1:], *extra, "--T", "0.01",
+                             "--out", str(out))
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
 def test_non_finite_or_negative_tolerance_is_an_input_error(tmp_path, capsys, tol):
     """check-dirac and compare refuse a non-finite or negative --tol with exit 1 and a strict RESULT naming it."""

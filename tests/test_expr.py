@@ -1,5 +1,6 @@
 """Expression parser and evaluator."""
 
+import contextlib
 import json
 import math
 
@@ -500,6 +501,32 @@ def test_one_member_raises_the_walkers_error_with_its_offset():
     for x in (np.array([1000.0]), np.array([[0.0], [1000.0]])):
         with pytest.raises(ExprEvaluationError, match="exp failed"):
             overflowing.dynamics(x, np.zeros(x.shape[:-1] + (0,)))
+
+
+def test_a_guarded_table_enters_np_errstate_only_on_numpy_columns(monkeypatch):
+    """A guarded table (here dH of a Lagrangian dividing by a variable) needs ``np.errstate(all="raise")`` only
+    for NumPy columns: Python floats raise on their own.  Lists and one member enter it never, a stack once, and
+    all three give the same bits."""
+    entered, errstate = [], np.errstate
+
+    @contextlib.contextmanager
+    def counted(**kwargs):
+        entered.append(kwargs)
+        with errstate(**kwargs):
+            yield
+
+    monkeypatch.setattr(np, "errstate", counted)
+    data = {"n": 1, "r": 1, "dynamics": ["u1"], "lagrangian": "0.5*u1^2 + x1/(2+x1^2)*u1"}
+    dH = load_problem(data, "file", "test")[0].jacobians.dH
+    rows = np.array([[0.3], [-1.2], [2.0]]), np.array([[1.0], [0.5], [-2.0]]), np.array([[0.2], [-0.4], [0.7]])
+    stack = dH(*rows)
+    assert entered == [{"all": "raise"}]
+    entered.clear()
+    for i in range(3):
+        assert dH(*(a[i].tolist() for a in rows)) == stack[i].tolist()
+        assert np.array_equal(dH(*(a[i] for a in rows)), stack[i])
+        assert np.array_equal(dH(*(a[i : i + 1] for a in rows)), stack[i : i + 1])
+    assert entered == []
 
 
 def counted_compiles(monkeypatch):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import CONFIG, counting, hamiltonian
+from conftest import CONFIG, counting, hamiltonian, heisenberg_oracle_problem
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -19,7 +19,7 @@ from pontrylie.errors import (
     TrajectoryFormatError,
 )
 from pontrylie.expr import ExprEvaluationError, load_problem
-from pontrylie import ocp, pmp
+from pontrylie import pmp
 from pontrylie.heisenberg import (
     PROBLEM_JSON,
     full_state_closed_form,
@@ -249,9 +249,8 @@ def skewed_problems():
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """(iterations, residual) of every Newton solve made through ``pmp``: arrays from the stack path's
-    ``_newton``, Python numbers from the one float Newton ``ocp._float_newton`` (of the float sweep, and of
-    ``_newton``'s one-member branch)."""
+    """(iterations, residual) of every Newton solve made through ``pmp``: arrays from ``_newton``, which solves
+    stacks only, Python numbers from ``_float_newton``, which solves the float sweep's one member."""
     calls = []
 
     def spy(solve):
@@ -263,8 +262,7 @@ def newton_calls(monkeypatch):
         return spied
 
     monkeypatch.setattr(pmp, "_newton", spy(_newton))
-    for module in (ocp, pmp):
-        monkeypatch.setattr(module, "_float_newton", spy(ocp._float_newton))
+    monkeypatch.setattr(pmp, "_float_newton", spy(pmp._float_newton))
     return calls
 
 
@@ -339,15 +337,16 @@ def rooted_problem():
     (rooted_problem(), EvaluationError, "non-finite Hamiltonian partial"),
 ])
 def test_a_one_member_failure_is_the_one_it_has_in_a_batch(newton_calls, problem, kind, message):
-    """Member 0 crosses x = 1 mid-run and fails there; the other two stay at x = -5.  Alone it fails on the
-    one-member branch with the type, message, residual, member, time, state and point it has in the batch."""
+    """Member 0 crosses x = 1 mid-run and fails there; the other two stay at x = -5.  Alone (a NumPy problem, so
+    not on the float sweep) it fails with the type, message, residual, member, time, state and point it has in
+    the batch."""
     config = PmpSolverConfig(rk_step=0.01, newton_max_iter=2)
     failures = []
     for x0, p0 in (([[0.95], [-5.0], [-5.0]], [[1.0], [1.0], [0.5]]), ([0.95], [1.0])):
         with pytest.raises(kind, match=message) as err:
             integrate_pmp(problem, x0, p0, 0.5, config)
         failures.append(err.value)
-    assert branches(newton_calls) == {(np.ndarray, np.ndarray), (int, float)}
+    assert branches(newton_calls) == {(np.ndarray, np.ndarray)}
     together, alone = failures
     assert str(together) == str(alone) and "member 0 while stepping from t=0.0" in str(alone)
     assert together.member == alone.member == 0 and together.t == alone.t > 0.0
@@ -378,7 +377,7 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
     batch, at the same node: the Lagrangian is called once per node up to the failing one, as in the batch."""
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
-    monkeypatch.setattr(pmp, "_float_newton", counting(calls, "float sweep solves", ocp._float_newton))
+    monkeypatch.setattr(pmp, "_float_newton", counting(calls, "float sweep solves", pmp._float_newton))
     counted = dataclasses.replace(problem, lagrangian=counting(calls, "lagrangian", problem.lagrangian))
     config = PmpSolverConfig(rk_step=0.01)
     failures, lagrangians = [], []
@@ -396,15 +395,29 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
         assert lagrangians[1] == round(err.value.t / config.rk_step) + 1
 
 
-def test_optimal_feedback_of_one_point_takes_the_one_member_branch(newton_calls):
-    """A 1-D guess takes the one-member branch, and its control is the stack's, bit for bit."""
+def test_optimal_feedback_of_one_point_is_the_stacks_bit_for_bit():
+    """The control of a 1-D guess is that of every member of a stack of the same point, bit for bit."""
     problem = skewed_problems()[0]
     x, p, u0 = np.array([0.1, -0.2, 0.3]), unit_cylinder_costate(0.4, 1.3), np.array([0.2, -0.1])
     u = optimal_feedback(problem, x, p, u0)
-    assert branches(newton_calls) == {(int, float)}
     stack = _newton(problem.view, np.tile(x, (3, 1)), np.tile(p, (3, 1)), np.tile(u0, (3, 1)), PmpSolverConfig())
     assert np.array_equal(stack[0], np.tile(u, (3, 1)))
     assert stack[1].tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("lead", [(), (1,)])
+@pytest.mark.parametrize("problem", [skewed_problems()[0], heisenberg_oracle_problem(gradients=False)],
+                         ids=["constant-w", "differenced-w"])
+def test_newton_gives_one_member_arrays_of_its_leading_shape(problem, lead):
+    """One member, a stack of leading shape () or (1,), gets its iterations and residual as arrays of that shape,
+    as any stack does, with a constant W and with one differenced at every step."""
+    point = (np.array([0.1, -0.2, 0.3]), unit_cylinder_costate(0.4, 1.3), np.array([0.2, -0.1]))
+    x, p, u0 = (v.reshape(lead + v.shape) for v in point)
+    u, iterations, residual, grad = _newton(problem.view, x, p, u0, PmpSolverConfig(newton_tol=1e-9))
+    assert u.shape == lead + (2,) and grad.shape == lead + (8,)
+    for value in (iterations, residual):
+        assert type(value) is np.ndarray and value.shape == lead
+    assert iterations.dtype.kind == "i" and iterations.sum() >= 1 and residual.sum() <= 1e-9
 
 
 def without_symmetry():

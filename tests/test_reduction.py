@@ -14,7 +14,7 @@ from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heise
 from conftest import counting, reduced_hamiltonian
 from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
-from pontrylie import lie, ocp, pmp
+from pontrylie import lie, pmp
 from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
 from pontrylie.errors import ReductionUnsupportedError, SolverError
 from pontrylie.heisenberg import (
@@ -441,7 +441,7 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     calls, svds, float_solves = collections.Counter(), [], collections.Counter()
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
-    monkeypatch.setattr(pmp, "_float_newton", counting(float_solves, "solves", ocp._float_newton))
+    monkeypatch.setattr(pmp, "_float_newton", counting(float_solves, "solves", pmp._float_newton))
     if kind == "full":
         problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians),
                                       symmetry=counted(calls, heis_problem.symmetry))

@@ -40,7 +40,7 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PontrylieError
+from .errors import ConvergenceError, EvaluationError, PontrylieError
 from .lie import _nonnegative_int, _sparse_entries, algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
 from .reduction import ReducedProblem
@@ -483,12 +483,13 @@ class _Emitter:
     """Straight-line arithmetic for a set of trees, one temporary per distinct operation.
 
     The lines run alike on Python floats and on NumPy member columns.  ``names`` maps each variable
-    read to its local, in order of first use; ``guarded`` is set when a line can raise (anything but
-    + - *, negation, division by a nonzero constant and ^2), which ``evaluate`` would turn into an error.
+    read to its local, given or named in order of first use; ``guarded`` is set when a line can raise
+    (anything but + - *, negation, division by a nonzero constant and ^2), which ``evaluate`` would turn
+    into an error.
     """
 
-    def __init__(self):
-        self.names = {}
+    def __init__(self, names: Optional[Mapping[str, str]] = None):
+        self.names = dict(names or {})
         self.lines: List[str] = []
         self.temps = {}
         self.guarded = False
@@ -540,6 +541,14 @@ def _divide(a, b):
 
 def _sqrt(v):
     return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+
+
+# the names the emitted lines read, and what their float operations and math functions raise on failure
+_ARITHMETIC = dict(
+    _float=float, _divide=_divide, _sqrt=_sqrt, _pow=_elementwise(math.pow, 2),
+    **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
+    _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
+)
 
 
 def _tile(value: float, a0: np.ndarray):
@@ -607,8 +616,9 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
     member, (..., *shape) (a scalar for a 0-d table without leading axes).
     The functions are marked ``ocp.stacked``; a table of constants only
     becomes an ``ocp.constant``, and a table that is one argument returns a
-    copy of it.  Every function but a constant carries the widths of its
-    arguments as ``widths`` (``ocp._sized`` checks them before a call).
+    copy of it.  Every function but a constant carries its (table, arguments)
+    as ``table`` (``float_stage`` inlines it) and the widths of its arguments
+    as ``widths`` (``ocp._sized`` checks them before a call).
 
     A function has two branches over one set of arithmetic lines; only the
     binding of the variables and the packing of the entries differ.  One
@@ -666,19 +676,79 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
             values.append([_eval_node(node, bindings) for node in nodes])
         return np.array(values, dtype=float).reshape(lead + table.shape)[()]
 
-    namespace = dict(
-        _float=float, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _one_member=_one_member,
-        _errstate=np.errstate, _unchanged=contextlib.nullcontext(), _walk=walk, _divide=_divide, _sqrt=_sqrt,
-        **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
-        _pow=_elementwise(math.pow, 2),
-        # what the float operations and math functions raise on failure
-        _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
-    )
+    namespace = dict(_ARITHMETIC, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _one_member=_one_member,
+                     _errstate=np.errstate, _unchanged=contextlib.nullcontext(), _walk=walk)
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
     functions = {index: stacked(namespace[f"_f{index}"]) for index in range(len(tables)) if index not in constants}
     for index, function in functions.items():
-        function.widths = tuple(map(len, tables[index][1]))
+        function.table, function.widths = tables[index], tuple(map(len, tables[index][1]))
     return [constants[index] if index in constants else functions[index] for index in range(len(tables))]
+
+
+def _inline(table: np.ndarray, names: Mapping[str, str], targets: List[str], call: str) -> List[str]:
+    """Lines setting the locals ``targets`` to the entries of ``table``, its variables the locals ``names``; a guarded
+    table's run in a ``try`` whose failure calls ``call``, the compiled table, for its error (or its values)."""
+    emitter, assign = _Emitter(names), f"{', '.join(targets)}, = "
+    lines = [assign + ", ".join([emitter.emit(node) for node in table.flat]) + ","]
+    if not emitter.guarded:
+        return emitter.lines + lines
+    return ["try:", *(f"    {line}" for line in emitter.lines + lines), "except _ARITHMETIC_FAILURES:",
+            f"    {assign}_array({call}, dtype=float).tolist()"]
+
+
+def _newton_step(w_inverse: np.ndarray, g: Sequence[str]) -> str:
+    """The entries of W^-1 g, g the locals ``g``: where no row of ``w_inverse`` has two nonzero entries, the folds
+    0.0 + w_ij * g_j over each row's nonzero entry, which give the bits of the stack's ``w_inverse @ g`` (a sum
+    started from +0.0 is never -0.0, so the zero terms change nothing); else the stack's ``w_inverse.dot``."""
+    if (np.count_nonzero(w_inverse, axis=-1) <= 1).all():
+        folds = (" + ".join(["0.0", *(f"{w!r} * {v}" for w, v in zip(row, g) if w)]) for row in w_inverse.tolist())
+        return f"[{', '.join(folds)}]"
+    return f"_w_inverse.dot([{', '.join(g)}]).tolist()"
+
+
+def float_stage(ham) -> Optional[Callable]:
+    """The one-member stage of ``pmp._rk4_dae``'s float sweep for the view ``ham``, a function (newton_tol,
+    newton_max_iter) -> stage; None unless ``ham`` has compiled dH, L and bracket and a regular constant W.
+
+    ``stage(y, u, check=None)`` gives (y_dot, u*, iterations, residual, grad) at y = (q, lam) on lists of Python
+    floats: ``ocp._newton``'s solve from u (its checks, its errors, of member 0, and ``_newton_step``), then the
+    finiteness check of grad and ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH
+    and bracket lines are inlined (``_inline``); a ``check`` is called on the lists (q, lam, u) for dH instead.
+    """
+    if ham.w_inverse is None or not all(hasattr(fn, "table") for fn in {ham.dH, ham.L, ham.bracket} - {None}):
+        return None
+    table, arguments = ham.dH.table
+    nq, k, r = map(len, arguments)
+    y, u, s, d = ([f"_{c}{i}" for i in range(size)] for c, size in zip("yusd", (nq + k, r, r, table.size)))
+    g, dq, f = d[:r], d[r : r + nq], d[r + nq :]
+    point = ", ".join(f"[{', '.join(v)}]" for v in (y[:nq], y[nq:], u))
+    gradient = _inline(table, dict(zip([v for group in arguments for v in group], y + u)), d, f"_dH({point})")
+    field, y_dot = [], f + [f"-{v}" for v in dq]
+    if ham.bracket is not None:  # lam_dot = -B f, less (dH/dq, 0); the dH temporaries are dead by then
+        (b_table, b_arguments), b = ham.bracket.table, [f"_b{i}" for i in range(k)]
+        lists = ", ".join(f"[{', '.join(v)}]" for v in (y[:nq], y[nq:], f))
+        field = _inline(b_table, dict(zip([v for group in b_arguments for v in group], y + f)), b, f"_bracket({lists})")
+        y_dot = f[:nq] + [f"{a} - {v}" for a, v in zip(b, dq)] + b[nq:]
+    residual = f"max({', '.join(f'abs({v})' for v in g)})" if r > 1 else f"abs({g[0]})" if r else "0.0"
+    error = f"_EvaluationError('non-finite Hamiltonian partial', point=tuple(map(_array, ({point}))), member=0)"
+    body = [
+        f"{', '.join(y)}, = y", f"[{', '.join(u)}] = u", "for _i in _iterations:",
+        "    if _check is None:", *(f"        {line}" for line in gradient),
+        "    else:", f"        {', '.join(d)}, = _check({point})",
+        f"    if not ({' and '.join(f'_isfinite({v})' for v in g) or 'True'}):", f"        raise {error}",
+        f"    _residual = {residual}", "    if _residual <= _tol:", "        break", "    if _i == _max:",
+        "        raise _ConvergenceError(f'control Newton exhausted {_max} iterations', residual=_residual, member=0)",
+        f"    [{', '.join(s)}] = {_newton_step(ham.w_inverse, g)}",
+        f"    [{', '.join(u)}] = [{', '.join(f'{a} - {b}' for a, b in zip(u, s))}]",
+        f"_grad = [{', '.join(d)}]", "if not all(map(_isfinite, _grad)):", f"    raise {error}", *field,
+        f"return [{', '.join(y_dot)}], [{', '.join(u)}], _i, _residual, _grad",
+    ]
+    source = ["def _make(_tol, _max):", "    _iterations = range(_max + 1)", "    def _stage(y, u, _check=None):",
+              *(f"        {line}" for line in body), "    return _stage"]
+    namespace = dict(_ARITHMETIC, _array=np.array, _isfinite=math.isfinite, _dH=ham.dH, _bracket=ham.bracket,
+                     _w_inverse=ham.w_inverse, _EvaluationError=EvaluationError, _ConvergenceError=ConvergenceError)
+    exec(compile("\n".join(source), "<pontrylie.expr stage>", "exec"), namespace)
+    return namespace["_make"]
 
 
 # ---------------------------------------------------------------- problem files

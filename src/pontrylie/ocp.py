@@ -295,7 +295,8 @@ class ControlledHamiltonian(NamedTuple):
     matrix B of the Poisson bracket's non-canonical part and ``bracket(q, lam, f)`` the product -B f that
     ``_hamilton_field`` reads; None for both means B = 0, and then k = nq.  ``w`` is W when it is the same at
     every point (a ``constant``), else None, and ``w_inverse`` its inverse, None when W is singular.  Every
-    callable is stacked (see ``stacked``).
+    callable is stacked (see ``stacked``) but ``stage()``, which gives the view's float stage (``expr.float_stage``,
+    None where it does not apply), compiled at its first call.
     """
 
     F: Callable
@@ -306,9 +307,11 @@ class ControlledHamiltonian(NamedTuple):
     w_inverse: Optional[np.ndarray]
     form: Optional[Callable] = None
     bracket: Optional[Callable] = None
+    stage: Optional[Callable] = None
 
 
-def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int) -> ControlledHamiltonian:
+def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int, form: Optional[Callable] = None,
+                bracket: Optional[Callable] = None) -> ControlledHamiltonian:
     """The view of H = <lam, F> - L on stacked F, L and derivatives ``jac``, every derivative source picked here, once.
 
     dH is ``jac.dH``, else central differences of H in u and in q and F joined.  W is ``jac.d2H_du2``, else
@@ -347,7 +350,13 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
     w = getattr(jac.d2H_du2, "value", None)
     w = 0.5 * (w + w.T) if w is not None and w.shape == (r, r) and np.isfinite(w).all() else None
     w_inverse = np.linalg.inv(w) if w is not None and (r == 0 or _is_regular(w)) else None
-    return ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2, w=w, w_inverse=w_inverse)
+
+    def stage():
+        from .expr import float_stage  # here: expr imports this module
+        return float_stage(view)
+
+    view = ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2, w=w, w_inverse=w_inverse, form=form, bracket=bracket)
+    return view._replace(stage=functools.cache(stage))
 
 
 def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> ProblemJacobians:

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Tuple, Union
 import numpy as np
 
 from . import dirac
-from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, PontrylieError, SolverError
+from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError
 from .errors import TrajectoryFormatError
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
 from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton
@@ -252,36 +252,18 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-def _float_newton(dH: Callable, w_inverse: np.ndarray, config, q: list, lam: list, u: list):
-    """``ocp._newton`` for one member and a regular constant W on lists of Python floats, ``dH`` taking and giving
-    lists; the step W^-1 g is the stack's BLAS product (``w_inverse.dot``), so the member gets its bits in a batch."""
-    r = len(u)
-    for iterations in range(config.newton_max_iter + 1):
-        grad = dH(q, lam, u)
-        g = grad[:r]
-        if not all(map(math.isfinite, g)):
-            raise EvaluationError("non-finite Hamiltonian partial", point=tuple(map(np.array, (q, lam, u))), member=0)
-        residual = max(map(abs, g)) if r else 0.0
-        if residual <= config.newton_tol:
-            return u, iterations, residual, grad
-        if iterations == config.newton_max_iter:
-            raise ConvergenceError(f"control Newton exhausted {config.newton_max_iter} iterations",
-                                   residual=residual, member=0)
-        u = [a - b for a, b in zip(u, w_inverse.dot(g).tolist())]
-
-
 def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
     All members advance together: every stage makes one ``ocp._newton`` solve on the whole stack, and a
     member's trajectory is bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0 warm
-    started from the previous stage's control; stage 1 reuses the gradient of the node's converged solve,
-    taken at the same (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per
-    iterate, so the last iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form)
-    and H.  One member whose view has a regular constant W and compiled ``dH``, L and bracket (carrying
-    ``widths``) is swept on lists of Python floats: ``_float_newton`` solves, and the vector field and
-    the RK4 update repeat the stack's float operations, so the bits are the same; a float fold checks each
-    node's H, which is recorded after the sweep from one stacked pairing.  The sweep runs under one
+    started from the previous stage's control; stage 1 reuses the node's converged solve, taken at the same
+    (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the last
+    iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form) and H.  One member whose
+    view has a float stage (``ham.stage()``; its ``dH`` of the sweep's ``widths``) is swept on lists of Python
+    floats: the stage solves and gives y_dot, and the RK4 update repeats the stack's float operations, so the
+    bits are the same; a float fold checks each node's H, which is recorded after the sweep from one stacked
+    pairing.  The sweep runs under one
     ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite value still raises
     EvaluationError at its point, and guarded compiled tables still raise inside it.  Every grid node
     records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of ``blocks`` (q
@@ -300,7 +282,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
     # node 0 reads the checked gradient: its width and its F entries
     sized = _sized_gradient(ham, nq, width - nq, r)
-    compiled = all(hasattr(fn, "widths") for fn in {ham.dH, ham.L, ham.bracket} - {None})  # take lists of floats
+    float_stage = members == 1 and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
 
     def located(exc, where, t, y):
         """``exc`` again, its message and fields naming the failing member and the grid time."""
@@ -310,26 +292,12 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
             return type(exc)(message, residual=exc.residual, t=t, state=np.atleast_2d(y)[i], member=i)
         return EvaluationError(message, point=exc.point, t=t, member=i)
 
-    if members == 1 and ham.w_inverse is not None and compiled:
-        y, u_warm, plain, most, f_rows = y0[0].tolist(), u0[0].tolist(), ham.dH, max, np.empty((len(times), width - nq))
+    if float_stage:
+        y, u_warm, most, f_rows = y0[0].tolist(), u0[0].tolist(), max, np.empty((len(times), width - nq))
+        solve = float_stage(config.newton_tol, config.newton_max_iter)
 
         def first(*args):
             return sized.dH(*(np.array([v]) for v in args))[0].tolist()
-
-        def solve(y, u_warm, dH):
-            q, lam = y[:nq], y[nq:]
-            u_star, iterations, residual, grad = _float_newton(dH, ham.w_inverse, config, q, lam, u_warm)
-            if not all(map(math.isfinite, grad)):
-                raise EvaluationError("non-finite Hamiltonian partial", member=0,
-                                      point=(np.array(q), np.array(lam), np.array(u_star)))
-            return u_star, iterations, residual, grad
-
-        def field(y, grad):
-            dH_dq, f = grad[r : r + nq], grad[r + nq :]
-            if ham.bracket is None:
-                return f + [-v for v in dH_dq]
-            lam_dot = ham.bracket(y[:nq], y[nq:], f)
-            return f[:nq] + [a - b for a, b in zip(lam_dot, dH_dq)] + lam_dot[nq:]
 
         def record(k, y, u_star, grad, iterations, residual):
             f, lagrangian = grad[r + nq :], ham.L(y[:nq], u_star)
@@ -344,16 +312,15 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
         def rk4(y, c, k1, k2, k3, k4):
             return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     else:
-        y, u_warm, f_rows, first, plain, most = y0, u0, None, sized, ham, np.maximum.reduce
+        y, u_warm, f_rows, first, most = y0, u0, None, sized, np.maximum.reduce
 
-        def solve(y, u_warm, view):
+        def solve(y, u_warm, view=ham):
             q, lam = y[:, :nq], y[:, nq:]
             u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
-            return u_star, iterations, residual, _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
-
-        def field(y, grad):
-            q_dot, lam_dot = _hamilton_field(ham, y[:, :nq], y[:, nq:], grad)
-            return np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
+            grad = _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
+            q_dot, lam_dot = _hamilton_field(ham, q, lam, grad)
+            y_dot = np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
+            return y_dot, u_star, iterations, residual, grad
 
         def record(k, y, u_star, grad, iterations, residual):
             q, lam = y[:, :nq], y[:, nq:]
@@ -369,30 +336,29 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
 
     def stage(y, u_warm, t):
         try:
-            u_star, iterations, _, grad = solve(y, u_warm, plain)
+            y_dot, u_star, iterations, _, _ = solve(y, u_warm)
         except (SolverError, EvaluationError) as exc:
             raise located(exc, "while stepping from", t, y) from exc
-        return field(y, grad), u_star, iterations
+        return y_dot, u_star, iterations
 
-    def node(k, y, u_warm, stage_iterations, source=plain):
+    def node(k, y, u_warm, stage_iterations, *source):
         try:
-            u_star, iterations, residual, grad = solve(y, u_warm, source)
+            y_dot, u_star, iterations, residual, grad = solve(y, u_warm, *source)
             record(k, y, u_star, grad, most((*stage_iterations, iterations)), residual)
         except (SolverError, EvaluationError) as exc:
             raise located(exc, "at", grid[k], y) from exc
-        return u_star, grad
+        return u_star, y_dot
 
     grid = times.tolist()  # Python floats, as the float sweep's arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        u_warm, grad = node(0, y, u_warm, (), first)
+        u_warm, k1 = node(0, y, u_warm, (), first)
         for k in range(len(grid) - 1):
             t, h = grid[k], grid[k + 1] - grid[k]
-            k1 = field(y, grad)
             k2, u2, i2 = stage(axpy(y, 0.5 * h, k1), u_warm, t)
             k3, u3, i3 = stage(axpy(y, 0.5 * h, k2), u2, t)
             k4, u4, i4 = stage(axpy(y, h, k3), u3, t)
             y = rk4(y, h / 6.0, k1, k2, k3, k4)
-            u_warm, grad = node(k + 1, y, u4, (i2, i3, i4))
+            u_warm, k1 = node(k + 1, y, u4, (i2, i3, i4))
     if f_rows is not None:  # the float sweep's H = <lam, F> - L, from one stacked pairing of its F rows as on a stack
         hamiltonian[0] = (states[0, :, None, nq:width] @ f_rows[:, :, None])[:, 0, 0] - hamiltonian[0]
 

@@ -90,8 +90,8 @@ class ReducedProblem:
             F = lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=-1)  # noqa: E731
         return _controlled(
             F=_sized(F, "base/fiber dynamics", s + dim), L=_per_member(self.lagrangian, "reduced Lagrangian", ()),
-            jac=_stacked_jacobians(self.jacobians, r, r + 2 * s + dim), nq=s, r=r,
-        )._replace(form=form, bracket=bracket)
+            jac=_stacked_jacobians(self.jacobians, r, r + 2 * s + dim), nq=s, r=r, form=form, bracket=bracket,
+        )
 
 
 @dataclass(frozen=True)

@@ -200,3 +200,17 @@ def counting(calls, name, fn):
 
     called.__dict__.update(vars(fn))
     return called
+
+
+def wrap_float_stages(monkeypatch, wrap):
+    """Every one-member float stage compiled from now on (by ``expr.float_stage``, for a view not yet swept on
+    floats) replaced by ``wrap(stage)``: the hook through which a test sees the float sweep's solves."""
+    from pontrylie import expr
+
+    compile_stage = expr.float_stage
+
+    def compiled(ham):
+        make = compile_stage(ham)
+        return make and (lambda newton_tol, newton_max_iter: wrap(make(newton_tol, newton_max_iter)))
+
+    monkeypatch.setattr(expr, "float_stage", compiled)

@@ -18,6 +18,7 @@ from pontrylie.expr import (
     UndeclaredVariableError,
     Unary,
     Variable,
+    _newton_step,
     compile_tables,
     derivative_table,
     differentiate,
@@ -583,3 +584,30 @@ def test_a_zero_width_argument_takes_the_float_branch():
     assert reduced.lagrangian(z, u).shape == (1,)
     stack = reduced.jacobians.dH(np.zeros((3, 0)), np.repeat(mu, 3, axis=0), np.repeat(u, 3, axis=0))
     assert np.array_equal(stack, np.repeat(dH, 3, axis=0))
+
+
+STEP_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e200, -1e200,
+                                1.7976931348623157e308]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.lists(st.tuples(st.integers(0, r - 1), STEP_ENTRIES, st.lists(st.booleans(), min_size=r, max_size=r)),
+             min_size=r, max_size=r),
+    st.lists(st.lists(STEP_ENTRIES, min_size=r, max_size=r), min_size=1, max_size=5))))
+def test_the_emitted_newton_step_is_the_stacks_matmul_bit_for_bit(case):
+    """Where no row of W^-1 has two nonzero entries, the float stage's step (``_newton_step``) is a fold whose
+    value is, bit for bit, that member's entry of the stack's ``w_inverse @ g`` (``ocp._newton``'s step), with
+    signed zeros in W^-1 and g, subnormals and products that overflow."""
+    rows, members = case
+    r = len(rows)
+    w_inverse = np.array([[value if j == column else -0.0 if negative else 0.0 for j, negative in enumerate(signs)]
+                          for column, value, signs in rows])
+    step = _newton_step(w_inverse, [f"g{j}" for j in range(r)])
+    assert "dot" not in step
+    g = np.array(members)
+    with np.errstate(over="ignore"):
+        stack = (w_inverse @ g[..., None])[..., 0]
+    for values, expected in zip(members, stack):
+        folded = eval(step, {f"g{j}": value for j, value in enumerate(values)})
+        assert np.array(folded).tobytes() == expected.tobytes()

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import CONFIG, counting, hamiltonian, heisenberg_oracle_problem
+from conftest import CONFIG, counting, hamiltonian, heisenberg_oracle_problem, wrap_float_stages
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -250,19 +250,20 @@ def skewed_problems():
 @pytest.fixture
 def newton_calls(monkeypatch):
     """(iterations, residual) of every Newton solve made through ``pmp``: arrays from ``_newton``, which solves
-    stacks only, Python numbers from ``_float_newton``, which solves the float sweep's one member."""
+    stacks only, Python numbers from the float stage (``expr.float_stage``), which solves the float sweep's one
+    member."""
     calls = []
 
-    def spy(solve):
+    def spy(solve, at):
         def spied(*args):
             result = solve(*args)
-            calls.append(result[1:3])
+            calls.append(result[at])
             return result
 
         return spied
 
-    monkeypatch.setattr(pmp, "_newton", spy(_newton))
-    monkeypatch.setattr(pmp, "_float_newton", spy(pmp._float_newton))
+    monkeypatch.setattr(pmp, "_newton", spy(_newton, slice(1, 3)))
+    wrap_float_stages(monkeypatch, lambda stage: spy(stage, slice(2, 4)))
     return calls
 
 
@@ -299,6 +300,77 @@ def test_one_member_gives_its_batch_bits_with_an_off_diagonal_w(newton_calls):
             assert member.channels.keys() == single.channels.keys()
             for name in single.channels:
                 assert np.array_equal(member.channel(name), single.channel(name)), name
+
+
+def curved_base(value):
+    """The README file with its reduced block on a two-dimensional base, z_dot = (u2, u1), whose structure function
+    C^3_12(z) is ``value`` and whose cost reads z."""
+    data = json.loads(PROBLEM_JSON)
+    data["reduced"].update(s=2, base_dynamics=["u2", "u1"], base_structure=[[0, 1, 2, value]],
+                           lagrangian="0.5*(u1^2 + u2^2) + 0.1*z1*z2")
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 2, "r": 0, "dynamics": ["x2", "-x1"], "lagrangian": "0.5*x1^2"},
+    {"n": 2, "r": 2, "dynamics": ["u1", "u2"], "lagrangian": "0.5*(u1^2 + u2^2) + 0.1*x1*x2"},
+    curved_base("1 + 0.5*z1"),
+    curved_base("sqrt(4 + z1^2)"),
+], ids=["no-control", "dynamics-are-the-controls", "base-structure", "guarded-base-structure"])
+def test_a_generated_stage_gives_a_member_its_batch_bits(newton_calls, data):
+    """The float stage's edge cases: r = 0 (no Newton step), F = u (its dH entries are the controls themselves,
+    and the dynamics a copy of them) and a reduced view with s > 0 and a structure function (its bracket lines,
+    in a ``try`` when guarded).  Alone, each member runs the stage and gives the bits it has in a batch."""
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    problem, reduced = load_problem(data, "edge", "test")
+    config = PmpSolverConfig(rk_step=1e-2)
+    rng = np.random.default_rng(3)
+    if reduced is None:
+        n, r = problem.n, problem.r
+        x0, p0 = rng.uniform(-1.0, 1.0, (3, n)), rng.uniform(-1.0, 1.0, (3, n))
+        if r:
+            assert np.array_equal(problem.dynamics(x0, np.ones((3, r))), np.ones((3, r)))
+
+        def integrate(*i):
+            return integrate_pmp(problem, x0[i] if i else x0, p0[i] if i else p0, 1.0, config)
+    else:
+        states = [ReducedState(*rng.uniform(-1.0, 1.0, (2, 2)), rng.uniform(-1.0, 1.0, 3), np.zeros(2))
+                  for _ in range(3)]
+
+        def integrate(*i):
+            return integrate_reduced(reduced, states[i[0]] if i else states, 1.0, config)
+
+    together = integrate()
+    assert branches(newton_calls) == {(np.ndarray, np.ndarray)}
+    for i, member in enumerate(together):
+        single = integrate(i)
+        assert branches(newton_calls) == {(int, float)}
+        assert np.array_equal(member.states, single.states)
+        assert member.channels.keys() == single.channels.keys()
+        for name in single.channels:
+            assert np.array_equal(member.channel(name), single.channel(name)), name
+
+
+def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_one_member(monkeypatch):
+    """A view compiles its float stage at its first one-member integration and never again; a batch, a point
+    solve and a Dirac scan compile none."""
+    from pontrylie import expr
+    from pontrylie.reduction import ReducedState, integrate_reduced, reduced_dirac_residuals
+
+    compiled, compile_stage = [], expr.float_stage
+    monkeypatch.setattr(expr, "float_stage", lambda ham: compiled.append(ham) or compile_stage(ham))
+    problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "test")
+    config = PmpSolverConfig(rk_step=1e-2)
+    p0 = np.array([unit_cylinder_costate(theta, 1.0) for theta in (0.0, 0.5)])
+    states = [ReducedState(np.zeros(0), np.zeros(0), mu0, np.zeros(2)) for mu0 in p0]
+    batch = integrate_pmp(problem, np.zeros(3), p0, 0.1, config), integrate_reduced(reduced, states, 0.1, config)
+    dirac_membership_residuals(problem, batch[0][0]), reduced_dirac_residuals(reduced, batch[1][0])
+    optimal_feedback(problem, np.zeros(3), p0[0], np.zeros(2))
+    assert compiled == []
+    for _ in range(2):
+        integrate_pmp(problem, np.zeros(3), p0[0], 0.1, config), integrate_reduced(reduced, states[0], 0.1, config)
+    assert [ham.dH for ham in compiled] == [problem.view.dH, reduced.view.dH]
 
 
 def stiffening_problem():
@@ -373,11 +445,11 @@ def failure_fields(err):
 ])
 def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, kind, message):
     """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails mid-run; the other two stay finite.  Alone it
-    runs the float sweep (its solves are ``pmp._float_newton``'s) and fails with the type, message, time, member, state, residual and point it has in the
+    runs the float sweep (its solves are the float stage's) and fails with the type, message, time, member, state, residual and point it has in the
     batch, at the same node: the Lagrangian is called once per node up to the failing one, as in the batch."""
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
-    monkeypatch.setattr(pmp, "_float_newton", counting(calls, "float sweep solves", pmp._float_newton))
+    wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
     counted = dataclasses.replace(problem, lagrangian=counting(calls, "lagrangian", problem.lagrangian))
     config = PmpSolverConfig(rk_step=0.01)
     failures, lagrangians = [], []
@@ -393,6 +465,35 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
     assert lagrangians[0] == lagrangians[1] > 1
     if kind is EvaluationError:
         assert lagrangians[1] == round(err.value.t / config.rk_step) + 1
+
+
+@pytest.mark.parametrize("lagrangian, config, kind, message", [
+    # dH/du reads 1/x2, a division by a variable, and x2 reaches 0 at stage 4 of the first step
+    ("0.5*u1^2 - u1/x2", PmpSolverConfig(rk_step=0.25), ExprEvaluationError, r"division by zero \(at offset 13\)"),
+    # dH/dx2 reads (-x2)^-0.5, a power other than 2, of 0 at the same stage
+    ("0.5*u1^2 - u1*(-x2)^0.5", PmpSolverConfig(rk_step=0.25), ExprEvaluationError,
+     r"power failed: 0.0 cannot be raised to a negative power \(at offset 19\)"),
+    # W = -3, a constant whose inverse is inexact: the residual stalls at rounding level, above the tolerance
+    ("1.5*u1^2 - x1*x2*u1", PmpSolverConfig(rk_step=0.01, newton_tol=1e-300, newton_max_iter=3), ConvergenceError,
+     r"control Newton exhausted 3 iterations \(member 0 while stepping from t=0.09\)"),
+])
+def test_a_failure_inside_the_float_stage_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, config, kind, message):
+    """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails at a stage, inside the stage's own lines, the
+    other two never: alone it fails with the type, message, time, member, state, residual and point it has in
+    the batch."""
+    problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
+    calls = collections.Counter()
+    wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
+    x0, p0 = [[0.0, -0.25], [0.0, -5.0], [0.0, -5.0]], [[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]]
+    if kind is ConvergenceError:  # member 0 rests at its root at node 0, the others for good
+        x0, p0 = [[0.5, 0.1], [0.0, 0.1], [0.0, -0.3]], [[-0.05, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    failures = []
+    for x, p in ((x0, p0), (x0[0], p0[0])):
+        with pytest.raises(kind, match=message) as err:
+            integrate_pmp(problem, x, p, 1.0, config)
+        failures.append(failure_fields(err.value))
+    assert calls["float sweep solves"] > 1
+    assert failures[0] == failures[1]
 
 
 def test_optimal_feedback_of_one_point_is_the_stacks_bit_for_bit():

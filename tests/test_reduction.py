@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced, so3_algebra
-from conftest import counting, reduced_hamiltonian
+from conftest import counting, reduced_hamiltonian, wrap_float_stages
 from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
-from pontrylie import lie, pmp
+from pontrylie import lie
 from pontrylie.errors import DimensionMismatchError, EvaluationError, PontrylieError, RegularityError
 from pontrylie.errors import ReductionUnsupportedError, SolverError
 from pontrylie.heisenberg import (
@@ -436,12 +436,25 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     iterate of node 0, to check the F entries of its dH.  The constant control Hessian is
     rank-checked once per problem, when the first integration builds its view.  Per node comes the Lagrangian of H (or h); the J channels come from one call of
     the handle's generators, and the Casimir channel from one call of the stacked Casimir.  Every solve of
-    these one-member integrations is the float sweep's (``pmp._float_newton``), through the counted callables.
+    these one-member integrations is the float sweep's stage (``expr.float_stage``): node 0's reads the counted
+    dH through its check, every other one the dH lines inlined in the stage, counted here as one evaluation
+    per iterate, iterations + 1.
     """
     calls, svds, float_solves = collections.Counter(), [], collections.Counter()
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
-    monkeypatch.setattr(pmp, "_float_newton", counting(float_solves, "solves", pmp._float_newton))
+
+    def counted_stage(stage):
+        def solve(y, u, *check):
+            float_solves["solves"] += 1
+            result = stage(y, u, *check)
+            if not check:
+                calls["dH"] += result[2] + 1
+            return result
+
+        return solve
+
+    wrap_float_stages(monkeypatch, counted_stage)
     if kind == "full":
         problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians),
                                       symmetry=counted(calls, heis_problem.symmetry))

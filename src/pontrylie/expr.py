@@ -40,9 +40,9 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError, PontrylieError
+from .errors import ConvergenceError, EvaluationError, PontrylieError, SolverError
 from .lie import _nonnegative_int, _sparse_entries, algebra_from_dict
-from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, constant, stacked
+from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, _hamiltonian_value, constant, stacked
 from .reduction import ReducedProblem
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -706,14 +706,24 @@ def _newton_step(w_inverse: np.ndarray, g: Sequence[str]) -> str:
     return f"_w_inverse.dot([{', '.join(g)}]).tolist()"
 
 
-def float_stage(ham) -> Optional[Callable]:
-    """The one-member stage of ``pmp._rk4_dae``'s float sweep for the view ``ham``, a function (newton_tol,
-    newton_max_iter) -> stage; None unless ``ham`` has compiled dH, L and bracket and a regular constant W.
+def float_stage(ham) -> Optional[Tuple[Callable, Callable]]:
+    """The one-member stage and sweep of ``pmp._rk4_dae`` for the view ``ham``, (make, sweep) from one ``compile()``;
+    None unless ``ham`` has compiled dH, L and bracket and a regular constant W.
 
-    ``stage(y, u, check=None)`` gives (y_dot, u*, iterations, residual, grad) at y = (q, lam) on lists of Python
-    floats: ``ocp._newton``'s solve from u (its checks, its errors, of member 0, and ``_newton_step``), then the
-    finiteness check of grad and ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH
-    and bracket lines are inlined (``_inline``); a ``check`` is called on the lists (q, lam, u) for dH instead.
+    ``make(newton_tol, newton_max_iter)`` gives ``stage(y, u, check=None, field=True)``, which gives (y_dot, u*,
+    iterations, residual, grad) at y = (q, lam) on lists of Python floats: ``ocp._newton``'s solve from u (its
+    checks, its errors, of member 0, and ``_newton_step``), then the finiteness check of grad and, with ``field``
+    (else y_dot is None), ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH and
+    bracket lines are inlined (``_inline``); a ``check`` is called on (1, width) arrays of (q, lam, u) for dH instead.
+
+    ``sweep(stage, grid, y, u, check, located)`` is RK4 over the nodes ``grid`` from the lists y and u, written for
+    the view's widths: per step 3 stage calls and the node's, the updates ``y + c * v`` and ``y + h/6 * (k1 + 2 k2 +
+    2 k3 + k4)`` of the stack unrolled per component, h read per step.  A node's stage takes ``check`` at node 0 and
+    no field at the last; then L, and a fold of H = <lam, F> - L whose non-finite value the stacked
+    ``ocp._hamiltonian_value`` raises.  A failing stage is re-raised as ``located(exc, "while stepping from", t, y)``,
+    t the start of the step and y the stage's own, a failing node as ``located(exc, "at", t, y)``.  Returns lists per
+    node: the rows (y, u*) and the F entries of dH, both flat, and L, the most iterations of the step's solves and
+    the residual.
     """
     if ham.w_inverse is None or not all(hasattr(fn, "table") for fn in {ham.dH, ham.L, ham.bracket} - {None}):
         return None
@@ -721,7 +731,8 @@ def float_stage(ham) -> Optional[Callable]:
     nq, k, r = map(len, arguments)
     y, u, s, d = ([f"_{c}{i}" for i in range(size)] for c, size in zip("yusd", (nq + k, r, r, table.size)))
     g, dq, f = d[:r], d[r : r + nq], d[r + nq :]
-    point = ", ".join(f"[{', '.join(v)}]" for v in (y[:nq], y[nq:], u))
+    q, lam, controls = (f"[{', '.join(v)}]" for v in (y[:nq], y[nq:], u))
+    point = f"{q}, {lam}, {controls}"
     gradient = _inline(table, dict(zip([v for group in arguments for v in group], y + u)), d, f"_dH({point})")
     field, y_dot = [], f + [f"-{v}" for v in dq]
     if ham.bracket is not None:  # lam_dot = -B f, less (dH/dq, 0); the dH temporaries are dead by then
@@ -731,24 +742,52 @@ def float_stage(ham) -> Optional[Callable]:
         y_dot = f[:nq] + [f"{a} - {v}" for a, v in zip(b, dq)] + b[nq:]
     residual = f"max({', '.join(f'abs({v})' for v in g)})" if r > 1 else f"abs({g[0]})" if r else "0.0"
     error = f"_EvaluationError('non-finite Hamiltonian partial', point=tuple(map(_array, ({point}))), member=0)"
-    body = [
+    stage = [
         f"{', '.join(y)}, = y", f"[{', '.join(u)}] = u", "for _i in _iterations:",
         "    if _check is None:", *(f"        {line}" for line in gradient),
-        "    else:", f"        {', '.join(d)}, = _check({point})",
+        "    else:", f"        {', '.join(d)}, = _check(*(_array([v]) for v in ({point})))[0].tolist()",
         f"    if not ({' and '.join(f'_isfinite({v})' for v in g) or 'True'}):", f"        raise {error}",
         f"    _residual = {residual}", "    if _residual <= _tol:", "        break", "    if _i == _max:",
         "        raise _ConvergenceError(f'control Newton exhausted {_max} iterations', residual=_residual, member=0)",
         f"    [{', '.join(s)}] = {_newton_step(ham.w_inverse, g)}",
         f"    [{', '.join(u)}] = [{', '.join(f'{a} - {b}' for a, b in zip(u, s))}]",
-        f"_grad = [{', '.join(d)}]", "if not all(map(_isfinite, _grad)):", f"    raise {error}", *field,
+        f"_grad = [{', '.join(d)}]", "if not all(map(_isfinite, _grad)):", f"    raise {error}",
+        "if not _field:", f"    return None, [{', '.join(u)}], _i, _residual, _grad", *field,
         f"return [{', '.join(y_dot)}], [{', '.join(u)}], _i, _residual, _grad",
     ]
-    source = ["def _make(_tol, _max):", "    _iterations = range(_max + 1)", "    def _stage(y, u, _check=None):",
-              *(f"        {line}" for line in body), "    return _stage"]
+    ks = [[f"_k{j}_{i}" for i in range(nq + k)] for j in range(1, 5)]
+    stages = []
+    for c, warm, into, iterations in (("_c", *ks[:2], "_i2"), ("_c", *ks[1:3], "_i3"), ("_h", *ks[2:], "_i4")):
+        stages += [f"_s = [{', '.join(f'{a} + {c} * {v}' for a, v in zip(y, warm))}]",
+                   f"[{', '.join(into)}], _u, {iterations}, _, _ = _stage(_s, _u)"]
+    update = (f"{a} + _c * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})" for a, b1, b2, b3, b4 in zip(y, *ks))
+    fold = " + ".join(f"{a} * _g[{r + nq + i}]" for i, a in enumerate(y[nq:])) or "0.0"
+    sweep = [
+        "_rows, _fs, _lagrangians, _most, _residuals = [], [], [], [], []",
+        f"{', '.join(y)}, = y", "_i2 = _i3 = _i4 = 0", "_last = len(grid) - 1", "for _k in range(_last + 1):",
+        "    if _k:", "        _t = grid[_k - 1]", "        _h = grid[_k] - _t", "        _c = 0.5 * _h",
+        f"        {', '.join(ks[0])}, = _k1", "        try:", *(f"            {line}" for line in stages),
+        "        except _FAILURES as _exc:",
+        "            raise _located(_exc, 'while stepping from', _t, _s) from _exc",
+        "        _c = _h / 6.0", f"        {', '.join(y)}, = {', '.join(update)},", f"    _y = [{', '.join(y)}]",
+        "    try:", "        _k1, _u, _i, _residual, _g = _stage(_y, _u, _check, _k < _last)",
+        f"        _lagrangian = _L({q}, _u)", f"        if not _isfinite({fold} - _lagrangian):",
+        f"            _hamiltonian_value(*(_array([v]) for v in ({q}, {lam}, _u, _g[{r + nq}:])), _lagrangian)",
+        "    except _FAILURES as _exc:", "        raise _located(_exc, 'at', grid[_k], _y) from _exc",
+        "    _check = None", "    _rows += _y", "    _rows += _u", f"    _fs += _g[{r + nq}:]",
+        "    _lagrangians.append(_lagrangian)", "    _most.append(max(_i2, _i3, _i4, _i))",
+        "    _residuals.append(_residual)",
+        "return _rows, _fs, _lagrangians, _most, _residuals",
+    ]
+    source = ["def _make(_tol, _max):", "    _iterations = range(_max + 1)",
+              "    def _stage(y, u, _check=None, _field=True):", *(f"        {line}" for line in stage), "    return _stage",
+              "def _sweep(_stage, grid, y, _u, _check, _located):", *(f"    {line}" for line in sweep)]
     namespace = dict(_ARITHMETIC, _array=np.array, _isfinite=math.isfinite, _dH=ham.dH, _bracket=ham.bracket,
-                     _w_inverse=ham.w_inverse, _EvaluationError=EvaluationError, _ConvergenceError=ConvergenceError)
+                     _L=ham.L, _w_inverse=ham.w_inverse, _hamiltonian_value=_hamiltonian_value,
+                     _EvaluationError=EvaluationError, _ConvergenceError=ConvergenceError,
+                     _FAILURES=(SolverError, EvaluationError))
     exec(compile("\n".join(source), "<pontrylie.expr stage>", "exec"), namespace)
-    return namespace["_make"]
+    return namespace["_make"], namespace["_sweep"]
 
 
 # ---------------------------------------------------------------- problem files

@@ -295,8 +295,8 @@ class ControlledHamiltonian(NamedTuple):
     matrix B of the Poisson bracket's non-canonical part and ``bracket(q, lam, f)`` the product -B f that
     ``_hamilton_field`` reads; None for both means B = 0, and then k = nq.  ``w`` is W when it is the same at
     every point (a ``constant``), else None, and ``w_inverse`` its inverse, None when W is singular.  Every
-    callable is stacked (see ``stacked``) but ``stage()``, which gives the view's float stage (``expr.float_stage``,
-    None where it does not apply), compiled at its first call.
+    callable is stacked (see ``stacked``) but ``stage()``, which gives the view's one-member stage and sweep
+    (``expr.float_stage``, None where it does not apply), compiled in one ``compile()`` at its first call.
     """
 
     F: Callable

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -255,24 +254,23 @@ def time_grid(duration: float, step: float) -> np.ndarray:
 def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
-    All members advance together: every stage makes one ``ocp._newton`` solve on the whole stack, and a
-    member's trajectory is bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0 warm
-    started from the previous stage's control; stage 1 reuses the node's converged solve, taken at the same
-    (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the last
-    iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form) and H.  One member whose
-    view has a float stage (``ham.stage()``; its ``dH`` of the sweep's ``widths``) is swept on lists of Python
-    floats: the stage solves and gives y_dot, and the RK4 update repeats the stack's float operations, so the
-    bits are the same; a float fold checks each node's H, which is recorded after the sweep from one stacked
-    pairing.  The sweep runs under one
-    ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite value still raises
-    EvaluationError at its point, and guarded compiled tables still raise inside it.  Every grid node
-    records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of ``blocks`` (q
-    first), then u1..; H under ``hamiltonian_channel``; and the channels "newton_iters" (most Newton updates
-    of any solve of the step ending at the node) and "stationarity" (the node's residual max |dH/du|), each
-    in one (members, nodes) array.  Solver and evaluation errors are re-raised with the failing member's
-    index and the grid time (of the node, or of the start of the step whose stage failed); a solver error
-    also with the (q, lam) row Newton was solving at.  After the sweep a non-finite recorded row, which no
-    evaluation may have read, raises EvaluationError at the first one (earliest node, then lowest member).
+    All members advance together: every stage makes one ``ocp._newton`` solve on the whole stack, and a member's
+    trajectory is bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0 warm started from the
+    previous stage's control; stage 1 reuses the node's converged solve, taken at the same (y, u*).  A solve reads
+    only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the last iterate, the root's, also
+    gives y_dot (``ocp._hamilton_field`` of ``ham``'s form; not at the last node, whose y_dot no step reads) and H.
+    One member whose view has a generated stage (``ham.stage()``; its ``dH`` of the sweep's ``widths``) runs the
+    view's generated sweep instead, one loop on Python floats that calls the stage and repeats the stack's float
+    operations, so the bits are the same; its lists become the arrays here, H from one stacked pairing of its F
+    rows.  Either sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings: a
+    non-finite value still raises EvaluationError at its point, and guarded compiled tables still raise inside it.
+    Every grid node records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of
+    ``blocks`` (q first), then u1..; H under ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
+    updates of any solve of the step ending at the node) and "stationarity" (the node's residual max |dH/du|), each
+    in one (members, nodes) array.  Solver and evaluation errors are re-raised with the failing member's index and
+    the grid time (of the node, or of the start of the step whose stage failed); a solver error also with the
+    (q, lam) row Newton was solving at.  After the sweep a non-finite recorded row, which no evaluation may have
+    read, raises EvaluationError at the first one (earliest node, then lowest member).
     Returns one Trajectory per member.
     """
     nq = blocks[0][1]
@@ -282,7 +280,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
     # node 0 reads the checked gradient: its width and its F entries
     sized = _sized_gradient(ham, nq, width - nq, r)
-    float_stage = members == 1 and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
+    generated = members == 1 and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
 
     def located(exc, where, t, y):
         """``exc`` again, its message and fields naming the failing member and the grid time."""
@@ -292,75 +290,55 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
             return type(exc)(message, residual=exc.residual, t=t, state=np.atleast_2d(y)[i], member=i)
         return EvaluationError(message, point=exc.point, t=t, member=i)
 
-    if float_stage:
-        y, u_warm, most, f_rows = y0[0].tolist(), u0[0].tolist(), max, np.empty((len(times), width - nq))
-        solve = float_stage(config.newton_tol, config.newton_max_iter)
-
-        def first(*args):
-            return sized.dH(*(np.array([v]) for v in args))[0].tolist()
-
-        def record(k, y, u_star, grad, iterations, residual):
-            f, lagrangian = grad[r + nq :], ham.L(y[:nq], u_star)
-            if not math.isfinite(sum(a * b for a, b in zip(y[nq:], f)) - lagrangian):  # the stacked H decides
-                _hamiltonian_value(*(np.array([v]) for v in (y[:nq], y[nq:], u_star, f)), lagrangian)
-            states[0, k], f_rows[k] = y + u_star, f
-            hamiltonian[0, k], newton_iters[0, k], stationarity[0, k] = lagrangian, iterations, residual
-
-        def axpy(y, c, v):
-            return [a + c * b for a, b in zip(y, v)]
-
-        def rk4(y, c, k1, k2, k3, k4):
-            return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    else:
-        y, u_warm, f_rows, first, most = y0, u0, None, sized, np.maximum.reduce
-
-        def solve(y, u_warm, view=ham):
-            q, lam = y[:, :nq], y[:, nq:]
-            u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
-            grad = _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
-            q_dot, lam_dot = _hamilton_field(ham, q, lam, grad)
-            y_dot = np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
-            return y_dot, u_star, iterations, residual, grad
-
-        def record(k, y, u_star, grad, iterations, residual):
-            q, lam = y[:, :nq], y[:, nq:]
-            hamiltonian[:, k] = _hamiltonian_value(q, lam, u_star, _split(grad, nq, r)[2], ham.L(q, u_star))
-            states[:, k, :width], states[:, k, width:] = y, u_star
-            newton_iters[:, k], stationarity[:, k] = iterations, residual
-
-        def axpy(y, c, v):
-            return y + c * v
-
-        def rk4(y, c, k1, k2, k3, k4):
-            return y + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def solve(y, u_warm, view, field):
+        q, lam = y[:, :nq], y[:, nq:]
+        u_star, iterations, residual, grad = _newton(view, q, lam, u_warm, config)
+        grad = _require_finite(grad, "non-finite Hamiltonian partial", q, lam, u_star)
+        if not field:  # the last node: no step reads its vector field
+            return None, u_star, iterations, residual, grad
+        q_dot, lam_dot = _hamilton_field(ham, q, lam, grad)
+        y_dot = np.concatenate([q_dot, lam_dot], axis=-1) if nq else lam_dot  # lam_dot is a new array
+        return y_dot, u_star, iterations, residual, grad
 
     def stage(y, u_warm, t):
         try:
-            y_dot, u_star, iterations, _, _ = solve(y, u_warm)
+            y_dot, u_star, iterations, _, _ = solve(y, u_warm, ham, True)
         except (SolverError, EvaluationError) as exc:
             raise located(exc, "while stepping from", t, y) from exc
         return y_dot, u_star, iterations
 
-    def node(k, y, u_warm, stage_iterations, *source):
+    def node(k, y, u_warm, stage_iterations, view=ham):
         try:
-            y_dot, u_star, iterations, residual, grad = solve(y, u_warm, *source)
-            record(k, y, u_star, grad, most((*stage_iterations, iterations)), residual)
+            y_dot, u_star, iterations, residual, grad = solve(y, u_warm, view, k < len(grid) - 1)
+            q, lam = y[:, :nq], y[:, nq:]
+            hamiltonian[:, k] = _hamiltonian_value(q, lam, u_star, _split(grad, nq, r)[2], ham.L(q, u_star))
         except (SolverError, EvaluationError) as exc:
             raise located(exc, "at", grid[k], y) from exc
+        states[:, k, :width], states[:, k, width:] = y, u_star
+        newton_iters[:, k], stationarity[:, k] = np.maximum.reduce((*stage_iterations, iterations)), residual
         return u_star, y_dot
 
-    grid = times.tolist()  # Python floats, as the float sweep's arithmetic
+    grid = times.tolist()  # Python floats, as the generated sweep's arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        u_warm, k1 = node(0, y, u_warm, (), first)
-        for k in range(len(grid) - 1):
-            t, h = grid[k], grid[k + 1] - grid[k]
-            k2, u2, i2 = stage(axpy(y, 0.5 * h, k1), u_warm, t)
-            k3, u3, i3 = stage(axpy(y, 0.5 * h, k2), u2, t)
-            k4, u4, i4 = stage(axpy(y, h, k3), u3, t)
-            y = rk4(y, h / 6.0, k1, k2, k3, k4)
-            u_warm, k1 = node(k + 1, y, u4, (i2, i3, i4))
-    if f_rows is not None:  # the float sweep's H = <lam, F> - L, from one stacked pairing of its F rows as on a stack
-        hamiltonian[0] = (states[0, :, None, nq:width] @ f_rows[:, :, None])[:, 0, 0] - hamiltonian[0]
+        if generated:  # one member: the view's generated sweep, on Python floats, calling its stage
+            make, sweep = generated
+            rows, f_rows, lagrangians, most, residuals = sweep(make(config.newton_tol, config.newton_max_iter), grid,
+                                                               y0[0].tolist(), u0[0].tolist(), sized.dH, located)
+            states[0] = np.fromiter(rows, float).reshape(len(grid), width + r)
+            f_rows = np.fromiter(f_rows, float).reshape(len(grid), width - nq)
+            # H = <lam, F> - L, from one stacked pairing of the F rows, as on a stack
+            hamiltonian[0] = (states[0, :, None, nq:width] @ f_rows[:, :, None])[:, 0, 0] - lagrangians
+            newton_iters[0], stationarity[0] = most, residuals
+        else:
+            y = y0
+            u_warm, k1 = node(0, y, u0, (), sized)
+            for k in range(len(grid) - 1):
+                t, h = grid[k], grid[k + 1] - grid[k]
+                k2, u2, i2 = stage(y + 0.5 * h * k1, u_warm, t)
+                k3, u3, i3 = stage(y + 0.5 * h * k2, u2, t)
+                k4, u4, i4 = stage(y + h * k3, u3, t)
+                y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                u_warm, k1 = node(k + 1, y, u4, (i2, i3, i4))
 
     finite = np.isfinite(states).all(axis=-1)  # (members, nodes)
     if not finite.all():

@@ -204,13 +204,17 @@ def counting(calls, name, fn):
 
 def wrap_float_stages(monkeypatch, wrap):
     """Every one-member float stage compiled from now on (by ``expr.float_stage``, for a view not yet swept on
-    floats) replaced by ``wrap(stage)``: the hook through which a test sees the float sweep's solves."""
+    floats) replaced by ``wrap(stage)``, which the generated sweep then calls: the hook through which a test sees
+    the float sweep's solves."""
     from pontrylie import expr
 
     compile_stage = expr.float_stage
 
     def compiled(ham):
-        make = compile_stage(ham)
-        return make and (lambda newton_tol, newton_max_iter: wrap(make(newton_tol, newton_max_iter)))
+        generated = compile_stage(ham)
+        if generated is None:
+            return None
+        make, sweep = generated
+        return (lambda newton_tol, newton_max_iter: wrap(make(newton_tol, newton_max_iter))), sweep
 
     monkeypatch.setattr(expr, "float_stage", compiled)

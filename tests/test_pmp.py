@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG, counting, hamiltonian, heisenberg_oracle_problem, wrap_float_stages
 from pontrylie.errors import (
@@ -352,14 +354,71 @@ def test_a_generated_stage_gives_a_member_its_batch_bits(newton_calls, data):
             assert np.array_equal(member.channel(name), single.channel(name)), name
 
 
+def test_a_bracket_failing_only_at_the_last_node_leaves_the_trajectory():
+    """No step reads the vector field of the last node, so it is not computed.  A reduced block on the base
+    z = (sin t, cos t), z_dot = (z2, -z1), whose structure function sqrt(0.841 - z1) fails past z1 = 0.841: only the
+    last node, at sin 1, gets there (the fourth RK4 stage of the last step, at 0.8404, stays below it, where with
+    z_dot = 1 it would land on the last node).  The trajectory comes back, alone (the generated sweep) and as member
+    0 of a batch (the NumPy sweep), with the same bits."""
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    data = json.loads(PROBLEM_JSON)
+    data["reduced"].update(s=2, base_dynamics=["z2", "-z1"], base_structure=[[0, 1, 2, "sqrt(0.841 - z1)"]])
+    reduced = load_problem(data, "edge", "test")[1]
+    states = [ReducedState(np.array([0.0, z2]), np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
+              for z2 in (1.0, 0.5)]
+    config = PmpSolverConfig(rk_step=0.25)
+    alone, together = (integrate_reduced(reduced, start, 1.0, config) for start in (states[0], states))
+    assert alone.states[-2, 0] < 0.841 < alone.states[-1, 0]
+    with pytest.raises(ExprEvaluationError, match="sqrt of negative value"):  # the bracket's form at the last node
+        reduced.view.form(alone.states[-1:, :2], alone.states[-1:, 2:7])
+    assert np.array_equal(together[0].states, alone.states)
+    assert together[0].channels.keys() == alone.channels.keys()
+    for name in alone.channels:
+        assert np.array_equal(together[0].channel(name), alone.channel(name)), name
+
+
+@pytest.mark.parametrize("case", ["full builtin", "reduced builtin", "full skewed", "reduced skewed"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(row=st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8), steps=st.integers(0, 5),
+       fraction=st.floats(0.05, 0.95))
+def test_a_member_alone_through_the_generated_sweep_gives_its_batch_bits(case, row, steps, fraction):
+    """A random member, alone through its view's generated sweep, gives the rows and channels it has in a batch
+    (the NumPy sweep) over a duration that ends in a partial step, which the sweep takes with its own h: the full
+    and reduced builtin, and the README file with the non-diagonal W of ``skewed_problems`` (a Newton step by
+    ``_w_inverse.dot``).  ``row`` is (x0, p0, u_guess) of a full member, (mu0, u_guess) of a reduced one."""
+    from pontrylie.heisenberg import heisenberg_problem, heisenberg_reduced_problem
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    kind, source = case.split()
+    problem = (skewed_problems() if source == "skewed" else (heisenberg_problem(), heisenberg_reduced_problem()))[
+        kind == "reduced"]
+    assert problem.view.stage() is not None
+    config = PmpSolverConfig(rk_step=0.05)
+    duration = (steps + fraction) * config.rk_step
+    assert 0.0 < np.diff(time_grid(duration, config.rk_step))[-1] < config.rk_step
+    rows = np.array([row, row[::-1]])
+    if kind == "reduced":
+        states = [ReducedState(np.zeros(0), np.zeros(0), mu0, u) for mu0, u in zip(rows[:, :3], rows[:, 3:5])]
+        together, alone = (integrate_reduced(problem, start, duration, config) for start in (states, states[0]))
+    else:
+        together, alone = (integrate_pmp(problem, x[..., :3], x[..., 3:6], duration, config, x[..., 6:])
+                           for x in (rows, rows[0]))
+    assert np.array_equal(together[0].states, alone.states)
+    assert together[0].channels.keys() == alone.channels.keys()
+    for name in alone.channels:
+        assert np.array_equal(together[0].channel(name), alone.channel(name)), name
+
+
 def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_one_member(monkeypatch):
-    """A view compiles its float stage at its first one-member integration and never again; a batch, a point
-    solve and a Dirac scan compile none."""
+    """A view compiles its float stage and sweep at its first one-member integration, in one ``compile()``, and
+    never again; a batch, a point solve and a Dirac scan compile none."""
     from pontrylie import expr
     from pontrylie.reduction import ReducedState, integrate_reduced, reduced_dirac_residuals
 
-    compiled, compile_stage = [], expr.float_stage
+    compiled, compile_stage, compiles = [], expr.float_stage, []
     monkeypatch.setattr(expr, "float_stage", lambda ham: compiled.append(ham) or compile_stage(ham))
+    monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args[1]) or compile(*args), raising=False)
     problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "test")
     config = PmpSolverConfig(rk_step=1e-2)
     p0 = np.array([unit_cylinder_costate(theta, 1.0) for theta in (0.0, 0.5)])
@@ -367,10 +426,15 @@ def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_one_member(monke
     batch = integrate_pmp(problem, np.zeros(3), p0, 0.1, config), integrate_reduced(reduced, states, 0.1, config)
     dirac_membership_residuals(problem, batch[0][0]), reduced_dirac_residuals(reduced, batch[1][0])
     optimal_feedback(problem, np.zeros(3), p0[0], np.zeros(2))
-    assert compiled == []
+    assert compiled == [] and "<pontrylie.expr stage>" not in compiles
+    compiles.clear()
     for _ in range(2):
         integrate_pmp(problem, np.zeros(3), p0[0], 0.1, config), integrate_reduced(reduced, states[0], 0.1, config)
     assert [ham.dH for ham in compiled] == [problem.view.dH, reduced.view.dH]
+    assert compiles == ["<pontrylie.expr stage>"] * 2
+    for view in (problem.view, reduced.view):
+        make, sweep = view.stage()
+        assert make.__globals__ is sweep.__globals__  # run from the one compiled code object
 
 
 def stiffening_problem():

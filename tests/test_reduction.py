@@ -445,10 +445,10 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
 
     def counted_stage(stage):
-        def solve(y, u, *check):
+        def solve(y, u, check=None, *field):
             float_solves["solves"] += 1
-            result = stage(y, u, *check)
-            if not check:
+            result = stage(y, u, check, *field)
+            if check is None:
                 calls["dH"] += result[2] + 1
             return result
 

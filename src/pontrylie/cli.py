@@ -191,7 +191,7 @@ def cmd_solve_reduced(args) -> Tuple[int, dict]:
     z0 = _option_values(args.z0, "z0") if args.z0 else np.zeros(s)
     pz0 = _option_values(args.pz0, "pz0") if args.pz0 else np.zeros(s)
     states = [reduction.ReducedState(z0, pz0, mu0, np.zeros(problem.control_dim)) for mu0, _ in mu0_list]
-    # the whole grid in one batch: every member advances in the same RK4 sweep
+    # the whole grid in one batch: up to pmp._FLOAT_MEMBERS members swept one by one on floats, more in one NumPy sweep
     trajectories = reduction.integrate_reduced(problem, states, args.T, PmpSolverConfig(rk_step=args.step))
     runs = [_reduced_summary(loaded, trajectory, mu0, _write(trajectory, out, args.format), args)
             for (mu0, out), trajectory in zip(mu0_list, trajectories)]

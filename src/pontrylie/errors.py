@@ -59,6 +59,15 @@ class RegularityError(SolverError):
     """The control Hessian is (numerically) singular where it must be invertible."""
 
 
+class ExprEvaluationError(PontrylieError, ArithmeticError):
+    """Runtime failure (division by zero, domain error) of an expression; carries the node offset and, from an
+    integration, the time (nan when unknown) and the failing member's index (None when unknown, as in a stack)."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} (at offset {pos})")
+        self.pos, self.t, self.member = pos, float("nan"), None
+
+
 class DiracPropertyError(PontrylieError):
     """An image of a Dirac structure along a linear map is not Dirac."""
 

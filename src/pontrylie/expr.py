@@ -40,7 +40,7 @@ from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError, PontrylieError, SolverError
+from .errors import ConvergenceError, EvaluationError, ExprEvaluationError, PontrylieError, SolverError
 from .lie import _nonnegative_int, _sparse_entries, algebra_from_dict
 from .ocp import ControlProblem, ProblemJacobians, SymmetryHandle, _hamiltonian_value, constant, stacked
 from .reduction import ReducedProblem
@@ -60,14 +60,6 @@ class UndeclaredVariableError(ExprSyntaxError):
     def __init__(self, name: str, pos: int):
         super().__init__(f"undeclared variable '{name}'", pos)
         self.name = name
-
-
-class ExprEvaluationError(PontrylieError, ArithmeticError):
-    """Runtime failure (division by zero, domain error); carries the node offset."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
-        self.pos = pos
 
 
 @dataclass(frozen=True)
@@ -785,7 +777,7 @@ def float_stage(ham) -> Optional[Tuple[Callable, Callable]]:
     namespace = dict(_ARITHMETIC, _array=np.array, _isfinite=math.isfinite, _dH=ham.dH, _bracket=ham.bracket,
                      _L=ham.L, _w_inverse=ham.w_inverse, _hamiltonian_value=_hamiltonian_value,
                      _EvaluationError=EvaluationError, _ConvergenceError=ConvergenceError,
-                     _FAILURES=(SolverError, EvaluationError))
+                     _FAILURES=(SolverError, EvaluationError, ExprEvaluationError))
     exec(compile("\n".join(source), "<pontrylie.expr stage>", "exec"), namespace)
     return namespace["_make"], namespace["_sweep"]
 

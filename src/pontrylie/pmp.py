@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Tuple, Union
 import numpy as np
 
 from . import dirac
-from .errors import DimensionMismatchError, EvaluationError, PontrylieError, SolverError
+from .errors import DimensionMismatchError, EvaluationError, ExprEvaluationError, PontrylieError, SolverError
 from .errors import TrajectoryFormatError
 from .ocp import ControlProblem, PontryaginPoint, _eval_dynamics, _eval_lagrangian
 from .ocp import _gradient, _hamilton_field, _hamiltonian_value, _newton
@@ -251,26 +251,35 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
+# The largest batch swept member by member on floats: per member-step, a NumPy stack of more members is cheaper
+# (BENCH_small_batch_sweep.json)
+_FLOAT_MEMBERS = 16
+
+
 def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:
     """Fixed-step RK4 on a stack of states y = (q, lam), one row per member, controls eliminated per stage.
 
-    All members advance together: every stage makes one ``ocp._newton`` solve on the whole stack, and a member's
-    trajectory is bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0 warm started from the
-    previous stage's control; stage 1 reuses the node's converged solve, taken at the same (y, u*).  A solve reads
-    only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the last iterate, the root's, also
-    gives y_dot (``ocp._hamilton_field`` of ``ham``'s form; not at the last node, whose y_dot no step reads) and H.
-    One member whose view has a generated stage (``ham.stage()``; its ``dH`` of the sweep's ``widths``) runs the
-    view's generated sweep instead, one loop on Python floats that calls the stage and repeats the stack's float
-    operations, so the bits are the same; its lists become the arrays here, H from one stacked pairing of its F
-    rows.  Either sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings: a
-    non-finite value still raises EvaluationError at its point, and guarded compiled tables still raise inside it.
+    On the NumPy sweep all members advance together: every stage makes one ``ocp._newton`` solve on the whole
+    stack, and a member's trajectory is bit for bit the one it has alone.  At stages 2-4 Newton solves dH/du = 0
+    warm started from the previous stage's control; stage 1 reuses the node's converged solve, taken at the same
+    (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the last
+    iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form; not at the last node, whose
+    y_dot no step reads) and H.  Up to ``_FLOAT_MEMBERS`` members whose view has a generated stage (``ham.stage()``;
+    its ``dH`` of the sweep's ``widths``) run the view's generated sweep instead, member by member with one stage: a
+    loop on Python floats that repeats the stack's float operations, so the bits are the same; a member's lists
+    become its rows here, H from one stacked pairing of its F rows.  If a member of 2 or more fails there, the NumPy
+    sweep runs the batch and raises its own error, so user callbacks (a Lagrangian, say) may run twice up to it.
+    Either sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite
+    value still raises EvaluationError at its point, and guarded compiled tables still raise inside it.
     Every grid node records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of
     ``blocks`` (q first), then u1..; H under ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
     updates of any solve of the step ending at the node) and "stationarity" (the node's residual max |dH/du|), each
     in one (members, nodes) array.  Solver and evaluation errors are re-raised with the failing member's index and
     the grid time (of the node, or of the start of the step whose stage failed); a solver error also with the
-    (q, lam) row Newton was solving at.  After the sweep a non-finite recorded row, which no evaluation may have
-    read, raises EvaluationError at the first one (earliest node, then lowest member).
+    (q, lam) row Newton was solving at.  A compiled table's ExprEvaluationError keeps its type, message and offset
+    and gains the time, and ``member`` 0 when there is one member (a stack's table does not name its member, so in
+    a batch it stays None).  After the sweep a non-finite recorded row, which no evaluation may have read, raises
+    EvaluationError at the first one (earliest node, then lowest member).
     Returns one Trajectory per member.
     """
     nq = blocks[0][1]
@@ -280,14 +289,18 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
     # node 0 reads the checked gradient: its width and its F entries
     sized = _sized_gradient(ham, nq, width - nq, r)
-    generated = members == 1 and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
+    generated = members <= _FLOAT_MEMBERS and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
 
     def located(exc, where, t, y):
-        """``exc`` again, its message and fields naming the failing member and the grid time."""
-        i = exc.member
-        message = f"{exc} (member {i} {where} t={t:.6g})"
+        """``exc`` again, its message and fields naming the failing member (if known) and the grid time."""
+        i = (0 if members == 1 else None) if isinstance(exc, ExprEvaluationError) else exc.member
+        message = f"{exc} ({'' if i is None else f'member {i} '}{where} t={t:.6g})"
         if isinstance(exc, SolverError):
             return type(exc)(message, residual=exc.residual, t=t, state=np.atleast_2d(y)[i], member=i)
+        if isinstance(exc, ExprEvaluationError):  # its message already ends with the offset
+            error = type(exc)("", exc.pos)
+            error.args, error.t, error.member = (message,), t, i
+            return error
         return EvaluationError(message, point=exc.point, t=t, member=i)
 
     def solve(y, u_warm, view, field):
@@ -303,7 +316,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     def stage(y, u_warm, t):
         try:
             y_dot, u_star, iterations, _, _ = solve(y, u_warm, ham, True)
-        except (SolverError, EvaluationError) as exc:
+        except (SolverError, EvaluationError, ExprEvaluationError) as exc:
             raise located(exc, "while stepping from", t, y) from exc
         return y_dot, u_star, iterations
 
@@ -312,7 +325,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
             y_dot, u_star, iterations, residual, grad = solve(y, u_warm, view, k < len(grid) - 1)
             q, lam = y[:, :nq], y[:, nq:]
             hamiltonian[:, k] = _hamiltonian_value(q, lam, u_star, _split(grad, nq, r)[2], ham.L(q, u_star))
-        except (SolverError, EvaluationError) as exc:
+        except (SolverError, EvaluationError, ExprEvaluationError) as exc:
             raise located(exc, "at", grid[k], y) from exc
         states[:, k, :width], states[:, k, width:] = y, u_star
         newton_iters[:, k], stationarity[:, k] = np.maximum.reduce((*stage_iterations, iterations)), residual
@@ -320,16 +333,22 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
 
     grid = times.tolist()  # Python floats, as the generated sweep's arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        if generated:  # one member: the view's generated sweep, on Python floats, calling its stage
+        if generated:  # the view's generated sweep, on Python floats, calling its stage, member by member
             make, sweep = generated
-            rows, f_rows, lagrangians, most, residuals = sweep(make(config.newton_tol, config.newton_max_iter), grid,
-                                                               y0[0].tolist(), u0[0].tolist(), sized.dH, located)
-            states[0] = np.fromiter(rows, float).reshape(len(grid), width + r)
-            f_rows = np.fromiter(f_rows, float).reshape(len(grid), width - nq)
-            # H = <lam, F> - L, from one stacked pairing of the F rows, as on a stack
-            hamiltonian[0] = (states[0, :, None, nq:width] @ f_rows[:, :, None])[:, 0, 0] - lagrangians
-            newton_iters[0], stationarity[0] = most, residuals
-        else:
+            float_stage = make(config.newton_tol, config.newton_max_iter)
+            try:
+                for i, (y, u) in enumerate(zip(y0.tolist(), u0.tolist())):
+                    rows, f_rows, lagrangians, most, residuals = sweep(float_stage, grid, y, u, sized.dH, located)
+                    states[i] = np.fromiter(rows, float).reshape(len(grid), width + r)
+                    f_rows = np.fromiter(f_rows, float).reshape(len(grid), width - nq)
+                    # H = <lam, F> - L, from one stacked pairing of the F rows, as on a stack
+                    hamiltonian[i] = (states[i, :, None, nq:width] @ f_rows[:, :, None])[:, 0, 0] - lagrangians
+                    newton_iters[i], stationarity[i] = most, residuals
+            except PontrylieError:
+                if members == 1:
+                    raise
+                generated = None  # the NumPy sweep raises the batch's own error
+        if not generated:
             y = y0
             u_warm, k1 = node(0, y, u0, (), sized)
             for k in range(len(grid) - 1):

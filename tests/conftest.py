@@ -203,8 +203,8 @@ def counting(calls, name, fn):
 
 
 def wrap_float_stages(monkeypatch, wrap):
-    """Every one-member float stage compiled from now on (by ``expr.float_stage``, for a view not yet swept on
-    floats) replaced by ``wrap(stage)``, which the generated sweep then calls: the hook through which a test sees
+    """Every float stage compiled from now on (by ``expr.float_stage``, for a view not yet swept on floats)
+    replaced by ``wrap(stage)``, which the generated sweep then calls: the hook through which a test sees
     the float sweep's solves."""
     from pontrylie import expr
 

@@ -148,6 +148,22 @@ def test_solve_reduced_grid(tmp_path, capsys):
     assert set(member.channels) == {"h", "casimir_mu3", "newton_iters", "stationarity"}
 
 
+def test_each_member_of_an_eight_member_grid_writes_the_csv_it_writes_alone(tmp_path, capsys):
+    """The 2 x 4 theta/k grid, a batch of eight swept member by member on floats: each member's CSV is byte for
+    byte the one ``--lambda0`` gives alone, set to the ``repr`` of its costate (cos theta, sin theta, k)."""
+    thetas, ks = (0.0, 0.785), (0.5, 1.0, 1.5, 2.0)
+    common = ("--builtin", "heisenberg", "--T", "0.5", "--step", "1e-2")
+    code, result, _ = run_cli(capsys, "solve-reduced", *common, "--theta", ",".join(map(repr, thetas)),
+                              "--k", ",".join(map(repr, ks)), "--out", str(tmp_path / "grid.csv"))
+    assert code == 0 and len(result["runs"]) == len(thetas) * len(ks) == 8
+    for theta in thetas:
+        for k in ks:
+            mu0 = ",".join(map(repr, heisenberg.unit_cylinder_costate(theta, k).tolist()))
+            alone = tmp_path / "alone.csv"
+            assert run_cli(capsys, "solve-reduced", *common, f"--lambda0={mu0}", "--out", str(alone))[0] == 0
+            assert (tmp_path / f"grid_theta{theta:g}_k{k:g}.csv").read_bytes() == alone.read_bytes()
+
+
 def test_failing_grid_member_exits_2_naming_it(tmp_path, capsys):
     """xi3 = u1^2/2 makes the control Hessian singular exactly where k = mu3 = 1: the grid's second member."""
     problem_file = tmp_path / "singular.json"

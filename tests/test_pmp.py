@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,8 +253,8 @@ def skewed_problems():
 @pytest.fixture
 def newton_calls(monkeypatch):
     """(iterations, residual) of every Newton solve made through ``pmp``: arrays from ``_newton``, which solves
-    stacks only, Python numbers from the float stage (``expr.float_stage``), which solves the float sweep's one
-    member."""
+    stacks only, Python numbers from the float stage (``expr.float_stage``), which solves the float sweep's
+    members."""
     calls = []
 
     def spy(solve, at):
@@ -276,10 +277,12 @@ def branches(calls):
     return kinds
 
 
-def test_one_member_gives_its_batch_bits_with_an_off_diagonal_w(newton_calls):
-    """Alone, a member takes the one-member branch and gives the bits it has in a batch, full and reduced."""
+def test_one_member_gives_its_batch_bits_with_an_off_diagonal_w(monkeypatch, newton_calls):
+    """Alone, a member takes the float sweep and gives the bits it has in a batch on the NumPy sweep (every batch,
+    here), full and reduced."""
     from pontrylie.reduction import ReducedState, integrate_reduced
 
+    monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem, reduced = skewed_problems()
     for view in (problem.view, reduced.view):
         assert view.w_inverse is not None and view.w_inverse[0, 1] != 0.0
@@ -319,12 +322,14 @@ def curved_base(value):
     curved_base("1 + 0.5*z1"),
     curved_base("sqrt(4 + z1^2)"),
 ], ids=["no-control", "dynamics-are-the-controls", "base-structure", "guarded-base-structure"])
-def test_a_generated_stage_gives_a_member_its_batch_bits(newton_calls, data):
+def test_a_generated_stage_gives_a_member_its_batch_bits(monkeypatch, newton_calls, data):
     """The float stage's edge cases: r = 0 (no Newton step), F = u (its dH entries are the controls themselves,
     and the dynamics a copy of them) and a reduced view with s > 0 and a structure function (its bracket lines,
-    in a ``try`` when guarded).  Alone, each member runs the stage and gives the bits it has in a batch."""
+    in a ``try`` when guarded).  Alone, each member runs the stage and gives the bits it has in a batch on the
+    NumPy sweep (every batch, here)."""
     from pontrylie.reduction import ReducedState, integrate_reduced
 
+    monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem, reduced = load_problem(data, "edge", "test")
     config = PmpSolverConfig(rk_step=1e-2)
     rng = np.random.default_rng(3)
@@ -378,15 +383,12 @@ def test_a_bracket_failing_only_at_the_last_node_leaves_the_trajectory():
         assert np.array_equal(together[0].channel(name), alone.channel(name)), name
 
 
-@pytest.mark.parametrize("case", ["full builtin", "reduced builtin", "full skewed", "reduced skewed"])
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(row=st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8), steps=st.integers(0, 5),
-       fraction=st.floats(0.05, 0.95))
-def test_a_member_alone_through_the_generated_sweep_gives_its_batch_bits(case, row, steps, fraction):
-    """A random member, alone through its view's generated sweep, gives the rows and channels it has in a batch
-    (the NumPy sweep) over a duration that ends in a partial step, which the sweep takes with its own h: the full
-    and reduced builtin, and the README file with the non-diagonal W of ``skewed_problems`` (a Newton step by
-    ``_w_inverse.dot``).  ``row`` is (x0, p0, u_guess) of a full member, (mu0, u_guess) of a reduced one."""
+SWEPT_CASES = ["full builtin", "reduced builtin", "full skewed", "reduced skewed"]
+
+
+def integrate_case(case, rows, duration, config):
+    """Integrate the view ``case`` of SWEPT_CASES (the full or reduced builtin, or of ``skewed_problems``) from
+    ``rows``: one row (x0, p0, u_guess) of a full member or (mu0, u_guess) of a reduced one, or a stack of rows."""
     from pontrylie.heisenberg import heisenberg_problem, heisenberg_reduced_problem
     from pontrylie.reduction import ReducedState, integrate_reduced
 
@@ -394,34 +396,84 @@ def test_a_member_alone_through_the_generated_sweep_gives_its_batch_bits(case, r
     problem = (skewed_problems() if source == "skewed" else (heisenberg_problem(), heisenberg_reduced_problem()))[
         kind == "reduced"]
     assert problem.view.stage() is not None
+    if kind == "full":
+        return integrate_pmp(problem, rows[..., :3], rows[..., 3:6], duration, config, rows[..., 6:])
+    states = [ReducedState(np.zeros(0), np.zeros(0), row[:3], row[3:5]) for row in np.atleast_2d(rows)]
+    return integrate_reduced(problem, states if rows.ndim == 2 else states[0], duration, config)
+
+
+def assert_same_bits(a, b):
+    """The trajectories ``a`` and ``b`` have the same rows and channels, bit for bit."""
+    assert np.array_equal(a.states, b.states)
+    assert a.channels.keys() == b.channels.keys()
+    for name in a.channels:
+        assert np.array_equal(a.channel(name), b.channel(name)), name
+
+
+def partial_step(steps, fraction):
+    """The config of step 0.05 and a duration of ``steps`` steps and ``fraction`` of one: its last step is partial,
+    and the sweeps take it with its own h."""
     config = PmpSolverConfig(rk_step=0.05)
     duration = (steps + fraction) * config.rk_step
     assert 0.0 < np.diff(time_grid(duration, config.rk_step))[-1] < config.rk_step
-    rows = np.array([row, row[::-1]])
-    if kind == "reduced":
-        states = [ReducedState(np.zeros(0), np.zeros(0), mu0, u) for mu0, u in zip(rows[:, :3], rows[:, 3:5])]
-        together, alone = (integrate_reduced(problem, start, duration, config) for start in (states, states[0]))
-    else:
-        together, alone = (integrate_pmp(problem, x[..., :3], x[..., 3:6], duration, config, x[..., 6:])
-                           for x in (rows, rows[0]))
-    assert np.array_equal(together[0].states, alone.states)
-    assert together[0].channels.keys() == alone.channels.keys()
-    for name in alone.channels:
-        assert np.array_equal(together[0].channel(name), alone.channel(name)), name
+    return duration, config
 
 
-def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_one_member(monkeypatch):
-    """A view compiles its float stage and sweep at its first one-member integration, in one ``compile()``, and
-    never again; a batch, a point solve and a Dirac scan compile none."""
+@pytest.mark.parametrize("case", SWEPT_CASES)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(row=st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8), steps=st.integers(0, 5),
+       fraction=st.floats(0.05, 0.95))
+def test_a_member_alone_through_the_generated_sweep_gives_its_batch_bits(case, row, steps, fraction):
+    """A random member, alone through its view's generated sweep, gives the rows and channels it has in a batch of
+    ``_FLOAT_MEMBERS + 1`` (the NumPy sweep) over a duration that ends in a partial step: the full and reduced
+    builtin, and the README file with the non-diagonal W of ``skewed_problems`` (a Newton step by
+    ``_w_inverse.dot``)."""
+    duration, config = partial_step(steps, fraction)
+    rows = np.array([row[::(-1) ** i] for i in range(pmp._FLOAT_MEMBERS + 1)])
+    assert_same_bits(integrate_case(case, rows, duration, config)[0], integrate_case(case, rows[0], duration, config))
+
+
+@pytest.mark.parametrize("case", SWEPT_CASES)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8), min_size=2, max_size=16),
+       steps=st.integers(0, 5), fraction=st.floats(0.05, 0.95))
+def test_a_small_batch_gives_each_member_its_bits_in_a_stack(case, rows, steps, fraction):
+    """A batch of 2 to ``_FLOAT_MEMBERS`` random members runs the generated sweep member by member, with no stack
+    solve, and gives each member the rows and channels it has in a batch of ``_FLOAT_MEMBERS + 1`` (the NumPy sweep;
+    the same members, then copies of the first), over a duration that ends in a partial step."""
+    duration, config = partial_step(steps, fraction)
+    rows = np.array(rows)
+    assert 2 <= len(rows) <= pmp._FLOAT_MEMBERS
+    with mock.patch.object(pmp, "_newton", wraps=_newton) as newton:
+        small = integrate_case(case, rows, duration, config)
+    assert not newton.called
+    padded = np.concatenate([rows, np.tile(rows[:1], (pmp._FLOAT_MEMBERS + 1 - len(rows), 1))])
+    stack = integrate_case(case, padded, duration, config)
+    assert len(small) == len(rows)
+    for member, in_stack in zip(small, stack):
+        assert_same_bits(member, in_stack)
+
+
+def spy_stage_compiles(monkeypatch):
+    """(views whose ``expr.float_stage`` was called, file names ``expr`` compiled) from now on."""
     from pontrylie import expr
-    from pontrylie.reduction import ReducedState, integrate_reduced, reduced_dirac_residuals
 
     compiled, compile_stage, compiles = [], expr.float_stage, []
     monkeypatch.setattr(expr, "float_stage", lambda ham: compiled.append(ham) or compile_stage(ham))
     monkeypatch.setattr(expr, "compile", lambda *args: compiles.append(args[1]) or compile(*args), raising=False)
+    return compiled, compiles
+
+
+def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_a_small_batch(monkeypatch):
+    """A view compiles its float stage and sweep at its first integration of at most ``_FLOAT_MEMBERS`` members
+    (here one), in one ``compile()``, and never again; a batch of ``_FLOAT_MEMBERS + 1``, a point solve and a Dirac
+    scan compile none."""
+    from pontrylie.reduction import ReducedState, integrate_reduced, reduced_dirac_residuals
+
+    compiled, compiles = spy_stage_compiles(monkeypatch)
     problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "test")
     config = PmpSolverConfig(rk_step=1e-2)
-    p0 = np.array([unit_cylinder_costate(theta, 1.0) for theta in (0.0, 0.5)])
+    p0 = np.array([unit_cylinder_costate(theta, 1.0) for theta in np.linspace(0.0, 0.5, pmp._FLOAT_MEMBERS + 1)])
     states = [ReducedState(np.zeros(0), np.zeros(0), mu0, np.zeros(2)) for mu0 in p0]
     batch = integrate_pmp(problem, np.zeros(3), p0, 0.1, config), integrate_reduced(reduced, states, 0.1, config)
     dirac_membership_residuals(problem, batch[0][0]), reduced_dirac_residuals(reduced, batch[1][0])
@@ -435,6 +487,96 @@ def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_one_member(monke
     for view in (problem.view, reduced.view):
         make, sweep = view.stage()
         assert make.__globals__ is sweep.__globals__  # run from the one compiled code object
+
+
+def test_a_small_batch_compiles_its_views_code_once_and_a_larger_one_none(monkeypatch):
+    """A batch of 2 to ``_FLOAT_MEMBERS`` members compiles its view's stage and sweep once, at its first integration;
+    a second small batch and a batch of ``_FLOAT_MEMBERS + 1`` compile nothing."""
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "test")
+    problem.view, reduced.view  # compiles the views' tables
+    compiled, compiles = spy_stage_compiles(monkeypatch)
+    config = PmpSolverConfig(rk_step=1e-2)
+    p0 = np.array([unit_cylinder_costate(theta, 1.0) for theta in np.linspace(0.0, 0.5, pmp._FLOAT_MEMBERS + 1)])
+    states = [ReducedState(np.zeros(0), np.zeros(0), mu0, np.zeros(2)) for mu0 in p0]
+    for members in (2, pmp._FLOAT_MEMBERS):
+        integrate_pmp(problem, np.zeros(3), p0[:members], 0.1, config)
+        integrate_reduced(reduced, states[:members], 0.1, config)
+    assert [ham.dH for ham in compiled] == [problem.view.dH, reduced.view.dH]
+    assert compiles == ["<pontrylie.expr stage>"] * 2
+    compiled.clear(), compiles.clear()
+    integrate_pmp(problem, np.zeros(3), p0, 0.1, config), integrate_reduced(reduced, states, 0.1, config)
+    assert compiled == compiles == []
+
+
+@pytest.mark.parametrize("lagrangian, kind", [
+    ("0.5*u1^2 - u1*sqrt(1 - x1)", ExprEvaluationError),  # dH/du, a guarded table, once x1 passes 1
+    ("0.5*u1^2 - u1*(x2*1e154)^2/1e308", EvaluationError),  # dH overflows to inf once x2 passes about 0.64
+    ("0.5*u1^2 + 1.7e308 + 1e307*x2", EvaluationError),  # L overflows to inf once x2 passes about 0.97
+])
+@pytest.mark.parametrize("x0, failing", [
+    ([[-5.0, -0.5], [0.95, 0.5], [-5.0, -0.5]], [1]),
+    ([[-5.0, -0.5], [0.5, 0.2], [0.95, 0.5]], [2, 1]),  # member 2 fails first
+], ids=["one-failing-member", "two-failing-members"])
+def test_a_failing_small_batch_raises_the_error_of_the_numpy_sweep(monkeypatch, lagrangian, kind, x0, failing):
+    """A problem file (x1_dot = u1, x2_dot = 1) whose batch of three has a failing member other than 0, or two that
+    fail at different times.  The float sweep fails on a member, and the batch raises the type, message, time,
+    member, state, residual and point of the NumPy sweep, the ones a batch of ``_FLOAT_MEMBERS + 1`` raises (the
+    same members, then copies of member 0): at the earliest failure's time, which the float sweep, member by member,
+    may not reach first."""
+    problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
+    calls = collections.Counter()
+    wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
+    config = PmpSolverConfig(rk_step=0.01)
+    failures, swept = [], []
+    for rows in (x0, x0 + x0[:1] * (pmp._FLOAT_MEMBERS + 1 - len(x0)), [x0[failing[0]]], [x0[failing[-1]]]):
+        calls.clear()
+        with pytest.raises(kind) as err:
+            integrate_pmp(problem, rows, [[1.0, 0.0]] * len(rows), 1.0, config)
+        failures.append(failure_fields(err.value))
+        swept.append(calls["float sweep solves"])
+    small, stack, first, last = failures
+    assert swept[0] > 0 and swept[1] == 0
+    assert small == stack
+    assert small[3] == (None if kind is ExprEvaluationError else failing[0])
+    assert small[2] == first[2] > 0.0 and (len(failing) == 1 or first[2] < last[2])
+
+
+def test_a_hand_written_numpy_problem_runs_the_numpy_sweep(newton_calls):
+    """A problem of hand-written NumPy callables (``conftest.heisenberg_oracle_problem``) has no generated stage: a
+    small batch and one member run the NumPy sweep, and give the bits of the README file's generated sweep."""
+    problem, heis_problem = heisenberg_oracle_problem(), load_problem(json.loads(PROBLEM_JSON), "heisenberg", "test")[0]
+    assert problem.view.stage() is None
+    config = PmpSolverConfig(rk_step=1e-2)
+    p0 = np.array([unit_cylinder_costate(theta, k) for theta, k in ((0.0, 1.0), (0.7, 0.5), (2.0, 2.0))])
+    for start in (p0, p0[1]):
+        oracle = integrate_pmp(problem, np.zeros(3), start, 0.5, config)
+        assert branches(newton_calls) == {(np.ndarray, np.ndarray)}
+        builtin = integrate_pmp(heis_problem, np.zeros(3), start, 0.5, config)
+        assert branches(newton_calls) == {(int, float)}
+        for a, b in zip(np.atleast_1d(oracle), np.atleast_1d(builtin)):
+            assert np.array_equal(a.states, b.states) and np.array_equal(a.channel("H"), b.channel("H"))
+
+
+def test_a_compiled_table_failure_names_its_time_and_a_lone_member():
+    """A guarded table's ExprEvaluationError is re-raised at its grid time: the README file on the base z1 = t,
+    whose structure function 1/(z1 - 1) divides by zero at the fourth stage of the last step (step 0.25, T = 1).
+    It keeps its type, message and offset; alone it names member 0, in a batch (small, or on the NumPy sweep) no
+    member, since a stack's table cannot tell which member failed."""
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    data = json.loads(PROBLEM_JSON)
+    data["reduced"].update(s=2, base_dynamics=["1", "0"], base_structure=[[0, 1, 2, "1/(z1 - 1)"]])
+    reduced = load_problem(data, "edge", "test")[1]
+    states = [ReducedState(np.zeros(2), np.zeros(2), np.array([1.0, 0.0, k]), np.zeros(2))
+              for k in np.linspace(0.5, 1.5, pmp._FLOAT_MEMBERS + 1)]
+    for start, member in ((states[0], 0), (states[:2], None), (states, None)):
+        with pytest.raises(ExprEvaluationError) as err:
+            integrate_reduced(reduced, start, 1.0, PmpSolverConfig(rk_step=0.25))
+        named = "" if member is None else f"member {member} "
+        assert str(err.value) == f"division by zero (at offset 1) ({named}while stepping from t=0.75)"
+        assert err.value.pos == 1 and err.value.t == 0.75 and err.value.member == member
 
 
 def stiffening_problem():
@@ -491,11 +633,22 @@ def test_a_one_member_failure_is_the_one_it_has_in_a_batch(newton_calls, problem
 
 
 def failure_fields(err):
-    """Type, message, t, member, state, residual and point of ``err`` (None where it has none), arrays as lists."""
+    """Type, message, t, member, state, residual, point and offset ``pos`` of ``err`` (None where it has none),
+    arrays as lists."""
     state, residual, point = (getattr(err, name, None) for name in ("state", "residual", "point"))
     return (type(err), str(err), getattr(err, "t", None), getattr(err, "member", None),
             None if state is None else state.tolist(), residual,
-            None if point is None else [np.asarray(v).tolist() for v in point])
+            None if point is None else [np.asarray(v).tolist() for v in point], getattr(err, "pos", None))
+
+
+def as_in_a_stack(fields):
+    """``failure_fields`` of a one-member failure as a stack raises it: a compiled table's ExprEvaluationError names
+    member 0 when alone, and no member in a stack, whose table cannot tell which member failed."""
+    kind, message, t, member, *rest = fields
+    if kind is not ExprEvaluationError:
+        return fields
+    assert member == 0 and message.count("(member 0 ") == 1
+    return (kind, message.replace("(member 0 ", "("), t, None, *rest)
 
 
 @pytest.mark.parametrize("lagrangian, kind, message", [
@@ -509,8 +662,10 @@ def failure_fields(err):
 ])
 def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, kind, message):
     """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails mid-run; the other two stay finite.  Alone it
-    runs the float sweep (its solves are the float stage's) and fails with the type, message, time, member, state, residual and point it has in the
-    batch, at the same node: the Lagrangian is called once per node up to the failing one, as in the batch."""
+    runs the float sweep (its solves are the float stage's) and fails with the type, message, time, member, state,
+    residual and point it has in a batch on the NumPy sweep (every batch, here; ``as_in_a_stack``), at the same
+    node: the Lagrangian is called once per node up to the failing one, as in the batch."""
+    monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
     wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
@@ -525,7 +680,7 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
         failures.append(failure_fields(err.value))
         lagrangians.append(calls["lagrangian"])
     assert calls["float sweep solves"] > 1  # alone, and not in the batch
-    assert failures[0] == failures[1]
+    assert failures[0] == as_in_a_stack(failures[1])
     assert lagrangians[0] == lagrangians[1] > 1
     if kind is EvaluationError:
         assert lagrangians[1] == round(err.value.t / config.rk_step) + 1
@@ -543,8 +698,9 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
 ])
 def test_a_failure_inside_the_float_stage_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, config, kind, message):
     """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails at a stage, inside the stage's own lines, the
-    other two never: alone it fails with the type, message, time, member, state, residual and point it has in
-    the batch."""
+    other two never: alone it fails with the type, message, time, member, state, residual and point it has in a
+    batch on the NumPy sweep (every batch, here; ``as_in_a_stack``)."""
+    monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
     wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
@@ -557,7 +713,7 @@ def test_a_failure_inside_the_float_stage_is_the_one_it_has_in_a_batch(monkeypat
             integrate_pmp(problem, x, p, 1.0, config)
         failures.append(failure_fields(err.value))
     assert calls["float sweep solves"] > 1
-    assert failures[0] == failures[1]
+    assert failures[0] == as_in_a_stack(failures[1])
 
 
 def test_optimal_feedback_of_one_point_is_the_stacks_bit_for_bit():

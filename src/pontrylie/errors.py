@@ -61,7 +61,7 @@ class RegularityError(SolverError):
 
 class ExprEvaluationError(PontrylieError, ArithmeticError):
     """Runtime failure (division by zero, domain error) of an expression; carries the node offset and, from an
-    integration, the time (nan when unknown) and the failing member's index (None when unknown, as in a stack)."""
+    integration, the time (nan when unknown) and the failing member's flat index (None when unknown)."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")

@@ -627,9 +627,10 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
       (Python floats raise on their own), with ``sin``, ``cos``,
       ``exp`` and powers other than 2 computed by ``math`` (member by member
       on a stack; NumPy's differ in the last bit); on any arithmetic failure
-      the tree walker re-runs member by member and raises the first member's
-      ``ExprEvaluationError`` with the source offset, or, when no member
-      fails (an overflow to inf, an underflow), returns its values.
+      the tree walker re-runs member by member and raises the first failing
+      member's ``ExprEvaluationError`` with the source offset and the
+      member's flat index as ``member``, or, when no member fails (an
+      overflow to inf, an underflow), returns its values.
     """
     constants, source = {}, []
     for index, (table, arguments) in enumerate(tables):
@@ -656,16 +657,20 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
         source += [f"def _f{index}({params}):", *(f"    {line}" for line in body)]
 
     def walk(index, args):
-        """The tree walker on every member: the first failing member's error, else the values."""
+        """The tree walker on every member: the first failing member's error, naming its flat index, else the values."""
         table, arguments = tables[index]
         args = [np.asarray(a, dtype=float) for a in args]
         lead = args[0].shape[:-1]
         count = math.prod(lead)
         nodes = table.ravel()
         values = []
-        for row in zip(*(a.reshape(count, a.shape[-1]).tolist() for a in args)):
+        for member, row in enumerate(zip(*(a.reshape(count, a.shape[-1]).tolist() for a in args))):
             bindings = {var: value for group, vector in zip(arguments, row) for var, value in zip(group, vector)}
-            values.append([_eval_node(node, bindings) for node in nodes])
+            try:
+                values.append([_eval_node(node, bindings) for node in nodes])
+            except ExprEvaluationError as exc:
+                exc.member = member
+                raise
         return np.array(values, dtype=float).reshape(lead + table.shape)[()]
 
     namespace = dict(_ARITHMETIC, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _one_member=_one_member,
@@ -698,88 +703,110 @@ def _newton_step(w_inverse: np.ndarray, g: Sequence[str]) -> str:
     return f"_w_inverse.dot([{', '.join(g)}]).tolist()"
 
 
-def float_stage(ham) -> Optional[Tuple[Callable, Callable]]:
-    """The one-member stage and sweep of ``pmp._rk4_dae`` for the view ``ham``, (make, sweep) from one ``compile()``;
-    None unless ``ham`` has compiled dH, L and bracket and a regular constant W.
+def _nonfinite(*point) -> EvaluationError:
+    """The error of a non-finite Hamiltonian partial of the lone member at ``point``, the lists (q, lam, u)."""
+    return EvaluationError("non-finite Hamiltonian partial", point=tuple(map(np.array, point)), member=0)
 
-    ``make(newton_tol, newton_max_iter)`` gives ``stage(y, u, check=None, field=True)``, which gives (y_dot, u*,
-    iterations, residual, grad) at y = (q, lam) on lists of Python floats: ``ocp._newton``'s solve from u (its
-    checks, its errors, of member 0, and ``_newton_step``), then the finiteness check of grad and, with ``field``
-    (else y_dot is None), ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH and
-    bracket lines are inlined (``_inline``); a ``check`` is called on (1, width) arrays of (q, lam, u) for dH instead.
 
-    ``sweep(stage, grid, y, u, check, located)`` is RK4 over the nodes ``grid`` from the lists y and u, written for
-    the view's widths: per step 3 stage calls and the node's, the updates ``y + c * v`` and ``y + h/6 * (k1 + 2 k2 +
-    2 k3 + k4)`` of the stack unrolled per component, h read per step.  A node's stage takes ``check`` at node 0 and
-    no field at the last; then L, and a fold of H = <lam, F> - L whose non-finite value the stacked
-    ``ocp._hamiltonian_value`` raises.  A failing stage is re-raised as ``located(exc, "while stepping from", t, y)``,
-    t the start of the step and y the stage's own, a failing node as ``located(exc, "at", t, y)``.  Returns lists per
-    node: the rows (y, u*) and the F entries of dH, both flat, and L, the most iterations of the step's solves and
-    the residual.
+def _exhausted(max_iter: int, residual: float) -> ConvergenceError:
+    """The error of the lone member's Newton solve that took ``max_iter`` steps and stayed at ``residual``."""
+    return ConvergenceError(f"control Newton exhausted {max_iter} iterations", residual=residual, member=0)
+
+
+def float_stage(ham) -> Optional[Callable]:
+    """The one-member RK4 sweep of ``pmp._rk4_dae`` for the view ``ham``, one function from one ``compile()``; None
+    unless ``ham`` has compiled dH, L and bracket and a regular constant W.
+
+    ``sweep(grid, y, u, check, located, tol, max_iter)`` is RK4 over the nodes ``grid`` from the lists y = (q, lam)
+    and u of Python floats, written for the view's widths.  Each step writes out four solves, of stages 2-4 and of
+    the next node (stage 1 reuses the node's), each warm started from the previous one's control: ``ocp._newton``'s
+    solve with ``tol`` and ``max_iter`` (its checks, its errors, of member 0, and ``_newton_step``), then the
+    finiteness check of dH (one ``isfinite`` of the sum of 0.0 * v, NaN exactly when an entry v is not finite) and
+    ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH and bracket lines are inlined
+    (``_inline``); node 0's solve reads ``check`` on (1, width) arrays of (q, lam, u) for dH instead, and no step
+    reads the last node's field, so it is not computed.  The updates ``y + c * v`` and ``y + h/6 * (k1 + 2 k2 + 2 k3
+    + k4)`` of the stack are unrolled per component, h read per step.  A node's solve is followed by L, and a fold
+    of H = <lam, F> - L whose non-finite value the stacked ``ocp._hamiltonian_value`` raises.  A failing stage is
+    re-raised as ``located(exc, "while stepping from", t, y)``, t the start of the step and y the stage's own state,
+    a failing node as ``located(exc, "at", t, y)``.  Returns lists per node: the rows (y, u*) and the F entries of
+    dH, both flat, and L, the most iterations of the step's solves and the residual.
     """
     if ham.w_inverse is None or not all(hasattr(fn, "table") for fn in {ham.dH, ham.L, ham.bracket} - {None}):
         return None
     table, arguments = ham.dH.table
     nq, k, r = map(len, arguments)
-    y, u, s, d = ([f"_{c}{i}" for i in range(size)] for c, size in zip("yusd", (nq + k, r, r, table.size)))
+    y, s, u, n, d = ([f"_{c}{i}" for i in range(size)] for c, size in zip("ysund", (nq + k, nq + k, r, r, table.size)))
     g, dq, f = d[:r], d[r : r + nq], d[r + nq :]
-    q, lam, controls = (f"[{', '.join(v)}]" for v in (y[:nq], y[nq:], u))
-    point = f"{q}, {lam}, {controls}"
-    gradient = _inline(table, dict(zip([v for group in arguments for v in group], y + u)), d, f"_dH({point})")
-    field, y_dot = [], f + [f"-{v}" for v in dq]
-    if ham.bracket is not None:  # lam_dot = -B f, less (dH/dq, 0); the dH temporaries are dead by then
-        (b_table, b_arguments), b = ham.bracket.table, [f"_b{i}" for i in range(k)]
-        lists = ", ".join(f"[{', '.join(v)}]" for v in (y[:nq], y[nq:], f))
-        field = _inline(b_table, dict(zip([v for group in b_arguments for v in group], y + f)), b, f"_bracket({lists})")
-        y_dot = f[:nq] + [f"{a} - {v}" for a, v in zip(b, dq)] + b[nq:]
-    residual = f"max({', '.join(f'abs({v})' for v in g)})" if r > 1 else f"abs({g[0]})" if r else "0.0"
-    error = f"_EvaluationError('non-finite Hamiltonian partial', point=tuple(map(_array, ({point}))), member=0)"
-    stage = [
-        f"{', '.join(y)}, = y", f"[{', '.join(u)}] = u", "for _i in _iterations:",
-        "    if _check is None:", *(f"        {line}" for line in gradient),
-        "    else:", f"        {', '.join(d)}, = _check(*(_array([v]) for v in ({point})))[0].tolist()",
-        f"    if not ({' and '.join(f'_isfinite({v})' for v in g) or 'True'}):", f"        raise {error}",
-        f"    _residual = {residual}", "    if _residual <= _tol:", "        break", "    if _i == _max:",
-        "        raise _ConvergenceError(f'control Newton exhausted {_max} iterations', residual=_residual, member=0)",
-        f"    [{', '.join(s)}] = {_newton_step(ham.w_inverse, g)}",
-        f"    [{', '.join(u)}] = [{', '.join(f'{a} - {b}' for a, b in zip(u, s))}]",
-        f"_grad = [{', '.join(d)}]", "if not all(map(_isfinite, _grad)):", f"    raise {error}",
-        "if not _field:", f"    return None, [{', '.join(u)}], _i, _residual, _grad", *field,
-        f"return [{', '.join(y_dot)}], [{', '.join(u)}], _i, _residual, _grad",
-    ]
     ks = [[f"_k{j}_{i}" for i in range(nq + k)] for j in range(1, 5)]
+
+    def listed(*blocks, around="[{}]"):
+        return ", ".join(around.format(", ".join(block)) for block in blocks)
+
+    def indented(lines):
+        return [f"    {line}" for line in lines]
+
+    # max |dH/du| as the stack's np.abs(g).max(initial=0.0) on finite g, without calls: |v| is v if v > 0.0 else
+    # 0.0 - v (+0.0 at -0.0, as abs), and a later entry replaces the residual only when larger, as in max()
+    absolute = [f"{v} if {v} > 0.0 else 0.0 - {v}" for v in g] or ["0.0"]
+    residual = [f"_residual = {absolute[0]}"]
+    for a in absolute[1:]:
+        residual += [f"_a = {a}", "if _a > _residual: _residual = _a"]
+    newton_step = [f"[{', '.join(n)}] = {_newton_step(ham.w_inverse, g)}",
+                   f"[{', '.join(u)}] = [{', '.join(f'{a} - {b}' for a, b in zip(u, n))}]"]
+
+    def solve(state, i, targets, node=False):
+        """The lines of one solve at the locals ``state`` = (q, lam) from the controls u, its iterations counted in
+        ``i``, setting ``targets`` to the vector field (at a node, only before the last)."""
+        point = listed(state[:nq], state[nq:], u)
+        gradient = _inline(table, dict(zip([v for group in arguments for v in group], state + u)), d, f"_dH({point})")
+        if node:
+            gradient = ["if _check is None:", *indented(gradient), "else:",
+                        f"    {', '.join(d)}, = _check({listed(state[:nq], state[nq:], u, around='_array([[{}]])')})"
+                        "[0].tolist()"]
+        loop = [f"for {i} in _iterations:", *indented(gradient),
+                f"    if not ({' and '.join(f'_isfinite({v})' for v in g) or 'True'}): raise _nonfinite({point})",
+                *indented(residual), "    if _residual <= _tol: break",
+                f"    if {i} == _max: raise _exhausted(_max, _residual)", *indented(newton_step),
+                f"if not _isfinite({' + '.join(f'0.0 * {v}' for v in d)}): raise _nonfinite({point})"]
+        field, y_dot = [], f + [f"-{v}" for v in dq]
+        if ham.bracket is not None:  # lam_dot = -B f, less (dH/dq, 0); the dH temporaries are dead by then
+            (b_table, b_arguments), b = ham.bracket.table, [f"_b{j}" for j in range(k)]
+            names = dict(zip([v for group in b_arguments for v in group], state + f))
+            field = _inline(b_table, names, b, f"_bracket({listed(state[:nq], state[nq:], f)})")
+            y_dot = f[:nq] + [f"{a} - {v}" for a, v in zip(b, dq)] + b[nq:]
+        field.append(f"{', '.join(targets)}, = {', '.join(y_dot)},")
+        return loop + (["if _k < _last:", *indented(field)] if node else field)
+
     stages = []
-    for c, warm, into, iterations in (("_c", *ks[:2], "_i2"), ("_c", *ks[1:3], "_i3"), ("_h", *ks[2:], "_i4")):
-        stages += [f"_s = [{', '.join(f'{a} + {c} * {v}' for a, v in zip(y, warm))}]",
-                   f"[{', '.join(into)}], _u, {iterations}, _, _ = _stage(_s, _u)"]
+    for c, warm, into, i in (("_c", *ks[:2], "_i2"), ("_c", *ks[1:3], "_i3"), ("_h", *ks[2:], "_i4")):
+        stages += [f"{', '.join(s)}, = {', '.join(f'{a} + {c} * {v}' for a, v in zip(y, warm))},", *solve(s, i, into)]
     update = (f"{a} + _c * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})" for a, b1, b2, b3, b4 in zip(y, *ks))
-    fold = " + ".join(f"{a} * _g[{r + nq + i}]" for i, a in enumerate(y[nq:])) or "0.0"
+    fold = " + ".join(f"{a} * {v}" for a, v in zip(y[nq:], f)) or "0.0"
     sweep = [
-        "_rows, _fs, _lagrangians, _most, _residuals = [], [], [], [], []",
-        f"{', '.join(y)}, = y", "_i2 = _i3 = _i4 = 0", "_last = len(grid) - 1", "for _k in range(_last + 1):",
+        "_iterations = range(_max + 1)", "_rows, _fs, _lagrangians, _most, _residuals = [], [], [], [], []",
+        f"{', '.join(y)}, = y", f"[{', '.join(u)}] = _u", "_i2 = _i3 = _i4 = 0", "_last = len(grid) - 1",
+        "for _k in range(_last + 1):",
         "    if _k:", "        _t = grid[_k - 1]", "        _h = grid[_k] - _t", "        _c = 0.5 * _h",
-        f"        {', '.join(ks[0])}, = _k1", "        try:", *(f"            {line}" for line in stages),
-        "        except _FAILURES as _exc:",
-        "            raise _located(_exc, 'while stepping from', _t, _s) from _exc",
-        "        _c = _h / 6.0", f"        {', '.join(y)}, = {', '.join(update)},", f"    _y = [{', '.join(y)}]",
-        "    try:", "        _k1, _u, _i, _residual, _g = _stage(_y, _u, _check, _k < _last)",
-        f"        _lagrangian = _L({q}, _u)", f"        if not _isfinite({fold} - _lagrangian):",
-        f"            _hamiltonian_value(*(_array([v]) for v in ({q}, {lam}, _u, _g[{r + nq}:])), _lagrangian)",
-        "    except _FAILURES as _exc:", "        raise _located(_exc, 'at', grid[_k], _y) from _exc",
-        "    _check = None", "    _rows += _y", "    _rows += _u", f"    _fs += _g[{r + nq}:]",
+        "        try:", *(f"            {line}" for line in stages), "        except _FAILURES as _exc:",
+        f"            raise _located(_exc, 'while stepping from', _t, [{', '.join(s)}]) from _exc",
+        "        _c = _h / 6.0", f"        {', '.join(y)}, = {', '.join(update)},",
+        "    try:", *(f"        {line}" for line in solve(y, "_i", ks[0], node=True)),
+        f"        _lagrangian = _L({listed(y[:nq], u)})",
+        f"        if not _isfinite({fold} - _lagrangian):",
+        f"            _hamiltonian_value({listed(y[:nq], y[nq:], u, f, around='_array([[{}]])')}, _lagrangian)",
+        "    except _FAILURES as _exc:", f"        raise _located(_exc, 'at', grid[_k], [{', '.join(y)}]) from _exc",
+        "    _check = None", f"    _rows += [{', '.join(y + u)}]", f"    _fs += [{', '.join(f)}]",
         "    _lagrangians.append(_lagrangian)", "    _most.append(max(_i2, _i3, _i4, _i))",
         "    _residuals.append(_residual)",
         "return _rows, _fs, _lagrangians, _most, _residuals",
     ]
-    source = ["def _make(_tol, _max):", "    _iterations = range(_max + 1)",
-              "    def _stage(y, u, _check=None, _field=True):", *(f"        {line}" for line in stage), "    return _stage",
-              "def _sweep(_stage, grid, y, _u, _check, _located):", *(f"    {line}" for line in sweep)]
+    source = ["def _sweep(grid, y, _u, _check, _located, _tol, _max):", *indented(sweep)]
     namespace = dict(_ARITHMETIC, _array=np.array, _isfinite=math.isfinite, _dH=ham.dH, _bracket=ham.bracket,
                      _L=ham.L, _w_inverse=ham.w_inverse, _hamiltonian_value=_hamiltonian_value,
-                     _EvaluationError=EvaluationError, _ConvergenceError=ConvergenceError,
+                     _nonfinite=_nonfinite, _exhausted=_exhausted,
                      _FAILURES=(SolverError, EvaluationError, ExprEvaluationError))
     exec(compile("\n".join(source), "<pontrylie.expr stage>", "exec"), namespace)
-    return namespace["_make"], namespace["_sweep"]
+    return namespace["_sweep"]
 
 
 # ---------------------------------------------------------------- problem files

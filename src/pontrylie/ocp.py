@@ -38,7 +38,7 @@ import numpy as np
 
 from ._fd import fd_gradient, fd_hessian_direct, fd_jacobian
 from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, NonNilpotentError, PontrylieError
-from .errors import RegularityError
+from .errors import ExprEvaluationError, RegularityError
 from .lie import GroupElement, LieAlgebraSpec, _exp_series, _is_nilpotent, exp_nilpotent, left_invariant_frame
 from .lie import log_nilpotent
 
@@ -295,7 +295,7 @@ class ControlledHamiltonian(NamedTuple):
     matrix B of the Poisson bracket's non-canonical part and ``bracket(q, lam, f)`` the product -B f that
     ``_hamilton_field`` reads; None for both means B = 0, and then k = nq.  ``w`` is W when it is the same at
     every point (a ``constant``), else None, and ``w_inverse`` its inverse, None when W is singular.  Every
-    callable is stacked (see ``stacked``) but ``stage()``, which gives the view's one-member stage and sweep
+    callable is stacked (see ``stacked``) but ``stage()``, which gives the view's generated one-member RK4 sweep
     (``expr.float_stage``, None where it does not apply), compiled in one ``compile()`` at its first call.
     """
 
@@ -437,8 +437,9 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
     is evaluated only at the members that take a step.  Returns (u*,
     iterations, residual, dH at u* unchecked), iterations and residual
     arrays of the stack's leading shape.  A failure names the flat index
-    of the first failing member; a non-finite dH/du raises EvaluationError
-    at its point.
+    of the first failing member (of the whole stack, also where W was
+    evaluated at the stepping members only); a non-finite dH/du raises
+    EvaluationError at its point.
     """
     u = np.array(u_guess, dtype=float, ndmin=1)
     r, lead = u.shape[-1], u.shape[:-1]
@@ -463,8 +464,13 @@ def _newton(ham: ControlledHamiltonian, q, lam, u_guess, config):
             singular = ham.w_inverse is None  # one W for every member
         else:
             qa, la, ua, ga = (q, lam, u, g) if everyone else (q[active], lam[active], u[active], g[active])
-            w = ham.d2H_du2(qa, la, ua)
-            _require_finite(w.reshape(ua.shape[:-1] + (-1,)), "non-finite Hamiltonian partial", qa, la, ua)
+            try:
+                w = ham.d2H_du2(qa, la, ua)
+                _require_finite(w.reshape(ua.shape[:-1] + (-1,)), "non-finite Hamiltonian partial", qa, la, ua)
+            except (EvaluationError, ExprEvaluationError) as exc:  # it names a member of the active ones
+                if not everyone and exc.member is not None:
+                    exc.member = int(np.flatnonzero(active)[exc.member])
+                raise
             regular = _is_regular(w)
             singular = not regular.all()
         if singular:

@@ -47,6 +47,8 @@ class PmpSolverConfig:
 
 
 _STATE_COLUMN_RE = re.compile(r"^(x|p|u|z|pz|mu)\d+$")
+# rows of a trajectory CSV formatted by one % (``Trajectory.to_csv``)
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,14 @@ class Trajectory:
     def to_csv(self, path) -> None:
         names = sorted(self.channels)
         table = np.column_stack([self.times, self.states, *(self.channels[k] for k in names)])
+        # np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n") applies this format to each row; one % per block
+        # of rows writes the same bytes with less per-row overhead, the block bounding the transient strings
+        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", *self.columns, *names])
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
+            for start in range(0, len(table), _CSV_BLOCK):
+                block = table[start : start + _CSV_BLOCK]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
     def to_json(self, path) -> None:
         payload = {
@@ -251,8 +258,9 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-# The largest batch swept member by member on floats: per member-step, a NumPy stack of more members is cheaper
-# (BENCH_small_batch_sweep.json)
+# The largest batch swept member by member on floats: per member-step, a NumPy stack of more members was cheaper
+# while the float sweep called a stage function (BENCH_small_batch_sweep.json); the fused sweep stays cheaper up to
+# about 28 members (BENCH_fused_sweep.json)
 _FLOAT_MEMBERS = 16
 
 
@@ -264,21 +272,21 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     warm started from the previous stage's control; stage 1 reuses the node's converged solve, taken at the same
     (y, u*).  A solve reads only the view's gradient ``dH`` = (dH/du, dH/dq, F), once per iterate, so the last
     iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form; not at the last node, whose
-    y_dot no step reads) and H.  Up to ``_FLOAT_MEMBERS`` members whose view has a generated stage (``ham.stage()``;
-    its ``dH`` of the sweep's ``widths``) run the view's generated sweep instead, member by member with one stage: a
-    loop on Python floats that repeats the stack's float operations, so the bits are the same; a member's lists
-    become its rows here, H from one stacked pairing of its F rows.  If a member of 2 or more fails there, the NumPy
-    sweep runs the batch and raises its own error, so user callbacks (a Lagrangian, say) may run twice up to it.
-    Either sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite
-    value still raises EvaluationError at its point, and guarded compiled tables still raise inside it.
+    y_dot no step reads) and H.  Up to ``_FLOAT_MEMBERS`` members whose view has a generated sweep (``ham.stage()``;
+    its ``dH`` of the sweep's ``widths``) run that one function instead, member by member: RK4 on Python floats with
+    every solve of a step written out in it, which repeats the stack's float operations, so the bits are the same; a
+    member's lists become its rows here, H from one stacked pairing of its F rows.  If a member of 2 or more fails
+    there, the NumPy sweep runs the batch and raises its own error, so user callbacks (a Lagrangian, say) may run
+    twice up to it.  Either sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings:
+    a non-finite value still raises EvaluationError at its point, and guarded compiled tables still raise inside it.
     Every grid node records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of
     ``blocks`` (q first), then u1..; H under ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
     updates of any solve of the step ending at the node) and "stationarity" (the node's residual max |dH/du|), each
     in one (members, nodes) array.  Solver and evaluation errors are re-raised with the failing member's index and
     the grid time (of the node, or of the start of the step whose stage failed); a solver error also with the
     (q, lam) row Newton was solving at.  A compiled table's ExprEvaluationError keeps its type, message and offset
-    and gains the time, and ``member`` 0 when there is one member (a stack's table does not name its member, so in
-    a batch it stays None).  After the sweep a non-finite recorded row, which no evaluation may have read, raises
+    and gains the time; its member is the one the table's tree walker names (``expr.compile_tables``), 0 when there
+    is one member.  After the sweep a non-finite recorded row, which no evaluation may have read, raises
     EvaluationError at the first one (earliest node, then lowest member).
     Returns one Trajectory per member.
     """
@@ -289,11 +297,11 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     hamiltonian, newton_iters, stationarity = (np.empty((members, len(times))) for _ in range(3))
     # node 0 reads the checked gradient: its width and its F entries
     sized = _sized_gradient(ham, nq, width - nq, r)
-    generated = members <= _FLOAT_MEMBERS and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
+    sweep = members <= _FLOAT_MEMBERS and getattr(ham.dH, "widths", None) == (nq, width - nq, r) and ham.stage()
 
     def located(exc, where, t, y):
         """``exc`` again, its message and fields naming the failing member (if known) and the grid time."""
-        i = (0 if members == 1 else None) if isinstance(exc, ExprEvaluationError) else exc.member
+        i = 0 if members == 1 and isinstance(exc, ExprEvaluationError) else exc.member
         message = f"{exc} ({'' if i is None else f'member {i} '}{where} t={t:.6g})"
         if isinstance(exc, SolverError):
             return type(exc)(message, residual=exc.residual, t=t, state=np.atleast_2d(y)[i], member=i)
@@ -333,12 +341,11 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
 
     grid = times.tolist()  # Python floats, as the generated sweep's arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        if generated:  # the view's generated sweep, on Python floats, calling its stage, member by member
-            make, sweep = generated
-            float_stage = make(config.newton_tol, config.newton_max_iter)
+        if sweep:  # the view's generated sweep, on Python floats, member by member
             try:
                 for i, (y, u) in enumerate(zip(y0.tolist(), u0.tolist())):
-                    rows, f_rows, lagrangians, most, residuals = sweep(float_stage, grid, y, u, sized.dH, located)
+                    rows, f_rows, lagrangians, most, residuals = sweep(
+                        grid, y, u, sized.dH, located, config.newton_tol, config.newton_max_iter)
                     states[i] = np.fromiter(rows, float).reshape(len(grid), width + r)
                     f_rows = np.fromiter(f_rows, float).reshape(len(grid), width - nq)
                     # H = <lam, F> - L, from one stacked pairing of the F rows, as on a stack
@@ -347,8 +354,8 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
             except PontrylieError:
                 if members == 1:
                     raise
-                generated = None  # the NumPy sweep raises the batch's own error
-        if not generated:
+                sweep = None  # the NumPy sweep raises the batch's own error
+        if not sweep:
             y = y0
             u_warm, k1 = node(0, y, u0, (), sized)
             for k in range(len(grid) - 1):

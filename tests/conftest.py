@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -202,19 +204,53 @@ def counting(calls, name, fn):
     return called
 
 
-def wrap_float_stages(monkeypatch, wrap):
-    """Every float stage compiled from now on (by ``expr.float_stage``, for a view not yet swept on floats)
-    replaced by ``wrap(stage)``, which the generated sweep then calls: the hook through which a test sees
-    the float sweep's solves."""
+def wrap_float_sweeps(monkeypatch, wrap):
+    """Every generated sweep compiled from now on (by ``expr.float_stage``, for a view not yet swept on floats)
+    replaced by ``wrap(sweep, source)``, ``source`` the text it was compiled from, which ``pmp._rk4_dae`` then calls
+    once per member: the hook through which a test sees the float sweep."""
     from pontrylie import expr
 
-    compile_stage = expr.float_stage
+    compile_sweep = expr.float_stage
 
     def compiled(ham):
-        generated = compile_stage(ham)
-        if generated is None:
-            return None
-        make, sweep = generated
-        return (lambda newton_tol, newton_max_iter: wrap(make(newton_tol, newton_max_iter))), sweep
+        sources = []
+        with monkeypatch.context() as patch:
+            patch.setattr(expr, "compile", lambda text, *args: sources.append(text) or compile(text, *args),
+                          raising=False)
+            sweep = compile_sweep(ham)
+        return None if sweep is None else wrap(sweep, sources[-1])
 
     monkeypatch.setattr(expr, "float_stage", compiled)
+
+
+def count_float_solves(monkeypatch, counts):
+    """Count into ``counts``, for every generated sweep compiled from now on, the Newton solves it finishes ("float
+    solves": the finiteness check of dH after each solve's loop) and its evaluations of the inlined dH lines ("dH":
+    one per iterate, the line assigning the entries or its guarded fallback; node 0 reads ``check`` instead), by
+    tracing the line events of the generated code with ``sys.settrace``."""
+
+    def traced(sweep, source):
+        kinds = {}
+        for number, line in enumerate(source.splitlines(), start=1):
+            text = line.strip()
+            if text.startswith("if not _isfinite(0.0 * _d0"):
+                kinds[number] = "float solves"
+            elif text.startswith("_d0,") and "_check(" not in text:
+                kinds[number] = "dH"
+
+        def lines(frame, event, arg):
+            if event == "line" and frame.f_lineno in kinds:
+                counts[kinds[frame.f_lineno]] += 1
+            return lines
+
+        def run(*args):
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: lines if frame.f_code is sweep.__code__ else None)
+            try:
+                return sweep(*args)
+            finally:
+                sys.settrace(previous)
+
+        return run
+
+    wrap_float_sweeps(monkeypatch, traced)

@@ -2,9 +2,13 @@
 
 import collections
 import dataclasses
+import gc
+import io
 import json
 import math
 import re
+import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG, counting, hamiltonian, heisenberg_oracle_problem, wrap_float_stages
+from conftest import CONFIG, count_float_solves, counting, hamiltonian, heisenberg_oracle_problem, wrap_float_sweeps
 from pontrylie.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -252,21 +256,29 @@ def skewed_problems():
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """(iterations, residual) of every Newton solve made through ``pmp``: arrays from ``_newton``, which solves
-    stacks only, Python numbers from the float stage (``expr.float_stage``), which solves the float sweep's
-    members."""
+    """(iterations, residual) of the Newton solves made through ``pmp``: arrays of every solve from ``_newton``,
+    which solves stacks only, and Python numbers of every node from the generated sweep (``expr.float_stage``),
+    which solves the float sweep's members (the most iterations of the node's step, and the node's residual)."""
     calls = []
 
-    def spy(solve, at):
+    def spy(solve):
         def spied(*args):
             result = solve(*args)
-            calls.append(result[at])
+            calls.append(result[1:3])
             return result
 
         return spied
 
-    monkeypatch.setattr(pmp, "_newton", spy(_newton, slice(1, 3)))
-    wrap_float_stages(monkeypatch, lambda stage: spy(stage, slice(2, 4)))
+    def spy_sweep(sweep, source):
+        def spied(*args):
+            result = sweep(*args)
+            calls.extend(zip(*result[3:]))
+            return result
+
+        return spied
+
+    monkeypatch.setattr(pmp, "_newton", spy(_newton))
+    wrap_float_sweeps(monkeypatch, spy_sweep)
     return calls
 
 
@@ -465,9 +477,9 @@ def spy_stage_compiles(monkeypatch):
 
 
 def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_a_small_batch(monkeypatch):
-    """A view compiles its float stage and sweep at its first integration of at most ``_FLOAT_MEMBERS`` members
-    (here one), in one ``compile()``, and never again; a batch of ``_FLOAT_MEMBERS + 1``, a point solve and a Dirac
-    scan compile none."""
+    """A view compiles its generated sweep at its first integration of at most ``_FLOAT_MEMBERS`` members (here one),
+    in one ``compile()``, and never again; a batch of ``_FLOAT_MEMBERS + 1``, a point solve and a Dirac scan compile
+    none.  The sweep is one function: every solve is written out in it, so it calls no generated code."""
     from pontrylie.reduction import ReducedState, integrate_reduced, reduced_dirac_residuals
 
     compiled, compiles = spy_stage_compiles(monkeypatch)
@@ -485,12 +497,29 @@ def test_a_view_compiles_its_float_stage_once_and_only_to_sweep_a_small_batch(mo
     assert [ham.dH for ham in compiled] == [problem.view.dH, reduced.view.dH]
     assert compiles == ["<pontrylie.expr stage>"] * 2
     for view in (problem.view, reduced.view):
-        make, sweep = view.stage()
-        assert make.__globals__ is sweep.__globals__  # run from the one compiled code object
+        sweep = view.stage()
+        assert sweep is view.stage() and sweep.__code__.co_filename == "<pontrylie.expr stage>"
+        assert not [const for const in sweep.__code__.co_consts if isinstance(const, types.CodeType)]
+
+
+def test_a_views_generated_sweep_dies_with_its_problem():
+    """A view holds its generated sweep (``ControlledHamiltonian.stage``) and nothing else does: once a loaded problem
+    that has integrated, full or reduced, is dropped, its view's sweep and compiled dH are collected."""
+    from pontrylie.reduction import ReducedState, integrate_reduced
+
+    problem, reduced = load_problem(json.loads(PROBLEM_JSON), "heisenberg", "test")
+    config, mu0 = PmpSolverConfig(rk_step=1e-2), unit_cylinder_costate(0.3, 1.0)
+    integrate_pmp(problem, np.zeros(3), mu0, 0.05, config)
+    integrate_reduced(reduced, ReducedState(np.zeros(0), np.zeros(0), mu0, np.zeros(2)), 0.05, config)
+    held = [weakref.ref(fn) for view in (problem.view, reduced.view) for fn in (view.stage(), view.dH)]
+    assert all(ref() is not None for ref in held)
+    del problem, reduced
+    gc.collect()
+    assert [ref() for ref in held] == [None] * 4
 
 
 def test_a_small_batch_compiles_its_views_code_once_and_a_larger_one_none(monkeypatch):
-    """A batch of 2 to ``_FLOAT_MEMBERS`` members compiles its view's stage and sweep once, at its first integration;
+    """A batch of 2 to ``_FLOAT_MEMBERS`` members compiles its view's generated sweep once, at its first integration;
     a second small batch and a batch of ``_FLOAT_MEMBERS + 1`` compile nothing."""
     from pontrylie.reduction import ReducedState, integrate_reduced
 
@@ -527,7 +556,7 @@ def test_a_failing_small_batch_raises_the_error_of_the_numpy_sweep(monkeypatch, 
     may not reach first."""
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
-    wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
+    count_float_solves(monkeypatch, calls)
     config = PmpSolverConfig(rk_step=0.01)
     failures, swept = [], []
     for rows in (x0, x0 + x0[:1] * (pmp._FLOAT_MEMBERS + 1 - len(x0)), [x0[failing[0]]], [x0[failing[-1]]]):
@@ -535,11 +564,11 @@ def test_a_failing_small_batch_raises_the_error_of_the_numpy_sweep(monkeypatch, 
         with pytest.raises(kind) as err:
             integrate_pmp(problem, rows, [[1.0, 0.0]] * len(rows), 1.0, config)
         failures.append(failure_fields(err.value))
-        swept.append(calls["float sweep solves"])
+        swept.append(calls["float solves"])
     small, stack, first, last = failures
     assert swept[0] > 0 and swept[1] == 0
     assert small == stack
-    assert small[3] == (None if kind is ExprEvaluationError else failing[0])
+    assert small[3] == failing[0]
     assert small[2] == first[2] > 0.0 and (len(failing) == 1 or first[2] < last[2])
 
 
@@ -560,10 +589,11 @@ def test_a_hand_written_numpy_problem_runs_the_numpy_sweep(newton_calls):
 
 
 def test_a_compiled_table_failure_names_its_time_and_a_lone_member():
-    """A guarded table's ExprEvaluationError is re-raised at its grid time: the README file on the base z1 = t,
-    whose structure function 1/(z1 - 1) divides by zero at the fourth stage of the last step (step 0.25, T = 1).
-    It keeps its type, message and offset; alone it names member 0, in a batch (small, or on the NumPy sweep) no
-    member, since a stack's table cannot tell which member failed."""
+    """A guarded table's ExprEvaluationError is re-raised at its grid time: the README file on the base z1 = t + z1(0),
+    whose structure function 1/(z1 - 1) divides by zero at the fourth stage of the last step (step 0.25, T = 1) from
+    z1(0) = 0, and never from z1(0) = -0.1.  It keeps its type, message and offset, and names the failing member:
+    0 alone, and 1 in a batch (small, or on the NumPy sweep) whose member 0 starts at -0.1, the index the stack's
+    table walker gives."""
     from pontrylie.reduction import ReducedState, integrate_reduced
 
     data = json.loads(PROBLEM_JSON)
@@ -571,7 +601,9 @@ def test_a_compiled_table_failure_names_its_time_and_a_lone_member():
     reduced = load_problem(data, "edge", "test")[1]
     states = [ReducedState(np.zeros(2), np.zeros(2), np.array([1.0, 0.0, k]), np.zeros(2))
               for k in np.linspace(0.5, 1.5, pmp._FLOAT_MEMBERS + 1)]
-    for start, member in ((states[0], 0), (states[:2], None), (states, None)):
+    spared = [dataclasses.replace(states[0], z=np.array([-0.1, 0.0]))]
+    integrate_reduced(reduced, spared[0], 1.0, PmpSolverConfig(rk_step=0.25))
+    for start, member in ((states[0], 0), (spared + states[1:2], 1), (spared + states[1:], 1)):
         with pytest.raises(ExprEvaluationError) as err:
             integrate_reduced(reduced, start, 1.0, PmpSolverConfig(rk_step=0.25))
         named = "" if member is None else f"member {member} "
@@ -641,16 +673,6 @@ def failure_fields(err):
             None if point is None else [np.asarray(v).tolist() for v in point], getattr(err, "pos", None))
 
 
-def as_in_a_stack(fields):
-    """``failure_fields`` of a one-member failure as a stack raises it: a compiled table's ExprEvaluationError names
-    member 0 when alone, and no member in a stack, whose table cannot tell which member failed."""
-    kind, message, t, member, *rest = fields
-    if kind is not ExprEvaluationError:
-        return fields
-    assert member == 0 and message.count("(member 0 ") == 1
-    return (kind, message.replace("(member 0 ", "("), t, None, *rest)
-
-
 @pytest.mark.parametrize("lagrangian, kind, message", [
     # dH/du reads sqrt(1 - x1), a guarded table, once x1 passes 1
     ("0.5*u1^2 - u1*sqrt(1 - x1)", ExprEvaluationError, r"sqrt of negative value -0.0050802056"),
@@ -663,12 +685,12 @@ def as_in_a_stack(fields):
 def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, kind, message):
     """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails mid-run; the other two stay finite.  Alone it
     runs the float sweep (its solves are the float stage's) and fails with the type, message, time, member, state,
-    residual and point it has in a batch on the NumPy sweep (every batch, here; ``as_in_a_stack``), at the same
-    node: the Lagrangian is called once per node up to the failing one, as in the batch."""
+    residual, point and offset it has in a batch on the NumPy sweep (every batch, here), at the same node: the
+    Lagrangian is called once per node up to the failing one, as in the batch."""
     monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
-    wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
+    count_float_solves(monkeypatch, calls)
     counted = dataclasses.replace(problem, lagrangian=counting(calls, "lagrangian", problem.lagrangian))
     config = PmpSolverConfig(rk_step=0.01)
     failures, lagrangians = [], []
@@ -679,8 +701,8 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
             integrate_pmp(counted, x0, p0, 1.0, config)
         failures.append(failure_fields(err.value))
         lagrangians.append(calls["lagrangian"])
-    assert calls["float sweep solves"] > 1  # alone, and not in the batch
-    assert failures[0] == as_in_a_stack(failures[1])
+    assert calls["float solves"] > 1  # alone, and not in the batch
+    assert failures[0] == failures[1]
     assert lagrangians[0] == lagrangians[1] > 1
     if kind is EvaluationError:
         assert lagrangians[1] == round(err.value.t / config.rk_step) + 1
@@ -698,12 +720,12 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
 ])
 def test_a_failure_inside_the_float_stage_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, config, kind, message):
     """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails at a stage, inside the stage's own lines, the
-    other two never: alone it fails with the type, message, time, member, state, residual and point it has in a
-    batch on the NumPy sweep (every batch, here; ``as_in_a_stack``)."""
+    other two never: alone it fails with the type, message, time, member, state, residual, point and offset it has
+    in a batch on the NumPy sweep (every batch, here)."""
     monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()
-    wrap_float_stages(monkeypatch, lambda stage: counting(calls, "float sweep solves", stage))
+    count_float_solves(monkeypatch, calls)
     x0, p0 = [[0.0, -0.25], [0.0, -5.0], [0.0, -5.0]], [[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]]
     if kind is ConvergenceError:  # member 0 rests at its root at node 0, the others for good
         x0, p0 = [[0.5, 0.1], [0.0, 0.1], [0.0, -0.3]], [[-0.05, 0.0], [0.0, 0.0], [0.0, 0.0]]
@@ -712,8 +734,8 @@ def test_a_failure_inside_the_float_stage_is_the_one_it_has_in_a_batch(monkeypat
         with pytest.raises(kind, match=message) as err:
             integrate_pmp(problem, x, p, 1.0, config)
         failures.append(failure_fields(err.value))
-    assert calls["float sweep solves"] > 1
-    assert failures[0] == as_in_a_stack(failures[1])
+    assert calls["float solves"] > 1
+    assert failures[0] == failures[1]
 
 
 def test_optimal_feedback_of_one_point_is_the_stacks_bit_for_bit():
@@ -724,6 +746,40 @@ def test_optimal_feedback_of_one_point_is_the_stacks_bit_for_bit():
     stack = _newton(problem.view, np.tile(x, (3, 1)), np.tile(p, (3, 1)), np.tile(u0, (3, 1)), PmpSolverConfig())
     assert np.array_equal(stack[0], np.tile(u, (3, 1)))
     assert stack[1].tolist() == [1, 1, 1]
+
+
+def infinite_hessian_past_one():
+    """x_dot = u, L = u^2/2, with a hand-written W that is -1, and inf where x > 1."""
+
+    @stacked
+    def d2H_du2(x, p, u):
+        return np.where(x[..., :, None] > 1.0, np.inf, -1.0)
+
+    @stacked
+    def dH(x, p, u):
+        return np.concatenate([p - u, 0.0 * x, u], axis=-1)
+
+    return ControlProblem(n=1, r=1, dynamics=stacked(lambda x, u: u),
+                          lagrangian=stacked(lambda x, u: 0.5 * u[..., 0] ** 2),
+                          jacobians=ProblemJacobians(dH=dH, d2H_du2=d2H_du2))
+
+
+@pytest.mark.parametrize("problem, x, kind, message", [
+    (infinite_hessian_past_one(), 2.0, EvaluationError, "non-finite Hamiltonian partial"),
+    # W = -0.75 u^-0.5 fails at u = 0, where dH/du = p - 1.5 u^0.5 does not
+    (load_problem({"n": 1, "r": 1, "dynamics": ["u1"], "lagrangian": "u1^1.5"}, "f", "test")[0], 0.0,
+     ExprEvaluationError, "power failed"),
+], ids=["non-finite", "compiled-table"])
+def test_a_control_hessian_failure_names_its_member_of_the_whole_stack(problem, x, kind, message):
+    """W is evaluated only at the members that take a Newton step; member 0 starts at its root (p = u = 0) and takes
+    none, so the failing W is the first of those evaluated, and the error names member 1 of the stack, at its point."""
+    assert problem.view.w is None
+    q, lam, u = np.array([[0.0], [x]]), np.array([[0.0], [1.0]]), np.zeros((2, 1))
+    with pytest.raises(kind, match=message) as err:
+        _newton(problem.view, q, lam, u, PmpSolverConfig())
+    assert err.value.member == 1
+    if kind is EvaluationError:
+        assert [v.tolist() for v in err.value.point] == [[x], [1.0], [0.0]]
 
 
 @pytest.mark.parametrize("lead", [(), (1,)])
@@ -1150,6 +1206,28 @@ def test_trajectory_roundtrip(tmp_path, heis_problem, default_config):
         assert np.array_equal(back.times, traj.times)
         assert set(back.channels) == set(traj.channels)
         assert np.array_equal(back.channel("H"), traj.channel("H"))
+
+
+@pytest.mark.parametrize("rows", [1, pmp._CSV_BLOCK, pmp._CSV_BLOCK + 1])
+def test_a_trajectory_csv_has_the_bytes_of_savetxt(tmp_path, rows):
+    """The CSV body, written by one % per block of rows, is the bytes ``np.savetxt`` writes with the same format,
+    delimiter and newline: in one row, a full block and one row more; every row holds -0.0, subnormals, +-1e308,
+    the extreme finite values and integral values, scaled by random factors past the first row."""
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).tiny, 3.0, -7.0,
+               1e16, 123456789012345678.0, 0.1, 1.0 / 3.0, 2.0**-1074, 1e-5]
+    table = np.tile(special, (rows, 1))
+    table[1:] *= np.random.default_rng(17).choice([1.0, -1.0, 0.5, 1e-3, 1.0 / np.pi], size=(rows - 1, len(special)))
+    columns = tuple(f"x{i + 1}" for i in range(len(special) - 2))
+    traj = Trajectory(times=np.arange(rows) * 0.25, columns=columns, states=table[:, :-2],
+                      channels={"newton_iters": table[:, -2], "H": table[:, -1]})
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    expected = io.BytesIO()
+    expected.write(f"t,{','.join(columns)},H,newton_iters\r\n".encode())
+    np.savetxt(expected, np.column_stack([traj.times, table[:, :-2], table[:, -1], table[:, -2]]), fmt="%.17g",
+               delimiter=",", newline="\r\n")
+    assert path.read_bytes() == expected.getvalue()
+    assert path.read_bytes().count(b"\r\n") == rows + 1
 
 
 def test_trajectory_validation():

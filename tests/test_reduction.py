@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG, FULL_PERIOD_CASES, heisenberg_oracle_problem, heisenberg_oracle_reduced, so3_algebra
-from conftest import counting, reduced_hamiltonian, wrap_float_stages
+from conftest import count_float_solves, counting, reduced_hamiltonian
 from test_lie import upper_triangular_4x4
 from test_ocp import heisenberg_cotangent_lift
 from pontrylie import lie
@@ -436,25 +436,14 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     iterate of node 0, to check the F entries of its dH.  The constant control Hessian is
     rank-checked once per problem, when the first integration builds its view.  Per node comes the Lagrangian of H (or h); the J channels come from one call of
     the handle's generators, and the Casimir channel from one call of the stacked Casimir.  Every solve of
-    these one-member integrations is the float sweep's stage (``expr.float_stage``): node 0's reads the counted
-    dH through its check, every other one the dH lines inlined in the stage, counted here as one evaluation
-    per iterate, iterations + 1.
+    these one-member integrations is written out in the view's generated sweep (``expr.float_stage``): node 0's
+    reads the counted dH through its check, every other one the dH lines inlined in the sweep, counted here
+    by tracing (``conftest.count_float_solves``) as one evaluation per iterate, iterations + 1.
     """
     calls, svds, float_solves = collections.Counter(), [], collections.Counter()
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
-
-    def counted_stage(stage):
-        def solve(y, u, check=None, *field):
-            float_solves["solves"] += 1
-            result = stage(y, u, check, *field)
-            if check is None:
-                calls["dH"] += result[2] + 1
-            return result
-
-        return solve
-
-    wrap_float_stages(monkeypatch, counted_stage)
+    count_float_solves(monkeypatch, float_solves)
     if kind == "full":
         problem = dataclasses.replace(counted(calls, heis_problem), jacobians=counted(calls, heis_problem.jacobians),
                                       symmetry=counted(calls, heis_problem.symmetry))
@@ -477,9 +466,10 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
             integrate_reduced(problem, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), steps * config.rk_step, config)
             expected = {"dH": 2 + per_solve * (solves - 1), "fiber_dynamics": 2, "lagrangian": steps + 1,
                         "casimir_mu3": 1}
+        calls["dH"] += float_solves.pop("dH")  # the inlined dH lines
         assert dict(calls) == expected
         assert len(svds) == (1 if k == 0.0 else 0)
-        assert float_solves == {"solves": solves}
+        assert float_solves == {"float solves": solves}
 
 
 def test_feedback_makes_one_gradient_call_per_iterate(heis_problem):

@@ -406,8 +406,8 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code, result = EXIT_SOLVER, {"status": "error", "error": str(exc), "exit_code": EXIT_SOLVER}
-        # an evaluation error is located in time and batch only inside an integration
-        if isinstance(exc, SolverError) or isinstance(exc, EvaluationError) and np.isfinite(exc.t):
+        # an evaluation error, of a problem callable or a compiled table, has a finite t only inside an integration
+        if isinstance(exc, SolverError) or np.isfinite(getattr(exc, "t", np.nan)):
             located = {"t": exc.t}
             if exc.member is not None:
                 located["member"] = exc.member

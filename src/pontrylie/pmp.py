@@ -18,6 +18,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
@@ -49,6 +50,42 @@ class PmpSolverConfig:
 _STATE_COLUMN_RE = re.compile(r"^(x|p|u|z|pz|mu)\d+$")
 # rows of a trajectory CSV formatted by one % (``Trajectory.to_csv``)
 _CSV_BLOCK = 1024
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The rows of ``block`` in ``%.17g``, comma-separated and ended by CRLF, each repeated value formatted once.
+
+    Cells are equal when their bits are (so -0.0 is not 0.0).  A column of one value goes into the line as that
+    value's string (``%.17g`` never writes a ``%``); a column where at least 1/4 of adjacent rows are equal formats
+    each distinct value once and gathers the strings; a column equal to an earlier one reuses its strings; any
+    other column stays ``%.17g`` in the line.  Every string is the ``%.17g`` of its double, so the bytes are those
+    of a line of ``%.17g`` fields per row."""
+    n, bits = len(block), block.view(np.int64)
+    equal = bits[1:] == bits[:-1]
+    # no column has a quarter of its adjacent rows equal when all columns together have not
+    same = np.count_nonzero(equal, axis=0).tolist() if 4 * np.count_nonzero(equal) >= n - 1 else [0] * len(bits.T)
+    # a column can equal another only if their first cells do; any other column is keyed by its index
+    heads = bits[0].tolist()
+    keys = [bits[:, j].tobytes() if heads.count(head) > 1 else j for j, head in enumerate(heads)]
+    fields, columns, strings = [], [], {}
+    for j, key in enumerate(keys):
+        if same[j] == n - 1:
+            fields.append("%.17g" % block[0, j])
+            continue
+        first = keys.index(key)  # compares bytes, which a dict would hash whole
+        if first == j and 4 * same[j] >= n - 1:
+            values, inverse = np.unique(bits[:, j], return_inverse=True)
+            formatted = np.array(["%.17g" % v for v in values.view(float).tolist()], dtype=object)
+            strings[j] = formatted[inverse].tolist()
+        elif first == j and keys.count(key) > 1:
+            strings[j] = ["%.17g" % v for v in block[:, j].tolist()]
+        fields.append("%s" if first in strings else "%.17g")
+        columns.append(strings.get(first, j))
+    line = ",".join(fields) + "\r\n"
+    if len(columns) == len(keys) and not strings:
+        return line * n % tuple(block.ravel().tolist())
+    cells = (block[:, c].tolist() if isinstance(c, int) else c for c in columns)
+    return line * n % tuple(chain.from_iterable(zip(*cells)))
 
 
 @dataclass(frozen=True)
@@ -113,16 +150,15 @@ class Trajectory:
         return self.channels[name]
 
     def to_csv(self, path) -> None:
+        """Header, then every row as ``np.savetxt(fmt="%.17g", delimiter=",", newline="\\r\\n")`` writes it: a block
+        of ``_CSV_BLOCK`` rows per ``%``, which bounds the transient strings, each repeated value of a block formatted
+        once (``_csv_rows``)."""
         names = sorted(self.channels)
         table = np.column_stack([self.times, self.states, *(self.channels[k] for k in names)])
-        # np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n") applies this format to each row; one % per block
-        # of rows writes the same bytes with less per-row overhead, the block bounding the transient strings
-        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", *self.columns, *names])
             for start in range(0, len(table), _CSV_BLOCK):
-                block = table[start : start + _CSV_BLOCK]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                fh.write(_csv_rows(table[start : start + _CSV_BLOCK]))
 
     def to_json(self, path) -> None:
         payload = {
@@ -258,10 +294,9 @@ def time_grid(duration: float, step: float) -> np.ndarray:
     return ts
 
 
-# The largest batch swept member by member on floats: per member-step, a NumPy stack of more members was cheaper
-# while the float sweep called a stage function (BENCH_small_batch_sweep.json); the fused sweep stays cheaper up to
-# about 28 members (BENCH_fused_sweep.json)
-_FLOAT_MEMBERS = 16
+# The largest batch swept member by member on floats: per member-step the generated sweep, every solve written out,
+# is cheaper than a NumPy stack at 24 members and dearer at 32 (BENCH_fused_sweep.json, BENCH_distinct_csv.json)
+_FLOAT_MEMBERS = 24
 
 
 def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List[Trajectory]:

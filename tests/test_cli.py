@@ -813,6 +813,20 @@ def test_evaluation_errors_of_the_sweep_carry_time_and_member(tmp_path, capsys, 
     assert result["t"] == 0.0 and result["member"] == 0 and len(result["point"]) == 3  # (x, p, u)
 
 
+def test_a_compiled_table_failing_in_the_sweep_reports_its_time_and_member(tmp_path, capsys):
+    """z1 = t reaches 1 at the last stage of the step from t = 0.75, where 1/(z1 - 1) divides by zero: the RESULT
+    gives the time and member the message names, as an evaluation error of a problem callable does."""
+    data = _readme_problem()
+    data["reduced"].update(s=2, base_dynamics=["1", "0"], base_structure=[[0, 1, 2, "1/(z1 - 1)"]])
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(data))
+    code, result, _ = run_cli(capsys, "solve-reduced", "--problem", str(problem_file), "--theta", "0", "--k", "0.5,1",
+                              "--T", "1", "--step", "0.25", "--out", str(tmp_path / "out.csv"))
+    assert code == 2 and result["status"] == "error"
+    assert result["error"] == "division by zero (at offset 1) (member 0 while stepping from t=0.75)"
+    assert result["t"] == 0.75 and result["member"] == 0 and "point" not in result
+
+
 def test_an_overflowing_scan_row_names_its_point_but_no_time_or_member(tmp_path, capsys):
     """p3 x2 overflows dH at the second row of a stored trajectory: a scan is not an integration."""
     traj = tmp_path / "bad.csv"

@@ -1230,6 +1230,34 @@ def test_a_trajectory_csv_has_the_bytes_of_savetxt(tmp_path, rows):
     assert path.read_bytes().count(b"\r\n") == rows + 1
 
 
+@pytest.mark.parametrize("rows", [1, pmp._CSV_BLOCK, pmp._CSV_BLOCK + 1])
+def test_repeated_values_of_a_trajectory_csv_keep_the_bytes_of_savetxt(tmp_path, rows):
+    """Each repeated value of a block is formatted once and the bytes stay those of ``np.savetxt``: a constant
+    column, columns bit-identical to an all-distinct one and to one of few values in runs with jitter in the last
+    bit, 0.0 with one -0.0 (not constant: equal cells have equal bits), runs of +-inf, NaN and subnormals, and two
+    columns that are no copies: one a last bit off the all-distinct one, and -1 times the zeros, equal in value."""
+    rng = np.random.default_rng(29)
+    distinct = rng.standard_normal(rows)
+    few = np.repeat(rng.choice([0.5, 1.0 / 3.0, -2.0], size=rows), 8)[:rows]
+    jittered = np.where(np.repeat(rng.random(rows) < 0.5, 8)[:rows], np.nextafter(few, np.inf), few)
+    zeros = np.zeros(rows)
+    zeros[rows // 2] = -0.0
+    special = np.repeat(rng.choice([np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.0**-1074], size=rows), 2)[:rows]
+    states = np.column_stack([np.full(rows, 0.1), distinct, jittered, zeros, special, distinct, jittered,
+                              np.nextafter(distinct, np.inf), -zeros])
+    columns = tuple(f"x{i + 1}" for i in range(states.shape[1]))
+    traj = Trajectory(times=np.arange(rows) * 0.25, columns=columns, states=states, channels={"H": np.full(rows, -0.0)})
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    expected = io.BytesIO()
+    expected.write(f"t,{','.join(columns)},H\r\n".encode())
+    np.savetxt(expected, np.column_stack([traj.times, states, traj.channel("H")]), fmt="%.17g", delimiter=",",
+               newline="\r\n")
+    assert path.read_bytes() == expected.getvalue()
+    if rows > 1:
+        assert b",-0," in path.read_bytes() and len(np.unique(jittered.view(np.int64))) > 3
+
+
 def test_trajectory_validation():
     with pytest.raises(TrajectoryFormatError):
         Trajectory(times=[0.0, 0.0], columns=("x1",), states=np.zeros((2, 1)))

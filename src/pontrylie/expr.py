@@ -16,9 +16,9 @@ syntax error).  Identifiers must come from the declared variable set.
 (``differentiate``, which folds constants and nested constant factors) and
 compiled once into functions of stacked vector arguments
 (``compile_tables``) that repeat the tree walker's float operations in the
-same order.  A function writes each table's arithmetic once and runs it in
-one of two branches: on Python floats for a one-member stack, on NumPy
-columns over the member axis for any other.  ``evaluate`` remains the
+same order, on NumPy columns over the member axis of any stack, one
+member's included; the generated one-member RK4 sweep (``float_stage``)
+inlines the same lines on Python floats.  ``evaluate`` remains the
 reference semantics and produces the error messages.  ``load_problem``
 compiles a problem file's JSON data, in one ``compile()``, into a control
 problem and its reduced form; the Heisenberg builtin is such a file.  It
@@ -31,8 +31,8 @@ that are the problem's derivatives: ``dH`` = (dH/du, dH/dstate, f) and
 
 from __future__ import annotations
 
-import contextlib
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from itertools import islice, product
@@ -280,9 +280,6 @@ class Expression:
     def __call__(self, bindings: Mapping[str, float]) -> float:
         return evaluate(self, bindings)
 
-    def to_string(self) -> str:
-        return _print_node(self.ast)
-
 
 def parse(src: str, declared_vars) -> Expression:
     """Parse ``src`` against a set of declared variable names."""
@@ -309,34 +306,6 @@ def _eval_node(node: Node, bindings: Mapping[str, float]) -> float:
     if isinstance(node, Unary):
         return _apply_unary(node.op, _eval_node(node.operand, bindings), node.pos)
     return _apply_binary(node.op, _eval_node(node.left, bindings), _eval_node(node.right, bindings), node.pos)
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _print_node(node: Node, parent_prec: int = 0) -> str:
-    if isinstance(node, Constant):
-        text = repr(node.value)
-        return f"({text})" if node.value < 0 and parent_prec > 0 else text
-    if isinstance(node, Variable):
-        return node.name
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = _print_node(node.operand, _PRECEDENCE["neg"])
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
-        return f"{node.op}({_print_node(node.operand)})"
-    prec = _PRECEDENCE[node.op]
-    # bump the context on the non-associating side so the shape survives printing
-    if node.op == "^":
-        left = _print_node(node.left, prec + 1)
-        right = _print_node(node.right, prec)
-        text = f"{left}^{right}"
-    else:
-        left = _print_node(node.left, prec)
-        right = _print_node(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-    return f"({text})" if prec < parent_prec else text
 
 
 # ---------------------------------------------------------------- differentiation
@@ -515,87 +484,56 @@ class _Emitter:
 
 
 def _elementwise(fn: Callable, nin: int) -> Callable:
-    """``fn`` of Python floats: called once on floats, member by member on the columns of a stack."""
+    """``fn`` of Python floats, called member by member on the columns of a stack (a float on the 0-d columns of a
+    one-member stack of leading shape ())."""
     ufunc = np.frompyfunc(fn, nin, 1)
 
-    def apply(*args):
-        return fn(*args) if isinstance(args[0], float) else ufunc(*args).astype(float)
+    def apply(*columns):
+        value = ufunc(*columns)
+        return value if value.__class__ is float else value.astype(float)
 
     return apply
 
 
 def _divide(a, b):
-    """``a / b``, raising wherever ``evaluate`` does: at every zero divisor, whatever the numerator."""
-    if (b == 0.0) if isinstance(b, float) else not np.all(b):
+    """``a / b`` of columns, raising wherever ``evaluate`` does: at every zero divisor, whatever the numerator."""
+    if not np.all(b):
         raise ZeroDivisionError("division by zero")
     return a / b
 
 
-def _sqrt(v):
-    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
-
-
-# the names the emitted lines read, and what their float operations and math functions raise on failure
-_ARITHMETIC = dict(
-    _float=float, _divide=_divide, _sqrt=_sqrt, _pow=_elementwise(math.pow, 2),
-    **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
-    _ARITHMETIC_FAILURES=(ArithmeticError, ValueError),
-)
-
-
-def _tile(value: float, a0: np.ndarray):
-    """The value of a variable-free scalar table for every member of ``a0``."""
-    return np.full(a0.shape[:-1], value) if np.ndim(a0) > 1 else value
-
-
-def _one_member(fn: Callable, *args: np.ndarray):
-    """``fn`` of one member's lists of Python floats, as a value of the leading shape () or (1,) of ``args``."""
-    value = fn(*(a.ravel().tolist() for a in args))
-    if args[0].ndim == 2:
-        return np.array([value])
-    return value if value.__class__ is float else np.array(value)
+# the names the emitted lines read, on NumPy member columns (``compile_tables``) and on Python floats
+# (``float_stage``), and what their float operations and math functions raise on failure
+_COLUMNS = dict(_float=float, _divide=_divide, _sqrt=np.sqrt, _pow=_elementwise(math.pow, 2),
+                **{f"_{fn.__name__}": _elementwise(fn, 1) for fn in (math.sin, math.cos, math.exp)},
+                _ARITHMETIC_FAILURES=(ArithmeticError, ValueError))
+_FLOATS = dict(_COLUMNS, _divide=operator.truediv, _sqrt=math.sqrt, _pow=math.pow,
+               **{f"_{fn.__name__}": fn for fn in (math.sin, math.cos, math.exp)})
 
 
 def _packing(atoms: np.ndarray, lead: Optional[str]) -> List[str]:
-    """The lines returning a table's entries ``atoms``: a float or (nested) lists given lists, else a stack.
+    """The lines returning a table's entries ``atoms`` for every member.
 
-    ``lead`` is a local holding an array of the leading shape on a stack, or None when no variable is read.
+    ``lead`` is a local holding an array of the leading shape, or None when no variable is read.
     """
+    shape = f"{lead}.shape" if lead else "a0.shape[:-1]"
     if not atoms.ndim:
         atom = atoms[()]
-        return [f"return {atom}" if lead else f"return _tile({atom}, a0)"]
-
-    def nested(entries):
-        return f"[{', '.join(map(nested, entries))}]" if isinstance(entries, list) else entries
-
+        return [f"return {atom}" if lead else f"return _full({shape}, {atom})[()]"]
     zeros = "(0.0)" in atoms.flat  # +0.0 only: "(-0.0)" is written like any other entry
-    shape = f"{lead}.shape" if lead else "a0.shape[:-1]"
-    lines = ["if a0.__class__ is list:", f"    return {nested(atoms.tolist())}",
-             f"_out = {'_zeros' if zeros else '_empty'}({shape} + {atoms.shape!r})"]
+    lines = [f"_out = {'_zeros' if zeros else '_empty'}({shape} + {atoms.shape!r})"]
     lines += [f"_out[..., {', '.join(map(str, position))}] = {atom}"
               for position, atom in zip(product(*map(range, atoms.shape)), atoms.flat)
               if not (zeros and atom == "(0.0)")]
     return lines + ["return _out"]
 
 
-def _bindings(names: Mapping, arguments: Sequence[Sequence[str]], one: str) -> Tuple[List[str], Optional[str]]:
-    """The lines binding the locals ``names`` of variables to the arguments, and one local that has the leading
-    shape on a stack (None when no variable is read).
-
-    One member given as lists binds their Python floats.  One given as a stack of leading shape () or (1,) (told
-    apart by ndim and length, never by size: an argument may have no entries) returns ``one``, the function on
-    its lists (``_one_member``).  Any other stack reads the member columns ``a[..., i]``.
-    """
-    floats, columns = [], {}
-    for k, group in enumerate(arguments):
-        bound = [names.get(var, "_") for var in group]
-        if set(bound) - {"_"}:
-            floats.append(f"{', '.join(bound)}{',' * (len(group) == 1)} = a{k}")
-            columns.update({name: f"a{k}[..., {i}]" for i, name in enumerate(bound) if name != "_"})
-    lines = ["if a0.__class__ is list:", *(f"    {line}" for line in floats or ["pass"]),
-             "elif a0.ndim == 1 or len(a0) == 1 and a0.ndim == 2:", f"    return {one}",
-             "else:", *([f"    {name} = {column}" for name, column in columns.items()] or ["    pass"])]
-    return lines, next(iter(columns), None)
+def _bindings(names: Mapping, arguments: Sequence[Sequence[str]]) -> Tuple[List[str], Optional[str]]:
+    """The lines binding the locals ``names`` of variables to the member columns ``a[..., i]`` of the arguments, and
+    one of those locals, which has the leading shape (None when no variable is read)."""
+    columns = [(names[var], f"a{k}[..., {i}]") for k, group in enumerate(arguments)
+               for i, var in enumerate(group) if var in names]
+    return [f"{name} = {column}" for name, column in columns], next((name for name, _ in columns), None)
 
 
 def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]]) -> List[Callable]:
@@ -605,28 +543,24 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
     entries of each positional vector argument, covering every variable of
     the table.  The arguments are float arrays with the same leading member
     axes, (..., k); the function returns one value of the table's shape per
-    member, (..., *shape) (a scalar for a 0-d table without leading axes).
-    The functions are marked ``ocp.stacked``; a table of constants only
+    member, (..., *shape) (a NumPy scalar or 0-d array for a 0-d table
+    without leading axes).  The functions are marked ``ocp.stacked``; a table of constants only
     becomes an ``ocp.constant``, and a table that is one argument returns a
     copy of it.  Every function but a constant carries its (table, arguments)
     as ``table`` (``float_stage`` inlines it) and the widths of its arguments
     as ``widths`` (``ocp._sized`` checks them before a call).
 
-    A function has two branches over one set of arithmetic lines; only the
-    binding of the variables and the packing of the entries differ.  One
-    member runs on Python floats: lists of floats give a float or lists
-    (the float sweep of ``pmp._rk4_dae``), as does a stack of leading shape
-    () or (1,) packed (``_one_member``).  Any other stack runs on NumPy
-    member columns ``a[..., i]``, written column by column.  Either way each entry is
-    computed with the float operations of ``evaluate`` in the same order, so
-    both agree with the tree walker bit for bit:
+    A function binds the member columns ``a[..., i]`` of its arguments and
+    writes its entries column by column, for any leading shape: a one-member
+    stack, of leading shape () or (1,), runs the code of any other stack.
+    Each entry is computed with the float operations of ``evaluate`` in the
+    same order, so every member agrees with the tree walker bit for bit:
 
     - a safe table (nothing in it can raise: + - *, negation, division by a
       nonzero constant, ^2) runs unguarded;
-    - any other runs its NumPy columns under ``np.errstate(all="raise")``
-      (Python floats raise on their own), with ``sin``, ``cos``,
-      ``exp`` and powers other than 2 computed by ``math`` (member by member
-      on a stack; NumPy's differ in the last bit); on any arithmetic failure
+    - any other runs under ``np.errstate(all="raise")``, with ``sin``, ``cos``,
+      ``exp`` and powers other than 2 computed by ``math`` member by member
+      (NumPy's differ in the last bit); on any arithmetic failure
       the tree walker re-runs member by member and raises the first failing
       member's ``ExprEvaluationError`` with the source offset and the
       member's flat index as ``member``, or, when no member fails (an
@@ -646,9 +580,9 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
         else:
             emitter = _Emitter()
             atoms = np.array([emitter.emit(node) for node in table.flat], dtype=object).reshape(table.shape)
-            body, lead = _bindings(emitter.names, arguments, f"_one_member(_f{index}, {params})")
+            body, lead = _bindings(emitter.names, arguments)
             if emitter.guarded:
-                body += ["try:", "    with _unchanged if a0.__class__ is list else _errstate(all='raise'):",
+                body += ["try:", "    with _errstate(all='raise'):",
                          *(f"        {line}" for line in emitter.lines),
                          "except _ARITHMETIC_FAILURES:", f"    return _walk({index}, ({params},))"]
             else:
@@ -673,8 +607,7 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
                 raise
         return np.array(values, dtype=float).reshape(lead + table.shape)[()]
 
-    namespace = dict(_ARITHMETIC, _empty=np.empty, _zeros=np.zeros, _tile=_tile, _one_member=_one_member,
-                     _errstate=np.errstate, _unchanged=contextlib.nullcontext(), _walk=walk)
+    namespace = dict(_COLUMNS, _empty=np.empty, _zeros=np.zeros, _full=np.full, _errstate=np.errstate, _walk=walk)
     exec(compile("\n".join(source), "<pontrylie.expr>", "exec"), namespace)
     functions = {index: stacked(namespace[f"_f{index}"]) for index in range(len(tables)) if index not in constants}
     for index, function in functions.items():
@@ -682,15 +615,20 @@ def compile_tables(tables: Sequence[Tuple[np.ndarray, Sequence[Sequence[str]]]])
     return [constants[index] if index in constants else functions[index] for index in range(len(tables))]
 
 
-def _inline(table: np.ndarray, names: Mapping[str, str], targets: List[str], call: str) -> List[str]:
-    """Lines setting the locals ``targets`` to the entries of ``table``, its variables the locals ``names``; a guarded
-    table's run in a ``try`` whose failure calls ``call``, the compiled table, for its error (or its values)."""
-    emitter, assign = _Emitter(names), f"{', '.join(targets)}, = "
+def _inline(table: np.ndarray, arguments: Sequence[Sequence[str]], values: Sequence[str], targets: List[str],
+            compiled: str) -> List[str]:
+    """Lines setting the locals ``targets`` to the entries of ``table``, the variables of its ``arguments`` read in
+    order from the locals ``values``; a guarded table's run in a ``try`` whose failure calls ``compiled``, the compiled
+    table, on the one-member stacks (1, width) of ``values`` for its error (or its one row of values)."""
+    emitter = _Emitter(dict(zip([var for group in arguments for var in group], values)))
+    assign = f"{', '.join(targets)}, = "
     lines = [assign + ", ".join([emitter.emit(node) for node in table.flat]) + ","]
     if not emitter.guarded:
         return emitter.lines + lines
+    rows = iter(values)
+    stacks = ", ".join(f"_array([[{', '.join(islice(rows, len(group)))}]])" for group in arguments)
     return ["try:", *(f"    {line}" for line in emitter.lines + lines), "except _ARITHMETIC_FAILURES:",
-            f"    {assign}_array({call}, dtype=float).tolist()"]
+            f"    {assign}{compiled}({stacks}).ravel().tolist()"]
 
 
 def _newton_step(w_inverse: np.ndarray, g: Sequence[str]) -> str:
@@ -722,11 +660,12 @@ def float_stage(ham) -> Optional[Callable]:
     the next node (stage 1 reuses the node's), each warm started from the previous one's control: ``ocp._newton``'s
     solve with ``tol`` and ``max_iter`` (its checks, its errors, of member 0, and ``_newton_step``), then the
     finiteness check of dH (one ``isfinite`` of the sum of 0.0 * v, NaN exactly when an entry v is not finite) and
-    ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH and bracket lines are inlined
-    (``_inline``); node 0's solve reads ``check`` on (1, width) arrays of (q, lam, u) for dH instead, and no step
-    reads the last node's field, so it is not computed.  The updates ``y + c * v`` and ``y + h/6 * (k1 + 2 k2 + 2 k3
-    + k4)`` of the stack are unrolled per component, h read per step.  A node's solve is followed by L, and a fold
-    of H = <lam, F> - L whose non-finite value the stacked ``ocp._hamiltonian_value`` raises.  A failing stage is
+    ``ocp._hamilton_field``, each float operation the stack's, in its order.  The dH, bracket and L lines are
+    inlined (``_inline``), so a member's sweep calls no compiled table unless a guarded one fails on floats; node 0's
+    solve reads ``check`` on (1, width) arrays of (q, lam, u) for dH instead, and no step reads the last node's
+    field, so it is not computed.  The updates ``y + c * v`` and ``y + h/6 * (k1 + 2 k2 + 2 k3 + k4)`` of the stack
+    are unrolled per component, h read per step.  A node's solve is followed by L, and a fold of H = <lam, F> - L
+    whose non-finite value the stacked ``ocp._hamiltonian_value`` raises.  A failing stage is
     re-raised as ``located(exc, "while stepping from", t, y)``, t the start of the step and y the stage's own state,
     a failing node as ``located(exc, "at", t, y)``.  Returns lists per node: the rows (y, u*) and the F entries of
     dH, both flat, and L, the most iterations of the step's solves and the residual.
@@ -758,7 +697,7 @@ def float_stage(ham) -> Optional[Callable]:
         """The lines of one solve at the locals ``state`` = (q, lam) from the controls u, its iterations counted in
         ``i``, setting ``targets`` to the vector field (at a node, only before the last)."""
         point = listed(state[:nq], state[nq:], u)
-        gradient = _inline(table, dict(zip([v for group in arguments for v in group], state + u)), d, f"_dH({point})")
+        gradient = _inline(table, arguments, state + u, d, "_dH")
         if node:
             gradient = ["if _check is None:", *indented(gradient), "else:",
                         f"    {', '.join(d)}, = _check({listed(state[:nq], state[nq:], u, around='_array([[{}]])')})"
@@ -771,8 +710,7 @@ def float_stage(ham) -> Optional[Callable]:
         field, y_dot = [], f + [f"-{v}" for v in dq]
         if ham.bracket is not None:  # lam_dot = -B f, less (dH/dq, 0); the dH temporaries are dead by then
             (b_table, b_arguments), b = ham.bracket.table, [f"_b{j}" for j in range(k)]
-            names = dict(zip([v for group in b_arguments for v in group], state + f))
-            field = _inline(b_table, names, b, f"_bracket({listed(state[:nq], state[nq:], f)})")
+            field = _inline(b_table, b_arguments, state + f, b, "_bracket")
             y_dot = f[:nq] + [f"{a} - {v}" for a, v in zip(b, dq)] + b[nq:]
         field.append(f"{', '.join(targets)}, = {', '.join(y_dot)},")
         return loop + (["if _k < _last:", *indented(field)] if node else field)
@@ -791,7 +729,7 @@ def float_stage(ham) -> Optional[Callable]:
         f"            raise _located(_exc, 'while stepping from', _t, [{', '.join(s)}]) from _exc",
         "        _c = _h / 6.0", f"        {', '.join(y)}, = {', '.join(update)},",
         "    try:", *(f"        {line}" for line in solve(y, "_i", ks[0], node=True)),
-        f"        _lagrangian = _L({listed(y[:nq], u)})",
+        *(f"        {line}" for line in _inline(*ham.L.table, y[:nq] + u, ["_lagrangian"], "_L")),
         f"        if not _isfinite({fold} - _lagrangian):",
         f"            _hamiltonian_value({listed(y[:nq], y[nq:], u, f, around='_array([[{}]])')}, _lagrangian)",
         "    except _FAILURES as _exc:", f"        raise _located(_exc, 'at', grid[_k], [{', '.join(y)}]) from _exc",
@@ -801,7 +739,7 @@ def float_stage(ham) -> Optional[Callable]:
         "return _rows, _fs, _lagrangians, _most, _residuals",
     ]
     source = ["def _sweep(grid, y, _u, _check, _located, _tol, _max):", *indented(sweep)]
-    namespace = dict(_ARITHMETIC, _array=np.array, _isfinite=math.isfinite, _dH=ham.dH, _bracket=ham.bracket,
+    namespace = dict(_FLOATS, _array=np.array, _isfinite=math.isfinite, _dH=ham.dH, _bracket=ham.bracket,
                      _L=ham.L, _w_inverse=ham.w_inverse, _hamiltonian_value=_hamiltonian_value,
                      _nonfinite=_nonfinite, _exhausted=_exhausted,
                      _FAILURES=(SolverError, EvaluationError, ExprEvaluationError))

@@ -309,19 +309,19 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
     iterate, the root's, also gives y_dot (``ocp._hamilton_field`` of ``ham``'s form; not at the last node, whose
     y_dot no step reads) and H.  Up to ``_FLOAT_MEMBERS`` members whose view has a generated sweep (``ham.stage()``;
     its ``dH`` of the sweep's ``widths``) run that one function instead, member by member: RK4 on Python floats with
-    every solve of a step written out in it, which repeats the stack's float operations, so the bits are the same; a
-    member's lists become its rows here, H from one stacked pairing of its F rows.  If a member of 2 or more fails
-    there, the NumPy sweep runs the batch and raises its own error, so user callbacks (a Lagrangian, say) may run
-    twice up to it.  Either sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings:
-    a non-finite value still raises EvaluationError at its point, and guarded compiled tables still raise inside it.
+    every solve of a step and the dH, bracket and L lines written out in it, which repeats the stack's float
+    operations, so the bits are the same; a member's lists become its rows here, H from one stacked pairing of its F
+    rows.  If a member of 2 or more fails there, the NumPy sweep runs the batch and raises its own error.  Either
+    sweep runs under one ``np.errstate`` that silences overflow and invalid-value warnings: a non-finite value still
+    raises EvaluationError at its point, and guarded compiled tables still raise inside it.
     Every grid node records, per member, the row (y, u*) with columns <prefix>1.. for each (prefix, size) of
     ``blocks`` (q first), then u1..; H under ``hamiltonian_channel``; and the channels "newton_iters" (most Newton
     updates of any solve of the step ending at the node) and "stationarity" (the node's residual max |dH/du|), each
     in one (members, nodes) array.  Solver and evaluation errors are re-raised with the failing member's index and
     the grid time (of the node, or of the start of the step whose stage failed); a solver error also with the
     (q, lam) row Newton was solving at.  A compiled table's ExprEvaluationError keeps its type, message and offset
-    and gains the time; its member is the one the table's tree walker names (``expr.compile_tables``), 0 when there
-    is one member.  After the sweep a non-finite recorded row, which no evaluation may have read, raises
+    and gains the time; its member is the one the table's tree walker names (``expr.compile_tables``), on one member
+    as on any stack.  After the sweep a non-finite recorded row, which no evaluation may have read, raises
     EvaluationError at the first one (earliest node, then lowest member).
     Returns one Trajectory per member.
     """
@@ -336,7 +336,7 @@ def _rk4_dae(ham, blocks, y0, u0, duration, config, hamiltonian_channel) -> List
 
     def located(exc, where, t, y):
         """``exc`` again, its message and fields naming the failing member (if known) and the grid time."""
-        i = 0 if members == 1 and isinstance(exc, ExprEvaluationError) else exc.member
+        i = exc.member
         message = f"{exc} ({'' if i is None else f'member {i} '}{where} t={t:.6g})"
         if isinstance(exc, SolverError):
             return type(exc)(message, residual=exc.residual, t=t, state=np.atleast_2d(y)[i], member=i)

@@ -225,9 +225,10 @@ def wrap_float_sweeps(monkeypatch, wrap):
 
 def count_float_solves(monkeypatch, counts):
     """Count into ``counts``, for every generated sweep compiled from now on, the Newton solves it finishes ("float
-    solves": the finiteness check of dH after each solve's loop) and its evaluations of the inlined dH lines ("dH":
-    one per iterate, the line assigning the entries or its guarded fallback; node 0 reads ``check`` instead), by
-    tracing the line events of the generated code with ``sys.settrace``."""
+    solves": the finiteness check of dH after each solve's loop) and its evaluations of the inlined dH and L lines
+    ("dH": one per iterate, the line assigning the entries or its guarded fallback, node 0 reading ``check``
+    instead; "lagrangian": one per node, the line assigning L, not its guarded fallback, whose call of the compiled
+    L a counting wrapper of L counts), by tracing the line events of the generated code with ``sys.settrace``."""
 
     def traced(sweep, source):
         kinds = {}
@@ -237,6 +238,8 @@ def count_float_solves(monkeypatch, counts):
                 kinds[number] = "float solves"
             elif text.startswith("_d0,") and "_check(" not in text:
                 kinds[number] = "dH"
+            elif text.startswith("_lagrangian, = ") and "_L(" not in text:
+                kinds[number] = "lagrangian"
 
         def lines(frame, event, arg):
             if event == "line" and frame.f_lineno in kinds:

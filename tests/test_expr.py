@@ -111,53 +111,55 @@ def test_syntax_error_carries_offset():
         parse("x1 $ 2", XU)
 
 
-ROUND_TRIP_SOURCES = [
-    "(x1*u2 - x2*u1)/2",
-    "0.5*(u1^2+u2^2)",
-    "sin(x1)^2 + cos(x1)^2",
-    "-x1 - -x2",
-    "x1 - (x2 - x3)",
-    "x1/x2/x3",
-    "exp(-x1^2)",
-    "sqrt(x1 + 2)*cos(u1)",
-    "2^-2 + x1^(-3)",
-    "-(x1 + u1)*x2",
+# each source with its fully parenthesized form: precedence and associativity decide the tree
+PARENTHESIZED_SOURCES = [
+    ("(x1*u2 - x2*u1)/2", "((x1*u2) - (x2*u1))/2"),
+    ("0.5*(u1^2+u2^2)", "0.5*((u1^2)+(u2^2))"),
+    ("sin(x1)^2 + cos(x1)^2", "(sin(x1)^2) + (cos(x1)^2)"),
+    ("-x1 - -x2", "(-x1) - (-x2)"),
+    ("x1 - (x2 - x3)", "(x1) - ((x2) - (x3))"),
+    ("x1/x2/x3", "(x1/x2)/x3"),
+    ("exp(-x1^2)", "exp(-(x1^2))"),
+    ("sqrt(x1 + 2)*cos(u1)", "(sqrt(x1 + 2))*(cos(u1))"),
+    ("2^-2 + x1^(-3)", "(2^(-2)) + (x1^(-3))"),
+    ("-(x1 + u1)*x2", "(-(x1 + u1))*x2"),
 ]
 
 
-@pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
-def test_print_parse_round_trip(src):
-    first = parse(src, XU)
-    printed = first.to_string()
-    second = parse(printed, XU)
-    assert first.ast == second.ast, f"{src!r} -> {printed!r} changed the tree"
+@pytest.mark.parametrize("src, parenthesized", PARENTHESIZED_SOURCES)
+def test_a_source_parses_to_the_tree_of_its_fully_parenthesized_form(src, parenthesized):
+    assert parse(src, XU).ast == parse(parenthesized, XU).ast
 
 
-def test_random_round_trip_and_value_agreement():
+def test_random_sources_parse_to_the_trees_they_were_written_from():
+    """Random sources written together with their trees (binary operations parenthesized, negation, sin and cos,
+    integer powers): each parses to its tree."""
     rng = np.random.default_rng(13)
     variables = sorted(XU)
 
     def random_node(depth):
         pick = rng.integers(0, 6 if depth < 4 else 2)
         if pick == 0:
-            return f"{rng.uniform(0.1, 3.0):.3f}"
+            text = f"{rng.uniform(0.1, 3.0):.3f}"
+            return text, Constant(float(text))
         if pick == 1:
-            return variables[rng.integers(0, len(variables))]
+            name = variables[rng.integers(0, len(variables))]
+            return name, Variable(name)
         if pick == 2:
-            return f"({random_node(depth + 1)} {'+-*'[rng.integers(0, 3)]} {random_node(depth + 1)})"
+            (left, a), op, (right, b) = random_node(depth + 1), "+-*"[rng.integers(0, 3)], random_node(depth + 1)
+            return f"({left} {op} {right})", Binary(op, a, b)
         if pick == 3:
-            return f"-{random_node(depth + 1)}"
+            text, a = random_node(depth + 1)
+            return f"-{text}", Unary("neg", a)
         if pick == 4:
-            return f"{'sin' if rng.integers(0, 2) else 'cos'}({random_node(depth + 1)})"
-        return f"({random_node(depth + 1)})^{rng.integers(1, 4)}"
+            fn, (text, a) = "sin" if rng.integers(0, 2) else "cos", random_node(depth + 1)
+            return f"{fn}({text})", Unary(fn, a)
+        exponent, (text, a) = int(rng.integers(1, 4)), random_node(depth + 1)
+        return f"({text})^{exponent}", Binary("^", a, Constant(float(exponent)))
 
-    bindings = {name: 0.3 + 0.1 * i for i, name in enumerate(variables)}
     for _ in range(60):
-        src = random_node(0)
-        first = parse(src, XU)
-        second = parse(first.to_string(), XU)
-        assert first.ast == second.ast, src
-        assert evaluate(first, bindings) == evaluate(second, bindings), src
+        src, tree = random_node(0)
+        assert parse(src, XU).ast == tree, src
 
 
 def test_referential_transparency():
@@ -304,16 +306,18 @@ def test_compiled_matches_tree_walker_bit_for_bit(src, point):
     trees = [tree] + [differentiate(tree, var) for var in VARS]
     fns = compile_tables([(np.array(t, dtype=object), [VARS]) for t in trees])
     bindings = dict(zip(VARS, point))
-    for t, fn in zip(trees, fns):
-        expected = _outcome(lambda: evaluate_tree(t, bindings))
-        assert _outcome(lambda: fn(np.array(point))) == expected, src
-    # a vector table computes each entry exactly as the scalar one does
-    (vector,) = compile_tables([(np.array(trees, dtype=object), [VARS])])
-    try:
-        values = vector(np.array(point))
-    except ExprEvaluationError:
-        return
-    assert [float.hex(float(v)) for v in values] == [_outcome(lambda: fn(np.array(point))) for fn in fns]
+    # one member is a stack of leading shape (): run as the solvers run it, as an overflow to inf warns on any stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, fn in zip(trees, fns):
+            expected = _outcome(lambda: evaluate_tree(t, bindings))
+            assert _outcome(lambda: fn(np.array(point))) == expected, src
+        # a vector table computes each entry exactly as the scalar one does
+        (vector,) = compile_tables([(np.array(trees, dtype=object), [VARS])])
+        try:
+            values = vector(np.array(point))
+        except ExprEvaluationError:
+            return
+        assert [float.hex(float(v)) for v in values] == [_outcome(lambda: fn(np.array(point))) for fn in fns]
 
 
 @PROPERTY
@@ -464,8 +468,8 @@ def _compiled_callables(data):
 
 @pytest.mark.parametrize("data", [HEISENBERG_FILE, GUARDED_FILE], ids=["readme", "guarded"])
 def test_one_member_is_bit_for_bit_the_same_member_of_any_stack(data):
-    """The float branch (leading shape () or (1,)) against the column branch (stacks (8,) and (2, 4)): every
-    compiled function of the README file and of a guarded file gives a member the same bits alone as in a stack."""
+    """One-member stacks (leading shape () or (1,)) against stacks (8,) and (2, 4): every compiled function of the
+    README file and of a guarded file gives a member the same bits alone as in a stack."""
     rng = np.random.default_rng(3)
     for fn, widths in _compiled_callables(data):
         stack = [rng.uniform(-1.5, 1.5, size=(8, w)) for w in widths]
@@ -476,11 +480,6 @@ def test_one_member_is_bit_for_bit_the_same_member_of_any_stack(data):
             alone = fn(*(a[i] for a in stack))
             assert np.shape(alone) == values.shape[1:] and np.array_equal(alone, values[i])
             assert np.array_equal(fn(*(a[i : i + 1] for a in stack)), values[i : i + 1])
-            if not values.shape[1:] and getattr(fn, "value", None) is None:
-                assert type(alone) is float  # a scalar table at one member is Python float arithmetic
-            if hasattr(fn, "widths"):  # lists of floats, as the solvers' float sweep passes them
-                listed = fn(*(a[i].tolist() for a in stack))
-                assert type(listed) is (list if values.ndim > 1 else float) and np.array_equal(listed, values[i])
 
 
 def test_one_member_raises_the_walkers_error_with_its_offset():
@@ -504,10 +503,9 @@ def test_one_member_raises_the_walkers_error_with_its_offset():
             overflowing.dynamics(x, np.zeros(x.shape[:-1] + (0,)))
 
 
-def test_a_guarded_table_enters_np_errstate_only_on_numpy_columns(monkeypatch):
-    """A guarded table (here dH of a Lagrangian dividing by a variable) needs ``np.errstate(all="raise")`` only
-    for NumPy columns: Python floats raise on their own.  Lists and one member enter it never, a stack once, and
-    all three give the same bits."""
+def test_every_call_of_a_guarded_table_enters_np_errstate_once(monkeypatch):
+    """A guarded table (here dH of a Lagrangian dividing by a variable) runs under ``np.errstate(all="raise")``,
+    entered once per call: by a stack and by one member of leading shape () or (1,), which give the same bits."""
     entered, errstate = [], np.errstate
 
     @contextlib.contextmanager
@@ -524,10 +522,9 @@ def test_a_guarded_table_enters_np_errstate_only_on_numpy_columns(monkeypatch):
     assert entered == [{"all": "raise"}]
     entered.clear()
     for i in range(3):
-        assert dH(*(a[i].tolist() for a in rows)) == stack[i].tolist()
         assert np.array_equal(dH(*(a[i] for a in rows)), stack[i])
         assert np.array_equal(dH(*(a[i : i + 1] for a in rows)), stack[i : i + 1])
-    assert entered == []
+    assert entered == [{"all": "raise"}] * 6
 
 
 def counted_compiles(monkeypatch):
@@ -572,16 +569,16 @@ def test_a_full_dirac_scan_compiles_no_lie_poisson_table(monkeypatch):
     assert dirac_membership_residuals(problem, trajectory).max() <= 1e-12
 
 
-def test_a_zero_width_argument_takes_the_float_branch():
-    """The builtin's reduced base has width 0: at leading shape (1,) the functions bind floats from the other
-    arguments and give the (1, ...) values of that member."""
+def test_a_zero_width_argument_binds_only_the_other_arguments():
+    """The builtin's reduced base has width 0: at leading shape (1,) or () the functions bind the columns of the
+    other arguments and give the values of that member."""
     _, reduced = load_problem(HEISENBERG_FILE, "heisenberg", "test")
     z, mu, u = np.zeros((1, 0)), np.array([[0.3, -0.7, 1.1]]), np.array([[0.2, 0.5]])
     dH = reduced.jacobians.dH(z, mu, u)
     assert dH.shape == (1, 5) and dH.tolist() == [[0.3 - 0.2, -0.7 - 0.5, 0.2, 0.5, 0.0]]
     assert np.array_equal(reduced.jacobians.dH(z[0], mu[0], u[0]), dH[0])
-    assert type(reduced.lagrangian(z[0], u[0])) is float
-    assert reduced.lagrangian(z, u).shape == (1,)
+    assert reduced.lagrangian(z, u).shape == (1,) and np.shape(reduced.lagrangian(z[0], u[0])) == ()
+    assert reduced.lagrangian(z[0], u[0]) == reduced.lagrangian(z, u)[0] == 0.5 * (0.2 * 0.2 + 0.5 * 0.5)
     stack = reduced.jacobians.dH(np.zeros((3, 0)), np.repeat(mu, 3, axis=0), np.repeat(u, 3, axis=0))
     assert np.array_equal(stack, np.repeat(dH, 3, axis=0))
 

@@ -681,12 +681,15 @@ def failure_fields(err):
      r"non-finite Hamiltonian partial \(member 0 while stepping from t=0.13\)"),
     # L overflows to inf once x2 passes about 0.97, and its gradient stays finite: H fails at that node
     ("0.5*u1^2 + 1.7e308 + 1e307*x2", EvaluationError, r"non-finite Hamiltonian \(member 0 at t=0.48\)"),
+    # L, a guarded table, reads sqrt(1 - x1) once x1 passes 1, and its gradient does not: L fails at that node
+    ("0.5*u1^2 + 0*sqrt(1 - x1)", ExprEvaluationError, r"sqrt of negative value .* \(member 0 at t=0.06\)"),
 ])
 def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch, lagrangian, kind, message):
     """A problem file (x1_dot = u1, x2_dot = 1) whose member 0 fails mid-run; the other two stay finite.  Alone it
     runs the float sweep (its solves are the float stage's) and fails with the type, message, time, member, state,
     residual, point and offset it has in a batch on the NumPy sweep (every batch, here), at the same node: the
-    Lagrangian is called once per node up to the failing one, as in the batch."""
+    Lagrangian is evaluated once per node up to the failing one, as in the batch (alone, by its lines inlined in
+    the sweep, counted by tracing, or when they fail by the compiled L they fall back to)."""
     monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
     problem = load_problem({"n": 2, "r": 1, "dynamics": ["u1", "1"], "lagrangian": lagrangian}, "f", "test")[0]
     calls = collections.Counter()

@@ -438,7 +438,8 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
     the handle's generators, and the Casimir channel from one call of the stacked Casimir.  Every solve of
     these one-member integrations is written out in the view's generated sweep (``expr.float_stage``): node 0's
     reads the counted dH through its check, every other one the dH lines inlined in the sweep, counted here
-    by tracing (``conftest.count_float_solves``) as one evaluation per iterate, iterations + 1.
+    by tracing (``conftest.count_float_solves``) as one evaluation per iterate, iterations + 1.  The sweep
+    inlines L too, so the counted Lagrangian itself is never called; its traced lines give one evaluation per node.
     """
     calls, svds, float_solves = collections.Counter(), [], collections.Counter()
     svd = np.linalg.svd
@@ -466,7 +467,9 @@ def test_callbacks_and_svds_per_integration_are_pinned(heis_problem, heis_reduce
             integrate_reduced(problem, ReducedState(EMPTY, EMPTY, mu0, np.zeros(2)), steps * config.rk_step, config)
             expected = {"dH": 2 + per_solve * (solves - 1), "fiber_dynamics": 2, "lagrangian": steps + 1,
                         "casimir_mu3": 1}
+        assert calls["lagrangian"] == 0  # the sweep reads only the inlined L lines
         calls["dH"] += float_solves.pop("dH")  # the inlined dH lines
+        calls["lagrangian"] += float_solves.pop("lagrangian")  # the inlined L lines
         assert dict(calls) == expected
         assert len(svds) == (1 if k == 0.0 else 0)
         assert float_solves == {"float solves": solves}

@@ -53,7 +53,6 @@ from .ocp import (
     hamiltonian_partials,
     left_translations,
     stacked,
-    validate_jacobians,
 )
 from .pmp import (
     PmpSolverConfig,

@@ -855,10 +855,11 @@ def _lie_poisson_tables(c: np.ndarray, s: int, base_structure) -> List[Tuple[np.
 def load_problem(data, name: str, where: str) -> Tuple[ControlProblem, Optional[ReducedProblem]]:
     """The control problem, and its reduced form when declared, of a problem file's JSON data (see README).
 
-    Every expression is parsed and compiled here, and so are the
-    derivatives of the Hamiltonian, differentiated symbolically from them
-    (``_hamiltonian_tables``, costates p1..pn, or pz1..pzs and mu1..mudim
-    for the reduced h), so the solvers take their analytic paths.  All
+    ``data`` is the dict of expressions a problem file holds, so this also
+    builds a problem in Python.  Every expression is parsed and compiled
+    here, and so are both derivatives of the Hamiltonian that a problem
+    gives, differentiated symbolically from them (``_hamiltonian_tables``,
+    costates p1..pn, or pz1..pzs and mu1..mudim for the reduced h).  All
     tables of the file go through one ``compile_tables`` call, one
     ``compile()``; the reduced problem's B(z, lam) and -B(z, lam) F are
     compiled by its view (``ReducedProblem.view``), from its structure.

@@ -1,24 +1,23 @@
 """Geometric optimal control problems on a single global chart.
 
 A problem is the data (state dimension n, control dimension r, dynamics
-f(x, u), running cost L(x, u)) with optional analytic derivatives and an
-optional symmetry handle.  States and controls are flat real vectors; all
-computations happen in chart coordinates.
+f(x, u), running cost L(x, u)) with the analytic derivatives of its
+Hamiltonian and an optional symmetry handle.  States and controls are flat
+real vectors; all computations happen in chart coordinates.
 
 The central object is the Pontryagin Hamiltonian
 
     H(x, p, u) = <p, f(x, u)> - L(x, u)
 
 whose first and second partials drive the maximum-principle solver; they are
-the only analytic derivatives a problem gives (``ProblemJacobians``).  One
-kernel computes them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
+the only analytic derivatives a problem gives (``ProblemJacobians``), and it
+gives both, exactly (``expr.load_problem`` compiles them from expressions).
+One kernel reads them for H(q, lam, u) = <lam, F(q, u)> - L(q, u) with lam of
 any length, so the reduced problem (lam = (p_z, mu), F = (base, fiber)) shares
 it, and one Newton loop eliminates the controls of both.  Each problem holds
-one view of H (``ControlProblem.view``, built by ``_controlled``), which picks
-its derivative sources and decides a constant W once: the given derivatives of
-H (every problem file gives both), else central finite differences of H (step
-scaled by 1 + |coordinate|).  The solvers read one gradient of it, the stacked
-(dH/du, dH/dq, F); dH/dlam = F(q, u) is always exact.
+one view of H (``ControlProblem.view``, built by ``_controlled``), which
+decides a constant W once.  The solvers read one gradient of it, the stacked
+(dH/du, dH/dq, F).
 
 The kernel works on stacks: every argument may carry leading member axes (a
 batch of initial conditions, or all rows of a trajectory), and one point is
@@ -28,7 +27,6 @@ stack at once; any other callable is called once per member.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -36,7 +34,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._fd import fd_gradient, fd_hessian_direct, fd_jacobian
 from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, NonNilpotentError, PontrylieError
 from .errors import ExprEvaluationError, RegularityError
 from .lie import GroupElement, LieAlgebraSpec, _exp_series, _is_nilpotent, exp_nilpotent, left_invariant_frame
@@ -45,12 +42,13 @@ from .lie import log_nilpotent
 
 @dataclass(frozen=True)
 class ProblemJacobians:
-    """Optional analytic derivatives of the Pontryagin Hamiltonian H(x, p, u) = <p, f(x, u)> - L(x, u).
+    """The analytic derivatives of the Pontryagin Hamiltonian H(x, p, u) = <p, f(x, u)> - L(x, u).
 
     Each is a function of (x, p, u), per member (see ``stacked``): dH of shape (r + 2n,), the
     concatenation (dH/du, dH/dx, f), whose last n entries must be those of the dynamics; d2H_du2 of shape
-    (r, r), the control Hessian W.  A missing one comes from the other or from central differences of H
-    (see ``_controlled``).  ``expr.load_problem`` compiles both for every problem file.
+    (r, r), the control Hessian W.  A problem needs both: reading a missing one raises
+    DimensionMismatchError naming it (see ``_stacked_jacobians``).  ``expr.load_problem`` compiles both from
+    expressions, for every problem file.
     """
 
     dH: Optional[Callable] = None
@@ -133,7 +131,7 @@ class ControlProblem:
         n, r = self.n, self.r
         return _controlled(F=_sized(_per_member(self.dynamics, "dynamics", (n,)), "dynamics", n),
                            L=_per_member(self.lagrangian, "Lagrangian", ()),
-                           jac=_stacked_jacobians(self.jacobians, r, r + 2 * n), nq=n, r=r)
+                           jac=_stacked_jacobians(self.jacobians, r, r + 2 * n), r=r)
 
 
 @dataclass(frozen=True)
@@ -274,8 +272,6 @@ def _require_finite(values: np.ndarray, message: str, *rows: np.ndarray) -> np.n
     raise EvaluationError(message, point=tuple(np.reshape(v, (count, v.shape[-1]))[i].copy() for v in rows), member=i)
 
 
-# Central-difference step of every derivative fallback, scaled by 1 + |coordinate|.
-FD_STEP = 1e-6
 # A control Hessian whose smallest singular value is at or below this is singular.
 RANK_TOL = 1e-9
 
@@ -288,7 +284,7 @@ class HamiltonianPartials(NamedTuple):
 
 
 class ControlledHamiltonian(NamedTuple):
-    """H(q, lam, u) = <lam, F(q, u)> - L(q, u) and its derivatives, each source picked once by ``_controlled``.
+    """H(q, lam, u) = <lam, F(q, u)> - L(q, u) and its derivatives, as ``_controlled`` builds them.
 
     ``dH(q, lam, u)`` gives (..., r + nq + k) = (dH/du, dH/dq, F), nq = len(q) and k = len(lam) (see
     ``_split``); ``d2H_du2`` gives W, symmetrized, (..., r, r).  ``form(q, lam)`` is the antisymmetric (..., k, k)
@@ -310,41 +306,16 @@ class ControlledHamiltonian(NamedTuple):
     stage: Optional[Callable] = None
 
 
-def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int, form: Optional[Callable] = None,
+def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, r: int, form: Optional[Callable] = None,
                 bracket: Optional[Callable] = None) -> ControlledHamiltonian:
-    """The view of H = <lam, F> - L on stacked F, L and derivatives ``jac``, every derivative source picked here, once.
+    """The view of H = <lam, F> - L on stacked F, L and the derivatives ``jac`` of H (see ``_stacked_jacobians``).
 
-    dH is ``jac.dH``, else central differences of H in u and in q and F joined.  W is ``jac.d2H_du2``, else
-    central differences of the first r entries of an analytic dH, else plain second differences of H (step
-    sqrt(FD_STEP) to keep roundoff noise down).  A ``constant`` W of finite (r, r) value is symmetrized,
-    rank-checked by one SVD and inverted here.  A zero-length q or u block is never evaluated.
+    dH is ``jac.dH`` and W the symmetrized ``jac.d2H_du2``.  A ``constant`` W of finite (r, r) value is
+    symmetrized, rank-checked by one SVD and inverted here, once.
     """
 
-    def h(q, lam, u):
-        return (lam[..., None, :] @ F(q, u)[..., None])[..., 0, 0] - L(q, u)
-
-    # the differences run quietly: a non-finite H (inf - inf) is an EvaluationError of the finiteness checks
-    dH = jac.dH
-    if dH is None:
-        def dH(q, lam, u):
-            with np.errstate(over="ignore", invalid="ignore"):
-                dH_du = fd_gradient(lambda v: h(q, lam, v), u, FD_STEP) if r else np.zeros(u.shape)
-                dH_dq = fd_gradient(lambda v: h(v, lam, u), q, FD_STEP) if nq else np.zeros(q.shape)
-            return np.concatenate([dH_du, dH_dq, F(q, u)], axis=-1)
-
-    if jac.d2H_du2 is not None:
-        hessian = jac.d2H_du2
-    elif jac.dH is not None:
-        def hessian(q, lam, u):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return fd_jacobian(lambda v: jac.dH(q, lam, v)[..., :r], u, FD_STEP)
-    else:
-        def hessian(q, lam, u):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return fd_hessian_direct(lambda v: h(q, lam, v), u, FD_STEP)
-
     def d2H_du2(q, lam, u):
-        w = hessian(q, lam, u)
+        w = jac.d2H_du2(q, lam, u)
         return 0.5 * (w + np.swapaxes(w, -1, -2))
 
     w = getattr(jac.d2H_du2, "value", None)
@@ -355,15 +326,30 @@ def _controlled(F: Callable, L: Callable, jac: ProblemJacobians, nq: int, r: int
         from .expr import float_stage  # here: expr imports this module
         return float_stage(view)
 
-    view = ControlledHamiltonian(F=F, L=L, dH=dH, d2H_du2=d2H_du2, w=w, w_inverse=w_inverse, form=form, bracket=bracket)
+    view = ControlledHamiltonian(F, L, jac.dH, d2H_du2, w, w_inverse, form, bracket)
     return view._replace(stage=functools.cache(stage))
 
 
 def _stacked_jacobians(jac: Optional[ProblemJacobians], r: int, width: int) -> ProblemJacobians:
-    """The derivatives ``jac`` of H, each stacked (see ``_per_member``), dH of ``width`` entries; absent ones None."""
+    """The derivatives ``jac`` of H, each stacked (see ``_per_member``), dH of ``width`` entries.
+
+    A missing one is a stand-in that raises DimensionMismatchError naming it when called, so a problem without
+    derivatives still gives the values of H, F and L.
+    """
     jac = jac or ProblemJacobians()
     shapes = {"dH": (width,), "d2H_du2": (r, r)}
-    return ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) for name, shape in shapes.items()})
+    return ProblemJacobians(**{name: _per_member(getattr(jac, name), name, shape) or _missing(name)
+                               for name, shape in shapes.items()})
+
+
+def _missing(name: str) -> Callable:
+    """The stand-in of the missing derivative ``name`` of H: a stacked callable raising DimensionMismatchError."""
+
+    def missing(*args):
+        raise DimensionMismatchError(f"the problem gives no {name}: its jacobians need both dH and d2H_du2, exact "
+                                     f"derivatives of H (pontrylie.expr.load_problem builds both from expressions)")
+
+    return stacked(missing)
 
 
 def _eval_dynamics(problem: ControlProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -552,33 +538,3 @@ def check_invariance(problem: ControlProblem, samples: int = 20, seed: int = 0) 
         samples=samples,
         invariant=(worst_l <= 1e-8 and worst_dyn <= 1e-8),
     )
-
-
-def validate_jacobians(problem: ControlProblem, probes: int = 20, seed: int = 0, rtol: float = 1e-5) -> float:
-    """Cross-check the given derivatives of H against central differences of H.
-
-    At random points and costates, each field of ``problem.jacobians`` that is given is compared with what
-    the view of the problem without them gives: central differences of H = <p, f> - L, built from the
-    dynamics and the Lagrangian.  Returns the worst relative deviation over the probes; raises
-    EvaluationError if it exceeds ``rtol``.
-    """
-    if problem.jacobians is None:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    draws = [(rng.normal(size=problem.n), rng.normal(size=problem.r)) for _ in range(probes)]
-    x = np.array([d[0] for d in draws]).reshape(probes, problem.n)
-    u = np.array([d[1] for d in draws]).reshape(probes, problem.r)
-    p = rng.normal(size=(probes, problem.n))
-
-    def rel(a, b):
-        return float(np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))), initial=0.0))
-
-    _eval_dynamics(problem, x, u)  # also enforces the output-length invariant
-    view, reference = problem.view, dataclasses.replace(problem, jacobians=None).view
-    worst = 0.0
-    for field in dataclasses.fields(problem.jacobians):
-        if getattr(problem.jacobians, field.name) is not None:
-            worst = max(worst, rel(getattr(view, field.name)(x, p, u), getattr(reference, field.name)(x, p, u)))
-    if worst > rtol:
-        raise EvaluationError(f"analytic derivatives of H deviate from finite differences by {worst:.3e}")
-    return worst

@@ -75,7 +75,7 @@ class ReducedProblem:
     def view(self) -> ControlledHamiltonian:
         """h as the controlled Hamiltonian with q = z, lam = (p_z, mu) and F = (base, fiber), built once and held.
 
-        ``ocp._controlled`` picks the derivative sources and decides the constant W, once per problem.  B(z, lam)
+        ``ocp._controlled`` reads the derivatives ``jacobians`` and decides the constant W, once per problem.  B(z, lam)
         and -B(z, lam) F are compiled here, the two tables of one structure (``expr._lie_poisson_tables``), so a
         replaced algebra brings its own bracket.  A zero-dimensional base contributes no dynamics at all.
         Unmarked callables are called once per member.
@@ -90,7 +90,7 @@ class ReducedProblem:
             F = lambda z, u: np.concatenate([base(z, u), fiber(z, u)], axis=-1)  # noqa: E731
         return _controlled(
             F=_sized(F, "base/fiber dynamics", s + dim), L=_per_member(self.lagrangian, "reduced Lagrangian", ()),
-            jac=_stacked_jacobians(self.jacobians, r, r + 2 * s + dim), nq=s, r=r, form=form, bracket=bracket,
+            jac=_stacked_jacobians(self.jacobians, r, r + 2 * s + dim), r=r, form=form, bracket=bracket,
         )
 
 

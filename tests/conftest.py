@@ -125,23 +125,18 @@ def _oracle_reduced_dH(z, mu, u):
     return _columns(mu[..., 0] - u[..., 0], mu[..., 1] - u[..., 1], u[..., 0], u[..., 1], np.zeros(u.shape[:-1]))
 
 
-def _oracle_jacobians(dH, gradients: bool):
-    """The hand-written derivatives of H, W = -I among them, or None for central differences of H."""
-    return ProblemJacobians(dH=dH, d2H_du2=constant(-np.eye(2))) if gradients else None
-
-
-def heisenberg_oracle_problem(gradients: bool = True) -> ControlProblem:
-    """The hand-written full problem; without ``gradients`` the solvers take central differences of H instead."""
+def heisenberg_oracle_problem() -> ControlProblem:
+    """The hand-written full problem."""
     return ControlProblem(n=3, r=2, dynamics=_oracle_dynamics, lagrangian=_oracle_lagrangian,
-                          jacobians=_oracle_jacobians(_oracle_dH, gradients),
+                          jacobians=ProblemJacobians(dH=_oracle_dH, d2H_du2=constant(-np.eye(2))),
                           symmetry=left_translations(heisenberg_algebra()), name="heisenberg")
 
 
-def heisenberg_oracle_reduced(gradients: bool = True) -> ReducedProblem:
-    """The hand-written reduced problem; without ``gradients`` the solvers take central differences of h instead."""
+def heisenberg_oracle_reduced() -> ReducedProblem:
+    """The hand-written reduced problem."""
     return ReducedProblem(base_dim=0, algebra=heisenberg_algebra(), control_dim=2, lagrangian=_oracle_lagrangian,
                           base_dynamics=constant(np.zeros(0)), fiber_dynamics=_oracle_fiber_dynamics,
-                          jacobians=_oracle_jacobians(_oracle_reduced_dH, gradients),
+                          jacobians=ProblemJacobians(dH=_oracle_reduced_dH, d2H_du2=constant(-np.eye(2))),
                           casimirs={"casimir_mu3": lambda mu: float(mu[2])}, name="heisenberg")
 
 
@@ -226,9 +221,9 @@ def wrap_float_sweeps(monkeypatch, wrap):
 def count_float_solves(monkeypatch, counts):
     """Count into ``counts``, for every generated sweep compiled from now on, the Newton solves it finishes ("float
     solves": the finiteness check of dH after each solve's loop) and its evaluations of the inlined dH and L lines
-    ("dH": one per iterate, the line assigning the entries or its guarded fallback, node 0 reading ``check``
-    instead; "lagrangian": one per node, the line assigning L, not its guarded fallback, whose call of the compiled
-    L a counting wrapper of L counts), by tracing the line events of the generated code with ``sys.settrace``."""
+    ("dH": one per iterate, the line assigning the entries, node 0 reading ``check`` instead; "lagrangian": one per
+    node, the line assigning L), by tracing the line events of the generated code with ``sys.settrace``.  Neither
+    counts its guarded fallback, whose call of the compiled dH or L a counting wrapper of that table counts."""
 
     def traced(sweep, source):
         kinds = {}
@@ -236,7 +231,7 @@ def count_float_solves(monkeypatch, counts):
             text = line.strip()
             if text.startswith("if not _isfinite(0.0 * _d0"):
                 kinds[number] = "float solves"
-            elif text.startswith("_d0,") and "_check(" not in text:
+            elif text.startswith("_d0,") and "_check(" not in text and "_dH(" not in text:
                 kinds[number] = "dH"
             elif text.startswith("_lagrangian, = ") and "_L(" not in text:
                 kinds[number] = "lagrangian"

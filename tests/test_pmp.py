@@ -57,14 +57,23 @@ def newton_feedback(problem, x, p, u_guess, config):
 
 
 def degenerate_problem():
-    """L and f both linear in u: the control Hessian vanishes identically (W from differences of the dH/du
-    entries of dH)."""
+    """L and f both linear in u: the control Hessian vanishes identically (W = 0, given per member)."""
     return ControlProblem(
         n=2,
         r=2,
         dynamics=lambda x, u: np.array([u[0] + x[0], u[1]]),
         lagrangian=lambda x, u: u[0] + u[1],
-        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - 1.0, p[1] - 1.0, p[0], 0.0, u[0] + x[0], u[1]])),
+        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - 1.0, p[1] - 1.0, p[0], 0.0, u[0] + x[0], u[1]]),
+                                   d2H_du2=lambda x, p, u: np.zeros((2, 2))),
+    )
+
+
+def rootless_problem():
+    """H = p exp(u), L = 0: dH/du = p exp(u) has no root unless p = 0, and W = p exp(u)."""
+    return ControlProblem(
+        n=1, r=1, dynamics=lambda x, u: np.array([np.exp(u[0])]), lagrangian=lambda x, u: 0.0,
+        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] * np.exp(u[0]), 0.0, np.exp(u[0])]),
+                                   d2H_du2=lambda x, p, u: np.array([[p[0] * np.exp(u[0])]])),
     )
 
 
@@ -111,7 +120,9 @@ def test_regularity_degenerate_problem():
 
 
 def test_regularity_no_controls():
-    problem = ControlProblem(n=1, r=0, dynamics=lambda x, u: -x, lagrangian=lambda x, u: 0.0)
+    problem = ControlProblem(n=1, r=0, dynamics=lambda x, u: -x, lagrangian=lambda x, u: 0.0,
+                             jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([-p[0], -x[0]]),
+                                                        d2H_du2=lambda x, p, u: np.zeros((0, 0))))
     assert is_regular(problem, PontryaginPoint([1.0], [1.0], []))
 
 
@@ -150,9 +161,7 @@ def test_feedback_zero_momentum(heis_problem, default_config):
 
 def test_feedback_nonconvergence_reports_residual():
     # phi = p * exp(u) has no root; a small budget must fail loudly
-    problem = ControlProblem(
-        n=1, r=1, dynamics=lambda x, u: np.array([np.exp(u[0])]), lagrangian=lambda x, u: 0.0
-    )
+    problem = rootless_problem()
     config = PmpSolverConfig(newton_max_iter=5)
     with pytest.raises(ConvergenceError) as err:
         optimal_feedback(problem, [0.0], [2.0], [0.0], config)
@@ -188,7 +197,8 @@ def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
     root's, and a NaN there raises EvaluationError with (x, p, u*)."""
     problem = ControlProblem(
         n=1, r=1, dynamics=lambda x, u: np.array([u[0]]), lagrangian=lambda x, u: 0.5 * float(u[0] ** 2),
-        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - u[0], np.nan, u[0]])),
+        jacobians=ProblemJacobians(dH=lambda x, p, u: np.array([p[0] - u[0], np.nan, u[0]]),
+                                   d2H_du2=constant(-np.eye(1))),
     )
     with pytest.raises(EvaluationError, match="non-finite Hamiltonian partial") as err:
         integrate_pmp(problem, [0.5], [2.0], 0.1, default_config)
@@ -199,8 +209,15 @@ def test_a_non_finite_state_partial_at_the_root_names_its_point(default_config):
 def test_a_math_error_of_an_unmarked_callable_is_an_evaluation_error_at_its_point(default_config):
     """An unmarked dynamics taking math.sqrt of a negative number raises EvaluationError (exit 2) at the
     member's arguments, where H's terms are evaluated at stored points (the action) and inside an integration."""
+    def dH(x, p, u):
+        if x[0] <= 1.0:  # off the domain, where an integration calls the dynamics before it reads any entry
+            return np.full(3, np.nan)
+        root = math.sqrt(x[0] - 1.0)
+        return np.array([p[0] - u[0], 0.5 * p[0] / root, root + u[0]])
+
     problem = ControlProblem(n=1, r=1, dynamics=lambda x, u: np.array([math.sqrt(x[0] - 1.0) + u[0]]),
-                             lagrangian=lambda x, u: 0.5 * float(u[0] ** 2))
+                             lagrangian=lambda x, u: 0.5 * float(u[0] ** 2),
+                             jacobians=ProblemJacobians(dH=dH, d2H_du2=constant(-np.eye(1))))
     stored = Trajectory([0.0, 0.1, 0.2], ("x1", "p1", "u1"), [[0.0, 1.0, 0.5]] * 3)
     with pytest.raises(EvaluationError, match="dynamics failed: math domain error") as err:
         lagrange_pontryagin_action(problem, stored)
@@ -711,6 +728,35 @@ def test_a_compiled_one_member_failure_is_the_one_it_has_in_a_batch(monkeypatch,
         assert lagrangians[1] == round(err.value.t / config.rk_step) + 1
 
 
+def test_a_guarded_dH_failing_at_a_node_is_counted_once_per_evaluation(monkeypatch):
+    """x3_dot = x2^2 with x2 = t puts each node h^3/12 ahead of its step's stage 4, and dH reads sqrt(c - x3), a
+    guarded table, with c between the two at t = 0.5: alone, member 0's inlined dH fails on floats first at that
+    node, and its fallback, the compiled dH on a one-member stack, raises the batch's error.  Alone its dH is
+    evaluated as often as in a batch on the NumPy sweep (every batch, here): twice per solve, but once in the first
+    step's stage 2, which starts at node 0's x3 = 0 and root, and once at the failing node, whose fallback the
+    counting wrapper of the compiled dH counts and the trace does not."""
+    monkeypatch.setattr(pmp, "_FLOAT_MEMBERS", 1)
+    problem = load_problem({"n": 3, "r": 1, "dynamics": ["u1", "1", "x2^2"],
+                            "lagrangian": "0.5*u1^2 - u1*sqrt(0.041625 - x3)"}, "f", "test")[0]
+    calls = collections.Counter()
+    count_float_solves(monkeypatch, calls)
+    counted = dataclasses.replace(problem, jacobians=dataclasses.replace(
+        problem.jacobians, dH=counting(calls, "dH", problem.jacobians.dH)))
+    failures, evaluations = [], []
+    for x0, p0 in (([[0.0, 0.0, 0.0], [0.0, 0.0, -5.0], [0.0, 0.0, -5.0]],
+                    [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+                   ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])):
+        calls.clear()
+        with pytest.raises(ExprEvaluationError, match=r"sqrt of negative value .* \(member 0 at t=0.5\)") as err:
+            integrate_pmp(counted, x0, p0, 1.0, PmpSolverConfig(rk_step=0.1))
+        failures.append(failure_fields(err.value))
+        evaluations.append(calls["dH"])
+    solves = 1 + 4 * 4 + 3  # node 0, four whole steps and the stages of the fifth
+    assert calls["float solves"] == solves  # alone, and not in the batch
+    assert failures[0] == failures[1]
+    assert evaluations[0] == evaluations[1] == 2 * solves - 1 + 1  # the first stage 2 once; the failing node once
+
+
 @pytest.mark.parametrize("lagrangian, config, kind, message", [
     # dH/du reads 1/x2, a division by a variable, and x2 reaches 0 at stage 4 of the first step
     ("0.5*u1^2 - u1/x2", PmpSolverConfig(rk_step=0.25), ExprEvaluationError, r"division by zero \(at offset 13\)"),
@@ -785,12 +831,18 @@ def test_a_control_hessian_failure_names_its_member_of_the_whole_stack(problem, 
         assert [v.tolist() for v in err.value.point] == [[x], [1.0], [0.0]]
 
 
+def unmarked_w_oracle():
+    """The hand-written oracle with W = -I an unmarked callable, evaluated per member at every Newton step."""
+    oracle = heisenberg_oracle_problem()
+    jacobians = dataclasses.replace(oracle.jacobians, d2H_du2=lambda x, p, u: -np.eye(2))
+    return dataclasses.replace(oracle, jacobians=jacobians)
+
+
 @pytest.mark.parametrize("lead", [(), (1,)])
-@pytest.mark.parametrize("problem", [skewed_problems()[0], heisenberg_oracle_problem(gradients=False)],
-                         ids=["constant-w", "differenced-w"])
+@pytest.mark.parametrize("problem", [skewed_problems()[0], unmarked_w_oracle()], ids=["constant-w", "unmarked-w"])
 def test_newton_gives_one_member_arrays_of_its_leading_shape(problem, lead):
     """One member, a stack of leading shape () or (1,), gets its iterations and residual as arrays of that shape,
-    as any stack does, with a constant W and with one differenced at every step."""
+    as any stack does, with a constant W and with one evaluated at every step."""
     point = (np.array([0.1, -0.2, 0.3]), unit_cylinder_costate(0.4, 1.3), np.array([0.2, -0.1]))
     x, p, u0 = (v.reshape(lead + v.shape) for v in point)
     u, iterations, residual, grad = _newton(problem.view, x, p, u0, PmpSolverConfig(newton_tol=1e-9))
@@ -886,9 +938,7 @@ def test_integrate_validates_shapes(heis_problem, default_config):
 
 
 def test_feedback_failure_reports_time(heis_problem):
-    problem = ControlProblem(
-        n=1, r=1, dynamics=lambda x, u: np.array([np.exp(u[0])]), lagrangian=lambda x, u: 0.0
-    )
+    problem = rootless_problem()
     with pytest.raises(ConvergenceError) as err:
         integrate_pmp(problem, [0.0], [1.0], 0.5, PmpSolverConfig(newton_max_iter=4, rk_step=0.1))
     assert "t=" in str(err.value)
@@ -1029,9 +1079,7 @@ def test_solver_channels_record_newton_work(heis_problem):
 
 def test_failing_member_is_named_with_its_time_state_and_residual():
     # phi = p exp(u) has no root unless p = 0: members 0 and 2 converge at once, member 1 never
-    problem = ControlProblem(
-        n=1, r=1, dynamics=lambda x, u: np.array([np.exp(u[0])]), lagrangian=lambda x, u: 0.0
-    )
+    problem = rootless_problem()
     with pytest.raises(ConvergenceError) as err:
         integrate_pmp(problem, [0.0], [[0.0], [2.0], [0.0]], 0.5, PmpSolverConfig(newton_max_iter=5, rk_step=0.1))
     assert err.value.member == 1

@@ -25,9 +25,10 @@ from pontrylie.heisenberg import (
 from pontrylie.expr import _lie_poisson_tables, compile_tables
 from pontrylie.lie import LieAlgebraSpec, _lie_poisson_form, coadjoint, exp_nilpotent, log_nilpotent
 from pontrylie.ocp import PontryaginPoint, ProblemJacobians, _newton, check_invariance, hamiltonian_partials
-from pontrylie.ocp import stacked
+from pontrylie.ocp import constant, stacked
 from pontrylie.pmp import PmpSolverConfig, Trajectory, dirac_membership_residuals, integrate_pmp, optimal_feedback
-from pontrylie.pmp import time_grid
+from pontrylie.pmp import lagrange_pontryagin_action, time_grid
+from pontrylie.reconstruct import xi_curve_from_reduced
 from pontrylie.reduction import (
     ReducedProblem,
     ReducedState,
@@ -41,9 +42,6 @@ from pontrylie.reduction import (
 
 TWO_PI = 2.0 * np.pi
 EMPTY = np.zeros(0)
-# expression-free toy problems below use finite-difference derivatives, whose
-# noise floor sits above the default 1e-12 stationarity tolerance
-FD_CONFIG = PmpSolverConfig(newton_tol=1e-9)
 
 
 # the benchmark's theta-k grid: six rotating members and two at rest (k = 0)
@@ -111,6 +109,8 @@ def abelian_base_problem():
         lagrangian=lambda z, u: 0.5 * float(u[0] ** 2 + z[0] ** 2),
         base_dynamics=lambda z, u: np.array([u[0]]),
         fiber_dynamics=lambda z, u: np.zeros(2),
+        jacobians=ProblemJacobians(dH=lambda z, lam, u: np.array([lam[0] - u[0], -z[0], u[0], 0.0, 0.0]),
+                                   d2H_du2=constant(-np.eye(1))),
     )
 
 
@@ -126,6 +126,8 @@ def curvature_base_problem(value=-1.0):
         base_dynamics=lambda z, u: np.array([u[0], 1.0]),
         fiber_dynamics=lambda z, u: np.zeros(2),
         base_structure=((0, 1, 0, value),),
+        jacobians=ProblemJacobians(dH=lambda z, lam, u: np.array([lam[0] - u[0], 0.0, 0.0, u[0], 1.0, 0.0, 0.0]),
+                                   d2H_du2=constant(-np.eye(1))),
     )
 
 
@@ -147,6 +149,8 @@ def test_reduced_hamiltonian_base_pairing_only():
         lagrangian=lambda z, u: 0.0,
         base_dynamics=lambda z, u: np.array([3.0 * u[0]]),
         fiber_dynamics=lambda z, u: np.zeros(2),
+        jacobians=ProblemJacobians(dH=lambda z, lam, u: np.array([3.0 * lam[0], 0.0, 3.0 * u[0], 0.0, 0.0]),
+                                   d2H_du2=constant(np.zeros((1, 1)))),
     )
     st = ReducedState([0.2], [2.0], np.zeros(2), [0.5])
     assert reduced_hamiltonian(problem, st) == 2.0 * 1.5
@@ -174,28 +178,6 @@ def test_eliminate_controls(heis_reduced, default_config):
     assert iterations == 0
 
 
-@pytest.mark.parametrize("dH", [
-    None, lambda z, lam, u: np.array([lam[0] * z[0] + lam[1] - u[0], 2.0 * lam[0] * u[1] + lam[2] - u[1],
-                                      lam[0] * u[0], z[0] * u[0] + u[1] ** 2, u[0], u[1], 0.0]),
-])
-def test_partial_base_jacobians_fall_back_to_differences(heis_reduced, dH):
-    # base = z u1 + u2^2 has no analytic control Hessian here (nor, in the first case, an analytic gradient):
-    # its <p_z, .> terms must still count
-    problem = ReducedProblem(
-        base_dim=1,
-        algebra=heis_reduced.algebra,
-        control_dim=2,
-        lagrangian=heis_reduced.lagrangian,
-        base_dynamics=lambda z, u: np.array([z[0] * u[0] + u[1] ** 2]),
-        fiber_dynamics=heis_reduced.fiber_dynamics,
-        jacobians=ProblemJacobians(dH=dH),
-    )
-    parts = reduced_partials(problem, [0.7], [2.0], [0.3, -0.4, 1.0], [0.2, 0.5])
-    assert np.allclose(parts.dH_du, [1.5, 1.1], atol=1e-8)
-    assert np.allclose(parts.dH_dx, [2.0 * 0.2], atol=1e-8)
-    assert np.allclose(parts.d2H_du2, [[-1.0, 0.0], [0.0, 3.0]], atol=1e-6)
-
-
 def test_rhs_rotation_block(heis_reduced, default_config):
     for k in (0.5, 1.0, 2.0):
         st = ReducedState(EMPTY, EMPTY, [1.0, 0.0, k], [1.0, 0.0])
@@ -214,9 +196,9 @@ def test_rhs_equilibrium(heis_reduced, default_config):
 def test_rhs_abelian_is_canonical_hamilton():
     problem = abelian_base_problem()
     z, pz, mu = np.array([0.3]), np.array([-0.8]), np.array([0.1, 0.2])
-    u = eliminate_controls_reduced(problem, z, pz, mu, np.zeros(1), FD_CONFIG)
+    u = eliminate_controls_reduced(problem, z, pz, mu, np.zeros(1), CONFIG)
     st = ReducedState(z, pz, mu, u)
-    out = reduced_pmp_rhs(problem, st, FD_CONFIG)
+    out = reduced_pmp_rhs(problem, st, CONFIG)
     parts = reduced_partials(problem, z, pz, mu, u)
     assert np.allclose(out.z_dot, parts.dH_dp[:1])
     assert np.allclose(out.pz_dot, -parts.dH_dx, atol=1e-9)
@@ -238,8 +220,8 @@ def test_curvature_coupling_enters_base_costate_equation():
     # a one-dimensional base has only the zero antisymmetric coupling, so use base_dim=2
     def pz_dot(problem2):
         z, pz, mu = np.zeros(2), np.array([0.5, 0.0]), np.array([1.0, 0.0])
-        u = eliminate_controls_reduced(problem2, z, pz, mu, np.zeros(1), FD_CONFIG)
-        return reduced_pmp_rhs(problem2, ReducedState(z, pz, mu, u), FD_CONFIG).pz_dot
+        u = eliminate_controls_reduced(problem2, z, pz, mu, np.zeros(1), CONFIG)
+        return reduced_pmp_rhs(problem2, ReducedState(z, pz, mu, u), CONFIG).pz_dot
 
     out = pz_dot(curvature_base_problem())
     assert not np.allclose(pz_dot(curvature_base_problem(-2.0)), out, atol=1e-9)  # the entry is read
@@ -346,7 +328,7 @@ def test_reduced_dirac_residuals_with_a_base(make_problem, z0, pz0):
     """The reduced scan reads (z, p_z, mu, u) rows against the form [[C, 0], [0, B(mu)]], and flags a raised pz1."""
     problem = make_problem()
     mu0 = np.linspace(0.3, -0.5, problem.algebra.dim)
-    traj = integrate_reduced(problem, ReducedState(z0, pz0, mu0, np.zeros(1)), 0.2, FD_CONFIG)
+    traj = integrate_reduced(problem, ReducedState(z0, pz0, mu0, np.zeros(1)), 0.2, CONFIG)
     assert np.max(reduced_dirac_residuals(problem, traj)) <= 1e-6
     states = traj.states.copy()
     states[100, traj.columns.index("pz1")] += 0.5
@@ -554,30 +536,36 @@ def test_compiled_builtin_is_the_hand_written_oracle_bit_for_bit(heis_problem, h
                               reduced_dirac_residuals(oracle_reduced, traj))
 
 
-def test_central_differences_agree_with_the_compiled_gradient(heis_problem, heis_reduced):
-    """The hand-written oracle without any derivatives, so the solvers take central differences of H (and W
-    from second differences), against the builtin over a fan of members: within 1e-8 in states and in every
-    channel but the stationarity residual, which reads the difference noise of dH/du."""
-    oracle, oracle_reduced = heisenberg_oracle_problem(gradients=False), heisenberg_oracle_reduced(gradients=False)
-    assert oracle.jacobians is None and oracle_reduced.jacobians is None
-    config = PmpSolverConfig(rk_step=1e-2, newton_tol=1e-9)  # above the noise floor of the differences
-
-    def close(a, b):
-        assert a.columns == b.columns and a.channels.keys() == b.channels.keys()
-        assert np.max(np.abs(a.states - b.states)) <= 1e-8
-        assert all(np.max(np.abs(value - b.channels[name])) <= 1e-8 for name, value in a.channels.items()
-                   if name != "stationarity")
-        assert np.max(b.channels["stationarity"]) <= config.newton_tol
-
-    cases = GRID + list(FULL_PERIOD_CASES)
-    p0 = [unit_cylinder_costate(theta, k) for theta, k in cases]
-    for builtin, traj in zip(integrate_pmp(heis_problem, np.zeros(3), p0, 2.0, config),
-                             integrate_pmp(oracle, np.zeros(3), p0, 2.0, config)):
-        close(builtin, traj)
-    states = grid_states(cases)
-    for builtin, traj in zip(integrate_reduced(heis_reduced, states, 2.0, config),
-                             integrate_reduced(oracle_reduced, states, 2.0, config)):
-        close(builtin, traj)
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("missing", ["dH", "d2H_du2", None], ids=["dH", "d2H_du2", "both"])
+def test_a_problem_without_a_derivative_of_h_names_it_at_its_first_read(heis_problem, heis_reduced, kind, missing):
+    """The builtin without one of its derivatives of H, or without both (dH is read first): an integration, a
+    feedback solve and the partials, each from a control one step from its root (so a solve reads W), raise
+    DimensionMismatchError naming the field and the expression route.  The values of H's terms are still read: the
+    invariance check and the action, or the xi curve, of a stored trajectory give what the whole problem gives."""
+    builtin = heis_problem if kind == "full" else heis_reduced
+    jacobians = None if missing is None else dataclasses.replace(builtin.jacobians, **{missing: None})
+    problem = dataclasses.replace(builtin, jacobians=jacobians)
+    x, p, u = np.array([0.1, -0.2, 0.3]), unit_cylinder_costate(0.4, 1.3), np.zeros(2)
+    if kind == "full":
+        reads = (lambda: integrate_pmp(problem, x, p, 0.1, CONFIG), lambda: optimal_feedback(problem, x, p, u, CONFIG),
+                 lambda: hamiltonian_partials(problem, PontryaginPoint(x, p, u)))
+    else:
+        reads = (lambda: integrate_reduced(problem, ReducedState(EMPTY, EMPTY, p, u), 0.1, CONFIG),
+                 lambda: eliminate_controls_reduced(problem, EMPTY, EMPTY, p, u, CONFIG),
+                 lambda: reduced_partials(problem, EMPTY, EMPTY, p, u))
+    for read in reads:
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^the problem gives no {missing or 'dH'}: .*pontrylie\.expr\.load_problem"):
+            read()
+    if kind == "full":
+        assert check_invariance(problem, samples=5) == check_invariance(builtin, samples=5)
+        run = integrate_pmp(builtin, x, p, 0.1, CONFIG)
+        assert lagrange_pontryagin_action(problem, run) == lagrange_pontryagin_action(builtin, run)
+    else:
+        run = integrate_reduced(builtin, ReducedState(EMPTY, EMPTY, p, u), 0.1, CONFIG)
+        assert all(np.array_equal(a, b) for a, b in zip(xi_curve_from_reduced(problem, run),
+                                                        xi_curve_from_reduced(builtin, run)))
 
 
 def _short_dH(fn):
@@ -718,7 +706,7 @@ def test_one_bracket_for_every_reduced_problem(heis_reduced, monkeypatch):
     assert reduced_dirac_residuals(builtin, runs[0]).max() <= 1e-12
     oracle_runs = integrate_reduced(heisenberg_oracle_reduced(), grid_states(), 0.2, CONFIG)
     curved = integrate_reduced(curvature_base_problem(), ReducedState(np.zeros(2), [0.5, 0.0], [1.0, 0.0], [0.0]),
-                               0.1, FD_CONFIG)
+                               0.1, CONFIG)
     assert np.isfinite(curved.states).all() and len(curved) == 101
     for run, oracle in zip(runs, oracle_runs):
         assert np.array_equal(run.states, oracle.states) and np.array_equal(run.channel("h"), oracle.channel("h"))
@@ -728,15 +716,18 @@ IMPORT_FIRST = """
 import numpy as np
 from pontrylie.reduction import ReducedProblem, ReducedState, integrate_reduced
 from pontrylie.lie import LieAlgebraSpec
+from pontrylie.ocp import ProblemJacobians
 from pontrylie.pmp import PmpSolverConfig
 
 c = np.zeros((3, 3, 3))
 c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
 problem = ReducedProblem(base_dim=0, algebra=LieAlgebraSpec(3, c), control_dim=2,
                          lagrangian=lambda z, u: 0.5 * float(u @ u), base_dynamics=lambda z, u: np.zeros(0),
-                         fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.0]))
-run = integrate_reduced(problem, ReducedState([], [], [1.0, 0.0, 1.0], [0.0, 0.0]), 1e-3,
-                        PmpSolverConfig(rk_step=1e-3, newton_tol=1e-9))
+                         fiber_dynamics=lambda z, u: np.array([u[0], u[1], 0.0]),
+                         jacobians=ProblemJacobians(
+                             dH=lambda z, mu, u: np.array([mu[0] - u[0], mu[1] - u[1], u[0], u[1], 0.0]),
+                             d2H_du2=lambda z, mu, u: -np.eye(2)))
+run = integrate_reduced(problem, ReducedState([], [], [1.0, 0.0, 1.0], [0.0, 0.0]), 1e-3, PmpSolverConfig(rk_step=1e-3))
 print(len(run), *run.block("mu")[-1])
 """
 
